@@ -45,9 +45,9 @@
 //!
 //! Stateful attacks draw from the same single `attack_rng` stream as the
 //! memoryless ones (seed + `0xa77ac4`, cohort order), so the determinism
-//! contract holds at any thread count, and they always take the materialized
-//! aggregation path (the streaming fold only admits attacks that need no view
-//! of the honest uploads).
+//! contract holds at any thread count. Like every attack that reads the
+//! cohort ([`AttackSpec::reads_cohort`]) they see the round's raw uploads
+//! before the defense folds them.
 
 use dpbfl_stats::moments::coordinate_moments;
 use dpbfl_stats::normal::{gaussian_vector, standard_normal_quantile};
@@ -175,10 +175,19 @@ impl AttackSpec {
         self.byzantine_data() != ByzantineData::None
     }
 
+    /// True iff crafting reads the round's uploads — the benign cohort's, or
+    /// the Byzantine members' own protocol uploads it then replaces. Only
+    /// pure noise, plain label-flip and "no attack" do not. This is the one
+    /// input to *when* a two-stage round folds its uploads: such a round
+    /// must collect them raw, craft, then fold; any other round folds each
+    /// upload the moment it arrives. Never a user option.
+    pub fn reads_cohort(&self) -> bool {
+        !matches!(self, AttackSpec::None | AttackSpec::Gaussian | AttackSpec::LabelFlip)
+    }
+
     /// True iff the attack's crafting depends on the round index or on state
-    /// carried across rounds ([`AttackState`]). Stateful attacks are pinned
-    /// to the materialized aggregation path and cannot be nested inside
-    /// another stateful attack.
+    /// carried across rounds ([`AttackState`]). Stateful attacks cannot be
+    /// nested inside another stateful attack.
     pub fn is_stateful(&self) -> bool {
         matches!(
             self,

@@ -28,19 +28,18 @@ pub enum StepNormalization {
     SelectedCount,
 }
 
-/// How the streaming defense fold retains stage-1 survivors until the
-/// round's selection resolves.
+/// How the two-stage fold retains stage-1 survivors until the round's
+/// selection resolves. Honoured in every two-stage round, under any attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum UploadRetention {
-    /// Keep each accepted upload verbatim (`f32`). The streaming pipeline is
-    /// bit-identical to the materialized one under this mode.
+    /// Keep each accepted upload verbatim (`f32`): the update sums exactly
+    /// the bits the workers sent.
     #[default]
     Exact,
     /// Re-encode each accepted upload as a scale + `i16` codes
     /// (`dpbfl_tensor::quant::QuantizedVec`), halving retained bytes at the
     /// extreme cohort tail. Deterministic but lossy: opt-in per scenario,
-    /// never used by the pinned paper grids (it trades bit-parity with the
-    /// materialized path for memory).
+    /// never used by the pinned paper grids.
     Quantized,
 }
 
@@ -104,22 +103,7 @@ pub struct DefenseConfig {
     /// unsafe because a single selected arbitrary upload can destroy the
     /// model).
     pub first_stage_enabled: bool,
-    /// Whether the first stage uses the sort-free KS screen with sorted
-    /// fallback (`true`, the production hot path) or the retained
-    /// always-sort reference implementation (`false`). Verdicts are
-    /// bit-identical either way — the flag exists so tests and audits can
-    /// run the decision-equivalence oracle end to end.
-    pub ks_fast_path: bool,
-    /// Whether the two-stage defense runs as a fold over the upload stream
-    /// (`true`, the production path: uploads are produced, first-stage
-    /// filtered and scored one at a time, and only stage-1 survivors are
-    /// retained) or materializes the full `n×d` upload matrix (`false`, the
-    /// reference path). Results are bit-identical under
-    /// [`UploadRetention::Exact`]; attacks that need the whole benign cohort at once (OptLMP,
-    /// "a little", inner-product, adaptive) fall back to the materialized
-    /// path regardless of this flag.
-    pub streaming_fold: bool,
-    /// How the streaming fold retains stage-1 survivors.
+    /// How the fold retains stage-1 survivors.
     pub retention: UploadRetention,
 }
 
@@ -134,8 +118,6 @@ impl Default for DefenseConfig {
             scoring: ScoringRule::default(),
             weighting: WeightScheme::default(),
             first_stage_enabled: true,
-            ks_fast_path: true,
-            streaming_fold: true,
             retention: UploadRetention::default(),
         }
     }
@@ -269,8 +251,6 @@ mod tests {
         assert_eq!(def.aux_per_class, 2);
         assert!((def.norm_test_stds - 3.0).abs() < 1e-12);
         assert!(def.first_stage_enabled);
-        assert!(def.ks_fast_path, "production default is the sort-free fast path");
-        assert!(def.streaming_fold, "production default is the streaming fold");
         assert_eq!(def.retention, UploadRetention::Exact, "bit-exact retention by default");
     }
 

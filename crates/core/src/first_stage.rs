@@ -37,7 +37,8 @@
 //! decisions are only made outside guarded margins around the critical
 //! value; see `dpbfl_stats::ks` for the argument). The equivalence is
 //! hammered by `crates/stats/tests/proptest_ks_fastpath.rs`, the unit tests
-//! below, and a simulation-level byte-identity test.
+//! below, and an end-to-end test that re-checks every real upload of a
+//! two-stage run against the oracle.
 
 use dpbfl_stats::ks::{ks_test_gaussian, KsGaussianScreen, KsScreenVerdict};
 use dpbfl_tensor::vecops;
@@ -170,9 +171,8 @@ impl FirstStage {
     }
 
     /// The retained always-sort implementation — the oracle the fast path is
-    /// decision-equivalent to (kept in-tree so the equivalence stays
-    /// testable forever; also selectable at run time via
-    /// `DefenseConfig::ks_fast_path = false`).
+    /// decision-equivalent to. No run ever takes it: it is kept in-tree so
+    /// tests and benches can hold [`FirstStage::check`] to it forever.
     pub fn check_reference(&self, upload: &[f32]) -> FirstStageVerdict {
         self.check_reference_info(upload).verdict
     }
@@ -205,34 +205,6 @@ impl FirstStage {
             upload.fill(0.0);
         }
         verdict
-    }
-
-    /// [`FirstStage::filter`] with caller-owned scratch buffers.
-    pub fn filter_with(&self, upload: &mut [f32], scratch: &mut KsScratch) -> FirstStageVerdict {
-        self.filter_with_info(upload, scratch).verdict
-    }
-
-    /// [`FirstStage::filter_with`] returning the full [`CheckInfo`].
-    pub fn filter_with_info(&self, upload: &mut [f32], scratch: &mut KsScratch) -> CheckInfo {
-        let info = self.check_with_info(upload, scratch);
-        if !info.verdict.is_accepted() {
-            upload.fill(0.0);
-        }
-        info
-    }
-
-    /// [`FirstStage::filter`] through the always-sort reference path.
-    pub fn filter_reference(&self, upload: &mut [f32]) -> FirstStageVerdict {
-        self.filter_reference_info(upload).verdict
-    }
-
-    /// [`FirstStage::filter_reference`] returning the full [`CheckInfo`].
-    pub fn filter_reference_info(&self, upload: &mut [f32]) -> CheckInfo {
-        let info = self.check_reference_info(upload);
-        if !info.verdict.is_accepted() {
-            upload.fill(0.0);
-        }
-        info
     }
 }
 

@@ -12,10 +12,10 @@
 //! Two implementations exist:
 //!
 //! * [`InProcessTransport`] — the in-memory path every simulation run uses.
-//!   It owns the worker pools and reproduces the PR-6 streaming fold exactly:
-//!   contiguous cohort shards (one per rayon thread), one [`KsScratch`] per
-//!   shard, sequential folding within a shard, results concatenated in shard
-//!   order. Bit-identical at any thread count.
+//!   It owns the worker pools and folds in contiguous cohort shards (one per
+//!   rayon thread), one [`KsScratch`] per shard, sequentially within a
+//!   shard, results concatenated in shard order. Bit-identical at any
+//!   thread count.
 //! * `TcpTransport` (in [`crate::serving`]) — the wire path behind
 //!   `dpbfl-server`/`dpbfl-client`, speaking the `dpbfl-transport` frame
 //!   protocol over TCP or Unix-domain sockets.
@@ -31,12 +31,10 @@
 //! existing rejection stats — so the accepted set alone determines the run,
 //! bit-for-bit, regardless of timing.
 
-use crate::attack::{
-    craft_uploads_stateful, AttackContext, AttackSpec, AttackState, ByzantineData,
-};
+use crate::attack::{craft_uploads_stateful, AttackContext, AttackState, ByzantineData};
 use crate::config::{DpSgdConfig, StepNormalization, UploadRetention};
 use crate::first_stage::{CheckInfo, FirstStage, FirstStageVerdict, KsScratch};
-use crate::second_stage::{ScoringRule, SecondStage};
+use crate::second_stage::SecondStage;
 use crate::simulation::{
     round_cohort, worker_seed, DefenseKind, DefenseStats, EvalPoint, Provisioning, RunSummary,
     SimulationConfig, WorkerProtocol,
@@ -44,7 +42,6 @@ use crate::simulation::{
 use crate::worker::DpWorker;
 use dpbfl_data::{flip_labels, Dataset};
 use dpbfl_nn::{accuracy, CrossEntropyLoss, Sequential};
-use dpbfl_stats::gaussian_vector;
 use dpbfl_telemetry::{RoundMetrics, Telemetry};
 use dpbfl_tensor::quant::QuantizedVec;
 use dpbfl_tensor::vecops;
@@ -55,18 +52,20 @@ use rayon::prelude::*;
 /// What the server keeps of one member's round trip.
 #[derive(Debug)]
 pub enum Collected {
-    /// The raw upload, materialized (reference pipeline / non-folding runs).
+    /// The raw upload: rounds whose attacker reads the cohort before the
+    /// defense folds it, and every round of a defense without a fold.
     Upload(Vec<f32>),
-    /// The upload already folded through the two-stage streaming pipeline:
-    /// its second-stage score, what was retained for the update, and the
-    /// first stage's telemetry view (`None` when the stage is ablated off).
+    /// The upload already through the two-stage fold: its second-stage
+    /// score, what was retained for the update, and the first stage's
+    /// telemetry view (`None` when the stage is ablated off).
     Scored(f64, Retained, Option<CheckInfo>),
-    /// The member never delivered: deadline missed, connection lost, or the
-    /// client vanished. Treated exactly like a first-stage rejection.
+    /// The member never delivered: deadline missed, connection lost, upload
+    /// of the wrong length, or the client vanished. Treated exactly like a
+    /// first-stage rejection.
     Dropped,
 }
 
-/// What the streaming fold keeps of one upload after filtering and scoring.
+/// What the two-stage fold keeps of one upload after filtering and scoring.
 #[derive(Debug)]
 pub enum Retained {
     /// Zeroed by the first stage: contributes literal `+0.0` to every score
@@ -112,14 +111,12 @@ pub trait Transport {
 }
 
 /// The in-memory transport: owns the worker pools and steps them under
-/// rayon, reproducing the PR-6 sharded streaming fold bit-for-bit.
+/// rayon, folding each upload as its worker produces it.
 ///
-/// Sharding recipe (the determinism-critical part): members are split at
-/// `n_honest` into the two pools, and each pool's slice is folded as
-/// contiguous chunks of `len.div_ceil(threads).max(1)` members — one fresh
-/// [`KsScratch`] per chunk, sequential within a chunk, chunk results
-/// concatenated in order. Verdicts and scores are pure functions of the
-/// upload bits, so the merge is independent of thread count.
+/// Members are split at `n_honest` into the two pools, and each pool's
+/// slice is stepped and folded in shards (`fold_in_shards`, the
+/// determinism-critical recipe). Verdicts and scores are pure functions of
+/// the upload bits, so the merge is independent of thread count.
 pub struct InProcessTransport<'a> {
     cfg: &'a SimulationConfig,
     dp: DpSgdConfig,
@@ -206,21 +203,9 @@ impl Transport for InProcessTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let InProcessTransport { cfg, dp, honest, poisoned, template } = self;
-        let split = members.partition_point(|&i| i < cfg.n_honest);
-        let (members_honest, members_byz) = members.split_at(split);
-        let mut out = pool_fold(cfg, dp, template, honest, members_honest, 0, round, params, fold);
-        out.extend(pool_fold(
-            cfg,
-            dp,
-            template,
-            poisoned,
-            members_byz,
-            cfg.n_honest,
-            round,
-            params,
-            fold,
-        ));
+        let split = members.partition_point(|&i| i < self.cfg.n_honest);
+        let mut out = self.pool_fold(false, &members[..split], round, params, fold);
+        out.extend(self.pool_fold(true, &members[split..], round, params, fold));
         out
     }
 }
@@ -238,76 +223,80 @@ pub(crate) fn plan_withholds(cfg: &SimulationConfig, member: usize, round: usize
     }
 }
 
-/// Folds one pool's cohort slice under rayon: the sharding recipe described
-/// on [`InProcessTransport`], identical for the pooled and on-demand cases.
-///
-/// A member the serving fault plan withholds still *steps* (its RNG and
-/// momentum state must evolve exactly as on a remote client that skips the
-/// send) but its upload never reaches `fold` — folding feeds defense state
-/// downstream, so a withheld upload folds as nothing and the member yields
-/// [`Collected::Dropped`], just like a deadline miss over the wire.
-#[allow(clippy::too_many_arguments)]
-fn pool_fold(
-    cfg: &SimulationConfig,
-    dp: &DpSgdConfig,
-    template: &Sequential,
-    pool: &mut [DpWorker],
-    members: &[usize],
-    base: usize,
-    round: usize,
-    params: &[f32],
-    fold: &UploadFold<'_>,
-) -> Vec<Collected> {
-    let shard = members.len().div_ceil(rayon::current_num_threads().max(1)).max(1);
-    let withheld: Vec<bool> = members.iter().map(|&m| plan_withholds(cfg, m, round)).collect();
-    let nested: Vec<Vec<Collected>> = if cfg.provisioning == Provisioning::Pooled {
-        let mut refs = cohort_refs(pool, members, base);
-        let shards: Vec<(&mut [&mut DpWorker], &[bool])> =
-            refs.chunks_mut(shard).zip(withheld.chunks(shard)).collect();
-        shards
-            .into_par_iter()
-            .map(|(shard, wh)| {
-                let mut scratch = KsScratch::new();
-                shard
-                    .iter_mut()
-                    .zip(wh)
-                    .map(|(w, &withhold)| {
-                        let upload = protocol_step(w, params, cfg.protocol);
-                        if withhold {
-                            Collected::Dropped
-                        } else {
-                            fold(upload, &mut scratch)
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    } else {
-        let shards: Vec<(&[usize], &[bool])> =
-            members.chunks(shard).zip(withheld.chunks(shard)).collect();
-        shards
-            .into_par_iter()
-            .map(|(shard, wh)| {
-                let mut scratch = KsScratch::new();
-                shard
-                    .iter()
-                    .zip(wh)
-                    .map(|(&i, &withhold)| {
-                        // On-demand workers are rebuilt per round, so a
-                        // withheld member need not even step.
-                        if withhold {
-                            return Collected::Dropped;
-                        }
-                        let mut w =
-                            on_demand_worker(cfg, template, dp, i, round, member_flips(cfg, i));
-                        let upload = protocol_step(&mut w, params, cfg.protocol);
-                        fold(upload, &mut scratch)
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+/// The one sharding recipe every fold uses, whenever it runs: `items` split
+/// into contiguous shards of `len.div_ceil(threads).max(1)`, one rayon task
+/// and one fresh [`KsScratch`] per shard, `each` applied sequentially within
+/// a shard, shard results concatenated in order. `each` must be a pure
+/// function of its item (and the scratch it fully rewrites), which makes the
+/// result independent of sharding and thread count.
+fn fold_in_shards<T: Send, R: Send>(
+    items: &mut [T],
+    each: impl Fn(&mut T, &mut KsScratch) -> R + Sync,
+) -> Vec<R> {
+    let shard = items.len().div_ceil(rayon::current_num_threads().max(1)).max(1);
+    let shards: Vec<&mut [T]> = items.chunks_mut(shard).collect();
+    let nested: Vec<Vec<R>> = shards
+        .into_par_iter()
+        .map(|shard| {
+            let mut scratch = KsScratch::new();
+            shard.iter_mut().map(|item| each(item, &mut scratch)).collect()
+        })
+        .collect();
     nested.into_iter().flatten().collect()
+}
+
+impl InProcessTransport<'_> {
+    /// Steps and folds the cohort slice `members` of one pool — the honest
+    /// one, or the Byzantine members' — in shards ([`fold_in_shards`]), for
+    /// the pooled and on-demand cases alike.
+    ///
+    /// A member the serving fault plan withholds still *steps* (its RNG and
+    /// momentum state must evolve exactly as on a remote client that skips
+    /// the send) but its upload never reaches `fold` — folding feeds defense
+    /// state downstream, so a withheld upload folds as nothing and the
+    /// member yields [`Collected::Dropped`], just like a deadline miss over
+    /// the wire.
+    fn pool_fold(
+        &mut self,
+        byzantine: bool,
+        members: &[usize],
+        round: usize,
+        params: &[f32],
+        fold: &UploadFold<'_>,
+    ) -> Vec<Collected> {
+        let InProcessTransport { cfg, dp, honest, poisoned, template } = self;
+        let cfg = *cfg;
+        let withheld = members.iter().map(|&m| plan_withholds(cfg, m, round));
+        if cfg.provisioning == Provisioning::Pooled {
+            let (pool, base) = if byzantine { (poisoned, cfg.n_honest) } else { (honest, 0) };
+            // The pool and `members` both ascend, so filtering keeps order.
+            let cohort = pool
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(k, w)| members.binary_search(&(base + k)).is_ok().then_some(w));
+            let mut slots: Vec<_> = cohort.zip(withheld).collect();
+            assert_eq!(slots.len(), members.len(), "cohort index within worker range");
+            fold_in_shards(&mut slots, |(w, withhold), scratch| {
+                let upload = protocol_step(w, params, cfg.protocol);
+                if *withhold {
+                    Collected::Dropped
+                } else {
+                    fold(upload, scratch)
+                }
+            })
+        } else {
+            let mut slots: Vec<_> = members.iter().copied().zip(withheld).collect();
+            fold_in_shards(&mut slots, |&mut (i, withhold), scratch| {
+                // On-demand workers are rebuilt per round, so a withheld
+                // member need not even step.
+                if withhold {
+                    return Collected::Dropped;
+                }
+                let mut w = on_demand_worker(cfg, template, dp, i, round, member_flips(cfg, i));
+                fold(protocol_step(&mut w, params, cfg.protocol), scratch)
+            })
+        }
+    }
 }
 
 /// Runs the full round loop against `transport`; returns the accuracy
@@ -320,6 +309,16 @@ fn pool_fold(
 /// (`None` for non-private or untelemetered runs) — only telemetry reads
 /// it; caching it outside the loop keeps the per-round ε annotation to a
 /// cheap RDP→(ε, δ) conversion instead of re-deriving the RDP curve.
+///
+/// Every round is collect → craft → defend/update → observe → eval. The
+/// two-stage defense is one pipeline, [`fold_upload`] per upload then
+/// [`TwoStageState::finish`] per round, with two fold *timings*: an attack
+/// that reads the cohort ([`crate::attack::AttackSpec::reads_cohort`]) must
+/// see the raw uploads first, so its rounds collect, craft, then fold
+/// ([`fold_in_shards`], as the transport does); every other round folds each
+/// upload as it arrives, inside the transport, and holds only stage-1
+/// survivors. The timing is read from the attack spec alone and moves no
+/// bit: the fold is a pure function of the upload.
 ///
 /// Telemetry is collected *after* the fold's shard merge, sequentially in
 /// cohort order, so the deterministic counters are bit-identical at any
@@ -341,6 +340,9 @@ pub(crate) fn orchestrate(
 ) -> (Vec<EvalPoint>, DefenseStats) {
     let d = params.len();
     let needs_poisoned = cfg.attack.needs_poisoned_workers();
+    // An attack that reads the cohort must see the raw uploads before the
+    // defense folds them; every other two-stage round folds at arrival.
+    let reads_cohort = cfg.attack.reads_cohort();
     let iterations = cfg.iterations();
     let eval_every = if cfg.eval_every > 0 {
         cfg.eval_every
@@ -358,6 +360,7 @@ pub(crate) fn orchestrate(
     let mut attack_state = AttackState::new(&cfg.attack);
 
     for t in 0..iterations {
+        let round = Some(t as u64);
         // The round's participants: drawn sequentially, before any parallel
         // work. `split` partitions the sorted cohort into honest ([..split])
         // and Byzantine ([split..]) members.
@@ -371,194 +374,121 @@ pub(crate) fn orchestrate(
 
         // Data-holding members the transport must reach this round: the
         // honest cohort, plus the Byzantine cohort when the attack trains on
-        // poisoned local data (label-flip). Attacks crafted server-side by
-        // the omniscient adversary never touch the transport.
+        // its own local data (label-flip, sleeper cover). Always a prefix of
+        // the cohort; the rest is crafted server-side by the adversary.
         let data_members: &[usize] = if needs_poisoned { &cohort } else { cohort_honest };
 
-        // The production two-stage path folds over the upload stream: one
-        // upload in flight per thread, only stage-1 survivors retained.
-        // Attacks that read the whole benign cohort at once (OptLMP, "a
-        // little", inner-product, adaptive) force the materialized reference
-        // path below.
-        let streaming = cfg.defense == DefenseKind::TwoStage
-            && cfg.defense_cfg.streaming_fold
-            && matches!(
-                cfg.attack,
-                AttackSpec::None | AttackSpec::Gaussian | AttackSpec::LabelFlip
-            );
-
-        // Each branch reports the round's stage-1 acceptance count — the
-        // defense's public output that the acceptance-rate-adaptive attacker
-        // observes (identical to the telemetry record's `accepted` counter).
-        let accepted: u64 = if streaming {
-            let state = defense.as_mut().expect("two-stage state always built");
-            // Server's clean gradient, hoisted ahead of the fold so every
-            // upload can be scored the moment it survives the first stage —
-            // bit-safe because its computation is RNG-free and reads only
-            // `params`, which no worker mutates.
-            let g_s_norm = state.begin_round(cfg, params);
-            let first = &state.first;
-            let grad = &state.grad_buf;
-            let fold = |upload: Vec<f32>, scratch: &mut KsScratch| {
-                let (score, retained, info) =
-                    fold_upload(first, cfg, upload, scratch, grad, g_s_norm);
-                Collected::Scored(score, retained, info)
-            };
-            let timer = tel.start();
-            let collected = transport.round_trip(t, data_members, params, &fold);
-            tel.stop(timer, "collect", Some(t as u64));
-            debug_assert_eq!(collected.len(), data_members.len());
-            let mut folds: Vec<(f64, Retained, Option<CheckInfo>)> = collected
-                .into_iter()
-                .map(|c| match c {
-                    Collected::Scored(score, retained, info) => (score, retained, info),
-                    // Late/missing uploads join the rejected set: the same
-                    // +0.0 score and zero update contribution a first-stage
-                    // rejection produces. No `CheckInfo`: the first stage
-                    // never saw them (telemetry counts them as dropped).
-                    Collected::Dropped => (0.0, Retained::Rejected, None),
-                    Collected::Upload(_) => unreachable!("streaming fold returns scored slots"),
-                })
-                .collect();
-
-            // Byzantine cohort members the transport did not cover.
-            let timer = tel.start();
-            match &cfg.attack {
-                AttackSpec::None => {
-                    // `craft_uploads` produces nothing for `None`, so a
-                    // non-empty Byzantine cohort can't fill its upload slots;
-                    // the materialized pipeline panics on the count mismatch
-                    // and the streaming fold preserves that contract.
-                    assert!(cohort_byz.is_empty(), "upload count changed mid-training");
-                }
-                AttackSpec::Gaussian => {
-                    // One draw–fold cycle per Byzantine slot, strictly
-                    // sequential from the single attack stream — the same
-                    // draws in the same order `craft_uploads` makes, and the
-                    // fold consumes no RNG, so interleaving is bit-safe.
-                    let mut scratch = KsScratch::new();
-                    for _ in cohort_byz {
-                        let upload = gaussian_vector(&mut attack_rng, dp.effective_noise_std(), d);
-                        folds.push(fold_upload(first, cfg, upload, &mut scratch, grad, g_s_norm));
-                    }
-                }
-                // Label-flip members were data members: already folded.
-                AttackSpec::LabelFlip => {}
-                other => unreachable!("attack {other:?} is not streamable (materialized path)"),
-            }
-            tel.stop(timer, "attack", Some(t as u64));
-            debug_assert_eq!(folds.len(), cohort.len());
-
-            let timer = tel.start();
-            let update =
-                state.finish_streaming(cfg, &cohort, &folds, &mut stats, lr, metrics.as_mut());
-            vecops::add_assign(params, &update);
-            tel.stop(timer, "aggregate", Some(t as u64));
-            // Mirrors `note_stage1`: a `None` info is an acceptance only when
-            // the stage never rejected it (ablated stage), not when the
-            // upload was dropped in flight.
-            folds
-                .iter()
-                .filter(|(_, r, info)| {
-                    info.map_or(!matches!(r, Retained::Rejected), |ci| ci.verdict.is_accepted())
-                })
-                .count() as u64
-        } else {
-            // Materialized reference pipeline: collect the raw uploads.
-            let fold = |upload: Vec<f32>, _scratch: &mut KsScratch| Collected::Upload(upload);
-            let timer = tel.start();
-            let collected = transport.round_trip(t, data_members, params, &fold);
-            tel.stop(timer, "collect", Some(t as u64));
-            debug_assert_eq!(collected.len(), data_members.len());
-            let mut slots = collected.into_iter().map(|c| match c {
-                Collected::Upload(u) => u,
-                // A dropped member contributes the zero vector — exactly
-                // what a first-stage rejection would zero it to (telemetry
-                // counts it among the norm-test rejections downstream).
-                Collected::Dropped => vec![0.0f32; d],
-                Collected::Scored(..) => unreachable!("materialized fold returns raw uploads"),
-            });
-            let benign: Vec<Vec<f32>> = slots.by_ref().take(cohort_honest.len()).collect();
-            let poisoned_uploads: Vec<Vec<f32>> = slots.collect();
-
-            // The omniscient adversary crafts its uploads (one per Byzantine
-            // cohort member).
-            let ctx = AttackContext {
-                benign_uploads: &benign,
-                d,
-                n_byzantine: cohort_byz.len(),
-                noise_std: dp.effective_noise_std(),
-                round: t,
-                total_rounds: iterations,
-                poisoned_uploads: &poisoned_uploads,
-            };
-            let timer = tel.start();
-            let byzantine =
-                craft_uploads_stateful(&cfg.attack, &ctx, &mut attack_state, &mut attack_rng);
-            tel.stop(timer, "attack", Some(t as u64));
-
-            let mut uploads = benign;
-            uploads.extend(byzantine);
-
-            // Server step. Defenses without a per-upload filter accept (and
-            // aggregate) the whole cohort; their telemetry records exactly
-            // that, with no stage-1/stage-2 breakdown.
-            if let Some(m) = &mut metrics {
-                if cfg.defense != DefenseKind::TwoStage {
-                    m.accepted = cohort.len() as u64;
-                    m.selected = cohort.len() as u64;
-                    m.retained_exact_bytes = (cohort.len() * d * 4) as u64;
-                }
-            }
-            match (&cfg.defense, defense.as_mut()) {
-                (DefenseKind::NoDefense, _) => {
-                    let timer = tel.start();
-                    let refs: Vec<&[f32]> = uploads.iter().map(|u| u.as_slice()).collect();
-                    let g = vecops::mean(&refs).expect("at least one worker");
-                    vecops::axpy(-(lr as f32), &g, params);
-                    tel.stop(timer, "aggregate", Some(t as u64));
-                    cohort.len() as u64
-                }
-                (DefenseKind::Robust { rule }, _) => {
-                    let timer = tel.start();
-                    let g = rule.aggregate(&uploads);
-                    vecops::axpy(-(lr as f32), &g, params);
-                    tel.stop(timer, "aggregate", Some(t as u64));
-                    cohort.len() as u64
-                }
-                (DefenseKind::TwoStage, Some(state)) => {
-                    let (update, accepted) = state.step(
-                        cfg,
-                        &cohort,
-                        &mut uploads,
-                        params,
-                        &mut stats,
-                        lr,
-                        tel,
-                        metrics.as_mut(),
-                    );
-                    vecops::add_assign(params, &update);
-                    accepted
-                }
-                (DefenseKind::TwoStage, None) => unreachable!("two-stage state always built"),
-                (DefenseKind::FlTrust, _) => {
-                    let timer = tel.start();
-                    let (aux, model, grad_buf) =
-                        fltrust_state.as_mut().expect("fltrust state always built");
-                    model.set_params(params);
-                    let loss_fn = CrossEntropyLoss;
-                    // Trust gradient in one batched forward/backward: the aux
-                    // dataset's features are already the packed matrix.
-                    model.batch_gradient_packed(&loss_fn, &aux.features, &aux.labels, grad_buf);
-                    let refs: Vec<&[f32]> = uploads.iter().map(|u| u.as_slice()).collect();
-                    let g = crate::aggregator_ext::fltrust(&refs, grad_buf);
-                    vecops::axpy(-(lr as f32), &g, params);
-                    tel.stop(timer, "aggregate", Some(t as u64));
-                    cohort.len() as u64
-                }
-            }
+        // A round folded at arrival opens its fold now and hands it to the
+        // transport.
+        let at_arrival = match defense.as_mut() {
+            Some(state) if !reads_cohort => Some(state.open_round(cfg, params, tel, round)),
+            _ => None,
         };
 
+        // ---- collect: one slot per data member, folded already or raw ----
+        let timer = tel.start();
+        let mut slots = match &at_arrival {
+            Some(fold) => transport.round_trip(t, data_members, params, fold),
+            None => transport.round_trip(t, data_members, params, &|u, _| Collected::Upload(u)),
+        };
+        tel.stop(timer, "collect", round);
+        debug_assert_eq!(slots.len(), data_members.len());
+
+        // ---- craft: the Byzantine members' uploads ----------------------
+        let timer = tel.start();
+        // What the attacker sees of a round it reads nothing of: one slot
+        // to fill, no uploads.
+        let unseen = AttackContext {
+            benign_uploads: &[],
+            poisoned_uploads: &[],
+            n_byzantine: 1,
+            d,
+            noise_std: dp.effective_noise_std(),
+            round: t,
+            total_rounds: iterations,
+        };
+        let mut craft = |view: &AttackContext<'_>| {
+            craft_uploads_stateful(&cfg.attack, view, &mut attack_state, &mut attack_rng)
+        };
+        // Raw rounds: the whole cohort's uploads as the attacker and the
+        // baseline aggregators see them — a member that never delivered
+        // contributes the zero vector.
+        let mut uploads: Vec<Vec<f32>> = Vec::new();
+        if let Some(fold) = &at_arrival {
+            // The attack reads nothing of the cohort, so each Byzantine
+            // member the transport did not cover is crafted alone and folded
+            // at once — one upload in flight, like the data members'. Draws
+            // come off the single attack stream in cohort order, and the
+            // fold consumes no RNG, so interleaving is bit-safe.
+            let mut scratch = KsScratch::new();
+            for _ in &cohort[data_members.len()..] {
+                let upload = craft(&unseen).pop().expect("upload count changed mid-training");
+                slots.push(fold(upload, &mut scratch));
+            }
+        } else {
+            uploads.extend(slots.iter_mut().map(|slot| match slot {
+                Collected::Upload(u) => std::mem::take(u),
+                Collected::Dropped => vec![0.0f32; d],
+                Collected::Scored(..) => unreachable!("the raw fold returns uploads"),
+            }));
+            // The omniscient adversary crafts one upload per Byzantine
+            // cohort member, replacing those members' own protocol uploads.
+            let (benign, poisoned) = uploads.split_at(split);
+            let seen = AttackContext {
+                benign_uploads: benign,
+                poisoned_uploads: poisoned,
+                n_byzantine: cohort_byz.len(),
+                ..unseen
+            };
+            let byzantine = craft(&seen);
+            uploads.truncate(split);
+            uploads.extend(byzantine);
+        }
+        tel.stop(timer, "attack", round);
+        drop(at_arrival); // it borrows the defense state the round now advances
+
+        // ---- defend + update --------------------------------------------
+        // Each arm reports the round's stage-1 acceptance count — the
+        // defense's public output that the acceptance-rate-adaptive attacker
+        // observes (identical to the telemetry record's `accepted` counter).
+        let accepted = if let Some(state) = defense.as_mut() {
+            if reads_cohort {
+                // The crafted cohort goes through the same fold, in the
+                // same recipe the transport uses at arrival. A data member
+                // that never delivered stays dropped, whatever the attacker
+                // crafted in its name.
+                let fold = state.open_round(cfg, params, tel, round);
+                let timer = tel.start();
+                let gone = slots.iter().map(|s| matches!(s, Collected::Dropped));
+                let mut raw: Vec<_> =
+                    uploads.into_iter().zip(gone.chain(std::iter::repeat(false))).collect();
+                slots = fold_in_shards(&mut raw, |(upload, gone), scratch| {
+                    if *gone {
+                        Collected::Dropped
+                    } else {
+                        fold(std::mem::take(upload), scratch)
+                    }
+                });
+                tel.stop(timer, "stage1", round);
+            }
+            debug_assert_eq!(slots.len(), cohort.len());
+            state.finish(cfg, &cohort, &slots, params, &mut stats, lr, tel, metrics.as_mut())
+        } else {
+            // Defenses without a per-upload filter accept (and aggregate)
+            // the whole cohort; their telemetry records exactly that, with
+            // no stage-1/stage-2 breakdown.
+            if let Some(m) = &mut metrics {
+                m.accepted = cohort.len() as u64;
+                m.selected = cohort.len() as u64;
+                m.retained_exact_bytes = (cohort.len() * d * 4) as u64;
+            }
+            let timer = tel.start();
+            baseline_update(cfg, fltrust_state, &uploads, lr, params);
+            tel.stop(timer, "aggregate", round);
+            cohort.len() as u64
+        };
+
+        // ---- observe ----------------------------------------------------
         // Stamp the scale the attacker used this round (before the feedback
         // step advances it), then let the attacker observe the defense's
         // acceptance count — the cross-round feedback loop.
@@ -576,12 +506,12 @@ pub(crate) fn orchestrate(
             tel.round(m);
         }
 
-        // Periodic evaluation.
+        // ---- eval -------------------------------------------------------
         if (t + 1) % eval_every == 0 || t + 1 == iterations {
             let timer = tel.start();
             server_model.set_params(params);
             let acc = accuracy(server_model, &test.features, &test.labels);
-            tel.stop(timer, "eval", Some(t as u64));
+            tel.stop(timer, "eval", round);
             history.push(EvalPoint {
                 iteration: t + 1,
                 epoch: (t + 1) as f64 * cfg.dp.batch_size as f64 / cfg.per_worker as f64,
@@ -591,6 +521,35 @@ pub(crate) fn orchestrate(
     }
 
     (history, stats)
+}
+
+/// The server step of the three defenses without a per-upload filter: plain
+/// averaging, a classical robust rule, or FLTrust's cosine-trust weighting
+/// against the server's auxiliary gradient. `uploads` is the whole cohort
+/// (a dropped member contributes the zero vector).
+fn baseline_update(
+    cfg: &SimulationConfig,
+    fltrust_state: &mut Option<(Dataset, Sequential, Vec<f32>)>,
+    uploads: &[Vec<f32>],
+    lr: f64,
+    params: &mut [f32],
+) {
+    let refs: Vec<&[f32]> = uploads.iter().map(|u| u.as_slice()).collect();
+    let g = match &cfg.defense {
+        DefenseKind::NoDefense => vecops::mean(&refs).expect("at least one worker"),
+        DefenseKind::Robust { rule } => rule.aggregate(uploads),
+        DefenseKind::FlTrust => {
+            let (aux, model, grad_buf) =
+                fltrust_state.as_mut().expect("fltrust state always built");
+            model.set_params(params);
+            // Trust gradient in one batched forward/backward: the aux
+            // dataset's features are already the packed matrix.
+            model.batch_gradient_packed(&CrossEntropyLoss, &aux.features, &aux.labels, grad_buf);
+            crate::aggregator_ext::fltrust(&refs, grad_buf)
+        }
+        DefenseKind::TwoStage => unreachable!("two-stage rounds finish through the fold"),
+    };
+    vecops::axpy(-(lr as f32), &g, params);
 }
 
 /// The two-stage defense's mutable state.
@@ -603,246 +562,147 @@ pub(crate) struct TwoStageState {
 }
 
 impl TwoStageState {
-    /// Runs Algorithms 2 + 3 for one round over the materialized cohort
-    /// upload matrix; returns the (already lr-scaled) parameter update and
-    /// the stage-1 acceptance count (the defense's public output an adaptive
-    /// attacker can observe).
-    ///
-    /// `uploads[k]` is the upload of global worker `cohort[k]`; at full
-    /// participation the cohort is the identity and this is exactly the
-    /// pre-sampling pipeline.
+    /// Opens a round: computes the server's clean gradient from the
+    /// auxiliary data (Algorithm 3 line 4, one batched forward/backward over
+    /// the aux dataset's already packed feature matrix — the first `stage2`
+    /// span) and returns the round's per-upload fold, [`fold_upload`]
+    /// against that gradient. The gradient comes first so every upload can
+    /// be scored the moment it survives the first stage; it is RNG-free and
+    /// reads only `params`, which no worker mutates, so *when* a round opens
+    /// moves no bit.
+    fn open_round<'a>(
+        &'a mut self,
+        cfg: &'a SimulationConfig,
+        params: &[f32],
+        tel: &Telemetry,
+        round: Option<u64>,
+    ) -> impl Fn(Vec<f32>, &mut KsScratch) -> Collected + Sync + 'a {
+        let timer = tel.start();
+        self.server_model.set_params(params);
+        self.server_model.batch_gradient_packed(
+            &CrossEntropyLoss,
+            &self.aux.features,
+            &self.aux.labels,
+            &mut self.grad_buf,
+        );
+        tel.stop(timer, "stage2", round);
+        let (first, grad) = (&self.first, self.grad_buf.as_slice());
+        move |upload, scratch| fold_upload(first, cfg, upload, scratch, grad)
+    }
+
+    /// Completes a round from its folded slots (one per cohort member, in
+    /// cohort order): bookkeeping, second-stage selection on the precomputed
+    /// scores, and the model update `w ← w − η·(1/n)·Σ_{g∈G} g` (Algorithm 1
+    /// line 14) from the retained survivors, applied to `params`. Returns
+    /// the stage-1 acceptance count.
     ///
     /// `metrics` (present iff a telemetry sink is attached) receives the
     /// round's stage-1 breakdown, score summary and selection count,
     /// accumulated sequentially in cohort order.
+    ///
+    /// Why the result does not depend on when, where or in what order the
+    /// uploads were folded:
+    /// * per-upload verdicts and scores are pure functions of the upload
+    ///   bits, so any shard merge that restores cohort order — concatenation
+    ///   in shard order — gives the same `slots` at every thread count;
+    /// * a rejected upload contributes the literal `+0.0` that scoring the
+    ///   zeroed vector of Algorithm 2 gives, and skipping it in the update
+    ///   sum skips only exact `+ w·0.0` terms (the `f64` accumulator never
+    ///   holds `-0.0`, so those additions are bit-exact no-ops);
+    /// * a member that never delivered ([`Collected::Dropped`]) is the same
+    ///   rejection, except that the first stage never saw it: no
+    ///   [`CheckInfo`], and telemetry counts it as dropped in transit.
     #[allow(clippy::too_many_arguments)]
-    fn step(
+    fn finish(
         &mut self,
         cfg: &SimulationConfig,
         cohort: &[usize],
-        uploads: &mut [Vec<f32>],
-        params: &[f32],
+        slots: &[Collected],
+        params: &mut [f32],
         stats: &mut DefenseStats,
         lr: f64,
         tel: &Telemetry,
         mut metrics: Option<&mut RoundMetrics>,
-    ) -> (Vec<f32>, u64) {
+    ) -> u64 {
         let round = metrics.as_ref().map(|m| m.round);
-        // First stage: test-and-zero every upload. The per-upload checks fan
-        // out under rayon as one contiguous chunk per thread; each chunk owns
-        // one `KsScratch` (histogram + sort buffer) reused across its
-        // uploads. `FirstStage` is stateless per upload and the scratch is
-        // fully rewritten per check, so verdicts are independent of chunking,
-        // evaluation order and thread count; flattening the per-chunk verdict
-        // vectors in chunk order restores upload order exactly. The ablation
-        // flags can disable the stage entirely or force the always-sort
-        // reference path (decision-equivalent by contract).
-        let timer = tel.start();
-        let verdicts: Vec<Option<CheckInfo>> = if !cfg.defense_cfg.first_stage_enabled {
-            vec![None; uploads.len()]
-        } else if !cfg.defense_cfg.ks_fast_path {
-            let first = &self.first;
-            uploads.par_iter_mut().map(|u| Some(first.filter_reference_info(u))).collect()
-        } else {
-            let first = &self.first;
-            let chunk = uploads.len().div_ceil(rayon::current_num_threads().max(1)).max(1);
-            let chunks: Vec<&mut [Vec<f32>]> = uploads.chunks_mut(chunk).collect();
-            let nested: Vec<Vec<Option<CheckInfo>>> = chunks
-                .into_par_iter()
-                .map(|chunk| {
-                    let mut scratch = KsScratch::new();
-                    chunk
-                        .iter_mut()
-                        .map(|u| Some(first.filter_with_info(u, &mut scratch)))
-                        .collect()
-                })
-                .collect();
-            nested.into_iter().flatten().collect()
-        };
-        tel.stop(timer, "stage1", round);
-        let accepted_count =
-            verdicts.iter().filter(|info| info.is_none_or(|i| i.verdict.is_accepted())).count()
-                as u64;
-        for (k, info) in verdicts.iter().enumerate() {
-            if !info.is_none_or(|i| i.verdict.is_accepted()) {
-                if cohort[k] < cfg.n_honest {
-                    stats.first_stage_rejected_honest += 1;
-                } else {
-                    stats.first_stage_rejected_byzantine += 1;
-                }
-            }
-        }
-        if let Some(m) = metrics.as_deref_mut() {
-            // Sequential, in cohort order — the chunked fan-out above merged
-            // its verdicts back in chunk order, so this is thread-count
-            // independent.
-            for &info in &verdicts {
-                note_stage1(m, info, false);
-            }
-            m.retained_exact_bytes = m.accepted * 4 * params.len() as u64;
-        }
-
-        // Server's clean gradient from auxiliary data (Algorithm 3 line 4),
-        // as one batched forward/backward over the aux dataset's already
-        // packed feature matrix — no per-round packing, no per-example
-        // dispatch.
-        let timer = tel.start();
-        self.server_model.set_params(params);
-        let loss_fn = CrossEntropyLoss;
-        self.server_model.batch_gradient_packed(
-            &loss_fn,
-            &self.aux.features,
-            &self.aux.labels,
-            &mut self.grad_buf,
-        );
-
-        // Second stage: score, threshold, accumulate, select.
-        let selection = self.second.select_for(cohort, uploads, &self.grad_buf);
-        tel.stop(timer, "stage2", round);
-        stats.total_selected += selection.selected.len() as u64;
-        stats.byzantine_selected +=
-            selection.selected.iter().filter(|&&i| i >= cfg.n_honest).count() as u64;
-        if let Some(m) = metrics {
-            // Post-suppression round scores, observed in cohort order — the
-            // same vector (and order) the streaming path records, so the two
-            // pipelines agree on the score summary.
-            for &i in cohort {
-                m.scores.observe(selection.round_scores[i]);
-            }
-            m.selected = selection.selected.len() as u64;
-        }
-
-        // Model update: w ← w − η·(1/n)·Σ_{g∈G} g (Algorithm 1 line 14).
-        // `n` is the round's participant count — at full participation the
-        // total worker count, as the paper writes it.
-        let denom = match cfg.defense_cfg.step_normalization {
-            StepNormalization::TotalWorkers => cohort.len() as f64,
-            StepNormalization::SelectedCount => selection.selected.len().max(1) as f64,
-        };
-        let timer = tel.start();
-        let d = params.len();
-        let mut update = vec![0.0f64; d];
-        for &i in &selection.selected {
-            let w = selection.weights[i];
-            let k = cohort.binary_search(&i).expect("selected index is in the cohort");
-            for (u, &g) in update.iter_mut().zip(&uploads[k]) {
-                *u += w * g as f64;
-            }
-        }
-        let coef = -lr / denom;
-        let update = update.into_iter().map(|u| (u * coef) as f32).collect();
-        tel.stop(timer, "aggregate", round);
-        (update, accepted_count)
-    }
-
-    /// Computes the round's server gradient from the auxiliary data
-    /// (Algorithm 3 line 4) into `grad_buf`; returns its L2 norm when the
-    /// cosine scoring rule needs it (0.0 otherwise).
-    fn begin_round(&mut self, cfg: &SimulationConfig, params: &[f32]) -> f64 {
-        self.server_model.set_params(params);
-        let loss_fn = CrossEntropyLoss;
-        self.server_model.batch_gradient_packed(
-            &loss_fn,
-            &self.aux.features,
-            &self.aux.labels,
-            &mut self.grad_buf,
-        );
-        if cfg.defense_cfg.scoring == ScoringRule::Cosine {
-            vecops::l2_norm(&self.grad_buf)
-        } else {
-            0.0
-        }
-    }
-
-    /// Completes a streamed round from the per-member fold results (in
-    /// cohort order): bookkeeping, second-stage selection on the precomputed
-    /// scores, and the (already lr-scaled) update from the retained
-    /// survivors.
-    ///
-    /// Bit-parity with [`TwoStageState::step`] under
-    /// [`UploadRetention::Exact`]:
-    /// * per-upload verdicts and scores are pure functions of the upload
-    ///   bits (`vecops::dot` accumulates in `f64` exactly like the
-    ///   materialized `matvec_rows_f64`), so the shard merge — concatenation
-    ///   in shard order — restores cohort order exactly and the result is
-    ///   independent of thread count;
-    /// * a rejected upload contributes the literal `+0.0` the materialized
-    ///   path gets from scoring the zeroed vector, and skipping it in the
-    ///   update sum skips only exact `+ w·0.0` terms (the `f64` accumulator
-    ///   never holds `-0.0`, so those additions are bit-exact no-ops).
-    fn finish_streaming(
-        &mut self,
-        cfg: &SimulationConfig,
-        cohort: &[usize],
-        folds: &[(f64, Retained, Option<CheckInfo>)],
-        stats: &mut DefenseStats,
-        lr: f64,
-        mut metrics: Option<&mut RoundMetrics>,
-    ) -> Vec<f32> {
         // Bookkeeping + full-length round scores, in cohort (= global index)
         // order. The telemetry counters accumulate in the same sequential
         // pass — after the shard merge, so they inherit its thread-count
         // independence.
+        let mut accepted = 0u64;
         let mut round_scores = vec![0.0f64; self.second.accumulated_scores().len()];
-        for (&i, (score, r, info)) in cohort.iter().zip(folds) {
-            let rejected = matches!(r, Retained::Rejected);
-            if rejected {
-                if i < cfg.n_honest {
-                    stats.first_stage_rejected_honest += 1;
-                } else {
-                    stats.first_stage_rejected_byzantine += 1;
-                }
+        for (&i, slot) in cohort.iter().zip(slots) {
+            let (score, retained, info) = match slot {
+                Collected::Scored(score, retained, info) => (*score, retained, *info),
+                Collected::Dropped => (0.0, &Retained::Rejected, None),
+                Collected::Upload(_) => unreachable!("every slot is folded before the finish"),
+            };
+            let rejected = matches!(retained, Retained::Rejected);
+            if !rejected {
+                accepted += 1;
+            } else if i < cfg.n_honest {
+                stats.first_stage_rejected_honest += 1;
+            } else {
+                stats.first_stage_rejected_byzantine += 1;
             }
             if let Some(m) = metrics.as_deref_mut() {
-                note_stage1(m, *info, info.is_none() && rejected);
-                match r {
+                note_stage1(m, info, matches!(slot, Collected::Dropped));
+                match retained {
                     Retained::Rejected => {}
                     Retained::Exact(g) => m.retained_exact_bytes += 4 * g.len() as u64,
                     Retained::Quantized(q) => m.retained_quantized_bytes += 4 + 2 * q.len() as u64,
                 }
             }
-            round_scores[i] = *score;
+            round_scores[i] = score;
         }
 
         // Second stage on the precomputed scores.
+        let timer = tel.start();
         let selection = self.second.select_scored(cohort, round_scores);
+        tel.stop(timer, "stage2", round);
         stats.total_selected += selection.selected.len() as u64;
         stats.byzantine_selected +=
             selection.selected.iter().filter(|&&i| i >= cfg.n_honest).count() as u64;
         if let Some(m) = metrics {
+            // Post-suppression round scores, observed in cohort order.
             for &i in cohort {
                 m.scores.observe(selection.round_scores[i]);
             }
             m.selected = selection.selected.len() as u64;
         }
 
-        // Model update from the retained survivors.
+        // Model update from the retained survivors. `n` is the round's
+        // participant count — at full participation the total worker count,
+        // as the paper writes it.
+        let timer = tel.start();
         let denom = match cfg.defense_cfg.step_normalization {
             StepNormalization::TotalWorkers => cohort.len() as f64,
             StepNormalization::SelectedCount => selection.selected.len().max(1) as f64,
         };
-        let mut update = vec![0.0f64; self.grad_buf.len()];
+        let mut update = vec![0.0f64; params.len()];
         for &i in &selection.selected {
             let w = selection.weights[i];
             let k = cohort.binary_search(&i).expect("selected index is in the cohort");
-            match &folds[k].1 {
-                // The materialized sum adds `w·0.0` per coordinate here — a
-                // bit-exact no-op on the f64 accumulator.
-                Retained::Rejected => {}
-                Retained::Exact(g) => {
+            match &slots[k] {
+                Collected::Scored(_, Retained::Exact(g), _) => {
                     for (u, &g) in update.iter_mut().zip(g) {
                         *u += w * g as f64;
                     }
                 }
-                Retained::Quantized(q) => {
+                Collected::Scored(_, Retained::Quantized(q), _) => {
                     for (u, g) in update.iter_mut().zip(q.iter()) {
                         *u += w * g as f64;
                     }
                 }
+                _ => {} // rejected or dropped: nothing retained
             }
         }
         let coef = -lr / denom;
-        update.into_iter().map(|u| (u * coef) as f32).collect()
+        for (p, u) in params.iter_mut().zip(update) {
+            *p += (u * coef) as f32;
+        }
+        tel.stop(timer, "aggregate", round);
+        accepted
     }
 }
 
@@ -876,48 +736,30 @@ fn note_stage1(m: &mut RoundMetrics, info: Option<CheckInfo>, dropped: bool) {
     }
 }
 
-/// One upload through the streaming fold: first-stage filter, second-stage
-/// score, retention. A pure function of the upload bits (plus the fixed
-/// server gradient), which is what makes the shard merge order-insensitive —
-/// the returned [`CheckInfo`] included, so per-shard telemetry partials merge
-/// exactly like the fold itself.
+/// One upload through the two-stage fold: first-stage filter (Algorithm 2),
+/// second-stage score, retention. A pure function of the upload bits (plus
+/// the fixed server gradient), which is what makes the shard merge
+/// order-insensitive — the returned [`CheckInfo`] included, so per-shard
+/// telemetry partials merge exactly like the fold itself.
 pub(crate) fn fold_upload(
     first: &FirstStage,
     cfg: &SimulationConfig,
-    mut upload: Vec<f32>,
+    upload: Vec<f32>,
     scratch: &mut KsScratch,
     server_grad: &[f32],
-    server_grad_norm: f64,
-) -> (f64, Retained, Option<CheckInfo>) {
-    let info = if !cfg.defense_cfg.first_stage_enabled {
-        None
-    } else if !cfg.defense_cfg.ks_fast_path {
-        Some(first.filter_reference_info(&mut upload))
-    } else {
-        Some(first.filter_with_info(&mut upload, scratch))
-    };
+) -> Collected {
+    let info = cfg.defense_cfg.first_stage_enabled.then(|| first.check_with_info(&upload, scratch));
     if !info.is_none_or(|i| i.verdict.is_accepted()) {
-        // The materialized pipeline zeroes the upload and scores the zero
-        // vector: exactly +0.0. Drop the bytes, keep the literal.
-        return (0.0, Retained::Rejected, info);
+        // Algorithm 2 zeroes the upload and the zero vector scores exactly
+        // +0.0. Drop the bytes, keep the literal.
+        return Collected::Scored(0.0, Retained::Rejected, info);
     }
-    let mut score = vecops::dot(&upload, server_grad);
-    if cfg.defense_cfg.scoring == ScoringRule::Cosine {
-        let na = vecops::l2_norm(&upload);
-        score = if na == 0.0 || server_grad_norm == 0.0 {
-            0.0
-        } else {
-            score / (na * server_grad_norm)
-        };
-    }
-    if !score.is_finite() {
-        score = 0.0;
-    }
+    let score = cfg.defense_cfg.scoring.score(&upload, server_grad);
     let retained = match cfg.defense_cfg.retention {
         UploadRetention::Exact => Retained::Exact(upload),
         UploadRetention::Quantized => Retained::Quantized(QuantizedVec::encode(&upload)),
     };
-    (score, retained, info)
+    Collected::Scored(score, retained, info)
 }
 
 /// One worker's protocol upload.
@@ -935,29 +777,6 @@ pub(crate) fn protocol_step(
             unreachable!("sign-DP runs its own loop (run_sign_dp_simulation)")
         }
     }
-}
-
-/// Collects mutable references to the cohort's members of one worker pool.
-///
-/// `indices` are global worker indices, sorted ascending; `base` is the
-/// global index of `workers[0]` (0 for the honest pool, `n_honest` for the
-/// poisoned pool).
-fn cohort_refs<'a>(
-    workers: &'a mut [DpWorker],
-    indices: &[usize],
-    base: usize,
-) -> Vec<&'a mut DpWorker> {
-    let mut refs = Vec::with_capacity(indices.len());
-    let mut rest = workers;
-    let mut next = base;
-    for &i in indices {
-        let (_, tail) = rest.split_at_mut(i - next);
-        let (w, tail) = tail.split_first_mut().expect("cohort index within worker range");
-        refs.push(w);
-        rest = tail;
-        next = i + 1;
-    }
-    refs
 }
 
 /// Builds the ephemeral worker of client `index` for one round (on-demand

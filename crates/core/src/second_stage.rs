@@ -9,7 +9,6 @@
 //! scores **accumulate** across rounds, and the uploads with the top `⌈γn⌉`
 //! accumulated scores are selected with **binary weights**.
 
-use dpbfl_tensor::matmul::matvec_rows_f64;
 use dpbfl_tensor::vecops;
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +25,26 @@ pub enum ScoringRule {
     InnerProduct,
     /// `cos(g_i, g_s)` (the prior work's choice; ablation).
     Cosine,
+}
+
+impl ScoringRule {
+    /// One upload's round score against the server gradient `g_s`
+    /// (Algorithm 3 lines 6–8), accumulated in `f64`; a non-finite score
+    /// maps to 0, the suppression value.
+    ///
+    /// The one scoring rule: the round loop calls it per upload as uploads
+    /// are folded, [`SecondStage::select_for`] per row of a cohort.
+    pub fn score(self, upload: &[f32], server_grad: &[f32]) -> f64 {
+        let score = match self {
+            ScoringRule::InnerProduct => vecops::dot(upload, server_grad),
+            ScoringRule::Cosine => vecops::cosine_similarity(upload, server_grad),
+        };
+        if score.is_finite() {
+            score
+        } else {
+            0.0
+        }
+    }
 }
 
 /// How selected uploads are weighted in the model update.
@@ -64,9 +83,6 @@ pub struct SecondStage {
     gamma: f64,
     scoring: ScoringRule,
     weighting: WeightScheme,
-    /// Scratch for the packed `n×d` upload matrix, reused across rounds so
-    /// the scoring GEMV allocates nothing in steady state.
-    packed: Vec<f32>,
 }
 
 impl SecondStage {
@@ -85,7 +101,7 @@ impl SecondStage {
     ) -> Self {
         assert!(n_workers > 0, "need at least one worker");
         assert!(gamma > 0.0 && gamma <= 1.0, "γ must be in (0, 1], got {gamma}");
-        SecondStage { scores: vec![0.0; n_workers], gamma, scoring, weighting, packed: Vec::new() }
+        SecondStage { scores: vec![0.0; n_workers], gamma, scoring, weighting }
     }
 
     /// Number of uploads selected per round, `⌈γn⌉`.
@@ -132,49 +148,22 @@ impl SecondStage {
         server_grad: &[f32],
     ) -> SelectionResult {
         assert_eq!(uploads.len(), cohort.len(), "upload count changed mid-training");
-        let m = cohort.len();
-        let d = server_grad.len();
-
-        // Lines 6–8: score each upload against the server gradient — one
-        // matrix–vector product of the packed m×d upload matrix against g_s
-        // instead of m pointer-chasing dots. `matvec_rows_f64` reproduces
-        // `vecops::dot`'s f64 accumulation order exactly, so scores are
-        // bit-identical to the serial loop (and to the streaming fold's
-        // per-upload dots).
-        self.packed.clear();
-        self.packed.reserve(m * d);
-        for g in uploads {
-            assert_eq!(g.len(), d, "upload/server-gradient dimension mismatch");
-            self.packed.extend_from_slice(g);
-        }
-        let mut cohort_scores = vec![0.0f64; m];
-        matvec_rows_f64(&self.packed, server_grad, &mut cohort_scores, m, d);
-        if self.scoring == ScoringRule::Cosine {
-            let nb = vecops::l2_norm(server_grad);
-            for (r, g) in cohort_scores.iter_mut().zip(uploads) {
-                let na = vecops::l2_norm(g);
-                *r = if na == 0.0 || nb == 0.0 { 0.0 } else { *r / (na * nb) };
-            }
-        }
-        for r in cohort_scores.iter_mut() {
-            if !r.is_finite() {
-                *r = 0.0;
-            }
-        }
+        // Lines 6–8: score each upload against the server gradient.
         let mut round_scores = vec![0.0f64; self.scores.len()];
-        for (&i, &r) in cohort.iter().zip(&cohort_scores) {
-            round_scores[i] = r;
+        for (&i, g) in cohort.iter().zip(uploads) {
+            assert_eq!(g.len(), server_grad.len(), "upload/server-gradient dimension mismatch");
+            round_scores[i] = self.scoring.score(g, server_grad);
         }
         self.select_scored(cohort, round_scores)
     }
 
     /// Algorithm 3 lines 9–14 on already-computed round scores: the entry
-    /// point of the streaming pipeline, which scores each upload as it
-    /// arrives and only hands the score vector here.
+    /// point of the round loop, which scores each upload as it is folded
+    /// and only hands the score vector here.
     ///
     /// `round_scores` is full-length (one slot per worker); entries off the
     /// cohort are ignored. Scores must already be sanitized (non-finite
-    /// mapped to 0) — [`Self::select_for`] and the streaming fold both do.
+    /// mapped to 0) — [`ScoringRule::score`] does.
     pub fn select_scored(
         &mut self,
         cohort: &[usize],
@@ -446,7 +435,7 @@ mod tests {
 
     #[test]
     fn select_scored_matches_select_for() {
-        // The streaming entry point: handing pre-computed scores to
+        // The round loop's entry point: handing pre-computed scores to
         // `select_scored` must equal `select_for` computing them itself.
         let d = 4;
         let server = unit(d, 1.0);

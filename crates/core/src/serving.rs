@@ -41,9 +41,10 @@
 //! the upload bits, applied in arrival order but *placed* by member index,
 //! so a zero-dropout serving run produces a `RunSummary` byte-identical to
 //! [`crate::simulation::run_prepared`] for the same master seed. A member
-//! missing the round deadline ([`RoundPolicy`]) yields
-//! [`Collected::Dropped`], which the orchestrator treats exactly like a
-//! first-stage rejection — the accepted set alone determines the result.
+//! missing the round deadline ([`RoundPolicy`]) — or sending an upload of
+//! the wrong length — yields [`Collected::Dropped`], which the orchestrator
+//! treats exactly like a first-stage rejection — the accepted set alone
+//! determines the result.
 //! Fault injection keeps the same contract: a [`FaultSpec`] carried on
 //! [`SimulationConfig::serving`] withholds uploads as a pure function of
 //! `(fault seed, worker, round)`, clients adopt the plan from the `Welcome`
@@ -345,7 +346,8 @@ impl BoundServer {
 
     /// Like [`BoundServer::serve`], but records telemetry: structured
     /// `client_rejected`/`client_reconnected`/`upload_dropped`/
-    /// `upload_stale` events, a `serving_round` latency span per round, and
+    /// `upload_stale`/`upload_malformed` events, a `serving_round` latency
+    /// span per round, and
     /// the orchestrator's per-round defense metrics. With a null
     /// [`Telemetry`] this is exactly [`BoundServer::serve`].
     pub fn serve_telemetry(
@@ -690,11 +692,19 @@ impl TcpTransport<'_> {
     /// Places one received upload: folds a current-round upload into its
     /// member's slot (first arrival wins; duplicates from reconnect resends
     /// are ignored), discards stale rounds.
+    ///
+    /// This is the one point every wire upload crosses, so it is where the
+    /// length is checked against the model dimension `d`: the fold (and the
+    /// first stage behind it) takes only `d`-vectors. A malformed upload
+    /// still occupies its member's slot — as [`Collected::Dropped`], so the
+    /// member folds like any other that delivered nothing.
+    #[allow(clippy::too_many_arguments)]
     fn place(
         &mut self,
         (worker, r, data): (u32, u32, Vec<f32>),
         round: usize,
         members: &[usize],
+        d: usize,
         slots: &mut [Option<Collected>],
         got: &mut usize,
         fold: &UploadFold<'_>,
@@ -702,7 +712,18 @@ impl TcpTransport<'_> {
         if r as usize == round {
             if let Ok(pos) = members.binary_search(&(worker as usize)) {
                 if slots[pos].is_none() {
-                    slots[pos] = Some(fold(data, &mut self.scratch));
+                    slots[pos] = Some(if data.len() == d {
+                        fold(data, &mut self.scratch)
+                    } else {
+                        if self.tel.enabled() {
+                            self.tel.event(
+                                "upload_malformed",
+                                Some(round as u64),
+                                format!("worker {worker}: {} values, model has {d}", data.len()),
+                            );
+                        }
+                        Collected::Dropped
+                    });
                     *got += 1;
                 }
             }
@@ -767,7 +788,7 @@ impl Transport for TcpTransport<'_> {
         // Drain whatever is already queued — with a zero deadline this is
         // the only collection pass the policy permits.
         while let Ok(m) = self.rx.try_recv() {
-            self.place(m, round, members, &mut slots, &mut got, fold);
+            self.place(m, round, members, params.len(), &mut slots, &mut got, fold);
         }
         while got < members.len() {
             let now = Instant::now();
@@ -775,7 +796,7 @@ impl Transport for TcpTransport<'_> {
                 break;
             }
             match self.rx.recv_timeout(deadline - now) {
-                Ok(m) => self.place(m, round, members, &mut slots, &mut got, fold),
+                Ok(m) => self.place(m, round, members, params.len(), &mut slots, &mut got, fold),
                 Err(RecvTimeoutError::Timeout) => break,
                 // Every reader thread is gone; nothing more will arrive
                 // until a reconnect — which the deadline bounds.
@@ -1212,7 +1233,7 @@ mod tests {
 
     #[test]
     fn materialized_pipeline_serves_identically() {
-        // NoDefense + no attack exercises the materialized round_trip
+        // NoDefense + no attack exercises the raw round_trip
         // (Collected::Upload) over the wire.
         let mut cfg = serving_cfg();
         cfg.n_byzantine = 0;
@@ -1260,6 +1281,85 @@ mod tests {
             "dropped honest upload must join the rejected set"
         );
         assert_ne!(summary_json(&a), summary_json(&full), "drops must change the accepted set");
+    }
+
+    /// The in-process transport with one worker's upload never delivered.
+    struct Withholding<'a> {
+        inner: crate::round::InProcessTransport<'a>,
+        worker: usize,
+    }
+
+    impl Transport for Withholding<'_> {
+        fn round_trip(
+            &mut self,
+            round: usize,
+            members: &[usize],
+            params: &[f32],
+            fold: &UploadFold<'_>,
+        ) -> Vec<Collected> {
+            let mut out = self.inner.round_trip(round, members, params, fold);
+            if let Ok(pos) = members.binary_search(&self.worker) {
+                out[pos] = Collected::Dropped;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn wrong_length_upload_drops_its_member_instead_of_panicking() {
+        // A Byzantine client that speaks the protocol but answers every
+        // round with d − 1 floats used to reach the first stage's dimension
+        // assert and panic the serve thread. It must instead cost only its
+        // own member: the run completes, byte-identical to the in-process
+        // run in which that worker's upload is never delivered.
+        const ROGUE: usize = 3; // an honest-indexed slot, folded at arrival
+        let cfg = serving_cfg();
+        let prep = prepare(&cfg);
+        let inner = crate::round::InProcessTransport::new(&cfg, &prep, &cfg.dp); // ε off: σ as is
+        let mut withheld = Withholding { inner, worker: ROGUE };
+        let expected =
+            summary_json(&crate::simulation::run_with_transport(&cfg, &prep, &mut withheld));
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = std::thread::spawn(move || {
+            let mut stream = connect(&local).expect("connect");
+            write_handshake(&mut stream).expect("handshake out");
+            read_handshake(&mut stream).expect("handshake in");
+            Message::ClientHello { workers: vec![ROGUE as u32] }
+                .write_to(&mut stream)
+                .expect("hello");
+            loop {
+                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
+                {
+                    Message::RoundBegin { round, params, .. } => {
+                        let data = vec![0.0f32; params.len() - 1];
+                        let upload = Message::Upload { round, worker: ROGUE as u32, data };
+                        upload.write_to(&mut stream).expect("upload");
+                        stream.flush().expect("flush");
+                    }
+                    Message::RunComplete { .. } => return,
+                    _ => {}
+                }
+            }
+        });
+        let sink = Arc::new(Mutex::new(dpbfl_telemetry::MemorySink::default()));
+        let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
+        let (result, report) =
+            server.serve_telemetry(&cfg, &RoundPolicy::default(), &tel).expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "malformed upload ≠ withheld upload");
+        // The slot was filled, not timed out: no drop counted against the
+        // connection, one event per round instead.
+        assert_eq!(report.dropped_uploads, 0);
+        let events = &sink.lock().unwrap().events;
+        let malformed = events.iter().filter(|e| e.name == "upload_malformed").count();
+        assert_eq!(malformed, cfg.iterations());
     }
 
     #[test]

@@ -822,37 +822,39 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fold_matches_materialized_bitwise() {
-        // The streaming contract: under Exact retention the fold is
-        // bit-identical to the materialized reference pipeline, for every
-        // streamable attack, with and without client sampling.
-        let mut base = quick_cfg();
-        base.n_byzantine = 2;
-        base.defense = DefenseKind::TwoStage;
-        for (attack, sampling) in
-            [(AttackSpec::Gaussian, 1.0), (AttackSpec::LabelFlip, 1.0), (AttackSpec::Gaussian, 0.6)]
-        {
-            let mut cfg = base.clone();
-            cfg.attack = attack;
-            cfg.sampling = sampling;
-            cfg.defense_cfg.streaming_fold = true;
-            let streamed = run(&cfg);
-            cfg.defense_cfg.streaming_fold = false;
-            let materialized = run(&cfg);
-            assert_eq!(
-                summary_json(&streamed),
-                summary_json(&materialized),
-                "streaming ≠ materialized for {:?} at q={sampling}",
-                cfg.attack
-            );
+    fn fold_timing_is_invisible_bitwise() {
+        // One pipeline, two fold timings: an attack that reads the cohort
+        // is folded after crafting, any other as uploads arrive. Wrapping an
+        // at-arrival attack in a cohort-reading shell that always defers to
+        // it (an oscillator that never rests, a TTBB of zero) changes only
+        // the timing — same uploads, same attack-stream draws — so the
+        // summaries must agree byte for byte, with and without sampling.
+        let never_rests =
+            |inner| AttackSpec::Oscillating { period: 1, duty: 1, inner: Box::new(inner) };
+        let turned = |inner| AttackSpec::Adaptive { ttbb: 0.0, inner: Box::new(inner) };
+        for (at_arrival, after_craft, sampling) in [
+            (AttackSpec::Gaussian, never_rests(AttackSpec::Gaussian), 1.0),
+            (AttackSpec::LabelFlip, turned(AttackSpec::LabelFlip), 1.0),
+            (AttackSpec::Gaussian, never_rests(AttackSpec::Gaussian), 0.6),
+        ] {
+            assert!(!at_arrival.reads_cohort() && after_craft.reads_cohort());
+            let [a, b] = [at_arrival, after_craft].map(|attack| {
+                let mut cfg = quick_cfg();
+                cfg.n_byzantine = 2;
+                cfg.defense = DefenseKind::TwoStage;
+                cfg.sampling = sampling;
+                cfg.attack = attack;
+                summary_json(&run(&cfg))
+            });
+            assert_eq!(a, b, "fold timing moved a bit at q={sampling}");
         }
     }
 
     #[test]
     fn sampled_streaming_run_identical_across_thread_counts() {
         // Cohort draws happen sequentially before any parallel work and the
-        // fold's shard merge is order-fixed, so a sub-sampled streaming run
-        // is bit-identical at any thread count.
+        // fold's shard merge is order-fixed, so a sub-sampled run is
+        // bit-identical at any thread count.
         let mut cfg = quick_cfg();
         cfg.n_byzantine = 2;
         cfg.attack = AttackSpec::LabelFlip;
@@ -917,12 +919,59 @@ mod tests {
         assert!(a.final_accuracy.is_finite());
     }
 
+    /// Runs a two-stage OptLMP cell (folded after crafting) with a memory
+    /// sink attached; returns the per-round records.
+    fn opt_lmp_rounds(
+        edit: impl FnOnce(&mut SimulationConfig),
+    ) -> Vec<dpbfl_telemetry::RoundMetrics> {
+        let mut cfg = quick_cfg();
+        cfg.n_byzantine = 2;
+        cfg.attack = AttackSpec::OptLmp;
+        cfg.defense = DefenseKind::TwoStage;
+        edit(&mut cfg);
+        let sink =
+            std::sync::Arc::new(std::sync::Mutex::new(dpbfl_telemetry::MemorySink::default()));
+        let tel = Telemetry::new(Box::new(std::sync::Arc::clone(&sink)));
+        run_prepared_telemetry(&cfg, &prepare(&cfg), &tel);
+        let rounds = sink.lock().expect("sink lock").rounds.clone();
+        rounds
+    }
+
+    #[test]
+    fn quantized_retention_is_honoured_under_cohort_reading_attacks() {
+        // One pipeline, one meaning: survivors of a round folded after
+        // crafting are retained as i16 codes too, never verbatim.
+        let rounds = opt_lmp_rounds(|cfg| cfg.defense_cfg.retention = UploadRetention::Quantized);
+        assert!(rounds.iter().any(|m| m.accepted > 0), "no survivor to retain");
+        for m in &rounds {
+            assert_eq!(m.retained_exact_bytes, 0, "round {}", m.round);
+            assert_eq!(m.retained_quantized_bytes > 0, m.accepted > 0, "round {}", m.round);
+        }
+    }
+
+    #[test]
+    fn dropped_members_count_as_dropped_under_cohort_reading_attacks() {
+        // Round 1 withholds every data member's upload. In a round folded
+        // after crafting they are dropped in transit like anywhere else —
+        // not norm-test rejections of a zero vector nobody sent.
+        let fault = crate::config::FaultSpec { skip_rounds: vec![1], ..Default::default() };
+        let rounds =
+            opt_lmp_rounds(|cfg| cfg.serving = Some(ServingSpec { deadline_ms: None, fault }));
+        for m in &rounds {
+            let withheld = if m.round == 1 { 4 } else { 0 }; // the honest cohort
+            assert_eq!(m.rejected_dropped, withheld, "round {}", m.round);
+            assert_eq!(m.accepted + m.rejected(), m.cohort, "round {}", m.round);
+        }
+        // Whatever the norm test rejected in round 1 was crafted (from the
+        // zero contributions the attacker saw), not withheld.
+        assert!(rounds[1].rejected_norm <= 2);
+    }
+
     #[test]
     #[should_panic(expected = "upload count changed mid-training")]
     fn streaming_none_attack_with_byzantine_count_still_panics() {
         // `AttackSpec::None` produces no uploads, so a non-empty Byzantine
-        // cohort can't fill its slots; the streaming fold preserves the
-        // materialized pipeline's panic.
+        // cohort can't fill its slots.
         let mut cfg = quick_cfg();
         cfg.n_byzantine = 2;
         cfg.attack = AttackSpec::None;

@@ -116,12 +116,9 @@ fn sleeper_pre_turn_rounds_are_bit_identical_to_none() {
         3,
         2,
     );
-    let mut honest = cfg(AttackSpec::None, 5, 0);
-    // `None` takes the streaming fold; the sleeper's materialized path is
-    // bit-compatible by contract, but pin both runs to the materialized
-    // pipeline so this test compares crafting, not the fold parity (the
-    // streaming-parity suite owns that).
-    honest.defense_cfg.streaming_fold = false;
+    // `None` folds each upload as it arrives, the sleeper after crafting:
+    // the comparison also holds the two fold timings to the same bits.
+    let honest = cfg(AttackSpec::None, 5, 0);
     assert_eq!(never.iterations(), honest.iterations());
 
     let run_never = dpbfl::simulation::run(&never);

@@ -301,8 +301,6 @@ const DEFENSE_CFG_FIELDS: &[&str] = &[
     "scoring",
     "weighting",
     "first_stage_enabled",
-    "ks_fast_path",
-    "streaming_fold",
     "retention",
 ];
 

@@ -8,8 +8,8 @@
 //!    exactly like the results sink itself. Timing spans/events are
 //!    wall-clock and excluded.
 //! 3. The counters themselves are coherent: stage-1 verdicts partition the
-//!    cohort, and the streaming fold reports the same metrics as the
-//!    materialized reference pipeline.
+//!    cohort, and a round reports the same metrics whether its uploads were
+//!    folded as they arrived or after the attacker crafted.
 //!
 //! The paper-scale cells are `#[ignore]`d here and run by CI's release
 //! pass: `cargo test --release -p dpbfl-harness --test telemetry_parity
@@ -98,15 +98,18 @@ fn private_runs_report_a_growing_epsilon() {
 }
 
 #[test]
-fn streaming_and_materialized_pipelines_report_identical_metrics() {
-    // The fold must be invisible in the metrics exactly as it is in the
-    // summary: both pipelines observe post-suppression scores in cohort
-    // order and classify stage-1 verdicts identically.
+fn both_fold_timings_report_identical_metrics() {
+    // When the fold runs must be invisible in the metrics exactly as it is
+    // in the summary. smoke/tiny cell 0 (Gaussian × two-stage) folds at
+    // arrival; the same Gaussian uploads mounted through an oscillator that
+    // never rests are folded after crafting. Every counter must agree
+    // (`attack_scale` included: neither attack carries one).
     let spec = registry::get("smoke/tiny").expect("registered scenario");
     let cell = &spec.cells()[0];
-    let collect = |streaming: bool| {
+    assert_eq!(cell.config.attack, AttackSpec::Gaussian);
+    let collect = |attack: AttackSpec| {
         let mut cfg = cell.config.clone();
-        cfg.defense_cfg.streaming_fold = streaming;
+        cfg.attack = attack;
         let prep = dpbfl::simulation::prepare(&cfg);
         let sink = Arc::new(Mutex::new(MemorySink::default()));
         let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
@@ -114,7 +117,14 @@ fn streaming_and_materialized_pipelines_report_identical_metrics() {
         let rounds = sink.lock().unwrap().rounds.clone();
         rounds
     };
-    assert_eq!(collect(true), collect(false), "pipelines disagree on metrics");
+    let never_resting =
+        AttackSpec::Oscillating { period: 1, duty: 1, inner: Box::new(AttackSpec::Gaussian) };
+    assert!(never_resting.reads_cohort() && !AttackSpec::Gaussian.reads_cohort());
+    assert_eq!(
+        collect(AttackSpec::Gaussian),
+        collect(never_resting),
+        "fold timings disagree on metrics"
+    );
 }
 
 /// Runs a grid with a metrics dir on `threads` threads and returns, per

@@ -150,23 +150,6 @@ pub fn gemm_tn_accumulate(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usiz
     }
 }
 
-/// `y[i] ← Σ_j a[i·n + j] · x[j]` accumulated in `f64` — one matrix–vector
-/// product of a packed `m×n` `f32` matrix against `x`, replacing `m` serial
-/// `vecops::dot` calls over scattered row allocations.
-///
-/// Each output is produced by the identical ascending `f64` accumulation as
-/// `vecops::dot(row, x)`, so scores computed through this kernel are
-/// bit-identical to the per-row path.
-pub fn matvec_rows_f64(a: &[f32], x: &[f32], y: &mut [f64], m: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), m);
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &a[i * n..(i + 1) * n];
-        *yi = row.iter().zip(x).map(|(&r, &xv)| (r as f64) * (xv as f64)).sum();
-    }
-}
-
 /// Rank-1 update `A ← A + alpha · x yᵀ` where `A` is `m×n`, `x` has length `m`,
 /// `y` has length `n`.
 ///
@@ -268,20 +251,6 @@ mod tests {
         }
         for (x, y) in c.iter().zip(&c_ref) {
             assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn matvec_rows_f64_matches_serial_dots() {
-        let (m, n) = (4usize, 9usize);
-        let a: Vec<f32> = (0..m * n).map(|i| ((i * 29 % 31) as f32 - 15.0) * 0.033).collect();
-        let x: Vec<f32> = (0..n).map(|i| ((i * 7 % 5) as f32 - 2.0) * 0.4).collect();
-        let mut y = vec![0.0f64; m];
-        matvec_rows_f64(&a, &x, &mut y, m, n);
-        for i in 0..m {
-            let want: f64 =
-                a[i * n..(i + 1) * n].iter().zip(&x).map(|(&r, &v)| (r as f64) * (v as f64)).sum();
-            assert_eq!(y[i].to_bits(), want.to_bits(), "row {i}");
         }
     }
 

@@ -1,15 +1,15 @@
 //! Linear `i16` quantization of gradient vectors.
 //!
-//! The streaming defense pipeline retains every stage-1 survivor of the
+//! The two-stage defense fold retains every stage-1 survivor of the
 //! round until selection resolves; at extreme cohort sizes the retained
 //! tail dominates resident memory. [`QuantizedVec`] halves it: a vector is
 //! stored as one `f32` scale plus `i16` codes, `value[i] ≈ scale · codes[i]`,
 //! with the scale chosen so the largest magnitude maps to `i16::MAX`.
 //!
 //! Encoding is deterministic (a pure function of the input bits) but
-//! **lossy**: a pipeline that retains quantized uploads trades bit-parity
-//! with the materialized path for memory, which is why the retention mode
-//! is opt-in per scenario and never used by the pinned paper grids.
+//! **lossy**: a run that retains quantized uploads trades bit-parity with
+//! exact retention for memory, which is why the retention mode is opt-in
+//! per scenario and never used by the pinned paper grids.
 
 /// A linearly quantized `f32` vector.
 #[derive(Debug, Clone, PartialEq)]

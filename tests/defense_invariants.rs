@@ -10,6 +10,7 @@ use dpbfl_stats::normal::gaussian_vector;
 use dpbfl_tensor::vecops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const D: usize = 25_450;
 const NOISE_STD: f64 = 0.05; // σ = 0.8, b_c = 16
@@ -148,26 +149,68 @@ fn two_stage_cfg() -> SimulationConfig {
     cfg
 }
 
-/// The fast path's end-to-end contract: a full two-stage run with the
-/// sort-free screen produces a byte-identical `RunSummary` JSON to the same
-/// run on the retained always-sort reference path — every verdict, every
-/// selection, every accuracy bit.
+/// Re-checks every upload that crosses it against the always-sort oracle
+/// before handing it to the run's own fold, and counts what the run's first
+/// stage saw.
+struct OracleTransport<'a> {
+    inner: InProcessTransport<'a>,
+    /// The filter the run itself builds: same σ', dimension and thresholds.
+    first: FirstStage,
+    rejected: AtomicUsize,
+    exact_fallbacks: AtomicUsize,
+}
+
+impl Transport for OracleTransport<'_> {
+    fn round_trip(
+        &mut self,
+        round: usize,
+        members: &[usize],
+        params: &[f32],
+        fold: &dpbfl::round::UploadFold<'_>,
+    ) -> Vec<Collected> {
+        let OracleTransport { inner, first, rejected, exact_fallbacks } = self;
+        let checked = |upload: Vec<f32>, scratch: &mut KsScratch| {
+            let fast = first.check_with_info(&upload, scratch);
+            assert_eq!(fast.verdict, first.check_reference(&upload), "round {round}");
+            rejected.fetch_add(usize::from(!fast.verdict.is_accepted()), Ordering::Relaxed);
+            exact_fallbacks.fetch_add(usize::from(fast.ks_exact), Ordering::Relaxed);
+            fold(upload, scratch)
+        };
+        inner.round_trip(round, members, params, &checked)
+    }
+}
+
+/// The fast path's end-to-end contract, with no runtime switch: every real
+/// upload of a full two-stage run gets the same verdict from the sort-free
+/// screen the run uses as from the retained always-sort reference — so a
+/// run on the reference would be byte-identical, verdict for verdict. The
+/// run must have exercised both a rejection and the sorted fallback.
 #[test]
 fn fast_and_reference_first_stage_runs_are_byte_identical() {
     let mut cfg = two_stage_cfg();
-    assert!(cfg.defense_cfg.ks_fast_path, "fast path is the default");
-    let fast = dpbfl::simulation::run(&cfg);
-    cfg.defense_cfg.ks_fast_path = false;
-    let reference = dpbfl::simulation::run(&cfg);
-    // The runs must have actually exercised the first stage.
-    let stats = &fast.defense_stats;
-    assert!(
-        stats.first_stage_rejected_honest + stats.first_stage_rejected_byzantine > 0,
-        "configuration never triggered a first-stage rejection"
-    );
-    let fast_json = serde_json::to_string(&fast.summary()).expect("summary serializes");
-    let reference_json = serde_json::to_string(&reference.summary()).expect("summary serializes");
-    assert_eq!(fast_json, reference_json);
+    cfg.epochs = 4.0; // enough uploads for a borderline KS statistic to occur
+    let prep = dpbfl::simulation::prepare(&cfg);
+    let d = cfg.model.build(&mut StdRng::seed_from_u64(0), &cfg.dataset).param_len();
+    let (defense, dp) = (&cfg.defense_cfg, &cfg.dp); // ε is off: σ is the config's
+    let mut transport = OracleTransport {
+        inner: InProcessTransport::new(&cfg, &prep, dp),
+        first: FirstStage::new(
+            dp.effective_noise_std(),
+            d,
+            defense.ks_significance,
+            defense.norm_test_stds,
+        ),
+        rejected: AtomicUsize::new(0),
+        exact_fallbacks: AtomicUsize::new(0),
+    };
+    let observed = run_with_transport(&cfg, &prep, &mut transport);
+    assert!(transport.exact_fallbacks.into_inner() > 0, "never reached the exact sorted fallback");
+    // The decorator saw exactly the uploads the run's own first stage judged
+    // (label-flip members are data members, so every upload crosses it).
+    let stats = &observed.defense_stats;
+    let rejected = stats.first_stage_rejected_honest + stats.first_stage_rejected_byzantine;
+    assert!(rejected > 0, "configuration never triggered a first-stage rejection");
+    assert_eq!(transport.rejected.into_inner() as u64, rejected);
 }
 
 /// The per-chunk scratch buffers introduce no order or thread-count
