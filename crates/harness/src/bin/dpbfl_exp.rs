@@ -326,7 +326,7 @@ fn write_docs(args: &[String]) -> i32 {
     println!(
         "wrote {} ({} scenarios, {} lines)",
         out.display(),
-        registry::names().len(),
+        registry::names().count(),
         rendered.lines().count()
     );
     0

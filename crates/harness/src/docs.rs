@@ -10,31 +10,7 @@
 use crate::registry;
 use crate::spec::{model_label, IncludeRow, ScenarioSpec, SeedPolicy};
 use dpbfl::prelude::*;
-
-/// The paper artifact a registry scenario reproduces (`None` for grids
-/// that exist for the repo's own sake, like the CI smoke grid).
-pub fn paper_artifact(name: &str) -> Option<&'static str> {
-    match name {
-        "paper/quickstart" => Some("the headline result (§6 flagship; CI-pinned)"),
-        "paper/reference" => Some("Reference Accuracy (§6.1)"),
-        "paper/attack_showdown" => Some("Tables 1–2 shape (all attacks × three servers)"),
-        "paper/gamma_sweep" => Some("Table 6 shape (γ sensitivity)"),
-        "paper/epsilon_sweep" => Some("Tables 2–3 shape (privacy-budget sweep)"),
-        "paper/dataset_sweep" => Some("Figure 1's dataset columns"),
-        "paper/protocol_sweep" => Some("protocol-vs-protocol matrix (related-work shape)"),
-        "paper/non_iid" => Some("supp. Figure 5 (Algorithm-4 heterogeneity)"),
-        "paper/extreme_byz" => Some("supp. extreme-Byzantine figure (80–90 %)"),
-        "paper/accounting" => Some("§5 privacy accounting at paper scale"),
-        "paper/table1_matrix" => Some("Table 1 (privacy / >50 %-resilience matrix)"),
-        "paper/table2_ours" => Some("Table 2, bottom rows (ours on Fashion)"),
-        "paper/table2_dp_krum" => Some("Table 2, top rows ([30]-style baseline)"),
-        "paper/table3_sign_dp" => Some("Table 3 (vs [77] sign-compression DP)"),
-        "paper/table4_side_effect" => Some("Table 4 (defense on, zero attackers)"),
-        "paper/table5_ttbb" => Some("Table 5 (adaptive turn-time sweep)"),
-        "paper/table6_gamma" => Some("Table 6 (γ belief × ε)"),
-        _ => None,
-    }
-}
+use serde::{Serialize, Value};
 
 /// Human description of a seed policy.
 fn seed_policy_label(policy: &SeedPolicy) -> String {
@@ -61,10 +37,37 @@ fn privacy_label(cfg: &SimulationConfig) -> String {
     }
 }
 
+/// A whole-struct override rendered as `name.field=value` for every field
+/// that differs from the base's struct (`name=base` when none does).
+fn struct_override_label(name: &str, base: &impl Serialize, row: &impl Serialize) -> Vec<String> {
+    let (Value::Obj(base), Value::Obj(row)) = (base.to_value(), row.to_value()) else {
+        unreachable!("config structs serialize as objects");
+    };
+    let changed: Vec<String> = row
+        .iter()
+        .zip(&base)
+        .filter(|((_, new), (_, old))| new != old)
+        .map(|((field, new), _)| {
+            format!("{name}.{field}={}", serde_json::to_string(new).expect("value prints"))
+        })
+        .collect();
+    if changed.is_empty() {
+        vec![format!("{name}=base")]
+    } else {
+        changed
+    }
+}
+
 /// One include row rendered as "label: field=value, …" (only the
 /// overridden fields appear).
-fn include_row_label(row: &IncludeRow) -> String {
+fn include_row_label(row: &IncludeRow, base: &SimulationConfig) -> String {
     let mut parts: Vec<String> = Vec::new();
+    if let Some(v) = &row.defense_cfg {
+        parts.extend(struct_override_label("defense_cfg", &base.defense_cfg, v));
+    }
+    if let Some(v) = &row.dp {
+        parts.extend(struct_override_label("dp", &base.dp, v));
+    }
     if let Some(v) = &row.dataset {
         parts.push(format!("dataset={v}"));
     }
@@ -98,43 +101,36 @@ fn include_row_label(row: &IncludeRow) -> String {
     if let Some(v) = row.sampling {
         parts.push(format!("sampling={v}"));
     }
+    if let Some(v) = row.iid {
+        parts.push(format!("partition={}", if v { "iid" } else { "non-iid" }));
+    }
+    if let Some(v) = row.base_lr {
+        parts.push(format!("η_b={v}"));
+    }
+    if let Some(v) = row.ood_auxiliary {
+        parts.push(format!(
+            "auxiliary={}",
+            if v { "out-of-distribution" } else { "in-distribution" }
+        ));
+    }
     if parts.is_empty() {
         parts.push("base config unchanged".into());
     }
     format!("`{}` — {}", row.label, parts.join(", "))
 }
 
-/// Appends one "axis: v₁, v₂, …" bullet when the axis is swept.
-fn push_axis<T>(
-    out: &mut Vec<String>,
-    name: &str,
-    axis: &Option<Vec<T>>,
-    label: impl Fn(&T) -> String,
-) {
-    if let Some(values) = axis {
-        let labels: Vec<String> = values.iter().map(label).collect();
-        out.push(format!("`{name}`: {}", labels.join(", ")));
-    }
-}
-
-/// The swept-axes bullets of a grid, in expansion order.
+/// The swept-axes bullets of a grid, in expansion order: each axis's
+/// [`GridSpec`](crate::GridSpec) field name and the labels its cells carry.
 fn axis_bullets(spec: &ScenarioSpec) -> Vec<String> {
-    let g = &spec.grid;
-    let mut out = Vec::new();
-    push_axis(&mut out, "models", &g.models, model_label);
-    push_axis(&mut out, "attacks", &g.attacks, AttackSpec::name);
-    push_axis(&mut out, "defenses", &g.defenses, DefenseKind::name);
-    push_axis(&mut out, "n_byzantine", &g.n_byzantine, usize::to_string);
-    push_axis(&mut out, "gammas", &g.gammas, f64::to_string);
-    push_axis(&mut out, "epsilons", &g.epsilons, |e| match e {
-        Some(v) => v.to_string(),
-        None => "none".into(),
-    });
-    push_axis(&mut out, "iid", &g.iid, |i| if *i { "iid" } else { "non-iid" }.into());
-    push_axis(&mut out, "protocols", &g.protocols, WorkerProtocol::name);
-    push_axis(&mut out, "datasets", &g.datasets, String::clone);
-    push_axis(&mut out, "samplings", &g.samplings, f64::to_string);
-    out
+    // Applying a value is what yields its label; the config is scratch.
+    let mut scratch = spec.base.clone();
+    spec.swept_axes()
+        .iter()
+        .map(|(field, values)| {
+            let labels: Vec<String> = values.iter().map(|v| v.apply(&mut scratch).1).collect();
+            format!("`{field}`: {}", labels.join(", "))
+        })
+        .collect()
 }
 
 /// Renders the full catalog page for the built-in registry.
@@ -159,7 +155,7 @@ pub fn scenarios_markdown() -> String {
             "| [`{name}`](#{anchor}) | {cells} | {artifact} | {title} |\n",
             anchor = anchor(name),
             cells = spec.n_cells(),
-            artifact = paper_artifact(name).unwrap_or("—"),
+            artifact = registry::paper_artifact(name).unwrap_or("—"),
             title = spec.title,
         ));
     }
@@ -188,7 +184,7 @@ fn anchor(name: &str) -> String {
 fn scenario_section(spec: &ScenarioSpec) -> String {
     let base = &spec.base;
     let mut out = format!("## `{}`\n\n**{}**\n\n", spec.name, spec.title);
-    if let Some(artifact) = paper_artifact(&spec.name) {
+    if let Some(artifact) = registry::paper_artifact(&spec.name) {
         out.push_str(&format!("Reproduces: {artifact}.\n\n"));
     }
     if !spec.notes.is_empty() {
@@ -237,7 +233,7 @@ fn scenario_section(spec: &ScenarioSpec) -> String {
     if let Some(rows) = &spec.grid.include {
         out.push_str("Include rows (labeled base-config overrides, one cell each):\n\n");
         for row in rows {
-            out.push_str(&format!("- {}\n", include_row_label(row)));
+            out.push_str(&format!("- {}\n", include_row_label(row, base)));
         }
         out.push('\n');
     }
@@ -294,7 +290,10 @@ mod tests {
     fn every_paper_scenario_names_its_artifact() {
         for name in registry::names() {
             if name.starts_with("paper/") {
-                assert!(paper_artifact(name).is_some(), "{name} has no paper artifact mapping");
+                assert!(
+                    registry::paper_artifact(name).is_some(),
+                    "{name} has no paper artifact mapping"
+                );
             }
         }
     }

@@ -139,11 +139,30 @@ pub struct IncludeRow {
     pub fixed_sigma: Option<f64>,
     /// Override the per-round client sampling fraction `q ∈ (0, 1]`.
     pub sampling: Option<f64>,
+    /// Override the data distribution (`true` = i.i.d., `false` = Algorithm 4).
+    pub iid: Option<bool>,
+    /// Override the base learning rate η_b (the run scales it by σ_b/σ).
+    pub base_lr: Option<f64>,
+    /// Override whether the server's auxiliary data comes from a different
+    /// data space (supp. Table 17).
+    pub ood_auxiliary: Option<bool>,
+    /// Replace the whole defense configuration. Applied before `gamma`, so
+    /// a row may set both.
+    pub defense_cfg: Option<DefenseConfig>,
+    /// Replace the whole worker DP-SGD configuration. Applied before
+    /// `fixed_sigma`, so a row may set both.
+    pub dp: Option<DpSgdConfig>,
 }
 
 impl IncludeRow {
     /// Applies the row's overrides to a copy of the base config.
     fn apply(&self, cfg: &mut SimulationConfig) {
+        if let Some(defense_cfg) = &self.defense_cfg {
+            cfg.defense_cfg = defense_cfg.clone();
+        }
+        if let Some(dp) = &self.dp {
+            cfg.dp = dp.clone();
+        }
         if let Some(name) = &self.dataset {
             cfg.dataset = resolve_dataset(name);
         }
@@ -178,45 +197,17 @@ impl IncludeRow {
         if let Some(q) = self.sampling {
             cfg.sampling = q;
         }
+        if let Some(iid) = self.iid {
+            cfg.iid = iid;
+        }
+        if let Some(lr) = self.base_lr {
+            cfg.base_lr = lr;
+        }
+        if let Some(ood) = self.ood_auxiliary {
+            cfg.ood_auxiliary = ood;
+        }
     }
 }
-
-/// The field names [`GridSpec`] accepts (kept next to the struct so the
-/// unknown-field check in [`ScenarioSpec::from_json`] cannot drift).
-const GRID_FIELDS: &[&str] = &[
-    "models",
-    "attacks",
-    "defenses",
-    "n_byzantine",
-    "gammas",
-    "epsilons",
-    "iid",
-    "protocols",
-    "datasets",
-    "samplings",
-    "deadlines_ms",
-    "flaky_pcts",
-    "include",
-];
-
-/// The field names [`IncludeRow`] accepts.
-const INCLUDE_FIELDS: &[&str] = &[
-    "label",
-    "dataset",
-    "model",
-    "attack",
-    "defense",
-    "protocol",
-    "n_honest",
-    "n_byzantine",
-    "gamma",
-    "epsilon",
-    "fixed_sigma",
-    "sampling",
-];
-
-/// The [`WorkerProtocol`] variant names (for parse-time axis validation).
-const PROTOCOL_VARIANTS: &[&str] = &["PaperDp", "ClippedDp", "Plain", "SignDp"];
 
 /// Resolves a dataset family name, panicking with a actionable message on
 /// an unknown name (parse-time checks and [`ScenarioSpec::validate`] both
@@ -248,76 +239,6 @@ pub struct ScenarioSpec {
     pub grid: GridSpec,
 }
 
-/// The field names [`ScenarioSpec`] accepts.
-const SPEC_FIELDS: &[&str] = &["name", "title", "notes", "seed", "base", "grid"];
-
-/// The field names `SimulationConfig` serializes (checked against the
-/// struct by `field_whitelists_match_the_structs`). Needed because the
-/// vendored serde derive silently maps missing fields of `Option` type to
-/// `None` — a typo'd `"epsilion"` would otherwise change the run's privacy
-/// level without any error.
-const BASE_FIELDS: &[&str] = &[
-    "dataset",
-    "model",
-    "per_worker",
-    "test_count",
-    "n_honest",
-    "n_byzantine",
-    "iid",
-    "epochs",
-    "base_lr",
-    "base_sigma",
-    "epsilon",
-    "dp",
-    "defense_cfg",
-    "attack",
-    "defense",
-    "protocol",
-    "ood_auxiliary",
-    "seed",
-    "eval_every",
-    "sampling",
-    "provisioning",
-    "serving",
-];
-
-/// The field names `ServingSpec` serializes.
-const SERVING_FIELDS: &[&str] = &["deadline_ms", "fault"];
-
-/// The field names `FaultSpec` serializes.
-const FAULT_FIELDS: &[&str] =
-    &["skip_rounds", "drop_at_round", "delay_ms_lo", "delay_ms_hi", "flaky_pct", "seed"];
-
-/// The field names `DpSgdConfig` serializes.
-const DP_FIELDS: &[&str] = &["batch_size", "momentum", "noise_multiplier", "momentum_reset"];
-
-/// The field names `DefenseConfig` serializes.
-const DEFENSE_CFG_FIELDS: &[&str] = &[
-    "gamma",
-    "ks_significance",
-    "norm_test_stds",
-    "aux_per_class",
-    "step_normalization",
-    "scoring",
-    "weighting",
-    "first_stage_enabled",
-    "retention",
-];
-
-/// The field names `SyntheticSpec` serializes.
-const DATASET_FIELDS: &[&str] = &[
-    "name",
-    "channels",
-    "height",
-    "width",
-    "num_classes",
-    "proto_grid",
-    "signal_mix",
-    "class_sep",
-    "proto_salt",
-    "invert",
-];
-
 /// One expanded grid cell: a fully resolved config plus its provenance.
 #[derive(Debug, Clone)]
 pub struct Cell {
@@ -340,23 +261,6 @@ impl Cell {
 }
 
 impl ScenarioSpec {
-    /// True when any cartesian axis is swept.
-    fn any_axis_swept(&self) -> bool {
-        let g = &self.grid;
-        g.models.is_some()
-            || g.attacks.is_some()
-            || g.defenses.is_some()
-            || g.n_byzantine.is_some()
-            || g.gammas.is_some()
-            || g.epsilons.is_some()
-            || g.iid.is_some()
-            || g.protocols.is_some()
-            || g.datasets.is_some()
-            || g.samplings.is_some()
-            || g.deadlines_ms.is_some()
-            || g.flaky_pcts.is_some()
-    }
-
     /// The grid's include rows (empty slice when absent).
     fn include_rows(&self) -> &[IncludeRow] {
         self.grid.include.as_deref().unwrap_or(&[])
@@ -367,35 +271,41 @@ impl ScenarioSpec {
     /// exactly the row list (a pure method-comparison table) and no bare
     /// base cell is emitted.
     fn has_cartesian_block(&self) -> bool {
-        self.any_axis_swept() || self.include_rows().is_empty()
+        !self.swept_axes().is_empty() || self.include_rows().is_empty()
     }
 
-    /// The swept axes as a list of (axis values) lists, in expansion order:
-    /// model, attack, defense, `n_byzantine`, γ, ε, partition, protocol,
-    /// dataset, sampling, deadline, flaky. Omitted axes contribute nothing.
-    fn swept_axes(&self) -> Vec<Vec<AxisSetting>> {
-        let mut axes: Vec<Vec<AxisSetting>> = Vec::new();
-        let mut push = |values: Option<Vec<AxisSetting>>| axes.extend(values);
+    /// The swept axes in expansion order, each with its [`GridSpec`] field
+    /// name: model, attack, defense, `n_byzantine`, γ, ε, partition,
+    /// protocol, dataset, sampling, deadline, flaky. Omitted axes contribute
+    /// nothing. This is the one place the axes are enumerated — cell
+    /// expansion, [`ScenarioSpec::n_cells`], the validator's emptiness check
+    /// and the generated catalog all read it.
+    pub(crate) fn swept_axes(&self) -> Vec<(&'static str, Vec<AxisSetting>)> {
+        fn axis<T: Clone>(
+            field: &'static str,
+            values: &Option<Vec<T>>,
+            wrap: fn(T) -> AxisSetting,
+        ) -> Option<(&'static str, Vec<AxisSetting>)> {
+            values.as_ref().map(|v| (field, v.iter().cloned().map(wrap).collect()))
+        }
         let g = &self.grid;
-        push(g.models.as_ref().map(|v| v.iter().map(|m| AxisSetting::Model(*m)).collect()));
-        push(g.attacks.as_ref().map(|v| v.iter().cloned().map(AxisSetting::Attack).collect()));
-        push(g.defenses.as_ref().map(|v| v.iter().cloned().map(AxisSetting::Defense).collect()));
-        push(
-            g.n_byzantine.as_ref().map(|v| v.iter().map(|n| AxisSetting::Byzantine(*n)).collect()),
-        );
-        push(g.gammas.as_ref().map(|v| v.iter().map(|g| AxisSetting::Gamma(*g)).collect()));
-        push(g.epsilons.as_ref().map(|v| v.iter().map(|e| AxisSetting::Epsilon(*e)).collect()));
-        push(g.iid.as_ref().map(|v| v.iter().map(|i| AxisSetting::Partition(*i)).collect()));
-        push(g.protocols.as_ref().map(|v| v.iter().map(|p| AxisSetting::Protocol(*p)).collect()));
-        push(g.datasets.as_ref().map(|v| v.iter().cloned().map(AxisSetting::Dataset).collect()));
-        push(g.samplings.as_ref().map(|v| v.iter().map(|q| AxisSetting::Sampling(*q)).collect()));
-        push(
-            g.deadlines_ms
-                .as_ref()
-                .map(|v| v.iter().map(|d| AxisSetting::DeadlineMs(*d)).collect()),
-        );
-        push(g.flaky_pcts.as_ref().map(|v| v.iter().map(|p| AxisSetting::FlakyPct(*p)).collect()));
-        axes
+        [
+            axis("models", &g.models, AxisSetting::Model),
+            axis("attacks", &g.attacks, AxisSetting::Attack),
+            axis("defenses", &g.defenses, AxisSetting::Defense),
+            axis("n_byzantine", &g.n_byzantine, AxisSetting::Byzantine),
+            axis("gammas", &g.gammas, AxisSetting::Gamma),
+            axis("epsilons", &g.epsilons, AxisSetting::Epsilon),
+            axis("iid", &g.iid, AxisSetting::Partition),
+            axis("protocols", &g.protocols, AxisSetting::Protocol),
+            axis("datasets", &g.datasets, AxisSetting::Dataset),
+            axis("samplings", &g.samplings, AxisSetting::Sampling),
+            axis("deadlines_ms", &g.deadlines_ms, AxisSetting::DeadlineMs),
+            axis("flaky_pcts", &g.flaky_pcts, AxisSetting::FlakyPct),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Expands the grid into runnable cells: the cartesian product of the
@@ -413,7 +323,7 @@ impl ScenarioSpec {
         // nested-loop order).
         let axes = self.swept_axes();
         let mut combos: Vec<Vec<&AxisSetting>> = vec![Vec::new()];
-        for axis in &axes {
+        for (_, axis) in &axes {
             combos = combos
                 .into_iter()
                 .flat_map(|combo| {
@@ -479,18 +389,7 @@ impl ScenarioSpec {
             _ => 1,
         };
         let cartesian = if self.has_cartesian_block() {
-            axis_len(&self.grid.models)
-                * axis_len(&self.grid.attacks)
-                * axis_len(&self.grid.defenses)
-                * axis_len(&self.grid.n_byzantine)
-                * axis_len(&self.grid.gammas)
-                * axis_len(&self.grid.epsilons)
-                * axis_len(&self.grid.iid)
-                * axis_len(&self.grid.protocols)
-                * axis_len(&self.grid.datasets)
-                * axis_len(&self.grid.samplings)
-                * axis_len(&self.grid.deadlines_ms)
-                * axis_len(&self.grid.flaky_pcts)
+            self.swept_axes().iter().map(|(_, values)| values.len()).product()
         } else {
             0
         };
@@ -513,23 +412,11 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        for (axis, len) in [
-            ("models", self.grid.models.as_ref().map(Vec::len)),
-            ("attacks", self.grid.attacks.as_ref().map(Vec::len)),
-            ("defenses", self.grid.defenses.as_ref().map(Vec::len)),
-            ("n_byzantine", self.grid.n_byzantine.as_ref().map(Vec::len)),
-            ("gammas", self.grid.gammas.as_ref().map(Vec::len)),
-            ("epsilons", self.grid.epsilons.as_ref().map(Vec::len)),
-            ("iid", self.grid.iid.as_ref().map(Vec::len)),
-            ("protocols", self.grid.protocols.as_ref().map(Vec::len)),
-            ("datasets", self.grid.datasets.as_ref().map(Vec::len)),
-            ("samplings", self.grid.samplings.as_ref().map(Vec::len)),
-            ("deadlines_ms", self.grid.deadlines_ms.as_ref().map(Vec::len)),
-            ("flaky_pcts", self.grid.flaky_pcts.as_ref().map(Vec::len)),
-            ("include", self.grid.include.as_ref().map(Vec::len)),
-        ] {
+        let include_len = self.grid.include.as_ref().map(Vec::len);
+        let lens = self.swept_axes().into_iter().map(|(field, values)| (field, Some(values.len())));
+        for (field, len) in lens.chain([("include", include_len)]) {
             if len == Some(0) {
-                problems.push(format!("grid.{axis}: present but empty (grid has zero cells)"));
+                problems.push(format!("grid.{field}: present but empty (grid has zero cells)"));
             }
         }
         // Dataset names and include-row labels, before any expansion (an
@@ -658,80 +545,37 @@ impl ScenarioSpec {
     /// Parses a spec from JSON text.
     ///
     /// Errors carry the failure's location: parse errors report
-    /// `line, column`; shape errors report the `Type.field` path (e.g.
-    /// `ScenarioSpec.base: SimulationConfig.per_worker: expected usize`);
-    /// unknown fields at the spec/grid level are rejected by name.
+    /// `line, column`; shape errors, unknown fields and unknown enum variants
+    /// report the `Type.field` / `[index]` path down to the offender (e.g.
+    /// `ScenarioSpec.base: SimulationConfig: unknown field \`epsilion\``) —
+    /// the strict vendored serde derive rejects any key or variant the
+    /// structs do not declare, at every nesting level. The checks made here
+    /// are the range checks the types cannot express: dataset family names
+    /// and sampling fractions.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
         let value = serde_json::parse_value(text).map_err(|e| e.to_string())?;
-        check_known_fields(&value, "ScenarioSpec", SPEC_FIELDS)?;
-        if let Some(grid) = value.get("grid") {
-            check_known_fields(grid, "ScenarioSpec.grid", GRID_FIELDS)?;
-            if let Some(Value::Arr(entries)) = grid.get("protocols") {
-                for (i, entry) in entries.iter().enumerate() {
-                    check_protocol_name(entry, &format!("ScenarioSpec.grid.protocols[{i}]"))?;
-                }
+        let grid = value.get("grid");
+        let entries = |key: &str| match grid.and_then(|g| g.get(key)) {
+            Some(Value::Arr(entries)) => entries.as_slice(),
+            _ => &[],
+        };
+        for (i, entry) in entries("datasets").iter().enumerate() {
+            check_dataset_name(entry, &format!("ScenarioSpec.grid.datasets[{i}]"))?;
+        }
+        for (i, entry) in entries("samplings").iter().enumerate() {
+            check_sampling_fraction(entry, &format!("ScenarioSpec.grid.samplings[{i}]"))?;
+        }
+        for (i, row) in entries("include").iter().enumerate() {
+            let at = format!("ScenarioSpec.grid.include[{i}]");
+            if let Some(dataset) = row.get("dataset").filter(|v| **v != Value::Null) {
+                check_dataset_name(dataset, &format!("{at}.dataset"))?;
             }
-            if let Some(Value::Arr(entries)) = grid.get("datasets") {
-                for (i, entry) in entries.iter().enumerate() {
-                    check_dataset_name(entry, &format!("ScenarioSpec.grid.datasets[{i}]"))?;
-                }
-            }
-            if let Some(Value::Arr(entries)) = grid.get("samplings") {
-                for (i, entry) in entries.iter().enumerate() {
-                    check_sampling_fraction(entry, &format!("ScenarioSpec.grid.samplings[{i}]"))?;
-                }
-            }
-            if let Some(Value::Arr(entries)) = grid.get("include") {
-                for (i, entry) in entries.iter().enumerate() {
-                    let at = format!("ScenarioSpec.grid.include[{i}]");
-                    check_known_fields(entry, &at, INCLUDE_FIELDS)?;
-                    if let Some(protocol) = entry.get("protocol") {
-                        if !matches!(protocol, Value::Null) {
-                            check_protocol_name(protocol, &format!("{at}.protocol"))?;
-                        }
-                    }
-                    if let Some(dataset) = entry.get("dataset") {
-                        if !matches!(dataset, Value::Null) {
-                            check_dataset_name(dataset, &format!("{at}.dataset"))?;
-                        }
-                    }
-                    if let Some(sampling) = entry.get("sampling") {
-                        if !matches!(sampling, Value::Null) {
-                            check_sampling_fraction(sampling, &format!("{at}.sampling"))?;
-                        }
-                    }
-                }
+            if let Some(sampling) = row.get("sampling").filter(|v| **v != Value::Null) {
+                check_sampling_fraction(sampling, &format!("{at}.sampling"))?;
             }
         }
-        if let Some(base) = value.get("base") {
-            check_known_fields(base, "ScenarioSpec.base", BASE_FIELDS)?;
-            if let Some(protocol) = base.get("protocol") {
-                check_protocol_name(protocol, "ScenarioSpec.base.protocol")?;
-            }
-            if let Some(sampling) = base.get("sampling") {
-                check_sampling_fraction(sampling, "ScenarioSpec.base.sampling")?;
-            }
-            if let Some(dp) = base.get("dp") {
-                check_known_fields(dp, "ScenarioSpec.base.dp", DP_FIELDS)?;
-            }
-            if let Some(defense_cfg) = base.get("defense_cfg") {
-                check_known_fields(
-                    defense_cfg,
-                    "ScenarioSpec.base.defense_cfg",
-                    DEFENSE_CFG_FIELDS,
-                )?;
-            }
-            if let Some(dataset) = base.get("dataset") {
-                check_known_fields(dataset, "ScenarioSpec.base.dataset", DATASET_FIELDS)?;
-            }
-            if let Some(serving) = base.get("serving") {
-                if !matches!(serving, Value::Null) {
-                    check_known_fields(serving, "ScenarioSpec.base.serving", SERVING_FIELDS)?;
-                    if let Some(fault) = serving.get("fault") {
-                        check_known_fields(fault, "ScenarioSpec.base.serving.fault", FAULT_FIELDS)?;
-                    }
-                }
-            }
+        if let Some(sampling) = value.get("base").and_then(|base| base.get("sampling")) {
+            check_sampling_fraction(sampling, "ScenarioSpec.base.sampling")?;
         }
         Deserialize::from_value(&value).map_err(|e: serde::Error| e.to_string())
     }
@@ -750,26 +594,6 @@ fn unknown_dataset(at: &str, name: &str) -> String {
         "{at}: unknown dataset family `{name}` (expected one of: {})",
         SyntheticSpec::family_names().join(", ")
     )
-}
-
-/// Parse-time check of one protocol axis value: the variant name must be a
-/// real [`WorkerProtocol`] variant. Without this, an unknown *data* variant
-/// (`{"ClippedDpX": …}`) would only fail deep in deserialization with a
-/// generic shape message instead of naming the offending value and path.
-fn check_protocol_name(value: &Value, at: &str) -> Result<(), String> {
-    let name = match value {
-        Value::Str(s) => Some(s.as_str()),
-        Value::Obj(fields) if fields.len() == 1 => Some(fields[0].0.as_str()),
-        _ => None,
-    };
-    match name {
-        Some(n) if PROTOCOL_VARIANTS.contains(&n) => Ok(()),
-        Some(n) => Err(format!(
-            "{at}: unknown protocol `{n}` (expected one of: {})",
-            PROTOCOL_VARIANTS.join(", ")
-        )),
-        None => Err(format!("{at}: expected a protocol variant (string or single-key object)")),
-    }
 }
 
 /// Parse-time check of one client-sampling fraction: must be a number in
@@ -798,25 +622,10 @@ fn check_dataset_name(value: &Value, at: &str) -> Result<(), String> {
     }
 }
 
-/// Rejects object keys outside `known`, naming the offender and its context.
-fn check_known_fields(value: &Value, at: &str, known: &[&str]) -> Result<(), String> {
-    if let Value::Obj(fields) = value {
-        for (key, _) in fields {
-            if !known.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown field `{key}` in {at} (expected one of: {})",
-                    known.join(", ")
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// One swept-axis value: applying it to a config yields the
 /// `(axis, label)` pair the cell records.
 #[derive(Debug, Clone)]
-enum AxisSetting {
+pub(crate) enum AxisSetting {
     /// Network architecture.
     Model(ModelKind),
     /// Attack mounted by the Byzantine workers.
@@ -845,7 +654,7 @@ enum AxisSetting {
 
 impl AxisSetting {
     /// Applies the value to `cfg`, returning the cell's axis label pair.
-    fn apply(&self, cfg: &mut SimulationConfig) -> (String, String) {
+    pub(crate) fn apply(&self, cfg: &mut SimulationConfig) -> (String, String) {
         match self {
             AxisSetting::Model(m) => {
                 cfg.model = *m;
@@ -901,11 +710,6 @@ impl AxisSetting {
             }
         }
     }
-}
-
-/// Length contribution of an axis to the cartesian product.
-fn axis_len<T>(axis: &Option<Vec<T>>) -> usize {
-    axis.as_ref().map_or(1, Vec::len)
 }
 
 /// Short report label for a model kind.
@@ -1271,15 +1075,15 @@ mod tests {
         let bad = json.replacen("\"ClippedDp\"", "\"ClippedDpX\"", 1);
         assert_ne!(bad, json);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("ScenarioSpec.grid.protocols[0]"), "{err}");
-        assert!(err.contains("unknown protocol `ClippedDpX`"), "{err}");
+        assert!(err.contains("ScenarioSpec.grid: GridSpec.protocols: [0]: "), "{err}");
+        assert!(err.contains("WorkerProtocol: unknown variant `ClippedDpX`"), "{err}");
         assert!(err.contains("SignDp"), "expected-variant list missing: {err}");
 
         let bad = json.replacen("\"PaperDp\"", "\"PaperDP\"", 1);
         assert_ne!(bad, json);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("ScenarioSpec.base.protocol"), "{err}");
-        assert!(err.contains("unknown protocol `PaperDP`"), "{err}");
+        assert!(err.contains("ScenarioSpec.base: SimulationConfig.protocol: "), "{err}");
+        assert!(err.contains("WorkerProtocol: unknown variant `PaperDP`"), "{err}");
 
         let bad = json.replacen("[\"mnist-like\"]", "[\"mnist\"]", 1);
         assert_ne!(bad, json);
@@ -1308,8 +1112,8 @@ mod tests {
 
         let bad = json.replacen("\"SignDp\"", "\"SignDP\"", 1);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("ScenarioSpec.grid.include[0].protocol"), "{err}");
-        assert!(err.contains("unknown protocol `SignDP`"), "{err}");
+        assert!(err.contains("GridSpec.include: [0]: IncludeRow.protocol: "), "{err}");
+        assert!(err.contains("WorkerProtocol: unknown variant `SignDP`"), "{err}");
 
         let bad = json.replacen("\"usps-like\"", "\"usps\"", 1);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
@@ -1318,8 +1122,11 @@ mod tests {
 
         let bad = json.replacen("\"fixed_sigma\"", "\"fixed_sigm\"", 1);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("unknown field `fixed_sigm`"), "{err}");
-        assert!(err.contains("ScenarioSpec.grid.include[0]"), "{err}");
+        assert!(
+            err.contains("GridSpec.include: [0]: IncludeRow: unknown field `fixed_sigm`"),
+            "{err}"
+        );
+        assert!(err.contains("fixed_sigma"), "accepted-field list missing: {err}");
     }
 
     #[test]
@@ -1368,49 +1175,38 @@ mod tests {
         assert!(ScenarioSpec::from_json(&json).is_ok());
         let bad = json.replacen("\"notes\"", "\"nots\"", 1);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("unknown field `nots`"), "{err}");
-        assert!(err.contains("ScenarioSpec"), "{err}");
+        assert!(err.contains(": ScenarioSpec: unknown field `nots`"), "{err}");
+        assert!(err.contains("notes"), "accepted-field list missing: {err}");
+    }
+
+    #[test]
+    fn typoed_fields_inside_an_enum_variant_are_rejected_by_name() {
+        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
+        s.base.attack =
+            AttackSpec::Sleeper { turn_round: 3, inner: Box::new(AttackSpec::LabelFlip) };
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(ScenarioSpec::from_json(&json).is_ok(), "fixture must parse");
+        let bad = json.replacen("\"turn_round\"", "\"turn_rond\"", 1);
+        assert_ne!(bad, json);
+        let err = ScenarioSpec::from_json(&bad).unwrap_err();
+        assert!(err.contains("SimulationConfig.attack: AttackSpec::Sleeper: "), "{err}");
+        assert!(err.contains("unknown field `turn_rond`"), "{err}");
+        assert!(err.contains("turn_round, inner"), "accepted-field list missing: {err}");
     }
 
     #[test]
     fn typoed_option_fields_inside_base_are_rejected_not_dropped() {
-        // `epsilon` is Option-typed: without the whitelist a typo would
-        // silently fall back to `None` and run at the wrong privacy level.
+        // `epsilon` is Option-typed: a lenient reader would map the typo'd
+        // key's absence to `None` and run at the wrong privacy level.
         let s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
         let json = serde_json::to_string(&s).unwrap();
         let bad = json.replacen("\"epsilon\"", "\"epsilion\"", 1);
         assert_ne!(bad, json);
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("unknown field `epsilion`"), "{err}");
-        assert!(err.contains("ScenarioSpec.base"), "{err}");
-    }
-
-    /// Objects serialize every field in declaration order, so the
-    /// whitelists cannot drift from the structs without failing here.
-    #[test]
-    fn field_whitelists_match_the_structs() {
-        fn assert_keys(v: &Value, expected: &[&str], at: &str) {
-            let Value::Obj(fields) = v else { panic!("{at}: expected object") };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(keys, expected, "{at}");
-        }
-        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
-        s.grid.include = Some(vec![IncludeRow { label: "x".into(), ..IncludeRow::default() }]);
-        s.base.serving = Some(ServingSpec::default());
-        let spec_value = serde::Serialize::to_value(&s);
-        assert_keys(&spec_value, SPEC_FIELDS, "ScenarioSpec");
-        let grid = spec_value.get("grid").unwrap();
-        assert_keys(grid, GRID_FIELDS, "grid");
-        let Some(Value::Arr(include)) = grid.get("include") else { panic!("include serialized") };
-        assert_keys(&include[0], INCLUDE_FIELDS, "include row");
-        let base = spec_value.get("base").unwrap();
-        assert_keys(base, BASE_FIELDS, "base");
-        assert_keys(base.get("dp").unwrap(), DP_FIELDS, "dp");
-        assert_keys(base.get("defense_cfg").unwrap(), DEFENSE_CFG_FIELDS, "defense_cfg");
-        assert_keys(base.get("dataset").unwrap(), DATASET_FIELDS, "dataset");
-        let serving = base.get("serving").unwrap();
-        assert_keys(serving, SERVING_FIELDS, "serving");
-        assert_keys(serving.get("fault").unwrap(), FAULT_FIELDS, "serving.fault");
+        assert!(
+            err.contains("ScenarioSpec.base: SimulationConfig: unknown field `epsilion`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1465,8 +1261,8 @@ mod tests {
         assert_eq!(back.base.serving, s.base.serving);
         let bad = json.replace("\"flaky_pct\"", "\"flaky_percent\"");
         let err = ScenarioSpec::from_json(&bad).unwrap_err();
-        assert!(err.contains("flaky_percent"), "{err}");
-        assert!(err.contains("serving.fault"), "{err}");
+        assert!(err.contains("SimulationConfig.serving: ServingSpec.fault: FaultSpec: "), "{err}");
+        assert!(err.contains("unknown field `flaky_percent`"), "{err}");
     }
 
     #[test]

@@ -1,28 +1,59 @@
-//! The registry's Table-1/Table-3 scenarios reproduce the pre-registry
-//! hand-coded bench binaries **verbatim**.
+//! The registry scenarios ported from hand-coded bench binaries reproduce
+//! those binaries **verbatim**.
 //!
-//! Before this grid existed, `crates/bench/src/bin/table1_matrix.rs` and
-//! `table3_vs_sign_dp.rs` built their configs by hand (at the bench
-//! harness's reduced scale). Those constructions are replicated here, and
-//! every registry cell is asserted to resolve to a bit-identical
-//! configuration — which, by the determinism contract (a run is a pure
-//! function of its resolved config; guarded end to end by
-//! `grid_determinism.rs`), pins the registry scenarios to the exact
-//! accuracies the deleted binaries produced.
+//! Before the registry covered them, `crates/bench/src/bin/` built the
+//! configs of Table 1, Table 3, Figure 3, Figure 4, supp. Tables 15–17 and
+//! the design-choice ablation by hand (at the bench harness's reduced
+//! scale, seed 1). Those constructions are replicated here, and every
+//! registry cell is asserted to resolve to a bit-identical configuration —
+//! which, by the determinism contract (a run is a pure function of its
+//! resolved config; guarded end to end by `grid_determinism.rs`), pins the
+//! registry scenarios to the exact accuracies the deleted binaries
+//! produced.
 
 use dpbfl::baseline::{guerraoui_style, SignDpConfig};
 use dpbfl::prelude::*;
 use dpbfl_harness::{registry, Cell};
 
-/// The reduced-scale MNIST config of the bench harness (`Scale::from_env`
-/// without `DPBFL_FULL`), exactly as `scale.config("mnist")` built it.
-fn scale_mnist() -> SimulationConfig {
-    let mut cfg = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
+/// The reduced-scale config of the bench harness (`Scale::from_env`
+/// without `DPBFL_FULL`), exactly as `scale.config(dataset)` built it for
+/// the two families the binaries ran by default.
+fn scale_config(dataset: &str) -> SimulationConfig {
+    let spec = match dataset {
+        "mnist" => SyntheticSpec::mnist_like(),
+        "fashion" => SyntheticSpec::fashion_like(),
+        other => panic!("the binaries' default scale ran mnist and fashion, not {other}"),
+    };
+    let mut cfg = SimulationConfig::quick(spec, ModelKind::Mlp784);
     cfg.per_worker = 500;
     cfg.n_honest = 10;
     cfg.epochs = 6.0;
     cfg.test_count = 400;
     cfg
+}
+
+fn scale_mnist() -> SimulationConfig {
+    scale_config("mnist")
+}
+
+/// The binaries' Byzantine count for a percentage of the *total* cohort.
+fn byz_for_pct(cfg: &SimulationConfig, byz_pct: usize) -> usize {
+    (cfg.n_honest as f64 * byz_pct as f64 / (100.0 - byz_pct as f64)).round() as usize
+}
+
+/// The binaries' "two-stage at the true honest fraction" tail, applied after
+/// `n_byzantine` was set.
+fn defend(cfg: &mut SimulationConfig) {
+    cfg.defense = DefenseKind::TwoStage;
+    cfg.defense_cfg.gamma = cfg.n_honest as f64 / cfg.n_total() as f64;
+}
+
+/// Every cell of `scenario`, after checking the grid has exactly `expected`
+/// of them — so a row the old binary never ran cannot ride along unpinned.
+fn cells_of(scenario: &str, expected: usize) -> Vec<Cell> {
+    let cells = registry::get(scenario).unwrap_or_else(|| panic!("{scenario} registered")).cells();
+    assert_eq!(cells.len(), expected, "{scenario}");
+    cells
 }
 
 /// The pre-registry binaries ran every config through `run_seeds(cfg, [1])`,
@@ -152,5 +183,171 @@ fn table3_sign_dp_cells_equal_the_pre_registry_configs() {
         cfg.defense = DefenseKind::TwoStage;
         cfg.defense_cfg.gamma = cfg.n_honest as f64 / cfg.n_total() as f64;
         assert_config_eq(cell_by_label(&cells, label), &with_seed_1(cfg));
+    }
+}
+
+#[test]
+fn fig3_tuning_cells_equal_the_pre_registry_configs() {
+    let cells = cells_of("paper/fig3_tuning", 8);
+    for eps in [2.0, 0.5] {
+        for lr in [0.02, 0.08, 0.2, 0.8] {
+            let mut cfg = scale_config("mnist");
+            cfg.iid = true;
+            cfg.epsilon = Some(eps);
+            cfg.base_lr = lr;
+            cfg.n_byzantine = (cfg.n_honest as f64 * 1.5).round() as usize;
+            cfg.attack = AttackSpec::LabelFlip;
+            defend(&mut cfg);
+            let label = format!("eps={eps}/lr={lr}");
+            assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(cfg));
+        }
+    }
+}
+
+#[test]
+fn fig4_convergence_cells_equal_the_pre_registry_configs() {
+    let cells = cells_of("paper/fig4_convergence", 6);
+    for dataset in ["mnist", "fashion"] {
+        for byz_pct in [20usize, 60] {
+            let mut cfg = scale_config(dataset);
+            cfg.epsilon = Some(1.0);
+            cfg.n_byzantine = byz_for_pct(&cfg, byz_pct);
+            cfg.attack = AttackSpec::LabelFlip;
+            defend(&mut cfg);
+            let label = format!("{dataset}-like/byz={byz_pct}%");
+            assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(cfg));
+        }
+        // The Reference Accuracy curve the binary re-ran next to each
+        // attacked curve (one cell here: the two runs were identical).
+        let mut ra = scale_config(dataset);
+        ra.epsilon = Some(1.0);
+        let label = format!("{dataset}-like/reference");
+        assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(ra));
+    }
+}
+
+#[test]
+fn supp_dp_cost_cells_equal_the_pre_registry_configs() {
+    let cells = cells_of("paper/supp_dp_cost", 16);
+    for (partition, iid) in [("iid", true), ("non-iid", false)] {
+        for dataset in ["mnist", "fashion"] {
+            let mut plain = scale_config(dataset);
+            plain.iid = iid;
+            plain.protocol = WorkerProtocol::Plain;
+            let label = format!("{partition}/{dataset}-like/non-dp");
+            assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(plain));
+            for eps in [2.0, 0.5, 0.125] {
+                let mut cfg = scale_config(dataset);
+                cfg.iid = iid;
+                cfg.epsilon = Some(eps);
+                let label = format!("{partition}/{dataset}-like/eps={eps}");
+                assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(cfg));
+            }
+        }
+    }
+}
+
+#[test]
+fn supp_ood_aux_cells_equal_the_pre_registry_configs() {
+    let cells = cells_of("paper/supp_ood_aux", 16);
+    for (aname, attack) in
+        [("gaussian", AttackSpec::Gaussian), ("label-flip", AttackSpec::LabelFlip)]
+    {
+        for byz_pct in [20usize, 40] {
+            for dataset in ["mnist", "fashion"] {
+                for (aux, ood) in [("ood-aux", true), ("in-dist-aux", false)] {
+                    let mut cfg = scale_config(dataset);
+                    cfg.epsilon = Some(2.0);
+                    cfg.n_byzantine = byz_for_pct(&cfg, byz_pct);
+                    cfg.attack = attack.clone();
+                    defend(&mut cfg);
+                    cfg.ood_auxiliary = ood;
+                    let label = format!("{aname}/byz={byz_pct}%/{dataset}-like/{aux}");
+                    assert_config_eq(cell_by_label(&cells, &label), &with_seed_1(cfg));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn ablation_cells_equal_the_pre_registry_configs() {
+    let cells = cells_of("paper/ablation", 9);
+    let base = || {
+        let mut cfg = scale_config("mnist");
+        cfg.epsilon = Some(1.0);
+        cfg.n_byzantine = (cfg.n_honest as f64 * 1.5).round() as usize;
+        cfg.attack = AttackSpec::LabelFlip;
+        defend(&mut cfg);
+        cfg
+    };
+    let mut reference = scale_config("mnist");
+    reference.epsilon = Some(1.0);
+    let variants: Vec<(&str, SimulationConfig)> = vec![
+        ("reference", reference),
+        ("full-protocol", base()),
+        ("cosine-scoring", {
+            let mut c = base();
+            c.defense_cfg.scoring = ScoringRule::Cosine;
+            c
+        }),
+        ("proportional-weights", {
+            let mut c = base();
+            c.defense_cfg.weighting = WeightScheme::Proportional;
+            c
+        }),
+        ("second-stage-only", {
+            let mut c = base();
+            c.defense_cfg.first_stage_enabled = false;
+            c
+        }),
+        ("first-stage-only", {
+            let mut c = base();
+            c.defense_cfg.gamma = 1.0;
+            c
+        }),
+        ("momentum-kept", {
+            let mut c = base();
+            c.dp.momentum_reset = MomentumReset::Keep;
+            c
+        }),
+        ("selected-count-step", {
+            let mut c = base();
+            c.defense_cfg.step_normalization = StepNormalization::SelectedCount;
+            c
+        }),
+        ("fltrust", {
+            let mut c = base();
+            c.defense = DefenseKind::FlTrust;
+            c
+        }),
+    ];
+    for (label, cfg) in variants {
+        assert_config_eq(cell_by_label(&cells, label), &with_seed_1(cfg));
+    }
+}
+
+/// README's "Reproducing the paper" table and the registry name the same
+/// `paper/*` scenarios: a renamed or new scenario must show up in both.
+#[test]
+fn readme_artifact_table_and_registry_name_the_same_paper_scenarios() {
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split("## Reproducing the paper")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("README has a `Reproducing the paper` section");
+    let in_table: Vec<&str> = section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .flat_map(|line| line.split('`'))
+        .filter(|token| token.starts_with("paper/"))
+        .collect();
+    assert!(!in_table.is_empty(), "artifact table not found");
+    for name in &in_table {
+        assert!(registry::get(name).is_some(), "README names unregistered scenario `{name}`");
+    }
+    for name in registry::names().filter(|n| n.starts_with("paper/")) {
+        assert!(in_table.contains(&name), "`{name}` is missing from README's artifact table");
     }
 }
