@@ -585,7 +585,7 @@ fn admit_connection(
     }
 
     let alive = Arc::new(AtomicBool::new(true));
-    match spawn_reader(&stream, tx, Arc::clone(&alive)) {
+    match spawn_reader(&stream, workers.clone(), tx, Arc::clone(&alive)) {
         Ok(()) => {}
         Err(e) => {
             drop(guard);
@@ -643,14 +643,17 @@ fn reject(mut stream: Stream, peer: &str, reason: &str, tel: &Telemetry) {
     let _ = stream.flush();
 }
 
-/// Spawns the connection's reader thread: every decoded `Upload` goes to the
-/// collector channel; any decode error or EOF ends the thread (the member
-/// stops delivering until a reconnect re-binds it). The `alive` flag is
-/// cleared when the thread exits, so the transport can tell a dead
-/// connection from a straggler, and admission can tell a reconnect from a
-/// duplicate claim.
+/// Spawns the connection's reader thread: every decoded `Upload` for a
+/// worker in the connection's `claim` goes to the collector channel; any
+/// decode error, EOF, or upload naming a worker outside the claim (an
+/// impersonation attempt — a protocol violation like any other) ends the
+/// thread, and the member stops delivering until a reconnect re-binds it.
+/// The `alive` flag is cleared when the thread exits, so the transport can
+/// tell a dead connection from a straggler, and admission can tell a
+/// reconnect from a duplicate claim.
 fn spawn_reader(
     stream: &Stream,
+    claim: Vec<u32>,
     tx: Sender<(u32, u32, Vec<f32>)>,
     alive: Arc<AtomicBool>,
 ) -> Result<(), String> {
@@ -658,6 +661,7 @@ fn spawn_reader(
     std::thread::spawn(move || {
         loop {
             match Message::read_from(&mut read_half, DEFAULT_MAX_FRAME_LEN) {
+                Ok(Message::Upload { worker, .. }) if !claim.contains(&worker) => break,
                 Ok(Message::Upload { round, worker, data }) => {
                     if tx.send((worker, round, data)).is_err() {
                         break;
@@ -1360,6 +1364,67 @@ mod tests {
         let events = &sink.lock().unwrap().events;
         let malformed = events.iter().filter(|e| e.name == "upload_malformed").count();
         assert_eq!(malformed, cfg.iterations());
+    }
+
+    #[test]
+    fn upload_forged_for_another_connections_worker_costs_only_the_forger() {
+        // A Byzantine client that claims worker 0 and answers every round
+        // with a well-formed upload tagged worker 1 — while the honest
+        // client serving worker 1 is slowed by the config's fault delay, so
+        // the forgery always arrives first — used to win worker 1's
+        // first-arrival slot. It must instead be a protocol violation that
+        // ends the forger's own reader: worker 1's real upload folds, and
+        // the run is byte-identical to the in-process run in which the
+        // forger's worker 0 never delivers.
+        const ROGUE: usize = 0;
+        const VICTIM: u32 = 1;
+        let mut cfg = serving_cfg();
+        cfg.epochs = 0.5; // 4 rounds: every one waits out the deadline for worker 0
+        cfg.serving = Some(ServingSpec {
+            deadline_ms: Some(1_500),
+            fault: FaultSpec { delay_ms_lo: 20, delay_ms_hi: 20, ..FaultSpec::default() },
+        });
+        let prep = prepare(&cfg);
+        let inner = crate::round::InProcessTransport::new(&cfg, &prep, &cfg.dp); // ε off: σ as is
+        let mut withheld = Withholding { inner, worker: ROGUE };
+        let expected =
+            summary_json(&crate::simulation::run_with_transport(&cfg, &prep, &mut withheld));
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[1, 2, 3, 4, 5], &ClientOptions::default())
+        });
+        let rogue = std::thread::spawn(move || {
+            let mut stream = connect(&local).expect("connect");
+            write_handshake(&mut stream).expect("handshake out");
+            read_handshake(&mut stream).expect("handshake in");
+            Message::ClientHello { workers: vec![ROGUE as u32] }
+                .write_to(&mut stream)
+                .expect("hello");
+            loop {
+                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
+                {
+                    Message::RoundBegin { round, params, .. } => {
+                        let data = vec![0.0f32; params.len()];
+                        let forged = Message::Upload { round, worker: VICTIM, data };
+                        forged.write_to(&mut stream).expect("upload");
+                        stream.flush().expect("flush");
+                    }
+                    Message::RunComplete { .. } => return,
+                    _ => {}
+                }
+            }
+        });
+        let (result, report) = server.serve(&cfg, &RoundPolicy::default()).expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "forged upload displaced the victim's");
+        // The forger's connection died on its first forgery; its own worker
+        // is the only one that ever missed a round.
+        assert_eq!(report.dropped_dead_connection, cfg.iterations() as u64);
+        assert_eq!(report.dropped_deadline, 0);
     }
 
     #[test]
