@@ -1,282 +1,7 @@
 //! # dpbfl-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§6 and supp. A.6). Each binary in `src/bin/` reproduces one
-//! artifact and prints paper-shaped rows next to the paper's reported numbers.
-//!
-//! ## Scale
-//!
-//! The paper burned ~600 GPU-hours; this harness defaults to **reduced
-//! scale** (smaller per-worker datasets, fewer epochs and seeds) chosen so
-//! every qualitative conclusion — who wins, the ordering across ε, where the
-//! crossovers sit — is preserved on a laptop-class CPU. Set `DPBFL_FULL=1`
-//! for paper-scale parameters (20 honest workers, |Dᵢ| matching the real
-//! dataset splits, 8–10 epochs, seeds {1, 2, 3}).
-//!
-//! Results are appended as JSON under `results/` for provenance.
-
-use dpbfl::prelude::*;
-use dpbfl_stats::RunningMoments;
-use serde::Serialize;
-use std::io::Write as _;
-
-/// The paper's ε grid (Figure 1's x-axis).
-pub const EPSILONS: [f64; 5] = [0.125, 0.25, 0.5, 1.0, 2.0];
-
-/// Experiment scale parameters.
-#[derive(Debug, Clone)]
-pub struct Scale {
-    /// Examples per worker for the MLP datasets.
-    pub per_worker: usize,
-    /// Examples per worker for the Colorectal-like CNN runs.
-    pub per_worker_colorectal: usize,
-    /// Honest worker count for MNIST/Fashion-like runs (paper: 20).
-    pub n_honest_large: usize,
-    /// Honest worker count for Colorectal/USPS-like runs (paper: 10).
-    pub n_honest_small: usize,
-    /// Epochs for MNIST/Fashion (paper: 8).
-    pub epochs_large: f64,
-    /// Epochs for Colorectal/USPS (paper: 10).
-    pub epochs_small: f64,
-    /// Test-set size.
-    pub test_count: usize,
-    /// Random seeds (paper: {1, 2, 3}).
-    pub seeds: Vec<u64>,
-    /// True when running at paper scale.
-    pub full: bool,
-}
-
-impl Scale {
-    /// Reads the scale from the environment (`DPBFL_FULL=1` for paper
-    /// scale).
-    pub fn from_env() -> Self {
-        if std::env::var("DPBFL_FULL").map(|v| v == "1").unwrap_or(false) {
-            Scale {
-                per_worker: 3000,
-                per_worker_colorectal: 460,
-                n_honest_large: 20,
-                n_honest_small: 10,
-                epochs_large: 8.0,
-                epochs_small: 10.0,
-                test_count: 2000,
-                seeds: vec![1, 2, 3],
-                full: true,
-            }
-        } else {
-            Scale {
-                per_worker: 500,
-                per_worker_colorectal: 200,
-                n_honest_large: 10,
-                n_honest_small: 8,
-                epochs_large: 6.0,
-                epochs_small: 3.0,
-                test_count: 400,
-                seeds: vec![1],
-                full: false,
-            }
-        }
-    }
-
-    /// Base configuration for a named dataset family.
-    ///
-    /// Known names: `mnist`, `fashion`, `usps`, `colorectal`.
-    pub fn config(&self, dataset: &str) -> SimulationConfig {
-        let (spec, model, per_worker, n_honest, epochs) = match dataset {
-            "mnist" => (
-                SyntheticSpec::mnist_like(),
-                ModelKind::Mlp784,
-                self.per_worker,
-                self.n_honest_large,
-                self.epochs_large,
-            ),
-            "fashion" => (
-                SyntheticSpec::fashion_like(),
-                ModelKind::Mlp784,
-                self.per_worker,
-                self.n_honest_large,
-                self.epochs_large,
-            ),
-            "usps" => (
-                SyntheticSpec::usps_like(),
-                ModelKind::Mlp784,
-                self.per_worker,
-                self.n_honest_small,
-                self.epochs_small.max(4.0),
-            ),
-            "colorectal" => (
-                SyntheticSpec::colorectal_like(),
-                ModelKind::ColorectalCnn,
-                self.per_worker_colorectal,
-                self.n_honest_small,
-                self.epochs_small,
-            ),
-            other => panic!("unknown dataset {other:?} (use mnist|fashion|usps|colorectal)"),
-        };
-        let mut cfg = SimulationConfig::quick(spec, model);
-        cfg.per_worker = per_worker;
-        cfg.n_honest = n_honest;
-        cfg.epochs = epochs;
-        cfg.test_count = self.test_count;
-        cfg
-    }
-}
-
-/// Mean/min/max accuracy across seeds (the paper reports exactly these).
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Summary {
-    /// Mean accuracy over seeds.
-    pub mean: f64,
-    /// Minimum over seeds.
-    pub min: f64,
-    /// Maximum over seeds.
-    pub max: f64,
-    /// Noise multiplier used (same across seeds).
-    pub sigma: f64,
-}
-
-/// Runs `cfg` once per seed and summarizes the final accuracy.
-pub fn run_seeds(cfg: &SimulationConfig, seeds: &[u64]) -> Summary {
-    let mut acc = RunningMoments::new();
-    let mut sigma = 0.0;
-    for &seed in seeds {
-        let mut c = cfg.clone();
-        c.seed = seed;
-        let r = dpbfl::simulation::run(&c);
-        acc.push(r.final_accuracy);
-        sigma = r.sigma;
-    }
-    Summary { mean: acc.mean(), min: acc.min(), max: acc.max(), sigma }
-}
-
-/// Runs `cfg` once per seed and returns the mean accuracy trajectory
-/// (aligned across seeds by evaluation index).
-pub fn run_seeds_history(cfg: &SimulationConfig, seeds: &[u64]) -> Vec<EvalPoint> {
-    let mut histories: Vec<Vec<EvalPoint>> = Vec::new();
-    for &seed in seeds {
-        let mut c = cfg.clone();
-        c.seed = seed;
-        histories.push(dpbfl::simulation::run(&c).history);
-    }
-    let len = histories.iter().map(|h| h.len()).min().unwrap_or(0);
-    (0..len)
-        .map(|i| {
-            let mean_acc =
-                histories.iter().map(|h| h[i].accuracy).sum::<f64>() / histories.len() as f64;
-            EvalPoint {
-                iteration: histories[0][i].iteration,
-                epoch: histories[0][i].epoch,
-                accuracy: mean_acc,
-            }
-        })
-        .collect()
-}
-
-/// Distinct labels one swept axis takes across a grid's results, in
-/// first-appearance order — the row/column sets of a registry-backed paper
-/// table.
-pub fn distinct_axis_labels(
-    results: &[(dpbfl_harness::Cell, RunResult)],
-    axis: &str,
-) -> Vec<String> {
-    let mut seen: Vec<String> = Vec::new();
-    for (cell, _) in results {
-        if let Some(label) = cell.axis(axis) {
-            if !seen.iter().any(|s| s == label) {
-                seen.push(label.to_string());
-            }
-        }
-    }
-    seen
-}
-
-/// Prints a Markdown table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    println!("| {} |", headers.join(" | "));
-    println!("|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-    for row in rows {
-        println!("| {} |", row.join(" | "));
-    }
-}
-
-/// Appends an experiment record to `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return; // results persistence is best-effort
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            let _ = f.write_all(s.as_bytes());
-            eprintln!("[saved {}]", path.display());
-        }
-    }
-}
-
-/// Formats an accuracy as the paper does (e.g. `.86 ± .010`).
-pub fn fmt_acc(s: &Summary) -> String {
-    let spread = ((s.max - s.min) / 2.0).max(0.0);
-    if spread > 0.0005 {
-        format!("{:.2} ± {:.3}", s.mean, spread)
-    } else {
-        format!("{:.2}", s.mean)
-    }
-}
-
-/// Parses `--flag value`-style arguments (tiny, no external deps).
-pub struct Args {
-    raw: Vec<String>,
-}
-
-impl Args {
-    /// Captures the process arguments.
-    pub fn parse() -> Self {
-        Args { raw: std::env::args().skip(1).collect() }
-    }
-
-    /// True when `--name` is present.
-    pub fn flag(&self, name: &str) -> bool {
-        self.raw.iter().any(|a| a == &format!("--{name}"))
-    }
-
-    /// The value following `--name`, if any.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        let key = format!("--{name}");
-        self.raw.windows(2).find(|w| w[0] == key).map(|w| w[1].as_str())
-    }
-
-    /// Comma-separated list following `--name`, or the default.
-    pub fn list<'a>(&'a self, name: &str, default: &'a str) -> Vec<&'a str> {
-        self.value(name).unwrap_or(default).split(',').collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_config_builds_every_dataset() {
-        let s = Scale::from_env();
-        for name in ["mnist", "fashion", "usps", "colorectal"] {
-            let cfg = s.config(name);
-            assert!(cfg.per_worker > 0);
-            assert!(cfg.iterations() > 0, "{name}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown dataset")]
-    fn unknown_dataset_panics() {
-        let _ = Scale::from_env().config("imagenet");
-    }
-
-    #[test]
-    fn fmt_acc_formats_spread() {
-        let s = Summary { mean: 0.86, min: 0.85, max: 0.87, sigma: 1.0 };
-        assert_eq!(fmt_acc(&s), "0.86 ± 0.010");
-        let t = Summary { mean: 0.5, min: 0.5, max: 0.5, sigma: 1.0 };
-        assert_eq!(fmt_acc(&t), "0.50");
-    }
-}
+//! The workspace's criterion suites (`benches/`, 12 of them; run with
+//! `cargo bench -p dpbfl-bench`, smoke-run in CI with `-- --test`). This
+//! library is empty: cargo requires a lib or bin target, and the paper's
+//! tables and figures are `dpbfl-harness` registry scenarios
+//! (`dpbfl-exp run paper/...`), not code in this crate.

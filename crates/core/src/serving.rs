@@ -1309,6 +1309,33 @@ mod tests {
         }
     }
 
+    /// A raw-socket Byzantine client: speaks the handshake, claims `worker`,
+    /// and answers every `RoundBegin` with `answer(round, d)` until the run
+    /// completes.
+    fn spawn_rogue(
+        addr: String,
+        worker: u32,
+        answer: fn(u32, usize) -> Message,
+    ) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut stream = connect(&addr).expect("connect");
+            write_handshake(&mut stream).expect("handshake out");
+            read_handshake(&mut stream).expect("handshake in");
+            Message::ClientHello { workers: vec![worker] }.write_to(&mut stream).expect("hello");
+            loop {
+                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
+                {
+                    Message::RoundBegin { round, params, .. } => {
+                        answer(round, params.len()).write_to(&mut stream).expect("upload");
+                        stream.flush().expect("flush");
+                    }
+                    Message::RunComplete { .. } => return,
+                    _ => {}
+                }
+            }
+        })
+    }
+
     #[test]
     fn wrong_length_upload_drops_its_member_instead_of_panicking() {
         // A Byzantine client that speaks the protocol but answers every
@@ -1330,26 +1357,10 @@ mod tests {
         let honest = std::thread::spawn(move || {
             run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
         });
-        let rogue = std::thread::spawn(move || {
-            let mut stream = connect(&local).expect("connect");
-            write_handshake(&mut stream).expect("handshake out");
-            read_handshake(&mut stream).expect("handshake in");
-            Message::ClientHello { workers: vec![ROGUE as u32] }
-                .write_to(&mut stream)
-                .expect("hello");
-            loop {
-                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
-                {
-                    Message::RoundBegin { round, params, .. } => {
-                        let data = vec![0.0f32; params.len() - 1];
-                        let upload = Message::Upload { round, worker: ROGUE as u32, data };
-                        upload.write_to(&mut stream).expect("upload");
-                        stream.flush().expect("flush");
-                    }
-                    Message::RunComplete { .. } => return,
-                    _ => {}
-                }
-            }
+        let rogue = spawn_rogue(local, ROGUE as u32, |round, d| Message::Upload {
+            round,
+            worker: ROGUE as u32,
+            data: vec![0.0f32; d - 1],
         });
         let sink = Arc::new(Mutex::new(dpbfl_telemetry::MemorySink::default()));
         let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
@@ -1396,26 +1407,10 @@ mod tests {
         let honest = std::thread::spawn(move || {
             run_client(&addr, &[1, 2, 3, 4, 5], &ClientOptions::default())
         });
-        let rogue = std::thread::spawn(move || {
-            let mut stream = connect(&local).expect("connect");
-            write_handshake(&mut stream).expect("handshake out");
-            read_handshake(&mut stream).expect("handshake in");
-            Message::ClientHello { workers: vec![ROGUE as u32] }
-                .write_to(&mut stream)
-                .expect("hello");
-            loop {
-                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
-                {
-                    Message::RoundBegin { round, params, .. } => {
-                        let data = vec![0.0f32; params.len()];
-                        let forged = Message::Upload { round, worker: VICTIM, data };
-                        forged.write_to(&mut stream).expect("upload");
-                        stream.flush().expect("flush");
-                    }
-                    Message::RunComplete { .. } => return,
-                    _ => {}
-                }
-            }
+        let rogue = spawn_rogue(local, ROGUE as u32, |round, d| Message::Upload {
+            round,
+            worker: VICTIM,
+            data: vec![0.0f32; d],
         });
         let (result, report) = server.serve(&cfg, &RoundPolicy::default()).expect("serve");
         honest.join().expect("honest thread").expect("honest client");

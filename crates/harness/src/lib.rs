@@ -7,9 +7,9 @@
 //! * [`spec`] — the serde-backed [`spec::ScenarioSpec`]/[`spec::GridSpec`]
 //!   JSON format: any `SimulationConfig` plus sweep axes, cartesian-expanded
 //!   into content-keyed cells.
-//! * [`registry`] — named built-in scenarios reproducing the paper's
-//!   headline tables (`dpbfl-exp run paper/attack_showdown` works out of
-//!   the box).
+//! * [`registry`] — named built-in scenarios reproducing every table and
+//!   figure of the paper (`dpbfl-exp run paper/attack_showdown` works out
+//!   of the box).
 //! * [`runner`] — the deterministic parallel grid runner: per-cell seeds
 //!   derived `worker_seed`-style from the master seed, results
 //!   bit-identical at any thread count and to standalone
@@ -26,9 +26,9 @@
 //!
 //! The `dpbfl-exp` binary is the CLI over all of it (`dpbfl-server` and
 //! `dpbfl-client` put single cells on real sockets); the repo's
-//! `examples/` are thin pretty-printing wrappers over [`registry`], and the
-//! `crates/bench` paper-table binaries are thin wrappers over the same
-//! scenarios. `docs/ARCHITECTURE.md` (repo root) places this crate in the
+//! `examples/` are thin pretty-printing wrappers over [`registry`], which
+//! holds every paper table and figure — there is no second experiment
+//! harness. `docs/ARCHITECTURE.md` (repo root) places this crate in the
 //! workspace's 10-crate dependency chain and spells out the determinism
 //! contract the runner extends to grid level.
 

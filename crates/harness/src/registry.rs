@@ -63,14 +63,18 @@ pub fn names() -> impl Iterator<Item = &'static str> {
     SCENARIOS.iter().map(|&(name, _, _)| name)
 }
 
+fn entry(name: &str) -> Option<&'static Entry> {
+    SCENARIOS.iter().find(|(n, _, _)| *n == name)
+}
+
 /// Looks up a built-in scenario by name.
 pub fn get(name: &str) -> Option<ScenarioSpec> {
-    SCENARIOS.iter().find(|(n, _, _)| *n == name).map(|(_, _, build)| build())
+    entry(name).map(|(_, _, build)| build())
 }
 
 /// The paper artifact a registered scenario reproduces, if any.
 pub fn paper_artifact(name: &str) -> Option<&'static str> {
-    SCENARIOS.iter().find(|(n, _, _)| *n == name).and_then(|&(_, artifact, _)| artifact)
+    entry(name).and_then(|&(_, artifact, _)| artifact)
 }
 
 /// [`names`] grouped by the prefix before the first `/`, in display order.
@@ -371,7 +375,7 @@ fn accounting() -> ScenarioSpec {
 /// the configuration those binaries ran by default, kept bit-identical so
 /// the registry reproduces their accuracies verbatim
 /// (`tests/registry_paper_tables.rs`).
-fn table13_base() -> SimulationConfig {
+fn ported_base() -> SimulationConfig {
     let mut cfg = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
     cfg.per_worker = 500;
     cfg.test_count = 400;
@@ -381,7 +385,7 @@ fn table13_base() -> SimulationConfig {
 }
 
 /// The overrides of a "two-stage at the true honest fraction" row over
-/// [`table13_base`]: `n_byz` attackers against its 10 honest workers, the
+/// [`ported_base`]: `n_byz` attackers against its 10 honest workers, the
 /// server believing γ = 10 / (10 + `n_byz`). γ is coupled to the Byzantine
 /// count, which is why these grids are rows and not cartesian axes.
 fn defended(n_byz: usize) -> IncludeRow {
@@ -399,7 +403,7 @@ fn defended(n_byz: usize) -> IncludeRow {
 /// protocol, defense and privacy level *jointly*, so they are `include`
 /// rows, not a cartesian product.
 fn table1_matrix() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.epsilon = Some(1.0);
     base.n_byzantine = 15; // 60 % of the 25-worker cohort
     base.attack = AttackSpec::LabelFlip;
@@ -466,7 +470,7 @@ fn table1_matrix() -> ScenarioSpec {
 /// baseline at 10 % Byzantine and its published ε budgets vs ours at 40–60 %
 /// Byzantine and the much stronger ε = 0.125.
 fn table3_sign_dp() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.epsilon = Some(0.125);
     base.attack = AttackSpec::Gaussian;
     // [77]'s ε is the whole run's budget; naive linear composition leaves
@@ -647,7 +651,7 @@ fn table6_gamma() -> ScenarioSpec {
 /// claim — with η = η_b·σ_b/σ the optimal *base* learning rate is the same
 /// at every privacy level, so tuning once at ε = 2 transfers everywhere.
 fn fig3_tuning() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.n_byzantine = 15; // 60 % of the 25-worker cohort
     base.attack = AttackSpec::LabelFlip;
     base.defense = DefenseKind::TwoStage;
@@ -682,7 +686,7 @@ fn fig3_tuning() -> ScenarioSpec {
 /// every result record) under label-flip at 20 % and 60 % Byzantine, ε = 1,
 /// next to the Reference Accuracy curve of the same dataset.
 fn fig4_convergence() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.epsilon = Some(1.0);
     let mut rows = Vec::new();
     for dataset in ["mnist-like", "fashion-like"] {
@@ -743,7 +747,7 @@ fn supp_dp_cost() -> ScenarioSpec {
                 {1, 2, 3}."
             .into(),
         seed: SeedPolicy::List { seeds: vec![1] },
-        base: table13_base(),
+        base: ported_base(),
         grid: GridSpec { include: Some(rows), ..GridSpec::default() },
     }
 }
@@ -753,7 +757,7 @@ fn supp_dp_cost() -> ScenarioSpec {
 /// here) next to in-distribution auxiliary data, under the Gaussian and
 /// label-flip attacks at 20 % / 40 % Byzantine, ε = 2.
 fn supp_ood_aux() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.epsilon = Some(2.0);
     let mut rows = Vec::new();
     for attack in [AttackSpec::Gaussian, AttackSpec::LabelFlip] {
@@ -790,7 +794,7 @@ fn supp_ood_aux() -> ScenarioSpec {
 /// protocol's deliberate choices flipped in isolation at 60 % label-flip,
 /// plus the FLTrust prior-work comparator and the Reference Accuracy row.
 fn ablation() -> ScenarioSpec {
-    let mut base = table13_base();
+    let mut base = ported_base();
     base.epsilon = Some(1.0);
     base.n_byzantine = 15; // 60 % of the 25-worker cohort
     base.attack = AttackSpec::LabelFlip;

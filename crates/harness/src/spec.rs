@@ -349,8 +349,9 @@ impl ScenarioSpec {
             }
         };
         let mut cells = Vec::with_capacity(self.n_cells());
+        let cartesian = self.has_cartesian_block();
         for r in 0..n_repeats {
-            if self.has_cartesian_block() {
+            if cartesian {
                 for combo in &combos {
                     let index = cells.len();
                     let mut cfg = self.base.clone();
@@ -412,10 +413,11 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        let include_len = self.grid.include.as_ref().map(Vec::len);
-        let lens = self.swept_axes().into_iter().map(|(field, values)| (field, Some(values.len())));
-        for (field, len) in lens.chain([("include", include_len)]) {
-            if len == Some(0) {
+        let mut lens: Vec<(&str, usize)> =
+            self.swept_axes().iter().map(|(field, values)| (*field, values.len())).collect();
+        lens.extend(self.grid.include.as_ref().map(|rows| ("include", rows.len())));
+        for (field, len) in lens {
+            if len == 0 {
                 problems.push(format!("grid.{field}: present but empty (grid has zero cells)"));
             }
         }

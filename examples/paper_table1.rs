@@ -3,9 +3,8 @@
 //! Every row — the four non-private robust rules, clipping DP-SGD + Krum,
 //! the sign-compression DP baseline (a first-class `WorkerProtocol`
 //! substrate), the two-stage protocol and the Reference-Accuracy ceiling —
-//! is an `include` row of the `paper/table1_matrix` scenario. The bench
-//! binary `table1_matrix` prints the same grid with the paper's ✓/✗
-//! verdict columns; this example shows the raw registry surface.
+//! is an `include` row of the `paper/table1_matrix` scenario; this example
+//! shows the raw registry surface.
 //!
 //! ```text
 //! cargo run --release -p dpbfl-harness --example paper_table1
