@@ -9,8 +9,8 @@
 //! ## The protocol in one paragraph
 //!
 //! Workers run a refactored DP-SGD ([`worker::DpWorker`], Algorithm 1): small
-//! batches, per-slot momentum, per-example gradients **normalized** to unit
-//! norm (instead of clipped), Gaussian noise. Because the noise *dominates*
+//! batches, per-example gradients blended with momentum and **normalized** to
+//! unit norm (instead of clipped), Gaussian noise. Because the noise *dominates*
 //! each upload, a benign upload is statistically a sample of `N(0, σ'²I_d)` —
 //! so the server's [`first_stage::FirstStage`] (Algorithm 2) rejects anything
 //! failing a χ²-norm test or a Kolmogorov–Smirnov test against that exact

@@ -64,7 +64,7 @@ use crate::simulation::{
 use crate::worker::DpWorker;
 use dpbfl_telemetry::Telemetry;
 use dpbfl_transport::frame::{read_handshake, write_handshake, DEFAULT_MAX_FRAME_LEN};
-use dpbfl_transport::Message;
+use dpbfl_transport::{write_round_begin, write_round_replay, Message, ParamsBlock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -261,7 +261,9 @@ struct ClientConn {
 struct RoundRecord {
     round: u32,
     members: Vec<u32>,
-    params: Vec<f32>,
+    /// The round's parameters as broadcast: encoded once, borrowed by every
+    /// `RoundBegin` and by every later replay.
+    params: ParamsBlock,
     /// True while the round is still collecting uploads.
     open: bool,
 }
@@ -563,17 +565,12 @@ fn admit_connection(
             if mine.is_empty() {
                 continue;
             }
-            let msg = if rec.open {
-                Message::RoundBegin {
-                    round: rec.round,
-                    deadline_ms: policy.deadline_ms,
-                    members: mine,
-                    params: rec.params.clone(),
-                }
+            if rec.open {
+                write_round_begin(&mut stream, rec.round, policy.deadline_ms, &mine, &rec.params)
             } else {
-                Message::RoundReplay { round: rec.round, members: mine, params: rec.params.clone() }
-            };
-            msg.write_to(&mut stream).map_err(|e| format!("replay: {e}"))?;
+                write_round_replay(&mut stream, rec.round, &mine, &rec.params)
+            }
+            .map_err(|e| format!("replay: {e}"))?;
         }
         stream.flush().ok();
         Ok(())
@@ -754,37 +751,36 @@ impl Transport for TcpTransport<'_> {
     ) -> Vec<Collected> {
         let start = Instant::now();
         let deadline = start + Duration::from_millis(self.policy.deadline_ms);
+        let record = RoundRecord {
+            round: round as u32,
+            members: members.iter().map(|&m| m as u32).collect(),
+            params: ParamsBlock::encode(params),
+            open: true,
+        };
         {
             let mut guard = self.shared.lock().expect("serving state lock");
-            guard.history.push(RoundRecord {
-                round: round as u32,
-                members: members.iter().map(|&m| m as u32).collect(),
-                params: params.to_vec(),
-                open: true,
-            });
             for conn in &mut guard.conns {
                 if !conn.alive.load(Ordering::Acquire) {
                     continue;
                 }
-                let mine: Vec<u32> = members
-                    .iter()
-                    .map(|&m| m as u32)
-                    .filter(|m| conn.workers.contains(m))
-                    .collect();
+                let mine: Vec<u32> =
+                    record.members.iter().copied().filter(|m| conn.workers.contains(m)).collect();
                 if mine.is_empty() {
                     continue;
                 }
-                let msg = Message::RoundBegin {
-                    round: round as u32,
-                    deadline_ms: self.policy.deadline_ms,
-                    members: mine,
-                    params: params.to_vec(),
-                };
                 // A dead connection just means its members miss the deadline.
-                if msg.write_to(&mut conn.stream).is_ok() {
+                let sent = write_round_begin(
+                    &mut conn.stream,
+                    record.round,
+                    self.policy.deadline_ms,
+                    &mine,
+                    &record.params,
+                );
+                if sent.is_ok() {
                     conn.stream.flush().ok();
                 }
             }
+            guard.history.push(record);
         }
 
         let mut slots: Vec<Option<Collected>> = members.iter().map(|_| None).collect();

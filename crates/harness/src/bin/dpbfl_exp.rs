@@ -9,6 +9,7 @@
 //! dpbfl-exp report <scenario|file.json> [--out DIR]
 //! dpbfl-exp metrics <ledger.jsonl>
 //! dpbfl-exp docs [--out FILE] [--check]
+//! dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
 //! ```
 //!
 //! A scenario argument is first resolved against the built-in registry
@@ -33,6 +34,7 @@ USAGE:
     dpbfl-exp report <scenario|file.json> [--out DIR]
     dpbfl-exp metrics <ledger.jsonl>
     dpbfl-exp docs [--out FILE] [--check]
+    dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
 
 A scenario grid expands into cells (cartesian product of the spec's sweep
 axes, plus any labeled `include` rows); `run` executes them in parallel —
@@ -49,7 +51,16 @@ one such ledger as a per-round table plus span totals.
 
 `docs` renders the built-in registry into the scenario catalog
 (docs/SCENARIOS.md by default); --check exits non-zero instead of writing
-when the file on disk is stale.";
+when the file on disk is stale.
+
+`perf record` runs the repository benchmark (the `command` of
+BENCHMARK.json, at its `run_seconds`) for one workload and appends one row
+{git, host, workload, seed, seconds, attempted, failed, metrics} to
+BENCH_e2e.json (with --trace 1: the per-layer metrics, to BENCH_layers.json)
+in the current directory. --repo names the checkout whose BENCHMARK.json is
+read and whose benchmark is built and run (default: the current directory):
+point it at a checkout of the parent commit to record the other side of a
+parent/change pair into the same files.";
 
 fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,6 +85,7 @@ fn real_main() -> i32 {
         "report" => regenerate_report(&args),
         "metrics" => render_metrics(&args),
         "docs" => write_docs(&args),
+        "perf" => perf(&args),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             0
@@ -471,4 +483,192 @@ fn regenerate_report(args: &[String]) -> i32 {
         println!("reports regenerated under {}", scenario_dir.display());
         0
     })
+}
+
+/// `perf record`: one benchmark run → one row of `BENCH_e2e.json` or
+/// `BENCH_layers.json`.
+fn perf(args: &[String]) -> i32 {
+    if args.get(1).map(String::as_str) != Some("record") {
+        eprintln!("error: `perf` has one subcommand, `record`\n\n{USAGE}");
+        return 2;
+    }
+    let (mut workload, mut seed, mut trace, mut repo) = (None, None, false, PathBuf::from("."));
+    let mut rest = args[2..].iter();
+    while let Some(flag) = rest.next() {
+        let Some(value) = rest.next() else {
+            eprintln!("error: {flag} needs a value\n\n{USAGE}");
+            return 2;
+        };
+        match (flag.as_str(), value.as_str()) {
+            ("--workload", name) => workload = Some(name),
+            ("--seed", n) => seed = n.parse::<u64>().ok(),
+            ("--trace", "0") => trace = false,
+            ("--trace", "1") => trace = true,
+            ("--repo", dir) => repo = PathBuf::from(dir),
+            _ => {
+                eprintln!("error: bad argument `{flag} {value}`\n\n{USAGE}");
+                return 2;
+            }
+        }
+    }
+    let (Some(workload), Some(seed)) = (workload, seed) else {
+        eprintln!("error: perf record needs --workload and a numeric --seed\n\n{USAGE}");
+        return 2;
+    };
+    match perf_record(&repo, workload, seed, trace) {
+        Ok(file) => {
+            println!("appended one {workload} row (seed {seed}) to {file}");
+            0
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
+fn perf_record(
+    repo: &Path,
+    workload: &str,
+    seed: u64,
+    trace: bool,
+) -> Result<&'static str, String> {
+    use serde::Value;
+    let contract_path = repo.join("BENCHMARK.json");
+    let contract = std::fs::read_to_string(&contract_path)
+        .map_err(|e| format!("{}: {e}", contract_path.display()))
+        .and_then(|text| serde_json::parse_value(&text).map_err(|e| e.to_string()))?;
+    let command: Vec<&str> = match contract.get("command") {
+        Some(Value::Arr(words)) => words
+            .iter()
+            .filter_map(|w| if let Value::Str(w) = w { Some(w.as_str()) } else { None })
+            .collect(),
+        _ => Vec::new(),
+    };
+    let Some((program, fixed_args)) = command.split_first() else {
+        return Err("BENCHMARK.json: `command` must be a non-empty array of strings".to_owned());
+    };
+    let seconds = contract
+        .get("run_seconds")
+        .and_then(Value::as_f64)
+        .ok_or("BENCHMARK.json: `run_seconds` must be a number")?;
+
+    let output = std::process::Command::new(program)
+        .args(fixed_args)
+        .args(["--workload", workload, "--seed", &seed.to_string()])
+        .args(["--seconds", &seconds.to_string(), "--trace", if trace { "1" } else { "0" }])
+        .current_dir(repo)
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("run {program}: {e}"))?;
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let run = parse_benchmark_output(&stdout)?;
+    if !(output.status.success() && run.correct) {
+        return Err(format!("the {workload} run failed its checks; nothing recorded\n{stdout}"));
+    }
+
+    let row = Value::Obj(vec![
+        ("git".to_owned(), Value::Str(run.git)),
+        ("host".to_owned(), Value::Str(run.host)),
+        ("workload".to_owned(), Value::Str(workload.to_owned())),
+        ("seed".to_owned(), Value::UInt(seed)),
+        ("seconds".to_owned(), Value::Float(seconds)),
+        ("attempted".to_owned(), run.attempted),
+        ("failed".to_owned(), run.failed),
+        ("metrics".to_owned(), Value::Obj(run.metrics)),
+    ]);
+    let file = if trace { "BENCH_layers.json" } else { "BENCH_e2e.json" };
+    append_row(Path::new(file), row)?;
+    Ok(file)
+}
+
+/// What `perf record` keeps of one benchmark run's standard output.
+struct BenchmarkRun {
+    /// The benchmark's own fingerprint of machine and build (its `host: `
+    /// line), split at the commit it ends with: the `HEAD` of the checkout
+    /// the benchmark was built in. Record from a committed tree.
+    host: String,
+    git: String,
+    correct: bool,
+    attempted: serde::Value,
+    failed: serde::Value,
+    /// `name → value`; the units live in `BENCHMARK.json`.
+    metrics: Vec<(String, serde::Value)>,
+}
+
+/// Parses the benchmark's output contract: the last line is one JSON object
+/// `{correct, attempted, failed, metrics: {name: {value, unit}}}`.
+fn parse_benchmark_output(stdout: &str) -> Result<BenchmarkRun, String> {
+    use serde::Value;
+    let last = stdout.lines().last().unwrap_or("");
+    let doc = serde_json::parse_value(last)
+        .map_err(|e| format!("the benchmark's last output line is no result object ({e})"))?;
+    let field = |key: &str| doc.get(key).ok_or(format!("result line has no `{key}`"));
+    let Value::Obj(metrics) = field("metrics")? else {
+        return Err("result line: `metrics` is not an object".to_owned());
+    };
+    let metrics = metrics
+        .iter()
+        .map(|(name, m)| {
+            let value = m.get("value").and_then(Value::as_f64);
+            value.map(|v| (name.clone(), Value::Float(v))).ok_or(format!("{name}: no value"))
+        })
+        .collect::<Result<_, _>>()?;
+    let fingerprint = stdout.lines().find_map(|l| l.strip_prefix("host: ")).unwrap_or("unknown");
+    let (host, git) = fingerprint.rsplit_once(", git ").unwrap_or((fingerprint, "unknown"));
+    Ok(BenchmarkRun {
+        host: host.to_owned(),
+        git: git.to_owned(),
+        correct: matches!(field("correct")?, Value::Bool(true)),
+        attempted: field("attempted")?.clone(),
+        failed: field("failed")?.clone(),
+        metrics,
+    })
+}
+
+/// Appends `row` to the JSON array in `path` (created when missing), one
+/// row per line so a commit's diff shows exactly the rows it added.
+fn append_row(path: &Path, row: serde::Value) -> Result<(), String> {
+    let mut rows = match std::fs::read_to_string(path) {
+        Ok(text) => match serde_json::parse_value(&text) {
+            Ok(serde::Value::Arr(rows)) => rows,
+            _ => return Err(format!("{}: not a JSON array of rows", path.display())),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
+    };
+    rows.push(row);
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| serde_json::to_string(r).map_err(|e| e.to_string()))
+        .collect::<Result<_, _>>()?;
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn perf_record_parses_the_benchmark_result_line() {
+        let stdout = "host: nproc 2, load threads 2, linux x86_64, rustc 1.0, git abc1234\n\
+            workload headline_inproc (seed 7): why\n  unit  0: wall 1.0 s\n\
+            {\"correct\": true, \"attempted\": 6250, \"failed\": 0, \"metrics\": \
+            {\"setup_s\": {\"value\": 0.25, \"unit\": \"s\"}, \
+            \"peak_rss_mib\": {\"value\": 101, \"unit\": \"MiB\"}}}\n";
+        let run = parse_benchmark_output(stdout).expect("fixture parses");
+        assert!(run.correct);
+        assert_eq!(run.host, "nproc 2, load threads 2, linux x86_64, rustc 1.0");
+        assert_eq!(run.git, "abc1234");
+        assert_eq!(run.attempted.as_f64(), Some(6250.0));
+        assert_eq!(run.failed.as_f64(), Some(0.0));
+        let metrics: Vec<(&str, f64)> =
+            run.metrics.iter().map(|(n, v)| (n.as_str(), v.as_f64().unwrap())).collect();
+        assert_eq!(metrics, [("setup_s", 0.25), ("peak_rss_mib", 101.0)]);
+
+        let failed = stdout.replace("\"correct\": true", "\"correct\": false");
+        assert!(!parse_benchmark_output(&failed).expect("still a result line").correct);
+        assert!(parse_benchmark_output("host: x\nno result here\n").is_err());
+    }
 }

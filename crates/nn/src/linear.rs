@@ -45,6 +45,33 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// Writes into `out` the parameter gradients of the most recent
+    /// [`Layer::forward`] input — bit for bit what [`Layer::zero_grads`],
+    /// [`Layer::backward`] and [`Layer::write_grads`] produce together —
+    /// without touching the accumulators and without computing an input
+    /// gradient. Every weight row is `0.0 + dy_i · x`: the accumulator's
+    /// zero-fill plus `ger`'s one update (the explicit `0.0 +` turns a `-0.0`
+    /// product into `+0.0`, as accumulating does); a row whose `dy_i == 0`
+    /// is `+0.0`, the fill that `ger` skips over.
+    pub(crate) fn write_example_grads(&self, grad_output: &[f32], out: &mut [f32]) {
+        assert_eq!(grad_output.len(), self.out_dim, "Linear: bad grad length");
+        assert_eq!(self.cached_input.len(), self.in_dim, "Linear: backward before forward");
+        assert_eq!(out.len(), self.param_len(), "Linear: bad gradient buffer length");
+        let (weight, bias) = out.split_at_mut(self.weight.len());
+        for (row, &coef) in weight.chunks_exact_mut(self.in_dim).zip(grad_output) {
+            if coef == 0.0 {
+                row.fill(0.0);
+            } else {
+                for (w, &x) in row.iter_mut().zip(&self.cached_input) {
+                    *w = 0.0 + coef * x;
+                }
+            }
+        }
+        for (b, &g) in bias.iter_mut().zip(grad_output) {
+            *b = 0.0 + g;
+        }
+    }
 }
 
 impl Layer for Linear {

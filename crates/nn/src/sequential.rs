@@ -151,12 +151,20 @@ impl Sequential {
         }
     }
 
-    /// Per-example loss and gradient: zeroes grads, runs forward + softmax
-    /// cross-entropy + backward, and writes the flat gradient `∇f(x; w)` into
-    /// `grad_out`. Returns the loss.
+    /// Per-example loss and gradient: runs forward + softmax cross-entropy +
+    /// backward and writes the flat gradient `∇f(x; w)` into `grad_out`.
+    /// Returns the loss.
     ///
     /// This is the exact quantity `g_j ← ∇f(x_j ∈ d_i; w^{t−1})` of
-    /// Algorithm 1 line 7.
+    /// Algorithm 1 line 7, and the protocol's hot path (`b_c` calls per
+    /// upload), so it does less than the composition it equals bit for bit
+    /// ([`Sequential::zero_grads`] + [`Sequential::forward`] +
+    /// [`Sequential::backward`] + [`Sequential::write_grads_into`]): the
+    /// first layer is never asked for the input gradient nobody reads, and a
+    /// first [`Linear`](crate::linear::Linear) layer writes its gradient
+    /// straight into `grad_out`. The layers' gradient accumulators are
+    /// therefore **unspecified** afterwards; everything that reads them
+    /// zeroes them first.
     pub fn example_gradient(
         &mut self,
         loss_fn: &CrossEntropyLoss,
@@ -164,11 +172,26 @@ impl Sequential {
         label: usize,
         grad_out: &mut [f32],
     ) -> f64 {
-        self.zero_grads();
+        assert_eq!(grad_out.len(), self.param_len, "bad gradient buffer length");
         let logits = self.forward(x);
-        let (loss, grad_logits) = loss_fn.loss_and_grad(&logits, label);
-        self.backward(&grad_logits);
-        self.write_grads_into(grad_out);
+        let (loss, mut g) = loss_fn.loss_and_grad(&logits, label);
+        let (first, rest) = self.layers.split_first_mut().expect("non-empty");
+        let mut off = self.param_len;
+        for layer in rest.iter_mut().rev() {
+            layer.zero_grads();
+            g = layer.backward(&g);
+            off -= layer.param_len();
+            layer.write_grads(&mut grad_out[off..off + layer.param_len()]);
+        }
+        let first_grads = &mut grad_out[..off];
+        match first {
+            AnyLayer::Linear(linear) => linear.write_example_grads(&g, first_grads),
+            other => {
+                other.zero_grads();
+                other.backward(&g);
+                other.write_grads(first_grads);
+            }
+        }
         loss
     }
 

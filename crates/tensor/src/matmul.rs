@@ -42,14 +42,32 @@ pub fn gemm_accumulate(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
 }
 
 /// `y ← A · x` where `A` is `m×n` row-major, `x` has length `n`.
+///
+/// Every output is one ascending-index dot of a row with `x`. A single such
+/// dot is a serial chain of dependent adds, so eight rows are interleaved
+/// for ILP exactly as [`gemm_nt`] interleaves four: which scalars are in
+/// flight changes, never the order within one accumulator.
 pub fn matvec(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
+    const ROWS: usize = 8;
     debug_assert_eq!(a.len(), m * n);
     debug_assert_eq!(x.len(), n);
     debug_assert_eq!(y.len(), m);
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &a[i * n..(i + 1) * n];
+    let x = &x[..n];
+    let mut i = 0;
+    while i + ROWS <= m {
+        let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &a[(i + r) * n..(i + r + 1) * n]);
+        let mut acc = [0.0f32; ROWS];
+        for (j, &xj) in x.iter().enumerate() {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += row[j] * xj;
+            }
+        }
+        y[i..i + ROWS].copy_from_slice(&acc);
+        i += ROWS;
+    }
+    for (yi, i) in y[i..].iter_mut().zip(i..) {
         let mut acc = 0.0f32;
-        for (&aij, &xj) in row.iter().zip(x) {
+        for (&aij, &xj) in a[i * n..(i + 1) * n].iter().zip(x) {
             acc += aij * xj;
         }
         *yi = acc;
@@ -173,6 +191,39 @@ pub fn ger(alpha: f32, x: &[f32], y: &[f32], a: &mut [f32], m: usize, n: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-row-at-a-time `matvec` the interleaved kernel replaced.
+    fn matvec_naive(a: &[f32], x: &[f32], y: &mut [f32], n: usize) {
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (&aij, &xj) in a[i * n..(i + 1) * n].iter().zip(x) {
+                acc += aij * xj;
+            }
+            *yi = acc;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Covers `m < 8`, `m % 8 != 0` and exact multiples.
+        #[test]
+        fn matvec_matches_naive_rows_bitwise(
+            m in 1usize..40,
+            n in 1usize..70,
+            values in prop::collection::vec(-3.0f32..3.0, 40 * 70 + 70),
+        ) {
+            let (a, x) = (&values[..m * n], &values[40 * 70..40 * 70 + n]);
+            let mut y = vec![f32::NAN; m];
+            let mut y_ref = vec![f32::NAN; m];
+            matvec(a, x, &mut y, m, n);
+            matvec_naive(a, x, &mut y_ref, n);
+            for (i, (got, want)) in y.iter().zip(&y_ref).enumerate() {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "row {} of {}x{}", i, m, n);
+            }
+        }
+    }
 
     #[test]
     fn gemm_matches_hand_computation() {

@@ -115,11 +115,32 @@ pub fn read_handshake(r: &mut impl Read) -> Result<(), FrameError> {
 
 /// Writes one frame: `kind (u8) | len (u32 LE) | payload`.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 length"))?;
     w.write_all(&[kind])?;
-    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&payload_len(payload.len())?.to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// Writes one frame whose payload is `head` followed by `tail`, in two
+/// writes: the frame header with the small `head`, then the borrowed `tail`
+/// (a block shared between frames, which therefore is never copied).
+pub(crate) fn write_frame_split(
+    w: &mut impl Write,
+    kind: u8,
+    head: &[u8],
+    tail: &[u8],
+) -> io::Result<()> {
+    let len = payload_len(head.len() + tail.len())?;
+    let mut first = Vec::with_capacity(5 + head.len());
+    first.push(kind);
+    first.extend_from_slice(&len.to_le_bytes());
+    first.extend_from_slice(head);
+    w.write_all(&first)?;
+    w.write_all(tail)
+}
+
+fn payload_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 length"))
 }
 
 /// Reads one frame, allocating at most `max_len` payload bytes.

@@ -32,4 +32,4 @@ pub mod wire;
 pub use frame::{
     read_frame, write_frame, Frame, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC, VERSION,
 };
-pub use wire::Message;
+pub use wire::{write_round_begin, write_round_replay, Message, ParamsBlock};

@@ -19,8 +19,8 @@
 //! this crate stays independent of the core types — the serializing side owns
 //! the schema.
 
-use crate::frame::{put, Frame, FrameError, PayloadReader};
-use std::io::{Read, Write};
+use crate::frame::{put, write_frame_split, Frame, FrameError, PayloadReader};
+use std::io::{self, Read, Write};
 
 /// Frame-kind discriminants (the `kind` byte of the frame header).
 pub mod kind {
@@ -103,6 +103,64 @@ pub enum Message {
     },
 }
 
+/// A parameter vector in wire form — the `f32s params` block that ends a
+/// `RoundBegin` / `RoundReplay` payload. A round's broadcast carries the same
+/// block to every connection, so the server encodes it once and
+/// [`write_round_begin`] / [`write_round_replay`] borrow it per frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParamsBlock(Vec<u8>);
+
+impl ParamsBlock {
+    /// Encodes `params` (`u32` count, then raw little-endian words).
+    pub fn encode(params: &[f32]) -> Self {
+        let mut block = Vec::with_capacity(4 + 4 * params.len());
+        put::f32s(&mut block, params);
+        ParamsBlock(block)
+    }
+}
+
+/// Writes the frame of `Message::RoundBegin { round, deadline_ms, members,
+/// params }`, byte for byte, borrowing `members` and the encoded `params`.
+pub fn write_round_begin(
+    w: &mut impl Write,
+    round: u32,
+    deadline_ms: u64,
+    members: &[u32],
+    params: &ParamsBlock,
+) -> io::Result<()> {
+    let head = round_begin_head(round, deadline_ms, members);
+    write_frame_split(w, kind::ROUND_BEGIN, &head, &params.0)
+}
+
+/// Writes the frame of `Message::RoundReplay { round, members, params }`,
+/// byte for byte, borrowing `members` and the encoded `params`.
+pub fn write_round_replay(
+    w: &mut impl Write,
+    round: u32,
+    members: &[u32],
+    params: &ParamsBlock,
+) -> io::Result<()> {
+    let head = round_replay_head(round, members);
+    write_frame_split(w, kind::ROUND_REPLAY, &head, &params.0)
+}
+
+/// A `RoundBegin` payload up to its parameter block.
+fn round_begin_head(round: u32, deadline_ms: u64, members: &[u32]) -> Vec<u8> {
+    let mut head = Vec::new();
+    put::u32(&mut head, round);
+    put::u64(&mut head, deadline_ms);
+    put::u32s(&mut head, members);
+    head
+}
+
+/// A `RoundReplay` payload up to its parameter block.
+fn round_replay_head(round: u32, members: &[u32]) -> Vec<u8> {
+    let mut head = Vec::new();
+    put::u32(&mut head, round);
+    put::u32s(&mut head, members);
+    head
+}
+
 impl Message {
     /// Encodes into a frame (kind byte + payload bytes).
     pub fn encode(&self) -> Frame {
@@ -117,9 +175,7 @@ impl Message {
                 kind::WELCOME
             }
             Message::RoundBegin { round, deadline_ms, members, params } => {
-                put::u32(&mut payload, *round);
-                put::u64(&mut payload, *deadline_ms);
-                put::u32s(&mut payload, members);
+                payload = round_begin_head(*round, *deadline_ms, members);
                 put::f32s(&mut payload, params);
                 kind::ROUND_BEGIN
             }
@@ -138,8 +194,7 @@ impl Message {
                 kind::HELLO_REJECT
             }
             Message::RoundReplay { round, members, params } => {
-                put::u32(&mut payload, *round);
-                put::u32s(&mut payload, members);
+                payload = round_replay_head(*round, members);
                 put::f32s(&mut payload, params);
                 kind::ROUND_REPLAY
             }
@@ -215,6 +270,34 @@ mod tests {
         for m in &messages {
             let frame = m.encode();
             assert_eq!(&Message::decode(&frame).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn borrowed_round_writers_match_message_encode_bytewise() {
+        let params = vec![1.5f32, -0.0, f32::MIN_POSITIVE, f32::NAN, 7.25];
+        let block = ParamsBlock::encode(&params);
+        for members in [vec![], vec![4u32], vec![2, 3, 9]] {
+            let mut want = Vec::new();
+            Message::RoundBegin {
+                round: 9,
+                deadline_ms: 30_000,
+                members: members.clone(),
+                params: params.clone(),
+            }
+            .write_to(&mut want)
+            .unwrap();
+            let mut got = Vec::new();
+            write_round_begin(&mut got, 9, 30_000, &members, &block).unwrap();
+            assert_eq!(got, want, "RoundBegin, members {members:?}");
+
+            want.clear();
+            Message::RoundReplay { round: 2, members: members.clone(), params: params.clone() }
+                .write_to(&mut want)
+                .unwrap();
+            got.clear();
+            write_round_replay(&mut got, 2, &members, &block).unwrap();
+            assert_eq!(got, want, "RoundReplay, members {members:?}");
         }
     }
 
