@@ -694,7 +694,7 @@ mod tests {
         let benign_sum = vecops::sum(&refs).expect("non-empty");
         let mut total = benign_sum.clone();
         for u in &ups {
-            vecops::add_assign(&mut total, u);
+            vecops::axpy(1.0, u, &mut total);
         }
         let cos = vecops::cosine_similarity(&total, &benign_sum);
         assert!(cos < -0.9, "aggregate not reversed (cos = {cos})");

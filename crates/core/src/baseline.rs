@@ -6,7 +6,7 @@
 //!   the simulation loop already supports both pieces.
 //! * **\[77\]/\[43\]-style sign-compression DP**: workers upload randomized
 //!   per-coordinate gradient *signs*; the server takes a coordinate-wise
-//!   majority vote. Implemented as its own loop ([`run_sign_dp`]) because its
+//!   majority vote. Implemented as its own loop ([`run_sign_dp_with`]) because its
 //!   update rule differs structurally from gradient averaging. Byzantine
 //!   workers upload inverted signs — with ≥50 % Byzantine workers the
 //!   majority flips, which is exactly the failure mode Table 1 records.
@@ -111,15 +111,10 @@ pub struct SignDpResult {
     pub history: Vec<EvalPoint>,
 }
 
-/// Runs the sign-compression DP baseline.
-pub fn run_sign_dp(cfg: &SignDpConfig) -> SignDpResult {
-    run_sign_dp_with(cfg, &Telemetry::null())
-}
-
-/// [`run_sign_dp`] with a telemetry sink attached. Per-round metrics are
-/// trivial for this substrate — no defense filters anything, so the whole
-/// cohort is accepted and aggregated; `achieved_epsilon` stays `None`
-/// (randomized response, not the Gaussian accountant). The result is
+/// Runs the sign-compression DP baseline, recording to `tel`. Per-round
+/// metrics are trivial for this substrate — no defense filters anything, so
+/// the whole cohort is accepted and aggregated; `achieved_epsilon` stays
+/// `None` (randomized response, not the Gaussian accountant). The result is
 /// byte-identical with any sink.
 pub fn run_sign_dp_with(cfg: &SignDpConfig, tel: &Telemetry) -> SignDpResult {
     let mut master = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x51677ea7));
@@ -211,20 +206,18 @@ pub fn run_sign_dp_with(cfg: &SignDpConfig, tel: &Telemetry) -> SignDpResult {
 
 /// Runs a [`WorkerProtocol::SignDp`] simulation config through the sign-DP
 /// loop and wraps the outcome as a [`RunResult`] (what `simulation::run`
-/// dispatches to for this substrate).
+/// dispatches to for this substrate; see [`run_sign_dp_with`] for what it
+/// records).
 ///
 /// `sigma` and `delta` are reported as 0: sign-DP privatizes via
 /// randomized response, so the Gaussian accountant's achieved-ε does not
 /// apply (reports show such cells as non-Gaussian-private).
-pub fn run_sign_dp_simulation(cfg: &SimulationConfig) -> RunResult {
-    run_sign_dp_simulation_telemetry(cfg, &Telemetry::null())
-}
-
-/// [`run_sign_dp_simulation`] with a telemetry sink attached (see
-/// [`run_sign_dp_with`] for what this substrate records).
-pub fn run_sign_dp_simulation_telemetry(cfg: &SimulationConfig, tel: &Telemetry) -> RunResult {
+pub(crate) fn run_sign_dp_simulation_telemetry(
+    cfg: &SimulationConfig,
+    tel: &Telemetry,
+) -> RunResult {
     let sign_cfg = SignDpConfig::from_simulation(cfg)
-        .expect("run_sign_dp_simulation requires WorkerProtocol::SignDp");
+        .expect("the sign-DP loop requires WorkerProtocol::SignDp");
     let iterations = ((sign_cfg.epochs * sign_cfg.per_worker as f64) / sign_cfg.batch_size as f64)
         .ceil() as usize;
     let r = run_sign_dp_with(&sign_cfg, tel);
@@ -270,7 +263,7 @@ mod tests {
 
     #[test]
     fn honest_sign_dp_learns_something() {
-        let r = run_sign_dp(&cfg(0));
+        let r = run_sign_dp_with(&cfg(0), &Telemetry::null());
         assert!(r.final_accuracy > 0.3, "sign-DP failed to learn: {}", r.final_accuracy);
     }
 
@@ -278,8 +271,8 @@ mod tests {
     fn byzantine_majority_destroys_sign_dp() {
         // 7 byzantine vs 6 honest: majority vote flips, accuracy collapses
         // to chance — the paper's Table 1 "✗ at >50%" entry.
-        let honest = run_sign_dp(&cfg(0));
-        let attacked = run_sign_dp(&cfg(7));
+        let honest = run_sign_dp_with(&cfg(0), &Telemetry::null());
+        let attacked = run_sign_dp_with(&cfg(7), &Telemetry::null());
         assert!(
             attacked.final_accuracy < honest.final_accuracy - 0.1,
             "sign-DP unexpectedly survived a Byzantine majority: {} vs {}",
@@ -315,7 +308,7 @@ mod tests {
         );
 
         let via_simulation = crate::simulation::run(&sim);
-        let direct = run_sign_dp(&hand);
+        let direct = run_sign_dp_with(&hand, &Telemetry::null());
         assert_eq!(via_simulation.final_accuracy.to_bits(), direct.final_accuracy.to_bits());
         assert_eq!(via_simulation.history.len(), direct.history.len());
         assert_eq!(via_simulation.sigma, 0.0);

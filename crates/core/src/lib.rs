@@ -27,7 +27,7 @@
 //! | module | paper artifact |
 //! |--------|----------------|
 //! | [`config`] | protocol hyper-parameters (`b_c`, β, σ, γ, …) |
-//! | [`worker`] | Algorithm 1 (honest local step; clipped/plain baselines) |
+//! | [`worker`] | Algorithm 1 (honest local step; clipped-DP baseline) |
 //! | [`first_stage`] | Algorithm 2 `FirstAGG` + Theorem 2 envelope |
 //! | [`second_stage`] | Algorithm 3 lines 4–14 |
 //! | [`attack`] | §2.3/§4.6 attacks: Gaussian, label-flip, OptLMP, "a little", inner-product, adaptive/TTBB |
@@ -36,9 +36,9 @@
 //! | [`simulation`] | the experiment loop (Reference Accuracy = no attack + no defense) |
 //! | [`tuning`] | Theorem 1 / Eq. 4 learning-rate transfer |
 //!
-//! This crate sits eighth in the workspace's linear 10-crate dependency
+//! This crate sits eighth in the workspace's linear 9-crate dependency
 //! chain; `docs/ARCHITECTURE.md` (repo root) describes that chain, the
-//! `prepare() → run_prepared()` split, the determinism contract every
+//! `prepare() → run_prepared_telemetry()` split, the determinism contract every
 //! parallel section obeys, the two-stage defense data flow end to end,
 //! the [`round::Transport`] layer ([`serving`] puts it on real
 //! sockets), and the `dpbfl-telemetry` observability layer (deterministic
@@ -72,7 +72,7 @@ pub mod simulation;
 pub mod tuning;
 pub mod worker;
 
-/// One-stop imports for examples and the bench harness.
+/// One-stop imports for examples, the harness and the repository benchmark.
 pub mod prelude {
     pub use crate::aggregator::AggregatorKind;
     pub use crate::attack::AttackSpec;
@@ -88,9 +88,9 @@ pub mod prelude {
         ServingReport,
     };
     pub use crate::simulation::{
-        prepare, run, run_prepared, run_prepared_telemetry, run_with_transport,
-        run_with_transport_telemetry, DefenseKind, EvalPoint, ModelKind, PreparedRun, Provisioning,
-        RunResult, RunSummary, SimulationConfig, WorkerProtocol,
+        prepare, run, run_prepared_telemetry, run_with_transport_telemetry, DefenseKind, EvalPoint,
+        ModelKind, PreparedRun, Provisioning, RunResult, RunSummary, SimulationConfig,
+        WorkerProtocol,
     };
     pub use crate::worker::DpWorker;
     pub use dpbfl_data::SyntheticSpec;

@@ -303,8 +303,8 @@ impl InProcessTransport<'_> {
 /// trajectory and the defense bookkeeping.
 ///
 /// `dp` is the σ-resolved worker config and `lr` the tuned learning rate
-/// (both produced by [`crate::simulation::run_with_transport`]); `defense` /
-/// `fltrust_state` hold the server-side defense state matching
+/// (both produced by [`crate::simulation::run_with_transport_telemetry`]);
+/// `defense` / `fltrust_state` hold the server-side defense state matching
 /// `cfg.defense`. `eps_schedule` is the precomputed cumulative-ε schedule
 /// (`None` for non-private or untelemetered runs) — only telemetry reads
 /// it; caching it outside the loop keeps the per-round ε annotation to a
@@ -774,7 +774,7 @@ pub(crate) fn protocol_step(
         WorkerProtocol::PaperDp | WorkerProtocol::Plain => w.local_step(params),
         WorkerProtocol::ClippedDp { clip } => w.clipped_dp_step(params, clip),
         WorkerProtocol::SignDp { .. } => {
-            unreachable!("sign-DP runs its own loop (run_sign_dp_simulation)")
+            unreachable!("sign-DP runs its own loop (run_sign_dp_with)")
         }
     }
 }

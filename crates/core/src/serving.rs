@@ -40,7 +40,7 @@
 //! computes are the bytes the server folds. The fold is a pure function of
 //! the upload bits, applied in arrival order but *placed* by member index,
 //! so a zero-dropout serving run produces a `RunSummary` byte-identical to
-//! [`crate::simulation::run_prepared`] for the same master seed. A member
+//! [`crate::simulation::run`] for the same master seed. A member
 //! missing the round deadline ([`RoundPolicy`]) — or sending an upload of
 //! the wrong length — yields [`Collected::Dropped`], which the orchestrator
 //! treats exactly like a first-stage rejection — the accepted set alone
@@ -58,7 +58,7 @@ use crate::round::{
     UploadFold,
 };
 use crate::simulation::{
-    data_worker_count, prepare, resolve_sigma, run_with_transport_telemetry, Provisioning,
+    calibrated_dp, data_worker_count, prepare, run_with_transport_telemetry, Provisioning,
     RunResult, RunSummary, SimulationConfig,
 };
 use crate::worker::DpWorker;
@@ -249,6 +249,16 @@ const ADMIT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
+/// Payload caps for the frames a client sends, so no connection can make the
+/// server allocate more than one legitimate frame's worth: the hello is at
+/// most a claim of every required worker, and after the `Welcome` a client
+/// sends nothing larger than an `Upload` of `d` values.
+#[derive(Clone, Copy)]
+struct FrameCaps {
+    hello: u32,
+    upload: u32,
+}
+
 /// One admitted client connection.
 struct ClientConn {
     stream: Stream,
@@ -338,20 +348,11 @@ impl BoundServer {
     /// When `cfg.serving` carries a `deadline_ms`, it overrides `policy` —
     /// the grid cell's config determines behavior, the caller's policy is
     /// the fallback.
-    pub fn serve(
-        self,
-        cfg: &SimulationConfig,
-        policy: &RoundPolicy,
-    ) -> Result<(RunResult, ServingReport), String> {
-        self.serve_telemetry(cfg, policy, &Telemetry::null())
-    }
-
-    /// Like [`BoundServer::serve`], but records telemetry: structured
-    /// `client_rejected`/`client_reconnected`/`upload_dropped`/
-    /// `upload_stale`/`upload_malformed` events, a `serving_round` latency
-    /// span per round, and
-    /// the orchestrator's per-round defense metrics. With a null
-    /// [`Telemetry`] this is exactly [`BoundServer::serve`].
+    ///
+    /// `tel` records structured `client_rejected`/`client_reconnected`/
+    /// `upload_dropped`/`upload_stale`/`upload_malformed` events, a
+    /// `serving_round` latency span per round, and the orchestrator's
+    /// per-round defense metrics; pass [`Telemetry::null`] to record nothing.
     pub fn serve_telemetry(
         self,
         cfg: &SimulationConfig,
@@ -359,6 +360,11 @@ impl BoundServer {
         tel: &Telemetry,
     ) -> Result<(RunResult, ServingReport), String> {
         let required = data_member_indices(cfg);
+        let full_claim = Message::ClientHello { workers: required.clone() }.encode().payload.len();
+        let caps = FrameCaps {
+            hello: u32::try_from(full_claim).unwrap_or(u32::MAX),
+            upload: Message::upload_payload_len(init_model(cfg).param_len()),
+        };
         let config_json = serde_json::to_string(cfg).map_err(|e| e.to_string())?;
         let policy = effective_policy(cfg, policy);
         let (tx, rx) = channel();
@@ -382,6 +388,7 @@ impl BoundServer {
                     &self.listener,
                     &self.local,
                     &required,
+                    caps,
                     &config_json,
                     &policy,
                     &shared,
@@ -474,6 +481,7 @@ fn acceptor_loop(
     listener: &Listener,
     local: &str,
     required: &[u32],
+    caps: FrameCaps,
     config_json: &str,
     policy: &RoundPolicy,
     shared: &Mutex<Shared>,
@@ -489,6 +497,7 @@ fn acceptor_loop(
                     stream,
                     &peer,
                     required,
+                    caps,
                     config_json,
                     policy,
                     shared,
@@ -517,6 +526,7 @@ fn admit_connection(
     mut stream: Stream,
     peer: &str,
     required: &[u32],
+    caps: FrameCaps,
     config_json: &str,
     policy: &RoundPolicy,
     shared: &Mutex<Shared>,
@@ -527,7 +537,7 @@ fn admit_connection(
     // Handshake and hello are read before taking the lock, under a timeout,
     // so a stalled connection cannot block admission of others for long.
     stream.set_read_timeout(Some(ADMIT_READ_TIMEOUT)).ok();
-    let claim = read_claim(&mut stream, required);
+    let claim = read_claim(&mut stream, required, caps.hello);
     let workers = match claim {
         Ok(w) => w,
         Err(reason) => {
@@ -582,7 +592,7 @@ fn admit_connection(
     }
 
     let alive = Arc::new(AtomicBool::new(true));
-    match spawn_reader(&stream, workers.clone(), tx, Arc::clone(&alive)) {
+    match spawn_reader(&stream, workers.clone(), caps.upload, tx, Arc::clone(&alive)) {
         Ok(()) => {}
         Err(e) => {
             drop(guard);
@@ -609,12 +619,12 @@ fn admit_connection(
     coverage.notify_all();
 }
 
-/// Reads the handshake + `ClientHello` and validates the claim's range.
-fn read_claim(stream: &mut Stream, required: &[u32]) -> Result<Vec<u32>, String> {
+/// Reads the handshake + `ClientHello` (a frame of at most `max_len` payload
+/// bytes) and validates the claim's range.
+fn read_claim(stream: &mut Stream, required: &[u32], max_len: u32) -> Result<Vec<u32>, String> {
     write_handshake(stream).map_err(|e| format!("handshake write: {e}"))?;
     read_handshake(stream).map_err(|e| format!("handshake read: {e}"))?;
-    let hello = Message::read_from(stream, DEFAULT_MAX_FRAME_LEN)
-        .map_err(|e| format!("client hello: {e}"))?;
+    let hello = Message::read_from(stream, max_len).map_err(|e| format!("client hello: {e}"))?;
     let Message::ClientHello { workers } = hello else {
         return Err("first client message was not ClientHello".into());
     };
@@ -642,22 +652,24 @@ fn reject(mut stream: Stream, peer: &str, reason: &str, tel: &Telemetry) {
 
 /// Spawns the connection's reader thread: every decoded `Upload` for a
 /// worker in the connection's `claim` goes to the collector channel; any
-/// decode error, EOF, or upload naming a worker outside the claim (an
-/// impersonation attempt — a protocol violation like any other) ends the
-/// thread, and the member stops delivering until a reconnect re-binds it.
+/// decode error, EOF, frame declaring more than `max_len` payload bytes
+/// (refused before it is allocated), or upload naming a worker outside the
+/// claim (an impersonation attempt — a protocol violation like any other)
+/// ends the thread, and the member stops delivering until a reconnect re-binds it.
 /// The `alive` flag is cleared when the thread exits, so the transport can
 /// tell a dead connection from a straggler, and admission can tell a
 /// reconnect from a duplicate claim.
 fn spawn_reader(
     stream: &Stream,
     claim: Vec<u32>,
+    max_len: u32,
     tx: Sender<(u32, u32, Vec<f32>)>,
     alive: Arc<AtomicBool>,
 ) -> Result<(), String> {
     let mut read_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
     std::thread::spawn(move || {
         loop {
-            match Message::read_from(&mut read_half, DEFAULT_MAX_FRAME_LEN) {
+            match Message::read_from(&mut read_half, max_len) {
                 Ok(Message::Upload { worker, .. }) if !claim.contains(&worker) => break,
                 Ok(Message::Upload { round, worker, data }) => {
                     if tx.send((worker, round, data)).is_err() {
@@ -984,9 +996,7 @@ fn run_session(
 
     // Rebuild this client's workers exactly as the in-process pools would —
     // once; their state must survive reconnects.
-    let (sigma, _) = resolve_sigma(&cfg);
-    let mut dp = cfg.dp.clone();
-    dp.noise_multiplier = sigma;
+    let (dp, _) = calibrated_dp(&cfg);
     let template = init_model(&cfg);
     let pooled = cfg.provisioning == Provisioning::Pooled;
     if pooled && !state.pool_built {
@@ -1171,7 +1181,8 @@ mod tests {
                 std::thread::spawn(move || run_client(&local, &ws, &opts))
             })
             .collect();
-        let (result, report) = server.serve(cfg, policy).expect("serve");
+        let (result, report) =
+            server.serve_telemetry(cfg, policy, &Telemetry::null()).expect("serve");
         let summaries = handles
             .into_iter()
             .map(|h| h.join().expect("client thread").expect("client"))
@@ -1332,6 +1343,15 @@ mod tests {
         })
     }
 
+    /// Summary of the in-process run of `cfg` in which `worker`'s upload is
+    /// never delivered.
+    fn withheld_summary(cfg: &SimulationConfig, worker: usize) -> String {
+        let prep = prepare(cfg);
+        let inner = crate::round::InProcessTransport::new(cfg, &prep, &cfg.dp); // ε off: σ as is
+        let mut withheld = Withholding { inner, worker };
+        summary_json(&run_with_transport_telemetry(cfg, &prep, &mut withheld, &Telemetry::null()))
+    }
+
     #[test]
     fn wrong_length_upload_drops_its_member_instead_of_panicking() {
         // A Byzantine client that speaks the protocol but answers every
@@ -1341,11 +1361,7 @@ mod tests {
         // run in which that worker's upload is never delivered.
         const ROGUE: usize = 3; // an honest-indexed slot, folded at arrival
         let cfg = serving_cfg();
-        let prep = prepare(&cfg);
-        let inner = crate::round::InProcessTransport::new(&cfg, &prep, &cfg.dp); // ε off: σ as is
-        let mut withheld = Withholding { inner, worker: ROGUE };
-        let expected =
-            summary_json(&crate::simulation::run_with_transport(&cfg, &prep, &mut withheld));
+        let expected = withheld_summary(&cfg, ROGUE);
 
         let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
         let local = server.local_addr().to_string();
@@ -1391,11 +1407,7 @@ mod tests {
             deadline_ms: Some(1_500),
             fault: FaultSpec { delay_ms_lo: 20, delay_ms_hi: 20, ..FaultSpec::default() },
         });
-        let prep = prepare(&cfg);
-        let inner = crate::round::InProcessTransport::new(&cfg, &prep, &cfg.dp); // ε off: σ as is
-        let mut withheld = Withholding { inner, worker: ROGUE };
-        let expected =
-            summary_json(&crate::simulation::run_with_transport(&cfg, &prep, &mut withheld));
+        let expected = withheld_summary(&cfg, ROGUE);
 
         let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
         let local = server.local_addr().to_string();
@@ -1408,12 +1420,52 @@ mod tests {
             worker: VICTIM,
             data: vec![0.0f32; d],
         });
-        let (result, report) = server.serve(&cfg, &RoundPolicy::default()).expect("serve");
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
         honest.join().expect("honest thread").expect("honest client");
         rogue.join().expect("rogue session");
         assert_eq!(summary_json(&result), expected, "forged upload displaced the victim's");
         // The forger's connection died on its first forgery; its own worker
         // is the only one that ever missed a round.
+        assert_eq!(report.dropped_dead_connection, cfg.iterations() as u64);
+        assert_eq!(report.dropped_deadline, 0);
+    }
+
+    #[test]
+    fn frame_over_the_upload_cap_ends_only_its_own_reader() {
+        // A Byzantine client that answers every round with a well-formed
+        // frame declaring one payload byte more than an Upload of d values —
+        // of a kind the reader skips, so its size is the only thing wrong
+        // with it. Were it read and skipped (as any frame up to 64 MiB once
+        // was), the member would be a straggler on a live connection. The
+        // declaration must instead end that reader before anything is
+        // allocated: the member classifies dead-connection from round 0 on,
+        // and the run is byte-identical to the in-process run in which that
+        // worker never delivers.
+        const ROGUE: usize = 3;
+        let mut cfg = serving_cfg();
+        cfg.epochs = 0.5; // 4 rounds: every one waits out the deadline for the rogue
+        cfg.serving = Some(ServingSpec { deadline_ms: Some(1_000), fault: FaultSpec::default() });
+        let expected = withheld_summary(&cfg, ROGUE);
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = spawn_rogue(local, ROGUE as u32, |_, d| {
+            // A string payload is its u32 length plus the bytes.
+            let over_cap = Message::upload_payload_len(d) as usize + 1;
+            Message::HelloReject { reason: "x".repeat(over_cap - 4) }
+        });
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "oversized frame ≠ withheld upload");
         assert_eq!(report.dropped_dead_connection, cfg.iterations() as u64);
         assert_eq!(report.dropped_deadline, 0);
     }
@@ -1481,7 +1533,9 @@ mod tests {
                 run_client(&local, &[3, 4, 5], &ClientOptions::default())
             })
         };
-        let (result, report) = server.serve(&cfg, &RoundPolicy::default()).expect("serve");
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
         let stable_summary = stable.join().expect("stable thread").expect("stable client");
         let churn_summary = churn.join().expect("churn thread").expect("replacement client");
         assert_eq!(summary_json(&result), expected, "fresh-reconnect run ≠ in-process");
@@ -1522,7 +1576,9 @@ mod tests {
                 (dup, c2)
             })
         };
-        let (result, report) = server.serve(&cfg, &RoundPolicy::default()).expect("serve");
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
         c1.join().expect("c1 thread").expect("c1");
         let (dup, c2) = rest.join().expect("helper thread");
         c2.expect("c2");

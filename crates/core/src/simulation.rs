@@ -78,8 +78,7 @@ pub enum WorkerProtocol {
     /// randomized per-coordinate gradient *signs* and the server takes a
     /// coordinate-wise majority vote. Structurally different from gradient
     /// averaging, so a run under this protocol dispatches to
-    /// [`crate::baseline::run_sign_dp`] (via
-    /// [`crate::baseline::run_sign_dp_simulation`]): the `defense` must be
+    /// [`crate::baseline::run_sign_dp_with`]: the `defense` must be
     /// [`DefenseKind::NoDefense`] (the majority vote *is* the server rule)
     /// and the `attack` must be [`crate::attack::AttackSpec::None`] —
     /// Byzantine workers always upload inverted signs, the baseline's worst
@@ -346,8 +345,8 @@ pub struct RunSummary {
 /// across every cell with the same data inputs (same dataset spec, seed,
 /// worker/test counts, distribution and auxiliary pool size) instead of
 /// re-synthesizing and re-partitioning the dataset per cell. [`run`] itself
-/// is `run_prepared(cfg, &prepare(cfg))`, so sharing is bit-identical to
-/// standalone runs by construction.
+/// is [`run_prepared_telemetry`] on `prepare(cfg)`, so sharing is
+/// bit-identical to standalone runs by construction.
 #[derive(Debug, Clone)]
 pub struct PreparedRun {
     /// Pooled training data for all data-holding workers.
@@ -358,9 +357,9 @@ pub struct PreparedRun {
     pub(crate) test: Dataset,
     /// Validation pool the server draws auxiliary samples from.
     pub(crate) validation: Dataset,
-    /// Master RNG state *after* the partition draws; [`run_prepared`]
-    /// resumes this stream (auxiliary sampling draws from it), so hoisting
-    /// the preparation does not shift any downstream RNG stream.
+    /// Master RNG state *after* the partition draws; the run resumes this
+    /// stream (auxiliary sampling draws from it), so hoisting the
+    /// preparation does not shift any downstream RNG stream.
     pub(crate) master: StdRng,
     /// Number of workers holding data (`n_honest`, plus `n_byzantine` when
     /// the attack needs poisoned local datasets).
@@ -462,27 +461,23 @@ pub fn run(cfg: &SimulationConfig) -> RunResult {
     // The sign-DP substrate runs its own loop (and synthesizes its own
     // data), so skip the gradient-protocol preparation entirely.
     if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
-        return crate::baseline::run_sign_dp_simulation(cfg);
+        return crate::baseline::run_sign_dp_simulation_telemetry(cfg, &Telemetry::null());
     }
-    run_prepared(cfg, &prepare(cfg))
+    run_prepared_telemetry(cfg, &prepare(cfg), &Telemetry::null())
 }
 
-/// Runs one full experiment on already-prepared data.
+/// Runs one full experiment on already-prepared data, in process, with a
+/// telemetry sink attached.
 ///
 /// `prep` must come from [`prepare`] on a config with the same
 /// [`PreparedRun::cache_key`] as `cfg` (enforced by assertion on the worker
 /// count); cells of a grid sharing a key may share one `prep`.
-pub fn run_prepared(cfg: &SimulationConfig, prep: &PreparedRun) -> RunResult {
-    run_prepared_telemetry(cfg, prep, &Telemetry::null())
-}
-
-/// [`run_prepared`] with a telemetry sink attached.
 ///
-/// The returned [`RunResult`] is byte-identical to [`run_prepared`]'s:
-/// telemetry only *observes* (counters accumulate after the fold's shard
-/// merge, in cohort order; no sink ever draws RNG or reorders accumulation),
-/// so enabling it cannot perturb the run. With [`Telemetry::null`] this *is*
-/// [`run_prepared`].
+/// The returned [`RunResult`] is byte-identical under every sink: telemetry
+/// only *observes* (counters accumulate after the fold's shard merge, in
+/// cohort order; no sink ever draws RNG or reorders accumulation), so
+/// enabling it cannot perturb the run. Pass [`Telemetry::null`] to record
+/// nothing.
 pub fn run_prepared_telemetry(
     cfg: &SimulationConfig,
     prep: &PreparedRun,
@@ -494,40 +489,25 @@ pub fn run_prepared_telemetry(
     if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
         return crate::baseline::run_sign_dp_simulation_telemetry(cfg, tel);
     }
-    assert!(
-        cfg.sampling.is_finite() && cfg.sampling > 0.0 && cfg.sampling <= 1.0,
-        "sampling fraction must be in (0, 1], got {}",
-        cfg.sampling
-    );
-    let (sigma, _) = resolve_sigma(cfg);
-    let mut dp = cfg.dp.clone();
-    dp.noise_multiplier = sigma;
+    let (dp, delta) = calibrated_dp(cfg);
     let mut transport = InProcessTransport::new(cfg, prep, &dp);
-    run_with_transport_telemetry(cfg, prep, &mut transport, tel)
+    run_calibrated(cfg, prep, &mut transport, tel, &dp, delta)
 }
 
 /// Runs one full experiment on already-prepared data, delivering uploads
 /// through `transport`.
 ///
 /// This is the serving entry point: `dpbfl-server` calls it with a
-/// `TcpTransport`, [`run_prepared`] with an [`InProcessTransport`]. The run
-/// is a pure function of `(cfg, prep)` plus the transport's accepted set —
-/// a transport that delivers every member's upload produces a result
-/// bit-identical to the in-process path, regardless of arrival order, and
-/// late/missing uploads are treated exactly like first-stage rejections.
+/// `TcpTransport`, [`run_prepared_telemetry`] with an
+/// [`InProcessTransport`]. The run is a pure function of `(cfg, prep)` plus
+/// the transport's accepted set — a transport that delivers every member's
+/// upload produces a result bit-identical to the in-process path, regardless
+/// of arrival order, and late/missing uploads are treated exactly like
+/// first-stage rejections. Telemetry observes only, as in
+/// [`run_prepared_telemetry`].
 ///
 /// The sign-DP substrate owns its own loop and cannot be served; such
-/// configs must go through [`run`] / [`run_prepared`].
-pub fn run_with_transport(
-    cfg: &SimulationConfig,
-    prep: &PreparedRun,
-    transport: &mut dyn Transport,
-) -> RunResult {
-    run_with_transport_telemetry(cfg, prep, transport, &Telemetry::null())
-}
-
-/// [`run_with_transport`] with a telemetry sink attached — same contract as
-/// [`run_prepared_telemetry`]: the result is byte-identical with any sink.
+/// configs must go through [`run`] / [`run_prepared_telemetry`].
 pub fn run_with_transport_telemetry(
     cfg: &SimulationConfig,
     prep: &PreparedRun,
@@ -536,19 +516,43 @@ pub fn run_with_transport_telemetry(
 ) -> RunResult {
     assert!(
         !matches!(cfg.protocol, WorkerProtocol::SignDp { .. }),
-        "sign-DP runs its own loop (run_sign_dp_simulation) and cannot be served over a transport"
+        "sign-DP runs its own loop (run_sign_dp_with) and cannot be served over a transport"
     );
+    let (dp, delta) = calibrated_dp(cfg);
+    run_calibrated(cfg, prep, transport, tel, &dp, delta)
+}
+
+/// The run's privacy calibration: the worker-side DP parameters carrying the
+/// resolved σ, and δ. The one place a run calls [`resolve_sigma`] (an
+/// accountant search for every ε-targeted config).
+pub(crate) fn calibrated_dp(cfg: &SimulationConfig) -> (DpSgdConfig, f64) {
+    let (sigma, delta) = resolve_sigma(cfg);
+    let mut dp = cfg.dp.clone();
+    dp.noise_multiplier = sigma;
+    (dp, delta)
+}
+
+/// The body both entry points share, on an already-calibrated `dp`.
+fn run_calibrated(
+    cfg: &SimulationConfig,
+    prep: &PreparedRun,
+    transport: &mut dyn Transport,
+    tel: &Telemetry,
+    dp: &DpSgdConfig,
+    delta: f64,
+) -> RunResult {
     assert!(
         cfg.sampling.is_finite() && cfg.sampling > 0.0 && cfg.sampling <= 1.0,
         "sampling fraction must be in (0, 1], got {}",
         cfg.sampling
     );
-
-    // ---- privacy calibration -------------------------------------------
-    let (sigma, delta) = resolve_sigma(cfg);
-    let mut dp = cfg.dp.clone();
-    dp.noise_multiplier = sigma;
-    let lr = if sigma > 0.0 { cfg.base_lr * cfg.base_sigma / sigma } else { cfg.base_lr };
+    let sigma = dp.noise_multiplier;
+    // Claim 6: the base learning rate, tuned at σ_b, transfers as η_b·σ_b/σ.
+    let lr = if sigma > 0.0 {
+        crate::tuning::transfer_lr(cfg.base_lr, cfg.base_sigma, sigma)
+    } else {
+        cfg.base_lr
+    };
 
     // ---- data (prepared) -------------------------------------------------
     assert_eq!(data_worker_count(cfg), prep.n_data_workers, "prepared data does not match config");
@@ -616,7 +620,7 @@ pub fn run_with_transport_telemetry(
     let iterations = cfg.iterations();
     let (history, stats) = crate::round::orchestrate(
         cfg,
-        &dp,
+        dp,
         lr,
         test,
         &mut server_model,

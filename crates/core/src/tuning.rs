@@ -11,23 +11,8 @@
 /// Transfers a tuned base learning rate to another noise level:
 /// `η = η_b · σ_b / σ`.
 pub fn transfer_lr(base_lr: f64, base_sigma: f64, sigma: f64) -> f64 {
-    assert!(base_sigma > 0.0 && sigma > 0.0, "noise multipliers must be positive");
+    assert!(sigma > 0.0, "the target noise multiplier must be positive");
     base_lr * base_sigma / sigma
-}
-
-/// The Theorem-1 bound term
-/// `M(η) = 3F₀/(Tη) + (3Lη/2)(1 + σ²d/b_c²)`.
-pub fn m_bound(eta: f64, f0: f64, t: usize, l: f64, sigma: f64, d: usize, b_c: usize) -> f64 {
-    assert!(eta > 0.0 && t > 0);
-    let noise_ratio = sigma * sigma * d as f64 / (b_c as f64 * b_c as f64);
-    3.0 * f0 / (t as f64 * eta) + 1.5 * l * eta * (1.0 + noise_ratio)
-}
-
-/// The Eq. 4 optimal learning rate
-/// `η* = (1/σ)·√(2F₀b_c²/(TLd))` (valid in the `σ²d/b_c² ≫ 1` regime).
-pub fn optimal_lr(f0: f64, t: usize, l: f64, sigma: f64, d: usize, b_c: usize) -> f64 {
-    assert!(sigma > 0.0 && t > 0 && l > 0.0 && d > 0);
-    (1.0 / sigma) * (2.0 * f0 * (b_c as f64).powi(2) / (t as f64 * l * d as f64)).sqrt()
 }
 
 /// Whether the noise-dominance precondition `σ²d/b_c² ≫ 1` holds (the paper
@@ -47,24 +32,6 @@ mod tests {
         let eta = transfer_lr(0.2, 0.79, 1.58);
         assert!((eta - 0.1).abs() < 1e-12);
         assert!((transfer_lr(0.2, 0.79, 0.79) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn optimal_lr_minimizes_m_bound() {
-        let (f0, t, l, sigma, d, b_c) = (2.0, 1000, 1.0, 0.79, 25_450, 16);
-        let star = optimal_lr(f0, t, l, sigma, d, b_c);
-        let m_star = m_bound(star, f0, t, l, sigma, d, b_c);
-        for &factor in &[0.25, 0.5, 2.0, 4.0] {
-            let m = m_bound(star * factor, f0, t, l, sigma, d, b_c);
-            assert!(m >= m_star * 0.999, "η*·{factor} gives M={m} < M(η*)={m_star}");
-        }
-    }
-
-    #[test]
-    fn optimal_lr_scales_inversely_with_sigma() {
-        let a = optimal_lr(2.0, 1000, 1.0, 0.5, 25_450, 16);
-        let b = optimal_lr(2.0, 1000, 1.0, 1.0, 25_450, 16);
-        assert!((a / b - 2.0).abs() < 1e-12);
     }
 
     #[test]

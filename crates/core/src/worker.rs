@@ -187,18 +187,6 @@ impl DpWorker {
         out
     }
 
-    /// A non-private upload (plain mean batch gradient) — used by the
-    /// non-DP ablation (supp. Tables 15/16) and by baseline protocols.
-    pub fn plain_step(&mut self, params: &[f32]) -> Vec<f32> {
-        self.model.set_params(params);
-        let batch = sample_batch(&mut self.rng, self.data.len(), self.cfg.batch_size);
-        let examples: Vec<(&[f32], usize)> =
-            batch.iter().map(|&i| (self.data.example(i), self.data.label(i))).collect();
-        let mut grad = vec![0.0f32; self.model.param_len()];
-        self.model.batch_gradient(&self.loss_fn, &examples, &mut grad);
-        grad
-    }
-
     /// A clipping-DP-SGD upload (vanilla DP-SGD, the \[30\]-style baseline):
     /// per-example gradients clipped to `clip_norm`, summed, noised with
     /// `N(0, (σ·C)² I)`, averaged over the batch. No momentum.
@@ -422,17 +410,6 @@ mod tests {
         for _ in 0..3 {
             assert_ne!(a.local_step(&params), b.local_step(&params));
         }
-    }
-
-    #[test]
-    fn plain_step_has_no_noise() {
-        let mut a = worker(0.79, 9);
-        let params = vec![0.0f32; a.param_len()];
-        let g1 = a.plain_step(&params);
-        // Plain gradients are small and smooth, nothing like σ√d/b_c noise.
-        let norm = vecops::l2_norm(&g1);
-        assert!(norm < 5.0, "plain gradient norm {norm}");
-        assert!(vecops::all_finite(&g1));
     }
 
     #[test]

@@ -74,23 +74,6 @@ impl Dataset {
         }
     }
 
-    /// Splits off the last `test_count` examples as a test set, keeping the
-    /// rest as training data.
-    pub fn split_train_test(mut self, test_count: usize) -> (Dataset, Dataset) {
-        assert!(test_count < self.len(), "test split larger than dataset");
-        let train_count = self.len() - test_count;
-        let test_features = self.features.split_off(train_count * self.example_len);
-        let test_labels = self.labels.split_off(train_count);
-        let test = Dataset {
-            features: test_features,
-            labels: test_labels,
-            example_len: self.example_len,
-            num_classes: self.num_classes,
-            name: self.name.clone(),
-        };
-        (self, test)
-    }
-
     /// Per-class example counts.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -125,15 +108,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.example(0), &[4.0, 5.0]);
         assert_eq!(s.labels, vec![0, 0]);
-    }
-
-    #[test]
-    fn split_preserves_order_and_sizes() {
-        let d = toy();
-        let (train, test) = d.split_train_test(1);
-        assert_eq!(train.len(), 2);
-        assert_eq!(test.len(), 1);
-        assert_eq!(test.example(0), &[4.0, 5.0]);
     }
 
     #[test]

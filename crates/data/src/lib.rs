@@ -24,5 +24,5 @@ pub use auxiliary::sample_auxiliary;
 pub use batch::sample_batch;
 pub use dataset::Dataset;
 pub use partition::{iid_partition, label_distribution, non_iid_partition};
-pub use poison::{flip_labels, random_flip_labels};
+pub use poison::flip_labels;
 pub use synthetic::SyntheticSpec;

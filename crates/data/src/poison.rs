@@ -1,7 +1,6 @@
 //! Data-poisoning transforms used by Byzantine workers.
 
 use crate::dataset::Dataset;
-use rand::Rng;
 
 /// The paper's label-flipping attack (§2.3): label `I` becomes `H − 1 − I`.
 /// The Byzantine worker then follows the honest protocol on poisoned data.
@@ -12,23 +11,9 @@ pub fn flip_labels(dataset: &mut Dataset) {
     }
 }
 
-/// Alternative flipping: each label is replaced by a uniformly random
-/// *different* label (the paper notes the flip pattern is immaterial as long
-/// as it reduces accuracy).
-pub fn random_flip_labels<R: Rng + ?Sized>(rng: &mut R, dataset: &mut Dataset) {
-    let h = dataset.num_classes;
-    assert!(h >= 2, "need at least two classes to flip");
-    for l in &mut dataset.labels {
-        let offset = rng.gen_range(1..h);
-        *l = (*l + offset) % h;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn flip_is_the_papers_involution() {
@@ -37,17 +22,5 @@ mod tests {
         assert_eq!(d.labels, vec![3, 2, 1, 0]);
         flip_labels(&mut d);
         assert_eq!(d.labels, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn random_flip_never_keeps_a_label() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let original = vec![0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9];
-        let mut d = Dataset::new("t", vec![0.0; 10], original.clone(), 1, 10);
-        random_flip_labels(&mut rng, &mut d);
-        for (a, b) in original.iter().zip(&d.labels) {
-            assert_ne!(a, b);
-            assert!(*b < 10);
-        }
     }
 }

@@ -12,7 +12,6 @@
 //!   bisection search for the noise multiplier σ given a target ε (the paper's
 //!   experimental pipeline: "use TensorFlow Privacy to search for noise
 //!   multiplier given ε and δ").
-//! * [`mechanism`] — the Gaussian mechanism itself (paper Definition 2).
 //!
 //! Validated against the paper's anchor point: the MNIST configuration
 //! (q = 16/3000, T = 1500, δ = |D|⁻¹·¹) yields σ ≈ 0.79 at ε = 2, matching the
@@ -20,12 +19,10 @@
 
 pub mod accountant;
 pub mod conversion;
-pub mod mechanism;
 pub mod rdp;
 
 pub use accountant::{
     achieved_epsilon, amplified_epsilon, paper_delta, EpsilonSchedule, RdpAccountant,
 };
 pub use conversion::{rdp_to_approx_dp, ConversionRule};
-pub use mechanism::GaussianMechanism;
 pub use rdp::{compose_rdp, default_orders, rdp_sampled_gaussian};

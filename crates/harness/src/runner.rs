@@ -15,7 +15,7 @@ use crate::report::{self, MetricsDigest};
 use crate::sink::{self, CellRecord};
 use crate::spec::{axes_label, Cell, ScenarioSpec};
 use dpbfl::prelude::*;
-use dpbfl::simulation::{prepare, run_prepared, run_prepared_telemetry};
+use dpbfl::simulation::{prepare, run_prepared_telemetry};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::io::Write;
@@ -117,19 +117,16 @@ where
             let started = Instant::now();
             let prep = prep_of[cell_keys[i].as_str()];
             // Telemetry only *observes* the run (see dpbfl-telemetry's
-            // crate docs), so both arms produce identical RunResults.
-            let result = match metrics_dir {
-                Some(dir) => {
-                    let path = dir.join(ledger_name(cells[i].index));
-                    let tel = Telemetry::new(Box::new(JsonlSink::new(path.clone())));
-                    let result = run_prepared_telemetry(&cells[i].config, prep, &tel);
-                    if let Err(e) = tel.flush() {
-                        eprintln!("warning: metrics ledger {}: {e}", path.display());
-                    }
-                    result
-                }
-                None => run_prepared(&cells[i].config, prep),
-            };
+            // crate docs), so the RunResult is the same with or without a
+            // ledger.
+            let ledger = metrics_dir.map(|dir| dir.join(ledger_name(cells[i].index)));
+            let tel = ledger.as_ref().map_or_else(Telemetry::null, |path| {
+                Telemetry::new(Box::new(JsonlSink::new(path.clone())))
+            });
+            let result = run_prepared_telemetry(&cells[i].config, prep, &tel);
+            if let (Some(path), Err(e)) = (&ledger, tel.flush()) {
+                eprintln!("warning: metrics ledger {}: {e}", path.display());
+            }
             let ms = started.elapsed().as_millis() as u64;
             on_done(&cells[i], &result, ms);
             (result, ms)

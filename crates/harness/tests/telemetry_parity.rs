@@ -10,16 +10,19 @@
 //! 3. The counters themselves are coherent: stage-1 verdicts partition the
 //!    cohort, and a round reports the same metrics whether its uploads were
 //!    folded as they arrived or after the attacker crafted.
+//! 4. Recording a JSONL ledger costs at most 5 % wall clock over the null
+//!    handle, on both fold timings.
 //!
-//! The paper-scale cells are `#[ignore]`d here and run by CI's release
-//! pass: `cargo test --release -p dpbfl-harness --test telemetry_parity
-//! -- --ignored`.
+//! The paper-scale cells and the wall-clock gate are `#[ignore]`d here and
+//! run by CI's release pass: `cargo test --release -p dpbfl-harness --test
+//! telemetry_parity -- --ignored`.
 
 use dpbfl::prelude::*;
 use dpbfl_harness::registry;
 use dpbfl_harness::runner::{ledger_name, run_grid, RunOptions};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn temp_out(tag: &str) -> PathBuf {
     let dir =
@@ -237,4 +240,69 @@ fn quickstart_headline_cell_records_without_perturbing_the_summary() {
 #[ignore = "reduced paper scale; run with --release -- --ignored (CI does)"]
 fn quickstart_grid_ledgers_are_byte_identical_across_thread_counts() {
     assert_ledgers_thread_invariant("paper/quickstart", "quickstart");
+}
+
+/// Asserts the JSONL ledger costs ≤ 5 % wall clock over null telemetry (plus
+/// 10 ms absolute slack for scheduler noise) on a defended cell under
+/// `attack`: 10 honest + 15 Byzantine workers, two-stage defense, 6
+/// iterations — long enough that the one-time cumulative-ε schedule build
+/// amortizes the way it does in real runs, so the gate measures the
+/// *per-round* cost. Best of 7 reps each; the reps interleave the two paths
+/// so machine-load drift across the measurement window biases both minima
+/// equally instead of whichever batch ran second.
+fn assert_jsonl_ledger_within_budget(attack: AttackSpec) {
+    let mut cfg = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
+    cfg.per_worker = 128;
+    cfg.test_count = 16;
+    cfg.n_honest = 10;
+    cfg.n_byzantine = 15;
+    cfg.epochs = 16.0 / 128.0 * 6.0; // exactly 6 iterations
+    cfg.epsilon = None;
+    cfg.dp.noise_multiplier = 0.79;
+    cfg.attack = attack;
+    cfg.defense = DefenseKind::TwoStage;
+    cfg.defense_cfg.gamma = 0.4;
+    let prep = dpbfl::simulation::prepare(&cfg);
+    let path = std::env::temp_dir().join(format!(
+        "dpbfl-telemetry-gate-{}-{}.jsonl",
+        cfg.attack.name(),
+        std::process::id()
+    ));
+    let timed = |tel: &Telemetry| {
+        let started = Instant::now();
+        std::hint::black_box(run_prepared_telemetry(&cfg, &prep, tel));
+        tel.flush().expect("ledger flush");
+        started.elapsed()
+    };
+
+    let mut null_best = Duration::MAX;
+    let mut jsonl_best = Duration::MAX;
+    for _ in 0..7 {
+        null_best = null_best.min(timed(&Telemetry::null()));
+        jsonl_best = jsonl_best.min(timed(&Telemetry::new(Box::new(JsonlSink::new(path.clone())))));
+    }
+    std::fs::remove_file(&path).ok();
+    let budget = null_best.mul_f64(1.05) + Duration::from_millis(10);
+    println!(
+        "telemetry overhead under {}: null {:.1} ms, jsonl {:.1} ms (budget {:.1} ms)",
+        cfg.attack.name(),
+        null_best.as_secs_f64() * 1e3,
+        jsonl_best.as_secs_f64() * 1e3,
+        budget.as_secs_f64() * 1e3,
+    );
+    assert!(
+        jsonl_best <= budget,
+        "JSONL telemetry overhead over budget under {}: {jsonl_best:?} vs null {null_best:?}",
+        cfg.attack.name()
+    );
+}
+
+#[test]
+#[ignore = "wall-clock gate; run with --release -- --ignored (CI does)"]
+fn jsonl_ledger_costs_at_most_five_percent_on_both_fold_timings() {
+    // OptLMP reads the cohort (fold after crafting); Gaussian folds at
+    // arrival.
+    assert!(AttackSpec::OptLmp.reads_cohort() && !AttackSpec::Gaussian.reads_cohort());
+    assert_jsonl_ledger_within_budget(AttackSpec::OptLmp);
+    assert_jsonl_ledger_within_budget(AttackSpec::Gaussian);
 }

@@ -36,11 +36,6 @@ impl Conv2d {
             cached_input: Vec::new(),
         }
     }
-
-    /// The convolution geometry.
-    pub fn geometry(&self) -> &ConvGeometry {
-        &self.geom
-    }
 }
 
 impl Layer for Conv2d {

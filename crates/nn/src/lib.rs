@@ -26,7 +26,6 @@
 //! differences in its unit tests.
 
 pub mod activation;
-pub mod checkpoint;
 pub mod conv;
 pub mod init;
 pub mod layer;
@@ -39,7 +38,6 @@ pub mod residual;
 pub mod sequential;
 pub mod zoo;
 
-pub use checkpoint::Checkpoint;
 pub use layer::{AnyLayer, Layer};
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, argmax};

@@ -4,21 +4,19 @@
 //! defenses are *statistical tests*, so this crate provides everything SciPy
 //! supplied to the reference implementation, built from scratch:
 //!
-//! * [`special`] — log-gamma, regularized incomplete gamma, erf/erfc, and
+//! * [`special`] — log-gamma, erfc (on the regularized incomplete gamma), and
 //!   log-space add/sub (backing the RDP accountant).
 //! * [`normal`] — Normal pdf/cdf/quantile and Gaussian sampling (Marsaglia
-//!   polar method; `rand_distr` is not in the approved offline crate set).
-//! * [`chi_squared`] — χ² CDF backing the first-stage norm test.
+//!   polar method).
 //! * [`kolmogorov`] — the Kolmogorov distribution (asymptotic series) and the
 //!   Marsaglia–Tsang–Wang exact finite-`n` CDF.
 //! * [`ks`] — the one-sample KS test the server runs on every upload, plus
 //!   the sort-free [`ks::KsGaussianScreen`] that decides most uploads in one
 //!   `O(d)` pass (decision-equivalent to the sorted test by contract).
-//! * [`moments`] — streaming moments (seed aggregation, "A little" attack).
+//! * [`moments`] — coordinate-wise moments (the "A little" attack).
 //! * [`sampling`] — seeded without-replacement subset draws (per-round client
 //!   cohorts).
 
-pub mod chi_squared;
 pub mod kolmogorov;
 pub mod ks;
 pub mod moments;
@@ -26,11 +24,9 @@ pub mod normal;
 pub mod sampling;
 pub mod special;
 
-pub use chi_squared::ChiSquared;
 pub use ks::{
     ks_test, ks_test_gaussian, ks_test_gaussian_with, KsGaussianScreen, KsResult, KsScratch,
     KsScreenVerdict,
 };
-pub use moments::RunningMoments;
 pub use normal::{fill_gaussian, gaussian_vector, Normal};
 pub use sampling::sample_without_replacement;

@@ -1,113 +1,5 @@
-//! Streaming descriptive statistics (Welford's algorithm).
-//!
-//! Used by the harness to aggregate repeated runs (the paper reports min, max,
-//! and mean over seeds {1, 2, 3}) and by the "A little" attack, which needs the
-//! coordinate-wise mean and standard deviation of the benign uploads.
-
-/// Online accumulator for count, mean, variance, min, and max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningMoments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for RunningMoments {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RunningMoments {
-    /// Fresh, empty accumulator.
-    pub fn new() -> Self {
-        RunningMoments { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Folds one observation in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (divides by n; 0 when n < 1).
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Unbiased sample variance (divides by n−1; 0 when n < 2).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[inline]
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`inf` when empty).
-    #[inline]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    #[inline]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator (parallel Welford combine).
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Coordinate-wise moments of a set of uploads: the "A little" attack needs
+//! the per-coordinate mean and standard deviation of the benign uploads.
 
 /// Coordinate-wise mean and population standard deviation of a set of equal
 /// length vectors, as needed by the "A little" attack (Baruch et al.).
@@ -141,52 +33,6 @@ pub fn coordinate_moments(vectors: &[&[f32]]) -> Option<(Vec<f64>, Vec<f64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rm = RunningMoments::new();
-        for &x in &data {
-            rm.push(x);
-        }
-        assert_eq!(rm.count(), 8);
-        assert!((rm.mean() - 5.0).abs() < 1e-12);
-        assert!((rm.variance() - 4.0).abs() < 1e-12);
-        assert!((rm.std() - 2.0).abs() < 1e-12);
-        assert_eq!(rm.min(), 2.0);
-        assert_eq!(rm.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_accumulator_is_safe() {
-        let rm = RunningMoments::new();
-        assert_eq!(rm.mean(), 0.0);
-        assert_eq!(rm.variance(), 0.0);
-        assert_eq!(rm.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut all = RunningMoments::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
 
     #[test]
     fn coordinate_moments_hand_example() {

@@ -3,8 +3,8 @@
 //! The protocol leans on this everywhere: the KS test compares upload
 //! coordinates against `N(0, σ'²)`; the norm-test interval comes from the
 //! Gaussian approximation of χ²_d; the "A little" attack needs the Normal
-//! quantile; and DP noise itself is Gaussian. Sampling is implemented here
-//! because `rand_distr` is not part of the approved offline crate set.
+//! quantile; and DP noise itself is Gaussian. Sampling is implemented here:
+//! the draw → coordinate mapping is part of the frozen determinism contract.
 
 use crate::special::erfc;
 use rand::Rng;

@@ -1,8 +1,9 @@
 //! Special functions: log-gamma, regularized incomplete gamma, and the error
 //! function family.
 //!
-//! Everything downstream builds on these: the Normal CDF (`erf`), the χ² CDF
-//! (`gamma_p`), and the RDP accountant's log-space binomial sums (`ln_gamma`).
+//! Everything downstream builds on these: the Normal CDF and the fractional-
+//! order RDP terms (`erfc`, itself the incomplete gamma at `a = 1/2`) and the
+//! RDP accountant's log-space binomial sums (`ln_gamma`).
 //! Implementations follow the classical Lanczos / series / continued-fraction
 //! constructions and are accurate to ~1e-14 relative error over the ranges the
 //! protocol exercises.
@@ -51,7 +52,7 @@ pub fn ln_binomial(n: f64, k: f64) -> f64 {
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise
 /// (Numerical-Recipes `gammp`). Defined for `a > 0`, `x ≥ 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p requires a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;
@@ -64,7 +65,7 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized upper incomplete gamma `Q(a, x) = 1 − P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_q requires a > 0, x >= 0");
     if x == 0.0 {
         return 1.0;
@@ -121,21 +122,9 @@ fn gamma_cf(a: f64, x: f64) -> f64 {
     h * (-x + a * x.ln() - ln_gamma(a)).exp()
 }
 
-/// Error function `erf(x) = P(1/2, x²)·sign(x)`.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let v = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        v
-    } else {
-        -v
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 − erf(x)`, computed without
-/// cancellation for large positive `x`.
+/// Complementary error function `erfc(x) = 1 − erf(x)` with
+/// `erf(x) = sign(x)·P(1/2, x²)`, computed without cancellation for large
+/// positive `x`.
 pub fn erfc(x: f64) -> f64 {
     if x == 0.0 {
         return 1.0;
@@ -233,15 +222,6 @@ mod tests {
         }
         // χ²(2) CDF at its mean: P(1, 1) = 1 - e^{-1}.
         assert!((gamma_p(1.0, 1.0) - (1.0 - (-1.0f64).exp())).abs() < 1e-14);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // erf(1) ≈ 0.8427007929497149
-        assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-12);
-        assert!((erf(-1.0) + 0.842_700_792_949_714_9).abs() < 1e-12);
-        assert!((erf(2.0) - 0.995_322_265_018_952_7).abs() < 1e-12);
-        assert_eq!(erf(0.0), 0.0);
     }
 
     #[test]

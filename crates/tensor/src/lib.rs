@@ -1,11 +1,10 @@
 //! # dpbfl-tensor
 //!
-//! Dense tensor and linear-algebra substrate for the `dpbfl` federated-learning
-//! stack. The paper's reference implementation runs on PyTorch; this crate
-//! provides the minimal-but-complete numeric kernel set the reproduction needs,
-//! built from scratch on flat `Vec<f32>` storage:
+//! Linear-algebra substrate for the `dpbfl` federated-learning stack. The
+//! paper's reference implementation runs on PyTorch; this crate provides the
+//! minimal-but-complete numeric kernel set the reproduction needs, built from
+//! scratch on flat, row-major `f32` slices (the caller passes the dimensions):
 //!
-//! * [`Tensor`] — an owned, row-major dense tensor with shape metadata.
 //! * [`vecops`] — flat-slice vector operations (norms, dot products, axpy,
 //!   normalization, cosine similarity). These are the hot path of the federated
 //!   protocol itself, where every model/gradient crossing the network is a flat
@@ -21,14 +20,7 @@
 //! over ~25 000-element gradient vectors) run in `f64` internally.
 
 pub mod conv;
-pub mod error;
 pub mod matmul;
 pub mod pool;
 pub mod quant;
-pub mod shape;
-pub mod tensor;
 pub mod vecops;
-
-pub use error::{Result, TensorError};
-pub use shape::Shape;
-pub use tensor::Tensor;

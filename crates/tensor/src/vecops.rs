@@ -77,18 +77,6 @@ pub fn scale(v: &mut [f32], alpha: f32) {
     }
 }
 
-/// Element-wise `y ← y + x`.
-#[inline]
-pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    axpy(1.0, x, y);
-}
-
-/// Element-wise `y ← y − x`.
-#[inline]
-pub fn sub_assign(y: &mut [f32], x: &[f32]) {
-    axpy(-1.0, x, y);
-}
-
 /// Normalizes `v` to unit ℓ2 norm in place and returns the original norm.
 ///
 /// This is the paper's sensitivity-bounding operation (Section 4.2): the
@@ -103,13 +91,6 @@ pub fn normalize(v: &mut [f32]) -> f64 {
         scale(v, inv);
     }
     norm
-}
-
-/// Returns a normalized copy of `v` (unit ℓ2 norm; zero stays zero).
-pub fn normalized(v: &[f32]) -> Vec<f32> {
-    let mut out = v.to_vec();
-    normalize(&mut out);
-    out
 }
 
 /// Clips `v` to ℓ2 norm at most `c` in place (vanilla DP-SGD's bounding
@@ -153,15 +134,6 @@ pub fn sum(vectors: &[&[f32]]) -> Option<Vec<f32>> {
         }
     }
     Some(acc.into_iter().map(|a| a as f32).collect())
-}
-
-/// True iff every element of `v` is finite.
-///
-/// The server runs this on every upload before any statistics: a NaN/Inf
-/// injection must be rejected, never propagated into the model.
-#[inline]
-pub fn all_finite(v: &[f32]) -> bool {
-    v.iter().all(|x| x.is_finite())
 }
 
 #[cfg(test)]
@@ -230,13 +202,6 @@ mod tests {
         assert_eq!(y, vec![12.0, 24.0]);
         scale(&mut y, 0.5);
         assert_eq!(y, vec![6.0, 12.0]);
-    }
-
-    #[test]
-    fn finiteness_check() {
-        assert!(all_finite(&[1.0, -2.0]));
-        assert!(!all_finite(&[1.0, f32::NAN]));
-        assert!(!all_finite(&[f32::INFINITY]));
     }
 
     #[test]

@@ -202,6 +202,15 @@ impl Message {
         Frame { kind, payload }
     }
 
+    /// Payload length in bytes of an `Upload` carrying `d` values — the
+    /// largest frame a client legitimately sends once the model dimension is
+    /// known, so the cap a server hands [`Message::read_from`] for client
+    /// frames (saturating at `u32::MAX`, the frame header's own limit).
+    pub fn upload_payload_len(d: usize) -> u32 {
+        // u32 round, u32 worker, then the `f32s` block: u32 count + d words.
+        u32::try_from((d as u64).saturating_mul(4).saturating_add(12)).unwrap_or(u32::MAX)
+    }
+
     /// Decodes a frame back into a message.
     ///
     /// Errors (never panics) on unknown kinds, counts inconsistent with the
@@ -299,6 +308,15 @@ mod tests {
             write_round_replay(&mut got, 2, &members, &block).unwrap();
             assert_eq!(got, want, "RoundReplay, members {members:?}");
         }
+    }
+
+    #[test]
+    fn upload_payload_len_is_the_encoded_upload_payload() {
+        for d in [0usize, 1, 7, 6_370] {
+            let upload = Message::Upload { round: 3, worker: 2, data: vec![0.5; d] };
+            assert_eq!(Message::upload_payload_len(d) as usize, upload.encode().payload.len());
+        }
+        assert_eq!(Message::upload_payload_len(usize::MAX), u32::MAX);
     }
 
     #[test]

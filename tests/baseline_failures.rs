@@ -2,7 +2,7 @@
 //! defense breaks under a Byzantine majority while the two-stage protocol
 //! holds.
 
-use dpbfl::baseline::{run_sign_dp, SignDpConfig};
+use dpbfl::baseline::{run_sign_dp_with, SignDpConfig};
 use dpbfl::prelude::*;
 
 fn base(n_byz: usize) -> SimulationConfig {
@@ -83,8 +83,8 @@ fn sign_dp_baseline_fails_under_majority() {
         flip_prob: SignDpConfig::flip_prob_for_epsilon(1.0),
         seed: 5,
     };
-    let honest = run_sign_dp(&mk(0));
-    let attacked = run_sign_dp(&mk(8)); // majority
+    let honest = run_sign_dp_with(&mk(0), &Telemetry::null());
+    let attacked = run_sign_dp_with(&mk(8), &Telemetry::null()); // majority
     assert!(honest.final_accuracy > 0.35, "sign-DP should learn: {}", honest.final_accuracy);
     assert!(
         attacked.final_accuracy < honest.final_accuracy - 0.15,

@@ -203,7 +203,7 @@ fn fast_and_reference_first_stage_runs_are_byte_identical() {
         rejected: AtomicUsize::new(0),
         exact_fallbacks: AtomicUsize::new(0),
     };
-    let observed = run_with_transport(&cfg, &prep, &mut transport);
+    let observed = run_with_transport_telemetry(&cfg, &prep, &mut transport, &Telemetry::null());
     assert!(transport.exact_fallbacks.into_inner() > 0, "never reached the exact sorted fallback");
     // The decorator saw exactly the uploads the run's own first stage judged
     // (label-flip members are data members, so every upload crosses it).

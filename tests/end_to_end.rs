@@ -108,7 +108,7 @@ fn configs_and_summaries_serialize_round_trip() {
 
 #[test]
 fn prepared_runs_match_standalone_runs() {
-    // run() is run_prepared(prepare()): sharing one preparation across
+    // run() is run_prepared_telemetry(prepare()): sharing one preparation across
     // configs with equal cache keys must be bit-invisible in the results.
     let mut defended = small(4);
     defended.attack = AttackSpec::Gaussian;
@@ -119,7 +119,7 @@ fn prepared_runs_match_standalone_runs() {
     assert_eq!(PreparedRun::cache_key(&defended), PreparedRun::cache_key(&undefended));
     let prep = dpbfl::simulation::prepare(&defended);
     for cfg in [&defended, &undefended] {
-        let shared = dpbfl::simulation::run_prepared(cfg, &prep);
+        let shared = run_prepared_telemetry(cfg, &prep, &Telemetry::null());
         let standalone = dpbfl::simulation::run(cfg);
         assert_eq!(shared.final_accuracy.to_bits(), standalone.final_accuracy.to_bits());
         assert_eq!(
