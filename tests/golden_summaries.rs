@@ -3,11 +3,12 @@
 //!
 //! The defense is one pipeline (`fold_upload` → `TwoStageState::finish`);
 //! these pins hold it to the bits the repo has always produced, for every
-//! attack variant, with and without client sampling, at 1 and 4 threads. An
-//! intended change re-captures the table (a failure prints every cell's
-//! actual hash) and says why in CHANGES.md.
+//! attack variant, with and without client sampling, pooled and on-demand
+//! provisioning, at 1 and 4 threads. An intended change re-captures the
+//! table (a failure prints every cell's actual hash) and says why in
+//! CHANGES.md.
 //!
-//! The small matrix runs in the default (tier-1) test pass; the registry
+//! The small matrices run in the default (tier-1) test pass; the registry
 //! pins are `#[ignore]`d and run by CI in release:
 //! `cargo test --release -p dpbfl-harness --test golden_summaries -- --ignored`.
 
@@ -99,6 +100,33 @@ fn small_matrix_summaries_match_their_pins() {
 }
 
 #[test]
+#[rustfmt::skip]
+fn on_demand_summaries_match_their_pins() {
+    // `small` at sampling 0.6 with every sampled client rebuilt per round
+    // from its own synthesized shard: crafted Byzantine uploads, flipped
+    // on-demand Byzantine shards, the clipping protocol, and both extremes
+    // of b_c against the shard size.
+    let on_demand = |attack: &AttackSpec, edit: fn(&mut SimulationConfig)| {
+        let mut cfg = small(attack, 0.6);
+        cfg.provisioning = Provisioning::OnDemand;
+        edit(&mut cfg);
+        cfg
+    };
+    let rows = [
+        ("none", on_demand(&AttackSpec::None, |_| {}), 0x65cea8505832e47c),
+        ("gaussian", on_demand(&AttackSpec::Gaussian, |_| {}), 0x96b85de0b3179fb3),
+        ("label-flip", on_demand(&AttackSpec::LabelFlip, |_| {}), 0x6d023658896157c9),
+        ("label-flip clipped-dp", on_demand(&AttackSpec::LabelFlip, |c| c.protocol = WorkerProtocol::ClippedDp { clip: 0.2 }), 0x7d7ce6a4ffa2fbd1),
+        // b_c = 1: 16 rounds of one-example steps.
+        ("label-flip b_c=1", on_demand(&AttackSpec::LabelFlip, |c| { c.dp.batch_size = 1; c.epochs = 0.125 }), 0x29b2515f98c178bd),
+        // b_c = per_worker: every synthesized row is a batch row.
+        ("label-flip b_c=per_worker", on_demand(&AttackSpec::LabelFlip, |c| { c.per_worker = 32; c.dp.batch_size = 32; c.epochs = 4.0 }), 0x3474768475c70b13),
+    ];
+    let rows: Vec<_> = rows.into_iter().map(|(label, cfg, pin)| (format!("on-demand {label}"), cfg, pin)).collect();
+    assert_pins(&rows);
+}
+
+#[test]
 #[ignore = "reduced paper scale; run with --release -- --ignored (CI does)"]
 #[rustfmt::skip]
 fn registry_cells_match_their_pins() {
@@ -118,6 +146,10 @@ fn registry_cells_match_their_pins() {
         ("scenarios/adversary_zoo", 7, 0xf42d752c4086b573),
         ("scenarios/adversary_zoo", 8, 0x81b0e0806b66356c),
         ("scenarios/adversary_zoo", 9, 0xf42d752c4086b573),
+        // On-demand provisioning at population scale: 10⁵ and 10⁶ clients.
+        ("scale/smoke", 0, 0xd633a8013198b821),
+        ("scale/smoke", 1, 0xc5abb9685c2af3a6),
+        ("scale/million_clients", 0, 0x2399c99a54db39cf),
     ];
     let rows: Vec<_> = pins
         .iter()
