@@ -40,7 +40,7 @@ use crate::simulation::{
     SimulationConfig, WorkerProtocol,
 };
 use crate::worker::DpWorker;
-use dpbfl_data::{flip_labels, Dataset};
+use dpbfl_data::{flip_labels, sample_batch, Dataset};
 use dpbfl_nn::{accuracy, CrossEntropyLoss, Sequential};
 use dpbfl_telemetry::{RoundMetrics, Telemetry};
 use dpbfl_tensor::quant::QuantizedVec;
@@ -126,13 +126,17 @@ pub struct InProcessTransport<'a> {
     poisoned: Vec<DpWorker>,
     /// Architecture template for on-demand worker construction.
     template: Sequential,
+    /// The dataset's class prototypes, built once per run for on-demand
+    /// shards (empty when pooled).
+    prototypes: Vec<Vec<f32>>,
 }
 
 impl<'a> InProcessTransport<'a> {
     /// Builds the worker pools exactly as the pre-refactor round loop did:
     /// the model template from the init stream `seed + 0x4d0de1`, honest
     /// workers over the first `n_honest` partitions, then label-flipped
-    /// workers when the attack trains on poisoned data. `dp` must be the
+    /// workers when the attack trains on poisoned data; on-demand runs build
+    /// no worker, only the dataset's class prototypes. `dp` must be the
     /// σ-resolved worker config (see [`crate::simulation::resolve_sigma`]).
     pub fn new(
         cfg: &'a SimulationConfig,
@@ -154,7 +158,8 @@ impl<'a> InProcessTransport<'a> {
         } else {
             Vec::new()
         };
-        InProcessTransport { cfg, dp: dp.clone(), honest, poisoned, template }
+        let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };
+        InProcessTransport { cfg, dp: dp.clone(), honest, poisoned, template, prototypes }
     }
 }
 
@@ -264,7 +269,7 @@ impl InProcessTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let InProcessTransport { cfg, dp, honest, poisoned, template } = self;
+        let InProcessTransport { cfg, dp, honest, poisoned, template, prototypes } = self;
         let cfg = *cfg;
         let withheld = members.iter().map(|&m| plan_withholds(cfg, m, round));
         if cfg.provisioning == Provisioning::Pooled {
@@ -292,7 +297,8 @@ impl InProcessTransport<'_> {
                 if withhold {
                     return Collected::Dropped;
                 }
-                let mut w = on_demand_worker(cfg, template, dp, i, round, member_flips(cfg, i));
+                let flip = member_flips(cfg, i);
+                let mut w = on_demand_worker(cfg, template, dp, prototypes, i, round, flip);
                 fold(protocol_step(&mut w, params, cfg.protocol), scratch)
             })
         }
@@ -784,18 +790,100 @@ pub(crate) fn protocol_step(
 /// seed and its index — stable across rounds — while its per-round DP stream
 /// is `worker_seed(worker_seed(seed, index), round)`; momentum starts cold
 /// each participation.
+///
+/// Both call sites (the in-process transport and the serving client) step
+/// the worker exactly once and drop it, so the shard holds pixels only for
+/// the rows that one step reads: its batch is the first draw of the DP
+/// stream (`sample_batch` opens [`DpWorker::local_step`] and
+/// [`DpWorker::clipped_dp_step`] alike), drawn here from a copy of the
+/// stream before the shard exists. Every other row is zero; every label is
+/// present. `prototypes` is `cfg.dataset.prototypes()`, built once per run.
 pub(crate) fn on_demand_worker(
     cfg: &SimulationConfig,
     model: &Sequential,
     dp: &DpSgdConfig,
+    prototypes: &[Vec<f32>],
     index: usize,
     round: usize,
     flip: bool,
 ) -> DpWorker {
     let data_seed = worker_seed(cfg.seed.wrapping_add(0xda7a), index);
-    let mut data = cfg.dataset.generate(cfg.per_worker, data_seed);
+    let dp_seed = worker_seed(worker_seed(cfg.seed, index), round);
+    let batch = sample_batch(&mut StdRng::seed_from_u64(dp_seed), cfg.per_worker, dp.batch_size);
+    let mut data =
+        cfg.dataset.generate_rows(prototypes, cfg.per_worker, data_seed, |i| batch.contains(&i));
     if flip {
         flip_labels(&mut data);
     }
-    DpWorker::new(model.clone(), data, dp.clone(), worker_seed(worker_seed(cfg.seed, index), round))
+    DpWorker::new(model.clone(), data, dp.clone(), dp_seed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attack::AttackSpec;
+    use crate::simulation::ModelKind;
+    use dpbfl_data::SyntheticSpec;
+
+    /// A label-flip on-demand config (6 honest + 2 Byzantine clients, 64
+    /// examples each) at batch size `b_c`, and its model template.
+    fn on_demand_cfg(b_c: usize) -> (SimulationConfig, Sequential) {
+        let mut cfg =
+            SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
+        cfg.per_worker = 64;
+        cfg.n_honest = 6;
+        cfg.n_byzantine = 2;
+        cfg.attack = AttackSpec::LabelFlip;
+        cfg.provisioning = Provisioning::OnDemand;
+        cfg.dp.batch_size = b_c;
+        cfg.dp.noise_multiplier = 0.5;
+        let template = init_model(&cfg);
+        (cfg, template)
+    }
+
+    /// The worker `on_demand_worker` stood for before its shard went lazy:
+    /// every row synthesized.
+    fn eager_worker(cfg: &SimulationConfig, template: &Sequential, i: usize, t: usize) -> DpWorker {
+        let mut data =
+            cfg.dataset.generate(cfg.per_worker, worker_seed(cfg.seed.wrapping_add(0xda7a), i));
+        if member_flips(cfg, i) {
+            flip_labels(&mut data);
+        }
+        let seed = worker_seed(worker_seed(cfg.seed, i), t);
+        DpWorker::new(template.clone(), data, cfg.dp.clone(), seed)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn on_demand_first_step_matches_a_worker_over_the_eager_shard() {
+        for b_c in [1, 16, 64] {
+            let (cfg, template) = on_demand_cfg(b_c);
+            let prototypes = cfg.dataset.prototypes();
+            let params = template.params();
+            // Honest and flipped clients, over several rounds.
+            for (i, t) in [(0, 0), (3, 5), (6, 1), (7, 9)] {
+                let lazy = || {
+                    let flip = member_flips(&cfg, i);
+                    on_demand_worker(&cfg, &template, &cfg.dp, &prototypes, i, t, flip)
+                };
+                let eager = || eager_worker(&cfg, &template, i, t);
+                assert_eq!(lazy().data().labels, eager().data().labels, "b_c {b_c}, client {i}");
+                let (got, want) = (lazy().local_step(&params), eager().local_step(&params));
+                assert_eq!(bits(&got), bits(&want), "local_step, b_c {b_c}, client {i}");
+                let (got, want) =
+                    (lazy().clipped_dp_step(&params, 0.5), eager().clipped_dp_step(&params, 0.5));
+                assert_eq!(bits(&got), bits(&want), "clipped_dp_step, b_c {b_c}, client {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than population")]
+    fn on_demand_shard_smaller_than_the_batch_fails_loudly() {
+        let (cfg, template) = on_demand_cfg(65);
+        on_demand_worker(&cfg, &template, &cfg.dp, &cfg.dataset.prototypes(), 0, 0, false);
+    }
 }

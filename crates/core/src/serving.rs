@@ -1010,6 +1010,7 @@ fn run_session(
         }
         state.pool_built = true;
     }
+    let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };
 
     loop {
         let msg = Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN)
@@ -1074,6 +1075,7 @@ fn run_session(
                             &cfg,
                             &template,
                             &dp,
+                            &prototypes,
                             m as usize,
                             r,
                             member_flips(&cfg, m as usize),
@@ -1218,6 +1220,30 @@ mod tests {
         assert_eq!(report.clients, 2);
         assert!(report.p50_round_ms <= report.p99_round_ms);
         // Every client received the same summary the server computed.
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
+    fn on_demand_tcp_loopback_run_is_byte_identical_to_in_process() {
+        // Sampled clients rebuilt per round from their own synthesized
+        // shards — the flipped Byzantine ones included — on the client side
+        // of the wire, against the in-process transport's rebuild.
+        let mut cfg = serving_cfg();
+        cfg.provisioning = Provisioning::OnDemand;
+        cfg.sampling = 0.6;
+        let expected = summary_json(&run(&cfg));
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 1, 2], vec![3, 4, 5]],
+            vec![ClientOptions::default(), ClientOptions::default()],
+        );
+        assert_eq!(summary_json(&result), expected, "on-demand tcp serving ≠ in-process");
+        assert_eq!(report.dropped_uploads, 0);
+        assert_eq!(report.rounds, cfg.iterations());
         for s in client_summaries {
             assert_eq!(s, expected, "published summary differs");
         }

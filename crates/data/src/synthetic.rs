@@ -17,6 +17,14 @@
 //! The `kmnist_like` generator draws prototypes from an independent seed
 //! family: same data *shape*, different data *space* `X'` — the supp. Table 17
 //! out-of-distribution auxiliary-data experiment.
+//!
+//! Prototypes are a pure function of the spec, so a run that synthesizes
+//! many shards builds them once ([`SyntheticSpec::prototypes`]) and passes
+//! them to [`SyntheticSpec::generate_rows`]. That loop draws every example's
+//! class, noise grid and brightness — the stream is the same however many
+//! rows are built — but upsamples and mixes pixels only for the requested
+//! rows: an on-demand client materializes just the `b_c` rows its one local
+//! step samples.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -170,24 +178,48 @@ impl SyntheticSpec {
     /// same spec share one ground-truth structure — exactly like drawing more
     /// samples from a fixed real-world distribution.
     pub fn generate(&self, n: usize, seed: u64) -> Dataset {
-        let prototypes = self.prototypes();
+        self.generate_rows(&self.prototypes(), n, seed, |_| true)
+    }
+
+    /// The synthesis loop behind [`SyntheticSpec::generate`], building pixels
+    /// only for the rows `build_row` selects.
+    ///
+    /// Every example still draws its class, its noise grid and its
+    /// brightness, so the stream never moves: a built row is bit-identical
+    /// to the same row of `generate(n, seed)`, every label is present, and
+    /// a row not built stays zero. `prototypes` must be
+    /// [`SyntheticSpec::prototypes`] of this spec — a pure function of the
+    /// spec, so a caller synthesizing many shards builds it once.
+    pub fn generate_rows(
+        &self,
+        prototypes: &[Vec<f32>],
+        n: usize,
+        seed: u64,
+        build_row: impl Fn(usize) -> bool,
+    ) -> Dataset {
+        debug_assert_eq!(prototypes.len(), self.num_classes);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let example_len = self.example_len();
-        let mut features = Vec::with_capacity(n * example_len);
+        let mut features = vec![0.0f32; n * example_len];
         let mut labels = Vec::with_capacity(n);
-        let mut noise_field = vec![0.0f32; example_len];
-        for _ in 0..n {
+        let mut grids = vec![0.0f32; self.grids_len()];
+        for i in 0..n {
             let class = rng.gen_range(0..self.num_classes);
             labels.push(class);
-            self.smooth_field(&mut rng, &mut noise_field);
+            self.draw_grids(&mut rng, &mut grids);
             let brightness: f32 = rng.gen_range(-0.08..0.08);
-            let proto = &prototypes[class];
-            for (&p, &z) in proto.iter().zip(noise_field.iter()) {
-                let mut v = self.signal_mix * p + (1.0 - self.signal_mix) * z + brightness;
+            if !build_row(i) {
+                continue;
+            }
+            // The row holds the noise field, then the example mixed over it.
+            let row = &mut features[i * example_len..(i + 1) * example_len];
+            self.upsample_grids(&grids, row);
+            for (v, &p) in row.iter_mut().zip(&prototypes[class]) {
+                let mut x = self.signal_mix * p + (1.0 - self.signal_mix) * *v + brightness;
                 if self.invert {
-                    v = 1.0 - v;
+                    x = 1.0 - x;
                 }
-                features.push(v.clamp(0.0, 1.0));
+                *v = x.clamp(0.0, 1.0);
             }
         }
         Dataset::new(self.name.clone(), features, labels, example_len, self.num_classes)
@@ -217,19 +249,37 @@ impl SyntheticSpec {
             .collect()
     }
 
+    /// Floats of randomness behind one smooth field: a `proto_grid ×
+    /// proto_grid` grid per channel.
+    fn grids_len(&self) -> usize {
+        self.channels * self.proto_grid * self.proto_grid
+    }
+
+    /// Draws one smooth field's grids, channel after channel, uniform in
+    /// [0, 1).
+    fn draw_grids<R: Rng + ?Sized>(&self, rng: &mut R, grids: &mut [f32]) {
+        for v in grids {
+            *v = rng.gen_range(0.0..1.0);
+        }
+    }
+
+    /// Fills `out` with the smooth field `grids` describe: each channel's
+    /// grid bilinearly upsampled into its plane.
+    fn upsample_grids(&self, grids: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.example_len());
+        let (g, hw) = (self.proto_grid, self.height * self.width);
+        for c in 0..self.channels {
+            let grid = &grids[c * g * g..(c + 1) * g * g];
+            bilinear_upsample(grid, g, g, &mut out[c * hw..(c + 1) * hw], self.height, self.width);
+        }
+    }
+
     /// Fills `out` with a smooth random field in [0, 1]: a `proto_grid ×
     /// proto_grid` uniform grid per channel, bilinearly upsampled.
     fn smooth_field<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.example_len());
-        let g = self.proto_grid;
-        let mut grid = vec![0.0f32; g * g];
-        for c in 0..self.channels {
-            for v in &mut grid {
-                *v = rng.gen_range(0.0..1.0);
-            }
-            let plane = &mut out[c * self.height * self.width..(c + 1) * self.height * self.width];
-            bilinear_upsample(&grid, g, g, plane, self.height, self.width);
-        }
+        let mut grids = vec![0.0f32; self.grids_len()];
+        self.draw_grids(rng, &mut grids);
+        self.upsample_grids(&grids, out);
     }
 }
 
@@ -238,22 +288,25 @@ impl SyntheticSpec {
 pub fn bilinear_upsample(src: &[f32], sh: usize, sw: usize, dst: &mut [f32], dh: usize, dw: usize) {
     debug_assert_eq!(src.len(), sh * sw);
     debug_assert_eq!(dst.len(), dh * dw);
+    // Map destination pixel centers onto the source grid. The column terms
+    // depend only on x, so they are computed once, not once per row.
+    let columns: Vec<(usize, usize, f32)> = (0..dw)
+        .map(|x| {
+            let fx = if dw == 1 { 0.0 } else { x as f32 * (sw - 1) as f32 / (dw - 1) as f32 };
+            let x0 = fx.floor() as usize;
+            (x0, (x0 + 1).min(sw - 1), fx - x0 as f32)
+        })
+        .collect();
     for y in 0..dh {
-        // Map destination pixel centers onto the source grid.
         let fy = if dh == 1 { 0.0 } else { y as f32 * (sh - 1) as f32 / (dh - 1) as f32 };
         let y0 = fy.floor() as usize;
         let y1 = (y0 + 1).min(sh - 1);
         let ty = fy - y0 as f32;
-        for x in 0..dw {
-            let fx = if dw == 1 { 0.0 } else { x as f32 * (sw - 1) as f32 / (dw - 1) as f32 };
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(sw - 1);
-            let tx = fx - x0 as f32;
-            let a = src[y0 * sw + x0];
-            let b = src[y0 * sw + x1];
-            let c = src[y1 * sw + x0];
-            let d = src[y1 * sw + x1];
-            dst[y * dw + x] = a * (1.0 - ty) * (1.0 - tx)
+        let (top, bottom) = (&src[y0 * sw..(y0 + 1) * sw], &src[y1 * sw..(y1 + 1) * sw]);
+        let out = &mut dst[y * dw..(y + 1) * dw];
+        for (o, &(x0, x1, tx)) in out.iter_mut().zip(&columns) {
+            let (a, b, c, d) = (top[x0], top[x1], bottom[x0], bottom[x1]);
+            *o = a * (1.0 - ty) * (1.0 - tx)
                 + b * (1.0 - ty) * tx
                 + c * ty * (1.0 - tx)
                 + d * ty * tx;
@@ -264,6 +317,151 @@ pub fn bilinear_upsample(src: &[f32], sh: usize, sw: usize, dst: &mut [f32], dh:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eager synthesis this module held before
+    /// [`SyntheticSpec::generate_rows`], verbatim down to its prototypes,
+    /// smooth field and per-pixel bilinear upsample: every row built,
+    /// prototypes recomputed per call. The oracle for the lazy loop.
+    fn eager_generate(spec: &SyntheticSpec, n: usize, seed: u64) -> Dataset {
+        let prototypes = eager_prototypes(spec);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+        let example_len = spec.example_len();
+        let mut features = Vec::with_capacity(n * example_len);
+        let mut labels = Vec::with_capacity(n);
+        let mut noise_field = vec![0.0f32; example_len];
+        for _ in 0..n {
+            let class = rng.gen_range(0..spec.num_classes);
+            labels.push(class);
+            eager_smooth_field(spec, &mut rng, &mut noise_field);
+            let brightness: f32 = rng.gen_range(-0.08..0.08);
+            let proto = &prototypes[class];
+            for (&p, &z) in proto.iter().zip(noise_field.iter()) {
+                let mut v = spec.signal_mix * p + (1.0 - spec.signal_mix) * z + brightness;
+                if spec.invert {
+                    v = 1.0 - v;
+                }
+                features.push(v.clamp(0.0, 1.0));
+            }
+        }
+        Dataset::new(spec.name.clone(), features, labels, example_len, spec.num_classes)
+    }
+
+    fn eager_prototypes(spec: &SyntheticSpec) -> Vec<Vec<f32>> {
+        let mut base_rng = StdRng::seed_from_u64(
+            spec.proto_salt.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(0xba5e),
+        );
+        let mut base = vec![0.0f32; spec.example_len()];
+        eager_smooth_field(spec, &mut base_rng, &mut base);
+        (0..spec.num_classes)
+            .map(|c| {
+                let mut rng = StdRng::seed_from_u64(
+                    spec.proto_salt.wrapping_mul(0x100000001b3).wrapping_add(c as u64),
+                );
+                let mut out = vec![0.0f32; spec.example_len()];
+                eager_smooth_field(spec, &mut rng, &mut out);
+                for (o, &b) in out.iter_mut().zip(&base) {
+                    *o = (1.0 - spec.class_sep) * b + spec.class_sep * *o;
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn eager_smooth_field<R: Rng + ?Sized>(spec: &SyntheticSpec, rng: &mut R, out: &mut [f32]) {
+        let g = spec.proto_grid;
+        let mut grid = vec![0.0f32; g * g];
+        for c in 0..spec.channels {
+            for v in &mut grid {
+                *v = rng.gen_range(0.0..1.0);
+            }
+            let plane = &mut out[c * spec.height * spec.width..(c + 1) * spec.height * spec.width];
+            per_pixel_bilinear_upsample(&grid, g, g, plane, spec.height, spec.width);
+        }
+    }
+
+    /// [`bilinear_upsample`] before its column terms were hoisted out of the
+    /// row loop, verbatim.
+    fn per_pixel_bilinear_upsample(
+        src: &[f32],
+        sh: usize,
+        sw: usize,
+        dst: &mut [f32],
+        dh: usize,
+        dw: usize,
+    ) {
+        for y in 0..dh {
+            let fy = if dh == 1 { 0.0 } else { y as f32 * (sh - 1) as f32 / (dh - 1) as f32 };
+            let y0 = fy.floor() as usize;
+            let y1 = (y0 + 1).min(sh - 1);
+            let ty = fy - y0 as f32;
+            for x in 0..dw {
+                let fx = if dw == 1 { 0.0 } else { x as f32 * (sw - 1) as f32 / (dw - 1) as f32 };
+                let x0 = fx.floor() as usize;
+                let x1 = (x0 + 1).min(sw - 1);
+                let tx = fx - x0 as f32;
+                let a = src[y0 * sw + x0];
+                let b = src[y0 * sw + x1];
+                let c = src[y1 * sw + x0];
+                let d = src[y1 * sw + x1];
+                dst[y * dw + x] = a * (1.0 - ty) * (1.0 - tx)
+                    + b * (1.0 - ty) * tx
+                    + c * ty * (1.0 - tx)
+                    + d * ty * tx;
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn generate_matches_eager_oracle_bitwise() {
+        for name in SyntheticSpec::family_names() {
+            let spec = SyntheticSpec::by_name(name).expect("known family");
+            let (lazy, eager) = (spec.generate(24, 9), eager_generate(&spec, 24, 9));
+            assert_eq!(bits(&lazy.features), bits(&eager.features), "{name}");
+            assert_eq!(lazy.labels, eager.labels, "{name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn generate_rows_builds_exactly_the_requested_rows(
+            family in 0usize..5,
+            seed in 0u64..u64::MAX,
+            requested in prop::collection::vec(0u8..2, 0..40),
+        ) {
+            let spec = SyntheticSpec::by_name(SyntheticSpec::family_names()[family]).unwrap();
+            let n = requested.len();
+            let lazy = spec.generate_rows(&spec.prototypes(), n, seed, |i| requested[i] == 1);
+            let eager = eager_generate(&spec, n, seed);
+            prop_assert_eq!(&lazy.labels, &eager.labels);
+            for (i, &wanted) in requested.iter().enumerate() {
+                let want = if wanted == 1 { bits(eager.example(i)) } else { vec![0; spec.example_len()] };
+                prop_assert_eq!(bits(lazy.example(i)), want, "row {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn bilinear_upsample_matches_per_pixel_oracle_bitwise() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let sides = [1usize, 2, 3, 4, 5, 7, 8];
+        let targets = [1usize, 2, 3, 5, 16, 28, 32];
+        for (&sh, &sw) in sides.iter().flat_map(|h| sides.iter().map(move |w| (h, w))) {
+            let src: Vec<f32> = (0..sh * sw).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for (&dh, &dw) in targets.iter().flat_map(|h| targets.iter().map(move |w| (h, w))) {
+                let (mut got, mut want) = (vec![0.0f32; dh * dw], vec![0.0f32; dh * dw]);
+                bilinear_upsample(&src, sh, sw, &mut got, dh, dw);
+                per_pixel_bilinear_upsample(&src, sh, sw, &mut want, dh, dw);
+                assert_eq!(bits(&got), bits(&want), "{sh}×{sw} → {dh}×{dw}");
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic_per_seed() {
