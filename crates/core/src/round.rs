@@ -841,8 +841,8 @@ mod tests {
         (cfg, template)
     }
 
-    /// The worker `on_demand_worker` stood for before its shard went lazy:
-    /// every row synthesized.
+    /// The oracle for `on_demand_worker`: the same client and round over
+    /// the eager shard, every row synthesized.
     fn eager_worker(cfg: &SimulationConfig, template: &Sequential, i: usize, t: usize) -> DpWorker {
         let mut data =
             cfg.dataset.generate(cfg.per_worker, worker_seed(cfg.seed.wrapping_add(0xda7a), i));
