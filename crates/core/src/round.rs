@@ -145,16 +145,12 @@ impl<'a> InProcessTransport<'a> {
     ) -> Self {
         let template = init_model(cfg);
         let pooled = cfg.provisioning == Provisioning::Pooled;
-        let (train, parts) = (&prep.train, &prep.parts);
-        let honest: Vec<DpWorker> = if pooled {
-            (0..cfg.n_honest).map(|i| data_worker(cfg, train, parts, dp, &template, i)).collect()
-        } else {
-            Vec::new()
-        };
+        let worker =
+            |i: usize| data_worker(cfg, prep.train.subset(&prep.parts[i]), dp, &template, i);
+        let honest: Vec<DpWorker> =
+            if pooled { (0..cfg.n_honest).map(worker).collect() } else { Vec::new() };
         let poisoned: Vec<DpWorker> = if pooled && cfg.attack.needs_poisoned_workers() {
-            (cfg.n_honest..cfg.n_honest + cfg.n_byzantine)
-                .map(|i| data_worker(cfg, train, parts, dp, &template, i))
-                .collect()
+            (cfg.n_honest..cfg.n_honest + cfg.n_byzantine).map(worker).collect()
         } else {
             Vec::new()
         };
@@ -180,20 +176,19 @@ pub(crate) fn member_flips(cfg: &SimulationConfig, index: usize) -> bool {
     index >= cfg.n_honest && cfg.attack.byzantine_data() == ByzantineData::Flipped
 }
 
-/// Builds the long-lived worker of global index `index` from the pooled
-/// training partition: honest below `n_honest`, label-flipped above (when
-/// the attack poisons its members' data — see [`member_flips`]). The
-/// single construction site shared by [`InProcessTransport`] and the remote
-/// client — both sides build bit-identical workers from `(cfg, prep)`.
+/// Builds the long-lived worker of global index `index` from its pooled
+/// training shard: honest below `n_honest`, label-flipped above (when the
+/// attack poisons its members' data — see [`member_flips`]). The single
+/// construction site shared by [`InProcessTransport`] (shards cut from
+/// `prep.train`) and the remote client (shards from
+/// [`crate::simulation::pooled_shards`]) — both build bit-identical workers.
 pub(crate) fn data_worker(
     cfg: &SimulationConfig,
-    train: &Dataset,
-    parts: &[Vec<usize>],
+    mut data: Dataset,
     dp: &DpSgdConfig,
     template: &Sequential,
     index: usize,
 ) -> DpWorker {
-    let mut data = train.subset(&parts[index]);
     if member_flips(cfg, index) {
         flip_labels(&mut data);
     }

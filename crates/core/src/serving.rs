@@ -58,15 +58,15 @@ use crate::round::{
     UploadFold,
 };
 use crate::simulation::{
-    calibrated_dp, data_worker_count, prepare, run_with_transport_telemetry, Provisioning,
-    RunResult, RunSummary, SimulationConfig,
+    calibrated_dp, data_worker_count, pooled_shards, prepare, run_with_transport_telemetry,
+    Provisioning, RunResult, RunSummary, SimulationConfig,
 };
 use crate::worker::DpWorker;
 use dpbfl_telemetry::Telemetry;
 use dpbfl_transport::frame::{read_handshake, write_handshake, DEFAULT_MAX_FRAME_LEN};
 use dpbfl_transport::{write_round_begin, write_round_replay, Message, ParamsBlock};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -925,9 +925,10 @@ struct ClientState {
 /// them from the `Welcome` config, answer every `RoundBegin`, and return the
 /// server's final `RunSummary` JSON.
 ///
-/// The client rebuilds its workers through the *same* construction path as
-/// the in-process pools ([`prepare`] + the shared worker builder), so the
-/// upload bytes it sends are exactly the bytes an in-process run would fold.
+/// The client rebuilds its workers through the *same* worker builder as the
+/// in-process pools, over its own workers' shards synthesized bit-identical
+/// to [`prepare`]'s, so the upload bytes it sends are exactly the bytes an
+/// in-process run would fold.
 ///
 /// Connect, handshake, claim-rejection, and mid-run stream errors retry
 /// under [`ClientOptions`]' capped exponential backoff. Worker state
@@ -1000,14 +1001,15 @@ fn run_session(
     let template = init_model(&cfg);
     let pooled = cfg.provisioning == Provisioning::Pooled;
     if pooled && !state.pool_built {
-        let prep = prepare(&cfg);
         let n_data = data_worker_count(&cfg);
-        for &w in workers {
-            if w >= n_data {
-                return Err(format!("worker {w} is not a data-holding index of this config"));
-            }
-            state.pool.insert(w, data_worker(&cfg, &prep.train, &prep.parts, &dp, &template, w));
+        if let Some(w) = workers.iter().find(|&&w| w >= n_data) {
+            return Err(format!("worker {w} is not a data-holding index of this config"));
         }
+        let claim: BTreeSet<usize> = workers.iter().copied().collect();
+        state.pool = pooled_shards(&cfg, &claim)
+            .into_iter()
+            .map(|(w, shard)| (w, data_worker(&cfg, shard, &dp, &template, w)))
+            .collect();
         state.pool_built = true;
     }
     let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };

@@ -22,6 +22,7 @@ use dpbfl_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which network architecture the run trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -413,7 +414,7 @@ pub(crate) fn data_worker_count(cfg: &SimulationConfig) -> usize {
 /// Synthesizes and partitions the run's data (the expensive, model-free
 /// prefix of [`run`]).
 pub fn prepare(cfg: &SimulationConfig) -> PreparedRun {
-    let mut master = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15));
+    let mut master = master_rng(cfg);
     let n_data_workers = data_worker_count(cfg);
     let (train, parts) = if cfg.provisioning == Provisioning::OnDemand {
         // No pooled set exists: clients synthesize shards on demand, so the
@@ -422,11 +423,7 @@ pub fn prepare(cfg: &SimulationConfig) -> PreparedRun {
         (cfg.dataset.generate(0, cfg.seed), Vec::new())
     } else {
         let train = cfg.dataset.generate(n_data_workers * cfg.per_worker, cfg.seed);
-        let parts = if cfg.iid {
-            iid_partition(&mut master, train.len(), n_data_workers)
-        } else {
-            non_iid_partition(&mut master, &train.labels, train.num_classes, n_data_workers)
-        };
+        let parts = partition(cfg, &mut master, &train.labels);
         (train, parts)
     };
     let test = cfg.dataset.generate(cfg.test_count, cfg.seed.wrapping_add(0x7e57));
@@ -435,6 +432,60 @@ pub fn prepare(cfg: &SimulationConfig) -> PreparedRun {
         cfg.seed.wrapping_add(0xa0c),
     );
     PreparedRun { train, parts, test, validation, master, n_data_workers }
+}
+
+/// The run's master stream, before [`prepare`] draws from it.
+fn master_rng(cfg: &SimulationConfig) -> StdRng {
+    StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15))
+}
+
+/// Deals the pooled training set of `labels` to the data-holding workers:
+/// the first draws of the master stream.
+fn partition(cfg: &SimulationConfig, master: &mut StdRng, labels: &[usize]) -> Vec<Vec<usize>> {
+    let n_data_workers = data_worker_count(cfg);
+    if cfg.iid {
+        iid_partition(master, labels.len(), n_data_workers)
+    } else {
+        non_iid_partition(master, labels, cfg.dataset.num_classes, n_data_workers)
+    }
+}
+
+/// The pooled training shards of `workers` alone, each bit-identical to
+/// `prepare(cfg).train.subset(&parts[w])`: every example's stream is drawn
+/// (the partition needs all labels), but only these workers' pixels are
+/// built, straight into their shards. A serving client holds its own
+/// workers' data and nothing else.
+///
+/// # Panics
+/// If a worker is not a data-holding index of `cfg`.
+pub(crate) fn pooled_shards(
+    cfg: &SimulationConfig,
+    workers: &BTreeSet<usize>,
+) -> BTreeMap<usize, Dataset> {
+    let spec = &cfg.dataset;
+    let n = data_worker_count(cfg) * cfg.per_worker;
+    let prototypes = spec.prototypes();
+    let labels = spec.synthesize(&prototypes, cfg.seed, (0..n).map(|_| None));
+    let parts = partition(cfg, &mut master_rng(cfg), &labels);
+    let example_len = spec.example_len();
+    let mut features: Vec<Vec<f32>> =
+        workers.iter().map(|&w| vec![0.0; parts[w].len() * example_len]).collect();
+    let mut rows: Vec<Option<&mut [f32]>> = labels.iter().map(|_| None).collect();
+    for (shard, &w) in features.iter_mut().zip(workers) {
+        for (row, &i) in shard.chunks_mut(example_len).zip(&parts[w]) {
+            rows[i] = Some(row);
+        }
+    }
+    spec.synthesize(&prototypes, cfg.seed, rows);
+    let (name, classes) = (&spec.name, spec.num_classes);
+    workers
+        .iter()
+        .zip(features)
+        .map(|(&w, features)| {
+            let shard_labels = parts[w].iter().map(|&i| labels[i]).collect();
+            (w, Dataset::new(name.clone(), features, shard_labels, example_len, classes))
+        })
+        .collect()
 }
 
 /// The round's participating cohort: global worker indices, sorted ascending.
@@ -689,6 +740,26 @@ mod tests {
         cfg.epsilon = None;
         cfg.dp.noise_multiplier = 0.5;
         cfg
+    }
+
+    #[test]
+    fn pooled_shards_match_the_prepared_partition_bitwise() {
+        let bits = |d: &Dataset| d.features.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for iid in [true, false] {
+            let mut cfg = quick_cfg();
+            cfg.n_honest = 5;
+            cfg.per_worker = 40;
+            cfg.iid = iid;
+            let prep = prepare(&cfg);
+            let claim: BTreeSet<usize> = [0, 3, 4].into();
+            let shards = pooled_shards(&cfg, &claim);
+            assert_eq!(shards.keys().copied().collect::<BTreeSet<_>>(), claim);
+            for (&w, shard) in &shards {
+                let want = prep.train.subset(&prep.parts[w]);
+                assert_eq!(bits(shard), bits(&want), "iid {iid}, worker {w}");
+                assert_eq!(shard.labels, want.labels, "iid {iid}, worker {w}");
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //!
 //! Prototypes are a pure function of the spec, so a run that synthesizes
 //! many shards builds them once ([`SyntheticSpec::prototypes`]) and passes
-//! them to [`SyntheticSpec::generate_rows`]. That loop draws every example's
+//! them to [`SyntheticSpec::synthesize`]. That loop draws every example's
 //! class, noise grid and brightness — the stream is the same however many
-//! rows are built — but upsamples and mixes pixels only for the requested
-//! rows: an on-demand client materializes just the `b_c` rows its one local
-//! step samples.
+//! rows are built — but upsamples and mixes pixels only for the rows the
+//! caller gives it somewhere to land: an on-demand client materializes just
+//! the `b_c` rows its one local step samples, and a serving client just its
+//! own workers' shards.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -181,15 +182,9 @@ impl SyntheticSpec {
         self.generate_rows(&self.prototypes(), n, seed, |_| true)
     }
 
-    /// The synthesis loop behind [`SyntheticSpec::generate`], building pixels
-    /// only for the rows `build_row` selects.
-    ///
-    /// Every example still draws its class, its noise grid and its
-    /// brightness, so the stream never moves: a built row is bit-identical
-    /// to the same row of `generate(n, seed)`, every label is present, and
-    /// a row not built stays zero. `prototypes` must be
-    /// [`SyntheticSpec::prototypes`] of this spec — a pure function of the
-    /// spec, so a caller synthesizing many shards builds it once.
+    /// [`SyntheticSpec::generate`] with pixels built only for the rows
+    /// `build_row` selects: every label is present, a row not built stays
+    /// zero. `prototypes` must be [`SyntheticSpec::prototypes`] of this spec.
     pub fn generate_rows(
         &self,
         prototypes: &[Vec<f32>],
@@ -197,22 +192,42 @@ impl SyntheticSpec {
         seed: u64,
         build_row: impl Fn(usize) -> bool,
     ) -> Dataset {
-        debug_assert_eq!(prototypes.len(), self.num_classes);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let example_len = self.example_len();
         let mut features = vec![0.0f32; n * example_len];
-        let mut labels = Vec::with_capacity(n);
+        let rows = features.chunks_mut(example_len).enumerate();
+        let labels =
+            self.synthesize(prototypes, seed, rows.map(|(i, row)| build_row(i).then_some(row)));
+        Dataset::new(self.name.clone(), features, labels, example_len, self.num_classes)
+    }
+
+    /// The synthesis loop behind every generator: draws one example per item
+    /// of `rows`, in order, builds its pixels into the item's row when it
+    /// has one, and returns every example's label.
+    ///
+    /// Every example still draws its class, its noise grid and its
+    /// brightness, so the stream never moves: the row built for example `i`
+    /// is bit-identical to row `i` of `generate(n, seed)`, wherever it lands
+    /// and whatever the other items ask for. `prototypes` must be
+    /// [`SyntheticSpec::prototypes`] of this spec — a pure function of the
+    /// spec, so a caller synthesizing many shards builds it once.
+    pub fn synthesize<'a>(
+        &self,
+        prototypes: &[Vec<f32>],
+        seed: u64,
+        rows: impl IntoIterator<Item = Option<&'a mut [f32]>>,
+    ) -> Vec<usize> {
+        debug_assert_eq!(prototypes.len(), self.num_classes);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+        let rows = rows.into_iter();
+        let mut labels = Vec::with_capacity(rows.size_hint().0);
         let mut grids = vec![0.0f32; self.grids_len()];
-        for i in 0..n {
+        for row in rows {
             let class = rng.gen_range(0..self.num_classes);
             labels.push(class);
             self.draw_grids(&mut rng, &mut grids);
             let brightness: f32 = rng.gen_range(-0.08..0.08);
-            if !build_row(i) {
-                continue;
-            }
+            let Some(row) = row else { continue };
             // The row holds the noise field, then the example mixed over it.
-            let row = &mut features[i * example_len..(i + 1) * example_len];
             self.upsample_grids(&grids, row);
             for (v, &p) in row.iter_mut().zip(&prototypes[class]) {
                 let mut x = self.signal_mix * p + (1.0 - self.signal_mix) * *v + brightness;
@@ -222,7 +237,7 @@ impl SyntheticSpec {
                 *v = x.clamp(0.0, 1.0);
             }
         }
-        Dataset::new(self.name.clone(), features, labels, example_len, self.num_classes)
+        labels
     }
 
     /// The class prototype images (deterministic per spec): each class
