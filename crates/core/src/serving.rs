@@ -1228,6 +1228,29 @@ mod tests {
     }
 
     #[test]
+    fn non_iid_tcp_loopback_run_is_byte_identical_to_in_process() {
+        // Algorithm 4's uneven class mixes: each client deals the partition
+        // for itself and builds only its claim's shards — interleaved
+        // claims, the flipped Byzantine workers split across both — against
+        // the in-process pool.
+        let mut cfg = serving_cfg();
+        cfg.iid = false;
+        let expected = summary_json(&run(&cfg));
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 2, 4], vec![1, 3, 5]],
+            vec![ClientOptions::default(), ClientOptions::default()],
+        );
+        assert_eq!(summary_json(&result), expected, "non-iid tcp serving ≠ in-process");
+        assert_eq!(report.dropped_uploads, 0);
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
     fn on_demand_tcp_loopback_run_is_byte_identical_to_in_process() {
         // Sampled clients rebuilt per round from their own synthesized
         // shards — the flipped Byzantine ones included — on the client side

@@ -742,22 +742,71 @@ mod tests {
         cfg
     }
 
+    /// The oracle for a pooled worker's data: the eager route, written out.
+    /// Synthesize the whole pooled training set, deal it on the master
+    /// stream, cut each data worker's shard out of it, and flip the labels of
+    /// the Byzantine ones. Returns the workers' data and the master stream
+    /// after the deal.
+    fn eager_worker_data(cfg: &SimulationConfig) -> (Vec<Dataset>, StdRng) {
+        let poisoned = if cfg.attack.needs_poisoned_workers() { cfg.n_byzantine } else { 0 };
+        let n_data = cfg.n_honest + poisoned;
+        let train = cfg.dataset.generate(n_data * cfg.per_worker, cfg.seed);
+        let mut master = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15));
+        let parts = if cfg.iid {
+            iid_partition(&mut master, train.len(), n_data)
+        } else {
+            non_iid_partition(&mut master, &train.labels, cfg.dataset.num_classes, n_data)
+        };
+        let data = parts
+            .iter()
+            .enumerate()
+            .map(|(w, part)| {
+                let mut shard = train.subset(part);
+                if w >= cfg.n_honest {
+                    dpbfl_data::flip_labels(&mut shard);
+                }
+                shard
+            })
+            .collect();
+        (data, master)
+    }
+
     #[test]
-    fn pooled_shards_match_the_prepared_partition_bitwise() {
+    fn pooled_workers_and_the_master_stream_match_the_eager_route_bitwise() {
+        use rand::RngCore;
         let bits = |d: &Dataset| d.features.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for iid in [true, false] {
-            let mut cfg = quick_cfg();
-            cfg.n_honest = 5;
-            cfg.per_worker = 40;
-            cfg.iid = iid;
-            let prep = prepare(&cfg);
-            let claim: BTreeSet<usize> = [0, 3, 4].into();
-            let shards = pooled_shards(&cfg, &claim);
-            assert_eq!(shards.keys().copied().collect::<BTreeSet<_>>(), claim);
-            for (&w, shard) in &shards {
-                let want = prep.train.subset(&prep.parts[w]);
-                assert_eq!(bits(shard), bits(&want), "iid {iid}, worker {w}");
-                assert_eq!(shard.labels, want.labels, "iid {iid}, worker {w}");
+            for flipped in [false, true] {
+                let mut cfg = quick_cfg();
+                cfg.n_honest = 5;
+                cfg.per_worker = 40;
+                cfg.iid = iid;
+                if flipped {
+                    cfg.n_byzantine = 2;
+                    cfg.attack = AttackSpec::LabelFlip;
+                }
+                let case = format!("iid {iid}, flipped {flipped}");
+                let (want, mut want_master) = eager_worker_data(&cfg);
+                let prep = prepare(&cfg);
+                let template = crate::round::init_model(&cfg);
+                // Every data worker at once (the in-process pool), and a
+                // sparse claim (a serving client).
+                let every: BTreeSet<usize> = (0..want.len()).collect();
+                let sparse: BTreeSet<usize> = [1, want.len() - 1].into();
+                for claim in [every, sparse] {
+                    let shards = pooled_shards(&cfg, &claim);
+                    assert_eq!(shards.keys().copied().collect::<BTreeSet<_>>(), claim, "{case}");
+                    for (w, shard) in shards {
+                        let worker = crate::round::data_worker(&cfg, shard, &cfg.dp, &template, w);
+                        assert_eq!(bits(worker.data()), bits(&want[w]), "{case}, worker {w}");
+                        assert_eq!(worker.data().labels, want[w].labels, "{case}, worker {w}");
+                    }
+                }
+                // Auxiliary sampling resumes the master stream after the deal.
+                let mut master = prep.master.clone();
+                for draw in 0..8 {
+                    assert_eq!(master.next_u64(), want_master.next_u64(), "{case}, draw {draw}");
+                }
             }
         }
     }
