@@ -36,8 +36,8 @@ use crate::config::{DpSgdConfig, StepNormalization, UploadRetention};
 use crate::first_stage::{CheckInfo, FirstStage, FirstStageVerdict, KsScratch};
 use crate::second_stage::SecondStage;
 use crate::simulation::{
-    round_cohort, worker_seed, DefenseKind, DefenseStats, EvalPoint, Provisioning, RunSummary,
-    SimulationConfig, WorkerProtocol,
+    data_members, pooled_shards, round_cohort, worker_seed, DefenseKind, DefenseStats, EvalPoint,
+    Provisioning, RunSummary, SimulationConfig, WorkerProtocol,
 };
 use crate::worker::DpWorker;
 use dpbfl_data::{flip_labels, sample_batch, Dataset};
@@ -110,20 +110,19 @@ pub trait Transport {
     fn publish_summary(&mut self, _summary: &RunSummary) {}
 }
 
-/// The in-memory transport: owns the worker pools and steps them under
-/// rayon, folding each upload as its worker produces it.
+/// The in-memory transport: owns the worker pool and steps it under rayon,
+/// folding each upload as its worker produces it.
 ///
-/// Members are split at `n_honest` into the two pools, and each pool's
-/// slice is stepped and folded in shards (`fold_in_shards`, the
-/// determinism-critical recipe). Verdicts and scores are pure functions of
-/// the upload bits, so the merge is independent of thread count.
+/// A round's data members are stepped and folded in shards
+/// (`fold_in_shards`, the determinism-critical recipe). Verdicts and scores
+/// are pure functions of the upload bits, so the merge is independent of
+/// thread count.
 pub struct InProcessTransport<'a> {
     cfg: &'a SimulationConfig,
     dp: DpSgdConfig,
-    /// Long-lived honest workers (pooled provisioning; empty on-demand).
-    honest: Vec<DpWorker>,
-    /// Long-lived label-flipped workers (pooled + poisoning attacks only).
-    poisoned: Vec<DpWorker>,
+    /// Long-lived data workers, indexed by global worker (pooled
+    /// provisioning; empty on demand).
+    pool: Vec<DpWorker>,
     /// Architecture template for on-demand worker construction.
     template: Sequential,
     /// The dataset's class prototypes, built once per run for on-demand
@@ -132,30 +131,28 @@ pub struct InProcessTransport<'a> {
 }
 
 impl<'a> InProcessTransport<'a> {
-    /// Builds the worker pools exactly as the pre-refactor round loop did:
-    /// the model template from the init stream `seed + 0x4d0de1`, honest
-    /// workers over the first `n_honest` partitions, then label-flipped
-    /// workers when the attack trains on poisoned data; on-demand runs build
-    /// no worker, only the dataset's class prototypes. `dp` must be the
-    /// σ-resolved worker config (see [`crate::simulation::resolve_sigma`]).
+    /// Builds the worker pool: the model template from the init stream
+    /// `seed + 0x4d0de1`, then one long-lived worker per dealt partition of
+    /// `prep`, over the shard `simulation::pooled_shards` builds for it;
+    /// on-demand runs build no worker, only the dataset's class
+    /// prototypes. `dp` must be the σ-resolved worker config (see
+    /// [`crate::simulation::resolve_sigma`]).
     pub fn new(
         cfg: &'a SimulationConfig,
         prep: &crate::simulation::PreparedRun,
         dp: &DpSgdConfig,
     ) -> Self {
         let template = init_model(cfg);
-        let pooled = cfg.provisioning == Provisioning::Pooled;
-        let worker =
-            |i: usize| data_worker(cfg, prep.train.subset(&prep.parts[i]), dp, &template, i);
-        let honest: Vec<DpWorker> =
-            if pooled { (0..cfg.n_honest).map(worker).collect() } else { Vec::new() };
-        let poisoned: Vec<DpWorker> = if pooled && cfg.attack.needs_poisoned_workers() {
-            (cfg.n_honest..cfg.n_honest + cfg.n_byzantine).map(worker).collect()
-        } else {
-            Vec::new()
+        let every = (0..prep.parts.len()).collect();
+        let pool = pooled_shards(cfg, &prep.parts, &every)
+            .into_iter()
+            .map(|(w, shard)| data_worker(cfg, shard, dp, &template, w))
+            .collect();
+        let prototypes = match cfg.provisioning {
+            Provisioning::Pooled => Vec::new(),
+            Provisioning::OnDemand => cfg.dataset.prototypes(),
         };
-        let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };
-        InProcessTransport { cfg, dp: dp.clone(), honest, poisoned, template, prototypes }
+        InProcessTransport { cfg, dp: dp.clone(), pool, template, prototypes }
     }
 }
 
@@ -177,11 +174,11 @@ pub(crate) fn member_flips(cfg: &SimulationConfig, index: usize) -> bool {
 }
 
 /// Builds the long-lived worker of global index `index` from its pooled
-/// training shard: honest below `n_honest`, label-flipped above (when the
-/// attack poisons its members' data — see [`member_flips`]). The single
-/// construction site shared by [`InProcessTransport`] (shards cut from
-/// `prep.train`) and the remote client (shards from
-/// [`crate::simulation::pooled_shards`]) — both build bit-identical workers.
+/// training shard (from [`crate::simulation::pooled_shards`]): honest below
+/// `n_honest`, label-flipped above (when the attack poisons its members'
+/// data — see [`member_flips`]). The single construction site shared by
+/// [`InProcessTransport`] and the remote client, so both build
+/// bit-identical workers from the same shard builder.
 pub(crate) fn data_worker(
     cfg: &SimulationConfig,
     mut data: Dataset,
@@ -196,6 +193,15 @@ pub(crate) fn data_worker(
 }
 
 impl Transport for InProcessTransport<'_> {
+    /// Steps and folds the round's data members in one `fold_in_shards`
+    /// call, for the pooled and on-demand cases alike.
+    ///
+    /// A member the serving fault plan withholds still *steps* (its RNG and
+    /// momentum state must evolve exactly as on a remote client that skips
+    /// the send) but its upload never reaches `fold` — folding feeds defense
+    /// state downstream, so a withheld upload folds as nothing and the
+    /// member yields [`Collected::Dropped`], just like a deadline miss over
+    /// the wire.
     fn round_trip(
         &mut self,
         round: usize,
@@ -203,10 +209,38 @@ impl Transport for InProcessTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let split = members.partition_point(|&i| i < self.cfg.n_honest);
-        let mut out = self.pool_fold(false, &members[..split], round, params, fold);
-        out.extend(self.pool_fold(true, &members[split..], round, params, fold));
-        out
+        let InProcessTransport { cfg, dp, pool, template, prototypes } = self;
+        let cfg = *cfg;
+        let withheld = members.iter().map(|&m| plan_withholds(cfg, m, round));
+        if cfg.provisioning == Provisioning::Pooled {
+            // The pool and `members` both ascend, so filtering keeps order.
+            let cohort = pool
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(k, w)| members.binary_search(&k).is_ok().then_some(w));
+            let mut slots: Vec<_> = cohort.zip(withheld).collect();
+            assert_eq!(slots.len(), members.len(), "cohort index within worker range");
+            fold_in_shards(&mut slots, |(w, withhold), scratch| {
+                let upload = protocol_step(w, params, cfg.protocol);
+                if *withhold {
+                    Collected::Dropped
+                } else {
+                    fold(upload, scratch)
+                }
+            })
+        } else {
+            let mut slots: Vec<_> = members.iter().copied().zip(withheld).collect();
+            fold_in_shards(&mut slots, |&mut (i, withhold), scratch| {
+                // On-demand workers are rebuilt per round, so a withheld
+                // member need not even step.
+                if withhold {
+                    return Collected::Dropped;
+                }
+                let flip = member_flips(cfg, i);
+                let mut w = on_demand_worker(cfg, template, dp, prototypes, i, round, flip);
+                fold(protocol_step(&mut w, params, cfg.protocol), scratch)
+            })
+        }
     }
 }
 
@@ -243,61 +277,6 @@ fn fold_in_shards<T: Send, R: Send>(
         })
         .collect();
     nested.into_iter().flatten().collect()
-}
-
-impl InProcessTransport<'_> {
-    /// Steps and folds the cohort slice `members` of one pool — the honest
-    /// one, or the Byzantine members' — in shards ([`fold_in_shards`]), for
-    /// the pooled and on-demand cases alike.
-    ///
-    /// A member the serving fault plan withholds still *steps* (its RNG and
-    /// momentum state must evolve exactly as on a remote client that skips
-    /// the send) but its upload never reaches `fold` — folding feeds defense
-    /// state downstream, so a withheld upload folds as nothing and the
-    /// member yields [`Collected::Dropped`], just like a deadline miss over
-    /// the wire.
-    fn pool_fold(
-        &mut self,
-        byzantine: bool,
-        members: &[usize],
-        round: usize,
-        params: &[f32],
-        fold: &UploadFold<'_>,
-    ) -> Vec<Collected> {
-        let InProcessTransport { cfg, dp, honest, poisoned, template, prototypes } = self;
-        let cfg = *cfg;
-        let withheld = members.iter().map(|&m| plan_withholds(cfg, m, round));
-        if cfg.provisioning == Provisioning::Pooled {
-            let (pool, base) = if byzantine { (poisoned, cfg.n_honest) } else { (honest, 0) };
-            // The pool and `members` both ascend, so filtering keeps order.
-            let cohort = pool
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, w)| members.binary_search(&(base + k)).is_ok().then_some(w));
-            let mut slots: Vec<_> = cohort.zip(withheld).collect();
-            assert_eq!(slots.len(), members.len(), "cohort index within worker range");
-            fold_in_shards(&mut slots, |(w, withhold), scratch| {
-                let upload = protocol_step(w, params, cfg.protocol);
-                if *withhold {
-                    Collected::Dropped
-                } else {
-                    fold(upload, scratch)
-                }
-            })
-        } else {
-            let mut slots: Vec<_> = members.iter().copied().zip(withheld).collect();
-            fold_in_shards(&mut slots, |&mut (i, withhold), scratch| {
-                // On-demand workers are rebuilt per round, so a withheld
-                // member need not even step.
-                if withhold {
-                    return Collected::Dropped;
-                }
-                let flip = member_flips(cfg, i);
-                let mut w = on_demand_worker(cfg, template, dp, prototypes, i, round, flip);
-                fold(protocol_step(&mut w, params, cfg.protocol), scratch)
-            })
-        }
-    }
 }
 
 /// Runs the full round loop against `transport`; returns the accuracy
@@ -340,7 +319,7 @@ pub(crate) fn orchestrate(
     eps_schedule: Option<&dpbfl_dp::EpsilonSchedule>,
 ) -> (Vec<EvalPoint>, DefenseStats) {
     let d = params.len();
-    let needs_poisoned = cfg.attack.needs_poisoned_workers();
+    let n_data = data_members(cfg);
     // An attack that reads the cohort must see the raw uploads before the
     // defense folds them; every other two-stage round folds at arrival.
     let reads_cohort = cfg.attack.reads_cohort();
@@ -367,17 +346,15 @@ pub(crate) fn orchestrate(
         // and Byzantine ([split..]) members.
         let cohort = round_cohort(cfg, t);
         let split = cohort.partition_point(|&i| i < cfg.n_honest);
-        let (cohort_honest, cohort_byz) = cohort.split_at(split);
 
         // Deterministic per-round counters, built only when a sink is
         // attached — the disabled path allocates nothing.
         let mut metrics = tel.enabled().then(|| RoundMetrics::new(t as u64, cohort.len() as u64));
 
-        // Data-holding members the transport must reach this round: the
-        // honest cohort, plus the Byzantine cohort when the attack trains on
-        // its own local data (label-flip, sleeper cover). Always a prefix of
-        // the cohort; the rest is crafted server-side by the adversary.
-        let data_members: &[usize] = if needs_poisoned { &cohort } else { cohort_honest };
+        // Data-holding members the transport must reach this round. Always
+        // a prefix of the cohort; the rest is crafted server-side by the
+        // adversary.
+        let data_members = &cohort[..cohort.partition_point(|&i| i < n_data)];
 
         // A round folded at arrival opens its fold now and hands it to the
         // transport.
@@ -438,7 +415,7 @@ pub(crate) fn orchestrate(
             let seen = AttackContext {
                 benign_uploads: benign,
                 poisoned_uploads: poisoned,
-                n_byzantine: cohort_byz.len(),
+                n_byzantine: cohort.len() - split,
                 ..unseen
             };
             let byzantine = craft(&seen);

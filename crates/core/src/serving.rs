@@ -58,12 +58,12 @@ use crate::round::{
     UploadFold,
 };
 use crate::simulation::{
-    calibrated_dp, data_worker_count, pooled_shards, prepare, run_with_transport_telemetry,
+    calibrated_dp, data_members, deal, pooled_shards, prepare, run_with_transport_telemetry,
     Provisioning, RunResult, RunSummary, SimulationConfig,
 };
 use crate::worker::DpWorker;
 use dpbfl_telemetry::Telemetry;
-use dpbfl_transport::frame::{read_handshake, write_handshake, DEFAULT_MAX_FRAME_LEN};
+use dpbfl_transport::frame::{read_handshake, write_frame, write_handshake, DEFAULT_MAX_FRAME_LEN};
 use dpbfl_transport::{write_round_begin, write_round_replay, Message, ParamsBlock};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -470,8 +470,7 @@ fn effective_policy(cfg: &SimulationConfig, policy: &RoundPolicy) -> RoundPolicy
 /// (Server-side crafted attacks — Gaussian and the omniscient family — never
 /// touch the wire.)
 pub fn data_member_indices(cfg: &SimulationConfig) -> Vec<u32> {
-    let poisoned = if cfg.attack.needs_poisoned_workers() { cfg.n_byzantine } else { 0 };
-    (0..cfg.n_honest + poisoned).map(|i| i as u32).collect()
+    (0..data_members(cfg) as u32).collect()
 }
 
 /// The acceptor: polls the listener until the run completes, admitting
@@ -856,14 +855,12 @@ impl Transport for TcpTransport<'_> {
     }
 
     fn publish_summary(&mut self, summary: &RunSummary) {
-        let json = match serde_json::to_string(summary) {
-            Ok(j) => j,
-            Err(_) => return,
-        };
+        let Ok(summary_json) = serde_json::to_string(summary) else { return };
+        // Encoded once; every connection is sent the same bytes.
+        let frame = Message::RunComplete { summary_json }.encode();
         let mut guard = self.shared.lock().expect("serving state lock");
         for conn in &mut guard.conns {
-            let msg = Message::RunComplete { summary_json: json.clone() };
-            if msg.write_to(&mut conn.stream).is_ok() {
+            if write_frame(&mut conn.stream, frame.kind, &frame.payload).is_ok() {
                 conn.stream.flush().ok();
             }
         }
@@ -925,10 +922,10 @@ struct ClientState {
 /// them from the `Welcome` config, answer every `RoundBegin`, and return the
 /// server's final `RunSummary` JSON.
 ///
-/// The client rebuilds its workers through the *same* worker builder as the
-/// in-process pools, over its own workers' shards synthesized bit-identical
-/// to [`prepare`]'s, so the upload bytes it sends are exactly the bytes an
-/// in-process run would fold.
+/// A pooled client deals the partition exactly as [`prepare`] does and
+/// builds only its claimed workers' shards, through the *same* shard and
+/// worker builders as the in-process pool, so the upload bytes it sends are
+/// exactly the bytes an in-process run would fold.
 ///
 /// Connect, handshake, claim-rejection, and mid-run stream errors retry
 /// under [`ClientOptions`]' capped exponential backoff. Worker state
@@ -1001,12 +998,12 @@ fn run_session(
     let template = init_model(&cfg);
     let pooled = cfg.provisioning == Provisioning::Pooled;
     if pooled && !state.pool_built {
-        let n_data = data_worker_count(&cfg);
-        if let Some(w) = workers.iter().find(|&&w| w >= n_data) {
+        let (parts, _) = deal(&cfg);
+        if let Some(w) = workers.iter().find(|&&w| w >= parts.len()) {
             return Err(format!("worker {w} is not a data-holding index of this config"));
         }
         let claim: BTreeSet<usize> = workers.iter().copied().collect();
-        state.pool = pooled_shards(&cfg, &claim)
+        state.pool = pooled_shards(&cfg, &parts, &claim)
             .into_iter()
             .map(|(w, shard)| (w, data_worker(&cfg, shard, &dp, &template, w)))
             .collect();

@@ -140,9 +140,11 @@ impl DefenseKind {
 /// How client training data is provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Provisioning {
-    /// The paper's setup: [`prepare`] synthesizes one pooled training set and
-    /// partitions it across long-lived workers whose momentum persists over
-    /// the rounds they participate in.
+    /// The paper's setup: [`prepare`] deals one pooled training set across
+    /// long-lived workers whose momentum persists over the rounds they
+    /// participate in. Only the worker's holder builds its shard: the
+    /// in-process transport for every data worker, a serving client for the
+    /// workers it claims; no process holds the whole set.
     #[default]
     Pooled,
     /// Million-client mode: no pooled set exists. Each *sampled* client
@@ -342,17 +344,19 @@ pub struct RunSummary {
 /// The deterministic data-preparation product of a run: everything derived
 /// from the dataset spec and seed *before* any training happens.
 ///
-/// Splitting this out of [`run`] lets grid runners share one preparation
-/// across every cell with the same data inputs (same dataset spec, seed,
-/// worker/test counts, distribution and auxiliary pool size) instead of
-/// re-synthesizing and re-partitioning the dataset per cell. [`run`] itself
-/// is [`run_prepared_telemetry`] on `prepare(cfg)`, so sharing is
-/// bit-identical to standalone runs by construction.
+/// It holds no training pixels: the pooled set is dealt (every label drawn,
+/// the partition computed), and each worker's shard is built later by the
+/// worker's holder alone. Splitting this out of [`run`] lets grid runners
+/// share one preparation across every cell with the same data inputs (same
+/// dataset spec, seed, worker/test counts, distribution and auxiliary pool
+/// size) instead of re-synthesizing the test and validation sets and
+/// re-dealing per cell. [`run`] itself is [`run_prepared_telemetry`] on
+/// `prepare(cfg)`, so sharing is bit-identical to standalone runs by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct PreparedRun {
-    /// Pooled training data for all data-holding workers.
-    pub(crate) train: Dataset,
-    /// Per-worker index partition of `train`.
+    /// Per-data-worker index partition of the pooled training set
+    /// `generate(parts.len()·per_worker, seed)`; empty on demand.
     pub(crate) parts: Vec<Vec<usize>>,
     /// Held-out test set.
     pub(crate) test: Dataset,
@@ -362,9 +366,6 @@ pub struct PreparedRun {
     /// stream (auxiliary sampling draws from it), so hoisting the
     /// preparation does not shift any downstream RNG stream.
     pub(crate) master: StdRng,
-    /// Number of workers holding data (`n_honest`, plus `n_byzantine` when
-    /// the attack needs poisoned local datasets).
-    pub(crate) n_data_workers: usize,
 }
 
 impl PreparedRun {
@@ -399,84 +400,82 @@ struct PrepKey {
     provisioning: Provisioning,
 }
 
-/// Number of workers whose local datasets come from the pooled training set
-/// (0 under on-demand provisioning: every sampled client synthesizes its own
+/// The members that hold training data are `0..data_members(cfg)`: the
+/// honest workers, plus the Byzantine ones when the attack trains on
+/// poisoned local data (label flip, sleeper cover). Every other member's
+/// upload is crafted server-side and never touches a transport.
+pub(crate) fn data_members(cfg: &SimulationConfig) -> usize {
+    cfg.n_honest + if cfg.attack.needs_poisoned_workers() { cfg.n_byzantine } else { 0 }
+}
+
+/// Number of pooled shards [`prepare`] deals: one per data member, none
+/// under on-demand provisioning (every sampled client synthesizes its own
 /// shard inside the round loop).
-pub(crate) fn data_worker_count(cfg: &SimulationConfig) -> usize {
+fn data_worker_count(cfg: &SimulationConfig) -> usize {
     match cfg.provisioning {
         Provisioning::OnDemand => 0,
-        Provisioning::Pooled => {
-            cfg.n_honest + if cfg.attack.needs_poisoned_workers() { cfg.n_byzantine } else { 0 }
-        }
+        Provisioning::Pooled => data_members(cfg),
     }
 }
 
-/// Synthesizes and partitions the run's data (the expensive, model-free
-/// prefix of [`run`]).
+/// Deals the run's data and synthesizes its test set and validation pool
+/// (the model-free prefix of [`run`]). No training pixel is built.
 pub fn prepare(cfg: &SimulationConfig) -> PreparedRun {
-    let mut master = master_rng(cfg);
-    let n_data_workers = data_worker_count(cfg);
-    let (train, parts) = if cfg.provisioning == Provisioning::OnDemand {
-        // No pooled set exists: clients synthesize shards on demand, so the
-        // master stream skips the partition draws entirely and proceeds
-        // straight to auxiliary sampling.
-        (cfg.dataset.generate(0, cfg.seed), Vec::new())
-    } else {
-        let train = cfg.dataset.generate(n_data_workers * cfg.per_worker, cfg.seed);
-        let parts = partition(cfg, &mut master, &train.labels);
-        (train, parts)
-    };
+    let (parts, master) = deal(cfg);
     let test = cfg.dataset.generate(cfg.test_count, cfg.seed.wrapping_add(0x7e57));
     let validation = cfg.dataset.generate(
         (cfg.defense_cfg.aux_per_class * cfg.dataset.num_classes * 20).max(200),
         cfg.seed.wrapping_add(0xa0c),
     );
-    PreparedRun { train, parts, test, validation, master, n_data_workers }
+    PreparedRun { parts, test, validation, master }
 }
 
-/// The run's master stream, before [`prepare`] draws from it.
-fn master_rng(cfg: &SimulationConfig) -> StdRng {
-    StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15))
-}
-
-/// Deals the pooled training set of `labels` to the data-holding workers:
-/// the first draws of the master stream.
-fn partition(cfg: &SimulationConfig, master: &mut StdRng, labels: &[usize]) -> Vec<Vec<usize>> {
-    let n_data_workers = data_worker_count(cfg);
-    if cfg.iid {
-        iid_partition(master, labels.len(), n_data_workers)
-    } else {
-        non_iid_partition(master, labels, cfg.dataset.num_classes, n_data_workers)
+/// Draws every label of the pooled training set and deals it to the data
+/// workers — the first draws of the master stream — without building a
+/// pixel. Returns the partition and the master stream after it. On demand
+/// no pooled set exists: the partition is empty and the master stream is
+/// untouched, so the run proceeds straight to auxiliary sampling.
+pub(crate) fn deal(cfg: &SimulationConfig) -> (Vec<Vec<usize>>, StdRng) {
+    let mut master = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15));
+    if cfg.provisioning == Provisioning::OnDemand {
+        return (Vec::new(), master);
     }
+    let (spec, n_workers) = (&cfg.dataset, data_members(cfg));
+    let rows = (0..n_workers * cfg.per_worker).map(|_| None);
+    let labels = spec.synthesize(&spec.prototypes(), cfg.seed, rows);
+    let parts = if cfg.iid {
+        iid_partition(&mut master, labels.len(), n_workers)
+    } else {
+        non_iid_partition(&mut master, &labels, spec.num_classes, n_workers)
+    };
+    (parts, master)
 }
 
-/// The pooled training shards of `workers` alone, each bit-identical to
-/// `prepare(cfg).train.subset(&parts[w])`: every example's stream is drawn
-/// (the partition needs all labels), but only these workers' pixels are
-/// built, straight into their shards. A serving client holds its own
-/// workers' data and nothing else.
+/// The only builder of pooled training data: the shards of `workers` under
+/// the partition `parts` from [`deal`]. Every example's stream is drawn, but
+/// only these workers' pixels are built, straight into their shards — the
+/// in-process transport asks for every data worker, a serving client for
+/// its claim, and neither holds anything else.
 ///
 /// # Panics
-/// If a worker is not a data-holding index of `cfg`.
+/// If a worker is not an index of `parts`.
 pub(crate) fn pooled_shards(
     cfg: &SimulationConfig,
+    parts: &[Vec<usize>],
     workers: &BTreeSet<usize>,
 ) -> BTreeMap<usize, Dataset> {
     let spec = &cfg.dataset;
-    let n = data_worker_count(cfg) * cfg.per_worker;
-    let prototypes = spec.prototypes();
-    let labels = spec.synthesize(&prototypes, cfg.seed, (0..n).map(|_| None));
-    let parts = partition(cfg, &mut master_rng(cfg), &labels);
     let example_len = spec.example_len();
     let mut features: Vec<Vec<f32>> =
         workers.iter().map(|&w| vec![0.0; parts[w].len() * example_len]).collect();
-    let mut rows: Vec<Option<&mut [f32]>> = labels.iter().map(|_| None).collect();
+    let mut rows: Vec<Option<&mut [f32]>> =
+        (0..parts.len() * cfg.per_worker).map(|_| None).collect();
     for (shard, &w) in features.iter_mut().zip(workers) {
         for (row, &i) in shard.chunks_mut(example_len).zip(&parts[w]) {
             rows[i] = Some(row);
         }
     }
-    spec.synthesize(&prototypes, cfg.seed, rows);
+    let labels = spec.synthesize(&spec.prototypes(), cfg.seed, rows);
     let (name, classes) = (&spec.name, spec.num_classes);
     workers
         .iter()
@@ -606,7 +605,7 @@ fn run_calibrated(
     };
 
     // ---- data (prepared) -------------------------------------------------
-    assert_eq!(data_worker_count(cfg), prep.n_data_workers, "prepared data does not match config");
+    assert_eq!(data_worker_count(cfg), prep.parts.len(), "prepared data does not match config");
     let test = &prep.test;
     let validation = &prep.validation;
     // Resume the master stream exactly where `prepare` left it.
@@ -794,7 +793,7 @@ mod tests {
                 let every: BTreeSet<usize> = (0..want.len()).collect();
                 let sparse: BTreeSet<usize> = [1, want.len() - 1].into();
                 for claim in [every, sparse] {
-                    let shards = pooled_shards(&cfg, &claim);
+                    let shards = pooled_shards(&cfg, &prep.parts, &claim);
                     assert_eq!(shards.keys().copied().collect::<BTreeSet<_>>(), claim, "{case}");
                     for (w, shard) in shards {
                         let worker = crate::round::data_worker(&cfg, shard, &cfg.dp, &template, w);

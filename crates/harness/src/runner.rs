@@ -6,10 +6,11 @@
 //! order-stable, the JSONL sink is **byte-identical at any thread count**.
 //!
 //! Cells sharing a data signature ([`PreparedRun::cache_key`]) share one
-//! dataset synthesis + partition + auxiliary-pool preparation: the runner
-//! builds each unique preparation once and every cell resumes the master
-//! RNG stream from it, so sharing is bit-identical to standalone
-//! `simulation::run` calls by construction.
+//! preparation — the dealt partition, the test set and the auxiliary
+//! pool: the runner builds each unique preparation once and every cell
+//! resumes the master RNG stream from it, so sharing is bit-identical to
+//! standalone `simulation::run` calls by construction. Each cell builds its
+//! own workers' training shards from the shared partition.
 
 use crate::report::{self, MetricsDigest};
 use crate::sink::{self, CellRecord};
