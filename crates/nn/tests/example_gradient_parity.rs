@@ -1,9 +1,10 @@
 //! `Sequential::example_gradient` is the protocol's hot path and takes a
 //! shortcut through the first layer (no input gradient; a first `Linear`
 //! writes its gradient straight into the output). These tests hold it, bit
-//! for bit, to the public composition it stands for.
+//! for bit, to the batch-of-one composition it stands for and to the
+//! server's batched gradient over a one-example batch.
 
-use dpbfl_nn::activation::Relu;
+use dpbfl_nn::activation::Elu;
 use dpbfl_nn::linear::Linear;
 use dpbfl_nn::{zoo, CrossEntropyLoss, Sequential};
 use rand::rngs::StdRng;
@@ -19,19 +20,21 @@ fn example(len: usize, salt: u32) -> Vec<f32> {
         .collect()
 }
 
-/// A ReLU MLP whose even hidden units are dead and odd ones live on any
+/// An ELU MLP whose even hidden units are dead and odd ones live on any
 /// input in [-0.5, 0.5] (large biases), so the first layer sees `dy_i == 0`
-/// rows next to ordinary ones.
-fn relu_mlp_with_dead_units(rng: &mut StdRng) -> Sequential {
+/// rows next to ordinary ones. A dead unit's pre-activation is ≈ −200, where
+/// `e^x` underflows to `0.0` in f32: its output is exactly `−α`, so its
+/// derivative `y + α` is exactly zero and `dy_i` is a signed zero.
+fn elu_mlp_with_dead_units(rng: &mut StdRng) -> Sequential {
     let (input, hidden, classes) = (20usize, 12usize, 4usize);
     let mut model = Sequential::new(vec![
         Linear::new(rng, input, hidden).into(),
-        Relu::new(hidden).into(),
+        Elu::new(hidden).into(),
         Linear::new(rng, hidden, classes).into(),
     ]);
     let mut params = model.params();
     for unit in 0..hidden {
-        params[input * hidden + unit] = if unit % 2 == 0 { -100.0 } else { 5.0 };
+        params[input * hidden + unit] = if unit % 2 == 0 { -200.0 } else { 5.0 };
     }
     model.set_params(&params);
     model
@@ -44,7 +47,7 @@ fn models() -> Vec<(&'static str, Sequential)> {
         ("mlp_784_16_10", zoo::mlp(&mut rng, 784, 16, 10)),
         ("mnist_cnn", zoo::mnist_cnn(&mut rng)),
         ("colorectal_cnn", zoo::colorectal_cnn(&mut rng)),
-        ("relu_mlp_dead_units", relu_mlp_with_dead_units(&mut rng)),
+        ("elu_mlp_dead_units", elu_mlp_with_dead_units(&mut rng)),
     ]
 }
 
@@ -64,15 +67,25 @@ fn examples(model: &Sequential) -> Vec<(Vec<f32>, usize)> {
     out
 }
 
-/// The composition `example_gradient` replaced, verbatim.
+/// The composition `example_gradient` stands for: zero the accumulators,
+/// run the example forward and backward as a batch of one, read the
+/// accumulators.
 fn reference_gradient(model: &mut Sequential, x: &[f32], label: usize) -> (f64, Vec<f32>) {
     model.zero_grads();
-    let logits = model.forward(x);
+    let logits = model.forward_batch(x, 1);
     let (loss, grad_logits) = CrossEntropyLoss.loss_and_grad(&logits, label);
-    model.backward(&grad_logits);
+    model.backward_batch(&grad_logits, 1);
     let mut grad = vec![0.0f32; model.param_len()];
     model.write_grads_into(&mut grad);
     (loss, grad)
+}
+
+/// Asserts a loss and a gradient equal the reference's bit for bit.
+fn assert_same(what: &str, (loss, grad): (f64, &[f32]), (ref_loss, ref_grad): (f64, &[f32])) {
+    assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{what}: loss differs");
+    for (i, (&a, &b)) in grad.iter().zip(ref_grad).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: gradient scalar {i} differs ({a} vs {b})");
+    }
 }
 
 #[test]
@@ -84,14 +97,25 @@ fn example_gradient_bit_identical_to_zero_forward_backward_write() {
         for (e, (x, label)) in examples(&model).iter().enumerate() {
             let loss = model.example_gradient(&CrossEntropyLoss, x, *label, &mut grad);
             let (ref_loss, ref_grad) = reference_gradient(&mut reference, x, *label);
-            assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{name}, example {e}: loss differs");
-            for (i, (&a, &b)) in grad.iter().zip(&ref_grad).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{name}, example {e}: gradient scalar {i} differs ({a} vs {b})"
-                );
-            }
+            assert_same(&format!("{name}, example {e}"), (loss, &grad), (ref_loss, &ref_grad));
+        }
+    }
+}
+
+#[test]
+fn example_gradient_bit_identical_to_a_one_example_batch_gradient() {
+    // The worker's per-example gradient and the server's batched gradient
+    // are one computation at batch size one (the mean over one example
+    // multiplies by exactly 1.0).
+    for (name, mut model) in models() {
+        let mut server = model.clone();
+        let mut grad = vec![f32::NAN; model.param_len()];
+        let mut batch_grad = vec![f32::NAN; model.param_len()];
+        for (e, (x, label)) in examples(&model).iter().enumerate() {
+            let loss = model.example_gradient(&CrossEntropyLoss, x, *label, &mut grad);
+            let batch_loss =
+                server.batch_gradient_packed(&CrossEntropyLoss, x, &[*label], &mut batch_grad);
+            assert_same(&format!("{name}, example {e}"), (loss, &grad), (batch_loss, &batch_grad));
         }
     }
 }
@@ -99,9 +123,9 @@ fn example_gradient_bit_identical_to_zero_forward_backward_write() {
 #[test]
 fn dead_units_and_signed_zero_inputs_are_exercised() {
     // Guards the fixture, not the kernel: the parity test above only covers
-    // the `coef == 0` rows if the ReLU model really has them.
+    // the `coef == 0` rows if the ELU model really has them.
     let mut rng = StdRng::seed_from_u64(42);
-    let mut model = relu_mlp_with_dead_units(&mut rng);
+    let mut model = elu_mlp_with_dead_units(&mut rng);
     let (x, label) = examples(&model).remove(2);
     let mut grad = vec![f32::NAN; model.param_len()];
     model.example_gradient(&CrossEntropyLoss, &x, label, &mut grad);

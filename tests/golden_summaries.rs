@@ -9,7 +9,7 @@
 //! CHANGES.md.
 //!
 //! The small matrices run in the default (tier-1) test pass; the registry
-//! pins are `#[ignore]`d and run by CI in release:
+//! and CNN pins are `#[ignore]`d and run by CI in release:
 //! `cargo test --release -p dpbfl-harness --test golden_summaries -- --ignored`.
 
 use dpbfl::prelude::*;
@@ -160,5 +160,39 @@ fn registry_cells_match_their_pins() {
         .collect();
     let showdown = &rows[1].1;
     assert!(showdown.attack == AttackSpec::OptLmp && showdown.defense == DefenseKind::TwoStage);
+    assert_pins(&rows);
+}
+
+/// A label-flip two-stage cell on one of the paper's CNNs: 3 honest + 1
+/// Byzantine workers, 32 examples each, `b_c = 4`, one epoch (8 rounds).
+fn cnn(dataset: SyntheticSpec, model: ModelKind) -> SimulationConfig {
+    let mut cfg = SimulationConfig::quick(dataset, model);
+    cfg.per_worker = 32;
+    cfg.test_count = 100;
+    cfg.eval_every = 1;
+    cfg.n_honest = 3;
+    cfg.n_byzantine = 1;
+    cfg.epochs = 1.0;
+    cfg.epsilon = None;
+    cfg.dp.batch_size = 4;
+    cfg.dp.noise_multiplier = 0.5;
+    cfg.seed = 5;
+    cfg.attack = AttackSpec::LabelFlip;
+    cfg.defense = DefenseKind::TwoStage;
+    cfg
+}
+
+#[test]
+#[ignore = "trains two CNNs; run with --release -- --ignored (CI does)"]
+#[rustfmt::skip]
+fn cnn_summaries_match_their_pins() {
+    // Every worker step runs the conv, GroupNorm, pool and residual layers'
+    // per-example gradients; evaluation and the server gradient run them
+    // batched.
+    let rows = [
+        ("mnist-like MnistCnn", cnn(SyntheticSpec::mnist_like(), ModelKind::MnistCnn), 0x16b0feee1653d387),
+        ("colorectal-like ColorectalCnn", cnn(SyntheticSpec::colorectal_like(), ModelKind::ColorectalCnn), 0x53c1696f195f6c49),
+    ];
+    let rows: Vec<_> = rows.into_iter().map(|(label, cfg, pin)| (format!("cnn {label}"), cfg, pin)).collect();
     assert_pins(&rows);
 }
