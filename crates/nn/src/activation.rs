@@ -1,4 +1,4 @@
-//! Element-wise activations: ELU (the paper's choice) and ReLU.
+//! Element-wise activation: ELU, the paper's choice.
 
 use crate::layer::Layer;
 
@@ -19,15 +19,6 @@ impl Elu {
 }
 
 impl Layer for Elu {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        // Element-wise: one example is a batch of one, same bits.
-        self.forward_batch(input, 1)
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        self.backward_batch(grad_output, 1)
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.len, "Elu: bad input length");
         // Element-wise, so the batch is one flat vectorized pass.
@@ -76,72 +67,6 @@ impl Layer for Elu {
     fn zero_grads(&mut self) {}
 }
 
-/// Rectified linear unit `y = max(x, 0)`.
-#[derive(Debug, Clone)]
-pub struct Relu {
-    len: usize,
-    cached_sign: Vec<bool>,
-}
-
-impl Relu {
-    /// ReLU over vectors of length `len`.
-    pub fn new(len: usize) -> Self {
-        Relu { len, cached_sign: Vec::new() }
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        // Element-wise: one example is a batch of one, same bits.
-        self.forward_batch(input, 1)
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        self.backward_batch(grad_output, 1)
-    }
-
-    fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.len, "Relu: bad input length");
-        self.cached_sign.clear();
-        input
-            .iter()
-            .map(|&x| {
-                let positive = x > 0.0;
-                self.cached_sign.push(positive);
-                if positive {
-                    x
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    fn backward_batch(&mut self, grad_output: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(grad_output.len(), batch * self.len, "Relu: bad grad length");
-        assert_eq!(self.cached_sign.len(), batch * self.len, "backward before forward");
-        grad_output
-            .iter()
-            .zip(&self.cached_sign)
-            .map(|(&g, &pos)| if pos { g } else { 0.0 })
-            .collect()
-    }
-
-    fn param_len(&self) -> usize {
-        0
-    }
-    fn input_len(&self) -> usize {
-        self.len
-    }
-    fn output_len(&self) -> usize {
-        self.len
-    }
-    fn write_params(&self, _out: &mut [f32]) {}
-    fn read_params(&mut self, _src: &[f32]) {}
-    fn write_grads(&self, _out: &mut [f32]) {}
-    fn zero_grads(&mut self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +74,7 @@ mod tests {
     #[test]
     fn elu_forward_values() {
         let mut e = Elu::new(3);
-        let y = e.forward(&[1.5, 0.0, -1.0]);
+        let y = e.forward_batch(&[1.5, 0.0, -1.0], 1);
         assert_eq!(y[0], 1.5);
         assert_eq!(y[1], ((0.0f32).exp() - 1.0)); // 0 is "not positive": α(e⁰−1)=0
         assert!((y[2] - ((-1.0f32).exp() - 1.0)).abs() < 1e-6);
@@ -160,10 +85,10 @@ mod tests {
         let mut e = Elu::new(4);
         let x = [0.5f32, -0.5, 2.0, -2.0];
         let loss = |e: &mut Elu, x: &[f32]| -> f64 {
-            e.forward(x).iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
+            e.forward_batch(x, 1).iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
         };
-        let y = e.forward(&x);
-        let gi = e.backward(&y);
+        let y = e.forward_batch(&x, 1);
+        let gi = e.backward_batch(&y, 1);
         let eps = 1e-3f32;
         for i in 0..4 {
             let mut xp = x;
@@ -174,12 +99,5 @@ mod tests {
             let fd = (up - down) / (2.0 * eps as f64);
             assert!((fd - gi[i] as f64).abs() < 1e-3, "coord {i}");
         }
-    }
-
-    #[test]
-    fn relu_masks_negatives() {
-        let mut r = Relu::new(3);
-        assert_eq!(r.forward(&[-1.0, 0.0, 2.0]), vec![0.0, 0.0, 2.0]);
-        assert_eq!(r.backward(&[5.0, 5.0, 5.0]), vec![0.0, 0.0, 5.0]);
     }
 }

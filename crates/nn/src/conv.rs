@@ -3,8 +3,7 @@
 use crate::init::kaiming_uniform;
 use crate::layer::Layer;
 use dpbfl_tensor::conv::{
-    conv2d_backward_input, conv2d_backward_params, conv2d_forward, conv2d_forward_batch,
-    ConvGeometry,
+    conv2d_backward_input, conv2d_backward_params, conv2d_forward_batch, ConvGeometry,
 };
 use rand::Rng;
 
@@ -39,30 +38,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.geom.input_len(), "Conv2d: bad input length");
-        self.cached_input.clear();
-        self.cached_input.extend_from_slice(input);
-        let mut out = vec![0.0f32; self.geom.output_len()];
-        conv2d_forward(&self.geom, input, &self.weight, &self.bias, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        assert_eq!(grad_output.len(), self.geom.output_len(), "Conv2d: bad grad length");
-        assert_eq!(self.cached_input.len(), self.geom.input_len(), "backward before forward");
-        conv2d_backward_params(
-            &self.geom,
-            &self.cached_input,
-            grad_output,
-            &mut self.grad_weight,
-            &mut self.grad_bias,
-        );
-        let mut grad_in = vec![0.0f32; self.geom.input_len()];
-        conv2d_backward_input(&self.geom, &self.weight, grad_output, &mut grad_in);
-        grad_in
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.geom.input_len(), "Conv2d: bad batch input length");
         self.cached_input.clear();
@@ -160,8 +135,8 @@ mod tests {
         let mut c = Conv2d::new(&mut rng, geom());
         let x: Vec<f32> = (0..c.input_len()).map(|i| ((i * 37 % 11) as f32 - 5.0) * 0.1).collect();
 
-        let y = c.forward(&x);
-        let gi = c.backward(&y); // loss = Σ y²/2
+        let y = c.forward_batch(&x, 1);
+        let gi = c.backward_batch(&y, 1); // loss = Σ y²/2
 
         let mut params = vec![0.0f32; c.param_len()];
         c.write_params(&mut params);
@@ -169,7 +144,7 @@ mod tests {
         c.write_grads(&mut grads);
 
         let loss = |c: &mut Conv2d, x: &[f32]| -> f64 {
-            let y = c.forward(x);
+            let y = c.forward_batch(x, 1);
             y.iter().map(|&v| (v as f64) * (v as f64) / 2.0).sum()
         };
         let eps = 1e-3f32;

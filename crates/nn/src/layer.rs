@@ -1,45 +1,37 @@
 //! The layer abstraction: forward, backward, and flat parameter access.
 //!
-//! DP-SGD (and therefore the whole protocol) needs **per-example** gradients,
-//! so the entire stack processes one example at a time: `forward` caches what
-//! `backward` needs, `backward` accumulates parameter gradients and returns the
-//! input gradient. Layers are plain `Clone` values — every simulated worker
-//! owns its own model replica, exactly like a real federated deployment.
+//! Every layer has one forward and one backward, both over a batch of
+//! examples packed back to back. DP-SGD's **per-example** gradients (the
+//! whole protocol rests on them) are a batch of one; the server's auxiliary
+//! gradient and evaluation are larger batches of the same code. Layers are
+//! plain `Clone` values — every simulated worker owns its own model replica,
+//! exactly like a real federated deployment.
 
-use crate::activation::{Elu, Relu};
+use crate::activation::Elu;
 use crate::conv::Conv2d;
 use crate::linear::Linear;
 use crate::norm::GroupNorm;
 use crate::pool::AdaptiveAvgPool2d;
 use crate::residual::Residual;
 
-/// A differentiable layer processing one example per call.
+/// A differentiable layer over batches of packed examples.
 pub trait Layer {
-    /// Computes the layer output for `input`, caching activations needed by
-    /// [`Layer::backward`].
-    fn forward(&mut self, input: &[f32]) -> Vec<f32>;
-
-    /// Propagates `grad_output` back through the most recent `forward` call:
-    /// accumulates parameter gradients and returns the gradient with respect
-    /// to the input.
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32>;
-
-    /// Batched forward over `batch` examples packed back to back in `input`
+    /// Forward over `batch` examples packed back to back in `input`
     /// (`batch · input_len()` values); returns `batch · output_len()` values
     /// and caches what [`Layer::backward_batch`] needs.
     ///
-    /// Contract: per-example outputs are **bit-identical** to calling
-    /// [`Layer::forward`] once per example — every output scalar is the same
-    /// `f32`/`f64` accumulation in the same order, just over batch-contiguous
-    /// buffers. This is what lets batched evaluation and server-side
-    /// gradients ride the determinism contract unchanged.
+    /// Contract: each example's output is **bit-identical** whatever the
+    /// batch size — every output scalar is the same `f32`/`f64` accumulation
+    /// in the same order, just over batch-contiguous buffers. This is what
+    /// lets a worker's per-example gradient (a batch of one), batched
+    /// evaluation and the server's gradient ride the determinism contract.
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32>;
 
-    /// Batched backward matching the most recent [`Layer::forward_batch`]:
+    /// Backward matching the most recent [`Layer::forward_batch`]:
     /// accumulates parameter gradients (each gradient scalar receives its
     /// per-example contributions in ascending example order — bit-identical
-    /// to sequential per-example [`Layer::backward`] calls) and returns the
-    /// packed per-example input gradients.
+    /// to one batch-of-one backward per example) and returns the packed
+    /// per-example input gradients.
     fn backward_batch(&mut self, grad_output: &[f32], batch: usize) -> Vec<f32>;
 
     /// Number of trainable parameters.
@@ -76,8 +68,6 @@ pub enum AnyLayer {
     GroupNorm(GroupNorm),
     /// Exponential linear unit.
     Elu(Elu),
-    /// Rectified linear unit.
-    Relu(Relu),
     /// Adaptive average pooling.
     Pool(AdaptiveAvgPool2d),
     /// Residual block `y = x + body(x)`.
@@ -91,7 +81,6 @@ macro_rules! delegate {
             AnyLayer::Conv2d(l) => l.$m($($arg),*),
             AnyLayer::GroupNorm(l) => l.$m($($arg),*),
             AnyLayer::Elu(l) => l.$m($($arg),*),
-            AnyLayer::Relu(l) => l.$m($($arg),*),
             AnyLayer::Pool(l) => l.$m($($arg),*),
             AnyLayer::Residual(l) => l.$m($($arg),*),
         }
@@ -99,12 +88,6 @@ macro_rules! delegate {
 }
 
 impl Layer for AnyLayer {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        delegate!(self, forward, input)
-    }
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        delegate!(self, backward, grad_output)
-    }
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         delegate!(self, forward_batch, input, batch)
     }
@@ -152,11 +135,6 @@ impl From<GroupNorm> for AnyLayer {
 impl From<Elu> for AnyLayer {
     fn from(l: Elu) -> Self {
         AnyLayer::Elu(l)
-    }
-}
-impl From<Relu> for AnyLayer {
-    fn from(l: Relu) -> Self {
-        AnyLayer::Relu(l)
     }
 }
 impl From<AdaptiveAvgPool2d> for AnyLayer {

@@ -2,19 +2,20 @@
 //!
 //! Neural-network substrate with **per-example gradients** — the capability
 //! DP-SGD requires and the reason the paper's reference implementation needs
-//! functorch-style machinery on top of PyTorch. The worker-side training path
-//! processes one example at a time, so per-example gradients are the native
-//! operation; the server-side paths (evaluation, auxiliary gradients) ride
-//! the **batched inference subsystem** — `forward_batch`/`backward_batch` on
-//! every layer, GEMM-backed for dense layers and im2col-backed for
-//! convolutions — whose outputs are bit-identical to the per-example path by
-//! construction (guarded by `tests/batched_parity.rs`).
+//! functorch-style machinery on top of PyTorch. Every layer has one forward
+//! (`forward_batch`) and one backward (`backward_batch`) over packed
+//! examples — GEMM-backed for dense layers, im2col-backed for convolutions —
+//! and a single example is a batch of one. The worker's per-example
+//! gradients ([`Sequential::example_gradient`]), the server's auxiliary
+//! gradient and batched evaluation all run that one path; each example's
+//! outputs are bit-identical whatever the batch size (guarded by
+//! `tests/batched_parity.rs`).
 //!
 //! * [`layer`] — the [`layer::Layer`] trait and the closed
 //!   [`layer::AnyLayer`] set (models are plain `Clone` values: every
 //!   simulated worker owns a replica, like a real federated deployment).
 //! * Concrete layers: [`linear`], [`conv`], [`norm`] (affine-free GroupNorm),
-//!   [`activation`] (ELU/ReLU), [`pool`], [`residual`].
+//!   [`activation`] (ELU), [`pool`], [`residual`].
 //! * [`sequential`] — the model container with **flat parameter/gradient
 //!   vectors**, the interface federated learning actually exchanges.
 //! * [`loss`] — softmax cross-entropy.

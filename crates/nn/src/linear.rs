@@ -2,7 +2,7 @@
 
 use crate::init::kaiming_uniform;
 use crate::layer::Layer;
-use dpbfl_tensor::matmul::{gemm, gemm_nt, gemm_tn_accumulate, ger, matvec, matvec_transposed};
+use dpbfl_tensor::matmul::{gemm, gemm_nt, gemm_tn_accumulate};
 use rand::Rng;
 
 /// `y = W x + b` with `W: [out × in]` row-major.
@@ -47,13 +47,14 @@ impl Linear {
     }
 
     /// Writes into `out` the parameter gradients of the most recent
-    /// [`Layer::forward`] input — bit for bit what [`Layer::zero_grads`],
-    /// [`Layer::backward`] and [`Layer::write_grads`] produce together —
-    /// without touching the accumulators and without computing an input
-    /// gradient. Every weight row is `0.0 + dy_i · x`: the accumulator's
-    /// zero-fill plus `ger`'s one update (the explicit `0.0 +` turns a `-0.0`
-    /// product into `+0.0`, as accumulating does); a row whose `dy_i == 0`
-    /// is `+0.0`, the fill that `ger` skips over.
+    /// one-example [`Layer::forward_batch`] — bit for bit what
+    /// [`Layer::zero_grads`], [`Layer::backward_batch`] and
+    /// [`Layer::write_grads`] produce together — without touching the
+    /// accumulators and without computing an input gradient. Every weight
+    /// row is `0.0 + dy_i · x`: the accumulator's zero-fill plus
+    /// [`gemm_tn_accumulate`]'s one update (the explicit `0.0 +` turns a
+    /// `-0.0` product into `+0.0`, as accumulating does); a row whose
+    /// `dy_i == 0` is `+0.0`, the fill that the update skips over.
     pub(crate) fn write_example_grads(&self, grad_output: &[f32], out: &mut [f32]) {
         assert_eq!(grad_output.len(), self.out_dim, "Linear: bad grad length");
         assert_eq!(self.cached_input.len(), self.in_dim, "Linear: backward before forward");
@@ -75,40 +76,12 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.in_dim, "Linear: bad input length");
-        self.cached_input.clear();
-        self.cached_input.extend_from_slice(input);
-        let mut out = self.bias.clone();
-        let mut tmp = vec![0.0f32; self.out_dim];
-        matvec(&self.weight, input, &mut tmp, self.out_dim, self.in_dim);
-        for (o, t) in out.iter_mut().zip(&tmp) {
-            *o += t;
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        assert_eq!(grad_output.len(), self.out_dim, "Linear: bad grad length");
-        assert_eq!(self.cached_input.len(), self.in_dim, "Linear: backward before forward");
-        // dW += dy ⊗ x, db += dy, dx = Wᵀ dy.
-        ger(1.0, grad_output, &self.cached_input, &mut self.grad_weight, self.out_dim, self.in_dim);
-        for (gb, &g) in self.grad_bias.iter_mut().zip(grad_output) {
-            *gb += g;
-        }
-        let mut grad_in = vec![0.0f32; self.in_dim];
-        matvec_transposed(&self.weight, grad_output, &mut grad_in, self.out_dim, self.in_dim);
-        grad_in
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.in_dim, "Linear: bad batch input length");
         self.cached_input.clear();
         self.cached_input.extend_from_slice(input);
         let mut out = vec![0.0f32; batch * self.out_dim];
-        // One X·Wᵀ GEMM; adding the bias after the dot is the same
-        // `bias + ⟨w_o, x⟩` sum as the per-example path (f32 addition is
-        // commutative bit-for-bit).
+        // One X·Wᵀ GEMM, then `⟨w_o, x⟩ + bias` per output.
         gemm_nt(input, &self.weight, &mut out, batch, self.in_dim, self.out_dim);
         for row in out.chunks_exact_mut(self.out_dim) {
             for (o, &b) in row.iter_mut().zip(&self.bias) {
@@ -125,8 +98,8 @@ impl Layer for Linear {
             batch * self.in_dim,
             "Linear: backward_batch before forward_batch"
         );
-        // dW += dYᵀ X (per-scalar accumulation in example order, like
-        // sequential `ger` calls), db += column sums of dY, dX = dY · W.
+        // dW += dYᵀ X (per-scalar accumulation in example order), db +=
+        // column sums of dY, dX = dY · W.
         gemm_tn_accumulate(
             grad_output,
             &self.cached_input,
@@ -192,7 +165,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut l = Linear::new(&mut rng, 2, 2);
         l.read_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]); // W=[[1,2],[3,4]], b=[0.5,-0.5]
-        let y = l.forward(&[1.0, 1.0]);
+        let y = l.forward_batch(&[1.0, 1.0], 1);
         assert_eq!(y, vec![3.5, 6.5]);
     }
 
@@ -217,8 +190,8 @@ mod tests {
         let mut l = Linear::new(&mut rng, 4, 3);
         let x = [0.3f32, -0.2, 0.7, 0.1];
         // Scalar loss = Σ y_i² / 2, so dL/dy = y.
-        let y = l.forward(&x);
-        let gi = l.backward(&y);
+        let y = l.forward_batch(&x, 1);
+        let gi = l.backward_batch(&y, 1);
 
         let mut params = vec![0.0f32; l.param_len()];
         l.write_params(&mut params);
@@ -226,7 +199,7 @@ mod tests {
         l.write_grads(&mut grads);
 
         let loss = |l: &mut Linear, x: &[f32]| -> f64 {
-            let y = l.forward(x);
+            let y = l.forward_batch(x, 1);
             y.iter().map(|&v| (v as f64) * (v as f64) / 2.0).sum()
         };
 
@@ -259,12 +232,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut l = Linear::new(&mut rng, 2, 2);
         let x = [1.0f32, 2.0];
-        l.forward(&x);
-        l.backward(&[1.0, 1.0]);
+        l.forward_batch(&x, 1);
+        l.backward_batch(&[1.0, 1.0], 1);
         let mut g1 = vec![0.0f32; l.param_len()];
         l.write_grads(&mut g1);
-        l.forward(&x);
-        l.backward(&[1.0, 1.0]);
+        l.forward_batch(&x, 1);
+        l.backward_batch(&[1.0, 1.0], 1);
         let mut g2 = vec![0.0f32; l.param_len()];
         l.write_grads(&mut g2);
         for (a, b) in g1.iter().zip(&g2) {

@@ -26,8 +26,9 @@ impl CrossEntropyLoss {
         (loss, grad)
     }
 
-    /// Softmax probabilities (for calibration inspection / examples).
-    pub fn softmax(&self, logits: &[f32]) -> Vec<f64> {
+    /// Softmax probabilities.
+    #[cfg(test)]
+    fn softmax(&self, logits: &[f32]) -> Vec<f64> {
         let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let exp: Vec<f64> = logits.iter().map(|&z| ((z - max) as f64).exp()).collect();
         let sum: f64 = exp.iter().sum();

@@ -41,98 +41,23 @@ impl GroupNorm {
     }
 }
 
-/// Normalizes one example's `[C, H, W]` block into `out`, appending one
-/// `1/√(var+eps)` per group to `inv_stds`. Shared by the per-example and the
-/// batched forward so the two paths are bit-identical by construction.
-fn normalize_example(
-    groups: usize,
-    gsize: usize,
-    eps: f32,
-    input: &[f32],
-    out: &mut [f32],
-    inv_stds: &mut Vec<f32>,
-) {
-    for g in 0..groups {
-        let chunk = &input[g * gsize..(g + 1) * gsize];
-        let mean = chunk.iter().map(|&x| x as f64).sum::<f64>() / gsize as f64;
-        let var = chunk.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / gsize as f64;
-        let inv_std = 1.0 / (var + eps as f64).sqrt();
-        inv_stds.push(inv_std as f32);
-        let out_chunk = &mut out[g * gsize..(g + 1) * gsize];
-        for (o, &x) in out_chunk.iter_mut().zip(chunk) {
-            *o = ((x as f64 - mean) * inv_std) as f32;
-        }
-    }
-}
-
-/// `dx = inv_std · (dy − mean(dy) − y · mean(dy ⊙ y))` for one example, given
-/// its cached normalized output `norm` and per-group `inv_stds`.
-fn backward_example(
-    groups: usize,
-    gsize: usize,
-    norm: &[f32],
-    inv_stds: &[f32],
-    grad_output: &[f32],
-    grad_in: &mut [f32],
-) {
-    for g in 0..groups {
-        let y = &norm[g * gsize..(g + 1) * gsize];
-        let dy = &grad_output[g * gsize..(g + 1) * gsize];
-        let inv_std = inv_stds[g] as f64;
-        let mean_dy = dy.iter().map(|&v| v as f64).sum::<f64>() / gsize as f64;
-        let mean_dy_y =
-            dy.iter().zip(y).map(|(&d, &v)| d as f64 * v as f64).sum::<f64>() / gsize as f64;
-        let gi = &mut grad_in[g * gsize..(g + 1) * gsize];
-        for ((o, &d), &v) in gi.iter_mut().zip(dy).zip(y) {
-            *o = (inv_std * (d as f64 - mean_dy - v as f64 * mean_dy_y)) as f32;
-        }
-    }
-}
-
 impl Layer for GroupNorm {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let n = self.channels * self.spatial;
-        assert_eq!(input.len(), n, "GroupNorm: bad input length");
-        let gsize = self.group_size();
-        let mut out = vec![0.0f32; n];
-        self.cached_inv_std.clear();
-        normalize_example(self.groups, gsize, self.eps, input, &mut out, &mut self.cached_inv_std);
-        self.cached_norm.clear();
-        self.cached_norm.extend_from_slice(&out);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        let n = self.channels * self.spatial;
-        assert_eq!(grad_output.len(), n, "GroupNorm: bad grad length");
-        assert_eq!(self.cached_norm.len(), n, "backward before forward");
-        let mut grad_in = vec![0.0f32; n];
-        backward_example(
-            self.groups,
-            self.group_size(),
-            &self.cached_norm,
-            &self.cached_inv_std,
-            grad_output,
-            &mut grad_in,
-        );
-        grad_in
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         let n = self.channels * self.spatial;
         assert_eq!(input.len(), batch * n, "GroupNorm: bad batch input length");
+        // Each example's groups are contiguous, so the batch is
+        // `batch · groups` consecutive groups of `gsize` values.
         let gsize = self.group_size();
         let mut out = vec![0.0f32; batch * n];
         self.cached_inv_std.clear();
-        for bi in 0..batch {
-            normalize_example(
-                self.groups,
-                gsize,
-                self.eps,
-                &input[bi * n..(bi + 1) * n],
-                &mut out[bi * n..(bi + 1) * n],
-                &mut self.cached_inv_std,
-            );
+        for (chunk, out_chunk) in input.chunks_exact(gsize).zip(out.chunks_exact_mut(gsize)) {
+            let mean = chunk.iter().map(|&x| x as f64).sum::<f64>() / gsize as f64;
+            let var = chunk.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / gsize as f64;
+            let inv_std = 1.0 / (var + self.eps as f64).sqrt();
+            self.cached_inv_std.push(inv_std as f32);
+            for (o, &x) in out_chunk.iter_mut().zip(chunk) {
+                *o = ((x as f64 - mean) * inv_std) as f32;
+            }
         }
         self.cached_norm.clear();
         self.cached_norm.extend_from_slice(&out);
@@ -147,16 +72,20 @@ impl Layer for GroupNorm {
             batch * n,
             "GroupNorm: backward_batch before forward_batch"
         );
+        // Per group: dx = inv_std · (dy − mean(dy) − y · mean(dy ⊙ y)).
+        let gsize = self.group_size();
         let mut grad_in = vec![0.0f32; batch * n];
-        for bi in 0..batch {
-            backward_example(
-                self.groups,
-                self.group_size(),
-                &self.cached_norm[bi * n..(bi + 1) * n],
-                &self.cached_inv_std[bi * self.groups..(bi + 1) * self.groups],
-                &grad_output[bi * n..(bi + 1) * n],
-                &mut grad_in[bi * n..(bi + 1) * n],
-            );
+        let groups = self.cached_norm.chunks_exact(gsize).zip(grad_output.chunks_exact(gsize));
+        for (((y, dy), gi), &inv_std) in
+            groups.zip(grad_in.chunks_exact_mut(gsize)).zip(&self.cached_inv_std)
+        {
+            let inv_std = inv_std as f64;
+            let mean_dy = dy.iter().map(|&v| v as f64).sum::<f64>() / gsize as f64;
+            let mean_dy_y =
+                dy.iter().zip(y).map(|(&d, &v)| d as f64 * v as f64).sum::<f64>() / gsize as f64;
+            for ((o, &d), &v) in gi.iter_mut().zip(dy).zip(y) {
+                *o = (inv_std * (d as f64 - mean_dy - v as f64 * mean_dy_y)) as f32;
+            }
         }
         grad_in
     }
@@ -187,7 +116,7 @@ mod tests {
     fn output_is_normalized_per_group() {
         let mut gn = GroupNorm::new(2, 4, 2, 2); // 2 groups × (2ch · 4px) = 8 each
         let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
-        let out = gn.forward(&input);
+        let out = gn.forward_batch(&input, 1);
         for g in 0..2 {
             let chunk = &out[g * 8..(g + 1) * 8];
             let mean: f32 = chunk.iter().sum::<f32>() / 8.0;
@@ -210,11 +139,11 @@ mod tests {
         // Weighted loss L = Σ w_i y_i with fixed weights, so dL/dy = w.
         let w: Vec<f32> = (0..24).map(|i| ((i % 5) as f32 - 2.0) * 0.5).collect();
         let loss = |gn: &mut GroupNorm, x: &[f32]| -> f64 {
-            let y = gn.forward(x);
+            let y = gn.forward_batch(x, 1);
             y.iter().zip(&w).map(|(&a, &b)| a as f64 * b as f64).sum()
         };
-        gn.forward(&x);
-        let gi = gn.backward(&w);
+        gn.forward_batch(&x, 1);
+        let gi = gn.backward_batch(&w, 1);
         let eps = 1e-3f32;
         for i in [0usize, 5, 11, 17, 23] {
             let mut xp = x.clone();
@@ -233,8 +162,8 @@ mod tests {
         // backward of any dy must produce per-group zero-sum input gradients.
         let mut gn = GroupNorm::new(1, 2, 2, 2);
         let x: Vec<f32> = vec![1.0, 3.0, -2.0, 0.5, 4.0, -1.0, 2.0, 0.0];
-        gn.forward(&x);
-        let gi = gn.backward(&[1.0, -0.5, 0.25, 2.0, -1.0, 0.0, 0.5, 1.5]);
+        gn.forward_batch(&x, 1);
+        let gi = gn.backward_batch(&[1.0, -0.5, 0.25, 2.0, -1.0, 0.0, 0.5, 1.5], 1);
         let sum: f32 = gi.iter().sum();
         assert!(sum.abs() < 1e-4, "per-group gradient sum {sum}");
     }

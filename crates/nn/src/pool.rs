@@ -23,39 +23,11 @@ impl AdaptiveAvgPool2d {
 }
 
 impl Layer for AdaptiveAvgPool2d {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.output_len()];
-        adaptive_avg_pool2d_forward(
-            self.channels,
-            self.in_h,
-            self.in_w,
-            self.out_h,
-            self.out_w,
-            input,
-            &mut out,
-        );
-        out
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        let mut grad_in = vec![0.0f32; self.input_len()];
-        adaptive_avg_pool2d_backward(
-            self.channels,
-            self.in_h,
-            self.in_w,
-            self.out_h,
-            self.out_w,
-            grad_output,
-            &mut grad_in,
-        );
-        grad_in
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         let (in_len, out_len) = (self.input_len(), self.output_len());
         assert_eq!(input.len(), batch * in_len, "Pool: bad batch input length");
         // Pooling is stateless and linear: one kernel call per example into a
-        // shared output buffer, bit-identical to `forward` by construction.
+        // shared output buffer.
         let mut out = vec![0.0f32; batch * out_len];
         for bi in 0..batch {
             adaptive_avg_pool2d_forward(
@@ -114,9 +86,9 @@ mod tests {
         assert_eq!(p.input_len(), 16 * 256);
         assert_eq!(p.output_len(), 16 * 16);
         let x = vec![1.0f32; p.input_len()];
-        let y = p.forward(&x);
+        let y = p.forward_batch(&x, 1);
         assert!(y.iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        let g = p.backward(&y);
+        let g = p.backward_batch(&y, 1);
         assert_eq!(g.len(), p.input_len());
     }
 }

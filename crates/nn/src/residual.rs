@@ -34,31 +34,6 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.len, "Residual: bad input length");
-        let mut h = input.to_vec();
-        for layer in &mut self.body {
-            h = layer.forward(&h);
-        }
-        for (hv, &xv) in h.iter_mut().zip(input) {
-            *hv += xv;
-        }
-        h
-    }
-
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        assert_eq!(grad_output.len(), self.len, "Residual: bad grad length");
-        let mut g = grad_output.to_vec();
-        for layer in self.body.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        // Skip connection adds the output gradient directly.
-        for (gv, &ov) in g.iter_mut().zip(grad_output) {
-            *gv += ov;
-        }
-        g
-    }
-
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.len, "Residual: bad batch input length");
         let mut h = input.to_vec();
@@ -77,6 +52,7 @@ impl Layer for Residual {
         for layer in self.body.iter_mut().rev() {
             g = layer.backward_batch(&g, batch);
         }
+        // Skip connection adds the output gradient directly.
         for (gv, &ov) in g.iter_mut().zip(grad_output) {
             *gv += ov;
         }
@@ -144,7 +120,7 @@ mod tests {
         let params: Vec<f32> = vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0];
         lin.read_params(&params);
         let mut r = Residual::new(vec![lin.into()]);
-        let y = r.forward(&[1.0, 2.0, 3.0]);
+        let y = r.forward_batch(&[1.0, 2.0, 3.0], 1);
         assert_eq!(y, vec![2.0, 4.0, 6.0]);
     }
 
@@ -156,12 +132,12 @@ mod tests {
         let mut r = Residual::new(body);
         let x = [0.3f32, -0.4, 0.8, 0.1];
         let loss = |r: &mut Residual, x: &[f32]| -> f64 {
-            r.forward(x).iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
+            r.forward_batch(x, 1).iter().map(|&v| (v as f64).powi(2) / 2.0).sum()
         };
-        let y = r.forward(&x);
+        let y = r.forward_batch(&x, 1);
         r.zero_grads();
-        r.forward(&x);
-        let gi = r.backward(&y);
+        r.forward_batch(&x, 1);
+        let gi = r.backward_batch(&y, 1);
         let mut params = vec![0.0f32; r.param_len()];
         r.write_params(&mut params);
         let mut grads = vec![0.0f32; r.param_len()];

@@ -49,32 +49,12 @@ impl Sequential {
         self.layers.last().expect("non-empty").output_len()
     }
 
-    /// Forward pass for one example; caches activations for
-    /// [`Sequential::backward`].
-    pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        let mut h = self.layers[0].forward(input);
-        for layer in &mut self.layers[1..] {
-            h = layer.forward(&h);
-        }
-        h
-    }
-
-    /// Backward pass; accumulates per-layer parameter gradients and returns
-    /// the input gradient.
-    pub fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
-        let mut g = grad_output.to_vec();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// Batched forward over `batch` examples packed back to back in `inputs`.
+    /// Forward over `batch` examples packed back to back in `inputs`; one
+    /// example is a batch of one.
     ///
-    /// Per-example logits are **bit-identical** to calling
-    /// [`Sequential::forward`] once per example (every layer's batched kernel
-    /// preserves the per-output accumulation order), so batched evaluation
-    /// cannot perturb the determinism contract.
+    /// Each example's logits are **bit-identical** whatever the batch size
+    /// (every layer preserves the per-output accumulation order), so batched
+    /// evaluation cannot perturb the determinism contract.
     pub fn forward_batch(&mut self, inputs: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(inputs.len(), batch * self.input_len(), "bad batched input length");
         let mut h = self.layers[0].forward_batch(inputs, batch);
@@ -84,9 +64,9 @@ impl Sequential {
         h
     }
 
-    /// Batched backward matching the most recent [`Sequential::forward_batch`]:
-    /// accumulates parameter gradients (bit-identical to sequential
-    /// per-example backward passes) and returns the packed input gradients.
+    /// Backward matching the most recent [`Sequential::forward_batch`]:
+    /// accumulates parameter gradients (bit-identical to one batch-of-one
+    /// backward per example) and returns the packed input gradients.
     pub fn backward_batch(&mut self, grad_output: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(grad_output.len(), batch * self.output_len(), "bad batched gradient length");
         let mut g = grad_output.to_vec();
@@ -158,9 +138,10 @@ impl Sequential {
     /// This is the exact quantity `g_j ← ∇f(x_j ∈ d_i; w^{t−1})` of
     /// Algorithm 1 line 7, and the protocol's hot path (`b_c` calls per
     /// upload), so it does less than the composition it equals bit for bit
-    /// ([`Sequential::zero_grads`] + [`Sequential::forward`] +
-    /// [`Sequential::backward`] + [`Sequential::write_grads_into`]): the
-    /// first layer is never asked for the input gradient nobody reads, and a
+    /// ([`Sequential::zero_grads`] + [`Sequential::forward_batch`] and
+    /// [`Sequential::backward_batch`] over a batch of one +
+    /// [`Sequential::write_grads_into`]): the first layer is never asked for
+    /// the input gradient nobody reads, and a
     /// first [`Linear`](crate::linear::Linear) layer writes its gradient
     /// straight into `grad_out`. The layers' gradient accumulators are
     /// therefore **unspecified** afterwards; everything that reads them
@@ -173,13 +154,13 @@ impl Sequential {
         grad_out: &mut [f32],
     ) -> f64 {
         assert_eq!(grad_out.len(), self.param_len, "bad gradient buffer length");
-        let logits = self.forward(x);
+        let logits = self.forward_batch(x, 1);
         let (loss, mut g) = loss_fn.loss_and_grad(&logits, label);
         let (first, rest) = self.layers.split_first_mut().expect("non-empty");
         let mut off = self.param_len;
         for layer in rest.iter_mut().rev() {
             layer.zero_grads();
-            g = layer.backward(&g);
+            g = layer.backward_batch(&g, 1);
             off -= layer.param_len();
             layer.write_grads(&mut grad_out[off..off + layer.param_len()]);
         }
@@ -188,7 +169,7 @@ impl Sequential {
             AnyLayer::Linear(linear) => linear.write_example_grads(&g, first_grads),
             other => {
                 other.zero_grads();
-                other.backward(&g);
+                other.backward_batch(&g, 1);
                 other.write_grads(first_grads);
             }
         }
@@ -224,10 +205,10 @@ impl Sequential {
     /// back to back): one batched forward, per-example softmax-cross-entropy
     /// gradients, one batched backward.
     ///
-    /// Bit-identical to the per-example loop it replaced: the batched logits
-    /// match per-example `forward` exactly, and every parameter-gradient
-    /// scalar accumulates its per-example contributions in the same
-    /// (ascending example) order.
+    /// Bit-identical to a loop of batch-of-one passes: every example's
+    /// logits are independent of the batch, and every parameter-gradient
+    /// scalar accumulates its per-example contributions in ascending example
+    /// order.
     pub fn batch_gradient_packed(
         &mut self,
         loss_fn: &CrossEntropyLoss,
@@ -255,12 +236,6 @@ impl Sequential {
             *g *= inv;
         }
         total_loss / batch as f64
-    }
-
-    /// Class prediction (argmax of logits) for one example.
-    pub fn predict(&mut self, x: &[f32]) -> usize {
-        let logits = self.forward(x);
-        crate::metrics::argmax(&logits)
     }
 }
 
@@ -292,7 +267,7 @@ mod tests {
         assert_eq!(other.params(), p);
         // Identical params → identical predictions.
         let x: Vec<f32> = (0..6).map(|i| i as f32 * 0.1).collect();
-        assert_eq!(m.forward(&x), other.forward(&x));
+        assert_eq!(m.forward_batch(&x, 1), other.forward_batch(&x, 1));
     }
 
     #[test]
@@ -321,13 +296,13 @@ mod tests {
             p[i] += eps;
             m.set_params(&p);
             let up = {
-                let logits = m.forward(&x);
+                let logits = m.forward_batch(&x, 1);
                 loss_fn.loss_and_grad(&logits, label).0
             };
             p[i] -= 2.0 * eps;
             m.set_params(&p);
             let down = {
-                let logits = m.forward(&x);
+                let logits = m.forward_batch(&x, 1);
                 loss_fn.loss_and_grad(&logits, label).0
             };
             let fd = (up - down) / (2.0 * eps as f64);

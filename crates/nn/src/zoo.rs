@@ -164,7 +164,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut m = mnist_cnn(&mut rng);
         let x = vec![0.5f32; 28 * 28];
-        let logits = m.forward(&x);
+        let logits = m.forward_batch(&x, 1);
         assert_eq!(logits.len(), 10);
         assert!(logits.iter().all(|v| v.is_finite()));
         let loss_fn = crate::loss::CrossEntropyLoss;

@@ -1,6 +1,6 @@
 //! Property-based tests for the NN substrate.
 
-use dpbfl_nn::activation::{Elu, Relu};
+use dpbfl_nn::activation::Elu;
 use dpbfl_nn::layer::Layer;
 use dpbfl_nn::loss::CrossEntropyLoss;
 use dpbfl_nn::norm::GroupNorm;
@@ -15,17 +15,11 @@ proptest! {
     #[test]
     fn elu_is_monotone_and_bounded_below(a in -10.0f32..10.0, b in -10.0f32..10.0) {
         let mut e = Elu::new(2);
-        let y = e.forward(&[a, b]);
+        let y = e.forward_batch(&[a, b], 1);
         prop_assert!(y.iter().all(|&v| v > -1.0 - 1e-6));
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let y2 = e.forward(&[lo, hi]);
+        let y2 = e.forward_batch(&[lo, hi], 1);
         prop_assert!(y2[0] <= y2[1] + 1e-6);
-    }
-
-    #[test]
-    fn relu_output_is_nonnegative(v in prop::collection::vec(-10.0f32..10.0, 1..16)) {
-        let mut r = Relu::new(v.len());
-        prop_assert!(r.forward(&v).iter().all(|&x| x >= 0.0));
     }
 
     #[test]
@@ -37,7 +31,7 @@ proptest! {
         let var0: f32 = v.iter().map(|x| (x - mean0).powi(2)).sum::<f32>() / 16.0;
         prop_assume!(var0 > 1e-3);
         let mut gn = GroupNorm::new(1, 4, 2, 2);
-        let y = gn.forward(&v);
+        let y = gn.forward_batch(&v, 1);
         let mean: f32 = y.iter().sum::<f32>() / 16.0;
         let var: f32 = y.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / 16.0;
         prop_assert!(mean.abs() < 1e-3, "mean {mean}");
@@ -72,8 +66,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = zoo::mlp(&mut rng, 8, 4, 3);
         let x = [0.1f32, -0.2, 0.3, 0.0, 0.5, -0.5, 0.9, -0.9];
-        let y1 = m.forward(&x);
-        let y2 = m.forward(&x);
+        let y1 = m.forward_batch(&x, 1);
+        let y2 = m.forward_batch(&x, 1);
         prop_assert_eq!(y1, y2);
     }
 }

@@ -3,10 +3,10 @@
 //! The paper's networks use 5×5 valid convolutions with stride 1 (MNIST net,
 //! Table 7) and a residual CNN for Colorectal. These kernels implement general
 //! stride/valid convolution with forward, input-gradient, and kernel-gradient
-//! passes, on `[C, H, W]` row-major buffers. The direct per-example kernels
-//! serve DP-SGD's per-example gradients; [`conv2d_forward_batch`] adds an
-//! im2col + GEMM path for server-side batched inference that is bit-identical
-//! to the direct kernel example by example.
+//! passes, on `[C, H, W]` row-major buffers. The forward pass is
+//! [`conv2d_forward_batch`] (im2col + GEMM, one example at a time, so a
+//! single example is a batch of one); the two backward kernels take one
+//! example per call.
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,11 +108,10 @@ pub fn im2col(geom: &ConvGeometry, input: &[f32], col: &mut [f32]) {
 /// Batched forward valid convolution over `batch` examples packed back to back
 /// in `input`, via im2col + GEMM into `output` (`batch · output_len()`).
 ///
-/// Bit-identical to [`conv2d_forward`] per example: the GEMM walks the shared
-/// `(c, ky, kx)` dimension in the same ascending order with the same
-/// zero-weight skip as the direct kernel, and the im2col matrix holds exactly
-/// the input values the direct kernel reads — so every output scalar is the
-/// same `f32` sum in the same order.
+/// `output[o, y, x] = bias[o] + Σ_{c,ky,kx} input[c, y·s+ky, x·s+kx] ·
+/// weight[o, c, ky, kx]`, summed in ascending `(c, ky, kx)` order with
+/// zero weights skipped. Each example is convolved on its own, so its output
+/// does not depend on the batch it rides in.
 pub fn conv2d_forward_batch(
     geom: &ConvGeometry,
     input: &[f32],
@@ -140,48 +139,6 @@ pub fn conv2d_forward_batch(
             out[o * cols..(o + 1) * cols].fill(b);
         }
         crate::matmul::gemm_accumulate(weight, &col, out, geom.out_channels, rows, cols);
-    }
-}
-
-/// Forward valid convolution: `output[o, y, x] = bias[o] + Σ_{c,ky,kx}
-/// input[c, y·s+ky, x·s+kx] · weight[o, c, ky, kx]`.
-pub fn conv2d_forward(
-    geom: &ConvGeometry,
-    input: &[f32],
-    weight: &[f32],
-    bias: &[f32],
-    output: &mut [f32],
-) {
-    geom.check();
-    debug_assert_eq!(input.len(), geom.input_len());
-    debug_assert_eq!(weight.len(), geom.kernel_len());
-    debug_assert_eq!(bias.len(), geom.out_channels);
-    debug_assert_eq!(output.len(), geom.output_len());
-
-    let (oh, ow, k, s) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
-    let (ih, iw) = (geom.in_h, geom.in_w);
-    for o in 0..geom.out_channels {
-        let out_plane = &mut output[o * oh * ow..(o + 1) * oh * ow];
-        out_plane.fill(bias[o]);
-        for c in 0..geom.in_channels {
-            let in_plane = &input[c * ih * iw..(c + 1) * ih * iw];
-            let w_base = (o * geom.in_channels + c) * k * k;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let w = weight[w_base + ky * k + kx];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    for y in 0..oh {
-                        let in_row = &in_plane[(y * s + ky) * iw + kx..];
-                        let out_row = &mut out_plane[y * ow..(y + 1) * ow];
-                        for (x, ov) in out_row.iter_mut().enumerate() {
-                            *ov += w * in_row[x * s];
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -269,6 +226,50 @@ pub fn conv2d_backward_params(
 mod tests {
     use super::*;
 
+    /// The direct one-example forward convolution, oracle of
+    /// [`conv2d_forward_batch`]: the GEMM walks the shared `(c, ky, kx)`
+    /// dimension in the same ascending order with the same zero-weight skip, and
+    /// the im2col matrix holds exactly the input values read here.
+    fn conv2d_forward(
+        geom: &ConvGeometry,
+        input: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        output: &mut [f32],
+    ) {
+        geom.check();
+        debug_assert_eq!(input.len(), geom.input_len());
+        debug_assert_eq!(weight.len(), geom.kernel_len());
+        debug_assert_eq!(bias.len(), geom.out_channels);
+        debug_assert_eq!(output.len(), geom.output_len());
+
+        let (oh, ow, k, s) = (geom.out_h(), geom.out_w(), geom.kernel, geom.stride);
+        let (ih, iw) = (geom.in_h, geom.in_w);
+        for o in 0..geom.out_channels {
+            let out_plane = &mut output[o * oh * ow..(o + 1) * oh * ow];
+            out_plane.fill(bias[o]);
+            for c in 0..geom.in_channels {
+                let in_plane = &input[c * ih * iw..(c + 1) * ih * iw];
+                let w_base = (o * geom.in_channels + c) * k * k;
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let w = weight[w_base + ky * k + kx];
+                        if w == 0.0 {
+                            continue;
+                        }
+                        for y in 0..oh {
+                            let in_row = &in_plane[(y * s + ky) * iw + kx..];
+                            let out_row = &mut out_plane[y * ow..(y + 1) * ow];
+                            for (x, ov) in out_row.iter_mut().enumerate() {
+                                *ov += w * in_row[x * s];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn small_geom() -> ConvGeometry {
         ConvGeometry { in_channels: 1, out_channels: 1, in_h: 3, in_w: 3, kernel: 2, stride: 1 }
     }
@@ -280,7 +281,7 @@ mod tests {
         let weight = [1.0, 0.0, 0.0, 1.0]; // identity-ish: x[0,0] + x[1,1]
         let bias = [0.5];
         let mut out = [0.0f32; 4];
-        conv2d_forward(&geom, &input, &weight, &bias, &mut out);
+        conv2d_forward_batch(&geom, &input, &weight, &bias, &mut out, 1);
         // windows: (1+5), (2+6), (4+8), (5+9) plus bias
         assert_eq!(out, [6.5, 8.5, 12.5, 14.5]);
     }
@@ -299,7 +300,7 @@ mod tests {
         let weight = [1.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1];
         let bias = [0.0];
         let mut out = [0.0f32; 1];
-        conv2d_forward(&geom, &input, &weight, &bias, &mut out);
+        conv2d_forward_batch(&geom, &input, &weight, &bias, &mut out, 1);
         assert!((out[0] - (10.0 + 10.0)).abs() < 1e-5);
     }
 
@@ -319,7 +320,7 @@ mod tests {
         let weight = [1.0, 0.0, 0.0, 0.0];
         let bias = [0.0];
         let mut out = [0.0f32; 4];
-        conv2d_forward(&geom, &input, &weight, &bias, &mut out);
+        conv2d_forward_batch(&geom, &input, &weight, &bias, &mut out, 1);
         assert_eq!(out, [0.0, 2.0, 8.0, 10.0]);
     }
 
@@ -397,7 +398,7 @@ mod tests {
         // Loss = sum of outputs, so grad_output = all ones.
         let loss = |input: &[f32], weight: &[f32], bias: &[f32]| -> f64 {
             let mut out = vec![0.0f32; geom.output_len()];
-            conv2d_forward(&geom, input, weight, bias, &mut out);
+            conv2d_forward_batch(&geom, input, weight, bias, &mut out, 1);
             out.iter().map(|&v| v as f64).sum()
         };
 

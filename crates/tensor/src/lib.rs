@@ -9,8 +9,10 @@
 //!   normalization, cosine similarity). These are the hot path of the federated
 //!   protocol itself, where every model/gradient crossing the network is a flat
 //!   `d`-dimensional vector.
-//! * [`matmul`] — blocked GEMM and matrix–vector kernels used by dense layers.
-//! * [`conv`] — direct 2-D valid convolution, forward and both backward passes.
+//! * [`matmul`] — the three GEMMs of a dense layer's batched forward and
+//!   backward pass, over one interleaved dot kernel ([`matmul::matvec`]).
+//! * [`conv`] — 2-D valid convolution: im2col + GEMM forward and both
+//!   backward passes.
 //! * [`pool`] — adaptive average pooling, forward and backward.
 //! * [`quant`] — lossy `i16` linear quantization for retained uploads (the
 //!   streaming defense's extreme-tail memory mode).

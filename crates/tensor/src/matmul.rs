@@ -1,11 +1,14 @@
-//! Dense matrix kernels: GEMM, matrix–vector, and rank-1 update.
+//! Dense matrix kernels: the three products of a dense layer's batched
+//! forward and backward pass.
 //!
-//! All matrices are row-major flat slices with explicit dimensions. The GEMM is
-//! a cache-blocked i-k-j loop (the inner `j` loop is a contiguous axpy, which
-//! LLVM auto-vectorizes); it is not a tuned BLAS, but at the model sizes used in
-//! the paper (`d ≈ 21 000 – 34 000` parameters) it keeps the per-example
-//! forward/backward passes comfortably faster than the statistical tests that
-//! dominate server time.
+//! All matrices are row-major flat slices with explicit dimensions. A single
+//! example is a batch of one, so these are the only dense kernels: the
+//! forward pass is [`gemm_nt`] (one [`matvec`] per example), the weight
+//! gradient [`gemm_tn_accumulate`] and the input gradient [`gemm`], an i-k-j
+//! loop whose inner `j` loop is a contiguous axpy that LLVM auto-vectorizes.
+//! They are not a tuned BLAS, but at the model sizes used in the paper
+//! (`d ≈ 21 000 – 34 000` parameters) they keep the per-example gradients
+//! comfortably faster than the statistical tests that dominate server time.
 
 /// `c ← a · b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n`.
 ///
@@ -45,8 +48,8 @@ pub fn gemm_accumulate(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
 ///
 /// Every output is one ascending-index dot of a row with `x`. A single such
 /// dot is a serial chain of dependent adds, so eight rows are interleaved
-/// for ILP exactly as [`gemm_nt`] interleaves four: which scalars are in
-/// flight changes, never the order within one accumulator.
+/// for ILP: which scalars are in flight changes, never the order within one
+/// accumulator. This is the one dot kernel; [`gemm_nt`] runs it per row.
 pub fn matvec(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
     const ROWS: usize = 8;
     debug_assert_eq!(a.len(), m * n);
@@ -74,71 +77,20 @@ pub fn matvec(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
     }
 }
 
-/// `y ← Aᵀ · x` where `A` is `m×n` row-major, `x` has length `m`.
-///
-/// Used by the dense-layer backward pass (`dx = Wᵀ dy`).
-pub fn matvec_transposed(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(x.len(), m);
-    debug_assert_eq!(y.len(), n);
-    y.fill(0.0);
-    for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &a[i * n..(i + 1) * n];
-        for (yj, &aij) in y.iter_mut().zip(row) {
-            *yj += xi * aij;
-        }
-    }
-}
-
 /// `c ← a · bᵀ` where `a` is `m×k`, `b` is `n×k` (both row-major), `c` is
 /// `m×n`.
 ///
-/// The batched-inference workhorse: with `a` holding `m` examples and `b` a
-/// dense layer's `out×in` weight matrix, `c` holds the layer outputs for the
-/// whole batch. Every output scalar is a single ascending-index dot of two
-/// contiguous rows — the exact accumulation order of [`matvec`] applied row
-/// by row (IEEE-754 multiplication is commutative bit-for-bit), so batched
-/// logits are bit-identical to the per-example path by construction. The
-/// loop is 4-way unrolled over `b` rows for ILP; unrolling changes which
-/// scalars are in flight, never the order within one accumulator.
+/// The dense forward pass: with `a` holding `m` examples and `b` a dense
+/// layer's `out×in` weight matrix, `c` holds the layer outputs for the whole
+/// batch. Each output row is one [`matvec`] of `b` against that example
+/// (IEEE-754 multiplication is commutative bit-for-bit), so every output
+/// scalar is a single ascending-index dot whatever the batch size.
 pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
     for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (p, &av) in a_row.iter().enumerate() {
-                s0 += b0[p] * av;
-                s1 += b1[p] * av;
-                s2 += b2[p] * av;
-                s3 += b3[p] * av;
-            }
-            c_row[j] = s0;
-            c_row[j + 1] = s1;
-            c_row[j + 2] = s2;
-            c_row[j + 3] = s3;
-            j += 4;
-        }
-        while j < n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut s = 0.0f32;
-            for (&bv, &av) in b_row.iter().zip(a_row) {
-                s += bv * av;
-            }
-            c_row[j] = s;
-            j += 1;
-        }
+        matvec(b, &a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n], n, k);
     }
 }
 
@@ -147,8 +99,8 @@ pub fn gemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
 /// The batched weight-gradient update: with `a` the batch's output gradients
 /// (`batch×out`) and `b` the cached inputs (`batch×in`), this accumulates
 /// `dW += Σ_p dy_p ⊗ x_p`. Every `c` scalar receives its per-example
-/// contributions in ascending example order with the same zero-coefficient
-/// skip as [`ger`], so it is bit-identical to `batch` sequential `ger` calls.
+/// contributions in ascending example order, skipping a zero coefficient, so
+/// it is bit-identical to `batch` sequential one-example updates.
 pub fn gemm_tn_accumulate(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
@@ -168,30 +120,46 @@ pub fn gemm_tn_accumulate(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usiz
     }
 }
 
-/// Rank-1 update `A ← A + alpha · x yᵀ` where `A` is `m×n`, `x` has length `m`,
-/// `y` has length `n`.
-///
-/// Used to accumulate dense-layer weight gradients (`dW += dy ⊗ x`).
-pub fn ger(alpha: f32, x: &[f32], y: &[f32], a: &mut [f32], m: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(x.len(), m);
-    debug_assert_eq!(y.len(), n);
-    for (i, &xi) in x.iter().enumerate() {
-        let coef = alpha * xi;
-        if coef == 0.0 {
-            continue;
-        }
-        let row = &mut a[i * n..(i + 1) * n];
-        for (aij, &yj) in row.iter_mut().zip(y) {
-            *aij += coef * yj;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `y ← Aᵀ · x` (`A` is `m×n`): the one-example input gradient, oracle of
+    /// [`gemm`] at `m = 1`.
+    fn matvec_transposed(a: &[f32], x: &[f32], y: &mut [f32], m: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * n);
+        debug_assert_eq!(x.len(), m);
+        debug_assert_eq!(y.len(), n);
+        y.fill(0.0);
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            let row = &a[i * n..(i + 1) * n];
+            for (yj, &aij) in y.iter_mut().zip(row) {
+                *yj += xi * aij;
+            }
+        }
+    }
+
+    /// Rank-1 update `A ← A + alpha · x yᵀ` (`A` is `m×n`): the one-example
+    /// weight-gradient update, oracle of [`gemm_tn_accumulate`] at `k = 1`.
+    fn ger(alpha: f32, x: &[f32], y: &[f32], a: &mut [f32], m: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * n);
+        debug_assert_eq!(x.len(), m);
+        debug_assert_eq!(y.len(), n);
+        for (i, &xi) in x.iter().enumerate() {
+            let coef = alpha * xi;
+            if coef == 0.0 {
+                continue;
+            }
+            let row = &mut a[i * n..(i + 1) * n];
+            for (aij, &yj) in row.iter_mut().zip(y) {
+                *aij += coef * yj;
+            }
+        }
+    }
 
     /// The one-row-at-a-time `matvec` the interleaved kernel replaced.
     fn matvec_naive(a: &[f32], x: &[f32], y: &mut [f32], n: usize) {
@@ -270,9 +238,9 @@ mod tests {
 
     #[test]
     fn gemm_nt_matches_per_row_matvec_bitwise() {
-        // 3 examples × 7 inputs against a 5×7 "weight" matrix, awkward sizes
-        // so both the unrolled quad and the remainder path run.
-        let (m, k, n) = (3usize, 7usize, 5usize);
+        // 3 examples × 7 inputs against an 11×7 "weight" matrix, awkward
+        // sizes so both the 8-row block and the remainder rows run.
+        let (m, k, n) = (3usize, 7usize, 11usize);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.13).collect();
         let b: Vec<f32> = (0..n * k).map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.07).collect();
         let mut c = vec![0.0f32; m * n];
@@ -280,6 +248,25 @@ mod tests {
         for i in 0..m {
             let mut y = vec![0.0f32; n];
             matvec(&b, &a[i * k..(i + 1) * k], &mut y, n, k);
+            for j in 0..n {
+                assert_eq!(c[i * n + j].to_bits(), y[j].to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_matches_per_row_matvec_transposed_bitwise() {
+        // dX = dY · W over 4 "examples" of a 3×5 layer, with a zero output
+        // gradient to exercise the skip path.
+        let (m, k, n) = (4usize, 3usize, 5usize);
+        let mut a: Vec<f32> = (0..m * k).map(|i| ((i * 29 % 11) as f32 - 5.0) * 0.17).collect();
+        a[k + 2] = 0.0;
+        let b: Vec<f32> = (0..k * n).map(|i| ((i * 43 % 19) as f32 - 9.0) * 0.09).collect();
+        let mut c = vec![f32::NAN; m * n];
+        gemm(&a, &b, &mut c, m, k, n);
+        for i in 0..m {
+            let mut y = vec![f32::NAN; n];
+            matvec_transposed(&b, &a[i * k..(i + 1) * k], &mut y, k, n);
             for j in 0..n {
                 assert_eq!(c[i * n + j].to_bits(), y[j].to_bits(), "({i},{j})");
             }
