@@ -108,9 +108,10 @@ impl FirstStage {
         (self.norm_lo.sqrt(), self.norm_hi.sqrt())
     }
 
-    /// The sort-free KS screen behind the fast path (exposed so benches and
-    /// tests can observe fast-path coverage directly).
-    pub fn ks_screen(&self) -> &KsGaussianScreen {
+    /// The sort-free KS screen behind the fast path (tests observe its
+    /// critical band through it).
+    #[cfg(test)]
+    fn ks_screen(&self) -> &KsGaussianScreen {
         &self.screen
     }
 

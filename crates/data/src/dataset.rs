@@ -75,7 +75,8 @@ impl Dataset {
     }
 
     /// Per-class example counts.
-    pub fn class_counts(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
         for &l in &self.labels {
             counts[l] += 1;

@@ -1,4 +1,4 @@
-//! The Normal distribution: density, CDF, quantile, and sampling.
+//! The Normal distribution: CDF, quantile, and sampling.
 //!
 //! The protocol leans on this everywhere: the KS test compares upload
 //! coordinates against `N(0, σ'²)`; the norm-test interval comes from the
@@ -39,7 +39,8 @@ impl Normal {
     }
 
     /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    fn pdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / self.std;
         (-0.5 * z * z).exp() / (self.std * (2.0 * std::f64::consts::PI).sqrt())
     }
@@ -48,12 +49,6 @@ impl Normal {
     pub fn cdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / (self.std * std::f64::consts::SQRT_2);
         0.5 * erfc(-z)
-    }
-
-    /// Survival function `1 − CDF(x)`, accurate in the upper tail.
-    pub fn sf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / (self.std * std::f64::consts::SQRT_2);
-        0.5 * erfc(z)
     }
 
     /// Quantile (inverse CDF) at probability `p ∈ (0, 1)`.
