@@ -10,6 +10,7 @@
 //! dpbfl-exp metrics <ledger.jsonl>
 //! dpbfl-exp docs [--out FILE] [--check]
 //! dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
+//! dpbfl-exp perf compare --base GIT --head GIT [--workload W]
 //! ```
 //!
 //! A scenario argument is first resolved against the built-in registry
@@ -35,6 +36,7 @@ USAGE:
     dpbfl-exp metrics <ledger.jsonl>
     dpbfl-exp docs [--out FILE] [--check]
     dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
+    dpbfl-exp perf compare --base GIT --head GIT [--workload W]
 
 A scenario grid expands into cells (cartesian product of the spec's sweep
 axes, plus any labeled `include` rows); `run` executes them in parallel —
@@ -60,7 +62,17 @@ BENCH_e2e.json (with --trace 1: the per-layer metrics, to BENCH_layers.json)
 in the current directory. --repo names the checkout whose BENCHMARK.json is
 read and whose benchmark is built and run (default: the current directory):
 point it at a checkout of the parent commit to record the other side of a
-parent/change pair into the same files.";
+parent/change pair into the same files.
+
+`perf compare` reads the BENCH_e2e.json rows in the current directory whose
+`git` is the base (parent) or the head (change) commit, pairs the two sides
+of each workload in file order, and prints one table per workload: for every
+end-to-end metric of BENCHMARK.json, q1 / median / q3 of each side (linear
+interpolation between closest ranks), the median change, the change's wins,
+the bound and a verdict. `unmeasurable`: the parent's own spread (q3 − q1
+over its median) exceeds the bound. `outside`: the change's median is worse
+than the parent's by more than the bound (the exit status is then 1).
+`within`: neither.";
 
 fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -485,15 +497,23 @@ fn regenerate_report(args: &[String]) -> i32 {
     })
 }
 
+/// `perf record` or `perf compare`.
+fn perf(args: &[String]) -> i32 {
+    match args.get(1).map(String::as_str) {
+        Some("record") => perf_record_command(&args[2..]),
+        Some("compare") => perf_compare_command(&args[2..]),
+        _ => {
+            eprintln!("error: `perf` has two subcommands, `record` and `compare`\n\n{USAGE}");
+            2
+        }
+    }
+}
+
 /// `perf record`: one benchmark run → one row of `BENCH_e2e.json` or
 /// `BENCH_layers.json`.
-fn perf(args: &[String]) -> i32 {
-    if args.get(1).map(String::as_str) != Some("record") {
-        eprintln!("error: `perf` has one subcommand, `record`\n\n{USAGE}");
-        return 2;
-    }
+fn perf_record_command(args: &[String]) -> i32 {
     let (mut workload, mut seed, mut trace, mut repo) = (None, None, false, PathBuf::from("."));
-    let mut rest = args[2..].iter();
+    let mut rest = args.iter();
     while let Some(flag) = rest.next() {
         let Some(value) = rest.next() else {
             eprintln!("error: {flag} needs a value\n\n{USAGE}");
@@ -580,6 +600,187 @@ fn perf_record(
     let file = if trace { "BENCH_layers.json" } else { "BENCH_e2e.json" };
     append_row(Path::new(file), row)?;
     Ok(file)
+}
+
+/// `perf compare`: the committed parent/change pairs of two commits, one
+/// table per workload.
+fn perf_compare_command(args: &[String]) -> i32 {
+    let (mut base, mut head, mut workload) = (None, None, None);
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let Some(value) = rest.next() else {
+            eprintln!("error: {flag} needs a value\n\n{USAGE}");
+            return 2;
+        };
+        match flag.as_str() {
+            "--base" => base = Some(value.as_str()),
+            "--head" => head = Some(value.as_str()),
+            "--workload" => workload = Some(value.as_str()),
+            _ => {
+                eprintln!("error: bad argument `{flag} {value}`\n\n{USAGE}");
+                return 2;
+            }
+        }
+    }
+    let (Some(base), Some(head)) = (base, head) else {
+        eprintln!("error: perf compare needs --base and --head\n\n{USAGE}");
+        return 2;
+    };
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .map_err(|e| format!("{path}: {e}"))
+            .and_then(|text| serde_json::parse_value(&text).map_err(|e| format!("{path}: {e}")))
+    };
+    let tables = read("BENCHMARK.json").and_then(|contract| match read("BENCH_e2e.json")? {
+        serde::Value::Arr(rows) => compare_rows(&contract, &rows, base, head, workload),
+        _ => Err("BENCH_e2e.json: not a JSON array of rows".to_owned()),
+    });
+    match tables {
+        Ok((text, outside)) => {
+            print!("{text}");
+            i32::from(outside)
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
+/// Renders the `base`/`head` comparison of `rows` against the end-to-end
+/// metrics and bounds of the benchmark `contract`; the flag is set when any
+/// metric is `outside` its bound.
+fn compare_rows(
+    contract: &serde::Value,
+    rows: &[serde::Value],
+    base: &str,
+    head: &str,
+    only: Option<&str>,
+) -> Result<(String, bool), String> {
+    use serde::Value;
+    let text = |v: &Value, key: &str| match v.get(key) {
+        Some(Value::Str(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let list = |key: &str| match contract.get(key) {
+        Some(Value::Arr(items)) => Ok(items.as_slice()),
+        _ => Err(format!("BENCHMARK.json: `{key}` must be an array")),
+    };
+    let mut metrics = Vec::new();
+    for m in list("end_to_end")? {
+        let (Some(name), Some(bound)) = (text(m, "name"), m.get("bound").and_then(Value::as_f64))
+        else {
+            return Err("BENCHMARK.json: an end-to-end metric lacks `name` or `bound`".to_owned());
+        };
+        metrics.push((name, text(m, "better").as_deref() == Some("higher"), bound));
+    }
+    let workloads = list("workloads")?.iter().filter_map(|w| text(w, "name"));
+    let (mut out, mut outside) = (String::new(), false);
+    for workload in workloads.filter(|w| only.is_none_or(|o| o == w)) {
+        let side = |git: &str| -> Vec<&Value> {
+            let mine = |r: &&Value| {
+                text(r, "git").as_deref() == Some(git)
+                    && text(r, "workload").as_deref() == Some(workload.as_str())
+            };
+            rows.iter().filter(mine).collect()
+        };
+        let (parent, change) = (side(base), side(head));
+        let n = parent.len().min(change.len());
+        if n == 0 {
+            continue;
+        }
+        let mut seeds: Vec<String> = parent[..n]
+            .iter()
+            .filter_map(|r| r.get("seed")?.as_f64())
+            .map(|s| s.to_string())
+            .collect();
+        seeds.sort();
+        seeds.dedup();
+        out.push_str(&format!("### {workload} ({n} pairs, seed {})\n", seeds.join(", ")));
+        out.push_str(
+            "| metric | parent q1 / median / q3 | change q1 / median / q3 | median Δ \
+             | change wins | bound | verdict | per-pair parent → change |\n\
+             |---|---|---|---|---|---|---|---|\n",
+        );
+        for (name, higher, bound) in &metrics {
+            let value = |r: &Value| r.get("metrics")?.get(name)?.as_f64();
+            let pairs: Vec<(f64, f64)> = parent[..n]
+                .iter()
+                .zip(&change[..n])
+                .filter_map(|(p, c)| Some((value(p)?, value(c)?)))
+                .collect();
+            if pairs.is_empty() {
+                continue;
+            }
+            let quartiles = |values: Vec<f64>| [0.25, 0.5, 0.75].map(|p| quantile(&values, p));
+            let [p1, pm, p3] = quartiles(pairs.iter().map(|p| p.0).collect());
+            let [c1, cm, c3] = quartiles(pairs.iter().map(|p| p.1).collect());
+            let delta = (cm - pm) / pm;
+            let better = |p: f64, c: f64| if *higher { c > p } else { c < p };
+            let wins = pairs.iter().filter(|&&(p, c)| better(p, c)).count();
+            let verdict = if (p3 - p1) / pm.abs() > *bound {
+                "unmeasurable"
+            } else if (if *higher { -delta } else { delta }) > *bound {
+                outside = true;
+                "outside"
+            } else {
+                "within"
+            };
+            let per_pair: Vec<String> =
+                pairs.iter().map(|&(p, c)| format!("{}→{}", sig4(p), sig4(c))).collect();
+            out.push_str(&format!(
+                "| `{name}` | {} / {} / {} | {} / {} / {} | {:+.1} % | {wins}/{} | {} % | {verdict} | {} |\n",
+                sig4(p1),
+                sig4(pm),
+                sig4(p3),
+                sig4(c1),
+                sig4(cm),
+                sig4(c3),
+                delta * 100.0,
+                pairs.len(),
+                sig4(bound * 100.0),
+                per_pair.join(", "),
+            ));
+        }
+        let failed = |side: &[&Value]| {
+            let sum = |key: &str| side.iter().filter_map(|r| r.get(key)?.as_f64()).sum::<f64>();
+            format!("{} of {}", sum("failed"), sum("attempted"))
+        };
+        out.push_str(&format!(
+            "\n`failed`: parent {}, change {} attempted operations\n\n",
+            failed(&parent[..n]),
+            failed(&change[..n])
+        ));
+    }
+    if out.is_empty() {
+        return Err(format!("BENCH_e2e.json has no {base}/{head} pair for any selected workload"));
+    }
+    Ok((out, outside))
+}
+
+/// The `p`-quantile of `values` by linear interpolation between closest
+/// ranks.
+fn quantile(values: &[f64], p: f64) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = (v.len() - 1) as f64 * p;
+    let lo = pos.floor() as usize;
+    let hi = (lo + 1).min(v.len() - 1);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// `x` to four significant digits, trailing zeros dropped.
+fn sig4(x: f64) -> String {
+    if x == 0.0 || !x.is_finite() {
+        return x.to_string();
+    }
+    let decimals = (3 - x.abs().log10().floor() as i32).max(0) as usize;
+    let s = format!("{x:.decimals$}");
+    if s.contains('.') {
+        s.trim_end_matches('0').trim_end_matches('.').to_owned()
+    } else {
+        s
+    }
 }
 
 /// What `perf record` keeps of one benchmark run's standard output.
@@ -670,5 +871,108 @@ mod tests {
         let failed = stdout.replace("\"correct\": true", "\"correct\": false");
         assert!(!parse_benchmark_output(&failed).expect("still a result line").correct);
         assert!(parse_benchmark_output("host: x\nno result here\n").is_err());
+    }
+
+    /// `BENCHMARK.json` and `BENCH_e2e.json` as committed at the repo root.
+    fn committed(file: &str) -> serde::Value {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+        let text = std::fs::read_to_string(&path).expect("committed file");
+        serde_json::parse_value(&text).expect("valid JSON")
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn perf_compare_reproduces_the_hand_computed_pair_tables() {
+        // The tables CHANGES.md holds for the pooled-shard preparation
+        // (parent cd4d385, change 5a6c87f), computed by hand from the same
+        // rows: heading, then metric / parent / change / Δ / wins per row.
+        let expected = [
+            ("omniscient_inproc (16 pairs, seed 1)", [
+                "| `setup_s` | 0.06486 / 0.06743 / 0.07119 | 0.06699 / 0.07072 / 0.07834 | +4.9 % | 4/16 |",
+                "| `uploads_per_s` | 4604 / 4913 / 5144 | 3986 / 4757 / 5197 | -3.2 % | 5/16 |",
+                "| `round_ms_p50` | 13.79 / 14.31 / 16.71 | 13.72 / 15.51 / 19.56 | +8.4 % | 4/16 |",
+                "| `cpu_ms_per_upload` | 0.3495 / 0.3617 / 0.3926 | 0.3472 / 0.3693 / 0.439 | +2.1 % | 6/16 |",
+                "| `peak_rss_mib` | 39.26 / 39.3 / 39.36 | 31.53 / 31.61 / 31.68 | -19.6 % | 16/16 |",
+            ]),
+            ("headline_inproc (5 pairs, seed 1)", [
+                "| `setup_s` | 0.1842 / 0.2002 / 0.2117 | 0.144 / 0.1564 / 0.1656 | -21.9 % | 5/5 |",
+                "| `uploads_per_s` | 801.1 / 820.7 / 887.5 | 930 / 958.5 / 970.2 | +16.8 % | 5/5 |",
+                "| `round_ms_p50` | 27.69 / 29.28 / 30.19 | 25.85 / 26.48 / 26.98 | -9.6 % | 5/5 |",
+                "| `cpu_ms_per_upload` | 2.027 / 2.266 / 2.298 | 1.853 / 1.901 / 1.952 | -16.1 % | 4/5 |",
+                "| `peak_rss_mib` | 101 / 101 / 101.1 | 63.63 / 63.71 / 63.74 | -36.9 % | 5/5 |",
+            ]),
+            ("scale_ondemand (5 pairs, seed 1)", [
+                "| `setup_s` | 0.008612 / 0.008636 / 0.009141 | 0.008606 / 0.009012 / 0.01053 | +4.4 % | 2/5 |",
+                "| `uploads_per_s` | 1609 / 1698 / 1709 | 1676 / 1691 / 1772 | -0.4 % | 4/5 |",
+                "| `round_ms_p50` | 302.7 / 307.2 / 321.9 | 292.5 / 305.6 / 320.3 | -0.5 % | 4/5 |",
+                "| `cpu_ms_per_upload` | 1.01 / 1.022 / 1.112 | 0.9969 / 1.04 / 1.047 | +1.8 % | 3/5 |",
+                "| `peak_rss_mib` | 35.97 / 36.02 / 36.18 | 36.1 / 36.12 / 36.13 | +0.3 % | 2/5 |",
+            ]),
+            ("ingest_tcp (11 pairs, seed 1)", [
+                "| `setup_s` | 0.0622 / 0.06352 / 0.06678 | 0.01386 / 0.01511 / 0.01739 | -76.2 % | 11/11 |",
+                "| `uploads_per_s` | 1692 / 1824 / 1851 | 1683 / 1722 / 1828 | -5.6 % | 6/11 |",
+                "| `round_ms_p50` | 16.11 / 16.36 / 17.61 | 16.3 / 17.06 / 17.53 | +4.3 % | 6/11 |",
+                "| `cpu_ms_per_upload` | 0.8826 / 0.8906 / 0.9812 | 0.8948 / 0.9673 / 0.991 | +8.6 % | 6/11 |",
+                "| `peak_rss_mib` | 140.5 / 140.6 / 140.6 | 101.9 / 102 / 102.1 | -27.5 % | 11/11 |",
+            ]),
+        ];
+        let serde::Value::Arr(rows) = committed("BENCH_e2e.json") else { panic!("rows") };
+        let (tables, outside) =
+            compare_rows(&committed("BENCHMARK.json"), &rows, "cd4d385", "5a6c87f", None)
+                .expect("the pair has rows");
+        assert!(!outside, "{tables}");
+        for (heading, table) in expected {
+            let section = tables
+                .split("### ")
+                .find(|s| s.starts_with(heading))
+                .unwrap_or_else(|| panic!("no `{heading}` table in\n{tables}"));
+            for row in table {
+                let line = section.lines().find(|l| l.starts_with(&row[..row.len() - 1]));
+                let line = line.unwrap_or_else(|| panic!("no row `{row}` in\n{section}"));
+                assert!(line.starts_with(row), "`{line}` does not start with `{row}`");
+                assert!(line.contains("| within |"), "{line}");
+            }
+        }
+        assert!(tables.contains(
+            "| 926.7→1146, 887.5→970.2, 820.7→930, 801.1→958.5, 787.7→796.5 |"
+        ));
+        let one = compare_rows(&committed("BENCHMARK.json"), &rows, "cd4d385", "5a6c87f", Some("ingest_tcp"));
+        assert_eq!(one.expect("ingest rows").0.matches("### ").count(), 1);
+        assert!(compare_rows(&committed("BENCHMARK.json"), &rows, "cd4d385", "nosuchgit", None).is_err());
+    }
+
+    #[test]
+    fn perf_compare_verdicts_follow_the_bound_and_the_parent_spread() {
+        let contract = serde_json::parse_value(
+            r#"{"workloads": [{"name": "w"}], "end_to_end": [
+                {"name": "rate", "better": "higher", "bound": 0.25},
+                {"name": "rss", "better": "lower", "bound": 0.10}]}"#,
+        )
+        .expect("contract");
+        let row = |git: &str, rate: f64, rss: f64| {
+            serde_json::parse_value(&format!(
+                r#"{{"git": "{git}", "workload": "w", "seed": 1, "attempted": 10, "failed": 0,
+                    "metrics": {{"rate": {rate}, "rss": {rss}}}}}"#
+            ))
+            .expect("row")
+        };
+        let verdicts = |rows: &[serde::Value]| {
+            let (text, outside) = compare_rows(&contract, rows, "p", "c", None).expect("pairs");
+            let verdict = |metric: &str| {
+                let line = text.lines().find(|l| l.starts_with(&format!("| `{metric}`")));
+                line.expect("row").split(" | ").nth(6).expect("verdict column").to_owned()
+            };
+            (verdict("rate"), verdict("rss"), outside)
+        };
+        // Rate falls 10 % (within 25 %); rss grows 20 % (outside 10 %).
+        let steady = [row("p", 100.0, 50.0), row("c", 90.0, 60.0), row("p", 100.0, 50.0)];
+        let steady = [&steady[..], &[row("c", 90.0, 60.0)]].concat();
+        assert_eq!(verdicts(&steady), ("within".into(), "outside".into(), true));
+        // A parent whose rate quartiles sit 30 % apart cannot be judged at 25 %.
+        let mut noisy = Vec::new();
+        for (p, c) in [(40.0, 100.0), (100.0, 100.0), (160.0, 100.0), (100.0, 100.0)] {
+            noisy.extend([row("p", p, 50.0), row("c", c, 50.0)]);
+        }
+        assert_eq!(verdicts(&noisy), ("unmeasurable".into(), "within".into(), false));
     }
 }
