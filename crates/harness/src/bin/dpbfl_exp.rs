@@ -712,7 +712,6 @@ fn compare_rows(
             if pairs.is_empty() {
                 continue;
             }
-            let quartiles = |values: Vec<f64>| [0.25, 0.5, 0.75].map(|p| quantile(&values, p));
             let [p1, pm, p3] = quartiles(pairs.iter().map(|p| p.0).collect());
             let [c1, cm, c3] = quartiles(pairs.iter().map(|p| p.1).collect());
             let delta = (cm - pm) / pm;
@@ -758,15 +757,16 @@ fn compare_rows(
     Ok((out, outside))
 }
 
-/// The `p`-quantile of `values` by linear interpolation between closest
+/// q1, median and q3 of `values` by linear interpolation between closest
 /// ranks.
-fn quantile(values: &[f64], p: f64) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let pos = (v.len() - 1) as f64 * p;
-    let lo = pos.floor() as usize;
-    let hi = (lo + 1).min(v.len() - 1);
-    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
+    values.sort_by(f64::total_cmp);
+    let last = values.len() - 1;
+    [0.25, 0.5, 0.75].map(|p| {
+        let pos = last as f64 * p;
+        let lo = pos.floor() as usize;
+        values[lo] + (values[(lo + 1).min(last)] - values[lo]) * (pos - lo as f64)
+    })
 }
 
 /// `x` to four significant digits, trailing zeros dropped.
