@@ -27,7 +27,7 @@
 use crate::config::{DpSgdConfig, MomentumReset};
 use dpbfl_data::{sample_batch, Dataset};
 use dpbfl_nn::{CrossEntropyLoss, Sequential};
-use dpbfl_stats::normal::standard_normal_sample;
+use dpbfl_stats::normal::fill_standard_normal;
 use dpbfl_tensor::vecops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,10 +175,7 @@ impl DpWorker {
         let sigma = self.cfg.noise_multiplier;
         let inv_bc = 1.0 / b_c as f64;
         let mut out = vec![0.0f32; d];
-        for (o, &u) in out.iter_mut().zip(&self.sum_buf) {
-            let noise = standard_normal_sample(&mut self.rng) * sigma;
-            *o = ((u + noise) * inv_bc) as f32;
-        }
+        add_noise(&mut self.rng, &self.sum_buf, &mut out, |u, z| ((u + z * sigma) * inv_bc) as f32);
 
         // Line 11: φ[j] ← g_i^t for every j, i.e. the one shared vector.
         if let Momentum::Shared(prev) = &mut self.momentum {
@@ -208,10 +205,25 @@ impl DpWorker {
         let noise_std = self.cfg.noise_multiplier * clip_norm;
         let inv_bc = 1.0 / b_c as f64;
         let mut out = vec![0.0f32; d];
-        for (o, &s) in out.iter_mut().zip(&self.sum_buf) {
-            *o = ((s + standard_normal_sample(&mut self.rng) * noise_std) * inv_bc) as f32;
-        }
+        add_noise(&mut self.rng, &self.sum_buf, &mut out, |s, z| {
+            ((s + z * noise_std) * inv_bc) as f32
+        });
         out
+    }
+}
+
+/// `out[i] ← finish(sum[i], z_i)` with `z_i` the `i`-th standard normal of
+/// `rng`'s stream: the draws come a fixed stack block at a time from
+/// [`fill_standard_normal`], so no `d`-length noise buffer is kept.
+fn add_noise(rng: &mut StdRng, sum: &[f64], out: &mut [f32], finish: impl Fn(f64, f64) -> f32) {
+    const NOISE_BLOCK: usize = 256;
+    let mut z = [0.0f64; NOISE_BLOCK];
+    for (out, sum) in out.chunks_mut(NOISE_BLOCK).zip(sum.chunks(NOISE_BLOCK)) {
+        let z = &mut z[..out.len()];
+        fill_standard_normal(rng, z);
+        for ((o, &s), &z) in out.iter_mut().zip(sum).zip(z.iter()) {
+            *o = finish(s, z);
+        }
     }
 }
 
@@ -220,6 +232,7 @@ mod tests {
     use super::*;
     use dpbfl_data::SyntheticSpec;
     use dpbfl_nn::zoo;
+    use rand::Rng;
 
     fn worker(sigma: f64, seed: u64) -> DpWorker {
         let mut rng = StdRng::seed_from_u64(0);
@@ -322,6 +335,20 @@ mod tests {
                 }
             }
             out
+        }
+    }
+
+    /// The one-variate polar loop the worker drew its noise with before the
+    /// block fill, verbatim (one call per coordinate), so the oracle also
+    /// holds the worker's block noise to the old stream.
+    fn standard_normal_sample(rng: &mut StdRng) -> f64 {
+        loop {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return u * (-2.0 * s.ln() / s).sqrt();
+            }
         }
     }
 

@@ -72,7 +72,9 @@ interpolation between closest ranks), the median change, the change's wins,
 the bound and a verdict. `unmeasurable`: the parent's own spread (q3 − q1
 over its median) exceeds the bound. `outside`: the change's median is worse
 than the parent's by more than the bound (the exit status is then 1).
-`within`: neither.";
+`within`: neither. The `gain` column reads `yes` when the change won at least
+9 in 10 of the pairs and its median beats the parent's by more than the
+parent's q3 − q1: the rule a claimed improvement must meet.";
 
 fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -674,9 +676,16 @@ fn compare_rows(
         };
         metrics.push((name, text(m, "better").as_deref() == Some("higher"), bound));
     }
-    let workloads = list("workloads")?.iter().filter_map(|w| text(w, "name"));
+    let workloads: Vec<String> =
+        list("workloads")?.iter().filter_map(|w| text(w, "name")).collect();
+    if let Some(only) = only.filter(|o| !workloads.iter().any(|w| w == o)) {
+        return Err(format!(
+            "BENCHMARK.json has no workload `{only}`; its workloads are {}",
+            workloads.join(", ")
+        ));
+    }
     let (mut out, mut outside) = (String::new(), false);
-    for workload in workloads.filter(|w| only.is_none_or(|o| o == w)) {
+    for workload in workloads.iter().filter(|w| only.is_none_or(|o| o == *w)) {
         let side = |git: &str| -> Vec<&Value> {
             let mine = |r: &&Value| {
                 text(r, "git").as_deref() == Some(git)
@@ -699,8 +708,8 @@ fn compare_rows(
         out.push_str(&format!("### {workload} ({n} pairs, seed {})\n", seeds.join(", ")));
         out.push_str(
             "| metric | parent q1 / median / q3 | change q1 / median / q3 | median Δ \
-             | change wins | bound | verdict | per-pair parent → change |\n\
-             |---|---|---|---|---|---|---|---|\n",
+             | change wins | bound | verdict | gain | per-pair parent → change |\n\
+             |---|---|---|---|---|---|---|---|---|\n",
         );
         for (name, higher, bound) in &metrics {
             let value = |r: &Value| r.get("metrics")?.get(name)?.as_f64();
@@ -717,6 +726,11 @@ fn compare_rows(
             let delta = (cm - pm) / pm;
             let better = |p: f64, c: f64| if *higher { c > p } else { c < p };
             let wins = pairs.iter().filter(|&&(p, c)| better(p, c)).count();
+            // The claim rule: ≥ 9/10 of the pairs won, and the median gain
+            // larger than the parent's interquartile range.
+            let median_gain = if *higher { cm - pm } else { pm - cm };
+            let gain =
+                if wins * 10 >= pairs.len() * 9 && median_gain > p3 - p1 { "yes" } else { "no" };
             let verdict = if (p3 - p1) / pm.abs() > *bound {
                 "unmeasurable"
             } else if (if *higher { -delta } else { delta }) > *bound {
@@ -728,7 +742,7 @@ fn compare_rows(
             let per_pair: Vec<String> =
                 pairs.iter().map(|&(p, c)| format!("{}→{}", sig4(p), sig4(c))).collect();
             out.push_str(&format!(
-                "| `{name}` | {} / {} / {} | {} / {} / {} | {:+.1} % | {wins}/{} | {} % | {verdict} | {} |\n",
+                "| `{name}` | {} / {} / {} | {} / {} / {} | {:+.1} % | {wins}/{} | {} % | {verdict} | {gain} | {} |\n",
                 sig4(p1),
                 sig4(pm),
                 sig4(p3),
@@ -974,5 +988,41 @@ mod tests {
             noisy.extend([row("p", p, 50.0), row("c", c, 50.0)]);
         }
         assert_eq!(verdicts(&noisy), ("unmeasurable".into(), "within".into(), false));
+
+        // `gain`: ≥ 9/10 pairs won and a median gap beyond the parent's IQR.
+        let gain = |pairs: &[(f64, f64)]| {
+            let rows: Vec<_> =
+                pairs.iter().flat_map(|&(p, c)| [row("p", p, 50.0), row("c", c, 50.0)]).collect();
+            let (text, _) = compare_rows(&contract, &rows, "p", "c", None).expect("pairs");
+            let line = text.lines().find(|l| l.starts_with("| `rate`")).expect("row");
+            line.split(" | ").nth(7).expect("gain column").to_owned()
+        };
+        let parent = [96.0, 98.0, 99.0, 100.0, 100.0, 100.0, 100.0, 101.0, 102.0, 104.0];
+        let with = |change: &dyn Fn(usize, f64) -> f64| -> Vec<(f64, f64)> {
+            parent.iter().enumerate().map(|(i, &p)| (p, change(i, p))).collect()
+        };
+        // 9/10 won, median 100 → 110 against a parent IQR of 1.5.
+        assert_eq!(gain(&with(&|i, p| if i == 0 { 95.0 } else { p + 10.0 })), "yes");
+        // Only 8/10 won, however large the median gap.
+        assert_eq!(gain(&with(&|i, p| if i < 2 { p - 1.0 } else { p + 10.0 })), "no");
+        // 10/10 won, but the median moves 1.0, inside the parent IQR of 1.5.
+        assert_eq!(gain(&with(&|_, p| p + 1.0)), "no");
+    }
+
+    #[test]
+    fn perf_compare_names_the_workloads_when_one_is_unknown() {
+        let serde::Value::Arr(rows) = committed("BENCH_e2e.json") else { panic!("rows") };
+        let err = compare_rows(
+            &committed("BENCHMARK.json"),
+            &rows,
+            "cd4d385",
+            "5a6c87f",
+            Some("headline"),
+        )
+        .expect_err("no such workload");
+        assert!(err.contains("no workload `headline`"), "{err}");
+        for known in ["headline_inproc", "omniscient_inproc", "scale_ondemand", "ingest_tcp"] {
+            assert!(err.contains(known), "{err}");
+        }
     }
 }

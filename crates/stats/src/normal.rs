@@ -59,11 +59,6 @@ impl Normal {
         assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1), got {p}");
         self.mean + self.std * standard_normal_quantile(p)
     }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std * standard_normal_sample(rng)
-    }
 }
 
 /// Standard normal quantile via Acklam's approximation + Halley refinement.
@@ -123,14 +118,37 @@ pub fn standard_normal_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
-/// Draws one standard normal sample (Marsaglia polar method).
-pub fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+/// Outputs per block of [`fill_standard_normal`]: bounds its stack scratch
+/// and the stack block of [`fill_gaussian`]. Any value draws the same stream.
+const BLOCK: usize = 256;
+
+/// Fills `out` with i.i.d. standard normal samples (Marsaglia polar method).
+///
+/// The values, and the state `rng` is left in, are exactly those of
+/// `out.len()` calls of the one-variate polar loop — draw a `(u, v)` pair
+/// from `U(−1, 1)²` until `0 < s = u² + v² < 1`, return
+/// `u·√(−2 ln s / s)` — so the draw → coordinate mapping of the
+/// determinism contract holds. The work is done a block at a time: the
+/// pairs are drawn in stream order with a branch-free store that keeps only
+/// accepted ones, stopping exactly when the block is full (the stream is
+/// never over-drawn), and the transform then runs over the block as
+/// independent iterations, so the `ln`/`sqrt`/division chains overlap.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let mut s_block = [0.0f64; BLOCK];
+    for block in out.chunks_mut(BLOCK) {
+        let n = block.len();
+        let mut k = 0;
+        while k < n {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            // A rejected pair is overwritten by the next one.
+            block[k] = u;
+            s_block[k] = s;
+            k += (s > 0.0 && s < 1.0) as usize;
+        }
+        for (z, &s) in block.iter_mut().zip(&s_block) {
+            *z *= (-2.0 * s.ln() / s).sqrt();
         }
     }
 }
@@ -141,8 +159,13 @@ pub fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// (`N(0, σ²I)` added to the sum of normalized momentum slots) and of the
 /// Gaussian attack (which uploads pure noise).
 pub fn fill_gaussian<R: Rng + ?Sized>(rng: &mut R, std: f64, out: &mut [f32]) {
-    for x in out {
-        *x = (standard_normal_sample(rng) * std) as f32;
+    let mut z = [0.0f64; BLOCK];
+    for block in out.chunks_mut(BLOCK) {
+        let z = &mut z[..block.len()];
+        fill_standard_normal(rng, z);
+        for (x, &z) in block.iter_mut().zip(z.iter()) {
+            *x = (z * std) as f32;
+        }
     }
 }
 
@@ -156,8 +179,88 @@ pub fn gaussian_vector<R: Rng + ?Sized>(rng: &mut R, std: f64, d: usize) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The one-variate polar loop every Gaussian draw used to make, one call
+    /// per output, verbatim: the oracle for [`fill_standard_normal`].
+    fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        loop {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                return u * (-2.0 * s.ln() / s).sqrt();
+            }
+        }
+    }
+
+    /// Lengths around the block edges plus the two model dimensions the
+    /// protocol runs at (the MLP used in tests, and the paper's MLP).
+    const LENGTHS: [usize; 8] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 6_370, 25_450];
+
+    /// Asserts that `fill_standard_normal` and `fill_gaussian` draw exactly
+    /// the oracle's values at length `n` from `seed`, and leave the
+    /// generator where the oracle leaves it.
+    fn assert_fill_matches_oracle(seed: u64, n: usize) {
+        let mut oracle = StdRng::seed_from_u64(seed);
+        let want: Vec<f64> = (0..n).map(|_| standard_normal_sample(&mut oracle)).collect();
+        let want_state: Vec<u64> = (0..4).map(|_| oracle.next_u64()).collect();
+        let next4 = |rng: &mut StdRng| -> Vec<u64> { (0..4).map(|_| rng.next_u64()).collect() };
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut got = vec![0.0f64; n];
+        fill_standard_normal(&mut rng, &mut got);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "fill_standard_normal, seed {seed}, n {n}");
+        assert_eq!(next4(&mut rng), want_state, "fill_standard_normal state, seed {seed}, n {n}");
+
+        let std = 0.05;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut got = vec![0.0f32; n];
+        fill_gaussian(&mut rng, std, &mut got);
+        let want: Vec<u32> = want.iter().map(|&z| ((z * std) as f32).to_bits()).collect();
+        assert_eq!(got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want, "fill_gaussian");
+        assert_eq!(next4(&mut rng), want_state, "fill_gaussian state, seed {seed}, n {n}");
+    }
+
+    #[test]
+    fn block_fill_matches_scalar_polar_loop_bitwise() {
+        for n in LENGTHS {
+            for seed in [0u64, 1, 7, 0xdead_beef] {
+                assert_fill_matches_oracle(seed, n);
+            }
+        }
+    }
+
+    #[test]
+    fn block_fill_through_dyn_rng_core_matches_oracle() {
+        let n = 2 * BLOCK + 1;
+        let mut oracle = StdRng::seed_from_u64(5);
+        let want: Vec<u64> =
+            (0..n).map(|_| standard_normal_sample(&mut oracle).to_bits()).collect();
+        let mut concrete = StdRng::seed_from_u64(5);
+        let rng: &mut dyn RngCore = &mut concrete;
+        let mut got = vec![0.0f64; n];
+        fill_standard_normal(rng, &mut got);
+        assert_eq!(got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        for _ in 0..4 {
+            assert_eq!(rng.next_u64(), oracle.next_u64());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn block_fill_matches_oracle_at_any_seed_and_length(
+            seed in 0u64..u64::MAX,
+            n in 0usize..3 * BLOCK + 2,
+        ) {
+            assert_fill_matches_oracle(seed, n);
+        }
+    }
 
     #[test]
     fn cdf_known_values() {
@@ -204,12 +307,11 @@ mod tests {
     #[test]
     fn sampling_matches_first_two_moments() {
         let mut rng = StdRng::seed_from_u64(42);
-        let n = Normal::new(3.0, 2.0);
         let m = 200_000;
         let mut sum = 0.0;
         let mut sum_sq = 0.0;
-        for _ in 0..m {
-            let x = n.sample(&mut rng);
+        for z in gaussian_vector(&mut rng, 2.0, m) {
+            let x = 3.0 + z as f64;
             sum += x;
             sum_sq += x * x;
         }
