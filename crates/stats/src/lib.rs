@@ -6,8 +6,9 @@
 //!
 //! * [`special`] — log-gamma, erfc (on the regularized incomplete gamma), and
 //!   log-space add/sub (backing the RDP accountant).
-//! * [`normal`] — Normal pdf/cdf/quantile and Gaussian sampling (Marsaglia
-//!   polar method).
+//! * [`normal`] — Normal cdf/quantile and Gaussian sampling: the Marsaglia
+//!   polar method run a block at a time ([`normal::fill_standard_normal`]),
+//!   drawing exactly the values and the stream of the one-variate loop.
 //! * [`kolmogorov`] — the Kolmogorov distribution (asymptotic series) and the
 //!   Marsaglia–Tsang–Wang exact finite-`n` CDF.
 //! * [`ks`] — the one-sample KS test the server runs on every upload, plus
