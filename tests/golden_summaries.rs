@@ -4,7 +4,8 @@
 //! The defense is one pipeline (`fold_upload` → `TwoStageState::finish`);
 //! these pins hold it to the bits the repo has always produced, for every
 //! attack variant, with and without client sampling, pooled and on-demand
-//! provisioning, at 1 and 4 threads. An intended change re-captures the
+//! provisioning, at 1 and 4 threads, plus the sign-compression baseline's
+//! majority-vote loop. An intended change re-captures the
 //! table (a failure prints every cell's actual hash) and says why in
 //! CHANGES.md.
 //!
@@ -123,6 +124,41 @@ fn on_demand_summaries_match_their_pins() {
         ("label-flip b_c=per_worker", on_demand(&AttackSpec::LabelFlip, |c| { c.per_worker = 32; c.dp.batch_size = 32; c.epochs = 4.0 }), 0x3474768475c70b13),
     ];
     let rows: Vec<_> = rows.into_iter().map(|(label, cfg, pin)| (format!("on-demand {label}"), cfg, pin)).collect();
+    assert_pins(&rows);
+}
+
+/// The sign-compression baseline: 6 honest workers and `n_byzantine`
+/// sign-inverters on a 12-unit MLP, randomized response at ε₀ = 1.
+fn sign_dp(n_byzantine: usize) -> SimulationConfig {
+    let mut cfg =
+        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 12 });
+    cfg.per_worker = 200;
+    cfg.test_count = 300;
+    cfg.n_honest = 6;
+    cfg.n_byzantine = n_byzantine;
+    cfg.seed = 5;
+    cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 1.0 / (1f64.exp() + 1.0) };
+    cfg
+}
+
+#[test]
+#[rustfmt::skip]
+fn sign_dp_summaries_match_their_pins() {
+    // The majority-vote loop the `SignDp` protocol dispatches to: the two
+    // registry rows that run it, and an honest and a Byzantine-majority
+    // cohort of the baseline on its own.
+    let row = |name: &str, label: &str| {
+        let cell = registry::get(name).expect("registered scenario").cells().into_iter()
+            .find(|c| c.axis("row") == Some(label)).expect("row exists");
+        (format!("{name} {label}"), cell.config)
+    };
+    let rows = [
+        (row("paper/table1_matrix", "sign-dp"), 0x64e22b01534f6aea),
+        (row("paper/table3_sign_dp", "sign-dp(eps=0.21)"), 0x2127f7e133b846b8),
+        (("baseline 0 byzantine".to_string(), sign_dp(0)), 0x1dd485f836ad6bbd),
+        (("baseline 8 byzantine".to_string(), sign_dp(8)), 0x08876da2965ef57e),
+    ];
+    let rows: Vec<_> = rows.into_iter().map(|((label, cfg), pin)| (label, cfg, pin)).collect();
     assert_pins(&rows);
 }
 
