@@ -49,7 +49,7 @@ pub struct DpSgdConfig {
     /// Local batch size `b_c` — deliberately small (8/16), §4.2 property 1.
     /// Also the per-step batch of the sign-DP baseline substrate: a
     /// [`crate::simulation::WorkerProtocol::SignDp`] run reads this field
-    /// when it resolves to a [`crate::baseline::SignDpConfig`].
+    /// in the [`crate::baseline`] majority-vote loop.
     pub batch_size: usize,
     /// Gradient momentum `β` (paper uses 0.1).
     pub momentum: f32,

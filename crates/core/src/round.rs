@@ -752,7 +752,7 @@ pub(crate) fn protocol_step(
         WorkerProtocol::PaperDp | WorkerProtocol::Plain => w.local_step(params),
         WorkerProtocol::ClippedDp { clip } => w.clipped_dp_step(params, clip),
         WorkerProtocol::SignDp { .. } => {
-            unreachable!("sign-DP runs its own loop (run_sign_dp_with)")
+            unreachable!("sign-DP runs its own loop (baseline::run_sign_dp)")
         }
     }
 }

@@ -78,8 +78,8 @@ pub enum WorkerProtocol {
     /// The \[77\]-style sign-compression DP baseline substrate: workers upload
     /// randomized per-coordinate gradient *signs* and the server takes a
     /// coordinate-wise majority vote. Structurally different from gradient
-    /// averaging, so a run under this protocol dispatches to
-    /// [`crate::baseline::run_sign_dp_with`]: the `defense` must be
+    /// averaging, so a run under this protocol dispatches to the
+    /// [`crate::baseline`] majority-vote loop: the `defense` must be
     /// [`DefenseKind::NoDefense`] (the majority vote *is* the server rule)
     /// and the `attack` must be [`crate::attack::AttackSpec::None`] —
     /// Byzantine workers always upload inverted signs, the baseline's worst
@@ -90,7 +90,7 @@ pub enum WorkerProtocol {
         lr: f64,
         /// Per-coordinate randomized-response flip probability
         /// `p = 1/(e^{ε₀} + 1)` for per-round sign privacy ε₀ (see
-        /// [`crate::baseline::SignDpConfig::flip_prob_for_epsilon`]).
+        /// [`crate::baseline::flip_prob_for_epsilon`]).
         flip_prob: f64,
     },
 }
@@ -511,7 +511,7 @@ pub fn run(cfg: &SimulationConfig) -> RunResult {
     // The sign-DP substrate runs its own loop (and synthesizes its own
     // data), so skip the gradient-protocol preparation entirely.
     if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
-        return crate::baseline::run_sign_dp_simulation_telemetry(cfg, &Telemetry::null());
+        return crate::baseline::run_sign_dp(cfg, &Telemetry::null());
     }
     run_prepared_telemetry(cfg, &prepare(cfg), &Telemetry::null())
 }
@@ -537,7 +537,7 @@ pub fn run_prepared_telemetry(
     // vote instead of gradient averaging) and owns its data pipeline: a
     // shared `prep` is simply unused for such cells.
     if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
-        return crate::baseline::run_sign_dp_simulation_telemetry(cfg, tel);
+        return crate::baseline::run_sign_dp(cfg, tel);
     }
     let (dp, delta) = calibrated_dp(cfg);
     let mut transport = InProcessTransport::new(cfg, prep, &dp);
@@ -566,7 +566,7 @@ pub fn run_with_transport_telemetry(
 ) -> RunResult {
     assert!(
         !matches!(cfg.protocol, WorkerProtocol::SignDp { .. }),
-        "sign-DP runs its own loop (run_sign_dp_with) and cannot be served over a transport"
+        "sign-DP runs its own loop (baseline::run_sign_dp) and cannot be served over a transport"
     );
     let (dp, delta) = calibrated_dp(cfg);
     run_calibrated(cfg, prep, transport, tel, &dp, delta)

@@ -6,7 +6,7 @@
 //! dpbfl-exp validate <file.json>
 //! dpbfl-exp run <scenario|file.json> [--threads N|auto] [--out DIR] [--resume] [--quiet]
 //!               [--metrics-dir DIR]
-//! dpbfl-exp report <scenario|file.json> [--out DIR]
+//! dpbfl-exp report <scenario|file.json> [--out DIR] [--metrics-dir DIR]
 //! dpbfl-exp metrics <ledger.jsonl>
 //! dpbfl-exp docs [--out FILE] [--check]
 //! dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
@@ -32,7 +32,7 @@ USAGE:
     dpbfl-exp validate <file.json>
     dpbfl-exp run <scenario|file.json> [--threads N|auto] [--out DIR] [--resume] [--quiet]
                   [--metrics-dir DIR]
-    dpbfl-exp report <scenario|file.json> [--out DIR]
+    dpbfl-exp report <scenario|file.json> [--out DIR] [--metrics-dir DIR]
     dpbfl-exp metrics <ledger.jsonl>
     dpbfl-exp docs [--out FILE] [--check]
     dpbfl-exp perf record --workload W --seed S [--trace 1] [--repo DIR]
@@ -48,8 +48,10 @@ results.jsonl are skipped.
 With --metrics-dir, every executed cell additionally records a telemetry
 ledger DIR/cell_<index>.jsonl (deterministic per-round metrics first, then
 wall-clock spans/events) and the reports gain mean-acceptance and ledger-ε
-columns; results are byte-identical with or without it. `metrics` renders
-one such ledger as a per-round table plus span totals.
+columns; results are byte-identical with or without it. `report` rewrites
+report.md and report.csv from results.jsonl (and, with --metrics-dir, from
+the ledgers a run left there). `metrics` renders one ledger as a per-round
+table plus span totals.
 
 `docs` renders the built-in registry into the scenario catalog
 (docs/SCENARIOS.md by default); --check exits non-zero instead of writing
@@ -189,7 +191,7 @@ fn validate(args: &[String]) -> i32 {
     0
 }
 
-/// Parses the flags shared by `run` and `report`.
+/// The flags of `run`; `report` takes only `--out` and `--metrics-dir`.
 struct Flags {
     threads: Option<usize>,
     out_dir: PathBuf,
@@ -198,7 +200,7 @@ struct Flags {
     metrics_dir: Option<PathBuf>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(args: &[String], run: bool) -> Result<Flags, String> {
     let mut flags = Flags {
         threads: None,
         out_dir: PathBuf::from("target/harness"),
@@ -209,7 +211,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
+            "--threads" if run => {
                 let value = args.get(i + 1).ok_or_else(|| "--threads needs a value".to_string())?;
                 flags.threads = runner::parse_threads(value)?;
                 i += 2;
@@ -225,11 +227,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.metrics_dir = Some(PathBuf::from(value));
                 i += 2;
             }
-            "--resume" => {
+            "--resume" if run => {
                 flags.resume = true;
                 i += 1;
             }
-            "--quiet" => {
+            "--quiet" if run => {
                 flags.quiet = true;
                 i += 1;
             }
@@ -240,7 +242,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 fn run(args: &[String]) -> i32 {
-    let flags = match parse_flags(args.get(2..).unwrap_or(&[])) {
+    let flags = match parse_flags(args.get(2..).unwrap_or(&[]), true) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -260,11 +262,7 @@ fn run(args: &[String]) -> i32 {
                 if !flags.quiet {
                     println!(
                         "{}",
-                        report::markdown_with_metrics(
-                            &spec,
-                            &outcome.records,
-                            &outcome.cell_metrics
-                        )
+                        report::markdown(&spec, &outcome.records, &outcome.cell_metrics)
                     );
                 }
                 println!(
@@ -436,7 +434,7 @@ fn render_metrics(args: &[String]) -> i32 {
 }
 
 fn regenerate_report(args: &[String]) -> i32 {
-    let flags = match parse_flags(args.get(2..).unwrap_or(&[])) {
+    let flags = match parse_flags(args.get(2..).unwrap_or(&[]), false) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -482,14 +480,18 @@ fn regenerate_report(args: &[String]) -> i32 {
                 }
             }
         }
-        let md = report::markdown(&spec, &current);
+        let metrics = flags
+            .metrics_dir
+            .as_deref()
+            .map_or_else(Default::default, |dir| report::digest_ledgers(dir, &current));
+        let md = report::markdown(&spec, &current, &metrics);
         let md_path = scenario_dir.join("report.md");
         if let Err(e) = std::fs::write(&md_path, &md) {
             eprintln!("error: {}: {e}", md_path.display());
             return 1;
         }
         let csv_path = scenario_dir.join("report.csv");
-        if let Err(e) = std::fs::write(&csv_path, report::csv(&current)) {
+        if let Err(e) = std::fs::write(&csv_path, report::csv(&current, &metrics)) {
             eprintln!("error: {}: {e}", csv_path.display());
             return 1;
         }

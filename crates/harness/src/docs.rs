@@ -10,7 +10,6 @@
 use crate::registry;
 use crate::spec::{model_label, IncludeRow, ScenarioSpec, SeedPolicy};
 use dpbfl::prelude::*;
-use serde::{Serialize, Value};
 
 /// Human description of a seed policy.
 fn seed_policy_label(policy: &SeedPolicy) -> String {
@@ -37,86 +36,21 @@ fn privacy_label(cfg: &SimulationConfig) -> String {
     }
 }
 
-/// A whole-struct override rendered as `name.field=value` for every field
-/// that differs from the base's struct (`name=base` when none does).
-fn struct_override_label(name: &str, base: &impl Serialize, row: &impl Serialize) -> Vec<String> {
-    let (Value::Obj(base), Value::Obj(row)) = (base.to_value(), row.to_value()) else {
-        unreachable!("config structs serialize as objects");
-    };
-    let changed: Vec<String> = row
+/// One include row rendered as "label: field=value, …": its overrides,
+/// labelled by applying them to a scratch copy of the base, as
+/// [`axis_bullets`] does for axes.
+fn include_row_label(row: &IncludeRow, base: &SimulationConfig) -> String {
+    let mut scratch = base.clone();
+    let parts: Vec<String> = row
+        .settings()
         .iter()
-        .zip(&base)
-        .filter(|((_, new), (_, old))| new != old)
-        .map(|((field, new), _)| {
-            format!("{name}.{field}={}", serde_json::to_string(new).expect("value prints"))
+        .map(|setting| {
+            let (field, label) = setting.apply(&mut scratch);
+            format!("{field}={label}")
         })
         .collect();
-    if changed.is_empty() {
-        vec![format!("{name}=base")]
-    } else {
-        changed
-    }
-}
-
-/// One include row rendered as "label: field=value, …" (only the
-/// overridden fields appear).
-fn include_row_label(row: &IncludeRow, base: &SimulationConfig) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if let Some(v) = &row.defense_cfg {
-        parts.extend(struct_override_label("defense_cfg", &base.defense_cfg, v));
-    }
-    if let Some(v) = &row.dp {
-        parts.extend(struct_override_label("dp", &base.dp, v));
-    }
-    if let Some(v) = &row.dataset {
-        parts.push(format!("dataset={v}"));
-    }
-    if let Some(v) = &row.model {
-        parts.push(format!("model={}", model_label(v)));
-    }
-    if let Some(v) = &row.attack {
-        parts.push(format!("attack={}", v.name()));
-    }
-    if let Some(v) = &row.defense {
-        parts.push(format!("defense={}", v.name()));
-    }
-    if let Some(v) = &row.protocol {
-        parts.push(format!("protocol={}", v.name()));
-    }
-    if let Some(v) = row.n_honest {
-        parts.push(format!("n_honest={v}"));
-    }
-    if let Some(v) = row.n_byzantine {
-        parts.push(format!("n_byzantine={v}"));
-    }
-    if let Some(v) = row.gamma {
-        parts.push(format!("γ={v}"));
-    }
-    if let Some(v) = row.epsilon {
-        parts.push(format!("ε={v}"));
-    }
-    if let Some(v) = row.fixed_sigma {
-        parts.push(format!("σ={v} (ε target dropped)"));
-    }
-    if let Some(v) = row.sampling {
-        parts.push(format!("sampling={v}"));
-    }
-    if let Some(v) = row.iid {
-        parts.push(format!("partition={}", if v { "iid" } else { "non-iid" }));
-    }
-    if let Some(v) = row.base_lr {
-        parts.push(format!("η_b={v}"));
-    }
-    if let Some(v) = row.ood_auxiliary {
-        parts.push(format!(
-            "auxiliary={}",
-            if v { "out-of-distribution" } else { "in-distribution" }
-        ));
-    }
-    if parts.is_empty() {
-        parts.push("base config unchanged".into());
-    }
-    format!("`{}` — {}", row.label, parts.join(", "))
+    let parts = if parts.is_empty() { "base config unchanged".into() } else { parts.join(", ") };
+    format!("`{}` — {parts}", row.label)
 }
 
 /// The swept-axes bullets of a grid, in expansion order: each axis's

@@ -29,7 +29,7 @@
 //! `examples/` are thin pretty-printing wrappers over [`registry`], which
 //! holds every paper table and figure — there is no second experiment
 //! harness. `docs/ARCHITECTURE.md` (repo root) places this crate in the
-//! workspace's 10-crate dependency chain and spells out the determinism
+//! workspace's 9-crate dependency chain and spells out the determinism
 //! contract the runner extends to grid level.
 
 pub mod docs;

@@ -6,13 +6,14 @@
 //! over this registry, so the experiment configs exist exactly once.
 
 use crate::spec::{GridSpec, IncludeRow, ScenarioSpec, SeedPolicy};
-use dpbfl::baseline::SignDpConfig;
+use dpbfl::baseline::flip_prob_for_epsilon;
 use dpbfl::prelude::*;
 
 /// Every built-in scenario, in display order: its name, the paper artifact
 /// it reproduces (`None` for grids that exist for the repo's own sake, like
 /// the CI smoke grid), and its constructor. The one table behind [`names`],
-/// [`get`], [`paper_artifact`], [`grouped_names`] and [`suggest`].
+/// [`get`], [`paper_artifact`], [`grouped_names`] and [`suggest`], and the
+/// only place a scenario's name is written.
 type Entry = (&'static str, Option<&'static str>, fn() -> ScenarioSpec);
 const SCENARIOS: &[Entry] = &[
     ("paper/quickstart", Some("the headline result (§6 flagship; CI-pinned)"), quickstart),
@@ -69,7 +70,7 @@ fn entry(name: &str) -> Option<&'static Entry> {
 
 /// Looks up a built-in scenario by name.
 pub fn get(name: &str) -> Option<ScenarioSpec> {
-    entry(name).map(|(_, _, build)| build())
+    entry(name).map(|&(name, _, build)| ScenarioSpec { name: name.into(), ..build() })
 }
 
 /// The paper artifact a registered scenario reproduces, if any.
@@ -121,75 +122,80 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+/// A scenario running every cell at seed 1. Its name is left empty: [`get`]
+/// stamps the one written in [`SCENARIOS`].
+fn scenario(title: &str, notes: &str, base: SimulationConfig, grid: GridSpec) -> ScenarioSpec {
+    ScenarioSpec {
+        name: String::new(),
+        title: title.into(),
+        notes: notes.into(),
+        seed: SeedPolicy::Fixed { seed: 1 },
+        base,
+        grid,
+    }
+}
+
 /// The reduced-scale stand-in for the paper's MNIST setup every `paper/*`
 /// scenario starts from: 25 workers (15 Byzantine = 60 %), |D_i| = 500,
-/// 4 epochs, ε = 2 target — the configuration the repo's headline numbers
-/// (quickstart: 1.000 defended vs 0.010 undefended) are pinned to.
+/// and `SimulationConfig::quick`'s 10 honest workers, 4 epochs and ε = 2
+/// target — the configuration the repo's headline numbers (quickstart:
+/// 1.000 defended vs 0.010 undefended) are pinned to.
 fn paper_base() -> SimulationConfig {
     let mut cfg = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
     cfg.per_worker = 500;
-    cfg.n_honest = 10;
     cfg.n_byzantine = 15;
-    cfg.epochs = 4.0;
-    cfg.epsilon = Some(2.0);
+    cfg
+}
+
+/// The headline cell: 60 % Byzantine label-flip at ε = 2 against the
+/// two-stage defense believing γ = 0.4.
+fn headline_base() -> SimulationConfig {
+    let mut cfg = SimulationConfig {
+        attack: AttackSpec::LabelFlip,
+        defense: DefenseKind::TwoStage,
+        ..paper_base()
+    };
+    cfg.defense_cfg.gamma = 0.4;
     cfg
 }
 
 /// The flagship result: 60 % Byzantine label-flip at ε = 2, two-stage
 /// defense vs plain averaging.
 fn quickstart() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/quickstart".into(),
-        title: "60 % Byzantine label-flip headline (defended vs undefended)".into(),
-        notes: "The repo's pinned headline: two-stage reaches 1.000 while plain averaging \
-                collapses to 0.010 under the same attack (CI greps these numbers)."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "60 % Byzantine label-flip headline (defended vs undefended)",
+        "The repo's pinned headline: two-stage reaches 1.000 while plain averaging \
+         collapses to 0.010 under the same attack (CI greps these numbers).",
+        headline_base(),
+        GridSpec {
             defenses: Some(vec![DefenseKind::TwoStage, DefenseKind::NoDefense]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Reference Accuracy (paper §6.1): DP training with zero Byzantine workers
 /// and no defense, across privacy levels.
 fn reference() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.n_byzantine = 0;
-    ScenarioSpec {
-        name: "paper/reference".into(),
-        title: "Reference Accuracy: DP only, no Byzantine workers".into(),
-        notes: "The ceiling every defended run is measured against (§6.1), swept over ε.".into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
-            epsilons: Some(vec![Some(2.0), Some(1.0), Some(0.5)]),
-            ..GridSpec::default()
-        },
-    }
+    scenario(
+        "Reference Accuracy: DP only, no Byzantine workers",
+        "The ceiling every defended run is measured against (§6.1), swept over ε.",
+        SimulationConfig { n_byzantine: 0, ..paper_base() },
+        GridSpec { epsilons: Some(vec![Some(2.0), Some(1.0), Some(0.5)]), ..GridSpec::default() },
+    )
 }
 
 /// Every implemented attack against three servers (Tables 1–2 shape):
 /// undefended mean, Krum, and the two-stage protocol, at 60 % Byzantine.
 fn attack_showdown() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.epsilon = Some(1.0);
+    let mut base = SimulationConfig { epsilon: Some(1.0), ..paper_base() };
     base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/attack_showdown".into(),
-        title: "Attack showdown: 6 attacks × {mean, Krum, two-stage} at 60 % Byzantine".into(),
-        notes: "Expected shape: the two-stage column tracks the Reference Accuracy under \
-                every attack; undefended and Krum collapse under most of them."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    scenario(
+        "Attack showdown: 6 attacks × {mean, Krum, two-stage} at 60 % Byzantine",
+        "Expected shape: the two-stage column tracks the Reference Accuracy under \
+         every attack; undefended and Krum collapse under most of them.",
         base,
-        grid: GridSpec {
+        GridSpec {
             attacks: Some(vec![
                 AttackSpec::Gaussian,
                 AttackSpec::LabelFlip,
@@ -205,94 +211,73 @@ fn attack_showdown() -> ScenarioSpec {
             ]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Sensitivity to the server's honest-fraction belief γ (Table 6 shape).
 fn gamma_sweep() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.per_worker = 400;
-    base.epochs = 3.0;
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    ScenarioSpec {
-        name: "paper/gamma_sweep".into(),
-        title: "γ-sweep: two-stage under 60 % label-flip across server beliefs".into(),
-        notes: "γ below the true honest fraction (0.4) selects fewer honest uploads but \
-                stays safe; γ above it must admit Byzantine uploads."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
-            gammas: Some(vec![0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
-            ..GridSpec::default()
+    scenario(
+        "γ-sweep: two-stage under 60 % label-flip across server beliefs",
+        "γ below the true honest fraction (0.4) selects fewer honest uploads but \
+         stays safe; γ above it must admit Byzantine uploads.",
+        SimulationConfig {
+            per_worker: 400,
+            epochs: 3.0,
+            attack: AttackSpec::LabelFlip,
+            defense: DefenseKind::TwoStage,
+            ..paper_base()
         },
-    }
+        GridSpec { gammas: Some(vec![0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]), ..GridSpec::default() },
+    )
 }
 
 /// Accuracy as the privacy budget tightens (Tables 2–3 shape).
 fn epsilon_sweep() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/epsilon_sweep".into(),
-        title: "ε-sweep: two-stage under 60 % label-flip across privacy budgets".into(),
-        notes: "Tighter ε means more noise and a lower ceiling; the defense must keep \
-                tracking the Reference Accuracy at each level."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "ε-sweep: two-stage under 60 % label-flip across privacy budgets",
+        "Tighter ε means more noise and a lower ceiling; the defense must keep \
+         tracking the Reference Accuracy at each level.",
+        headline_base(),
+        GridSpec {
             epsilons: Some(vec![Some(2.0), Some(1.0), Some(0.5), Some(0.25)]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// The two-stage defense across dataset families (Fig. 1's dataset columns,
 /// at one privacy level): the defense must track the per-dataset Reference
 /// Accuracy on every 784-input family.
 fn dataset_sweep() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/dataset_sweep".into(),
-        title: "Dataset sweep: two-stage under 60 % label-flip across data families".into(),
-        notes: "The same defended configuration on the MNIST-, Fashion- and USPS-like \
-                synthetic families (all 784-input, so one MLP serves every cell); \
-                absolute ceilings differ per family, resilience must not."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Dataset sweep: two-stage under 60 % label-flip across data families",
+        "The same defended configuration on the MNIST-, Fashion- and USPS-like \
+         synthetic families (all 784-input, so one MLP serves every cell); \
+         absolute ceilings differ per family, resilience must not.",
+        headline_base(),
+        GridSpec {
             datasets: Some(vec!["mnist-like".into(), "fashion-like".into(), "usps-like".into()]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Protocol-vs-protocol comparison (the matrix shape DP-BREM-style systems
 /// are evaluated on): the same Krum server under 60 % label-flip, fed by
 /// three different worker upload protocols.
 fn protocol_sweep() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.epsilon = Some(1.0);
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::Robust { rule: AggregatorKind::Krum { f: 15 } };
-    ScenarioSpec {
-        name: "paper/protocol_sweep".into(),
-        title: "Protocol sweep: Krum under 60 % label-flip across upload protocols".into(),
-        notes: "Holding the server rule fixed isolates what the worker protocol itself \
-                contributes: non-private uploads, clipped DP-SGD uploads and the paper's \
-                noise-dominated uploads give the same aggregator very different inputs."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Protocol sweep: Krum under 60 % label-flip across upload protocols",
+        "Holding the server rule fixed isolates what the worker protocol itself \
+         contributes: non-private uploads, clipped DP-SGD uploads and the paper's \
+         noise-dominated uploads give the same aggregator very different inputs.",
+        SimulationConfig {
+            epsilon: Some(1.0),
+            attack: AttackSpec::LabelFlip,
+            defense: DefenseKind::Robust { rule: AggregatorKind::Krum { f: 15 } },
+            ..paper_base()
+        },
+        GridSpec {
             protocols: Some(vec![
                 WorkerProtocol::Plain,
                 WorkerProtocol::ClippedDp { clip: 1.0 },
@@ -300,88 +285,81 @@ fn protocol_sweep() -> ScenarioSpec {
             ]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// i.i.d. vs Algorithm-4 non-i.i.d. data distribution (supp. Fig. 5 shape).
 fn non_iid() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.per_worker = 400;
-    base.epochs = 3.0;
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/non_iid".into(),
-        title: "Partition sweep: two-stage under 60 % label-flip, iid vs non-iid".into(),
-        notes: "The paper reports the defense is insensitive to Algorithm-4 heterogeneity.".into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec { iid: Some(vec![true, false]), ..GridSpec::default() },
-    }
+    scenario(
+        "Partition sweep: two-stage under 60 % label-flip, iid vs non-iid",
+        "The paper reports the defense is insensitive to Algorithm-4 heterogeneity.",
+        SimulationConfig { per_worker: 400, epochs: 3.0, ..headline_base() },
+        GridSpec { iid: Some(vec![true, false]), ..GridSpec::default() },
+    )
 }
 
 /// Byzantine majorities pushed to the extreme (supp. extreme-Byzantine
 /// figure shape): 80 % and 90 % Byzantine cohorts.
 fn extreme_byz() -> ScenarioSpec {
-    let mut base = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
-    base.per_worker = 300;
-    base.epochs = 2.0;
-    base.n_honest = 2;
-    base.epsilon = Some(2.0);
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig {
+        per_worker: 300,
+        epochs: 2.0,
+        n_honest: 2,
+        n_byzantine: 0,
+        attack: AttackSpec::LabelFlip,
+        defense: DefenseKind::TwoStage,
+        ..paper_base()
+    };
     base.defense_cfg.gamma = 0.1;
-    ScenarioSpec {
-        name: "paper/extreme_byz".into(),
-        title: "Extreme majorities: 2 honest workers vs 8 / 18 Byzantine".into(),
-        notes: "γ = 0.1 keeps the selection inside the honest minority even at 90 % \
-                Byzantine — the paper's strongest resilience claim."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    scenario(
+        "Extreme majorities: 2 honest workers vs 8 / 18 Byzantine",
+        "γ = 0.1 keeps the selection inside the honest minority even at 90 % \
+         Byzantine — the paper's strongest resilience claim.",
         base,
-        grid: GridSpec { n_byzantine: Some(vec![8, 18]), ..GridSpec::default() },
-    }
+        GridSpec { n_byzantine: Some(vec![8, 18]), ..GridSpec::default() },
+    )
 }
 
 /// The paper-scale MNIST accounting configuration (|D_i| = 3 000, b_c = 16,
 /// 8 epochs → T = 1 500): the source of truth for the privacy-accounting
 /// example. Heavy to actually train; its grid is meant for accountant math.
 fn accounting() -> ScenarioSpec {
-    let mut base = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
-    base.per_worker = 3000;
-    base.n_honest = 20;
-    base.epochs = 8.0;
-    base.epsilon = Some(2.0);
-    ScenarioSpec {
-        name: "paper/accounting".into(),
-        title: "Paper-scale privacy accounting anchor (σ_b ≈ 0.79 at ε = 2)".into(),
-        notes: "Full-scale MNIST setup (20 workers × 3 000 examples, 8 epochs). Used by \
-                the privacy_accounting example for its q/T/δ constants; running the \
-                grid trains at paper scale — expect it to be slow."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Paper-scale privacy accounting anchor (σ_b ≈ 0.79 at ε = 2)",
+        "Full-scale MNIST setup (20 workers × 3 000 examples, 8 epochs). Used by \
+         the privacy_accounting example for its q/T/δ constants; running the \
+         grid trains at paper scale — expect it to be slow.",
+        SimulationConfig {
+            per_worker: 3000,
+            n_honest: 20,
+            n_byzantine: 0,
+            epochs: 8.0,
+            ..paper_base()
+        },
+        GridSpec {
             epsilons: Some(vec![Some(2.0), Some(1.0), Some(0.5), Some(0.25), Some(0.125)]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// The reduced-scale MNIST base of every scenario ported from a hand-coded
 /// binary (Tables 1 and 3, Figures 3 and 4, the supplementary tables, the
-/// ablation): 10 honest workers, |D_i| = 500, 6 epochs, 400 test examples —
-/// the configuration those binaries ran by default, kept bit-identical so
-/// the registry reproduces their accuracies verbatim
+/// ablation): [`paper_base`] without attackers, at 6 epochs and 400 test
+/// examples — the configuration those binaries ran by default, kept
+/// bit-identical so the registry reproduces their accuracies verbatim
 /// (`tests/registry_paper_tables.rs`).
 fn ported_base() -> SimulationConfig {
-    let mut cfg = SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::Mlp784);
-    cfg.per_worker = 500;
-    cfg.test_count = 400;
-    cfg.n_honest = 10;
-    cfg.epochs = 6.0;
-    cfg
+    SimulationConfig { test_count: 400, n_byzantine: 0, epochs: 6.0, ..paper_base() }
+}
+
+/// A ported table: its `rows` over `base`, run at the paper's literal
+/// seeds — `{1}` at this reduced scale (the paper averages {1, 2, 3}).
+fn ported(title: &str, notes: &str, base: SimulationConfig, rows: Vec<IncludeRow>) -> ScenarioSpec {
+    ScenarioSpec {
+        seed: SeedPolicy::List { seeds: vec![1] },
+        ..scenario(title, notes, base, GridSpec { include: Some(rows), ..GridSpec::default() })
+    }
 }
 
 /// The overrides of a "two-stage at the true honest fraction" row over
@@ -397,16 +375,22 @@ fn defended(n_byz: usize) -> IncludeRow {
     }
 }
 
+/// The ported base at 60 % Byzantine label-flip (15 of the 25-worker cohort).
+fn ported_majority(epsilon: f64) -> SimulationConfig {
+    SimulationConfig {
+        epsilon: Some(epsilon),
+        n_byzantine: 15,
+        attack: AttackSpec::LabelFlip,
+        ..ported_base()
+    }
+}
+
 /// Table 1: the privacy / >50 %-resilience matrix — every prior method next
 /// to the two-stage protocol under 60 % label-flip, plus the Reference
 /// Accuracy row the resilience threshold is measured against. The rows vary
 /// protocol, defense and privacy level *jointly*, so they are `include`
 /// rows, not a cartesian product.
 fn table1_matrix() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.epsilon = Some(1.0);
-    base.n_byzantine = 15; // 60 % of the 25-worker cohort
-    base.attack = AttackSpec::LabelFlip;
     // Non-private robust-aggregation rows: plain uploads (σ pinned to 0),
     // an off-the-shelf rule at the server.
     let robust = |label: &str, rule: AggregatorKind| IncludeRow {
@@ -416,72 +400,66 @@ fn table1_matrix() -> ScenarioSpec {
         defense: Some(DefenseKind::Robust { rule }),
         ..IncludeRow::default()
     };
-    ScenarioSpec {
-        name: "paper/table1_matrix".into(),
-        title: "Table 1: privacy and >50 %-resilience, measured per method".into(),
-        notes: "Every prior row lacks privacy, resilience beyond a Byzantine majority, \
-                or both; only the two-stage protocol keeps both. `reference` is the \
-                zero-attacker DP ceiling; a method counts as resilient when it retains \
-                ≥80 % of it under 60 % label-flip. Paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
-        base,
-        grid: GridSpec {
-            include: Some(vec![
-                IncludeRow {
-                    label: "reference".into(),
-                    n_byzantine: Some(0),
-                    attack: Some(AttackSpec::None),
-                    ..IncludeRow::default()
-                },
-                robust("krum", AggregatorKind::Krum { f: 15 }),
-                robust("coord-median", AggregatorKind::CoordinateMedian),
-                robust("trimmed-mean", AggregatorKind::TrimmedMean { trim: 11 }),
-                robust("rfa", AggregatorKind::GeometricMedian),
-                IncludeRow {
-                    label: "dp-sgd+krum".into(),
-                    protocol: Some(WorkerProtocol::ClippedDp { clip: 1.0 }),
-                    defense: Some(DefenseKind::Robust { rule: AggregatorKind::Krum { f: 15 } }),
-                    ..IncludeRow::default()
-                },
-                IncludeRow {
-                    label: "sign-dp".into(),
-                    protocol: Some(WorkerProtocol::SignDp {
-                        lr: 0.002,
-                        flip_prob: SignDpConfig::flip_prob_for_epsilon(1.0),
-                    }),
-                    model: Some(ModelKind::SmallMlp { hidden: 16 }),
-                    attack: Some(AttackSpec::None), // sign-inversion is structural
-                    ..IncludeRow::default()
-                },
-                IncludeRow {
-                    label: "two-stage".into(),
-                    defense: Some(DefenseKind::TwoStage),
-                    gamma: Some(10.0 / 25.0),
-                    ..IncludeRow::default()
-                },
-            ]),
-            ..GridSpec::default()
+    let rows = vec![
+        IncludeRow {
+            label: "reference".into(),
+            n_byzantine: Some(0),
+            attack: Some(AttackSpec::None),
+            ..IncludeRow::default()
         },
-    }
+        robust("krum", AggregatorKind::Krum { f: 15 }),
+        robust("coord-median", AggregatorKind::CoordinateMedian),
+        robust("trimmed-mean", AggregatorKind::TrimmedMean { trim: 11 }),
+        robust("rfa", AggregatorKind::GeometricMedian),
+        IncludeRow {
+            label: "dp-sgd+krum".into(),
+            protocol: Some(WorkerProtocol::ClippedDp { clip: 1.0 }),
+            defense: Some(DefenseKind::Robust { rule: AggregatorKind::Krum { f: 15 } }),
+            ..IncludeRow::default()
+        },
+        IncludeRow {
+            label: "sign-dp".into(),
+            protocol: Some(WorkerProtocol::SignDp {
+                lr: 0.002,
+                flip_prob: flip_prob_for_epsilon(1.0),
+            }),
+            model: Some(ModelKind::SmallMlp { hidden: 16 }),
+            attack: Some(AttackSpec::None), // sign-inversion is structural
+            ..IncludeRow::default()
+        },
+        IncludeRow {
+            label: "two-stage".into(),
+            defense: Some(DefenseKind::TwoStage),
+            gamma: Some(10.0 / 25.0),
+            ..IncludeRow::default()
+        },
+    ];
+    ported(
+        "Table 1: privacy and >50 %-resilience, measured per method",
+        "Every prior row lacks privacy, resilience beyond a Byzantine majority, \
+         or both; only the two-stage protocol keeps both. `reference` is the \
+         zero-attacker DP ceiling; a method counts as resilient when it retains \
+         ≥80 % of it under 60 % label-flip. Paper seeds at full scale: {1, 2, 3}.",
+        ported_majority(1.0),
+        rows,
+    )
 }
 
 /// Table 3: comparison with [77] (sign-compression DP) on MNIST — the
 /// baseline at 10 % Byzantine and its published ε budgets vs ours at 40–60 %
 /// Byzantine and the much stronger ε = 0.125.
 fn table3_sign_dp() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.epsilon = Some(0.125);
-    base.attack = AttackSpec::Gaussian;
+    let base =
+        SimulationConfig { epsilon: Some(0.125), attack: AttackSpec::Gaussian, ..ported_base() };
     // [77]'s ε is the whole run's budget; naive linear composition leaves
     // ε/T per round, which drives the randomized-response flip probability
     // toward 1/2 — the structural reason its accuracy collapses.
-    let rounds = (base.epochs * base.per_worker as f64 / base.dp.batch_size as f64).ceil();
+    let rounds = base.iterations() as f64;
     let sign = |eps_total: f64| IncludeRow {
         label: format!("sign-dp(eps={eps_total})"),
         protocol: Some(WorkerProtocol::SignDp {
             lr: 0.002,
-            flip_prob: SignDpConfig::flip_prob_for_epsilon(eps_total / rounds),
+            flip_prob: flip_prob_for_epsilon(eps_total / rounds),
         }),
         model: Some(ModelKind::SmallMlp { hidden: 16 }),
         n_byzantine: Some(1),           // 10 % of the cohort
@@ -492,123 +470,99 @@ fn table3_sign_dp() -> ScenarioSpec {
         label: format!("ours(byz={byz_pct}%)"),
         ..defended(n_byz)
     };
-    ScenarioSpec {
-        name: "paper/table3_sign_dp".into(),
-        title: "Table 3: vs sign-compression DP under the Gaussian attack".into(),
-        notes: "Paper's numbers: [77] reaches .20/.43 with only 10 % Byzantine workers at \
-                ε ∈ {0.21, 0.40}; ours reaches ~.86 with 40–60 % Byzantine at ε = 0.125. \
-                Paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
+    ported(
+        "Table 3: vs sign-compression DP under the Gaussian attack",
+        "Paper's numbers: [77] reaches .20/.43 with only 10 % Byzantine workers at \
+         ε ∈ {0.21, 0.40}; ours reaches ~.86 with 40–60 % Byzantine at ε = 0.125. \
+         Paper seeds at full scale: {1, 2, 3}.",
         base,
-        grid: GridSpec {
-            include: Some(vec![sign(0.21), sign(0.40), ours(40, 7), ours(60, 15)]),
-            ..GridSpec::default()
-        },
-    }
+        vec![sign(0.21), sign(0.40), ours(40, 7), ours(60, 15)],
+    )
 }
 
 /// The reduced-scale Fashion base the Table-2 grids share (the paper runs
 /// Table 2 on Fashion-MNIST).
 fn fashion_base() -> SimulationConfig {
-    let mut cfg = SimulationConfig::quick(SyntheticSpec::fashion_like(), ModelKind::Mlp784);
-    cfg.per_worker = 500;
-    cfg.n_honest = 10;
-    cfg.epochs = 4.0;
-    cfg
+    SimulationConfig { dataset: SyntheticSpec::fashion_like(), n_byzantine: 0, ..paper_base() }
 }
 
 /// Table 2, "ours" half: the two-stage protocol on Fashion under the
 /// "A little" and inner-product attacks at 40 % / 60 % Byzantine, ε = 2.
 fn table2_ours() -> ScenarioSpec {
-    let mut base = fashion_base();
-    base.epsilon = Some(2.0);
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig { defense: DefenseKind::TwoStage, ..fashion_base() };
     // γ = 0.4 is exact at 60 % Byzantine and conservative at 40 % — one
     // belief serves both rows (the bin used the per-row exact fraction; a
     // conservative belief is the paper's own recommended operating mode).
     base.defense_cfg.gamma = 0.4;
-    ScenarioSpec {
-        name: "paper/table2_ours".into(),
-        title: "Table 2 (ours): two-stage on Fashion, ε = 2".into(),
-        notes: "Paper Table 2's bottom rows: the two-stage defense under the \"A little\" \
-                and inner-product attacks at 40 % and 60 % Byzantine with the *stronger* \
-                ε = 2 guarantee."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    scenario(
+        "Table 2 (ours): two-stage on Fashion, ε = 2",
+        "Paper Table 2's bottom rows: the two-stage defense under the \"A little\" \
+         and inner-product attacks at 40 % and 60 % Byzantine with the *stronger* \
+         ε = 2 guarantee.",
         base,
-        grid: GridSpec {
+        GridSpec {
             attacks: Some(vec![AttackSpec::ALittle, AttackSpec::InnerProduct { scale: 5.0 }]),
             n_byzantine: Some(vec![7, 15]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Table 2, baseline half: [30]-style clipping DP-SGD + Krum on Fashion at
 /// its viable Byzantine range (ε ≈ 3.46, the guarantee the paper compares
 /// against).
 fn table2_dp_krum() -> ScenarioSpec {
-    let mut base = fashion_base();
-    base.epsilon = Some(3.46);
-    base.protocol = WorkerProtocol::ClippedDp { clip: 1.0 };
-    // f pinned to the worst-case row (7 Byzantine of 17): Krum stays valid
-    // (n − f − 2 ≥ 1) and conservative on the 3-Byzantine row.
-    base.defense = DefenseKind::Robust { rule: AggregatorKind::Krum { f: 7 } };
-    ScenarioSpec {
-        name: "paper/table2_dp_krum".into(),
-        title: "Table 2 ([30]-style): clipping DP-SGD + Krum on Fashion, ε ≈ 3.46".into(),
-        notes: "Paper Table 2's top rows: the prior DP+robust-aggregation design at 20 % \
-                and 40 % Byzantine (its viable range) under the same two attacks."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Table 2 ([30]-style): clipping DP-SGD + Krum on Fashion, ε ≈ 3.46",
+        "Paper Table 2's top rows: the prior DP+robust-aggregation design at 20 % \
+         and 40 % Byzantine (its viable range) under the same two attacks.",
+        SimulationConfig {
+            epsilon: Some(3.46),
+            protocol: WorkerProtocol::ClippedDp { clip: 1.0 },
+            // f pinned to the worst-case row (7 Byzantine of 17): Krum stays
+            // valid (n − f − 2 ≥ 1) and conservative on the 3-Byzantine row.
+            defense: DefenseKind::Robust { rule: AggregatorKind::Krum { f: 7 } },
+            ..fashion_base()
+        },
+        GridSpec {
             attacks: Some(vec![AttackSpec::ALittle, AttackSpec::InnerProduct { scale: 5.0 }]),
             n_byzantine: Some(vec![3, 7]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Table 4: the side-effect test — every worker is honest, but the server
 /// still runs the full two-stage defense believing only 40 % are.
 fn table4_side_effect() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.n_honest = 25; // the 15 "declared Byzantine" workers are honest too
-    base.n_byzantine = 0;
-    base.attack = AttackSpec::None;
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig {
+        n_honest: 25, // the 15 "declared Byzantine" workers are honest too
+        n_byzantine: 0,
+        defense: DefenseKind::TwoStage,
+        ..paper_base()
+    };
     base.defense_cfg.gamma = 0.4; // the server's (wrong) conservative belief
-    ScenarioSpec {
-        name: "paper/table4_side_effect".into(),
-        title: "Table 4: defense on, zero actual attackers".into(),
-        notes: "The medicine must not harm a healthy patient: with all 25 workers honest \
-                and γ = 0.4, accuracy must track the Reference Accuracy (paper/reference) \
-                at each ε."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    scenario(
+        "Table 4: defense on, zero actual attackers",
+        "The medicine must not harm a healthy patient: with all 25 workers honest \
+         and γ = 0.4, accuracy must track the Reference Accuracy (paper/reference) \
+         at each ε.",
         base,
-        grid: GridSpec { epsilons: Some(vec![Some(2.0), Some(0.5)]), ..GridSpec::default() },
-    }
+        GridSpec { epsilons: Some(vec![Some(2.0), Some(0.5)]), ..GridSpec::default() },
+    )
 }
 
 /// Table 5: the adaptive attack's turn-time sweep — 60 % Byzantine workers
 /// behave honestly until `TTBB·T`, then mount label-flip.
 fn table5_ttbb() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.4;
     let flip = Box::new(AttackSpec::LabelFlip);
-    ScenarioSpec {
-        name: "paper/table5_ttbb".into(),
-        title: "Table 5: adaptive label-flip across turn times (TTBB)".into(),
-        notes: "Resilience must be independent of when the 60 % Byzantine cohort turns \
-                malicious; TTBB = 0 is the plain label-flip attack."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Table 5: adaptive label-flip across turn times (TTBB)",
+        "Resilience must be independent of when the 60 % Byzantine cohort turns \
+         malicious; TTBB = 0 is the plain label-flip attack.",
+        // The headline cell with the attack left to the grid.
+        SimulationConfig { attack: AttackSpec::None, ..headline_base() },
+        GridSpec {
             attacks: Some(vec![
                 AttackSpec::LabelFlip,
                 AttackSpec::Adaptive { ttbb: 0.2, inner: flip.clone() },
@@ -618,43 +572,34 @@ fn table5_ttbb() -> ScenarioSpec {
             ]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Table 6: the γ-belief ablation at a 50 % honest truth, crossed with the
 /// privacy level.
 fn table6_gamma() -> ScenarioSpec {
-    let mut base = paper_base();
-    base.per_worker = 400;
-    base.epochs = 3.0;
-    base.n_byzantine = 10; // truth: exactly 50 % honest
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    ScenarioSpec {
-        name: "paper/table6_gamma".into(),
-        title: "Table 6: server belief γ vs a 50 % honest truth, across ε".into(),
-        notes: "Conservative beliefs (γ ≤ 50 %) must keep robustness; radical beliefs \
-                (γ > 50 %) admit Byzantine uploads and pay in accuracy, most visibly at \
-                tight ε."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec {
+    scenario(
+        "Table 6: server belief γ vs a 50 % honest truth, across ε",
+        "Conservative beliefs (γ ≤ 50 %) must keep robustness; radical beliefs \
+         (γ > 50 %) admit Byzantine uploads and pay in accuracy, most visibly at \
+         tight ε.",
+        SimulationConfig {
+            n_byzantine: 10, // truth: exactly 50 % honest
+            ..gamma_sweep().base
+        },
+        GridSpec {
             gammas: Some(vec![0.2, 0.35, 0.5, 0.65, 0.8]),
             epsilons: Some(vec![Some(2.0), Some(0.5)]),
             ..GridSpec::default()
         },
-    }
+    )
 }
 
 /// Figure 3 (and supp. Figures 20/23/26/29/32): the hyper-parameter tuning
 /// claim — with η = η_b·σ_b/σ the optimal *base* learning rate is the same
 /// at every privacy level, so tuning once at ε = 2 transfers everywhere.
 fn fig3_tuning() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.n_byzantine = 15; // 60 % of the 25-worker cohort
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig { defense: DefenseKind::TwoStage, ..ported_majority(2.0) };
     base.defense_cfg.gamma = 10.0 / 25.0;
     let mut rows = Vec::new();
     for eps in [2.0, 0.5] {
@@ -667,27 +612,22 @@ fn fig3_tuning() -> ScenarioSpec {
             });
         }
     }
-    ScenarioSpec {
-        name: "paper/fig3_tuning".into(),
-        title: "Figure 3: accuracy vs base learning rate η_b across ε, 60 % label-flip".into(),
-        notes: "Paper shape: the argmax base lr is the SAME across privacy levels (0.2 for \
-                MNIST), validating η = η_b·σ_b/σ — a one-dimensional hyper-parameter \
-                search. The paper sweeps η_b ∈ {0.02, 0.04, 0.08, 0.2, 0.4, 0.8, 1.0} at \
-                ε ∈ {2, 0.5, 0.125}, also under Gaussian and OptLMP and on non-iid data; \
-                export, edit and re-run for those. Paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
+    ported(
+        "Figure 3: accuracy vs base learning rate η_b across ε, 60 % label-flip",
+        "Paper shape: the argmax base lr is the SAME across privacy levels (0.2 for \
+         MNIST), validating η = η_b·σ_b/σ — a one-dimensional hyper-parameter \
+         search. The paper sweeps η_b ∈ {0.02, 0.04, 0.08, 0.2, 0.4, 0.8, 1.0} at \
+         ε ∈ {2, 0.5, 0.125}, also under Gaussian and OptLMP and on non-iid data; \
+         export, edit and re-run for those. Paper seeds at full scale: {1, 2, 3}.",
         base,
-        grid: GridSpec { include: Some(rows), ..GridSpec::default() },
-    }
+        rows,
+    )
 }
 
 /// Figure 4: convergence curves (test accuracy per epoch, the `history` of
 /// every result record) under label-flip at 20 % and 60 % Byzantine, ε = 1,
 /// next to the Reference Accuracy curve of the same dataset.
 fn fig4_convergence() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.epsilon = Some(1.0);
     let mut rows = Vec::new();
     for dataset in ["mnist-like", "fashion-like"] {
         for (byz_pct, n_byz) in [(20, 3), (60, 15)] {
@@ -704,19 +644,16 @@ fn fig4_convergence() -> ScenarioSpec {
             ..IncludeRow::default()
         });
     }
-    ScenarioSpec {
-        name: "paper/fig4_convergence".into(),
-        title: "Figure 4: convergence under 20 % / 60 % label-flip vs the reference, ε = 1".into(),
-        notes: "The figure is the trajectory: each record's `history` in results.jsonl \
-                holds one (epoch, accuracy) point per epoch. Paper shape: training \
-                converges within the first few epochs and the attacked curve hugs the \
-                Reference Accuracy curve at both 20 % and 60 % Byzantine. The paper also \
-                plots USPS and Colorectal; paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
-        base,
-        grid: GridSpec { include: Some(rows), ..GridSpec::default() },
-    }
+    ported(
+        "Figure 4: convergence under 20 % / 60 % label-flip vs the reference, ε = 1",
+        "The figure is the trajectory: each record's `history` in results.jsonl \
+         holds one (epoch, accuracy) point per epoch. Paper shape: training \
+         converges within the first few epochs and the attacked curve hugs the \
+         Reference Accuracy curve at both 20 % and 60 % Byzantine. The paper also \
+         plots USPS and Colorectal; paper seeds at full scale: {1, 2, 3}.",
+        SimulationConfig { epsilon: Some(1.0), ..ported_base() },
+        rows,
+    )
 }
 
 /// Supp. Tables 15/16: the side-effect of DP itself — plain federated
@@ -738,18 +675,15 @@ fn supp_dp_cost() -> ScenarioSpec {
             }
         }
     }
-    ScenarioSpec {
-        name: "paper/supp_dp_cost".into(),
-        title: "Supp. Tables 15/16: DP's own utility cost, iid and non-iid".into(),
-        notes: "Paper shape: monotone utility loss as ε shrinks; the i.i.d. and \
-                non-i.i.d. columns are nearly identical. The paper's full ε grid is \
-                {2, 1, 0.5, 0.25, 0.125} on four datasets; paper seeds at full scale: \
-                {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
-        base: ported_base(),
-        grid: GridSpec { include: Some(rows), ..GridSpec::default() },
-    }
+    ported(
+        "Supp. Tables 15/16: DP's own utility cost, iid and non-iid",
+        "Paper shape: monotone utility loss as ε shrinks; the i.i.d. and \
+         non-i.i.d. columns are nearly identical. The paper's full ε grid is \
+         {2, 1, 0.5, 0.25, 0.125} on four datasets; paper seeds at full scale: \
+         {1, 2, 3}.",
+        ported_base(),
+        rows,
+    )
 }
 
 /// Supp. Table 17: the server's auxiliary data drawn from a *different data
@@ -757,8 +691,6 @@ fn supp_dp_cost() -> ScenarioSpec {
 /// here) next to in-distribution auxiliary data, under the Gaussian and
 /// label-flip attacks at 20 % / 40 % Byzantine, ε = 2.
 fn supp_ood_aux() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.epsilon = Some(2.0);
     let mut rows = Vec::new();
     for attack in [AttackSpec::Gaussian, AttackSpec::LabelFlip] {
         for (byz_pct, n_byz) in [(20, 3), (40, 7)] {
@@ -775,30 +707,23 @@ fn supp_ood_aux() -> ScenarioSpec {
             }
         }
     }
-    ScenarioSpec {
-        name: "paper/supp_ood_aux".into(),
-        title: "Supp. Table 17: out-of-distribution vs in-distribution auxiliary data".into(),
-        notes: "Paper shape: with out-of-distribution auxiliary data the second-stage \
-                gradient misdirects and the defense collapses (≈ chance under Gaussian, \
-                ≤ chance under label-flip), while in-distribution auxiliary data \
-                preserves full utility — motivating the same-data-space assumption. \
-                Paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
-        base,
-        grid: GridSpec { include: Some(rows), ..GridSpec::default() },
-    }
+    ported(
+        "Supp. Table 17: out-of-distribution vs in-distribution auxiliary data",
+        "Paper shape: with out-of-distribution auxiliary data the second-stage \
+         gradient misdirects and the defense collapses (≈ chance under Gaussian, \
+         ≤ chance under label-flip), while in-distribution auxiliary data \
+         preserves full utility — motivating the same-data-space assumption. \
+         Paper seeds at full scale: {1, 2, 3}.",
+        ported_base(),
+        rows,
+    )
 }
 
 /// The design-choice ablation (paper §4.5 "Novelties" and §4.7): each of the
 /// protocol's deliberate choices flipped in isolation at 60 % label-flip,
 /// plus the FLTrust prior-work comparator and the Reference Accuracy row.
 fn ablation() -> ScenarioSpec {
-    let mut base = ported_base();
-    base.epsilon = Some(1.0);
-    base.n_byzantine = 15; // 60 % of the 25-worker cohort
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig { defense: DefenseKind::TwoStage, ..ported_majority(1.0) };
     base.defense_cfg.gamma = 10.0 / 25.0;
     let row = |label: &str| IncludeRow { label: label.into(), ..IncludeRow::default() };
     let defense_cfg = |flip: fn(&mut DefenseConfig)| {
@@ -843,172 +768,154 @@ fn ablation() -> ScenarioSpec {
         },
         IncludeRow { defense: Some(DefenseKind::FlTrust), ..row("fltrust") },
     ];
-    ScenarioSpec {
-        name: "paper/ablation".into(),
-        title: "Design-choice ablation: each §4.5/§4.7 choice flipped, 60 % label-flip, ε = 1"
-            .into(),
-        notes: "What each choice buys: inner-product scoring carries Eq. 7's bound, cosine \
-                does not; real-valued weights plus DP noise bias the update; without the \
-                first stage one selected arbitrary upload can destroy the model; line 11's \
-                momentum reset is what the paper runs; Algorithm 1 line 14 divides by n, \
-                not |selected|; FLTrust is cosine + real weights with no DP-awareness. \
-                Expected shape: the full protocol tracks `reference`; disabling the first \
-                stage admits unbounded payloads; FLTrust loses accuracy under DP noise; \
-                the remaining flips cost little at 60 % Byzantine but remove the \
-                guarantees the paper proves. Paper seeds at full scale: {1, 2, 3}."
-            .into(),
-        seed: SeedPolicy::List { seeds: vec![1] },
+    ported(
+        "Design-choice ablation: each §4.5/§4.7 choice flipped, 60 % label-flip, ε = 1",
+        "What each choice buys: inner-product scoring carries Eq. 7's bound, cosine \
+         does not; real-valued weights plus DP noise bias the update; without the \
+         first stage one selected arbitrary upload can destroy the model; line 11's \
+         momentum reset is what the paper runs; Algorithm 1 line 14 divides by n, \
+         not |selected|; FLTrust is cosine + real weights with no DP-awareness. \
+         Expected shape: the full protocol tracks `reference`; disabling the first \
+         stage admits unbounded payloads; FLTrust loses accuracy under DP noise; \
+         the remaining flips cost little at 60 % Byzantine but remove the \
+         guarantees the paper proves. Paper seeds at full scale: {1, 2, 3}.",
         base,
-        grid: GridSpec { include: Some(rows), ..GridSpec::default() },
-    }
+        rows,
+    )
+}
+
+/// The small non-private base of the scale, serving, zoo and smoke grids:
+/// a `hidden`-unit MLP on MNIST-like data with no ε target and the noise
+/// multiplier pinned at σ = 0.5.
+fn small_base(hidden: usize) -> SimulationConfig {
+    let mut cfg =
+        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden });
+    cfg.epsilon = None;
+    cfg.dp.noise_multiplier = 0.5;
+    cfg
 }
 
 /// The million-client streaming round: 10⁶ registered clients, a sampled
 /// cohort of 512, on-demand data provisioning and quantized retention, so
 /// peak memory is bounded by the cohort — never by the client population.
 fn scale_million_clients() -> ScenarioSpec {
-    let mut base =
-        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 16 });
-    base.per_worker = 64;
-    base.test_count = 256;
-    base.n_honest = 900_000;
-    base.n_byzantine = 100_000;
-    base.epochs = 0.25; // one round at b_c = 16: T = 0.25 · 64 / 16 = 1
-    base.epsilon = None;
-    base.dp.noise_multiplier = 0.5;
-    base.attack = AttackSpec::Gaussian;
-    base.defense = DefenseKind::TwoStage;
+    let mut base = SimulationConfig {
+        per_worker: 64,
+        test_count: 256,
+        n_honest: 900_000,
+        n_byzantine: 100_000,
+        epochs: 0.25, // one round at b_c = 16: T = 0.25 · 64 / 16 = 1
+        attack: AttackSpec::Gaussian,
+        defense: DefenseKind::TwoStage,
+        sampling: 0.000_512, // cohort of ⌈q·n⌉ = 512 clients per round
+        provisioning: Provisioning::OnDemand,
+        ..small_base(16)
+    };
     base.defense_cfg.gamma = 0.5;
     base.defense_cfg.retention = UploadRetention::Quantized;
-    base.sampling = 0.000_512; // cohort of ⌈q·n⌉ = 512 clients per round
-    base.provisioning = Provisioning::OnDemand;
-    ScenarioSpec {
-        name: "scale/million_clients".into(),
-        title: "Streaming scale: one round over 10⁶ registered clients".into(),
-        notes: "A production-shaped round: the server samples 512 of 1 000 000 clients \
-                (10 % Byzantine, Gaussian), synthesizes each sampled client's shard on \
-                demand, and folds uploads through the two-stage defense one at a time \
-                with quantized survivor retention. Documented bound: completes on a \
-                1-core host under 512 MiB peak RSS (CI gates the shrunken scale/smoke \
-                variant; see .github/workflows/ci.yml)."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    scenario(
+        "Streaming scale: one round over 10⁶ registered clients",
+        "A production-shaped round: the server samples 512 of 1 000 000 clients \
+         (10 % Byzantine, Gaussian), synthesizes each sampled client's shard on \
+         demand, and folds uploads through the two-stage defense one at a time \
+         with quantized survivor retention. Documented bound: completes on a \
+         1-core host under 512 MiB peak RSS (CI gates the shrunken scale/smoke \
+         variant; see .github/workflows/ci.yml).",
         base,
-        grid: GridSpec::default(),
-    }
+        GridSpec::default(),
+    )
 }
 
-/// The CI-sized streaming scenario: 10⁵ registered clients on a smaller
-/// model, swept over two sampling fractions, run in CI under a hard
-/// max-RSS ceiling (the memory-regression gate).
+/// The CI-sized streaming scenario: [`scale_million_clients`] shrunk to 10⁵
+/// registered clients on a smaller model with exact retention, swept over
+/// two sampling fractions, run in CI under a hard max-RSS ceiling (the
+/// memory-regression gate).
 fn scale_smoke() -> ScenarioSpec {
-    let mut base =
-        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
-    base.per_worker = 64;
-    base.test_count = 128;
-    base.n_honest = 90_000;
-    base.n_byzantine = 10_000;
-    base.epochs = 0.25; // one round at b_c = 16
-    base.epsilon = None;
-    base.dp.noise_multiplier = 0.5;
-    base.attack = AttackSpec::Gaussian;
-    base.defense = DefenseKind::TwoStage;
-    base.defense_cfg.gamma = 0.5;
-    base.sampling = 0.001;
-    base.provisioning = Provisioning::OnDemand;
-    ScenarioSpec {
-        name: "scale/smoke".into(),
-        title: "Streaming scale smoke: 10⁵ clients under a CI memory ceiling".into(),
-        notes: "The shrunken scale/million_clients: 10⁵ registered clients, cohorts of \
-                100 and 200 (q ∈ {0.001, 0.002}), exact retention. CI runs this under \
-                `/usr/bin/time -v` and fails if peak RSS crosses the gate's ceiling."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
+    let mut base = SimulationConfig {
+        model: ModelKind::SmallMlp { hidden: 8 },
+        test_count: 128,
+        n_honest: 90_000,
+        n_byzantine: 10_000,
+        sampling: 0.001,
+        ..scale_million_clients().base
+    };
+    base.defense_cfg.retention = UploadRetention::Exact;
+    scenario(
+        "Streaming scale smoke: 10⁵ clients under a CI memory ceiling",
+        "The shrunken scale/million_clients: 10⁵ registered clients, cohorts of \
+         100 and 200 (q ∈ {0.001, 0.002}), exact retention. CI runs this under \
+         `/usr/bin/time -v` and fails if peak RSS crosses the gate's ceiling.",
         base,
-        grid: GridSpec { samplings: Some(vec![0.001, 0.002]), ..GridSpec::default() },
-    }
+        GridSpec { samplings: Some(vec![0.001, 0.002]), ..GridSpec::default() },
+    )
 }
 
 /// The 6-worker base config every `serving/*` scenario shares: small enough
 /// for CI loopback runs, adversarial enough (2 Byzantine label-flip under
 /// the two-stage defense) that a lost upload visibly changes the summary.
 fn serving_base() -> SimulationConfig {
-    let mut base =
-        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
-    base.per_worker = 128;
-    base.test_count = 200;
-    base.n_honest = 4;
-    base.n_byzantine = 2;
-    base.epochs = 1.0;
-    base.epsilon = None;
-    base.dp.noise_multiplier = 0.5;
-    base.attack = AttackSpec::LabelFlip;
-    base.defense = DefenseKind::TwoStage;
-    base
+    SimulationConfig {
+        per_worker: 128,
+        test_count: 200,
+        n_honest: 4,
+        n_byzantine: 2,
+        epochs: 1.0,
+        attack: AttackSpec::LabelFlip,
+        defense: DefenseKind::TwoStage,
+        ..small_base(8)
+    }
 }
 
 /// The config the served loopback run is pinned to: the same cell CI runs
 /// once over `dpbfl-server` + TCP loopback clients and once in-process,
 /// diffing the two `RunSummary` JSON blobs byte for byte.
 fn serving_loopback_smoke() -> ScenarioSpec {
-    let base = serving_base();
-    ScenarioSpec {
-        name: "serving/loopback_smoke".into(),
-        title: "Served round loop: TCP loopback vs in-process, byte-identical".into(),
-        notes: "One cell, 6 workers (2 Byzantine label-flip), two-stage defense. Running \
-                it through `dpbfl-server` with loopback `dpbfl-client`s must produce a \
-                RunSummary byte-identical to the in-process transport — the serving \
-                determinism contract CI's serving-smoke job enforces."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec::default(),
-    }
+    scenario(
+        "Served round loop: TCP loopback vs in-process, byte-identical",
+        "One cell, 6 workers (2 Byzantine label-flip), two-stage defense. Running \
+         it through `dpbfl-server` with loopback `dpbfl-client`s must produce a \
+         RunSummary byte-identical to the in-process transport — the serving \
+         determinism contract CI's serving-smoke job enforces.",
+        serving_base(),
+        GridSpec::default(),
+    )
 }
 
 /// Dropout-rate sweep under connection churn: every cell drops one client's
 /// connection at round 1 (wire runs reconnect and replay; in-process runs
 /// are unaffected by design) while sweeping the flaky-upload percentage.
 fn serving_churn_sweep() -> ScenarioSpec {
-    let mut base = serving_base();
-    base.serving = Some(ServingSpec {
+    let serving = ServingSpec {
         deadline_ms: Some(1_500),
         fault: FaultSpec { drop_at_round: Some(1), seed: 7, ..FaultSpec::default() },
-    });
-    ScenarioSpec {
-        name: "serving/churn_sweep".into(),
-        title: "Fault-injection sweep: dropout rate × mid-run reconnect".into(),
-        notes: "Sweeps the flaky-upload percentage {0, 10, 25} with a connection drop \
-                injected at round 1. `drop_at_round` is wire-only: the replacement \
-                connection replays closed rounds and re-answers the open one, so every \
-                cell served over loopback must stay byte-identical to its in-process \
-                reference — the CI churn leg's contract. The flaky plan is a pure \
-                function of (fault seed, worker, round), so both transports withhold \
-                the identical upload set."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec { flaky_pcts: Some(vec![0.0, 10.0, 25.0]), ..GridSpec::default() },
-    }
+    };
+    scenario(
+        "Fault-injection sweep: dropout rate × mid-run reconnect",
+        "Sweeps the flaky-upload percentage {0, 10, 25} with a connection drop \
+         injected at round 1. `drop_at_round` is wire-only: the replacement \
+         connection replays closed rounds and re-answers the open one, so every \
+         cell served over loopback must stay byte-identical to its in-process \
+         reference — the CI churn leg's contract. The flaky plan is a pure \
+         function of (fault seed, worker, round), so both transports withhold \
+         the identical upload set.",
+        SimulationConfig { serving: Some(serving), ..serving_base() },
+        GridSpec { flaky_pcts: Some(vec![0.0, 10.0, 25.0]), ..GridSpec::default() },
+    )
 }
 
 /// Round-deadline policy sweep, including the drain-only zero deadline.
 fn serving_deadline_sweep() -> ScenarioSpec {
-    let mut base = serving_base();
-    base.serving = Some(ServingSpec { deadline_ms: None, fault: FaultSpec::default() });
-    ScenarioSpec {
-        name: "serving/deadline_sweep".into(),
-        title: "Round-deadline policy sweep, 0 ms (drain-only) to 2 s".into(),
-        notes: "Sweeps the per-round collection deadline {0, 250, 2000} ms. The 0 ms \
-                cell pins the defined drain-only semantics: the server collects only \
-                already-queued uploads and never blocks, clients withhold their sends, \
-                and the in-process model withholds every upload to match — all-dropped, \
-                deterministic, and still byte-identical across transports."
-            .into(),
-        seed: SeedPolicy::Fixed { seed: 1 },
-        base,
-        grid: GridSpec { deadlines_ms: Some(vec![0, 250, 2_000]), ..GridSpec::default() },
-    }
+    let serving = ServingSpec { deadline_ms: None, fault: FaultSpec::default() };
+    scenario(
+        "Round-deadline policy sweep, 0 ms (drain-only) to 2 s",
+        "Sweeps the per-round collection deadline {0, 250, 2000} ms. The 0 ms \
+         cell pins the defined drain-only semantics: the server collects only \
+         already-queued uploads and never blocks, clients withhold their sends, \
+         and the in-process model withholds every upload to match — all-dropped, \
+         deterministic, and still byte-identical across transports.",
+        SimulationConfig { serving: Some(serving), ..serving_base() },
+        GridSpec { deadlines_ms: Some(vec![0, 250, 2_000]), ..GridSpec::default() },
+    )
 }
 
 /// The stateful-adversary stress surface: every zoo v2 attack (sleeper,
@@ -1017,65 +924,64 @@ fn serving_deadline_sweep() -> ScenarioSpec {
 /// later stateful-defense PR is measured against; its bench summary lands as
 /// `BENCH_adversary_zoo.json` robust-accuracy rows.
 fn adversary_zoo() -> ScenarioSpec {
-    let mut base =
-        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
-    base.per_worker = 128; // 8 rounds at batch 16, epochs 1 — room to turn/oscillate
-    base.test_count = 200;
-    base.n_honest = 4;
-    base.n_byzantine = 6; // the paper's 60 % Byzantine majority
-    base.epochs = 1.0;
-    base.epsilon = None;
-    base.dp.noise_multiplier = 0.5;
+    let base = SimulationConfig {
+        per_worker: 128, // 8 rounds at batch 16, epochs 1 — room to turn/oscillate
+        test_count: 200,
+        n_honest: 4,
+        n_byzantine: 6, // the paper's 60 % Byzantine majority
+        epochs: 1.0,
+        ..small_base(8)
+    };
     let payload = || Box::new(AttackSpec::InnerProduct { scale: 5.0 });
+    let grid = GridSpec {
+        attacks: Some(vec![
+            AttackSpec::Sleeper { turn_round: 4, inner: payload() },
+            AttackSpec::Oscillating { period: 2, duty: 1, inner: payload() },
+            AttackSpec::Collusion { alpha: 0.8 },
+            AttackSpec::SybilFlood { scale: 0.95 },
+            AttackSpec::AdaptiveSearch { init_scale: 1.0, target_accept: 0.9, step: 0.25 },
+        ]),
+        defenses: Some(vec![DefenseKind::TwoStage, DefenseKind::NoDefense]),
+        ..GridSpec::default()
+    };
     ScenarioSpec {
-        name: "scenarios/adversary_zoo".into(),
-        title: "Adversary zoo v2: stateful multi-round attacks × {two-stage, undefended}".into(),
-        notes: "Sleeper turns at round 4 of 8; the oscillator attacks every other round; \
-                collusion/sybil shares are calibrated to sit inside the first-stage norm \
-                band; the adaptive search retunes its scale against the observed stage-1 \
-                acceptance rate each round. Deterministic at any thread count."
-            .into(),
         seed: SeedPolicy::Fixed { seed: 11 },
-        base,
-        grid: GridSpec {
-            attacks: Some(vec![
-                AttackSpec::Sleeper { turn_round: 4, inner: payload() },
-                AttackSpec::Oscillating { period: 2, duty: 1, inner: payload() },
-                AttackSpec::Collusion { alpha: 0.8 },
-                AttackSpec::SybilFlood { scale: 0.95 },
-                AttackSpec::AdaptiveSearch { init_scale: 1.0, target_accept: 0.9, step: 0.25 },
-            ]),
-            defenses: Some(vec![DefenseKind::TwoStage, DefenseKind::NoDefense]),
-            ..GridSpec::default()
-        },
+        ..scenario(
+            "Adversary zoo v2: stateful multi-round attacks × {two-stage, undefended}",
+            "Sleeper turns at round 4 of 8; the oscillator attacks every other round; \
+             collusion/sybil shares are calibrated to sit inside the first-stage norm \
+             band; the adaptive search retunes its scale against the observed stage-1 \
+             acceptance rate each round. Deterministic at any thread count.",
+            base,
+            grid,
+        )
     }
 }
 
 /// A 2×2 grid small enough for CI and the determinism tests: two attacks ×
 /// {two-stage, undefended} on a tiny MLP (seconds, not minutes).
 fn smoke_tiny() -> ScenarioSpec {
-    let mut base =
-        SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
-    base.per_worker = 96;
-    base.test_count = 128;
-    base.n_honest = 3;
-    base.n_byzantine = 2;
-    base.epochs = 1.0;
-    base.epsilon = None;
-    base.dp.noise_multiplier = 0.5;
+    let base = SimulationConfig {
+        per_worker: 96,
+        test_count: 128,
+        n_honest: 3,
+        n_byzantine: 2,
+        epochs: 1.0,
+        ..small_base(8)
+    };
     ScenarioSpec {
-        name: "smoke/tiny".into(),
-        title: "CI smoke grid: 2 attacks × 2 defenses on a tiny MLP".into(),
-        notes: "Exercises the whole harness (expansion, shared preparation, sink, resume, \
-                reports) in well under 30 s."
-            .into(),
         seed: SeedPolicy::Fixed { seed: 7 },
-        base,
-        grid: GridSpec {
-            attacks: Some(vec![AttackSpec::Gaussian, AttackSpec::LabelFlip]),
-            defenses: Some(vec![DefenseKind::TwoStage, DefenseKind::NoDefense]),
-            ..GridSpec::default()
-        },
+        ..scenario(
+            "CI smoke grid: 2 attacks × 2 defenses on a tiny MLP",
+            "Exercises the whole harness (expansion, shared preparation, sink, resume, \
+             reports) in well under 30 s.",
+            base,
+            GridSpec {
+                attacks: Some(vec![AttackSpec::Gaussian, AttackSpec::LabelFlip]),
+                defenses: Some(vec![DefenseKind::TwoStage, DefenseKind::NoDefense]),
+                ..GridSpec::default()
+            },
+        )
     }
 }
 
@@ -1237,7 +1143,6 @@ mod tests {
         assert_eq!(cells[0].config.attack, AttackSpec::None);
         // The sign-DP row resolves to the baseline substrate.
         assert!(matches!(cells[6].config.protocol, WorkerProtocol::SignDp { .. }));
-        assert!(dpbfl::baseline::SignDpConfig::from_simulation(&cells[6].config).is_some());
     }
 
     #[test]

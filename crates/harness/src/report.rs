@@ -7,6 +7,7 @@ use crate::spec::ScenarioSpec;
 use dpbfl_telemetry::parse_ledger;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::path::Path;
 
 /// What a cell's telemetry ledger boils down to for the reports: the
 /// deterministic per-round counters reduced to two headline figures.
@@ -38,16 +39,29 @@ pub fn digest_ledger(text: &str) -> Result<MetricsDigest, String> {
     })
 }
 
-/// The flat per-cell markdown table plus, when the grid sweeps exactly two
-/// axes, a paper-style rows × columns accuracy pivot.
-pub fn markdown(spec: &ScenarioSpec, records: &[CellRecord]) -> String {
-    markdown_with_metrics(spec, records, &HashMap::new())
+/// Digests each record's ledger (`dir/cell_<index>.jsonl`, as a run with
+/// `--metrics-dir` writes them) into report columns. Unreadable or missing
+/// ledgers (e.g. resumed cells) simply have no digest.
+pub fn digest_ledgers(dir: &Path, records: &[CellRecord]) -> HashMap<usize, MetricsDigest> {
+    let mut digests = HashMap::new();
+    for record in records {
+        let path = dir.join(crate::runner::ledger_name(record.cell));
+        let Ok(text) = std::fs::read_to_string(&path) else { continue };
+        match digest_ledger(&text) {
+            Ok(digest) => {
+                digests.insert(record.cell, digest);
+            }
+            Err(e) => eprintln!("warning: {}: {e}", path.display()),
+        }
+    }
+    digests
 }
 
-/// [`markdown`] with per-cell ledger digests: when `metrics` is non-empty
-/// the flat table gains `mean accept` and `ledger ε` columns (so reports
-/// without `--metrics-dir` stay byte-identical to previous releases).
-pub fn markdown_with_metrics(
+/// The flat per-cell markdown table plus, when the grid sweeps exactly two
+/// axes, a paper-style rows × columns accuracy pivot. With per-cell ledger
+/// digests in `metrics` the flat table gains `mean accept` and `ledger ε`
+/// columns; an empty map (a run without `--metrics-dir`) leaves them out.
+pub fn markdown(
     spec: &ScenarioSpec,
     records: &[CellRecord],
     metrics: &HashMap<usize, MetricsDigest>,
@@ -136,14 +150,9 @@ fn csv_field(value: &str) -> String {
 /// carry that axis). Under a repeat axis, every row additionally carries the
 /// mean and sample standard deviation of its repeat group's final accuracy
 /// (`repeat_mean_accuracy`/`repeat_std_accuracy`; empty without repeats).
-pub fn csv(records: &[CellRecord]) -> String {
-    csv_with_metrics(records, &HashMap::new())
-}
-
-/// [`csv`] with per-cell ledger digests: a non-empty `metrics` map appends
-/// `mean_acceptance_rate` and `ledger_final_epsilon` columns (cells without
-/// a digest leave them empty); an empty map reproduces [`csv`] exactly.
-pub fn csv_with_metrics(records: &[CellRecord], metrics: &HashMap<usize, MetricsDigest>) -> String {
+/// A non-empty `metrics` map appends `mean_acceptance_rate` and
+/// `ledger_final_epsilon` columns (cells without a digest leave them empty).
+pub fn csv(records: &[CellRecord], metrics: &HashMap<usize, MetricsDigest>) -> String {
     let axes = axis_names(records);
     let groups = repeat_groups(records);
     let with_metrics = !metrics.is_empty();
@@ -360,8 +369,8 @@ pub fn write_reports(spec: &ScenarioSpec, outcome: &GridOutcome) -> Result<(), S
         let path = dir.join(name);
         std::fs::write(&path, content).map_err(|e| format!("{}: {e}", path.display()))
     };
-    write("report.md", markdown_with_metrics(spec, &outcome.records, &outcome.cell_metrics))?;
-    write("report.csv", csv_with_metrics(&outcome.records, &outcome.cell_metrics))?;
+    write("report.md", markdown(spec, &outcome.records, &outcome.cell_metrics))?;
+    write("report.csv", csv(&outcome.records, &outcome.cell_metrics))?;
     let bench = bench_summary(spec, outcome);
     let json = serde_json::to_string_pretty(&bench).expect("bench summary serializes");
     let component = crate::runner::slug(spec.name.rsplit('/').next().unwrap_or(&spec.name));
@@ -506,7 +515,7 @@ mod tests {
     #[test]
     fn markdown_contains_pivot_and_flat_rows() {
         let (spec, records) = fake_records();
-        let md = markdown(&spec, &records);
+        let md = markdown(&spec, &records, &HashMap::new());
         // 2×2 grid → the pivot renders attack × defense.
         assert!(md.contains("attack \\ defense"), "{md}");
         assert!(md.contains("label-flip"), "{md}");
@@ -521,7 +530,7 @@ mod tests {
     #[test]
     fn csv_has_header_plus_one_row_per_cell() {
         let (_, records) = fake_records();
-        let text = csv(&records);
+        let text = csv(&records, &HashMap::new());
         assert_eq!(text.lines().count(), 1 + records.len());
         assert!(text.starts_with("cell,key,seed,attack,defense,"));
         assert!(text.contains("gaussian"), "{text}");
@@ -556,7 +565,7 @@ mod tests {
                 },
             })
             .collect();
-        let md = markdown(&spec, &records);
+        let md = markdown(&spec, &records, &HashMap::new());
         assert!(md.contains("attack \\ defense"), "pivot missing: {md}");
         assert!(!md.contains("repeat \\"), "{md}");
         assert_eq!(md.matches(" 0.500 |").count(), 4, "{md}");
@@ -591,13 +600,13 @@ mod tests {
                 },
             })
             .collect();
-        let md = markdown(&spec, &records);
+        let md = markdown(&spec, &records, &HashMap::new());
         assert!(md.contains("across 2 repeats (mean ± sample std)"), "{md}");
         // Group 0 holds {0.1, 0.3}, group 3 holds {0.4, 0.6}.
         assert!(md.contains(" 0.200 ± 0.141 |"), "{md}");
         assert!(md.contains(" 0.500 ± 0.141 |"), "{md}");
 
-        let text = csv(&records);
+        let text = csv(&records, &HashMap::new());
         let header = text.lines().next().unwrap();
         assert!(header.ends_with(",repeat_mean_accuracy,repeat_std_accuracy"), "{header}");
         let expected_std = 0.2 / 2f64.sqrt();
@@ -639,12 +648,12 @@ mod tests {
                 },
             })
             .collect();
-        let md = markdown(&spec, &records);
+        let md = markdown(&spec, &records, &HashMap::new());
         assert!(md.contains("attack \\ defense"), "pivot missing: {md}");
         assert!(!md.contains("seed \\"), "{md}");
         assert!(md.contains("across 2 repeats (mean ± sample std)"), "{md}");
         assert_eq!(md.matches(" 0.500 |").count(), 4, "{md}");
-        let text = csv(&records);
+        let text = csv(&records, &HashMap::new());
         assert!(text.lines().nth(1).unwrap().contains(",0.5,"), "{text}");
     }
 
@@ -672,14 +681,14 @@ mod tests {
                 },
             })
             .collect();
-        let md = markdown(&spec, &records);
+        let md = markdown(&spec, &records, &HashMap::new());
         assert!(!md.contains("mean ± sample std"), "nothing to aggregate: {md}");
     }
 
     #[test]
     fn csv_without_repeats_leaves_the_aggregate_columns_empty() {
         let (_, records) = fake_records();
-        let text = csv(&records);
+        let text = csv(&records, &HashMap::new());
         assert!(text
             .lines()
             .next()
@@ -707,9 +716,9 @@ mod tests {
         // The adaptive attack's label is `adaptive(0.4,label-flip)` — the
         // comma must not produce an extra CSV column.
         let (_, mut records) = fake_records();
-        let columns = csv(&records).lines().next().unwrap().matches(',').count();
+        let columns = csv(&records, &HashMap::new()).lines().next().unwrap().matches(',').count();
         records[0].axes[0].1 = "adaptive(0.4,label-flip)".into();
-        let text = csv(&records);
+        let text = csv(&records, &HashMap::new());
         let row = text.lines().nth(1).unwrap();
         assert!(row.contains("\"adaptive(0.4,label-flip)\""), "{row}");
         // Commas inside quotes excluded, the column count is unchanged.

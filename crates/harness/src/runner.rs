@@ -256,21 +256,10 @@ pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, S
     all_lines.extend(stale);
     sink::write_records(&jsonl_path, &all_lines, true)?;
 
-    // Digest the per-cell ledgers into report columns. Unreadable or
-    // missing ledgers (e.g. resumed cells) simply have no digest.
-    let mut cell_metrics: HashMap<usize, MetricsDigest> = HashMap::new();
-    if let Some(dir) = &opts.metrics_dir {
-        for record in &records {
-            let path = dir.join(ledger_name(record.cell));
-            let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            match report::digest_ledger(&text) {
-                Ok(digest) => {
-                    cell_metrics.insert(record.cell, digest);
-                }
-                Err(e) => eprintln!("warning: {}: {e}", path.display()),
-            }
-        }
-    }
+    let cell_metrics = opts
+        .metrics_dir
+        .as_deref()
+        .map_or_else(HashMap::new, |dir| report::digest_ledgers(dir, &records));
 
     let outcome = GridOutcome {
         ran: todo.len(),

@@ -155,57 +155,31 @@ pub struct IncludeRow {
 }
 
 impl IncludeRow {
-    /// Applies the row's overrides to a copy of the base config.
-    fn apply(&self, cfg: &mut SimulationConfig) {
-        if let Some(defense_cfg) = &self.defense_cfg {
-            cfg.defense_cfg = defense_cfg.clone();
-        }
-        if let Some(dp) = &self.dp {
-            cfg.dp = dp.clone();
-        }
-        if let Some(name) = &self.dataset {
-            cfg.dataset = resolve_dataset(name);
-        }
-        if let Some(model) = self.model {
-            cfg.model = model;
-        }
-        if let Some(attack) = &self.attack {
-            cfg.attack = attack.clone();
-        }
-        if let Some(defense) = &self.defense {
-            cfg.defense = defense.clone();
-        }
-        if let Some(protocol) = self.protocol {
-            cfg.protocol = protocol;
-        }
-        if let Some(n) = self.n_honest {
-            cfg.n_honest = n;
-        }
-        if let Some(n) = self.n_byzantine {
-            cfg.n_byzantine = n;
-        }
-        if let Some(gamma) = self.gamma {
-            cfg.defense_cfg.gamma = gamma;
-        }
-        if let Some(eps) = self.epsilon {
-            cfg.epsilon = Some(eps);
-        }
-        if let Some(sigma) = self.fixed_sigma {
-            cfg.epsilon = None;
-            cfg.dp.noise_multiplier = sigma;
-        }
-        if let Some(q) = self.sampling {
-            cfg.sampling = q;
-        }
-        if let Some(iid) = self.iid {
-            cfg.iid = iid;
-        }
-        if let Some(lr) = self.base_lr {
-            cfg.base_lr = lr;
-        }
-        if let Some(ood) = self.ood_auxiliary {
-            cfg.ood_auxiliary = ood;
-        }
+    /// The row's present overrides, as settings, in application order.
+    /// `defense_cfg` comes before `gamma`, so a row may set both; `epsilon`
+    /// comes before `fixed_sigma`, which clears the ε target.
+    pub(crate) fn settings(&self) -> Vec<AxisSetting> {
+        [
+            self.defense_cfg.clone().map(AxisSetting::DefenseCfg),
+            self.dp.clone().map(AxisSetting::Dp),
+            self.dataset.clone().map(AxisSetting::Dataset),
+            self.model.map(AxisSetting::Model),
+            self.attack.clone().map(AxisSetting::Attack),
+            self.defense.clone().map(AxisSetting::Defense),
+            self.protocol.map(AxisSetting::Protocol),
+            self.n_honest.map(AxisSetting::Honest),
+            self.n_byzantine.map(AxisSetting::Byzantine),
+            self.gamma.map(AxisSetting::Gamma),
+            self.epsilon.map(|eps| AxisSetting::Epsilon(Some(eps))),
+            self.fixed_sigma.map(AxisSetting::FixedSigma),
+            self.sampling.map(AxisSetting::Sampling),
+            self.iid.map(AxisSetting::Partition),
+            self.base_lr.map(AxisSetting::BaseLr),
+            self.ood_auxiliary.map(AxisSetting::OodAuxiliary),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -266,12 +240,43 @@ impl ScenarioSpec {
         self.grid.include.as_deref().unwrap_or(&[])
     }
 
-    /// True when the cartesian block contributes cells: always, except when
-    /// `include` rows are present and *no* axis is swept — then the grid is
-    /// exactly the row list (a pure method-comparison table) and no bare
-    /// base cell is emitted.
-    fn has_cartesian_block(&self) -> bool {
-        !self.swept_axes().is_empty() || self.include_rows().is_empty()
+    /// The length of the repeat/seed axis (1 when there is none).
+    fn repeats(&self) -> usize {
+        match &self.seed {
+            SeedPolicy::Repeats { repeats, .. } => *repeats,
+            SeedPolicy::List { seeds } => seeds.len(),
+            _ => 1,
+        }
+    }
+
+    /// One repeat's cells, as the settings each applies to the base plus
+    /// the include row it comes from (`None` for a cartesian cell). The
+    /// cartesian combinations come first — later axes vary fastest, the
+    /// nested-loop order — and are left out when `include` rows are present
+    /// and *no* axis is swept: then the grid is exactly the row list (a pure
+    /// method-comparison table) and no bare base cell is emitted.
+    fn recipes(&self) -> Vec<(Vec<AxisSetting>, Option<&str>)> {
+        let axes = self.swept_axes();
+        let rows = self.include_rows();
+        let mut combos: Vec<Vec<AxisSetting>> = Vec::new();
+        if !axes.is_empty() || rows.is_empty() {
+            combos.push(Vec::new());
+            for (_, axis) in &axes {
+                combos = combos
+                    .iter()
+                    .flat_map(|combo| {
+                        axis.iter().map(move |value| {
+                            let mut combo = combo.clone();
+                            combo.push(value.clone());
+                            combo
+                        })
+                    })
+                    .collect();
+            }
+        }
+        let mut recipes: Vec<_> = combos.into_iter().map(|combo| (combo, None)).collect();
+        recipes.extend(rows.iter().map(|row| (row.settings(), Some(row.label.as_str()))));
+        recipes
     }
 
     /// The swept axes in expansion order, each with its [`GridSpec`] field
@@ -312,71 +317,36 @@ impl ScenarioSpec {
     /// axes (repeat/seed axis outermost, then model, attack, defense,
     /// `n_byzantine`, γ, ε, partition, protocol, dataset, sampling —
     /// innermost varies fastest), followed by the `include` rows, per repeat.
+    /// A cartesian cell carries one label per swept axis; a row's cell
+    /// carries only its `row` label.
     pub fn cells(&self) -> Vec<Cell> {
-        let n_repeats = match &self.seed {
-            SeedPolicy::Repeats { repeats, .. } => *repeats,
-            SeedPolicy::List { seeds } => seeds.len(),
-            _ => 1,
-        };
-        // All cartesian combinations, one Vec<&AxisSetting> each, built by
-        // folding the axes left to right (later axes vary fastest — the
-        // nested-loop order).
-        let axes = self.swept_axes();
-        let mut combos: Vec<Vec<&AxisSetting>> = vec![Vec::new()];
-        for (_, axis) in &axes {
-            combos = combos
-                .into_iter()
-                .flat_map(|combo| {
-                    axis.iter().map(move |value| {
-                        let mut combo = combo.clone();
-                        combo.push(value);
-                        combo
-                    })
-                })
-                .collect();
-        }
-        // The repeat/seed axis label (if any) and the cell's master seed.
-        let seed_for = |r: usize, index: usize| -> (Option<(String, String)>, u64) {
-            match &self.seed {
-                SeedPolicy::Fixed { seed } => (None, *seed),
-                SeedPolicy::PerCell { master } => (None, worker_seed(*master, index)),
-                SeedPolicy::Repeats { master, .. } => {
-                    (Some(("repeat".into(), r.to_string())), worker_seed(*master, r))
-                }
-                SeedPolicy::List { seeds } => {
-                    (Some(("seed".into(), seeds[r].to_string())), seeds[r])
-                }
-            }
-        };
-        let mut cells = Vec::with_capacity(self.n_cells());
-        let cartesian = self.has_cartesian_block();
-        for r in 0..n_repeats {
-            if cartesian {
-                for combo in &combos {
-                    let index = cells.len();
-                    let mut cfg = self.base.clone();
-                    let mut axes: Vec<(String, String)> = Vec::new();
-                    let (seed_axis, seed) = seed_for(r, index);
-                    axes.extend(seed_axis);
-                    for setting in combo {
-                        axes.push(setting.apply(&mut cfg));
-                    }
-                    cfg.seed = seed;
-                    let key = content_key(&cfg);
-                    cells.push(Cell { index, key, config: cfg, axes });
-                }
-            }
-            for row in self.include_rows() {
+        let recipes = self.recipes();
+        let mut cells = Vec::new();
+        for r in 0..self.repeats() {
+            for (settings, row) in &recipes {
                 let index = cells.len();
-                let mut cfg = self.base.clone();
-                let mut axes: Vec<(String, String)> = Vec::new();
-                let (seed_axis, seed) = seed_for(r, index);
-                axes.extend(seed_axis);
-                row.apply(&mut cfg);
-                axes.push(("row".into(), row.label.clone()));
-                cfg.seed = seed;
-                let key = content_key(&cfg);
-                cells.push(Cell { index, key, config: cfg, axes });
+                // The repeat/seed axis label (if any) and the cell's master seed.
+                let (seed_axis, seed) = match &self.seed {
+                    SeedPolicy::Fixed { seed } => (None, *seed),
+                    SeedPolicy::PerCell { master } => (None, worker_seed(*master, index)),
+                    SeedPolicy::Repeats { master, .. } => {
+                        (Some(("repeat".to_string(), r.to_string())), worker_seed(*master, r))
+                    }
+                    SeedPolicy::List { seeds } => {
+                        (Some(("seed".to_string(), seeds[r].to_string())), seeds[r])
+                    }
+                };
+                let mut config = self.base.clone();
+                let mut axes: Vec<(String, String)> = seed_axis.into_iter().collect();
+                for setting in settings {
+                    let label = setting.apply(&mut config);
+                    if row.is_none() {
+                        axes.push(label);
+                    }
+                }
+                axes.extend(row.map(|label| ("row".to_string(), label.to_string())));
+                config.seed = seed;
+                cells.push(Cell { index, key: content_key(&config), config, axes });
             }
         }
         cells
@@ -384,17 +354,7 @@ impl ScenarioSpec {
 
     /// The number of cells [`ScenarioSpec::cells`] will produce.
     pub fn n_cells(&self) -> usize {
-        let repeat = match &self.seed {
-            SeedPolicy::Repeats { repeats, .. } => *repeats,
-            SeedPolicy::List { seeds } => seeds.len(),
-            _ => 1,
-        };
-        let cartesian = if self.has_cartesian_block() {
-            self.swept_axes().iter().map(|(_, values)| values.len()).product()
-        } else {
-            0
-        };
-        repeat * (cartesian + self.include_rows().len())
+        self.repeats() * self.recipes().len()
     }
 
     /// Semantic checks beyond what deserialization enforces. Returns one
@@ -624,8 +584,10 @@ fn check_dataset_name(value: &Value, at: &str) -> Result<(), String> {
     }
 }
 
-/// One swept-axis value: applying it to a config yields the
-/// `(axis, label)` pair the cell records.
+/// One override of a base-config field: a swept-axis value or one field of
+/// an include row. Applying it to a config yields the `(axis, label)` pair a
+/// cartesian cell records and the catalog prints; [`AxisSetting::apply`] is
+/// the one place that says which field a setting writes and how it reads.
 #[derive(Debug, Clone)]
 pub(crate) enum AxisSetting {
     /// Network architecture.
@@ -652,6 +614,18 @@ pub(crate) enum AxisSetting {
     DeadlineMs(u64),
     /// Fault-injection flaky upload percentage.
     FlakyPct(f64),
+    /// The whole defense configuration.
+    DefenseCfg(DefenseConfig),
+    /// The whole worker DP-SGD configuration.
+    Dp(DpSgdConfig),
+    /// Honest worker count.
+    Honest(usize),
+    /// A pinned noise multiplier σ, clearing the ε target.
+    FixedSigma(f64),
+    /// Base learning rate η_b.
+    BaseLr(f64),
+    /// Whether the server's auxiliary data is out-of-distribution.
+    OodAuxiliary(bool),
 }
 
 impl AxisSetting {
@@ -710,7 +684,50 @@ impl AxisSetting {
                 cfg.serving.get_or_insert_with(ServingSpec::default).fault.flaky_pct = *p;
                 ("flaky_pct".into(), format!("{p}"))
             }
+            AxisSetting::DefenseCfg(d) => {
+                let label = changed_fields(&cfg.defense_cfg, d);
+                cfg.defense_cfg = d.clone();
+                ("defense_cfg".into(), label)
+            }
+            AxisSetting::Dp(dp) => {
+                let label = changed_fields(&cfg.dp, dp);
+                cfg.dp = dp.clone();
+                ("dp".into(), label)
+            }
+            AxisSetting::Honest(n) => {
+                cfg.n_honest = *n;
+                ("n_honest".into(), n.to_string())
+            }
+            AxisSetting::FixedSigma(sigma) => {
+                cfg.epsilon = None;
+                cfg.dp.noise_multiplier = *sigma;
+                ("sigma".into(), format!("{sigma} (ε target dropped)"))
+            }
+            AxisSetting::BaseLr(lr) => {
+                cfg.base_lr = *lr;
+                ("base_lr".into(), format!("{lr}"))
+            }
+            AxisSetting::OodAuxiliary(ood) => {
+                cfg.ood_auxiliary = *ood;
+                let label = if *ood { "out-of-distribution" } else { "in-distribution" };
+                ("auxiliary".into(), label.into())
+            }
         }
+    }
+}
+
+/// A whole-struct override's label: the JSON object of the fields `new`
+/// changes relative to the `old` value it replaces (`base` when none).
+fn changed_fields(old: &impl Serialize, new: &impl Serialize) -> String {
+    let (Value::Obj(old), Value::Obj(new)) = (old.to_value(), new.to_value()) else {
+        unreachable!("config structs serialize as objects");
+    };
+    let changed: Vec<(String, Value)> =
+        new.into_iter().zip(old).filter(|(new, old)| new.1 != old.1).map(|(new, _)| new).collect();
+    if changed.is_empty() {
+        "base".into()
+    } else {
+        serde_json::to_string(&Value::Obj(changed)).expect("value prints")
     }
 }
 

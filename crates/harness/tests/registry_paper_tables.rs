@@ -11,7 +11,7 @@
 //! registry scenarios to the exact accuracies the deleted binaries
 //! produced.
 
-use dpbfl::baseline::{guerraoui_style, SignDpConfig};
+use dpbfl::baseline::flip_prob_for_epsilon;
 use dpbfl::prelude::*;
 use dpbfl_harness::{registry, Cell};
 
@@ -75,6 +75,19 @@ fn assert_config_eq(cell: &Cell, expected: &SimulationConfig) {
     );
 }
 
+/// The \[77\]-style rows: the old binaries built the sign-DP baseline's
+/// own config by hand, and the registry cell must carry exactly the values
+/// that loop reads.
+fn assert_sign_dp_eq(cell: &Cell, n_byzantine: usize, flip_prob: f64) {
+    let c = &cell.config;
+    assert_eq!(c.dataset, SyntheticSpec::mnist_like());
+    assert_eq!(c.model, ModelKind::SmallMlp { hidden: 16 });
+    assert_eq!((c.per_worker, c.test_count), (500, 400));
+    assert_eq!((c.n_honest, c.n_byzantine), (10, n_byzantine));
+    assert_eq!((c.epochs, c.dp.batch_size, c.seed), (6.0, 16, 1));
+    assert_eq!(c.protocol, WorkerProtocol::SignDp { lr: 0.002, flip_prob });
+}
+
 fn cell_by_label<'a>(cells: &'a [Cell], label: &str) -> &'a Cell {
     cells
         .iter()
@@ -117,7 +130,9 @@ fn table1_matrix_cells_equal_the_pre_registry_configs() {
     }
 
     // [30]-style clipping DP-SGD + Krum.
-    let dp_krum = guerraoui_style(table1_base(1.5), 1.0, AggregatorKind::Krum { f: 15 });
+    let mut dp_krum = table1_base(1.5);
+    dp_krum.protocol = WorkerProtocol::ClippedDp { clip: 1.0 };
+    dp_krum.defense = DefenseKind::Robust { rule: AggregatorKind::Krum { f: 15 } };
     assert_config_eq(cell_by_label(&cells, "dp-sgd+krum"), &with_seed_1(dp_krum));
 
     // Ours: two-stage at γ = the true honest fraction.
@@ -126,23 +141,9 @@ fn table1_matrix_cells_equal_the_pre_registry_configs() {
     ours.defense_cfg.gamma = ours.n_honest as f64 / ours.n_total() as f64;
     assert_config_eq(cell_by_label(&cells, "two-stage"), &with_seed_1(ours));
 
-    // [77]-style sign-DP: the old binary built a SignDpConfig directly;
-    // the registry cell must resolve to that exact baseline config.
-    let old = SignDpConfig {
-        dataset: SyntheticSpec::mnist_like(),
-        model: ModelKind::SmallMlp { hidden: 16 },
-        per_worker: 500,
-        test_count: 400,
-        n_honest: 10,
-        n_byzantine: (10.0f64 * 1.5).round() as usize,
-        epochs: 6.0,
-        lr: 0.002,
-        batch_size: 16,
-        flip_prob: SignDpConfig::flip_prob_for_epsilon(1.0),
-        seed: 1,
-    };
-    let sign_cell = cell_by_label(&cells, "sign-dp");
-    assert_eq!(SignDpConfig::from_simulation(&sign_cell.config), Some(old));
+    // [77]-style sign-DP.
+    let n_byzantine = (10.0f64 * 1.5).round() as usize;
+    assert_sign_dp_eq(cell_by_label(&cells, "sign-dp"), n_byzantine, flip_prob_for_epsilon(1.0));
 }
 
 #[test]
@@ -156,21 +157,9 @@ fn table3_sign_dp_cells_equal_the_pre_registry_configs() {
     // rounds, exactly as the old binary derived the flip probability.
     for (label, eps_total) in [("sign-dp(eps=0.21)", 0.21f64), ("sign-dp(eps=0.4)", 0.40)] {
         let rounds = (base_cfg.epochs * base_cfg.per_worker as f64 / 16.0).ceil();
-        let old = SignDpConfig {
-            dataset: base_cfg.dataset.clone(),
-            model: ModelKind::SmallMlp { hidden: 16 },
-            per_worker: base_cfg.per_worker,
-            test_count: base_cfg.test_count,
-            n_honest: base_cfg.n_honest,
-            n_byzantine: (base_cfg.n_honest as f64 / 9.0).round().max(1.0) as usize,
-            epochs: base_cfg.epochs,
-            lr: 0.002,
-            batch_size: 16,
-            flip_prob: SignDpConfig::flip_prob_for_epsilon(eps_total / rounds),
-            seed: 1,
-        };
-        let cell = cell_by_label(&cells, label);
-        assert_eq!(SignDpConfig::from_simulation(&cell.config), Some(old), "{label}");
+        let n_byzantine = (base_cfg.n_honest as f64 / 9.0).round().max(1.0) as usize;
+        let flip_prob = flip_prob_for_epsilon(eps_total / rounds);
+        assert_sign_dp_eq(cell_by_label(&cells, label), n_byzantine, flip_prob);
     }
 
     // Ours at 40 % and 60 % Byzantine, ε = 0.125.

@@ -2,7 +2,7 @@
 //! defense breaks under a Byzantine majority while the two-stage protocol
 //! holds.
 
-use dpbfl::baseline::{run_sign_dp_with, SignDpConfig};
+use dpbfl::baseline::flip_prob_for_epsilon;
 use dpbfl::prelude::*;
 
 fn base(n_byz: usize) -> SimulationConfig {
@@ -70,21 +70,21 @@ fn two_stage_succeeds_where_baselines_fail() {
 
 #[test]
 fn sign_dp_baseline_fails_under_majority() {
-    let mk = |n_byz: usize| SignDpConfig {
-        dataset: SyntheticSpec::mnist_like(),
-        model: ModelKind::SmallMlp { hidden: 12 },
-        per_worker: 200,
-        test_count: 300,
-        n_honest: 6,
-        n_byzantine: n_byz,
-        epochs: 4.0,
-        lr: 0.002,
-        batch_size: 16,
-        flip_prob: SignDpConfig::flip_prob_for_epsilon(1.0),
-        seed: 5,
+    let run_with_byz = |n_byz: usize| {
+        let mut cfg = SimulationConfig::quick(
+            SyntheticSpec::mnist_like(),
+            ModelKind::SmallMlp { hidden: 12 },
+        );
+        cfg.per_worker = 200;
+        cfg.test_count = 300;
+        cfg.n_honest = 6;
+        cfg.n_byzantine = n_byz;
+        cfg.seed = 5;
+        cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: flip_prob_for_epsilon(1.0) };
+        dpbfl::simulation::run(&cfg)
     };
-    let honest = run_sign_dp_with(&mk(0), &Telemetry::null());
-    let attacked = run_sign_dp_with(&mk(8), &Telemetry::null()); // majority
+    let honest = run_with_byz(0);
+    let attacked = run_with_byz(8); // majority
     assert!(honest.final_accuracy > 0.35, "sign-DP should learn: {}", honest.final_accuracy);
     assert!(
         attacked.final_accuracy < honest.final_accuracy - 0.15,
@@ -98,7 +98,9 @@ fn sign_dp_baseline_fails_under_majority() {
 fn dp_clip_plus_krum_fails_at_majority() {
     // The [30]-style combination: clipping DP-SGD + Krum.
     let reference = dpbfl::simulation::run(&base(0)).final_accuracy;
-    let cfg = dpbfl::baseline::guerraoui_style(base(12), 1.0, AggregatorKind::Krum { f: 12 });
+    let mut cfg = base(12);
+    cfg.protocol = WorkerProtocol::ClippedDp { clip: 1.0 };
+    cfg.defense = DefenseKind::Robust { rule: AggregatorKind::Krum { f: 12 } };
     let r = dpbfl::simulation::run(&cfg);
     assert!(
         r.final_accuracy < reference - 0.25,
