@@ -1519,6 +1519,48 @@ mod tests {
     }
 
     #[test]
+    fn uploads_tagged_with_another_round_are_discarded_as_stale() {
+        // A client that claims worker 3 and answers every round with a
+        // well-formed upload tagged for the next round. Each one arrives
+        // while its true round is still open, so it never fills a slot: it
+        // is discarded on arrival with an `upload_stale` event, the member
+        // misses the deadline on a live connection, and the run is
+        // byte-identical to the in-process run in which worker 3 never
+        // delivers.
+        const ROGUE: usize = 3;
+        let mut cfg = serving_cfg();
+        cfg.epochs = 0.5; // 4 rounds: every one waits out the deadline for the rogue
+        cfg.serving = Some(ServingSpec { deadline_ms: Some(1_000), fault: FaultSpec::default() });
+        let expected = withheld_summary(&cfg, ROGUE);
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = spawn_rogue(local, ROGUE as u32, |round, d| Message::Upload {
+            round: round + 1,
+            worker: ROGUE as u32,
+            data: vec![0.0f32; d],
+        });
+        let sink = Arc::new(Mutex::new(dpbfl_telemetry::MemorySink::default()));
+        let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
+        let (result, report) =
+            server.serve_telemetry(&cfg, &RoundPolicy::default(), &tel).expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "stale upload ≠ withheld upload");
+        let rounds = cfg.iterations() as u64;
+        assert_eq!(report.discarded_stale, rounds);
+        assert_eq!(report.dropped_deadline, rounds);
+        assert_eq!(report.dropped_dead_connection, 0);
+        let events = &sink.lock().unwrap().events;
+        let stale = events.iter().filter(|e| e.name == "upload_stale").count();
+        assert_eq!(stale, cfg.iterations());
+    }
+
+    #[test]
     fn client_retry_reconnects_mid_run_byte_identical() {
         // A client that drops its connection on round 1's broadcast and
         // reconnects under its own retry policy: the server replays round 0,
