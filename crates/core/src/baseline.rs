@@ -10,6 +10,7 @@
 //! rule, needs no loop of its own: it is a config with
 //! [`WorkerProtocol::ClippedDp`] and [`crate::simulation::DefenseKind::Robust`].)
 
+use crate::round::init_model;
 use crate::simulation::{EvalPoint, RunResult, SimulationConfig, WorkerProtocol};
 use dpbfl_data::sample_batch;
 use dpbfl_data::{iid_partition, Dataset};
@@ -48,15 +49,15 @@ pub(crate) fn run_sign_dp(cfg: &SimulationConfig, tel: &Telemetry) -> RunResult 
     let parts = iid_partition(&mut master, train.len(), cfg.n_honest);
     let test = cfg.dataset.generate(cfg.test_count, cfg.seed.wrapping_add(0x7e57));
 
-    let mut init_rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x4d0de1));
-    let mut model = cfg.model.build(&mut init_rng, &cfg.dataset);
+    let mut model = init_model(cfg);
     let d = model.param_len();
     let mut params = model.params();
     let loss_fn = CrossEntropyLoss;
 
     let datasets: Vec<Dataset> = parts.iter().map(|p| train.subset(p)).collect();
     let iterations = cfg.iterations();
-    // Its own schedule (once per epoch), not `cfg.eval_every`.
+    // Its own schedule (once per epoch); spec validation rejects a sign-DP
+    // cell that sets `cfg.eval_every`.
     let eval_every = (cfg.per_worker / batch_size).max(1);
     let mut history = Vec::new();
     let mut grad = vec![0.0f32; d];

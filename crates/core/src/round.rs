@@ -16,7 +16,7 @@
 //!   rayon thread), one [`KsScratch`] per shard, sequentially within a
 //!   shard, results concatenated in shard order. Bit-identical at any
 //!   thread count.
-//! * `TcpTransport` (in [`crate::serving`]) — the wire path behind
+//! * `WireTransport` (in [`crate::serving`]) — the wire path behind
 //!   `dpbfl-server`/`dpbfl-client`, speaking the `dpbfl-transport` frame
 //!   protocol over TCP or Unix-domain sockets.
 //!

@@ -73,7 +73,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Per-round serving policy: how long the server waits for uploads.
@@ -98,7 +98,7 @@ impl Default for RoundPolicy {
 }
 
 /// Wall-clock metrics of one serving run (the `BENCH_serving.json` payload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServingReport {
     /// Rounds driven.
     pub rounds: usize,
@@ -249,15 +249,9 @@ const ADMIT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// Payload caps for the frames a client sends, so no connection can make the
-/// server allocate more than one legitimate frame's worth: the hello is at
-/// most a claim of every required worker, and after the `Welcome` a client
-/// sends nothing larger than an `Upload` of `d` values.
-#[derive(Clone, Copy)]
-struct FrameCaps {
-    hello: u32,
-    upload: u32,
-}
+/// One upload as a connection's reader thread hands it to the round loop:
+/// `(worker, round, data)`.
+type Arrival = (u32, u32, Vec<f32>);
 
 /// One admitted client connection.
 struct ClientConn {
@@ -278,9 +272,31 @@ struct RoundRecord {
     open: bool,
 }
 
+impl RoundRecord {
+    /// Writes this round to a connection serving `workers` — `RoundBegin`
+    /// while the round is open, `RoundReplay` once it has closed — naming
+    /// only the members that connection serves; nothing if it serves none.
+    fn write_to(
+        &self,
+        stream: &mut Stream,
+        workers: &[u32],
+        deadline_ms: u64,
+    ) -> std::io::Result<()> {
+        let mine: Vec<u32> = self.members.iter().copied().filter(|m| workers.contains(m)).collect();
+        if mine.is_empty() {
+            Ok(())
+        } else if self.open {
+            write_round_begin(stream, self.round, deadline_ms, &mine, &self.params)
+        } else {
+            write_round_replay(stream, self.round, &mine, &self.params)
+        }
+    }
+}
+
 /// Server state shared between the round loop and the acceptor thread. All
 /// stream writes happen under this lock, so admission replay frames and
 /// round broadcasts never interleave on one connection.
+#[derive(Default)]
 struct Shared {
     conns: Vec<ClientConn>,
     /// Worker index → owning connection (latest binding wins on reconnect).
@@ -292,6 +308,30 @@ struct Shared {
     /// Set by the acceptor on a fatal listener error, so the coverage wait
     /// fails instead of blocking forever.
     failed: Option<String>,
+}
+
+/// Everything one served run's acceptor, admission and round loop share,
+/// built once by [`BoundServer::serve_telemetry`].
+struct Server<'a> {
+    /// The data-holding worker indices clients must claim.
+    required: Vec<u32>,
+    /// Payload caps for the frames a client sends, so no connection can make
+    /// the server allocate more than one legitimate frame's worth: the hello
+    /// is at most a claim of every required worker, and after the `Welcome`
+    /// a client sends nothing larger than an `Upload` of `d` values.
+    hello_cap: u32,
+    upload_cap: u32,
+    /// The `Welcome` every admitted connection receives: the run's config.
+    welcome: Message,
+    /// The run's round deadline: a `deadline_ms` carried on `cfg.serving`
+    /// wins over the caller's [`RoundPolicy`].
+    deadline_ms: u64,
+    shared: Mutex<Shared>,
+    /// Signalled whenever a claim is registered or the acceptor fails.
+    coverage: Condvar,
+    /// Set once the run is over; the acceptor stops polling.
+    done: AtomicBool,
+    tel: &'a Telemetry,
 }
 
 /// A bound, not-yet-serving listener. Splitting bind from serve lets
@@ -361,107 +401,73 @@ impl BoundServer {
     ) -> Result<(RunResult, ServingReport), String> {
         let required = data_member_indices(cfg);
         let full_claim = Message::ClientHello { workers: required.clone() }.encode().payload.len();
-        let caps = FrameCaps {
-            hello: u32::try_from(full_claim).unwrap_or(u32::MAX),
-            upload: Message::upload_payload_len(init_model(cfg).param_len()),
+        let server = Server {
+            required,
+            hello_cap: u32::try_from(full_claim).unwrap_or(u32::MAX),
+            upload_cap: Message::upload_payload_len(init_model(cfg).param_len()),
+            welcome: Message::Welcome {
+                config_json: serde_json::to_string(cfg).map_err(|e| e.to_string())?,
+            },
+            deadline_ms: cfg
+                .serving
+                .as_ref()
+                .and_then(|s| s.deadline_ms)
+                .unwrap_or(policy.deadline_ms),
+            shared: Mutex::default(),
+            coverage: Condvar::new(),
+            done: AtomicBool::new(false),
+            tel,
         };
-        let config_json = serde_json::to_string(cfg).map_err(|e| e.to_string())?;
-        let policy = effective_policy(cfg, policy);
         let (tx, rx) = channel();
-        let shared = Mutex::new(Shared {
-            conns: Vec::new(),
-            claimed: BTreeMap::new(),
-            history: Vec::new(),
-            reconnects: 0,
-            failed: None,
-        });
-        let coverage = Condvar::new();
-        let done = AtomicBool::new(false);
         self.listener
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking on {}: {e}", self.local))?;
 
         std::thread::scope(|scope| {
             let acceptor_tx = tx.clone();
-            let acceptor = scope.spawn(|| {
-                acceptor_loop(
-                    &self.listener,
-                    &self.local,
-                    &required,
-                    caps,
-                    &config_json,
-                    &policy,
-                    &shared,
-                    &coverage,
-                    &done,
-                    acceptor_tx,
-                    tel,
-                )
-            });
+            let acceptor = scope.spawn(|| server.accept_until_done(&self, acceptor_tx));
 
             // Wait until every required worker is claimed (or the acceptor
             // hits a fatal listener error).
             {
-                let mut guard = shared.lock().expect("serving state lock");
-                while guard.claimed.len() < required.len() {
+                let mut guard = server.lock();
+                while guard.claimed.len() < server.required.len() {
                     if let Some(e) = guard.failed.take() {
-                        done.store(true, Ordering::Release);
+                        server.done.store(true, Ordering::Release);
                         drop(guard);
                         let _ = acceptor.join();
                         return Err(e);
                     }
-                    guard = coverage.wait(guard).expect("serving state lock");
+                    guard = server.coverage.wait(guard).expect("serving state lock");
                 }
             }
 
             let prep = prepare(cfg);
-            let mut transport = TcpTransport {
-                shared: &shared,
+            let mut transport = WireTransport {
+                server: &server,
                 rx,
-                policy: policy.clone(),
                 scratch: crate::first_stage::KsScratch::new(),
                 round_ms: Vec::new(),
-                dropped_deadline: 0,
-                dropped_dead_connection: 0,
-                discarded_stale: 0,
-                started: Instant::now(),
-                tel,
+                report: ServingReport::default(),
             };
+            let started = Instant::now();
             let result = run_with_transport_telemetry(cfg, &prep, &mut transport, tel);
-            done.store(true, Ordering::Release);
-            let wall = transport.started.elapsed().as_secs_f64();
-            let (clients, reconnects) = {
-                let guard = shared.lock().expect("serving state lock");
-                (guard.conns.len(), guard.reconnects)
-            };
-            let report = ServingReport {
-                rounds: transport.round_ms.len(),
-                clients,
-                p50_round_ms: percentile(&transport.round_ms, 50.0),
-                p99_round_ms: percentile(&transport.round_ms, 99.0),
-                rounds_per_sec: if wall > 0.0 {
-                    transport.round_ms.len() as f64 / wall
-                } else {
-                    0.0
-                },
-                dropped_uploads: transport.dropped_deadline + transport.dropped_dead_connection,
-                dropped_deadline: transport.dropped_deadline,
-                dropped_dead_connection: transport.dropped_dead_connection,
-                discarded_stale: transport.discarded_stale,
-                reconnects,
-            };
+            server.done.store(true, Ordering::Release);
+            let wall = started.elapsed().as_secs_f64();
+            let WireTransport { round_ms, mut report, .. } = transport;
+            {
+                let guard = server.lock();
+                report.clients = guard.conns.len();
+                report.reconnects = guard.reconnects;
+            }
+            report.rounds = round_ms.len();
+            report.p50_round_ms = percentile(&round_ms, 50.0);
+            report.p99_round_ms = percentile(&round_ms, 99.0);
+            report.rounds_per_sec = if wall > 0.0 { round_ms.len() as f64 / wall } else { 0.0 };
+            report.dropped_uploads = report.dropped_deadline + report.dropped_dead_connection;
             let _ = acceptor.join();
             Ok((result, report))
         })
-    }
-}
-
-/// Resolves the run's effective round policy: a `deadline_ms` carried on
-/// `cfg.serving` wins over the caller's `policy`.
-fn effective_policy(cfg: &SimulationConfig, policy: &RoundPolicy) -> RoundPolicy {
-    match cfg.serving.as_ref().and_then(|s| s.deadline_ms) {
-        Some(d) => RoundPolicy { deadline_ms: d },
-        None => policy.clone(),
     }
 }
 
@@ -473,149 +479,108 @@ pub fn data_member_indices(cfg: &SimulationConfig) -> Vec<u32> {
     (0..data_members(cfg) as u32).collect()
 }
 
-/// The acceptor: polls the listener until the run completes, admitting
-/// initial claims and mid-run reconnects alike.
-#[allow(clippy::too_many_arguments)]
-fn acceptor_loop(
-    listener: &Listener,
-    local: &str,
-    required: &[u32],
-    caps: FrameCaps,
-    config_json: &str,
-    policy: &RoundPolicy,
-    shared: &Mutex<Shared>,
-    coverage: &Condvar,
-    done: &AtomicBool,
-    tx: Sender<(u32, u32, Vec<f32>)>,
-    tel: &Telemetry,
-) {
-    while !done.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                admit_connection(
-                    stream,
-                    &peer,
-                    required,
-                    caps,
-                    config_json,
-                    policy,
-                    shared,
-                    coverage,
-                    tx.clone(),
-                    tel,
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                let mut guard = shared.lock().expect("serving state lock");
-                guard.failed = Some(format!("accept on {local}: {e}"));
-                coverage.notify_all();
-                break;
+impl Server<'_> {
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("serving state lock")
+    }
+
+    /// The acceptor: polls the listener until the run completes, admitting
+    /// initial claims and mid-run reconnects alike.
+    fn accept_until_done(&self, bound: &BoundServer, tx: Sender<Arrival>) {
+        while !self.done.load(Ordering::Acquire) {
+            match bound.listener.accept() {
+                Ok((stream, peer)) => self.admit(stream, &peer, tx.clone()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(ACCEPT_POLL);
+                }
+                Err(e) => {
+                    let mut guard = self.lock();
+                    guard.failed = Some(format!("accept on {}: {e}", bound.local));
+                    self.coverage.notify_all();
+                    break;
+                }
             }
         }
     }
-}
 
-/// Handshakes, validates, and (if accepted) registers one inbound
-/// connection, replaying history to reconnecting claims.
-#[allow(clippy::too_many_arguments)]
-fn admit_connection(
-    mut stream: Stream,
-    peer: &str,
-    required: &[u32],
-    caps: FrameCaps,
-    config_json: &str,
-    policy: &RoundPolicy,
-    shared: &Mutex<Shared>,
-    coverage: &Condvar,
-    tx: Sender<(u32, u32, Vec<f32>)>,
-    tel: &Telemetry,
-) {
-    // Handshake and hello are read before taking the lock, under a timeout,
-    // so a stalled connection cannot block admission of others for long.
-    stream.set_read_timeout(Some(ADMIT_READ_TIMEOUT)).ok();
-    let claim = read_claim(&mut stream, required, caps.hello);
-    let workers = match claim {
-        Ok(w) => w,
-        Err(reason) => {
-            reject(stream, peer, &reason, tel);
-            return;
-        }
-    };
-    stream.set_read_timeout(None).ok();
+    /// Handshakes, validates, and (if accepted) registers one inbound
+    /// connection, replaying history to reconnecting claims.
+    fn admit(&self, mut stream: Stream, peer: &str, tx: Sender<Arrival>) {
+        // Handshake and hello are read before taking the lock, under a timeout,
+        // so a stalled connection cannot block admission of others for long.
+        stream.set_read_timeout(Some(ADMIT_READ_TIMEOUT)).ok();
+        let workers = match read_claim(&mut stream, &self.required, self.hello_cap) {
+            Ok(w) => w,
+            Err(reason) => return self.reject(stream, peer, &reason),
+        };
+        stream.set_read_timeout(None).ok();
 
-    let mut guard = shared.lock().expect("serving state lock");
-    // A claim may overlap previous bindings only if every overlapped
-    // connection is dead — then this is a reconnect and the workers re-bind.
-    let mut reclaim = false;
-    for &w in &workers {
-        if let Some(&c) = guard.claimed.get(&w) {
-            if guard.conns[c].alive.load(Ordering::Acquire) {
-                drop(guard);
-                reject(stream, peer, &format!("worker {w} is claimed by a live connection"), tel);
-                return;
+        let mut guard = self.lock();
+        // A claim may overlap previous bindings only if every overlapped
+        // connection is dead — then this is a reconnect and the workers re-bind.
+        let mut reclaim = false;
+        for &w in &workers {
+            if let Some(&c) = guard.claimed.get(&w) {
+                if guard.conns[c].alive.load(Ordering::Acquire) {
+                    drop(guard);
+                    return self.reject(
+                        stream,
+                        peer,
+                        &format!("worker {w} is claimed by a live connection"),
+                    );
+                }
+                reclaim = true;
             }
-            reclaim = true;
         }
-    }
 
-    // Welcome + catch-up replay + registration happen under the lock, so no
-    // round can open or close between the replayed history and the first
-    // live broadcast this connection sees.
-    let catch_up = (|| -> Result<(), String> {
-        Message::Welcome { config_json: config_json.to_string() }
-            .write_to(&mut stream)
-            .map_err(|e| format!("welcome: {e}"))?;
-        for rec in &guard.history {
-            let mine: Vec<u32> =
-                rec.members.iter().copied().filter(|m| workers.contains(m)).collect();
-            if mine.is_empty() {
-                continue;
+        // Welcome + catch-up replay + reader + registration happen under the
+        // lock, so no round can open or close between the replayed history
+        // and the first live broadcast this connection sees.
+        let alive = Arc::new(AtomicBool::new(true));
+        let admitted = (|| -> Result<(), String> {
+            self.welcome.write_to(&mut stream).map_err(|e| format!("welcome: {e}"))?;
+            for rec in &guard.history {
+                rec.write_to(&mut stream, &workers, self.deadline_ms)
+                    .map_err(|e| format!("replay: {e}"))?;
             }
-            if rec.open {
-                write_round_begin(&mut stream, rec.round, policy.deadline_ms, &mine, &rec.params)
-            } else {
-                write_round_replay(&mut stream, rec.round, &mine, &rec.params)
-            }
-            .map_err(|e| format!("replay: {e}"))?;
-        }
-        stream.flush().ok();
-        Ok(())
-    })();
-    if let Err(e) = catch_up {
-        drop(guard);
-        eprintln!("lost client {peer} during admission: {e}");
-        return;
-    }
-
-    let alive = Arc::new(AtomicBool::new(true));
-    match spawn_reader(&stream, workers.clone(), caps.upload, tx, Arc::clone(&alive)) {
-        Ok(()) => {}
-        Err(e) => {
+            stream.flush().ok();
+            spawn_reader(&stream, workers.clone(), self.upload_cap, tx, Arc::clone(&alive))
+        })();
+        if let Err(e) = admitted {
             drop(guard);
             eprintln!("lost client {peer} during admission: {e}");
             return;
         }
-    }
-    let idx = guard.conns.len();
-    for &w in &workers {
-        guard.claimed.insert(w, idx);
-    }
-    if reclaim {
-        guard.reconnects += 1;
-        if tel.enabled() {
-            let open_round = guard.history.last().filter(|r| r.open).map(|r| u64::from(r.round));
-            tel.event(
-                "client_reconnected",
-                open_round,
-                format!("{peer} re-claimed workers {workers:?}"),
-            );
+        let idx = guard.conns.len();
+        for &w in &workers {
+            guard.claimed.insert(w, idx);
         }
+        if reclaim {
+            guard.reconnects += 1;
+            if self.tel.enabled() {
+                let open_round =
+                    guard.history.last().filter(|r| r.open).map(|r| u64::from(r.round));
+                self.tel.event(
+                    "client_reconnected",
+                    open_round,
+                    format!("{peer} re-claimed workers {workers:?}"),
+                );
+            }
+        }
+        guard.conns.push(ClientConn { stream, workers, alive });
+        self.coverage.notify_all();
     }
-    guard.conns.push(ClientConn { stream, workers, alive });
-    coverage.notify_all();
+
+    /// Refuses a connection with a structured `HelloReject` frame
+    /// (best-effort) and a `client_rejected` telemetry event.
+    fn reject(&self, mut stream: Stream, peer: &str, reason: &str) {
+        eprintln!("rejected client {peer}: {reason}");
+        if self.tel.enabled() {
+            self.tel.event("client_rejected", None, format!("{peer}: {reason}"));
+        }
+        let _ = Message::HelloReject { reason: reason.to_string() }.write_to(&mut stream);
+        let _ = stream.flush();
+    }
 }
 
 /// Reads the handshake + `ClientHello` (a frame of at most `max_len` payload
@@ -638,17 +603,6 @@ fn read_claim(stream: &mut Stream, required: &[u32], max_len: u32) -> Result<Vec
     Ok(workers)
 }
 
-/// Refuses a connection with a structured `HelloReject` frame (best-effort)
-/// and a `client_rejected` telemetry event.
-fn reject(mut stream: Stream, peer: &str, reason: &str, tel: &Telemetry) {
-    eprintln!("rejected client {peer}: {reason}");
-    if tel.enabled() {
-        tel.event("client_rejected", None, format!("{peer}: {reason}"));
-    }
-    let _ = Message::HelloReject { reason: reason.to_string() }.write_to(&mut stream);
-    let _ = stream.flush();
-}
-
 /// Spawns the connection's reader thread: every decoded `Upload` for a
 /// worker in the connection's `claim` goes to the collector channel; any
 /// decode error, EOF, frame declaring more than `max_len` payload bytes
@@ -662,7 +616,7 @@ fn spawn_reader(
     stream: &Stream,
     claim: Vec<u32>,
     max_len: u32,
-    tx: Sender<(u32, u32, Vec<f32>)>,
+    tx: Sender<Arrival>,
     alive: Arc<AtomicBool>,
 ) -> Result<(), String> {
     let mut read_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
@@ -684,75 +638,19 @@ fn spawn_reader(
     Ok(())
 }
 
-/// The wire transport: broadcasts `RoundBegin` to every connection serving a
-/// cohort member, folds uploads in arrival order (placing results by member
-/// index), and drops members that miss the round deadline.
-struct TcpTransport<'a> {
-    shared: &'a Mutex<Shared>,
-    rx: Receiver<(u32, u32, Vec<f32>)>,
-    policy: RoundPolicy,
+/// The wire transport (TCP or Unix-domain): broadcasts `RoundBegin` to
+/// every connection serving a cohort member, folds uploads in arrival order
+/// (placing results by member index), and drops members that miss the
+/// round deadline. It accumulates the report's drop and stale counters.
+struct WireTransport<'a> {
+    server: &'a Server<'a>,
+    rx: Receiver<Arrival>,
     scratch: crate::first_stage::KsScratch,
     round_ms: Vec<f64>,
-    dropped_deadline: u64,
-    dropped_dead_connection: u64,
-    discarded_stale: u64,
-    started: Instant,
-    tel: &'a Telemetry,
+    report: ServingReport,
 }
 
-impl TcpTransport<'_> {
-    /// Places one received upload: folds a current-round upload into its
-    /// member's slot (first arrival wins; duplicates from reconnect resends
-    /// are ignored), discards stale rounds.
-    ///
-    /// This is the one point every wire upload crosses, so it is where the
-    /// length is checked against the model dimension `d`: the fold (and the
-    /// first stage behind it) takes only `d`-vectors. A malformed upload
-    /// still occupies its member's slot — as [`Collected::Dropped`], so the
-    /// member folds like any other that delivered nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn place(
-        &mut self,
-        (worker, r, data): (u32, u32, Vec<f32>),
-        round: usize,
-        members: &[usize],
-        d: usize,
-        slots: &mut [Option<Collected>],
-        got: &mut usize,
-        fold: &UploadFold<'_>,
-    ) {
-        if r as usize == round {
-            if let Ok(pos) = members.binary_search(&(worker as usize)) {
-                if slots[pos].is_none() {
-                    slots[pos] = Some(if data.len() == d {
-                        fold(data, &mut self.scratch)
-                    } else {
-                        if self.tel.enabled() {
-                            self.tel.event(
-                                "upload_malformed",
-                                Some(round as u64),
-                                format!("worker {worker}: {} values, model has {d}", data.len()),
-                            );
-                        }
-                        Collected::Dropped
-                    });
-                    *got += 1;
-                }
-            }
-        } else {
-            self.discarded_stale += 1;
-            if self.tel.enabled() {
-                self.tel.event(
-                    "upload_stale",
-                    Some(round as u64),
-                    format!("worker {worker}: upload for closed round {r} discarded"),
-                );
-            }
-        }
-    }
-}
-
-impl Transport for TcpTransport<'_> {
+impl Transport for WireTransport<'_> {
     fn round_trip(
         &mut self,
         round: usize,
@@ -760,8 +658,9 @@ impl Transport for TcpTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
+        let tel = self.server.tel;
         let start = Instant::now();
-        let deadline = start + Duration::from_millis(self.policy.deadline_ms);
+        let deadline = start + Duration::from_millis(self.server.deadline_ms);
         let record = RoundRecord {
             round: round as u32,
             members: members.iter().map(|&m| m as u32).collect(),
@@ -769,37 +668,67 @@ impl Transport for TcpTransport<'_> {
             open: true,
         };
         {
-            let mut guard = self.shared.lock().expect("serving state lock");
+            let mut guard = self.server.lock();
             for conn in &mut guard.conns {
                 if !conn.alive.load(Ordering::Acquire) {
                     continue;
                 }
-                let mine: Vec<u32> =
-                    record.members.iter().copied().filter(|m| conn.workers.contains(m)).collect();
-                if mine.is_empty() {
-                    continue;
-                }
                 // A dead connection just means its members miss the deadline.
-                let sent = write_round_begin(
-                    &mut conn.stream,
-                    record.round,
-                    self.policy.deadline_ms,
-                    &mine,
-                    &record.params,
-                );
-                if sent.is_ok() {
+                if record.write_to(&mut conn.stream, &conn.workers, self.server.deadline_ms).is_ok()
+                {
                     conn.stream.flush().ok();
                 }
             }
             guard.history.push(record);
         }
 
+        let d = params.len();
         let mut slots: Vec<Option<Collected>> = members.iter().map(|_| None).collect();
+        // Places one received upload and reports whether it filled a slot:
+        // folds a current-round upload into its member's slot (first arrival
+        // wins; duplicates from reconnect resends are ignored), discards
+        // stale rounds.
+        //
+        // This is the one point every wire upload crosses, so it is where the
+        // length is checked against the model dimension `d`: the fold (and the
+        // first stage behind it) takes only `d`-vectors. A malformed upload
+        // still occupies its member's slot — as [`Collected::Dropped`], so the
+        // member folds like any other that delivered nothing.
+        let mut place = |(worker, r, data): Arrival| -> bool {
+            if r as usize != round {
+                self.report.discarded_stale += 1;
+                if tel.enabled() {
+                    tel.event(
+                        "upload_stale",
+                        Some(round as u64),
+                        format!("worker {worker}: upload for closed round {r} discarded"),
+                    );
+                }
+                return false;
+            }
+            let Ok(pos) = members.binary_search(&(worker as usize)) else { return false };
+            if slots[pos].is_some() {
+                return false;
+            }
+            slots[pos] = Some(if data.len() == d {
+                fold(data, &mut self.scratch)
+            } else {
+                if tel.enabled() {
+                    tel.event(
+                        "upload_malformed",
+                        Some(round as u64),
+                        format!("worker {worker}: {} values, model has {d}", data.len()),
+                    );
+                }
+                Collected::Dropped
+            });
+            true
+        };
         let mut got = 0usize;
         // Drain whatever is already queued — with a zero deadline this is
         // the only collection pass the policy permits.
         while let Ok(m) = self.rx.try_recv() {
-            self.place(m, round, members, params.len(), &mut slots, &mut got, fold);
+            got += usize::from(place(m));
         }
         while got < members.len() {
             let now = Instant::now();
@@ -807,7 +736,7 @@ impl Transport for TcpTransport<'_> {
                 break;
             }
             match self.rx.recv_timeout(deadline - now) {
-                Ok(m) => self.place(m, round, members, params.len(), &mut slots, &mut got, fold),
+                Ok(m) => got += usize::from(place(m)),
                 Err(RecvTimeoutError::Timeout) => break,
                 // Every reader thread is gone; nothing more will arrive
                 // until a reconnect — which the deadline bounds.
@@ -818,7 +747,7 @@ impl Transport for TcpTransport<'_> {
         // dead reader thread means the connection is gone; otherwise the
         // member was merely late (a straggler past the deadline).
         {
-            let mut guard = self.shared.lock().expect("serving state lock");
+            let mut guard = self.server.lock();
             if let Some(rec) = guard.history.last_mut() {
                 rec.open = false;
             }
@@ -833,14 +762,14 @@ impl Transport for TcpTransport<'_> {
                     .map(|&c| guard.conns[c].alive.load(Ordering::Acquire))
                     .unwrap_or(false);
                 let reason = if conn_alive {
-                    self.dropped_deadline += 1;
+                    self.report.dropped_deadline += 1;
                     "deadline"
                 } else {
-                    self.dropped_dead_connection += 1;
+                    self.report.dropped_dead_connection += 1;
                     "dead-connection"
                 };
-                if self.tel.enabled() {
-                    self.tel.event(
+                if tel.enabled() {
+                    tel.event(
                         "upload_dropped",
                         Some(round as u64),
                         format!("worker {w}: {reason}"),
@@ -850,7 +779,7 @@ impl Transport for TcpTransport<'_> {
         }
         let elapsed = start.elapsed();
         self.round_ms.push(elapsed.as_secs_f64() * 1e3);
-        self.tel.span("serving_round", Some(round as u64), elapsed.as_micros() as u64);
+        tel.span("serving_round", Some(round as u64), elapsed.as_micros() as u64);
         slots.into_iter().map(|s| s.unwrap_or(Collected::Dropped)).collect()
     }
 
@@ -858,8 +787,7 @@ impl Transport for TcpTransport<'_> {
         let Ok(summary_json) = serde_json::to_string(summary) else { return };
         // Encoded once; every connection is sent the same bytes.
         let frame = Message::RunComplete { summary_json }.encode();
-        let mut guard = self.shared.lock().expect("serving state lock");
-        for conn in &mut guard.conns {
+        for conn in &mut self.server.lock().conns {
             if write_frame(&mut conn.stream, frame.kind, &frame.payload).is_ok() {
                 conn.stream.flush().ok();
             }
@@ -902,18 +830,21 @@ impl Default for ClientOptions {
     }
 }
 
+/// One round's computed uploads, `(worker, data)` in member order.
+type Uploads = Vec<(u32, Vec<f32>)>;
+
 /// Client-side run state that must survive reconnects: the worker pool
 /// (RNG + momentum streams evolve across rounds), the round watermark, and
 /// the last stepped round's uploads (so a reconnect that re-receives the
 /// open round can resend without re-stepping).
+#[derive(Default)]
 struct ClientState {
+    /// Built on the first `Welcome` (pooled only); a claim is never empty.
     pool: BTreeMap<usize, DpWorker>,
-    pool_built: bool,
     /// First round this client has not stepped yet (pooled only).
     next_round: usize,
     /// The most recently stepped round, with its computed uploads.
-    cached_round: Option<u32>,
-    cached_uploads: Vec<(u32, Vec<f32>)>,
+    cached: Option<(u32, Uploads)>,
     /// `FaultSpec::drop_at_round` fires once per [`run_client`] call.
     dropped_once: bool,
 }
@@ -934,14 +865,7 @@ struct ClientState {
 /// reconnecting client back in sync, so a mid-run reconnect loses no
 /// uploads.
 pub fn run_client(addr: &str, workers: &[usize], opts: &ClientOptions) -> Result<String, String> {
-    let mut state = ClientState {
-        pool: BTreeMap::new(),
-        pool_built: false,
-        next_round: 0,
-        cached_round: None,
-        cached_uploads: Vec::new(),
-        dropped_once: false,
-    };
+    let mut state = ClientState::default();
     let mut attempt = 0u32;
     loop {
         match run_session(addr, workers, opts, &mut state) {
@@ -997,7 +921,7 @@ fn run_session(
     let (dp, _) = calibrated_dp(&cfg);
     let template = init_model(&cfg);
     let pooled = cfg.provisioning == Provisioning::Pooled;
-    if pooled && !state.pool_built {
+    if pooled && state.pool.is_empty() {
         let (parts, _) = deal(&cfg);
         if let Some(w) = workers.iter().find(|&&w| w >= parts.len()) {
             return Err(format!("worker {w} is not a data-holding index of this config"));
@@ -1007,7 +931,6 @@ fn run_session(
             .into_iter()
             .map(|(w, shard)| (w, data_worker(&cfg, shard, &dp, &template, w)))
             .collect();
-        state.pool_built = true;
     }
     let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };
 
@@ -1015,11 +938,9 @@ fn run_session(
         let msg = Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN)
             .map_err(|e| format!("round read: {e}"))?;
         match msg {
-            Message::RoundReplay { round, members, .. } if !pooled => {
-                // On-demand workers are rebuilt per (worker, round); there
-                // is no cross-round state to catch up.
-                let _ = (round, members);
-            }
+            // On-demand workers are rebuilt per (worker, round); there is no
+            // cross-round state to catch up.
+            Message::RoundReplay { .. } if !pooled => {}
             Message::RoundReplay { round, members, params } => {
                 // Catch-up for a closed round: step the members' RNG and
                 // momentum streams exactly as a live round would have, but
@@ -1036,8 +957,7 @@ fn run_session(
                     let _ = protocol_step(w, &params, cfg.protocol);
                 }
                 state.next_round = r + 1;
-                state.cached_round = None;
-                state.cached_uploads.clear();
+                state.cached = None;
             }
             Message::RoundBegin { round, deadline_ms, members, params } => {
                 let r = round as usize;
@@ -1047,12 +967,12 @@ fn run_session(
                         return Err(format!("fault injection: dropped connection at round {r}"));
                     }
                 }
-                if pooled && state.cached_round == Some(round) {
+                if let Some((_, uploads)) = state.cached.as_ref().filter(|(c, _)| *c == round) {
                     // A reconnect re-delivered the round we already stepped:
                     // resend from cache (the server deduplicates), never
                     // re-step — worker state must advance exactly once per
-                    // round.
-                    send_uploads(&mut stream, round, deadline_ms, &state.cached_uploads, &fault)?;
+                    // round. Only a pooled client caches.
+                    send_uploads(&mut stream, round, deadline_ms, uploads, &fault)?;
                     continue;
                 }
                 if pooled && r < state.next_round {
@@ -1061,7 +981,7 @@ fn run_session(
                         state.next_round
                     ));
                 }
-                let mut uploads: Vec<(u32, Vec<f32>)> = Vec::with_capacity(members.len());
+                let mut uploads: Uploads = Vec::with_capacity(members.len());
                 for &m in &members {
                     let upload = if pooled {
                         let w = state
@@ -1085,8 +1005,7 @@ fn run_session(
                 }
                 if pooled {
                     state.next_round = r + 1;
-                    state.cached_round = Some(round);
-                    state.cached_uploads = uploads.clone();
+                    state.cached = Some((round, uploads.clone()));
                 }
                 send_uploads(&mut stream, round, deadline_ms, &uploads, &fault)?;
             }

@@ -12,7 +12,7 @@ use crate::aggregator::AggregatorKind;
 use crate::attack::AttackSpec;
 use crate::config::{DefenseConfig, DpSgdConfig, ServingSpec};
 use crate::first_stage::FirstStage;
-use crate::round::{InProcessTransport, Transport, TwoStageState};
+use crate::round::{init_model, InProcessTransport, Transport, TwoStageState};
 use crate::second_stage::SecondStage;
 use dpbfl_data::{iid_partition, non_iid_partition, sample_auxiliary, Dataset, SyntheticSpec};
 use dpbfl_dp::{paper_delta, EpsilonSchedule, RdpAccountant};
@@ -548,7 +548,7 @@ pub fn run_prepared_telemetry(
 /// through `transport`.
 ///
 /// This is the serving entry point: `dpbfl-server` calls it with a
-/// `TcpTransport`, [`run_prepared_telemetry`] with an
+/// `WireTransport`, [`run_prepared_telemetry`] with an
 /// [`InProcessTransport`]. The run is a pure function of `(cfg, prep)` plus
 /// the transport's accepted set — a transport that delivers every member's
 /// upload produces a result bit-identical to the in-process path, regardless
@@ -612,8 +612,7 @@ fn run_calibrated(
     let mut master = prep.master.clone();
 
     // ---- model ------------------------------------------------------------
-    let mut init_rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x4d0de1));
-    let mut server_model = cfg.model.build(&mut init_rng, &cfg.dataset);
+    let mut server_model = init_model(cfg);
     let d = server_model.param_len();
     let mut params = server_model.params();
 

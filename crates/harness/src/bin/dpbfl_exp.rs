@@ -123,42 +123,12 @@ fn list() -> i32 {
     0
 }
 
-/// Resolves a scenario argument: registry name first, then spec file path.
-fn resolve(arg: &str) -> Result<ScenarioSpec, String> {
-    if let Some(spec) = registry::get(arg) {
-        return Ok(spec);
-    }
-    let path = Path::new(arg);
-    if path.exists() {
-        return ScenarioSpec::load(path);
-    }
-    Err(unknown_scenario_message(arg))
-}
-
-/// The error for an argument that is neither a registered scenario nor a
-/// file: the full catalog grouped by prefix, plus a nearest-match guess
-/// when the argument looks like a typo of a registered name.
-fn unknown_scenario_message(arg: &str) -> String {
-    let mut msg =
-        format!("`{arg}` is neither a built-in scenario nor a spec file.\n\nbuilt-in scenarios:");
-    for (prefix, members) in registry::grouped_names() {
-        msg.push_str(&format!("\n  {prefix}/"));
-        for name in members {
-            msg.push_str(&format!("\n    {name}"));
-        }
-    }
-    if let Some(close) = registry::suggest(arg) {
-        msg.push_str(&format!("\n\ndid you mean `{close}`?"));
-    }
-    msg
-}
-
 fn with_scenario(args: &[String], f: impl FnOnce(ScenarioSpec) -> i32) -> i32 {
     let Some(arg) = args.get(1) else {
         eprintln!("error: missing <scenario> argument\n\n{USAGE}");
         return 2;
     };
-    match resolve(arg) {
+    match registry::resolve(arg) {
         Ok(spec) => f(spec),
         Err(e) => {
             eprintln!("error: {e}");

@@ -25,8 +25,7 @@
 //! `dpbfl-exp metrics`.
 
 use dpbfl::prelude::*;
-use dpbfl_harness::{registry, ScenarioSpec};
-use std::path::Path;
+use dpbfl_harness::registry;
 
 const USAGE: &str = "dpbfl-server — serve one dpbfl training run to remote workers
 
@@ -209,17 +208,7 @@ fn real_main() -> i32 {
 /// cell: the only one when the grid is trivial, else the `--cell` index
 /// (one server serves one run, not a sweep).
 fn resolve_cell(arg: &str, cell: Option<usize>) -> Result<SimulationConfig, String> {
-    let spec = if let Some(spec) = registry::get(arg) {
-        spec
-    } else {
-        let path = Path::new(arg);
-        if !path.exists() {
-            return Err(format!(
-                "`{arg}` is neither a built-in scenario (see `dpbfl-exp list`) nor a spec file"
-            ));
-        }
-        ScenarioSpec::load(path)?
-    };
+    let spec = registry::resolve(arg)?;
     let mut cells = spec.cells();
     let index = match cell {
         Some(index) if index < cells.len() => index,

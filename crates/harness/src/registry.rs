@@ -12,8 +12,8 @@ use dpbfl::prelude::*;
 /// Every built-in scenario, in display order: its name, the paper artifact
 /// it reproduces (`None` for grids that exist for the repo's own sake, like
 /// the CI smoke grid), and its constructor. The one table behind [`names`],
-/// [`get`], [`paper_artifact`], [`grouped_names`] and [`suggest`], and the
-/// only place a scenario's name is written.
+/// [`get`], [`paper_artifact`] and [`resolve`], and the only place a
+/// scenario's name is written.
 type Entry = (&'static str, Option<&'static str>, fn() -> ScenarioSpec);
 const SCENARIOS: &[Entry] = &[
     ("paper/quickstart", Some("the headline result (§6 flagship; CI-pinned)"), quickstart),
@@ -78,11 +78,34 @@ pub fn paper_artifact(name: &str) -> Option<&'static str> {
     entry(name).and_then(|&(_, artifact, _)| artifact)
 }
 
+/// Resolves a scenario argument the way every binary does: a registered
+/// name first, then a spec file path. An argument that is neither fails
+/// with the full catalog grouped by prefix, plus a nearest-match guess when
+/// it looks like a typo of a registered name.
+pub fn resolve(arg: &str) -> Result<ScenarioSpec, String> {
+    if let Some(spec) = get(arg) {
+        return Ok(spec);
+    }
+    let path = std::path::Path::new(arg);
+    if path.exists() {
+        return ScenarioSpec::load(path);
+    }
+    let mut msg =
+        format!("`{arg}` is neither a built-in scenario nor a spec file.\n\nbuilt-in scenarios:");
+    for (prefix, members) in grouped_names() {
+        msg.push_str(&format!("\n  {prefix}/"));
+        for name in members {
+            msg.push_str(&format!("\n    {name}"));
+        }
+    }
+    if let Some(close) = suggest(arg) {
+        msg.push_str(&format!("\n\ndid you mean `{close}`?"));
+    }
+    Err(msg)
+}
+
 /// [`names`] grouped by the prefix before the first `/`, in display order.
-///
-/// `dpbfl-exp` uses this to render a readable catalog when a scenario
-/// argument fails to resolve.
-pub fn grouped_names() -> Vec<(&'static str, Vec<&'static str>)> {
+fn grouped_names() -> Vec<(&'static str, Vec<&'static str>)> {
     let mut groups: Vec<(&'static str, Vec<&'static str>)> = Vec::new();
     for name in names() {
         let prefix = name.split('/').next().unwrap_or(name);
@@ -96,7 +119,7 @@ pub fn grouped_names() -> Vec<(&'static str, Vec<&'static str>)> {
 
 /// The registered name closest to `arg` by edit distance, if it is close
 /// enough to plausibly be a typo (distance ≤ max(2, |arg|/3)).
-pub fn suggest(arg: &str) -> Option<&'static str> {
+fn suggest(arg: &str) -> Option<&'static str> {
     let budget = (arg.chars().count() / 3).max(2);
     names()
         .map(|name| (name, edit_distance(arg, name)))

@@ -488,6 +488,13 @@ impl ScenarioSpec {
                          its provisioning must be Pooled"
                         .into()));
                 }
+                if c.eval_every != 0 {
+                    problems.push(at(format!(
+                        "the sign-DP substrate evaluates once per epoch; \
+                         its eval_every must be 0, got {}",
+                        c.eval_every
+                    )));
+                }
             }
         }
         let mut seen: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
@@ -1072,6 +1079,20 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("sign-inversion")), "{problems:?}");
         s.base.defense = DefenseKind::NoDefense;
         s.base.attack = AttackSpec::None;
+        assert!(s.validate().is_empty(), "{:?}", s.validate());
+    }
+
+    #[test]
+    fn sign_dp_cells_reject_an_eval_schedule_the_loop_would_ignore() {
+        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
+        s.base.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
+        s.base.defense = DefenseKind::NoDefense;
+        s.base.attack = AttackSpec::None;
+        s.base.eval_every = 1;
+        let problems = s.validate();
+        assert!(problems.iter().any(|p| p.contains("eval_every must be 0, got 1")), "{problems:?}");
+        // Every other protocol honours the schedule.
+        s.base.protocol = WorkerProtocol::PaperDp;
         assert!(s.validate().is_empty(), "{:?}", s.validate());
     }
 
