@@ -658,9 +658,9 @@ impl Transport for WireTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let tel = self.server.tel;
+        let (tel, deadline_ms) = (self.server.tel, self.server.deadline_ms);
         let start = Instant::now();
-        let deadline = start + Duration::from_millis(self.server.deadline_ms);
+        let deadline = start + Duration::from_millis(deadline_ms);
         let record = RoundRecord {
             round: round as u32,
             members: members.iter().map(|&m| m as u32).collect(),
@@ -674,8 +674,7 @@ impl Transport for WireTransport<'_> {
                     continue;
                 }
                 // A dead connection just means its members miss the deadline.
-                if record.write_to(&mut conn.stream, &conn.workers, self.server.deadline_ms).is_ok()
-                {
+                if record.write_to(&mut conn.stream, &conn.workers, deadline_ms).is_ok() {
                     conn.stream.flush().ok();
                 }
             }
