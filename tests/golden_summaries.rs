@@ -1,11 +1,13 @@
-//! Golden `RunSummary` pins: the two-stage defense's observable output,
-//! frozen as 64-bit FNV-1a hashes of the serialized summary.
+//! Golden `RunSummary` pins: every server rule's observable output, frozen
+//! as 64-bit FNV-1a hashes of the serialized summary.
 //!
 //! The defense is one pipeline (`fold_upload` → `TwoStageState::finish`);
 //! these pins hold it to the bits the repo has always produced, for every
 //! attack variant, with and without client sampling, pooled and on-demand
-//! provisioning, at 1 and 4 threads, plus the sign-compression baseline's
-//! majority-vote loop. An intended change re-captures the
+//! provisioning, at 1 and 4 threads. Beside it they pin the undefended mean,
+//! FLTrust, the classical robust rules, out-of-distribution auxiliary data
+//! and the sign-compression baseline's majority-vote loop. An intended
+//! change re-captures the
 //! table (a failure prints every cell's actual hash) and says why in
 //! CHANGES.md.
 //!
@@ -97,6 +99,47 @@ fn small_matrix_summaries_match_their_pins() {
     variant("cosine", &AttackSpec::Gaussian, |d| d.scoring = ScoringRule::Cosine, 0x42b56364e0b81f32);
     variant("cosine", &oscillating, |d| d.scoring = ScoringRule::Cosine, 0x1142485e73fbefed);
     variant("first-stage-off", &AttackSpec::InnerProduct { scale: 5.0 }, |d| d.first_stage_enabled = false, 0xb2a8d5e5245a5a64);
+    assert_pins(&rows);
+}
+
+#[test]
+#[rustfmt::skip]
+fn other_defense_summaries_match_their_pins() {
+    // The server rules without a per-upload fold — undefended mean, FLTrust
+    // and the classical robust rules — under an at-arrival and a
+    // cohort-reading attack, and the two-stage defense on out-of-distribution
+    // auxiliary data. The robust rules run at full participation only: a
+    // trimmed mean of 2 per side needs more than the 4-member sampled cohort.
+    let defended = |defense: DefenseKind, attack: &AttackSpec, sampling: f64| {
+        let mut cfg = small(attack, sampling);
+        cfg.defense = defense;
+        (format!("{} {} q={sampling}", cfg.defense.name(), attack.name()), cfg)
+    };
+    let robust = |rule| DefenseKind::Robust { rule };
+    let rows = [
+        (defended(DefenseKind::NoDefense, &AttackSpec::LabelFlip, 1.0), 0xd3082f9aef502170),
+        (defended(DefenseKind::NoDefense, &AttackSpec::LabelFlip, 0.5), 0x9a3386276514ef49),
+        (defended(DefenseKind::NoDefense, &AttackSpec::OptLmp, 1.0), 0xc236898bef68e64f),
+        (defended(DefenseKind::NoDefense, &AttackSpec::OptLmp, 0.5), 0x830cd6f1d647ee54),
+        (defended(DefenseKind::FlTrust, &AttackSpec::LabelFlip, 1.0), 0x7a3d3b0ad6022bf5),
+        (defended(DefenseKind::FlTrust, &AttackSpec::LabelFlip, 0.5), 0xf4de5b960b265c20),
+        (defended(DefenseKind::FlTrust, &AttackSpec::OptLmp, 1.0), 0xdfbfab9a80b3a861),
+        (defended(DefenseKind::FlTrust, &AttackSpec::OptLmp, 0.5), 0xd384ed5323e5b69c),
+        (defended(robust(AggregatorKind::Krum { f: 2 }), &AttackSpec::LabelFlip, 1.0), 0x988762d41f7bd088),
+        (defended(robust(AggregatorKind::Krum { f: 2 }), &AttackSpec::OptLmp, 1.0), 0x7d701a7e523ff57b),
+        (defended(robust(AggregatorKind::CoordinateMedian), &AttackSpec::LabelFlip, 1.0), 0xf5a6397f1d198193),
+        (defended(robust(AggregatorKind::CoordinateMedian), &AttackSpec::OptLmp, 1.0), 0x2622e8d5bac5c473),
+        (defended(robust(AggregatorKind::TrimmedMean { trim: 2 }), &AttackSpec::LabelFlip, 1.0), 0x442ae377caf8d363),
+        (defended(robust(AggregatorKind::TrimmedMean { trim: 2 }), &AttackSpec::OptLmp, 1.0), 0xc1f2cbea9d407484),
+        (defended(robust(AggregatorKind::GeometricMedian), &AttackSpec::LabelFlip, 1.0), 0xe139636603e0d32e),
+        (defended(robust(AggregatorKind::GeometricMedian), &AttackSpec::OptLmp, 1.0), 0x89c58026663d7b7b),
+        (defended(robust(AggregatorKind::Bulyan { f: 1 }), &AttackSpec::LabelFlip, 1.0), 0x9d5cf9cf76d85403),
+        (defended(robust(AggregatorKind::Bulyan { f: 1 }), &AttackSpec::OptLmp, 1.0), 0x531b884556425722),
+    ];
+    let mut rows: Vec<_> = rows.into_iter().map(|((label, cfg), pin)| (label, cfg, pin)).collect();
+    let mut ood = small(&AttackSpec::LabelFlip, 1.0);
+    ood.ood_auxiliary = true;
+    rows.push(("two-stage label-flip ood-auxiliary".to_string(), ood, 0x4c8de99e226a1902));
     assert_pins(&rows);
 }
 
