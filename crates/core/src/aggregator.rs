@@ -78,7 +78,7 @@ pub fn krum<'a>(uploads: &[&'a [f32]], f: usize) -> &'a [f32] {
             .filter(|&j| j != i)
             .map(|j| vecops::l2_dist_sq(uploads[i], uploads[j]))
             .collect();
-        dists.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        dists.sort_unstable_by(f64::total_cmp);
         let score: f64 = dists.iter().take(k.min(dists.len())).sum();
         if score < best_score {
             best_score = score;
@@ -99,7 +99,7 @@ pub fn coordinate_median(uploads: &[&[f32]]) -> Vec<f32> {
         for (c, u) in column.iter_mut().zip(uploads) {
             *c = u[j];
         }
-        column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite uploads"));
+        column.sort_unstable_by(f32::total_cmp);
         out[j] = if n % 2 == 1 { column[n / 2] } else { 0.5 * (column[n / 2 - 1] + column[n / 2]) };
     }
     out
@@ -118,7 +118,7 @@ pub fn trimmed_mean(uploads: &[&[f32]], trim: usize) -> Vec<f32> {
         for (c, u) in column.iter_mut().zip(uploads) {
             *c = u[j];
         }
-        column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite uploads"));
+        column.sort_unstable_by(f32::total_cmp);
         let sum: f64 = column[trim..n - trim].iter().map(|&v| v as f64).sum();
         out[j] = (sum / kept) as f32;
     }
@@ -232,5 +232,24 @@ mod tests {
         let ups: Vec<&[f32]> = vec![&[1.0], &[2.0], &[9.0]];
         let gm = geometric_median(&ups, 500, 1e-10);
         assert!((gm[0] - 2.0).abs() < 1e-2, "gm={gm:?}");
+    }
+
+    #[test]
+    fn sorting_rules_survive_non_finite_uploads() {
+        // A served run hands the rules whatever well-formed floats a client
+        // sent. One NaN and one +∞ upload among seven must cost a bad
+        // aggregate at worst, never a panic of the round.
+        let d = 3;
+        let mut ups: Vec<Vec<f32>> = (0..5).map(|i| vec![0.1 * i as f32; d]).collect();
+        ups.push(vec![f32::NAN; d]);
+        ups.push(vec![f32::INFINITY; d]);
+        for rule in [
+            AggregatorKind::Krum { f: 2 },
+            AggregatorKind::CoordinateMedian,
+            AggregatorKind::TrimmedMean { trim: 2 },
+            AggregatorKind::Bulyan { f: 1 },
+        ] {
+            assert_eq!(rule.aggregate(&ups).len(), d, "{}", rule.name());
+        }
     }
 }

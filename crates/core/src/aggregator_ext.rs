@@ -43,11 +43,9 @@ pub fn bulyan(uploads: &[&[f32]], f: usize) -> Vec<f32> {
     for j in 0..d {
         column.clear();
         column.extend(selected.iter().map(|&i| uploads[i][j]));
-        column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite uploads"));
+        column.sort_unstable_by(f32::total_cmp);
         let median = column[column.len() / 2];
-        column.sort_unstable_by(|a, b| {
-            (a - median).abs().partial_cmp(&(b - median).abs()).expect("finite uploads")
-        });
+        column.sort_unstable_by(|a, b| (a - median).abs().total_cmp(&(b - median).abs()));
         let sum: f64 = column[..beta].iter().map(|&v| v as f64).sum();
         out[j] = (sum / beta as f64) as f32;
     }
@@ -64,7 +62,7 @@ fn krum_index(uploads: &[&[f32]], f: usize) -> usize {
             .filter(|&j| j != i)
             .map(|j| vecops::l2_dist_sq(uploads[i], uploads[j]))
             .collect();
-        dists.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+        dists.sort_unstable_by(f64::total_cmp);
         let score: f64 = dists.iter().take(k.min(dists.len())).sum();
         if score < best.1 {
             best = (i, score);

@@ -1260,10 +1260,12 @@ mod tests {
         assert_ne!(summary_json(&a), summary_json(&full), "drops must change the accepted set");
     }
 
-    /// The in-process transport with one worker's upload never delivered.
+    /// The in-process transport with one worker's upload replaced: never
+    /// delivered, or — with `sent` — `d` copies of that value in its place.
     struct Withholding<'a> {
         inner: crate::round::InProcessTransport<'a>,
         worker: usize,
+        sent: Option<f32>,
     }
 
     impl Transport for Withholding<'_> {
@@ -1276,7 +1278,12 @@ mod tests {
         ) -> Vec<Collected> {
             let mut out = self.inner.round_trip(round, members, params, fold);
             if let Ok(pos) = members.binary_search(&self.worker) {
-                out[pos] = Collected::Dropped;
+                out[pos] = match self.sent {
+                    None => Collected::Dropped,
+                    Some(x) => {
+                        fold(vec![x; params.len()], &mut crate::first_stage::KsScratch::new())
+                    }
+                };
             }
             out
         }
@@ -1312,9 +1319,15 @@ mod tests {
     /// Summary of the in-process run of `cfg` in which `worker`'s upload is
     /// never delivered.
     fn withheld_summary(cfg: &SimulationConfig, worker: usize) -> String {
+        replaced_summary(cfg, worker, None)
+    }
+
+    /// Summary of the in-process run of `cfg` in which `worker`'s upload is
+    /// replaced as [`Withholding`] replaces it.
+    fn replaced_summary(cfg: &SimulationConfig, worker: usize, sent: Option<f32>) -> String {
         let prep = prepare(cfg);
         let inner = crate::round::InProcessTransport::new(cfg, &prep, &cfg.dp); // ε off: σ as is
-        let mut withheld = Withholding { inner, worker };
+        let mut withheld = Withholding { inner, worker, sent };
         summary_json(&run_with_transport_telemetry(cfg, &prep, &mut withheld, &Telemetry::null()))
     }
 
@@ -1353,6 +1366,39 @@ mod tests {
         let events = &sink.lock().unwrap().events;
         let malformed = events.iter().filter(|e| e.name == "upload_malformed").count();
         assert_eq!(malformed, cfg.iterations());
+    }
+
+    #[test]
+    fn nan_upload_reaches_a_robust_rule_without_panicking_the_round() {
+        // A client that claims worker 3 and answers every round with d NaNs.
+        // The upload is well-formed, so it folds raw and reaches the
+        // coordinate median, whose sort used to panic the round thread on
+        // it. The run must instead complete, byte-identical to the
+        // in-process run in which worker 3 uploads the same NaNs.
+        const ROGUE: usize = 3;
+        let mut cfg = serving_cfg();
+        cfg.defense =
+            DefenseKind::Robust { rule: crate::aggregator::AggregatorKind::CoordinateMedian };
+        let expected = replaced_summary(&cfg, ROGUE, Some(f32::NAN));
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = spawn_rogue(local, ROGUE as u32, |round, d| Message::Upload {
+            round,
+            worker: ROGUE as u32,
+            data: vec![f32::NAN; d],
+        });
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "NaN upload ≠ in-process NaN upload");
+        assert_eq!(report.dropped_uploads, 0);
     }
 
     #[test]
