@@ -10,11 +10,11 @@
 //! rule, needs no loop of its own: it is a config with
 //! [`WorkerProtocol::ClippedDp`] and [`crate::simulation::DefenseKind::Robust`].)
 
-use crate::round::init_model;
-use crate::simulation::{EvalPoint, RunResult, SimulationConfig, WorkerProtocol};
+use crate::round::{evaluate, init_model};
+use crate::simulation::{RunResult, RunSummary, SimulationConfig, WorkerProtocol};
 use dpbfl_data::sample_batch;
 use dpbfl_data::{iid_partition, Dataset};
-use dpbfl_nn::{accuracy, CrossEntropyLoss};
+use dpbfl_nn::CrossEntropyLoss;
 use dpbfl_telemetry::{RoundMetrics, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,9 @@ pub fn flip_prob_for_epsilon(eps0: f64) -> f64 {
 /// (`cfg.dp.batch_size`) and seed come from `cfg`; the step size and flip
 /// probability ride on the protocol variant. `cfg.attack` and `cfg.defense`
 /// are not read: Byzantine workers always upload inverted signs, and the
-/// server rule is always the majority vote.
+/// server rule is always the majority vote. Evaluation follows the round
+/// loop's schedule ([`evaluate`]); spec validation keeps a sign-DP cell at
+/// `eval_every = 0`, once per epoch.
 ///
 /// Per-round metrics are trivial for this substrate — no defense filters
 /// anything, so the whole cohort is accepted and aggregated;
@@ -56,9 +58,6 @@ pub(crate) fn run_sign_dp(cfg: &SimulationConfig, tel: &Telemetry) -> RunResult 
 
     let datasets: Vec<Dataset> = parts.iter().map(|p| train.subset(p)).collect();
     let iterations = cfg.iterations();
-    // Its own schedule (once per epoch); spec validation rejects a sign-DP
-    // cell that sets `cfg.eval_every`.
-    let eval_every = (cfg.per_worker / batch_size).max(1);
     let mut history = Vec::new();
     let mut grad = vec![0.0f32; d];
     let mut votes = vec![0i32; d];
@@ -116,20 +115,10 @@ pub(crate) fn run_sign_dp(cfg: &SimulationConfig, tel: &Telemetry) -> RunResult 
             tel.round(m);
         }
 
-        if (t + 1) % eval_every == 0 || t + 1 == iterations {
-            let timer = tel.start();
-            model.set_params(&params);
-            let acc = accuracy(&mut model, &test.features, &test.labels);
-            tel.stop(timer, "eval", Some(t as u64));
-            history.push(EvalPoint {
-                iteration: t + 1,
-                epoch: (t + 1) as f64 * batch_size as f64 / cfg.per_worker as f64,
-                accuracy: acc,
-            });
-        }
+        history.extend(evaluate(cfg, t, &mut model, &params, &test, tel));
     }
 
-    RunResult {
+    RunSummary {
         final_accuracy: history.last().map(|p| p.accuracy).unwrap_or(0.0),
         history,
         defense_stats: Default::default(),

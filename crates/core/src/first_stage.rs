@@ -32,16 +32,15 @@
 //!
 //! The public contract is **decision equivalence, not statistic
 //! equivalence**: for every upload, `check` returns exactly the same
-//! [`FirstStageVerdict`] as [`FirstStage::check_reference`], the retained
-//! always-sort implementation (the envelope brackets the exact statistic and
+//! [`FirstStageVerdict`] as `check_reference`, the always-sort
+//! implementation retained as a test oracle (the envelope brackets the exact statistic and
 //! decisions are only made outside guarded margins around the critical
 //! value; see `dpbfl_stats::ks` for the argument). The equivalence is
 //! hammered by `crates/stats/tests/proptest_ks_fastpath.rs`, the unit tests
 //! below, and an end-to-end test that re-checks every real upload of a
 //! two-stage run against the oracle.
 
-use dpbfl_stats::ks::{ks_test_gaussian, KsGaussianScreen, KsScreenVerdict};
-use dpbfl_tensor::vecops;
+use dpbfl_stats::ks::{KsGaussianScreen, KsScreenVerdict};
 
 pub use dpbfl_stats::ks::KsScratch;
 
@@ -83,6 +82,9 @@ pub struct CheckInfo {
 /// noise std `σ' = σ/b_c` the server expects on uploads.
 #[derive(Debug, Clone)]
 pub struct FirstStage {
+    /// `σ'`, read only by the always-sort test oracle (the screen carries
+    /// it for the fast path).
+    #[cfg(test)]
     noise_std: f64,
     dimension: usize,
     ks_significance: f64,
@@ -100,7 +102,15 @@ impl FirstStage {
         assert!(dimension > 1, "first stage needs a non-trivial dimension");
         let (lo, hi) = norm_interval(noise_std, dimension, norm_stds);
         let screen = KsGaussianScreen::new(0.0, noise_std, dimension, ks_significance);
-        FirstStage { noise_std, dimension, ks_significance, norm_lo: lo, norm_hi: hi, screen }
+        FirstStage {
+            #[cfg(test)]
+            noise_std,
+            dimension,
+            ks_significance,
+            norm_lo: lo,
+            norm_hi: hi,
+            screen,
+        }
     }
 
     /// The `[lo, hi]` interval the ℓ2 **norm** (not squared) must fall in.
@@ -117,8 +127,8 @@ impl FirstStage {
 
     /// Runs both tests on an upload (sort-free fast path, fresh scratch).
     ///
-    /// Returns exactly what [`FirstStage::check_reference`] returns, for
-    /// every upload — that equivalence is the fast path's contract. Hot
+    /// Returns exactly what the always-sort test oracle returns, for every
+    /// upload — that equivalence is the fast path's contract. Hot
     /// loops should prefer [`FirstStage::check_with`] and reuse one
     /// [`KsScratch`] per worker/task.
     pub fn check(&self, upload: &[f32]) -> FirstStageVerdict {
@@ -171,33 +181,6 @@ impl FirstStage {
         CheckInfo { verdict, ks_exact }
     }
 
-    /// The retained always-sort implementation — the oracle the fast path is
-    /// decision-equivalent to. No run ever takes it: it is kept in-tree so
-    /// tests and benches can hold [`FirstStage::check`] to it forever.
-    pub fn check_reference(&self, upload: &[f32]) -> FirstStageVerdict {
-        self.check_reference_info(upload).verdict
-    }
-
-    /// [`FirstStage::check_reference`] plus the telemetry view: the
-    /// reference path always sorts, so any check that reaches the KS test
-    /// reports `ks_exact = true`.
-    pub fn check_reference_info(&self, upload: &[f32]) -> CheckInfo {
-        assert_eq!(upload.len(), self.dimension, "upload has wrong dimension");
-        let Some(norm_sq) = finite_norm_sq(upload) else {
-            return CheckInfo { verdict: FirstStageVerdict::NonFinite, ks_exact: false };
-        };
-        if norm_sq < self.norm_lo || norm_sq > self.norm_hi {
-            return CheckInfo { verdict: FirstStageVerdict::NormOutOfRange, ks_exact: false };
-        }
-        let ks = ks_test_gaussian(upload, 0.0, self.noise_std);
-        let verdict = if ks.rejects_at(self.ks_significance) {
-            FirstStageVerdict::KsRejected
-        } else {
-            FirstStageVerdict::Accepted
-        };
-        CheckInfo { verdict, ks_exact: true }
-    }
-
     /// Algorithm 2: zeroes `upload` in place when any test fails; returns the
     /// verdict.
     pub fn filter(&self, upload: &mut [f32]) -> FirstStageVerdict {
@@ -207,17 +190,6 @@ impl FirstStage {
         }
         verdict
     }
-}
-
-/// `‖v‖²` in one pass, or `None` if any coordinate is NaN/±∞.
-///
-/// The accumulator is `f64`, so a non-finite coordinate propagates into the
-/// sum; checking the *sum* once replaces a separate `all_finite` scan.
-/// (An all-finite `f32` slice cannot overflow an `f64` accumulator:
-/// `d · f32::MAX² < f64::MAX` for any realistic `d`.)
-fn finite_norm_sq(v: &[f32]) -> Option<f64> {
-    let norm_sq = vecops::l2_norm_sq(v);
-    norm_sq.is_finite().then_some(norm_sq)
 }
 
 /// The norm-test interval on `‖g‖²`:
@@ -266,9 +238,42 @@ pub fn theorem2_envelope(noise_std: f64, d: usize, d_ks: f64, k: usize) -> (f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::AttackSpec;
+    use crate::round::{Collected, InProcessTransport, Transport, UploadFold};
+    use crate::simulation::{
+        prepare, run_with_transport_telemetry, DefenseKind, ModelKind, SimulationConfig,
+    };
+    use dpbfl_data::SyntheticSpec;
+    use dpbfl_stats::ks::ks_test_gaussian;
     use dpbfl_stats::normal::gaussian_vector;
+    use dpbfl_telemetry::Telemetry;
+    use dpbfl_tensor::vecops;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl FirstStage {
+        /// The retained always-sort implementation — the oracle the fast
+        /// path is decision-equivalent to. No run ever takes it: it is kept
+        /// so tests can hold [`FirstStage::check`] to it forever.
+        fn check_reference(&self, upload: &[f32]) -> FirstStageVerdict {
+            assert_eq!(upload.len(), self.dimension, "upload has wrong dimension");
+            // The `f64` accumulator propagates a non-finite coordinate into
+            // the sum, so one check of the sum replaces a finiteness scan.
+            let norm_sq = vecops::l2_norm_sq(upload);
+            if !norm_sq.is_finite() {
+                return FirstStageVerdict::NonFinite;
+            }
+            if norm_sq < self.norm_lo || norm_sq > self.norm_hi {
+                return FirstStageVerdict::NormOutOfRange;
+            }
+            if ks_test_gaussian(upload, 0.0, self.noise_std).rejects_at(self.ks_significance) {
+                FirstStageVerdict::KsRejected
+            } else {
+                FirstStageVerdict::Accepted
+            }
+        }
+    }
 
     const D: usize = 25_450;
     const STD: f64 = 0.05; // σ = 0.8, b_c = 16
@@ -487,5 +492,92 @@ mod tests {
         let wide = theorem2_envelope(STD, 1000, 0.1, 500);
         let tight = theorem2_envelope(STD, 1000, 0.01, 500);
         assert!(tight.1 - tight.0 < wide.1 - wide.0);
+    }
+
+    /// A defended two-stage configuration exercising both first-stage paths:
+    /// honest + label-flip Byzantine workers, enough rounds for accepts,
+    /// KS-rejects and norm-rejects to all occur.
+    fn two_stage_cfg() -> SimulationConfig {
+        let mut cfg =
+            SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
+        cfg.per_worker = 128;
+        cfg.test_count = 200;
+        cfg.n_honest = 4;
+        cfg.n_byzantine = 3;
+        cfg.epochs = 1.0;
+        cfg.epsilon = None;
+        cfg.dp.noise_multiplier = 0.5;
+        cfg.attack = AttackSpec::LabelFlip;
+        cfg.defense = DefenseKind::TwoStage;
+        cfg.defense_cfg.gamma = 0.5;
+        cfg
+    }
+
+    /// Re-checks every upload that crosses it against the always-sort oracle
+    /// before handing it to the run's own fold, and counts what the run's first
+    /// stage saw.
+    struct OracleTransport<'a> {
+        inner: InProcessTransport<'a>,
+        /// The filter the run itself builds: same σ', dimension and thresholds.
+        first: FirstStage,
+        rejected: AtomicUsize,
+        exact_fallbacks: AtomicUsize,
+    }
+
+    impl Transport for OracleTransport<'_> {
+        fn round_trip(
+            &mut self,
+            round: usize,
+            members: &[usize],
+            params: &[f32],
+            fold: &UploadFold<'_>,
+        ) -> Vec<Collected> {
+            let OracleTransport { inner, first, rejected, exact_fallbacks } = self;
+            let checked = |upload: Vec<f32>, scratch: &mut KsScratch| {
+                let fast = first.check_with_info(&upload, scratch);
+                assert_eq!(fast.verdict, first.check_reference(&upload), "round {round}");
+                rejected.fetch_add(usize::from(!fast.verdict.is_accepted()), Ordering::Relaxed);
+                exact_fallbacks.fetch_add(usize::from(fast.ks_exact), Ordering::Relaxed);
+                fold(upload, scratch)
+            };
+            inner.round_trip(round, members, params, &checked)
+        }
+    }
+
+    /// The fast path's end-to-end contract, with no runtime switch: every real
+    /// upload of a full two-stage run gets the same verdict from the sort-free
+    /// screen the run uses as from the retained always-sort reference — so a
+    /// run on the reference would be byte-identical, verdict for verdict. The
+    /// run must have exercised both a rejection and the sorted fallback.
+    #[test]
+    fn fast_and_reference_first_stage_runs_are_byte_identical() {
+        let mut cfg = two_stage_cfg();
+        cfg.epochs = 4.0; // enough uploads for a borderline KS statistic to occur
+        let prep = prepare(&cfg);
+        let d = cfg.model.build(&mut StdRng::seed_from_u64(0), &cfg.dataset).param_len();
+        let (defense, dp) = (&cfg.defense_cfg, &cfg.dp); // ε is off: σ is the config's
+        let mut transport = OracleTransport {
+            inner: InProcessTransport::new(&cfg, &prep, dp),
+            first: FirstStage::new(
+                dp.effective_noise_std(),
+                d,
+                defense.ks_significance,
+                defense.norm_test_stds,
+            ),
+            rejected: AtomicUsize::new(0),
+            exact_fallbacks: AtomicUsize::new(0),
+        };
+        let observed =
+            run_with_transport_telemetry(&cfg, &prep, &mut transport, &Telemetry::null());
+        assert!(
+            transport.exact_fallbacks.into_inner() > 0,
+            "never reached the exact sorted fallback"
+        );
+        // The decorator saw exactly the uploads the run's own first stage judged
+        // (label-flip members are data members, so every upload crosses it).
+        let stats = &observed.defense_stats;
+        let rejected = stats.first_stage_rejected_honest + stats.first_stage_rejected_byzantine;
+        assert!(rejected > 0, "configuration never triggered a first-stage rejection");
+        assert_eq!(transport.rejected.into_inner() as u64, rejected);
     }
 }

@@ -1,13 +1,15 @@
 //! Round orchestration: the server-side round loop, decoupled from how
 //! uploads travel.
 //!
-//! The (crate-private) `orchestrate` loop owns everything the server does
-//! per round — cohort
-//! selection, attack crafting, defense dispatch, the model update, periodic
-//! evaluation — and talks to data-holding clients *exclusively* through the
-//! [`Transport`] trait: broadcast the model to the round's members, collect
-//! their uploads (already folded through the caller-supplied closure), and
-//! publish the final summary.
+//! The (crate-private) `orchestrate` loop owns a run's server side. It
+//! builds the server state once — the tuned learning rate, one server model
+//! with one gradient buffer, one defense value from `cfg.defense` — and then
+//! does everything the server does per round: cohort selection, attack
+//! crafting, defense dispatch, the model update, periodic evaluation. It
+//! talks to data-holding clients *exclusively* through the [`Transport`]
+//! trait: broadcast the model to the round's members, collect their uploads
+//! (already folded through the server-supplied closure), and publish the
+//! final summary.
 //!
 //! Two implementations exist:
 //!
@@ -31,16 +33,21 @@
 //! existing rejection stats — so the accepted set alone determines the run,
 //! bit-for-bit, regardless of timing.
 
+use crate::aggregator::AggregatorKind;
+use crate::aggregator_ext::fltrust;
 use crate::attack::{craft_uploads_stateful, AttackContext, AttackState, ByzantineData};
 use crate::config::{DpSgdConfig, StepNormalization, UploadRetention};
 use crate::first_stage::{CheckInfo, FirstStage, FirstStageVerdict, KsScratch};
-use crate::second_stage::SecondStage;
+use crate::second_stage::{SecondStage, SelectionResult};
 use crate::simulation::{
-    data_members, pooled_shards, round_cohort, worker_seed, DefenseKind, DefenseStats, EvalPoint,
-    Provisioning, RunSummary, SimulationConfig, WorkerProtocol,
+    data_members, data_worker_count, pooled_shards, round_cohort, worker_seed, DefenseKind,
+    DefenseStats, EvalPoint, PreparedRun, Provisioning, RunResult, RunSummary, SimulationConfig,
+    WorkerProtocol,
 };
+use crate::tuning::transfer_lr;
 use crate::worker::DpWorker;
-use dpbfl_data::{flip_labels, sample_batch, Dataset};
+use dpbfl_data::{flip_labels, sample_auxiliary, sample_batch, Dataset, SyntheticSpec};
+use dpbfl_dp::EpsilonSchedule;
 use dpbfl_nn::{accuracy, CrossEntropyLoss, Sequential};
 use dpbfl_telemetry::{RoundMetrics, Telemetry};
 use dpbfl_tensor::quant::QuantizedVec;
@@ -137,11 +144,7 @@ impl<'a> InProcessTransport<'a> {
     /// on-demand runs build no worker, only the dataset's class
     /// prototypes. `dp` must be the σ-resolved worker config (see
     /// [`crate::simulation::resolve_sigma`]).
-    pub fn new(
-        cfg: &'a SimulationConfig,
-        prep: &crate::simulation::PreparedRun,
-        dp: &DpSgdConfig,
-    ) -> Self {
+    pub fn new(cfg: &'a SimulationConfig, prep: &PreparedRun, dp: &DpSgdConfig) -> Self {
         let template = init_model(cfg);
         let every = (0..prep.parts.len()).collect();
         let pool = pooled_shards(cfg, &prep.parts, &every)
@@ -279,22 +282,23 @@ fn fold_in_shards<T: Send, R: Send>(
     nested.into_iter().flatten().collect()
 }
 
-/// Runs the full round loop against `transport`; returns the accuracy
-/// trajectory and the defense bookkeeping.
+/// Runs one full experiment against `transport` and returns its summary,
+/// published to the clients first.
 ///
-/// `dp` is the σ-resolved worker config and `lr` the tuned learning rate
-/// (both produced by [`crate::simulation::run_with_transport_telemetry`]);
-/// `defense` / `fltrust_state` hold the server-side defense state matching
-/// `cfg.defense`. `eps_schedule` is the precomputed cumulative-ε schedule
-/// (`None` for non-private or untelemetered runs) — only telemetry reads
-/// it; caching it outside the loop keeps the per-round ε annotation to a
-/// cheap RDP→(ε, δ) conversion instead of re-deriving the RDP curve.
+/// `dp` is the σ-resolved worker config and `delta` the accountant's δ
+/// (both from [`crate::simulation::calibrated_dp`]); `prep` must come from
+/// [`crate::simulation::prepare`] on a config with `cfg`'s cache key. The
+/// loop owns the run's server side, built once here: the tuned learning
+/// rate, one server model with one gradient buffer, one [`Defense`] value
+/// for `cfg.defense`, and — for telemetry only — the cumulative-ε schedule,
+/// cached outside the loop so the per-round ε annotation is a cheap RDP→(ε,
+/// δ) conversion instead of a re-derived RDP curve.
 ///
 /// Every round is collect → craft → defend/update → observe → eval. The
 /// two-stage defense is one pipeline, [`fold_upload`] per upload then
-/// [`TwoStageState::finish`] per round, with two fold *timings*: an attack
-/// that reads the cohort ([`crate::attack::AttackSpec::reads_cohort`]) must
-/// see the raw uploads first, so its rounds collect, craft, then fold
+/// [`select`] and [`apply_selected`] per round, with two fold *timings*: an
+/// attack that reads the cohort ([`crate::attack::AttackSpec::reads_cohort`])
+/// must see the raw uploads first, so its rounds collect, craft, then fold
 /// ([`fold_in_shards`], as the transport does); every other round folds each
 /// upload as it arrives, inside the transport, and holds only stage-1
 /// survivors. The timing is read from the attack spec alone and moves no
@@ -304,31 +308,43 @@ fn fold_in_shards<T: Send, R: Send>(
 /// cohort order, so the deterministic counters are bit-identical at any
 /// thread count; with [`Telemetry::null`] no record is ever constructed and
 /// the loop is byte-identical to a telemetry-free build.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn orchestrate(
     cfg: &SimulationConfig,
-    dp: &DpSgdConfig,
-    lr: f64,
-    test: &Dataset,
-    server_model: &mut Sequential,
-    params: &mut [f32],
-    defense: &mut Option<TwoStageState>,
-    fltrust_state: &mut Option<(Dataset, Sequential, Vec<f32>)>,
+    prep: &PreparedRun,
     transport: &mut dyn Transport,
     tel: &Telemetry,
-    eps_schedule: Option<&dpbfl_dp::EpsilonSchedule>,
-) -> (Vec<EvalPoint>, DefenseStats) {
+    dp: &DpSgdConfig,
+    delta: f64,
+) -> RunResult {
+    assert!(
+        cfg.sampling.is_finite() && cfg.sampling > 0.0 && cfg.sampling <= 1.0,
+        "sampling fraction must be in (0, 1], got {}",
+        cfg.sampling
+    );
+    assert_eq!(data_worker_count(cfg), prep.parts.len(), "prepared data does not match config");
+    let sigma = dp.noise_multiplier;
+    // Claim 6: the base learning rate, tuned at σ_b, transfers as η_b·σ_b/σ.
+    let lr =
+        if sigma > 0.0 { transfer_lr(cfg.base_lr, cfg.base_sigma, sigma) } else { cfg.base_lr };
+    // One server model serves evaluation, the stage-2 gradient and FLTrust's
+    // trust gradient. Sharing it moves no bit: every use sets `params`
+    // first, the gradient zeroes its accumulators, and every forward pass
+    // rewrites the layer caches.
+    let mut model = init_model(cfg);
+    let mut params = model.params();
     let d = params.len();
+    let mut grad = vec![0.0f32; d];
+    let mut defense = Defense::new(cfg, prep, dp, d);
+    let eps_schedule = (tel.enabled() && sigma > 0.0 && delta > 0.0).then(|| {
+        let q_batch = cfg.dp.batch_size as f64 / cfg.per_worker as f64;
+        EpsilonSchedule::new(cfg.sampling, q_batch, sigma, delta)
+    });
+
     let n_data = data_members(cfg);
     // An attack that reads the cohort must see the raw uploads before the
     // defense folds them; every other two-stage round folds at arrival.
     let reads_cohort = cfg.attack.reads_cohort();
     let iterations = cfg.iterations();
-    let eval_every = if cfg.eval_every > 0 {
-        cfg.eval_every
-    } else {
-        (cfg.per_worker / cfg.dp.batch_size).max(1) // once per epoch
-    };
     let mut history = Vec::new();
     let mut stats = DefenseStats::default();
     let mut attack_rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xa77ac4));
@@ -357,17 +373,26 @@ pub(crate) fn orchestrate(
         let data_members = &cohort[..cohort.partition_point(|&i| i < n_data)];
 
         // A round folded at arrival opens its fold now and hands it to the
-        // transport.
-        let at_arrival = match defense.as_mut() {
-            Some(state) if !reads_cohort => Some(state.open_round(cfg, params, tel, round)),
+        // transport: the server's clean gradient first (Algorithm 3 line 4,
+        // the round's first `stage2` span), so every upload can be scored
+        // the moment it survives the first stage. The gradient is RNG-free
+        // and reads only `params`, which no worker mutates, so *when* a
+        // round opens moves no bit.
+        let at_arrival = match &defense {
+            Defense::TwoStage { first, aux, .. } if !reads_cohort => {
+                let timer = tel.start();
+                let server_grad = server_gradient(&mut model, aux, &params, &mut grad);
+                tel.stop(timer, "stage2", round);
+                Some(move |u, s: &mut KsScratch| fold_upload(first, cfg, u, s, server_grad))
+            }
             _ => None,
         };
 
         // ---- collect: one slot per data member, folded already or raw ----
         let timer = tel.start();
         let mut slots = match &at_arrival {
-            Some(fold) => transport.round_trip(t, data_members, params, fold),
-            None => transport.round_trip(t, data_members, params, &|u, _| Collected::Upload(u)),
+            Some(fold) => transport.round_trip(t, data_members, &params, fold),
+            None => transport.round_trip(t, data_members, &params, &|u, _| Collected::Upload(u)),
         };
         tel.stop(timer, "collect", round);
         debug_assert_eq!(slots.len(), data_members.len());
@@ -423,47 +448,68 @@ pub(crate) fn orchestrate(
             uploads.extend(byzantine);
         }
         tel.stop(timer, "attack", round);
-        drop(at_arrival); // it borrows the defense state the round now advances
 
         // ---- defend + update --------------------------------------------
         // Each arm reports the round's stage-1 acceptance count — the
         // defense's public output that the acceptance-rate-adaptive attacker
         // observes (identical to the telemetry record's `accepted` counter).
-        let accepted = if let Some(state) = defense.as_mut() {
-            if reads_cohort {
-                // The crafted cohort goes through the same fold, in the
-                // same recipe the transport uses at arrival. A data member
-                // that never delivered stays dropped, whatever the attacker
-                // crafted in its name.
-                let fold = state.open_round(cfg, params, tel, round);
-                let timer = tel.start();
-                let gone = slots.iter().map(|s| matches!(s, Collected::Dropped));
-                let mut raw: Vec<_> =
-                    uploads.into_iter().zip(gone.chain(std::iter::repeat(false))).collect();
-                slots = fold_in_shards(&mut raw, |(upload, gone), scratch| {
-                    if *gone {
-                        Collected::Dropped
-                    } else {
-                        fold(std::mem::take(upload), scratch)
-                    }
-                });
-                tel.stop(timer, "stage1", round);
-            }
-            debug_assert_eq!(slots.len(), cohort.len());
-            state.finish(cfg, &cohort, &slots, params, &mut stats, lr, tel, metrics.as_mut())
-        } else {
-            // Defenses without a per-upload filter accept (and aggregate)
-            // the whole cohort; their telemetry records exactly that, with
-            // no stage-1/stage-2 breakdown.
+        let n = cohort.len();
+        // A defense without a per-upload filter aggregates the whole cohort's
+        // raw uploads (`aggregate` also reads the pre-step params) and steps
+        // along the result. It accepts the whole cohort, and its telemetry
+        // records exactly that, with no stage-1/stage-2 breakdown.
+        let refs: Vec<&[f32]> = uploads.iter().map(Vec::as_slice).collect();
+        let mut whole_cohort = |aggregate: &mut dyn FnMut(&[f32]) -> Vec<f32>| {
             if let Some(m) = &mut metrics {
-                m.accepted = cohort.len() as u64;
-                m.selected = cohort.len() as u64;
-                m.retained_exact_bytes = (cohort.len() * d * 4) as u64;
+                m.accepted = n as u64;
+                m.selected = n as u64;
+                m.retained_exact_bytes = (n * d * 4) as u64;
             }
             let timer = tel.start();
-            baseline_update(cfg, fltrust_state, &uploads, lr, params);
+            let g = aggregate(&params);
+            vecops::axpy(-(lr as f32), &g, &mut params);
             tel.stop(timer, "aggregate", round);
-            cohort.len() as u64
+            n as u64
+        };
+        let accepted = match &mut defense {
+            Defense::Mean => {
+                whole_cohort(&mut |_| vecops::mean(&refs).expect("at least one worker"))
+            }
+            Defense::Robust(rule) => whole_cohort(&mut |_| rule.aggregate(&uploads)),
+            Defense::FlTrust { aux } => whole_cohort(&mut |params| {
+                fltrust(&refs, server_gradient(&mut model, aux, params, &mut grad))
+            }),
+            Defense::TwoStage { first, second, aux } => {
+                if reads_cohort {
+                    // The crafted cohort goes through the same fold, in the
+                    // same recipe the transport uses at arrival. A data
+                    // member that never delivered stays dropped, whatever
+                    // the attacker crafted in its name.
+                    let timer = tel.start();
+                    let server_grad = server_gradient(&mut model, aux, &params, &mut grad);
+                    tel.stop(timer, "stage2", round);
+                    let first = &*first;
+                    let timer = tel.start();
+                    let gone = slots.iter().map(|s| matches!(s, Collected::Dropped));
+                    let mut raw: Vec<_> =
+                        uploads.into_iter().zip(gone.chain(std::iter::repeat(false))).collect();
+                    slots = fold_in_shards(&mut raw, |(upload, gone), scratch| {
+                        if *gone {
+                            Collected::Dropped
+                        } else {
+                            fold_upload(first, cfg, std::mem::take(upload), scratch, server_grad)
+                        }
+                    });
+                    tel.stop(timer, "stage1", round);
+                }
+                debug_assert_eq!(slots.len(), n);
+                let (accepted, selection) =
+                    select(cfg, second, &cohort, &slots, &mut stats, tel, metrics.as_mut());
+                let timer = tel.start();
+                apply_selected(cfg, &cohort, &slots, &selection, lr, &mut params);
+                tel.stop(timer, "aggregate", round);
+                accepted
+            }
         };
 
         // ---- observe ----------------------------------------------------
@@ -473,214 +519,249 @@ pub(crate) fn orchestrate(
         if let Some(m) = &mut metrics {
             m.attack_scale = attack_state.round_scale();
         }
-        attack_state.observe(accepted, cohort.len() as u64);
+        attack_state.observe(accepted, n as u64);
 
         // Publish the round's deterministic counters, stamped with the
         // cumulative achieved ε through this round.
         if let Some(mut m) = metrics {
-            if let Some(schedule) = eps_schedule {
+            if let Some(schedule) = &eps_schedule {
                 m.achieved_epsilon = Some(schedule.epsilon_at((t + 1) as u64));
             }
             tel.round(m);
         }
 
         // ---- eval -------------------------------------------------------
-        if (t + 1) % eval_every == 0 || t + 1 == iterations {
-            let timer = tel.start();
-            server_model.set_params(params);
-            let acc = accuracy(server_model, &test.features, &test.labels);
-            tel.stop(timer, "eval", round);
-            history.push(EvalPoint {
-                iteration: t + 1,
-                epoch: (t + 1) as f64 * cfg.dp.batch_size as f64 / cfg.per_worker as f64,
-                accuracy: acc,
-            });
-        }
+        history.extend(evaluate(cfg, t, &mut model, &params, &prep.test, tel));
     }
 
-    (history, stats)
+    let final_accuracy = history.last().map(|p| p.accuracy).unwrap_or(0.0);
+    let summary =
+        RunSummary { final_accuracy, sigma, lr, iterations, delta, defense_stats: stats, history };
+    transport.publish_summary(&summary);
+    summary
 }
 
-/// The server step of the three defenses without a per-upload filter: plain
-/// averaging, a classical robust rule, or FLTrust's cosine-trust weighting
-/// against the server's auxiliary gradient. `uploads` is the whole cohort
-/// (a dropped member contributes the zero vector).
-fn baseline_update(
+/// The evaluation schedule every round loop follows: test accuracy after
+/// every `cfg.eval_every`-th round (`0` = once per epoch) and after the last
+/// one. Evaluates `model` at `params` on `test` (an `eval` span) when round
+/// `t` (0-based) is due; `None` otherwise.
+pub(crate) fn evaluate(
     cfg: &SimulationConfig,
-    fltrust_state: &mut Option<(Dataset, Sequential, Vec<f32>)>,
-    uploads: &[Vec<f32>],
+    t: usize,
+    model: &mut Sequential,
+    params: &[f32],
+    test: &Dataset,
+    tel: &Telemetry,
+) -> Option<EvalPoint> {
+    let every = if cfg.eval_every > 0 {
+        cfg.eval_every
+    } else {
+        (cfg.per_worker / cfg.dp.batch_size).max(1)
+    };
+    if !(t + 1).is_multiple_of(every) && t + 1 != cfg.iterations() {
+        return None;
+    }
+    let timer = tel.start();
+    model.set_params(params);
+    let accuracy = accuracy(model, &test.features, &test.labels);
+    tel.stop(timer, "eval", Some(t as u64));
+    Some(EvalPoint {
+        iteration: t + 1,
+        epoch: (t + 1) as f64 * cfg.dp.batch_size as f64 / cfg.per_worker as f64,
+        accuracy,
+    })
+}
+
+/// The server's defense, built once per run from `cfg.defense`.
+enum Defense {
+    /// Plain averaging of the whole cohort (Reference Accuracy / undefended).
+    Mean,
+    /// A classical robust rule over the whole cohort.
+    Robust(AggregatorKind),
+    /// FLTrust: cosine-trust weighting of the whole cohort against the
+    /// server's gradient on `aux`.
+    FlTrust { aux: Dataset },
+    /// The paper's two stages; the second scores each survivor against the
+    /// server's gradient on `aux`.
+    TwoStage { first: FirstStage, second: SecondStage, aux: Dataset },
+}
+
+impl Defense {
+    /// The state `cfg.defense` needs for a `d`-parameter model under the
+    /// σ-resolved `dp`. An auxiliary set is drawn off the master stream
+    /// right where `prepare`'s partition left it, from the validation pool —
+    /// or, for the two stages under `ood_auxiliary`, from a pool of another
+    /// data space (supp. Table 17).
+    fn new(cfg: &SimulationConfig, prep: &PreparedRun, dp: &DpSgdConfig, d: usize) -> Self {
+        let mut master = prep.master.clone();
+        let defense = &cfg.defense_cfg;
+        let mut aux = |pool: &Dataset| sample_auxiliary(&mut master, pool, defense.aux_per_class);
+        match cfg.defense {
+            DefenseKind::NoDefense => Defense::Mean,
+            DefenseKind::Robust { rule } => Defense::Robust(rule),
+            DefenseKind::FlTrust => Defense::FlTrust { aux: aux(&prep.validation) },
+            DefenseKind::TwoStage => {
+                assert!(
+                    dp.noise_multiplier > 0.0,
+                    "the two-stage defense requires DP noise (σ > 0)"
+                );
+                let ood;
+                let pool = if cfg.ood_auxiliary {
+                    let seed = cfg.seed.wrapping_add(0xbad);
+                    ood = SyntheticSpec::kmnist_like().generate(prep.validation.len(), seed);
+                    &ood
+                } else {
+                    &prep.validation
+                };
+                Defense::TwoStage {
+                    first: FirstStage::new(
+                        dp.effective_noise_std(),
+                        d,
+                        defense.ks_significance,
+                        defense.norm_test_stds,
+                    ),
+                    second: SecondStage::with_rules(
+                        cfg.n_total(),
+                        defense.gamma,
+                        defense.scoring,
+                        defense.weighting,
+                    ),
+                    aux: aux(pool),
+                }
+            }
+        }
+    }
+}
+
+/// The server's gradient on its auxiliary set `aux` at `params`, written
+/// into `grad`: one batched forward/backward over the set's already packed
+/// feature matrix.
+fn server_gradient<'g>(
+    model: &mut Sequential,
+    aux: &Dataset,
+    params: &[f32],
+    grad: &'g mut [f32],
+) -> &'g [f32] {
+    model.set_params(params);
+    model.batch_gradient_packed(&CrossEntropyLoss, &aux.features, &aux.labels, grad);
+    grad
+}
+
+/// A two-stage round's bookkeeping and second-stage selection, from its
+/// folded slots (one per cohort member, in cohort order). Returns the
+/// stage-1 acceptance count and the selection on the precomputed scores.
+///
+/// `metrics` (present iff a telemetry sink is attached) receives the
+/// round's stage-1 breakdown, score summary and selection count,
+/// accumulated sequentially in cohort order.
+///
+/// Why the result does not depend on when, where or in what order the
+/// uploads were folded:
+/// * per-upload verdicts and scores are pure functions of the upload
+///   bits, so any shard merge that restores cohort order — concatenation
+///   in shard order — gives the same `slots` at every thread count;
+/// * a rejected upload contributes the literal `+0.0` that scoring the
+///   zeroed vector of Algorithm 2 gives, and [`apply_selected`] skips it,
+///   which skips only exact `+ w·0.0` terms (the `f64` accumulator never
+///   holds `-0.0`, so those additions are bit-exact no-ops);
+/// * a member that never delivered ([`Collected::Dropped`]) is the same
+///   rejection, except that the first stage never saw it: no
+///   [`CheckInfo`], and telemetry counts it as dropped in transit.
+fn select(
+    cfg: &SimulationConfig,
+    second: &mut SecondStage,
+    cohort: &[usize],
+    slots: &[Collected],
+    stats: &mut DefenseStats,
+    tel: &Telemetry,
+    mut metrics: Option<&mut RoundMetrics>,
+) -> (u64, SelectionResult) {
+    let round = metrics.as_ref().map(|m| m.round);
+    // Bookkeeping + full-length round scores, in cohort (= global index)
+    // order. The telemetry counters accumulate in the same sequential
+    // pass — after the shard merge, so they inherit its thread-count
+    // independence.
+    let mut accepted = 0u64;
+    let mut round_scores = vec![0.0f64; second.accumulated_scores().len()];
+    for (&i, slot) in cohort.iter().zip(slots) {
+        let (score, retained, info) = match slot {
+            Collected::Scored(score, retained, info) => (*score, retained, *info),
+            Collected::Dropped => (0.0, &Retained::Rejected, None),
+            Collected::Upload(_) => unreachable!("every slot is folded before the selection"),
+        };
+        let rejected = matches!(retained, Retained::Rejected);
+        if !rejected {
+            accepted += 1;
+        } else if i < cfg.n_honest {
+            stats.first_stage_rejected_honest += 1;
+        } else {
+            stats.first_stage_rejected_byzantine += 1;
+        }
+        if let Some(m) = metrics.as_deref_mut() {
+            note_stage1(m, info, matches!(slot, Collected::Dropped));
+            match retained {
+                Retained::Rejected => {}
+                Retained::Exact(g) => m.retained_exact_bytes += 4 * g.len() as u64,
+                Retained::Quantized(q) => m.retained_quantized_bytes += 4 + 2 * q.len() as u64,
+            }
+        }
+        round_scores[i] = score;
+    }
+
+    // Second stage on the precomputed scores.
+    let timer = tel.start();
+    let selection = second.select_scored(cohort, round_scores);
+    tel.stop(timer, "stage2", round);
+    stats.total_selected += selection.selected.len() as u64;
+    stats.byzantine_selected +=
+        selection.selected.iter().filter(|&&i| i >= cfg.n_honest).count() as u64;
+    if let Some(m) = metrics {
+        // Post-suppression round scores, observed in cohort order.
+        for &i in cohort {
+            m.scores.observe(selection.round_scores[i]);
+        }
+        m.selected = selection.selected.len() as u64;
+    }
+    (accepted, selection)
+}
+
+/// The two-stage model update `w ← w − η·(1/n)·Σ_{g∈G} g` (Algorithm 1
+/// line 14), weighted per `selection`, from the selected survivors retained
+/// in `slots`. `n` is the round's participant count — at full participation
+/// the total worker count, as the paper writes it.
+fn apply_selected(
+    cfg: &SimulationConfig,
+    cohort: &[usize],
+    slots: &[Collected],
+    selection: &SelectionResult,
     lr: f64,
     params: &mut [f32],
 ) {
-    let refs: Vec<&[f32]> = uploads.iter().map(|u| u.as_slice()).collect();
-    let g = match &cfg.defense {
-        DefenseKind::NoDefense => vecops::mean(&refs).expect("at least one worker"),
-        DefenseKind::Robust { rule } => rule.aggregate(uploads),
-        DefenseKind::FlTrust => {
-            let (aux, model, grad_buf) =
-                fltrust_state.as_mut().expect("fltrust state always built");
-            model.set_params(params);
-            // Trust gradient in one batched forward/backward: the aux
-            // dataset's features are already the packed matrix.
-            model.batch_gradient_packed(&CrossEntropyLoss, &aux.features, &aux.labels, grad_buf);
-            crate::aggregator_ext::fltrust(&refs, grad_buf)
-        }
-        DefenseKind::TwoStage => unreachable!("two-stage rounds finish through the fold"),
+    let denom = match cfg.defense_cfg.step_normalization {
+        StepNormalization::TotalWorkers => cohort.len() as f64,
+        StepNormalization::SelectedCount => selection.selected.len().max(1) as f64,
     };
-    vecops::axpy(-(lr as f32), &g, params);
-}
-
-/// The two-stage defense's mutable state.
-pub(crate) struct TwoStageState {
-    pub(crate) first: FirstStage,
-    pub(crate) second: SecondStage,
-    pub(crate) aux: Dataset,
-    pub(crate) server_model: Sequential,
-    pub(crate) grad_buf: Vec<f32>,
-}
-
-impl TwoStageState {
-    /// Opens a round: computes the server's clean gradient from the
-    /// auxiliary data (Algorithm 3 line 4, one batched forward/backward over
-    /// the aux dataset's already packed feature matrix — the first `stage2`
-    /// span) and returns the round's per-upload fold, [`fold_upload`]
-    /// against that gradient. The gradient comes first so every upload can
-    /// be scored the moment it survives the first stage; it is RNG-free and
-    /// reads only `params`, which no worker mutates, so *when* a round opens
-    /// moves no bit.
-    fn open_round<'a>(
-        &'a mut self,
-        cfg: &'a SimulationConfig,
-        params: &[f32],
-        tel: &Telemetry,
-        round: Option<u64>,
-    ) -> impl Fn(Vec<f32>, &mut KsScratch) -> Collected + Sync + 'a {
-        let timer = tel.start();
-        self.server_model.set_params(params);
-        self.server_model.batch_gradient_packed(
-            &CrossEntropyLoss,
-            &self.aux.features,
-            &self.aux.labels,
-            &mut self.grad_buf,
-        );
-        tel.stop(timer, "stage2", round);
-        let (first, grad) = (&self.first, self.grad_buf.as_slice());
-        move |upload, scratch| fold_upload(first, cfg, upload, scratch, grad)
+    let mut update = vec![0.0f64; params.len()];
+    for &i in &selection.selected {
+        let w = selection.weights[i];
+        let k = cohort.binary_search(&i).expect("selected index is in the cohort");
+        match &slots[k] {
+            Collected::Scored(_, Retained::Exact(g), _) => {
+                for (u, &g) in update.iter_mut().zip(g) {
+                    *u += w * g as f64;
+                }
+            }
+            Collected::Scored(_, Retained::Quantized(q), _) => {
+                for (u, g) in update.iter_mut().zip(q.iter()) {
+                    *u += w * g as f64;
+                }
+            }
+            _ => {} // rejected or dropped: nothing retained
+        }
     }
-
-    /// Completes a round from its folded slots (one per cohort member, in
-    /// cohort order): bookkeeping, second-stage selection on the precomputed
-    /// scores, and the model update `w ← w − η·(1/n)·Σ_{g∈G} g` (Algorithm 1
-    /// line 14) from the retained survivors, applied to `params`. Returns
-    /// the stage-1 acceptance count.
-    ///
-    /// `metrics` (present iff a telemetry sink is attached) receives the
-    /// round's stage-1 breakdown, score summary and selection count,
-    /// accumulated sequentially in cohort order.
-    ///
-    /// Why the result does not depend on when, where or in what order the
-    /// uploads were folded:
-    /// * per-upload verdicts and scores are pure functions of the upload
-    ///   bits, so any shard merge that restores cohort order — concatenation
-    ///   in shard order — gives the same `slots` at every thread count;
-    /// * a rejected upload contributes the literal `+0.0` that scoring the
-    ///   zeroed vector of Algorithm 2 gives, and skipping it in the update
-    ///   sum skips only exact `+ w·0.0` terms (the `f64` accumulator never
-    ///   holds `-0.0`, so those additions are bit-exact no-ops);
-    /// * a member that never delivered ([`Collected::Dropped`]) is the same
-    ///   rejection, except that the first stage never saw it: no
-    ///   [`CheckInfo`], and telemetry counts it as dropped in transit.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &mut self,
-        cfg: &SimulationConfig,
-        cohort: &[usize],
-        slots: &[Collected],
-        params: &mut [f32],
-        stats: &mut DefenseStats,
-        lr: f64,
-        tel: &Telemetry,
-        mut metrics: Option<&mut RoundMetrics>,
-    ) -> u64 {
-        let round = metrics.as_ref().map(|m| m.round);
-        // Bookkeeping + full-length round scores, in cohort (= global index)
-        // order. The telemetry counters accumulate in the same sequential
-        // pass — after the shard merge, so they inherit its thread-count
-        // independence.
-        let mut accepted = 0u64;
-        let mut round_scores = vec![0.0f64; self.second.accumulated_scores().len()];
-        for (&i, slot) in cohort.iter().zip(slots) {
-            let (score, retained, info) = match slot {
-                Collected::Scored(score, retained, info) => (*score, retained, *info),
-                Collected::Dropped => (0.0, &Retained::Rejected, None),
-                Collected::Upload(_) => unreachable!("every slot is folded before the finish"),
-            };
-            let rejected = matches!(retained, Retained::Rejected);
-            if !rejected {
-                accepted += 1;
-            } else if i < cfg.n_honest {
-                stats.first_stage_rejected_honest += 1;
-            } else {
-                stats.first_stage_rejected_byzantine += 1;
-            }
-            if let Some(m) = metrics.as_deref_mut() {
-                note_stage1(m, info, matches!(slot, Collected::Dropped));
-                match retained {
-                    Retained::Rejected => {}
-                    Retained::Exact(g) => m.retained_exact_bytes += 4 * g.len() as u64,
-                    Retained::Quantized(q) => m.retained_quantized_bytes += 4 + 2 * q.len() as u64,
-                }
-            }
-            round_scores[i] = score;
-        }
-
-        // Second stage on the precomputed scores.
-        let timer = tel.start();
-        let selection = self.second.select_scored(cohort, round_scores);
-        tel.stop(timer, "stage2", round);
-        stats.total_selected += selection.selected.len() as u64;
-        stats.byzantine_selected +=
-            selection.selected.iter().filter(|&&i| i >= cfg.n_honest).count() as u64;
-        if let Some(m) = metrics {
-            // Post-suppression round scores, observed in cohort order.
-            for &i in cohort {
-                m.scores.observe(selection.round_scores[i]);
-            }
-            m.selected = selection.selected.len() as u64;
-        }
-
-        // Model update from the retained survivors. `n` is the round's
-        // participant count — at full participation the total worker count,
-        // as the paper writes it.
-        let timer = tel.start();
-        let denom = match cfg.defense_cfg.step_normalization {
-            StepNormalization::TotalWorkers => cohort.len() as f64,
-            StepNormalization::SelectedCount => selection.selected.len().max(1) as f64,
-        };
-        let mut update = vec![0.0f64; params.len()];
-        for &i in &selection.selected {
-            let w = selection.weights[i];
-            let k = cohort.binary_search(&i).expect("selected index is in the cohort");
-            match &slots[k] {
-                Collected::Scored(_, Retained::Exact(g), _) => {
-                    for (u, &g) in update.iter_mut().zip(g) {
-                        *u += w * g as f64;
-                    }
-                }
-                Collected::Scored(_, Retained::Quantized(q), _) => {
-                    for (u, g) in update.iter_mut().zip(q.iter()) {
-                        *u += w * g as f64;
-                    }
-                }
-                _ => {} // rejected or dropped: nothing retained
-            }
-        }
-        let coef = -lr / denom;
-        for (p, u) in params.iter_mut().zip(update) {
-            *p += (u * coef) as f32;
-        }
-        tel.stop(timer, "aggregate", round);
-        accepted
+    let coef = -lr / denom;
+    for (p, u) in params.iter_mut().zip(update) {
+        *p += (u * coef) as f32;
     }
 }
 

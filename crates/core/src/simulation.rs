@@ -11,11 +11,9 @@
 use crate::aggregator::AggregatorKind;
 use crate::attack::AttackSpec;
 use crate::config::{DefenseConfig, DpSgdConfig, ServingSpec};
-use crate::first_stage::FirstStage;
-use crate::round::{init_model, InProcessTransport, Transport, TwoStageState};
-use crate::second_stage::SecondStage;
-use dpbfl_data::{iid_partition, non_iid_partition, sample_auxiliary, Dataset, SyntheticSpec};
-use dpbfl_dp::{paper_delta, EpsilonSchedule, RdpAccountant};
+use crate::round::{InProcessTransport, Transport};
+use dpbfl_data::{iid_partition, non_iid_partition, Dataset, SyntheticSpec};
+use dpbfl_dp::{paper_delta, RdpAccountant};
 use dpbfl_nn::{zoo, Sequential};
 use dpbfl_stats::sample_without_replacement;
 use dpbfl_telemetry::Telemetry;
@@ -283,46 +281,12 @@ pub struct DefenseStats {
     pub total_selected: u64,
 }
 
-/// Result of one simulation run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Final test accuracy.
-    pub final_accuracy: f64,
-    /// Accuracy trajectory.
-    pub history: Vec<EvalPoint>,
-    /// Defense bookkeeping (zeros when no defense ran).
-    pub defense_stats: DefenseStats,
-    /// The noise multiplier σ actually used.
-    pub sigma: f64,
-    /// The learning rate actually used.
-    pub lr: f64,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// δ used by the accountant (0 for non-private runs).
-    pub delta: f64,
-}
+/// Result of one simulation run: its summary.
+pub type RunResult = RunSummary;
 
-impl RunResult {
-    /// The stable, serializable summary of this run (what experiment sinks
-    /// persist).
-    pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            final_accuracy: self.final_accuracy,
-            sigma: self.sigma,
-            lr: self.lr,
-            iterations: self.iterations,
-            delta: self.delta,
-            defense_stats: self.defense_stats.clone(),
-            history: self.history.clone(),
-        }
-    }
-}
-
-/// Serializable summary of a [`RunResult`].
-///
-/// This is the on-disk contract of the `dpbfl-harness` JSONL sink: field
-/// names and meanings are stable, so archived grid results stay readable as
-/// the in-memory [`RunResult`] evolves.
+/// The result of one simulation run, and the on-disk contract of the
+/// `dpbfl-harness` JSONL sink: field names and meanings are stable, so
+/// archived grid results stay readable.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Final test accuracy in [0, 1].
@@ -339,6 +303,13 @@ pub struct RunSummary {
     pub defense_stats: DefenseStats,
     /// Per-evaluation accuracy trajectory.
     pub history: Vec<EvalPoint>,
+}
+
+impl RunSummary {
+    /// A copy of this summary (the name callers of [`RunResult`] use).
+    pub fn summary(&self) -> RunSummary {
+        self.clone()
+    }
 }
 
 /// The deterministic data-preparation product of a run: everything derived
@@ -411,7 +382,7 @@ pub(crate) fn data_members(cfg: &SimulationConfig) -> usize {
 /// Number of pooled shards [`prepare`] deals: one per data member, none
 /// under on-demand provisioning (every sampled client synthesizes its own
 /// shard inside the round loop).
-fn data_worker_count(cfg: &SimulationConfig) -> usize {
+pub(crate) fn data_worker_count(cfg: &SimulationConfig) -> usize {
     match cfg.provisioning {
         Provisioning::OnDemand => 0,
         Provisioning::Pooled => data_members(cfg),
@@ -541,7 +512,7 @@ pub fn run_prepared_telemetry(
     }
     let (dp, delta) = calibrated_dp(cfg);
     let mut transport = InProcessTransport::new(cfg, prep, &dp);
-    run_calibrated(cfg, prep, &mut transport, tel, &dp, delta)
+    crate::round::orchestrate(cfg, prep, &mut transport, tel, &dp, delta)
 }
 
 /// Runs one full experiment on already-prepared data, delivering uploads
@@ -569,7 +540,7 @@ pub fn run_with_transport_telemetry(
         "sign-DP runs its own loop (baseline::run_sign_dp) and cannot be served over a transport"
     );
     let (dp, delta) = calibrated_dp(cfg);
-    run_calibrated(cfg, prep, transport, tel, &dp, delta)
+    crate::round::orchestrate(cfg, prep, transport, tel, &dp, delta)
 }
 
 /// The run's privacy calibration: the worker-side DP parameters carrying the
@@ -580,112 +551,6 @@ pub(crate) fn calibrated_dp(cfg: &SimulationConfig) -> (DpSgdConfig, f64) {
     let mut dp = cfg.dp.clone();
     dp.noise_multiplier = sigma;
     (dp, delta)
-}
-
-/// The body both entry points share, on an already-calibrated `dp`.
-fn run_calibrated(
-    cfg: &SimulationConfig,
-    prep: &PreparedRun,
-    transport: &mut dyn Transport,
-    tel: &Telemetry,
-    dp: &DpSgdConfig,
-    delta: f64,
-) -> RunResult {
-    assert!(
-        cfg.sampling.is_finite() && cfg.sampling > 0.0 && cfg.sampling <= 1.0,
-        "sampling fraction must be in (0, 1], got {}",
-        cfg.sampling
-    );
-    let sigma = dp.noise_multiplier;
-    // Claim 6: the base learning rate, tuned at σ_b, transfers as η_b·σ_b/σ.
-    let lr = if sigma > 0.0 {
-        crate::tuning::transfer_lr(cfg.base_lr, cfg.base_sigma, sigma)
-    } else {
-        cfg.base_lr
-    };
-
-    // ---- data (prepared) -------------------------------------------------
-    assert_eq!(data_worker_count(cfg), prep.parts.len(), "prepared data does not match config");
-    let test = &prep.test;
-    let validation = &prep.validation;
-    // Resume the master stream exactly where `prepare` left it.
-    let mut master = prep.master.clone();
-
-    // ---- model ------------------------------------------------------------
-    let mut server_model = init_model(cfg);
-    let d = server_model.param_len();
-    let mut params = server_model.params();
-
-    // ---- defense state ----------------------------------------------------
-    let n_total = cfg.n_total();
-    let mut fltrust_state = match &cfg.defense {
-        DefenseKind::FlTrust => {
-            let aux = sample_auxiliary(&mut master, validation, cfg.defense_cfg.aux_per_class);
-            Some((aux, server_model.clone(), vec![0.0f32; d]))
-        }
-        _ => None,
-    };
-    let mut defense = match &cfg.defense {
-        DefenseKind::TwoStage => {
-            assert!(sigma > 0.0, "the two-stage defense requires DP noise (σ > 0)");
-            let aux_source = if cfg.ood_auxiliary {
-                SyntheticSpec::kmnist_like()
-                    .generate(validation.len(), cfg.seed.wrapping_add(0xbad))
-            } else {
-                validation.clone()
-            };
-            let aux = sample_auxiliary(&mut master, &aux_source, cfg.defense_cfg.aux_per_class);
-            Some(TwoStageState {
-                first: FirstStage::new(
-                    dp.effective_noise_std(),
-                    d,
-                    cfg.defense_cfg.ks_significance,
-                    cfg.defense_cfg.norm_test_stds,
-                ),
-                second: SecondStage::with_rules(
-                    n_total,
-                    cfg.defense_cfg.gamma,
-                    cfg.defense_cfg.scoring,
-                    cfg.defense_cfg.weighting,
-                ),
-                aux,
-                server_model: server_model.clone(),
-                grad_buf: vec![0.0f32; d],
-            })
-        }
-        _ => None,
-    };
-
-    // ---- training loop ----------------------------------------------------
-    // Per-round telemetry annotates each round with the cumulative achieved
-    // ε. The RDP curve is round-invariant, so derive it once here instead of
-    // rebuilding the accountant inside the loop.
-    let eps_schedule = if tel.enabled() && dp.noise_multiplier > 0.0 && delta > 0.0 {
-        let q_batch = cfg.dp.batch_size as f64 / cfg.per_worker as f64;
-        Some(EpsilonSchedule::new(cfg.sampling, q_batch, dp.noise_multiplier, delta))
-    } else {
-        None
-    };
-    let iterations = cfg.iterations();
-    let (history, stats) = crate::round::orchestrate(
-        cfg,
-        dp,
-        lr,
-        test,
-        &mut server_model,
-        &mut params,
-        &mut defense,
-        &mut fltrust_state,
-        transport,
-        tel,
-        eps_schedule.as_ref(),
-    );
-
-    let final_accuracy = history.last().map(|p| p.accuracy).unwrap_or(0.0);
-    let result =
-        RunResult { final_accuracy, history, defense_stats: stats, sigma, lr, iterations, delta };
-    transport.publish_summary(&result.summary());
-    result
 }
 
 /// σ and δ for the run: either derived from the ε target via the accountant,

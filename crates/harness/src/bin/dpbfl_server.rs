@@ -174,7 +174,7 @@ fn real_main() -> i32 {
     }
 
     if let Some(path) = summary_out {
-        let json = match serde_json::to_string(&result.summary()) {
+        let json = match serde_json::to_string(&result) {
             Ok(json) => json,
             Err(e) => {
                 eprintln!("error: serializing summary: {e}");

@@ -217,7 +217,7 @@ pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, S
     let started = Instant::now();
     let timed = with_threads(opts.threads, || {
         run_cells_timed(&todo, opts.metrics_dir.as_deref(), |cell, result, ms| {
-            let record = record_for(spec, cell, result.summary());
+            let record = record_for(spec, cell, result.clone());
             let mut line = sink::to_line(&record);
             line.push('\n');
             // Best-effort: the canonical rewrite below is the one that
@@ -244,8 +244,8 @@ pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, S
     // index may have moved if the spec grew.
     let mut summary_of: HashMap<&str, RunSummary> =
         done.values().map(|r| (r.key.as_str(), r.summary.clone())).collect();
-    for (cell, (result, _)) in todo.iter().zip(&timed) {
-        summary_of.insert(cell.key.as_str(), result.summary());
+    for (cell, (result, _)) in todo.iter().zip(timed) {
+        summary_of.insert(cell.key.as_str(), result);
     }
     let records: Vec<CellRecord> =
         cells.iter().map(|c| record_for(spec, c, summary_of[c.key.as_str()].clone())).collect();

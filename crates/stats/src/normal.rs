@@ -18,7 +18,8 @@ pub struct Normal {
 
 impl Normal {
     /// Standard normal `N(0, 1)`.
-    pub const STANDARD: Normal = Normal { mean: 0.0, std: 1.0 };
+    #[cfg(test)]
+    const STANDARD: Normal = Normal { mean: 0.0, std: 1.0 };
 
     /// Builds `N(mean, std²)`. Panics if `std` is not strictly positive.
     pub fn new(mean: f64, std: f64) -> Self {

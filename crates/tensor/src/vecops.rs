@@ -81,10 +81,11 @@ pub fn scale(v: &mut [f32], alpha: f32) {
 ///
 /// This is the paper's sensitivity-bounding operation (Section 4.2): the
 /// multiplication factor is `1/‖g‖₂` instead of DP-SGD's
-/// `min{1, C/‖g‖₂}`. Zero vectors are left untouched (norm 0 is returned);
-/// callers in the DP path treat an all-zero per-example gradient as already
-/// norm-bounded.
-pub fn normalize(v: &mut [f32]) -> f64 {
+/// `min{1, C/‖g‖₂}`. Zero vectors are left untouched (norm 0 is returned).
+/// The DP worker fuses it into its momentum blend; this standalone form is
+/// a test reference.
+#[cfg(test)]
+fn normalize(v: &mut [f32]) -> f64 {
     let norm = l2_norm(v);
     if norm > 0.0 {
         let inv = (1.0 / norm) as f32;
@@ -139,6 +140,17 @@ pub fn sum(vectors: &[&[f32]]) -> Option<Vec<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn normalize_yields_unit_norm_or_zero(mut v in prop::collection::vec(-1e3f32..1e3f32, 1..64)) {
+            let norm = normalize(&mut v);
+            if norm > 1e-6 {
+                prop_assert!((l2_norm(&v) - 1.0).abs() < 1e-4);
+            }
+        }
+    }
 
     #[test]
     fn norms_and_dot() {

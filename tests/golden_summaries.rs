@@ -1,7 +1,7 @@
 //! Golden `RunSummary` pins: every server rule's observable output, frozen
 //! as 64-bit FNV-1a hashes of the serialized summary.
 //!
-//! The defense is one pipeline (`fold_upload` → `TwoStageState::finish`);
+//! The defense is one pipeline (`fold_upload` → `select` → `apply_selected`);
 //! these pins hold it to the bits the repo has always produced, for every
 //! attack variant, with and without client sampling, pooled and on-demand
 //! provisioning, at 1 and 4 threads. Beside it they pin the undefended mean,
