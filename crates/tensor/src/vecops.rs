@@ -144,7 +144,9 @@ mod tests {
 
     proptest! {
         #[test]
-        fn normalize_yields_unit_norm_or_zero(mut v in prop::collection::vec(-1e3f32..1e3f32, 1..64)) {
+        fn normalize_yields_unit_norm_or_zero(
+            mut v in prop::collection::vec(-1e3f32..1e3f32, 1..64)
+        ) {
             let norm = normalize(&mut v);
             if norm > 1e-6 {
                 prop_assert!((l2_norm(&v) - 1.0).abs() < 1e-4);
