@@ -33,9 +33,9 @@
 //! The public contract is **decision equivalence, not statistic
 //! equivalence**: for every upload, `check` returns exactly the same
 //! [`FirstStageVerdict`] as `check_reference`, the always-sort
-//! implementation retained as a test oracle (the envelope brackets the exact statistic and
-//! decisions are only made outside guarded margins around the critical
-//! value; see `dpbfl_stats::ks` for the argument). The equivalence is
+//! implementation retained as a test oracle (the envelope brackets the
+//! exact statistic and decisions are only made outside guarded margins
+//! around the critical value; see `dpbfl_stats::ks` for the argument). The equivalence is
 //! hammered by `crates/stats/tests/proptest_ks_fastpath.rs`, the unit tests
 //! below, and an end-to-end test that re-checks every real upload of a
 //! two-stage run against the oracle.
