@@ -23,6 +23,7 @@
 //! like `serving/churn_sweep` need no client-side flags at all.
 
 use dpbfl::prelude::*;
+use dpbfl_harness::cli::{self, Args, CliError, CliResult};
 
 const USAGE: &str = "dpbfl-client — host data workers for a dpbfl-server run
 
@@ -50,86 +51,41 @@ cover the whole set. A claim over a dead predecessor's workers re-binds
 them: the server replays closed rounds and the run continues.";
 
 fn main() {
-    std::process::exit(real_main());
+    cli::main(USAGE, connect)
 }
 
-fn real_main() -> i32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return 0;
-    }
-    let mut connect: Option<String> = None;
-    let mut workers: Option<Vec<usize>> = None;
+fn connect(mut args: Args) -> CliResult {
+    let connect = args.value("--connect")?;
+    let workers = args.value("--workers")?.map(|v| index_list("--workers", &v)).transpose()?;
     let mut opts = ClientOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("error: {flag} needs a value\n\n{USAGE}");
-            return 2;
-        };
-        // One parse closure per target type, so every numeric flag reports
-        // the offending value the same way.
-        macro_rules! parsed {
-            ($what:literal) => {
-                match value.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        eprintln!("error: {flag} wants {}, got `{value}`", $what);
-                        return 2;
-                    }
-                }
-            };
-        }
-        match flag {
-            "--connect" => connect = Some(value.clone()),
-            "--workers" => match parse_workers(value) {
-                Ok(list) => workers = Some(list),
-                Err(e) => {
-                    eprintln!("error: --workers {value}: {e}");
-                    return 2;
-                }
-            },
-            "--max-retries" => opts.max_retries = parsed!("an attempt count"),
-            "--backoff-ms" => opts.backoff_ms = parsed!("milliseconds"),
-            "--drop-at-round" => opts.fault.drop_at_round = Some(parsed!("a round index")),
-            "--skip-rounds" => match parse_workers(value) {
-                Ok(list) => opts.fault.skip_rounds = list,
-                Err(e) => {
-                    eprintln!("error: --skip-rounds {value}: {e}");
-                    return 2;
-                }
-            },
-            "--flaky-pct" => opts.fault.flaky_pct = parsed!("a percentage"),
-            "--fault-seed" => opts.fault.seed = parsed!("a seed"),
-            other => {
-                eprintln!("error: unknown flag `{other}`\n\n{USAGE}");
-                return 2;
-            }
-        }
-        i += 2;
+    opts.max_retries =
+        args.parsed("--max-retries", "an attempt count")?.unwrap_or(opts.max_retries);
+    opts.backoff_ms = args.parsed("--backoff-ms", "milliseconds")?.unwrap_or(opts.backoff_ms);
+    let fault = &mut opts.fault;
+    fault.drop_at_round = args.parsed("--drop-at-round", "a round index")?;
+    if let Some(rounds) = args.value("--skip-rounds")? {
+        fault.skip_rounds = index_list("--skip-rounds", &rounds)?;
     }
+    fault.flaky_pct = args.parsed("--flaky-pct", "a percentage")?.unwrap_or(fault.flaky_pct);
+    fault.seed = args.parsed("--fault-seed", "a seed")?.unwrap_or(fault.seed);
+    args.finish()?;
     let (Some(addr), Some(workers)) = (connect, workers) else {
-        eprintln!("error: --connect and --workers are both required\n\n{USAGE}");
-        return 2;
+        return Err(CliError::Usage("--connect and --workers are both required".into()));
     };
-    if !(opts.fault.flaky_pct.is_finite() && (0.0..=100.0).contains(&opts.fault.flaky_pct)) {
-        eprintln!("error: --flaky-pct must be in [0, 100], got {}", opts.fault.flaky_pct);
-        return 2;
+    let pct = opts.fault.flaky_pct;
+    if !(pct.is_finite() && (0.0..=100.0).contains(&pct)) {
+        return Err(CliError::Usage(format!("--flaky-pct must be in [0, 100], got {pct}")));
     }
 
     println!("connecting to {addr} claiming workers {workers:?}");
-    match run_client(&addr, &workers, &opts) {
-        Ok(summary_json) => {
-            println!("run complete; server summary:\n{summary_json}");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
+    let summary_json = run_client(&addr, &workers, &opts)?;
+    println!("run complete; server summary:\n{summary_json}");
+    Ok(())
+}
+
+/// [`parse_workers`] of `flag`'s value, naming both on failure.
+fn index_list(flag: &str, value: &str) -> Result<Vec<usize>, CliError> {
+    parse_workers(value).map_err(|e| CliError::Usage(format!("{flag} {value}: {e}")))
 }
 
 /// Parses a worker-index spec: comma-separated indices and inclusive

@@ -16,12 +16,27 @@
 //! A scenario argument is first resolved against the built-in registry
 //! (`dpbfl-exp list`), then as a JSON spec file path.
 
+use dpbfl_harness::cli::{self, Args, CliError, CliResult};
 use dpbfl_harness::runner::{self, RunOptions};
 use dpbfl_harness::{docs, registry, report, sink, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
 fn main() {
-    std::process::exit(real_main());
+    cli::main(USAGE, |mut args| match args.positional("command")?.as_str() {
+        "list" => list(args),
+        "show" => show(args),
+        "validate" => validate(args),
+        "run" => run(args),
+        "report" => regenerate_report(args),
+        "metrics" => render_metrics(args),
+        "docs" => write_docs(args),
+        "perf" => perf(args),
+        "help" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    })
 }
 
 const USAGE: &str = "dpbfl-exp — dpbfl experiment grids
@@ -78,277 +93,116 @@ than the parent's by more than the bound (the exit status is then 1).
 9 in 10 of the pairs and its median beats the parent's by more than the
 parent's q3 − q1: the rule a claimed improvement must meet.";
 
-fn real_main() -> i32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().map(String::as_str) else {
-        eprintln!("{USAGE}");
-        return 2;
-    };
-    match command {
-        "list" => list(),
-        "show" => with_scenario(&args, |spec| match serde_json::to_string_pretty(&spec) {
-            Ok(json) => {
-                println!("{json}");
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        }),
-        "validate" => validate(&args),
-        "run" => run(&args),
-        "report" => regenerate_report(&args),
-        "metrics" => render_metrics(&args),
-        "docs" => write_docs(&args),
-        "perf" => perf(&args),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            0
-        }
-        other => {
-            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
-            2
-        }
-    }
-}
-
-fn list() -> i32 {
+fn list(args: Args) -> CliResult {
+    args.finish()?;
     println!("{:<24} {:>6}  title", "scenario", "cells");
     for name in registry::names() {
         let spec = registry::get(name).expect("registered");
         println!("{name:<24} {:>6}  {}", spec.n_cells(), spec.title);
     }
     println!("\nrun one with: dpbfl-exp run <scenario>");
-    0
+    Ok(())
 }
 
-fn with_scenario(args: &[String], f: impl FnOnce(ScenarioSpec) -> i32) -> i32 {
-    let Some(arg) = args.get(1) else {
-        eprintln!("error: missing <scenario> argument\n\n{USAGE}");
-        return 2;
-    };
-    match registry::resolve(arg) {
-        Ok(spec) => f(spec),
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
+fn show(mut args: Args) -> CliResult {
+    let arg = args.positional("scenario")?;
+    args.finish()?;
+    let spec = registry::resolve(&arg)?;
+    println!("{}", serde_json::to_string_pretty(&spec).map_err(|e| e.to_string())?);
+    Ok(())
 }
 
-fn validate(args: &[String]) -> i32 {
-    let Some(arg) = args.get(1) else {
-        eprintln!("error: missing <file.json> argument\n\n{USAGE}");
-        return 2;
-    };
-    let spec = match ScenarioSpec::load(Path::new(arg)) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+fn validate(mut args: Args) -> CliResult {
+    let path = args.positional("file.json")?;
+    args.finish()?;
+    let spec = ScenarioSpec::load(Path::new(&path))?;
     let problems = spec.validate();
     if !problems.is_empty() {
-        eprintln!("error: `{}` has {} problem(s):", spec.name, problems.len());
-        for problem in &problems {
-            eprintln!("  - {problem}");
-        }
-        return 1;
+        let (name, n) = (&spec.name, problems.len());
+        return Err(format!("`{name}` has {n} problem(s):\n  - {}", problems.join("\n  - ")).into());
     }
     println!("ok: `{}` expands to {} cells", spec.name, spec.n_cells());
-    0
+    Ok(())
 }
 
-/// The flags of `run`; `report` takes only `--out` and `--metrics-dir`.
-struct Flags {
-    threads: Option<usize>,
-    out_dir: PathBuf,
-    resume: bool,
-    quiet: bool,
-    metrics_dir: Option<PathBuf>,
-}
-
-fn parse_flags(args: &[String], run: bool) -> Result<Flags, String> {
-    let mut flags = Flags {
-        threads: None,
-        out_dir: PathBuf::from("target/harness"),
-        resume: false,
-        quiet: false,
-        metrics_dir: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" if run => {
-                let value = args.get(i + 1).ok_or_else(|| "--threads needs a value".to_string())?;
-                flags.threads = runner::parse_threads(value)?;
-                i += 2;
-            }
-            "--out" => {
-                let value = args.get(i + 1).ok_or_else(|| "--out needs a value".to_string())?;
-                flags.out_dir = PathBuf::from(value);
-                i += 2;
-            }
-            "--metrics-dir" => {
-                let value =
-                    args.get(i + 1).ok_or_else(|| "--metrics-dir needs a value".to_string())?;
-                flags.metrics_dir = Some(PathBuf::from(value));
-                i += 2;
-            }
-            "--resume" if run => {
-                flags.resume = true;
-                i += 1;
-            }
-            "--quiet" if run => {
-                flags.quiet = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+/// `--out DIR` and `--metrics-dir DIR`, the flags `run` and `report` share.
+fn output_options(args: &mut Args) -> Result<RunOptions, CliError> {
+    let mut opts = RunOptions::default();
+    if let Some(dir) = args.value("--out")? {
+        opts.out_dir = dir.into();
     }
-    Ok(flags)
+    opts.metrics_dir = args.value("--metrics-dir")?.map(PathBuf::from);
+    Ok(opts)
 }
 
-fn run(args: &[String]) -> i32 {
-    let flags = match parse_flags(args.get(2..).unwrap_or(&[]), true) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    with_scenario(args, |spec| {
-        let opts = RunOptions {
-            threads: flags.threads,
-            out_dir: flags.out_dir,
-            resume: flags.resume,
-            quiet: flags.quiet,
-            metrics_dir: flags.metrics_dir.clone(),
-        };
-        match runner::run_grid(&spec, &opts) {
-            Ok(outcome) => {
-                if !flags.quiet {
-                    println!(
-                        "{}",
-                        report::markdown(&spec, &outcome.records, &outcome.cell_metrics)
-                    );
-                }
-                println!(
-                    "ran {} cells, skipped {} (resume), {} ms",
-                    outcome.ran, outcome.skipped, outcome.wall_ms
-                );
-                println!("results: {}", outcome.jsonl_path.display());
-                println!("reports: {}", outcome.scenario_dir.join("report.md").display());
-                if let Some(dir) = &flags.metrics_dir {
-                    println!(
-                        "metrics: {} ({} cell ledger(s))",
-                        dir.display(),
-                        outcome.cell_metrics.len()
-                    );
-                }
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        }
-    })
+fn run(mut args: Args) -> CliResult {
+    let arg = args.positional("scenario")?;
+    let mut opts = output_options(&mut args)?;
+    let threads = args.value("--threads")?;
+    opts.threads =
+        threads.map_or(Ok(None), |t| runner::parse_threads(&t)).map_err(CliError::Usage)?;
+    opts.resume = args.switch("--resume");
+    opts.quiet = args.switch("--quiet");
+    args.finish()?;
+    let spec = registry::resolve(&arg)?;
+    let outcome = runner::run_grid(&spec, &opts)?;
+    if !opts.quiet {
+        println!("{}", report::markdown(&spec, &outcome.records, &outcome.cell_metrics));
+    }
+    println!(
+        "ran {} cells, skipped {} (resume), {} ms",
+        outcome.ran, outcome.skipped, outcome.wall_ms
+    );
+    println!("results: {}", outcome.jsonl_path.display());
+    println!("reports: {}", outcome.scenario_dir.join("report.md").display());
+    if let Some(dir) = &opts.metrics_dir {
+        let n = outcome.cell_metrics.len();
+        println!("metrics: {} ({n} cell ledger(s))", dir.display());
+    }
+    Ok(())
 }
 
 /// `docs`: render the registry catalog to `docs/SCENARIOS.md` (or `--out`),
 /// or verify freshness with `--check`.
-fn write_docs(args: &[String]) -> i32 {
-    let mut out = PathBuf::from("docs/SCENARIOS.md");
-    let mut check = false;
-    let rest = args.get(1..).unwrap_or(&[]);
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--out" => {
-                let Some(value) = rest.get(i + 1) else {
-                    eprintln!("error: --out needs a value\n\n{USAGE}");
-                    return 2;
-                };
-                out = PathBuf::from(value);
-                i += 2;
-            }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag `{other}`\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
+fn write_docs(mut args: Args) -> CliResult {
+    let out = PathBuf::from(args.value("--out")?.unwrap_or_else(|| "docs/SCENARIOS.md".into()));
+    let check = args.switch("--check");
+    args.finish()?;
     let rendered = docs::scenarios_markdown();
     if check {
-        return match std::fs::read_to_string(&out) {
-            Ok(current) if current == rendered => {
-                println!("ok: {} is up to date", out.display());
-                0
-            }
-            Ok(_) => {
-                eprintln!(
-                    "error: {} is stale — regenerate it with `dpbfl-exp docs`",
-                    out.display()
-                );
-                1
-            }
-            Err(e) => {
-                eprintln!("error: {}: {e}", out.display());
-                1
-            }
-        };
-    }
-    if let Some(parent) = out.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("error: {}: {e}", parent.display());
-                return 1;
-            }
+        if std::fs::read_to_string(&out).map_err(at(&out))? != rendered {
+            let stale = format!("{} is stale — regenerate it with `dpbfl-exp docs`", out.display());
+            return Err(stale.into());
         }
+        println!("ok: {} is up to date", out.display());
+        return Ok(());
     }
-    if let Err(e) = std::fs::write(&out, &rendered) {
-        eprintln!("error: {}: {e}", out.display());
-        return 1;
+    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent).map_err(at(parent))?;
     }
+    std::fs::write(&out, &rendered).map_err(at(&out))?;
     println!(
         "wrote {} ({} scenarios, {} lines)",
         out.display(),
         registry::names().count(),
         rendered.lines().count()
     );
-    0
+    Ok(())
+}
+
+/// Prefixes an error with the path it happened at.
+fn at<E: std::fmt::Display>(path: &Path) -> impl FnOnce(E) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
 }
 
 /// `metrics <ledger.jsonl>`: render one cell's telemetry ledger as a
 /// per-round table (the deterministic section), followed by wall-clock
 /// span totals and any events.
-fn render_metrics(args: &[String]) -> i32 {
-    let Some(arg) = args.get(1) else {
-        eprintln!("error: missing <ledger.jsonl> argument\n\n{USAGE}");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(arg) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: {arg}: {e}");
-            return 1;
-        }
-    };
-    let records = match dpbfl_telemetry::parse_ledger(&text) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("error: {arg}: {e}");
-            return 1;
-        }
-    };
-
+fn render_metrics(mut args: Args) -> CliResult {
+    let path = PathBuf::from(args.positional("ledger.jsonl")?);
+    args.finish()?;
+    let text = std::fs::read_to_string(&path).map_err(at(&path))?;
+    let records = dpbfl_telemetry::parse_ledger(&text).map_err(at(&path))?;
     println!(
         "| round | cohort | accept | rej nf/norm/ks/drop | ks fast/exact | selected | \
          score mean [min, max] | retained B | ε |"
@@ -400,125 +254,75 @@ fn render_metrics(args: &[String]) -> i32 {
             println!("  {}{round}: {}", e.name, e.detail);
         }
     }
-    0
+    Ok(())
 }
 
-fn regenerate_report(args: &[String]) -> i32 {
-    let flags = match parse_flags(args.get(2..).unwrap_or(&[]), false) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    with_scenario(args, |spec| {
-        let scenario_dir = flags.out_dir.join(runner::slug(&spec.name));
-        let jsonl_path = scenario_dir.join("results.jsonl");
-        let records = match sink::load_records(&jsonl_path) {
-            Ok(records) => records,
-            Err(e) => {
-                eprintln!("error: {e} (run the scenario first?)");
-                return 1;
-            }
-        };
-        // Keep only records belonging to the current grid, in cell order,
-        // re-deriving provenance (index, axes, config) from the *current*
-        // expansion — stored indices may predate a spec edit (the content
-        // key guarantees the config itself is unchanged).
-        let cells = spec.cells();
-        let by_key: std::collections::HashMap<&str, &dpbfl_harness::CellRecord> =
-            records.iter().map(|r| (r.key.as_str(), r)).collect();
-        let mut current = Vec::new();
-        for cell in &cells {
-            match by_key.get(cell.key.as_str()) {
-                Some(record) => current.push(dpbfl_harness::CellRecord {
-                    scenario: spec.name.clone(),
-                    cell: cell.index,
-                    key: cell.key.clone(),
-                    axes: cell.axes.clone(),
-                    config: cell.config.clone(),
-                    summary: record.summary.clone(),
-                }),
-                None => {
-                    eprintln!(
-                        "error: cell {} ({}) missing from {} — run with --resume to fill it",
-                        cell.index,
-                        cell.key,
-                        jsonl_path.display()
-                    );
-                    return 1;
-                }
-            }
-        }
-        let metrics = flags
-            .metrics_dir
-            .as_deref()
-            .map_or_else(Default::default, |dir| report::digest_ledgers(dir, &current));
-        let md = report::markdown(&spec, &current, &metrics);
-        let md_path = scenario_dir.join("report.md");
-        if let Err(e) = std::fs::write(&md_path, &md) {
-            eprintln!("error: {}: {e}", md_path.display());
-            return 1;
-        }
-        let csv_path = scenario_dir.join("report.csv");
-        if let Err(e) = std::fs::write(&csv_path, report::csv(&current, &metrics)) {
-            eprintln!("error: {}: {e}", csv_path.display());
-            return 1;
-        }
-        println!("{md}");
-        println!("reports regenerated under {}", scenario_dir.display());
-        0
-    })
+fn regenerate_report(mut args: Args) -> CliResult {
+    let arg = args.positional("scenario")?;
+    let opts = output_options(&mut args)?;
+    args.finish()?;
+    let spec = registry::resolve(&arg)?;
+    let scenario_dir = opts.out_dir.join(runner::slug(&spec.name));
+    let jsonl_path = scenario_dir.join("results.jsonl");
+    let records =
+        sink::load_records(&jsonl_path).map_err(|e| format!("{e} (run the scenario first?)"))?;
+    // Keep only records belonging to the current grid, in cell order,
+    // re-deriving provenance (index, axes, config) from the *current*
+    // expansion — stored indices may predate a spec edit (the content
+    // key guarantees the config itself is unchanged).
+    let by_key: std::collections::HashMap<&str, &dpbfl_harness::CellRecord> =
+        records.iter().map(|r| (r.key.as_str(), r)).collect();
+    let current = spec
+        .cells()
+        .iter()
+        .map(|cell| match by_key.get(cell.key.as_str()) {
+            Some(record) => Ok(runner::record_for(&spec, cell, record.summary.clone())),
+            None => Err(format!(
+                "cell {} ({}) missing from {} — run with --resume to fill it",
+                cell.index,
+                cell.key,
+                jsonl_path.display()
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let metrics = opts
+        .metrics_dir
+        .as_deref()
+        .map_or_else(Default::default, |dir| report::digest_ledgers(dir, &current));
+    let md = report::write_tables(&spec, &scenario_dir, &current, &metrics)?;
+    println!("{md}");
+    println!("reports regenerated under {}", scenario_dir.display());
+    Ok(())
 }
 
 /// `perf record` or `perf compare`.
-fn perf(args: &[String]) -> i32 {
-    match args.get(1).map(String::as_str) {
-        Some("record") => perf_record_command(&args[2..]),
-        Some("compare") => perf_compare_command(&args[2..]),
-        _ => {
-            eprintln!("error: `perf` has two subcommands, `record` and `compare`\n\n{USAGE}");
-            2
-        }
+fn perf(mut args: Args) -> CliResult {
+    match args.positional("subcommand").ok().as_deref() {
+        Some("record") => perf_record_command(args),
+        Some("compare") => perf_compare_command(args),
+        _ => Err(CliError::Usage("`perf` has two subcommands, `record` and `compare`".into())),
     }
 }
 
 /// `perf record`: one benchmark run → one row of `BENCH_e2e.json` or
 /// `BENCH_layers.json`.
-fn perf_record_command(args: &[String]) -> i32 {
-    let (mut workload, mut seed, mut trace, mut repo) = (None, None, false, PathBuf::from("."));
-    let mut rest = args.iter();
-    while let Some(flag) = rest.next() {
-        let Some(value) = rest.next() else {
-            eprintln!("error: {flag} needs a value\n\n{USAGE}");
-            return 2;
-        };
-        match (flag.as_str(), value.as_str()) {
-            ("--workload", name) => workload = Some(name),
-            ("--seed", n) => seed = n.parse::<u64>().ok(),
-            ("--trace", "0") => trace = false,
-            ("--trace", "1") => trace = true,
-            ("--repo", dir) => repo = PathBuf::from(dir),
-            _ => {
-                eprintln!("error: bad argument `{flag} {value}`\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
-    let (Some(workload), Some(seed)) = (workload, seed) else {
-        eprintln!("error: perf record needs --workload and a numeric --seed\n\n{USAGE}");
-        return 2;
+fn perf_record_command(mut args: Args) -> CliResult {
+    let workload = args.value("--workload")?;
+    let seed = args.value("--seed")?.and_then(|s| s.parse::<u64>().ok());
+    let trace = match args.value("--trace")?.as_deref() {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(other) => return Err(CliError::Usage(format!("bad argument `--trace {other}`"))),
     };
-    match perf_record(&repo, workload, seed, trace) {
-        Ok(file) => {
-            println!("appended one {workload} row (seed {seed}) to {file}");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
+    let repo = PathBuf::from(args.value("--repo")?.unwrap_or_else(|| ".".into()));
+    args.finish()?;
+    let (Some(workload), Some(seed)) = (workload, seed) else {
+        let message = "perf record needs --workload and a numeric --seed";
+        return Err(CliError::Usage(message.into()));
+    };
+    let file = perf_record(&repo, &workload, seed, trace)?;
+    println!("appended one {workload} row (seed {seed}) to {file}");
+    Ok(())
 }
 
 fn perf_record(
@@ -530,7 +334,7 @@ fn perf_record(
     use serde::Value;
     let contract_path = repo.join("BENCHMARK.json");
     let contract = std::fs::read_to_string(&contract_path)
-        .map_err(|e| format!("{}: {e}", contract_path.display()))
+        .map_err(at(&contract_path))
         .and_then(|text| serde_json::parse_value(&text).map_err(|e| e.to_string()))?;
     let command: Vec<&str> = match contract.get("command") {
         Some(Value::Arr(words)) => words
@@ -578,47 +382,28 @@ fn perf_record(
 
 /// `perf compare`: the committed parent/change pairs of two commits, one
 /// table per workload.
-fn perf_compare_command(args: &[String]) -> i32 {
-    let (mut base, mut head, mut workload) = (None, None, None);
-    let mut rest = args.iter();
-    while let Some(flag) = rest.next() {
-        let Some(value) = rest.next() else {
-            eprintln!("error: {flag} needs a value\n\n{USAGE}");
-            return 2;
-        };
-        match flag.as_str() {
-            "--base" => base = Some(value.as_str()),
-            "--head" => head = Some(value.as_str()),
-            "--workload" => workload = Some(value.as_str()),
-            _ => {
-                eprintln!("error: bad argument `{flag} {value}`\n\n{USAGE}");
-                return 2;
-            }
-        }
-    }
+fn perf_compare_command(mut args: Args) -> CliResult {
+    let (base, head) = (args.value("--base")?, args.value("--head")?);
+    let workload = args.value("--workload")?;
+    args.finish()?;
     let (Some(base), Some(head)) = (base, head) else {
-        eprintln!("error: perf compare needs --base and --head\n\n{USAGE}");
-        return 2;
+        return Err(CliError::Usage("perf compare needs --base and --head".into()));
     };
     let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| format!("{path}: {e}"))
-            .and_then(|text| serde_json::parse_value(&text).map_err(|e| format!("{path}: {e}")))
+        let path = Path::new(path);
+        let text = std::fs::read_to_string(path).map_err(at(path))?;
+        serde_json::parse_value(&text).map_err(at(path))
     };
-    let tables = read("BENCHMARK.json").and_then(|contract| match read("BENCH_e2e.json")? {
-        serde::Value::Arr(rows) => compare_rows(&contract, &rows, base, head, workload),
-        _ => Err("BENCH_e2e.json: not a JSON array of rows".to_owned()),
-    });
-    match tables {
-        Ok((text, outside)) => {
-            print!("{text}");
-            i32::from(outside)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
+    let contract = read("BENCHMARK.json")?;
+    let serde::Value::Arr(rows) = read("BENCH_e2e.json")? else {
+        return Err("BENCH_e2e.json: not a JSON array of rows".to_owned().into());
+    };
+    let (text, outside) = compare_rows(&contract, &rows, &base, &head, workload.as_deref())?;
+    print!("{text}");
+    if outside {
+        return Err("a metric is outside its bound".to_owned().into());
     }
+    Ok(())
 }
 
 /// Renders the `base`/`head` comparison of `rows` against the end-to-end
@@ -822,15 +607,14 @@ fn append_row(path: &Path, row: serde::Value) -> Result<(), String> {
             _ => return Err(format!("{}: not a JSON array of rows", path.display())),
         },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
+        Err(e) => return Err(at(path)(e)),
     };
     rows.push(row);
     let lines: Vec<String> = rows
         .iter()
         .map(|r| serde_json::to_string(r).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
-    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n")))
-        .map_err(|e| format!("{}: {e}", path.display()))
+    std::fs::write(path, format!("[\n{}\n]\n", lines.join(",\n"))).map_err(at(path))
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 //! ```text
 //! dpbfl-server <scenario|file.json> [--listen ADDR] [--deadline-ms N]
 //!              [--cell N] [--summary-out FILE] [--bench-out FILE]
+//!              [--metrics-out FILE] [--in-process]
 //! ```
 //!
 //! The scenario argument resolves exactly like `dpbfl-exp run` (built-in
@@ -25,6 +26,7 @@
 //! `dpbfl-exp metrics`.
 
 use dpbfl::prelude::*;
+use dpbfl_harness::cli::{self, Args, CliResult};
 use dpbfl_harness::registry;
 
 const USAGE: &str = "dpbfl-server — serve one dpbfl training run to remote workers
@@ -48,74 +50,27 @@ OPTIONS:
                         transport and write the same outputs (the reference
                         side of the serving determinism diff)
 
-The scenario must expand to exactly one cell. Point one or more
-dpbfl-client processes at the printed address; together they must claim
-every printed worker index before training starts.";
+One server serves one cell, so a multi-cell scenario needs --cell N. Point
+one or more dpbfl-client processes at the printed address; together they
+must claim every printed worker index before training starts.";
 
 fn main() {
-    std::process::exit(real_main());
+    cli::main(USAGE, serve)
 }
 
-fn real_main() -> i32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        println!("{USAGE}");
-        return if args.is_empty() { 2 } else { 0 };
-    }
-    let scenario = &args[0];
-    let mut listen = "tcp://127.0.0.1:0".to_string();
+fn serve(mut args: Args) -> CliResult {
+    let scenario = args.positional("scenario")?;
+    let listen = args.value("--listen")?.unwrap_or_else(|| "tcp://127.0.0.1:0".into());
     let mut policy = RoundPolicy::default();
-    let mut summary_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut cell: Option<usize> = None;
-    let mut in_process = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--in-process" {
-            in_process = true;
-            i += 1;
-            continue;
-        }
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("error: {flag} needs a value\n\n{USAGE}");
-            return 2;
-        };
-        match flag {
-            "--listen" => listen = value.clone(),
-            "--deadline-ms" => match value.parse() {
-                Ok(ms) => policy.deadline_ms = ms,
-                Err(_) => {
-                    eprintln!("error: --deadline-ms wants an integer, got `{value}`");
-                    return 2;
-                }
-            },
-            "--cell" => match value.parse() {
-                Ok(n) => cell = Some(n),
-                Err(_) => {
-                    eprintln!("error: --cell wants a cell index, got `{value}`");
-                    return 2;
-                }
-            },
-            "--summary-out" => summary_out = Some(value.clone()),
-            "--bench-out" => bench_out = Some(value.clone()),
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            other => {
-                eprintln!("error: unknown flag `{other}`\n\n{USAGE}");
-                return 2;
-            }
-        }
-        i += 2;
-    }
+    policy.deadline_ms = args.parsed("--deadline-ms", "an integer")?.unwrap_or(policy.deadline_ms);
+    let cell = args.parsed("--cell", "a cell index")?;
+    let summary_out = args.value("--summary-out")?;
+    let bench_out = args.value("--bench-out")?;
+    let metrics_out = args.value("--metrics-out")?;
+    let in_process = args.switch("--in-process");
+    args.finish()?;
 
-    let cfg = match resolve_cell(scenario, cell) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let cfg = resolve_cell(&scenario, cell)?;
     let workers = data_member_indices(&cfg);
 
     let tel = match &metrics_out {
@@ -127,13 +82,7 @@ fn real_main() -> i32 {
         let prep = dpbfl::simulation::prepare(&cfg);
         (dpbfl::simulation::run_prepared_telemetry(&cfg, &prep, &tel), None)
     } else {
-        let server = match BoundServer::bind(&listen) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
+        let server = BoundServer::bind(&listen)?;
         println!("listening on {}", server.local_addr());
         println!(
             "waiting for clients to claim workers 0..{} (e.g. dpbfl-client --connect {} --workers 0-{})",
@@ -141,22 +90,12 @@ fn real_main() -> i32 {
             server.local_addr(),
             workers.len().saturating_sub(1),
         );
-        match server.serve_telemetry(&cfg, &policy, &tel) {
-            Ok((result, report)) => (result, Some(report)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
+        let (result, report) = server.serve_telemetry(&cfg, &policy, &tel)?;
+        (result, Some(report))
     };
     if let Some(path) = &metrics_out {
-        match tel.flush() {
-            Ok(()) => println!("telemetry ledger written to {path}"),
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                return 1;
-            }
-        }
+        tel.flush().map_err(|e| format!("writing {path}: {e}"))?;
+        println!("telemetry ledger written to {path}");
     }
     match &report {
         Some(report) => println!(
@@ -172,36 +111,23 @@ fn real_main() -> i32 {
         ),
         None => println!("run complete: final accuracy {:.3}", result.final_accuracy),
     }
-
+    // The summary stays compact and the serving report pretty-printed: CI
+    // compares the summary byte for byte against the in-process one.
     if let Some(path) = summary_out {
-        let json = match serde_json::to_string(&result) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: serializing summary: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: writing {path}: {e}");
-            return 1;
-        }
-        println!("summary written to {path}");
+        write_json(&path, "summary", serde_json::to_string(&result))?;
     }
     if let (Some(path), Some(report)) = (bench_out, &report) {
-        let json = match serde_json::to_string_pretty(report) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: serializing report: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error: writing {path}: {e}");
-            return 1;
-        }
-        println!("serving report written to {path}");
+        write_json(&path, "serving report", serde_json::to_string_pretty(report))?;
     }
-    0
+    Ok(())
+}
+
+/// Writes one serialized output file and says so.
+fn write_json(path: &str, what: &str, json: Result<String, serde_json::Error>) -> CliResult {
+    let json = json.map_err(|e| format!("serializing {what}: {e}"))?;
+    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+    println!("{what} written to {path}");
+    Ok(())
 }
 
 /// Resolves the scenario argument exactly like `dpbfl-exp` and picks one

@@ -21,6 +21,10 @@
 //!   machine-readable `BENCH_harness.json` summary; with `--metrics-dir`
 //!   the tables gain per-cell telemetry-ledger columns (mean stage-1
 //!   acceptance rate, ledger ε).
+//! * [`cli`] — the command-line plumbing of the three binaries: one
+//!   argument reader, one error type whose variant is the exit status
+//!   (2 for a wrong command line, 1 for a failed command), and one `main`
+//!   that prints `error: …` and exits.
 //! * [`docs`] — the generated scenario catalog (`dpbfl-exp docs` renders
 //!   the registry into `docs/SCENARIOS.md`; CI keeps it fresh).
 //!
@@ -32,6 +36,7 @@
 //! workspace's 9-crate dependency chain and spells out the determinism
 //! contract the runner extends to grid level.
 
+pub mod cli;
 pub mod docs;
 pub mod registry;
 pub mod report;

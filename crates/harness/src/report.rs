@@ -359,25 +359,40 @@ pub fn bench_summary(spec: &ScenarioSpec, outcome: &GridOutcome) -> BenchSummary
     }
 }
 
-/// Writes `report.md`, `report.csv` and `BENCH_harness.json` into the
+/// Writes `content` to `dir/name`.
+fn write_file(dir: &Path, name: &str, content: &str) -> Result<(), String> {
+    let path = dir.join(name);
+    std::fs::write(&path, content).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Writes `report.md` and `report.csv` for `records` into `dir` and returns
+/// the markdown.
+pub fn write_tables(
+    spec: &ScenarioSpec,
+    dir: &Path,
+    records: &[CellRecord],
+    metrics: &HashMap<usize, MetricsDigest>,
+) -> Result<String, String> {
+    let md = markdown(spec, records, metrics);
+    write_file(dir, "report.md", &md)?;
+    write_file(dir, "report.csv", &csv(records, metrics))?;
+    Ok(md)
+}
+
+/// Writes the [`write_tables`] reports and `BENCH_harness.json` into the
 /// outcome's scenario directory, plus a scenario-named copy of the bench
 /// summary (`BENCH_adversary_zoo.json` for `scenarios/adversary_zoo`) so
 /// downstream tooling can collect per-scenario benches by filename.
 pub fn write_reports(spec: &ScenarioSpec, outcome: &GridOutcome) -> Result<(), String> {
     let dir = &outcome.scenario_dir;
-    let write = |name: &str, content: String| -> Result<(), String> {
-        let path = dir.join(name);
-        std::fs::write(&path, content).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    write("report.md", markdown(spec, &outcome.records, &outcome.cell_metrics))?;
-    write("report.csv", csv(&outcome.records, &outcome.cell_metrics))?;
+    write_tables(spec, dir, &outcome.records, &outcome.cell_metrics)?;
     let bench = bench_summary(spec, outcome);
     let json = serde_json::to_string_pretty(&bench).expect("bench summary serializes");
     let component = crate::runner::slug(spec.name.rsplit('/').next().unwrap_or(&spec.name));
     if component != "harness" {
-        write(&format!("BENCH_{component}.json"), json.clone())?;
+        write_file(dir, &format!("BENCH_{component}.json"), &json)?;
     }
-    write("BENCH_harness.json", json)
+    write_file(dir, "BENCH_harness.json", &json)
 }
 
 /// ε actually bought by a cell's (q, T, σ, δ), via the RDP accountant;

@@ -275,8 +275,9 @@ pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, S
     Ok(outcome)
 }
 
-/// Builds the persisted record of one cell.
-fn record_for(spec: &ScenarioSpec, cell: &Cell, summary: RunSummary) -> CellRecord {
+/// Builds the persisted record of one cell: provenance (index, axes,
+/// config) from the current expansion, plus its summary.
+pub fn record_for(spec: &ScenarioSpec, cell: &Cell, summary: RunSummary) -> CellRecord {
     CellRecord {
         scenario: spec.name.clone(),
         cell: cell.index,

@@ -129,3 +129,62 @@ fn help_prints_the_usage_to_stdout_and_exits_zero() {
         assert!(out.stderr.is_empty(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
     }
 }
+
+// Stray arguments: every command refuses what it does not read, and a
+// missing leading argument is named as missing rather than misread.
+
+#[test]
+fn list_refuses_a_flag() {
+    case(EXP, &["list", "--bogus"], 2, "error: unknown flag `--bogus`");
+}
+
+#[test]
+fn show_refuses_a_flag_after_the_scenario() {
+    case(EXP, &["show", "paper/quickstart", "--out", "x"], 2, "error: unknown flag `--out`");
+}
+
+#[test]
+fn metrics_refuses_a_flag_after_the_ledger() {
+    let ledger =
+        std::env::temp_dir().join(format!("dpbfl-cli-ledger-{}.jsonl", std::process::id()));
+    std::fs::write(&ledger, "").expect("empty ledger");
+    let path = ledger.to_str().expect("utf-8 path");
+    case(EXP, &["metrics", path, "--out", "x"], 2, "error: unknown flag `--out`");
+    let _ = std::fs::remove_file(&ledger);
+}
+
+#[test]
+fn client_refuses_a_stray_word() {
+    case(CLIENT, &["extra"], 2, "error: unexpected argument `extra`");
+}
+
+#[test]
+fn run_names_the_missing_scenario_before_a_flag() {
+    case(EXP, &["run", "--threads", "4"], 2, "error: missing <scenario> argument");
+}
+
+#[test]
+fn server_names_the_missing_scenario_before_a_flag() {
+    case(SERVER, &["--listen", "tcp://127.0.0.1:0", X], 2, "error: missing <scenario> argument");
+}
+
+/// No arguments at all: `error: missing <…> argument`, then the usage, both
+/// on stderr, and exit 2.
+fn no_arguments(bin: &str, name: &str, first: &str) {
+    let out = run(bin, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+    assert_eq!(stderr.lines().next(), Some(first), "{name}");
+    assert!(stderr.contains(&format!("\n\n{name} — ")), "{name}: no usage in {stderr}");
+    assert!(out.stdout.is_empty(), "{name}: {}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn exp_without_arguments_is_an_error() {
+    no_arguments(EXP, "dpbfl-exp", "error: missing <command> argument");
+}
+
+#[test]
+fn server_without_arguments_is_an_error() {
+    no_arguments(SERVER, "dpbfl-server", "error: missing <scenario> argument");
+}
