@@ -118,13 +118,6 @@ impl FirstStage {
         (self.norm_lo.sqrt(), self.norm_hi.sqrt())
     }
 
-    /// The sort-free KS screen behind the fast path (tests observe its
-    /// critical band through it).
-    #[cfg(test)]
-    fn ks_screen(&self) -> &KsGaussianScreen {
-        &self.screen
-    }
-
     /// Runs both tests on an upload (sort-free fast path, fresh scratch).
     ///
     /// Returns exactly what the always-sort test oracle returns, for every
@@ -432,7 +425,17 @@ mod tests {
         // must still agree with the reference verdict-for-verdict.
         let s = stage();
         let normal = dpbfl_stats::Normal::new(0.0, STD);
-        let (d_accept, _) = s.ks_screen().critical_band();
+        // The KS critical statistic, bisected over the public p-value: the
+        // largest D whose p-value is still ≥ α.
+        let (mut d_critical, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..80 {
+            let mid = 0.5 * (d_critical + hi);
+            if dpbfl_stats::ks::ks_p_value(mid, D) >= s.ks_significance {
+                d_critical = mid;
+            } else {
+                hi = mid;
+            }
+        }
         let mut scratch = KsScratch::new();
         let norm_mid = (STD * STD * D as f64).sqrt();
         for i in 0..12 {
@@ -440,7 +443,7 @@ mod tests {
             // statistic is ~d_target, then renormalize onto the norm band's
             // center so only the KS test decides.
             let t = (i as f64 - 5.5) / 50.0; // d_target within ±11% of critical
-            let d_target = d_accept * (1.0 + t);
+            let d_target = d_critical * (1.0 + t);
             let delta = (d_target - 0.5 / D as f64) / (1.0 - 1.0 / D as f64);
             let mut v: Vec<f32> = (1..=D)
                 .map(|k| {

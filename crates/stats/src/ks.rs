@@ -292,7 +292,8 @@ impl KsGaussianScreen {
     /// The `(d_accept, d_reject)` statistic thresholds: `D_n ≤ d_accept`
     /// forces acceptance, `D_n ≥ d_reject` forces rejection, and the band
     /// between them (~1e−9 wide) is undecidable without the exact test.
-    pub fn critical_band(&self) -> (f64, f64) {
+    #[cfg(test)]
+    fn critical_band(&self) -> (f64, f64) {
         (self.d_accept, self.d_reject)
     }
 

@@ -14,7 +14,7 @@
 //! dimension — plus 1 000 and the small-`n` exact-CDF regime at 16) and
 //! significance levels {0.01, 0.05, 0.10}.
 
-use dpbfl_stats::ks::{ks_test_gaussian, KsGaussianScreen, KsScratch, KsScreenVerdict};
+use dpbfl_stats::ks::{ks_p_value, ks_test_gaussian, KsGaussianScreen, KsScratch, KsScreenVerdict};
 use dpbfl_stats::normal::{gaussian_vector, Normal};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,6 +71,22 @@ fn squeezed_grid(n: usize, d_target: f64) -> Vec<f32> {
         .collect()
 }
 
+/// The KS critical statistic at `(n, α)`: the largest `D` whose p-value is
+/// still `≥ α`, bisected over `ks_p_value` to float resolution. It sits
+/// inside the screen's undecidable band (~1e−9 wide around it).
+fn ks_critical(n: usize, alpha: f64) -> f64 {
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if ks_p_value(mid, n) >= alpha {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -125,8 +141,7 @@ proptest! {
         let n = NS[n_idx];
         let alpha = ALPHAS[alpha_idx];
         let screen = KsGaussianScreen::new(0.0, STD, n, alpha);
-        let (d_accept, _) = screen.critical_band();
-        let v = squeezed_grid(n, d_accept * (1.0 + 0.12 * t));
+        let v = squeezed_grid(n, ks_critical(n, alpha) * (1.0 + 0.12 * t));
         let mut scratch = KsScratch::new();
         prop_assert_eq!(
             screen.rejects(&v, &mut scratch),
@@ -144,8 +159,7 @@ fn exactly_critical_inputs_take_the_sorted_fallback() {
     for &n in &NS {
         for &alpha in &ALPHAS {
             let screen = KsGaussianScreen::new(0.0, STD, n, alpha);
-            let (d_accept, d_reject) = screen.critical_band();
-            let v = squeezed_grid(n, 0.5 * (d_accept + d_reject));
+            let v = squeezed_grid(n, ks_critical(n, alpha));
             let mut scratch = KsScratch::new();
             assert_eq!(
                 screen.screen(&v, &mut scratch),
@@ -167,11 +181,11 @@ fn exactly_critical_inputs_take_the_sorted_fallback() {
 fn clear_inputs_are_decided_without_sorting() {
     for &n in &[1_000usize, 25_450] {
         let screen = KsGaussianScreen::new(0.0, STD, n, 0.05);
-        let (d_accept, d_reject) = screen.critical_band();
+        let critical = ks_critical(n, 0.05);
         let mut scratch = KsScratch::new();
-        let clear_accept = squeezed_grid(n, d_accept * 0.3);
+        let clear_accept = squeezed_grid(n, critical * 0.3);
         assert_eq!(screen.screen(&clear_accept, &mut scratch), KsScreenVerdict::Accept, "n {n}");
-        let clear_reject = squeezed_grid(n, (d_reject * 3.0).min(0.4));
+        let clear_reject = squeezed_grid(n, (critical * 3.0).min(0.4));
         assert_eq!(screen.screen(&clear_reject, &mut scratch), KsScreenVerdict::Reject, "n {n}");
     }
 }
