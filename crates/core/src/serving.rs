@@ -1706,6 +1706,67 @@ mod tests {
     }
 
     #[test]
+    fn on_demand_config_carried_fault_plan_matches_in_process() {
+        // The flaky plan of `config_carried_fault_plan_reaches_every_client`
+        // over members rebuilt per round: a withheld on-demand member folds
+        // as dropped on both sides of the wire.
+        let mut cfg = serving_cfg();
+        cfg.provisioning = Provisioning::OnDemand;
+        cfg.serving = Some(ServingSpec {
+            deadline_ms: Some(1_500),
+            fault: FaultSpec { flaky_pct: 20.0, seed: 11, ..FaultSpec::default() },
+        });
+        let expected = summary_json(&run(&cfg));
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 1, 2], vec![3, 4, 5]],
+            vec![ClientOptions::default(), ClientOptions::default()],
+        );
+        assert_eq!(summary_json(&result), expected, "on-demand flaky serving ≠ in-process");
+        let fault = cfg.serving.as_ref().unwrap().fault.clone();
+        let planned: u64 = (0..cfg.iterations())
+            .flat_map(|r| (0..6usize).map(move |w| (w, r)))
+            .filter(|&(w, r)| fault.withholds(w, r))
+            .count() as u64;
+        assert!(planned > 0, "a 20% plan over 48 uploads should withhold some");
+        assert_eq!(report.dropped_uploads, planned, "drops ≠ injected schedule");
+        assert_eq!(report.dropped_dead_connection, 0);
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
+    fn on_demand_client_reconnect_mid_run_byte_identical() {
+        // An on-demand client that drops its connection on round 1's
+        // broadcast and reconnects: it has no state to replay, answers the
+        // re-sent open round, and the run loses nothing.
+        let mut cfg = serving_cfg();
+        cfg.provisioning = Provisioning::OnDemand;
+        let expected = summary_json(&run(&cfg));
+        let churn = ClientOptions {
+            fault: FaultSpec { drop_at_round: Some(1), ..FaultSpec::default() },
+            max_retries: 5,
+            ..ClientOptions::default()
+        };
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 1, 2], vec![3, 4, 5]],
+            vec![ClientOptions::default(), churn],
+        );
+        assert_eq!(summary_json(&result), expected, "on-demand reconnect run ≠ in-process");
+        assert_eq!(report.reconnects, 1, "exactly one reconnect was injected");
+        assert_eq!(report.dropped_uploads, 0, "a fast reconnect loses no uploads");
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
     fn addresses_parse_and_reject() {
         assert_eq!(
             ServeAddr::parse("tcp://127.0.0.1:7171").unwrap(),
