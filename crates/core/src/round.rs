@@ -14,13 +14,17 @@
 //! Two implementations exist:
 //!
 //! * [`InProcessTransport`] — the in-memory path every simulation run uses.
-//!   It owns the worker pools and folds in contiguous cohort shards (one per
-//!   rayon thread), one [`KsScratch`] per shard, sequentially within a
+//!   It hosts every data member and folds in contiguous cohort shards (one
+//!   per rayon thread), one [`KsScratch`] per shard, sequentially within a
 //!   shard, results concatenated in shard order. Bit-identical at any
 //!   thread count.
 //! * `WireTransport` (in [`crate::serving`]) — the wire path behind
 //!   `dpbfl-server`/`dpbfl-client`, speaking the `dpbfl-transport` frame
 //!   protocol over TCP or Unix-domain sockets.
+//!
+//! Either way a member's upload is made by the crate-private `Hosted`, which
+//! the in-process transport builds for every data member and a serving
+//! client for its claim.
 //!
 //! ## Determinism under dropouts
 //!
@@ -55,6 +59,7 @@ use dpbfl_tensor::vecops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the server keeps of one member's round trip.
 #[derive(Debug)]
@@ -117,45 +122,23 @@ pub trait Transport {
     fn publish_summary(&mut self, _summary: &RunSummary) {}
 }
 
-/// The in-memory transport: owns the worker pool and steps it under rayon,
-/// folding each upload as its worker produces it.
-///
-/// A round's data members are stepped and folded in shards
-/// (`fold_in_shards`, the determinism-critical recipe). Verdicts and scores
-/// are pure functions of the upload bits, so the merge is independent of
-/// thread count.
+/// The in-memory transport: hosts every data member of the run, and steps
+/// and folds a round's members in shards (`fold_in_shards`, the
+/// determinism-critical recipe). Verdicts and scores are pure functions of
+/// the upload bits, so the merge is independent of thread count.
 pub struct InProcessTransport<'a> {
     cfg: &'a SimulationConfig,
-    dp: DpSgdConfig,
-    /// Long-lived data workers, indexed by global worker (pooled
-    /// provisioning; empty on demand).
-    pool: Vec<DpWorker>,
-    /// Architecture template for on-demand worker construction.
-    template: Sequential,
-    /// The dataset's class prototypes, built once per run for on-demand
-    /// shards (empty when pooled).
-    prototypes: Vec<Vec<f32>>,
+    hosted: Hosted,
 }
 
 impl<'a> InProcessTransport<'a> {
-    /// Builds the worker pool: the model template from the init stream
-    /// `seed + 0x4d0de1`, then one long-lived worker per dealt partition of
-    /// `prep`, over the shard `simulation::pooled_shards` builds for it;
-    /// on-demand runs build no worker, only the dataset's class
-    /// prototypes. `dp` must be the σ-resolved worker config (see
+    /// Hosts every dealt partition of `prep` (every data member on demand).
+    /// `dp` must be the σ-resolved worker config (see
     /// [`crate::simulation::resolve_sigma`]).
     pub fn new(cfg: &'a SimulationConfig, prep: &PreparedRun, dp: &DpSgdConfig) -> Self {
-        let template = init_model(cfg);
         let every = (0..prep.parts.len()).collect();
-        let pool = pooled_shards(cfg, &prep.parts, &every)
-            .into_iter()
-            .map(|(w, shard)| data_worker(cfg, shard, dp, &template, w))
-            .collect();
-        let prototypes = match cfg.provisioning {
-            Provisioning::Pooled => Vec::new(),
-            Provisioning::OnDemand => cfg.dataset.prototypes(),
-        };
-        InProcessTransport { cfg, dp: dp.clone(), pool, template, prototypes }
+        let hosted = Hosted::new(cfg, dp, &prep.parts, &every).expect("every partition is dealt");
+        InProcessTransport { cfg, hosted }
     }
 }
 
@@ -170,8 +153,8 @@ pub(crate) fn init_model(cfg: &SimulationConfig) -> Sequential {
 /// Byzantine members, and only when the attack's data mode is
 /// [`ByzantineData::Flipped`] — sleeper cover workers
 /// ([`ByzantineData::Honest`]) train on honest data like everyone else.
-/// Shared by every worker construction site (pooled, on-demand, and the
-/// remote client) so all sides build bit-identical workers.
+/// Shared by the pooled and the on-demand worker builders, so every worker
+/// of a member is built bit-identically.
 pub(crate) fn member_flips(cfg: &SimulationConfig, index: usize) -> bool {
     index >= cfg.n_honest && cfg.attack.byzantine_data() == ByzantineData::Flipped
 }
@@ -179,9 +162,7 @@ pub(crate) fn member_flips(cfg: &SimulationConfig, index: usize) -> bool {
 /// Builds the long-lived worker of global index `index` from its pooled
 /// training shard (from [`crate::simulation::pooled_shards`]): honest below
 /// `n_honest`, label-flipped above (when the attack poisons its members'
-/// data — see [`member_flips`]). The single construction site shared by
-/// [`InProcessTransport`] and the remote client, so both build
-/// bit-identical workers from the same shard builder.
+/// data — see [`member_flips`]).
 pub(crate) fn data_worker(
     cfg: &SimulationConfig,
     mut data: Dataset,
@@ -195,16 +176,116 @@ pub(crate) fn data_worker(
     DpWorker::new(template.clone(), data, dp.clone(), worker_seed(cfg.seed, index))
 }
 
+/// The data members one process hosts — every dealt partition in process, a
+/// serving client's claim — and the one place their uploads are made, so
+/// both transports send the same bytes by construction.
+///
+/// Built once per process: the model template, the σ-resolved worker config
+/// and, by provisioning, either one long-lived worker per hosted member
+/// (pooled: its RNG and momentum evolve across rounds) or the dataset's class
+/// prototypes a member's worker is rebuilt from each round (on demand).
+pub(crate) struct Hosted {
+    recipe: Recipe,
+    /// Long-lived workers by global index (pooled; empty on demand).
+    pool: BTreeMap<usize, DpWorker>,
+}
+
+/// What every hosted member's step reads.
+struct Recipe {
+    cfg: SimulationConfig,
+    dp: DpSgdConfig,
+    template: Sequential,
+    /// The dataset's class prototypes (on demand; empty when pooled).
+    prototypes: Vec<Vec<f32>>,
+}
+
+impl Hosted {
+    /// Hosts the data members `claim` under the partition `parts` from
+    /// [`crate::simulation::deal`]. Pooled, each member's worker is built now
+    /// from its shard, and `Err` names the first claimed worker that is no
+    /// index of `parts`; on demand `parts` is empty and every member is hosted.
+    pub(crate) fn new(
+        cfg: &SimulationConfig,
+        dp: &DpSgdConfig,
+        parts: &[Vec<usize>],
+        claim: &BTreeSet<usize>,
+    ) -> Result<Hosted, usize> {
+        let template = init_model(cfg);
+        let (pool, prototypes) = match cfg.provisioning {
+            Provisioning::Pooled => {
+                if let Some(&w) = claim.iter().find(|&&w| w >= parts.len()) {
+                    return Err(w);
+                }
+                let pool = pooled_shards(cfg, parts, claim)
+                    .into_iter()
+                    .map(|(w, shard)| (w, data_worker(cfg, shard, dp, &template, w)))
+                    .collect();
+                (pool, Vec::new())
+            }
+            Provisioning::OnDemand => (BTreeMap::new(), cfg.dataset.prototypes()),
+        };
+        let recipe = Recipe { cfg: cfg.clone(), dp: dp.clone(), template, prototypes };
+        Ok(Hosted { recipe, pool })
+    }
+
+    /// One round's `members` (global indices, ascending), in member order.
+    /// `Err` names the first member a pooled process does not host.
+    pub(crate) fn round(&mut self, members: &[usize]) -> Result<Vec<Member<'_>>, usize> {
+        let (recipe, pool) = (&self.recipe, &mut self.pool);
+        let pooled = recipe.cfg.provisioning == Provisioning::Pooled;
+        if let Some(&m) = members.iter().find(|m| pooled && !pool.contains_key(m)) {
+            return Err(m);
+        }
+        // The pool and `members` both ascend, so filtering keeps order.
+        let mut cohort = pool.iter_mut().filter(|(k, _)| members.binary_search(k).is_ok());
+        let member = |index| Member { recipe, index, worker: cohort.next().map(|(_, w)| w) };
+        Ok(members.iter().copied().map(member).collect())
+    }
+}
+
+/// One hosted member in one round.
+pub(crate) struct Member<'h> {
+    recipe: &'h Recipe,
+    pub(crate) index: usize,
+    /// The member's long-lived worker (pooled; `None` on demand).
+    worker: Option<&'h mut DpWorker>,
+}
+
+impl Member<'_> {
+    /// The member's upload for round `t` at `params`, or `None` when it is
+    /// `withheld` — as every upload of a replayed round is. A pooled member
+    /// steps either way: its RNG and momentum must evolve exactly as on a
+    /// client that steps and skips the send. A withheld on-demand member is
+    /// not even built.
+    pub(crate) fn upload(&mut self, t: usize, params: &[f32], withheld: bool) -> Option<Vec<f32>> {
+        let Recipe { cfg, dp, template, prototypes } = self.recipe;
+        let mut built;
+        let w = match self.worker.as_deref_mut() {
+            Some(w) => w,
+            None if withheld => return None,
+            None => {
+                built = on_demand_worker(cfg, template, dp, prototypes, self.index, t);
+                &mut built
+            }
+        };
+        let upload = match cfg.protocol {
+            // Plain is Algorithm 1 with σ = 0: the worker's noise multiplier
+            // is already zero for such runs.
+            WorkerProtocol::PaperDp | WorkerProtocol::Plain => w.local_step(params),
+            WorkerProtocol::ClippedDp { clip } => w.clipped_dp_step(params, clip),
+            WorkerProtocol::SignDp { .. } => {
+                unreachable!("sign-DP runs its own loop (baseline::run_sign_dp)")
+            }
+        };
+        (!withheld).then_some(upload)
+    }
+}
+
 impl Transport for InProcessTransport<'_> {
     /// Steps and folds the round's data members in one `fold_in_shards`
-    /// call, for the pooled and on-demand cases alike.
-    ///
-    /// A member the serving fault plan withholds still *steps* (its RNG and
-    /// momentum state must evolve exactly as on a remote client that skips
-    /// the send) but its upload never reaches `fold` — folding feeds defense
-    /// state downstream, so a withheld upload folds as nothing and the
-    /// member yields [`Collected::Dropped`], just like a deadline miss over
-    /// the wire.
+    /// call. A member the serving fault plan withholds yields
+    /// [`Collected::Dropped`], just like a deadline miss over the wire: its
+    /// upload never reaches `fold`, which feeds defense state downstream.
     fn round_trip(
         &mut self,
         round: usize,
@@ -212,38 +293,14 @@ impl Transport for InProcessTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let InProcessTransport { cfg, dp, pool, template, prototypes } = self;
-        let cfg = *cfg;
-        let withheld = members.iter().map(|&m| plan_withholds(cfg, m, round));
-        if cfg.provisioning == Provisioning::Pooled {
-            // The pool and `members` both ascend, so filtering keeps order.
-            let cohort = pool
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, w)| members.binary_search(&k).is_ok().then_some(w));
-            let mut slots: Vec<_> = cohort.zip(withheld).collect();
-            assert_eq!(slots.len(), members.len(), "cohort index within worker range");
-            fold_in_shards(&mut slots, |(w, withhold), scratch| {
-                let upload = protocol_step(w, params, cfg.protocol);
-                if *withhold {
-                    Collected::Dropped
-                } else {
-                    fold(upload, scratch)
-                }
-            })
-        } else {
-            let mut slots: Vec<_> = members.iter().copied().zip(withheld).collect();
-            fold_in_shards(&mut slots, |&mut (i, withhold), scratch| {
-                // On-demand workers are rebuilt per round, so a withheld
-                // member need not even step.
-                if withhold {
-                    return Collected::Dropped;
-                }
-                let flip = member_flips(cfg, i);
-                let mut w = on_demand_worker(cfg, template, dp, prototypes, i, round, flip);
-                fold(protocol_step(&mut w, params, cfg.protocol), scratch)
-            })
-        }
+        let cfg = self.cfg;
+        let mut cohort = self.hosted.round(members).expect("every data member is hosted");
+        fold_in_shards(&mut cohort, |member, scratch| {
+            match member.upload(round, params, plan_withholds(cfg, member.index, round)) {
+                Some(upload) => fold(upload, scratch),
+                None => Collected::Dropped,
+            }
+        })
     }
 }
 
@@ -253,7 +310,7 @@ impl Transport for InProcessTransport<'_> {
 /// the same accepted set under the same schedule. A `deadline_ms` of
 /// `Some(0)` withholds everything: over the wire no upload can beat a zero
 /// deadline, because nothing is queued before the round broadcast.
-pub(crate) fn plan_withholds(cfg: &SimulationConfig, member: usize, round: usize) -> bool {
+fn plan_withholds(cfg: &SimulationConfig, member: usize, round: usize) -> bool {
     match &cfg.serving {
         Some(s) => s.deadline_ms == Some(0) || s.fault.withholds(member, round),
         None => false,
@@ -821,36 +878,19 @@ pub(crate) fn fold_upload(
     Collected::Scored(score, retained, info)
 }
 
-/// One worker's protocol upload.
-pub(crate) fn protocol_step(
-    w: &mut DpWorker,
-    params: &[f32],
-    protocol: WorkerProtocol,
-) -> Vec<f32> {
-    match protocol {
-        // Plain is Algorithm 1 with σ = 0: the worker's noise multiplier is
-        // already zero for such runs.
-        WorkerProtocol::PaperDp | WorkerProtocol::Plain => w.local_step(params),
-        WorkerProtocol::ClippedDp { clip } => w.clipped_dp_step(params, clip),
-        WorkerProtocol::SignDp { .. } => {
-            unreachable!("sign-DP runs its own loop (baseline::run_sign_dp)")
-        }
-    }
-}
-
 /// Builds the ephemeral worker of client `index` for one round (on-demand
 /// provisioning). The client's local shard is a pure function of the master
 /// seed and its index — stable across rounds — while its per-round DP stream
 /// is `worker_seed(worker_seed(seed, index), round)`; momentum starts cold
 /// each participation.
 ///
-/// Both call sites (the in-process transport and the serving client) step
-/// the worker exactly once and drop it, so the shard holds pixels only for
-/// the rows that one step reads: its batch is the first draw of the DP
-/// stream (`sample_batch` opens [`DpWorker::local_step`] and
-/// [`DpWorker::clipped_dp_step`] alike), drawn here from a copy of the
-/// stream before the shard exists. Every other row is zero; every label is
-/// present. `prototypes` is `cfg.dataset.prototypes()`, built once per run.
+/// Its one caller, [`Member::upload`], steps the worker exactly once and
+/// drops it, so the shard holds pixels only for the rows that one step
+/// reads: its batch is the first draw of the DP stream (`sample_batch` opens
+/// [`DpWorker::local_step`] and [`DpWorker::clipped_dp_step`] alike), drawn
+/// here from a copy of the stream before the shard exists. Every other row
+/// is zero; every label is present. `prototypes` is
+/// `cfg.dataset.prototypes()`, built once per [`Hosted`].
 pub(crate) fn on_demand_worker(
     cfg: &SimulationConfig,
     model: &Sequential,
@@ -858,14 +898,13 @@ pub(crate) fn on_demand_worker(
     prototypes: &[Vec<f32>],
     index: usize,
     round: usize,
-    flip: bool,
 ) -> DpWorker {
     let data_seed = worker_seed(cfg.seed.wrapping_add(0xda7a), index);
     let dp_seed = worker_seed(worker_seed(cfg.seed, index), round);
     let batch = sample_batch(&mut StdRng::seed_from_u64(dp_seed), cfg.per_worker, dp.batch_size);
     let mut data =
         cfg.dataset.generate_rows(prototypes, cfg.per_worker, data_seed, |i| batch.contains(&i));
-    if flip {
+    if member_flips(cfg, index) {
         flip_labels(&mut data);
     }
     DpWorker::new(model.clone(), data, dp.clone(), dp_seed)
@@ -918,10 +957,7 @@ mod tests {
             let params = template.params();
             // Honest and flipped clients, over several rounds.
             for (i, t) in [(0, 0), (3, 5), (6, 1), (7, 9)] {
-                let lazy = || {
-                    let flip = member_flips(&cfg, i);
-                    on_demand_worker(&cfg, &template, &cfg.dp, &prototypes, i, t, flip)
-                };
+                let lazy = || on_demand_worker(&cfg, &template, &cfg.dp, &prototypes, i, t);
                 let eager = || eager_worker(&cfg, &template, i, t);
                 assert_eq!(lazy().data().labels, eager().data().labels, "b_c {b_c}, client {i}");
                 let (got, want) = (lazy().local_step(&params), eager().local_step(&params));
@@ -937,6 +973,6 @@ mod tests {
     #[should_panic(expected = "larger than population")]
     fn on_demand_shard_smaller_than_the_batch_fails_loudly() {
         let (cfg, template) = on_demand_cfg(65);
-        on_demand_worker(&cfg, &template, &cfg.dp, &cfg.dataset.prototypes(), 0, 0, false);
+        on_demand_worker(&cfg, &template, &cfg.dp, &cfg.dataset.prototypes(), 0, 0);
     }
 }

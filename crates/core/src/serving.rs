@@ -5,10 +5,10 @@
 //! drives the exact same orchestration loop as an in-process run — uploads
 //! just arrive as `dpbfl-transport` frames instead of function returns. The
 //! client side ([`run_client`]) connects, claims its worker indices,
-//! receives the full run configuration in the server's `Welcome`, rebuilds
-//! its workers locally (bit-identical to the in-process pools by
-//! construction), and answers every `RoundBegin` with one `Upload` per
-//! claimed cohort member.
+//! receives the full run configuration in the server's `Welcome`, hosts its
+//! workers through the same member host as the in-process transport
+//! (bit-identical by construction), and answers every `RoundBegin` with one
+//! `Upload` per claimed cohort member.
 //!
 //! ## Addresses
 //!
@@ -53,15 +53,11 @@
 //! in-process reference.
 
 use crate::config::{FaultSpec, ServingSpec};
-use crate::round::{
-    data_worker, init_model, member_flips, on_demand_worker, protocol_step, Collected, Transport,
-    UploadFold,
-};
+use crate::round::{init_model, Collected, Hosted, Transport, UploadFold};
 use crate::simulation::{
-    calibrated_dp, data_members, deal, pooled_shards, prepare, run_with_transport_telemetry,
-    Provisioning, RunResult, RunSummary, SimulationConfig,
+    calibrated_dp, data_members, deal, prepare, run_with_transport_telemetry, RunResult,
+    RunSummary, SimulationConfig,
 };
-use crate::worker::DpWorker;
 use dpbfl_telemetry::Telemetry;
 use dpbfl_transport::frame::{read_handshake, write_frame, write_handshake, DEFAULT_MAX_FRAME_LEN};
 use dpbfl_transport::{write_round_begin, write_round_replay, Message, ParamsBlock};
@@ -829,36 +825,36 @@ impl Default for ClientOptions {
     }
 }
 
-/// One round's computed uploads, `(worker, data)` in member order.
+/// One round's uploads to send, `(worker, data)` in member order.
 type Uploads = Vec<(u32, Vec<f32>)>;
 
-/// Client-side run state that must survive reconnects: the worker pool
-/// (RNG + momentum streams evolve across rounds), the round watermark, and
-/// the last stepped round's uploads (so a reconnect that re-receives the
-/// open round can resend without re-stepping).
+/// Client-side run state that must survive reconnects: the hosted members
+/// (a pooled worker's RNG + momentum streams evolve across rounds), the
+/// round watermark, and the last stepped round's uploads (so a reconnect
+/// that re-receives the open round can resend without re-stepping).
 #[derive(Default)]
 struct ClientState {
-    /// Built on the first `Welcome` (pooled only); a claim is never empty.
-    pool: BTreeMap<usize, DpWorker>,
-    /// First round this client has not stepped yet (pooled only).
+    /// The claim, hosted on the first `Welcome`.
+    hosted: Option<Hosted>,
+    /// First round this client has not stepped yet.
     next_round: usize,
-    /// The most recently stepped round, with its computed uploads.
+    /// The most recently stepped round, with the uploads it sends.
     cached: Option<(u32, Uploads)>,
     /// `FaultSpec::drop_at_round` fires once per [`run_client`] call.
     dropped_once: bool,
 }
 
-/// Runs one serving client to completion: connect, claim `workers`, rebuild
+/// Runs one serving client to completion: connect, claim `workers`, host
 /// them from the `Welcome` config, answer every `RoundBegin`, and return the
 /// server's final `RunSummary` JSON.
 ///
-/// A pooled client deals the partition exactly as [`prepare`] does and
-/// builds only its claimed workers' shards, through the *same* shard and
-/// worker builders as the in-process pool, so the upload bytes it sends are
-/// exactly the bytes an in-process run would fold.
+/// The client hosts its claim exactly as the in-process transport hosts
+/// every member — a pooled client deals the partition as [`prepare`] does
+/// and builds only its claimed workers' shards — so the upload bytes it
+/// sends are exactly the bytes an in-process run would fold.
 ///
 /// Connect, handshake, claim-rejection, and mid-run stream errors retry
-/// under [`ClientOptions`]' capped exponential backoff. Worker state
+/// under [`ClientOptions`]' capped exponential backoff. Hosted state
 /// persists across retries; the server's admission replay
 /// (`RoundReplay` frames, then the open round's `RoundBegin`) brings a
 /// reconnecting client back in sync, so a mid-run reconnect loses no
@@ -915,45 +911,31 @@ fn run_session(
         opts.fault.clone()
     };
 
-    // Rebuild this client's workers exactly as the in-process pools would —
-    // once; their state must survive reconnects.
-    let (dp, _) = calibrated_dp(&cfg);
-    let template = init_model(&cfg);
-    let pooled = cfg.provisioning == Provisioning::Pooled;
-    if pooled && state.pool.is_empty() {
+    if state.hosted.is_none() {
         let (parts, _) = deal(&cfg);
-        if let Some(w) = workers.iter().find(|&&w| w >= parts.len()) {
-            return Err(format!("worker {w} is not a data-holding index of this config"));
-        }
         let claim: BTreeSet<usize> = workers.iter().copied().collect();
-        state.pool = pooled_shards(&cfg, &parts, &claim)
-            .into_iter()
-            .map(|(w, shard)| (w, data_worker(&cfg, shard, &dp, &template, w)))
-            .collect();
+        let hosted = Hosted::new(&cfg, &calibrated_dp(&cfg).0, &parts, &claim)
+            .map_err(|w| format!("worker {w} is not a data-holding index of this config"))?;
+        state.hosted = Some(hosted);
     }
-    let prototypes = if pooled { Vec::new() } else { cfg.dataset.prototypes() };
+    let hosted = state.hosted.as_mut().expect("hosted above");
+    let unclaimed = |m| format!("server sent unclaimed worker {m}");
 
     loop {
         let msg = Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN)
             .map_err(|e| format!("round read: {e}"))?;
         match msg {
-            // On-demand workers are rebuilt per (worker, round); there is no
-            // cross-round state to catch up.
-            Message::RoundReplay { .. } if !pooled => {}
             Message::RoundReplay { round, members, params } => {
-                // Catch-up for a closed round: step the members' RNG and
-                // momentum streams exactly as a live round would have, but
-                // upload nothing — the round is over.
+                // Catch-up for a closed round: step the members exactly as a
+                // live round would have, every upload withheld — the round
+                // is over.
                 let r = round as usize;
                 if r < state.next_round {
                     continue; // stepped before the previous disconnect
                 }
-                for &m in &members {
-                    let w = state
-                        .pool
-                        .get_mut(&(m as usize))
-                        .ok_or_else(|| format!("server replayed unclaimed worker {m}"))?;
-                    let _ = protocol_step(w, &params, cfg.protocol);
+                let members: Vec<usize> = members.iter().map(|&m| m as usize).collect();
+                for mut member in hosted.round(&members).map_err(unclaimed)? {
+                    member.upload(r, &params, true);
                 }
                 state.next_round = r + 1;
                 state.cached = None;
@@ -970,43 +952,28 @@ fn run_session(
                     // A reconnect re-delivered the round we already stepped:
                     // resend from cache (the server deduplicates), never
                     // re-step — worker state must advance exactly once per
-                    // round. Only a pooled client caches.
-                    send_uploads(&mut stream, round, deadline_ms, uploads, &fault)?;
+                    // round.
+                    send_uploads(&mut stream, round, uploads, &fault)?;
                     continue;
                 }
-                if pooled && r < state.next_round {
+                if r < state.next_round {
                     return Err(format!(
                         "server re-opened stepped round {r} (client is at round {})",
                         state.next_round
                     ));
                 }
+                // A zero deadline withholds everything: the upload cannot
+                // count, and sending would only race the server's drain.
+                let members: Vec<usize> = members.iter().map(|&m| m as usize).collect();
                 let mut uploads: Uploads = Vec::with_capacity(members.len());
-                for &m in &members {
-                    let upload = if pooled {
-                        let w = state
-                            .pool
-                            .get_mut(&(m as usize))
-                            .ok_or_else(|| format!("server sent unclaimed worker {m}"))?;
-                        protocol_step(w, &params, cfg.protocol)
-                    } else {
-                        let mut w = on_demand_worker(
-                            &cfg,
-                            &template,
-                            &dp,
-                            &prototypes,
-                            m as usize,
-                            r,
-                            member_flips(&cfg, m as usize),
-                        );
-                        protocol_step(&mut w, &params, cfg.protocol)
-                    };
-                    uploads.push((m, upload));
+                for mut member in hosted.round(&members).map_err(unclaimed)? {
+                    let m = member.index;
+                    let withheld = deadline_ms == 0 || fault.withholds(m, r);
+                    uploads.extend(member.upload(r, &params, withheld).map(|u| (m as u32, u)));
                 }
-                if pooled {
-                    state.next_round = r + 1;
-                    state.cached = Some((round, uploads.clone()));
-                }
-                send_uploads(&mut stream, round, deadline_ms, &uploads, &fault)?;
+                state.next_round = r + 1;
+                let (_, uploads) = state.cached.insert((round, uploads));
+                send_uploads(&mut stream, round, uploads, &fault)?;
             }
             Message::RunComplete { summary_json } => return Ok(summary_json),
             other => return Err(format!("unexpected server message: {other:?}")),
@@ -1014,24 +981,15 @@ fn run_session(
     }
 }
 
-/// Sends one round's uploads, applying the fault plan: withheld members
-/// send nothing (the worker already stepped), a zero round deadline
-/// withholds everything (the upload cannot count — sending would only race
-/// the server's drain), and delay draws sleep before each send.
+/// Sends one round's uploads, sleeping each member's fault-plan delay draw
+/// before its send.
 fn send_uploads(
     stream: &mut Stream,
     round: u32,
-    deadline_ms: u64,
     uploads: &[(u32, Vec<f32>)],
     fault: &FaultSpec,
 ) -> Result<(), String> {
-    if deadline_ms == 0 {
-        return Ok(());
-    }
     for (m, data) in uploads {
-        if fault.withholds(*m as usize, round as usize) {
-            continue;
-        }
         let delay = fault.delay_ms(*m as usize, round as usize);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
@@ -1064,7 +1022,7 @@ fn connect(addr: &str) -> Result<Stream, String> {
 mod tests {
     use super::*;
     use crate::attack::AttackSpec;
-    use crate::simulation::{run, DefenseKind, ModelKind};
+    use crate::simulation::{run, DefenseKind, ModelKind, Provisioning};
     use dpbfl_data::SyntheticSpec;
 
     fn serving_cfg() -> SimulationConfig {
