@@ -6,6 +6,8 @@
 //! arguments and flags through the [`Args`] readers, calls
 //! [`Args::finish`] to refuse whatever is left over, and fails with `?`.
 
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::str::FromStr;
 
 /// Why a command failed; the variant picks the exit status.
@@ -31,9 +33,42 @@ pub type CliResult = Result<(), CliError>;
 /// Runs `command` over the process arguments and exits: 0 on success, and
 /// on an error its status after printing `error: …` to stderr. `--help` or
 /// `-h` anywhere prints `usage` to stdout and exits 0 instead.
+///
+/// A closed stdout (the reader of its pipe went away, as under `| head`)
+/// ends the output quietly: the print that finds it closed stops the
+/// command without the panic report std would give it, and the process
+/// exits 0.
 pub fn main(usage: &str, command: impl FnOnce(Args) -> CliResult) -> ! {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !info.payload_as_str().is_some_and(closed_stdout) {
+            report(info);
+        }
+    }));
+    let code = match std::panic::catch_unwind(AssertUnwindSafe(|| run(usage, command))) {
+        Ok(code) => code,
+        Err(payload) if panic_message(&*payload).is_some_and(closed_stdout) => 0,
+        Err(payload) => std::panic::resume_unwind(payload),
+    };
+    std::process::exit(code)
+}
+
+/// Whether a panic message is the one `print!` and `println!` panic with
+/// when stdout's pipe has no reader left.
+fn closed_stdout(message: &str) -> bool {
+    message.starts_with("failed printing to stdout: Broken pipe")
+}
+
+/// The message of a caught panic's payload, when it has one.
+fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    let owned = payload.downcast_ref::<String>().map(String::as_str);
+    owned.or_else(|| payload.downcast_ref::<&str>().copied())
+}
+
+/// [`main`]'s exit status for `command`, before any closed stdout is judged.
+fn run(usage: &str, command: impl FnOnce(Args) -> CliResult) -> i32 {
     let args = Args(std::env::args().skip(1).collect());
-    let code = if args.0.iter().any(|a| a == "--help" || a == "-h") {
+    if args.0.iter().any(|a| a == "--help" || a == "-h") {
         println!("{usage}");
         0
     } else {
@@ -48,8 +83,7 @@ pub fn main(usage: &str, command: impl FnOnce(Args) -> CliResult) -> ! {
                 1
             }
         }
-    };
-    std::process::exit(code)
+    }
 }
 
 /// The arguments no reader has taken yet, in command-line order.

@@ -1,8 +1,8 @@
 //! The command-line contract of the three binaries: for each malformed or
 //! failing invocation, the exit status (2 for a wrong command line, 1 for a
-//! command that ran and failed) and the first line written to stderr. No
-//! case here trains, binds a socket or writes a file: each fails before it
-//! would.
+//! command that ran and failed) and the first line written to stderr, and
+//! what a closed stdout does to a command that succeeds. No case here
+//! trains, binds a socket or writes a file: each fails before it would.
 
 use std::process::{Command, Output};
 
@@ -187,4 +187,18 @@ fn exp_without_arguments_is_an_error() {
 #[test]
 fn server_without_arguments_is_an_error() {
     no_arguments(SERVER, "dpbfl-server", "error: missing <scenario> argument");
+}
+
+#[test]
+fn a_closed_stdout_ends_output_quietly() {
+    // The read end of stdout's pipe is closed before the command prints its
+    // first line (a ledger of no records still prints the table header).
+    for args in [&["list"][..], &["metrics", "/dev/null"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(EXP).args(args).stdout(writer).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
