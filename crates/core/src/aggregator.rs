@@ -67,12 +67,17 @@ impl AggregatorKind {
 /// Krum: returns the upload minimizing the sum of squared distances to its
 /// `n − f − 2` nearest neighbours.
 pub fn krum<'a>(uploads: &[&'a [f32]], f: usize) -> &'a [f32] {
+    assert!(!uploads.is_empty(), "krum needs at least one upload");
+    uploads[krum_index(uploads, f)]
+}
+
+/// The index of the upload [`krum`] returns (Bulyan's selection loop
+/// removes it from its candidates); the first one on a tied score.
+pub(crate) fn krum_index(uploads: &[&[f32]], f: usize) -> usize {
     let n = uploads.len();
-    assert!(n >= 1, "krum needs at least one upload");
     // Number of neighbours counted in each score.
-    let k = n.saturating_sub(f + 2).max(1).min(n - 1).max(1);
-    let mut best_idx = 0usize;
-    let mut best_score = f64::INFINITY;
+    let k = n.saturating_sub(f + 2).clamp(1, n.saturating_sub(1).max(1));
+    let mut best = (0usize, f64::INFINITY);
     for i in 0..n {
         let mut dists: Vec<f64> = (0..n)
             .filter(|&j| j != i)
@@ -80,12 +85,11 @@ pub fn krum<'a>(uploads: &[&'a [f32]], f: usize) -> &'a [f32] {
             .collect();
         dists.sort_unstable_by(f64::total_cmp);
         let score: f64 = dists.iter().take(k.min(dists.len())).sum();
-        if score < best_score {
-            best_score = score;
-            best_idx = i;
+        if score < best.1 {
+            best = (i, score);
         }
     }
-    uploads[best_idx]
+    best.0
 }
 
 /// Coordinate-wise median.

@@ -12,6 +12,7 @@
 //!   its §4.5 argues that under DP noise, cosine scores and real-valued
 //!   weights bias the aggregate — the ablation bench measures exactly that.
 
+use crate::aggregator::krum_index;
 use dpbfl_tensor::vecops;
 
 /// Bulyan aggregation. Requires `uploads.len() ≥ 4f + 3` for its guarantee;
@@ -50,25 +51,6 @@ pub fn bulyan(uploads: &[&[f32]], f: usize) -> Vec<f32> {
         out[j] = (sum / beta as f64) as f32;
     }
     out
-}
-
-/// Index-returning Krum used by Bulyan's selection loop.
-fn krum_index(uploads: &[&[f32]], f: usize) -> usize {
-    let n = uploads.len();
-    let k = n.saturating_sub(f + 2).clamp(1, n.saturating_sub(1).max(1));
-    let mut best = (0usize, f64::INFINITY);
-    for i in 0..n {
-        let mut dists: Vec<f64> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| vecops::l2_dist_sq(uploads[i], uploads[j]))
-            .collect();
-        dists.sort_unstable_by(f64::total_cmp);
-        let score: f64 = dists.iter().take(k.min(dists.len())).sum();
-        if score < best.1 {
-            best = (i, score);
-        }
-    }
-    best.0
 }
 
 /// FLTrust aggregation: trust score `TS_i = ReLU(cos(g_i, g_s))`, each upload

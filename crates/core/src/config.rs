@@ -1,6 +1,7 @@
 //! Protocol configuration.
 
 use crate::second_stage::{ScoringRule, WeightScheme};
+use crate::simulation::worker_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -181,15 +182,7 @@ impl FaultSpec {
     /// One per-`(worker, round)` RNG stream of the plan, domain-separated
     /// by `salt` — the same derivation shape as the run's worker streams.
     fn stream(&self, salt: u64, worker: usize, round: usize) -> StdRng {
-        let per_worker = (self.seed ^ salt)
-            .wrapping_mul(0x100000001b3)
-            .wrapping_add(worker as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15);
-        let per_round = per_worker
-            .wrapping_mul(0x100000001b3)
-            .wrapping_add(round as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15);
-        StdRng::seed_from_u64(per_round)
+        StdRng::seed_from_u64(worker_seed(worker_seed(self.seed ^ salt, worker), round))
     }
 
     /// Whether `worker`'s upload for `round` is withheld.
