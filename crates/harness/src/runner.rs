@@ -254,7 +254,7 @@ pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, S
     // records from older spec versions.
     let mut all_lines = records.clone();
     all_lines.extend(stale);
-    sink::write_records(&jsonl_path, &all_lines, true)?;
+    sink::write_records(&jsonl_path, &all_lines)?;
 
     let cell_metrics = opts
         .metrics_dir

@@ -9,7 +9,6 @@
 
 use dpbfl::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::Path;
 
 /// One completed cell, as persisted in the JSONL sink.
@@ -49,28 +48,19 @@ pub fn load_records(path: &Path) -> Result<Vec<CellRecord>, String> {
     Ok(records)
 }
 
-/// Appends records to the sink (creating it if needed), one line each, in
-/// the order given. With `truncate`, the file is **atomically** rewritten
-/// from scratch (temp file + rename), so a kill mid-rewrite can never
-/// destroy the journaled results the sink exists to protect.
-pub fn write_records(path: &Path, records: &[CellRecord], truncate: bool) -> Result<(), String> {
+/// Writes `records` to the sink, one line each, in the order given. The
+/// file is **atomically** rewritten from scratch (temp file + rename), so a
+/// kill mid-rewrite can never destroy the journaled results the sink exists
+/// to protect.
+pub fn write_records(path: &Path, records: &[CellRecord]) -> Result<(), String> {
     let mut buf = String::new();
     for record in records {
         buf.push_str(&to_line(record));
         buf.push('\n');
     }
-    if truncate {
-        let tmp = path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, buf.as_bytes()).map_err(|e| format!("{}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
-    } else {
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        file.write_all(buf.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))
-    }
+    let tmp = path.with_extension("jsonl.tmp");
+    std::fs::write(&tmp, buf.as_bytes()).map_err(|e| format!("{}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -103,7 +93,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dpbfl-harness-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.jsonl");
-        write_records(&path, &records, true).unwrap();
+        write_records(&path, &records).unwrap();
         let back = load_records(&path).unwrap();
         assert_eq!(back.len(), records.len());
         for (a, b) in records.iter().zip(&back) {
@@ -111,9 +101,6 @@ mod tests {
             assert_eq!(a.axes, b.axes);
             assert_eq!(to_line(a), to_line(b), "serialization is canonical");
         }
-        // Appending keeps existing lines.
-        write_records(&path, &records[..1], false).unwrap();
-        assert_eq!(load_records(&path).unwrap().len(), records.len() + 1);
         std::fs::remove_file(&path).ok();
     }
 }
