@@ -6,7 +6,6 @@
 //! arguments and flags through the [`Args`] readers, calls
 //! [`Args::finish`] to refuse whatever is left over, and fails with `?`.
 
-use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::str::FromStr;
 
@@ -47,7 +46,7 @@ pub fn main(usage: &str, command: impl FnOnce(Args) -> CliResult) -> ! {
     }));
     let code = match std::panic::catch_unwind(AssertUnwindSafe(|| run(usage, command))) {
         Ok(code) => code,
-        Err(payload) if panic_message(&*payload).is_some_and(closed_stdout) => 0,
+        Err(payload) if payload.downcast_ref::<String>().is_some_and(|m| closed_stdout(m)) => 0,
         Err(payload) => std::panic::resume_unwind(payload),
     };
     std::process::exit(code)
@@ -57,12 +56,6 @@ pub fn main(usage: &str, command: impl FnOnce(Args) -> CliResult) -> ! {
 /// when stdout's pipe has no reader left.
 fn closed_stdout(message: &str) -> bool {
     message.starts_with("failed printing to stdout: Broken pipe")
-}
-
-/// The message of a caught panic's payload, when it has one.
-fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
-    let owned = payload.downcast_ref::<String>().map(String::as_str);
-    owned.or_else(|| payload.downcast_ref::<&str>().copied())
 }
 
 /// [`main`]'s exit status for `command`, before any closed stdout is judged.
