@@ -24,15 +24,36 @@
 //! The acceptor thread stays alive for the whole run, so a dead connection
 //! no longer strands its members: a fresh `ClientHello` re-claiming workers
 //! whose previous connection's reader thread has terminated **re-binds**
-//! those members to the new connection. Admission replays every closed
-//! round as `RoundReplay` (the historical members ∩ the claim, with that
-//! round's parameters) so a stateful pooled client can bring its worker
+//! those members to the new connection. The hello carries the client's
+//! watermark, the first round it has not stepped (0 for a fresh process).
+//! Admission replays every retained closed round from the watermark on as
+//! `RoundReplay` (the historical members ∩ the claim, with that round's
+//! parameters) so a stateful pooled client can bring its worker
 //! RNG/momentum streams up to date without uploading, then re-sends the
 //! currently open round's `RoundBegin` — a fast reconnect loses zero
 //! uploads. A claim overlapping a **live** connection is refused with a
 //! structured `HelloReject` (and a `client_rejected` telemetry event);
 //! [`run_client`] treats that as transient (the previous connection may not
 //! have been reaped yet) and retries under its backoff policy.
+//!
+//! The server retains only a replay window: the open round plus the last
+//! [`REPLAY_ROUNDS`] closed rounds. A **pooled** claim whose watermark
+//! predates the window cannot be brought up to date, so it is refused with a
+//! `HelloReject` naming the watermark and the window's first round. A client
+//! process that reconnects keeps its watermark and is admitted at any round;
+//! a *fresh* pooled process is admitted only while round 0 is retained.
+//! On-demand claims are never refused: their members carry no state, and
+//! replays build nothing for them.
+//!
+//! ## Writes
+//!
+//! Every connection has a writer thread, and every frame the server sends is
+//! queued to it. Each write gets a timeout of the time left until the
+//! frame's deadline — the round deadline for a `RoundBegin` — so a client
+//! that stops reading costs only its own members: its connection is shut
+//! down and they miss their rounds as `dead-connection`. No write happens
+//! under the server's lock, so neither admission nor the round loop waits on
+//! a slow peer.
 //!
 //! ## Determinism
 //!
@@ -55,21 +76,22 @@
 use crate::config::{FaultSpec, ServingSpec};
 use crate::round::{init_model, Collected, Hosted, Transport, UploadFold};
 use crate::simulation::{
-    calibrated_dp, data_members, deal, prepare, run_with_transport_telemetry, RunResult,
-    RunSummary, SimulationConfig,
+    calibrated_dp, data_members, deal, prepare, run_with_transport_telemetry, Provisioning,
+    RunResult, RunSummary, SimulationConfig,
 };
 use dpbfl_telemetry::Telemetry;
 use dpbfl_transport::frame::{read_handshake, write_frame, write_handshake, DEFAULT_MAX_FRAME_LEN};
-use dpbfl_transport::{write_round_begin, write_round_replay, Message, ParamsBlock};
+use dpbfl_transport::{write_round_begin, write_round_replay, Frame, Message, ParamsBlock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-round serving policy: how long the server waits for uploads.
@@ -124,6 +146,10 @@ pub struct ServingReport {
     /// Mid-run reconnects accepted: fresh connections that re-claimed
     /// workers previously bound to a dead connection.
     pub reconnects: u64,
+    /// Peak bytes of round parameters held for reconnect replay: at most the
+    /// open round's and [`REPLAY_ROUNDS`] closed rounds' params blocks,
+    /// whatever the run's length.
+    pub history_bytes: u64,
 }
 
 /// A parsed serving address.
@@ -173,6 +199,21 @@ impl Stream {
             Stream::Tcp(s) => s.set_read_timeout(dur),
             Stream::Unix(s) => s.set_read_timeout(dur),
         }
+    }
+
+    fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(dur),
+            Stream::Unix(s) => s.set_write_timeout(dur),
+        }
+    }
+
+    /// Shuts both directions down, for every handle of the connection.
+    fn shutdown(&self) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
     }
 }
 
@@ -238,9 +279,28 @@ impl Listener {
     }
 }
 
-/// How long admission waits for a connection's handshake + hello before
-/// giving up on it (a stalled connection must not block the acceptor).
-const ADMIT_READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long admission gives a connection to send its handshake and hello,
+/// and to take its `Welcome` and replayed rounds (a stalled connection must
+/// not block the acceptor).
+const ADMIT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The least time a queued frame is given to reach its peer however near its
+/// deadline, so a round with a zero deadline still reaches the clients that
+/// are reading.
+const MIN_WRITE_WINDOW: Duration = Duration::from_millis(100);
+
+/// Closed rounds the server retains for reconnect replay, besides the open
+/// round.
+///
+/// A reconnecting client process replays from its own watermark, so the
+/// window has to cover only the rounds that closed while it was away. Every
+/// round that needs its members waits out the round deadline for them: at
+/// full participation eight rounds are eight deadlines of absence, far
+/// longer than [`run_client`]'s default retries take (50 + 100 + 200 ms of
+/// backoff) at any deadline above 50 ms. The window also admits a fresh
+/// pooled process during the run's first eight rounds. The server then holds
+/// at most nine params blocks, whatever the run's length.
+const REPLAY_ROUNDS: usize = 8;
 
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -251,54 +311,85 @@ type Arrival = (u32, u32, Vec<f32>);
 
 /// One admitted client connection.
 struct ClientConn {
-    stream: Stream,
     workers: Vec<u32>,
-    /// True while the connection's reader thread is running.
+    /// True while the connection's reader thread is running and its writer
+    /// has not failed.
     alive: Arc<AtomicBool>,
+    /// The writer thread's queue: every frame this connection is sent.
+    outbox: Sender<Queued>,
+    writer: JoinHandle<()>,
+}
+
+/// A frame queued for a connection's writer, with the instant by which the
+/// peer must have taken it.
+type Queued = (Instant, Outgoing);
+
+/// One frame a connection's writer thread sends.
+enum Outgoing {
+    /// An encoded message (the `Welcome`, `RunComplete`), shared by every
+    /// connection it goes to.
+    Message(Arc<Frame>),
+    /// A round naming the members the connection serves: `RoundBegin` with
+    /// the round deadline in milliseconds, or `RoundReplay` (`None`) once it
+    /// has closed.
+    Round { round: u32, deadline_ms: Option<u64>, members: Vec<u32>, params: Arc<ParamsBlock> },
+}
+
+impl Outgoing {
+    fn write_to(&self, stream: &mut Stream) -> std::io::Result<()> {
+        match self {
+            Outgoing::Message(frame) => write_frame(stream, frame.kind, &frame.payload),
+            Outgoing::Round { round, deadline_ms: Some(ms), members, params } => {
+                write_round_begin(stream, *round, *ms, members, params)
+            }
+            Outgoing::Round { round, deadline_ms: None, members, params } => {
+                write_round_replay(stream, *round, members, params)
+            }
+        }
+    }
 }
 
 /// One round the run has broadcast, kept for reconnect catch-up.
 struct RoundRecord {
     round: u32,
     members: Vec<u32>,
-    /// The round's parameters as broadcast: encoded once, borrowed by every
+    /// The round's parameters as broadcast: encoded once, shared by every
     /// `RoundBegin` and by every later replay.
-    params: ParamsBlock,
+    params: Arc<ParamsBlock>,
+    /// When the round stops collecting uploads.
+    deadline: Instant,
     /// True while the round is still collecting uploads.
     open: bool,
 }
 
 impl RoundRecord {
-    /// Writes this round to a connection serving `workers` — `RoundBegin`
-    /// while the round is open, `RoundReplay` once it has closed — naming
-    /// only the members that connection serves; nothing if it serves none.
-    fn write_to(
-        &self,
-        stream: &mut Stream,
-        workers: &[u32],
-        deadline_ms: u64,
-    ) -> std::io::Result<()> {
+    /// This round as a connection serving `workers` is sent it —
+    /// `RoundBegin` while the round is open, `RoundReplay` once it has
+    /// closed — naming only the members that connection serves; `None` if it
+    /// serves none.
+    fn frame_for(&self, workers: &[u32], deadline_ms: u64) -> Option<Outgoing> {
         let mine: Vec<u32> = self.members.iter().copied().filter(|m| workers.contains(m)).collect();
-        if mine.is_empty() {
-            Ok(())
-        } else if self.open {
-            write_round_begin(stream, self.round, deadline_ms, &mine, &self.params)
-        } else {
-            write_round_replay(stream, self.round, &mine, &self.params)
-        }
+        (!mine.is_empty()).then(|| Outgoing::Round {
+            round: self.round,
+            deadline_ms: self.open.then_some(deadline_ms),
+            members: mine,
+            params: Arc::clone(&self.params),
+        })
     }
 }
 
-/// Server state shared between the round loop and the acceptor thread. All
-/// stream writes happen under this lock, so admission replay frames and
-/// round broadcasts never interleave on one connection.
+/// Server state shared between the round loop and the acceptor thread.
+/// Every frame a connection is sent is queued to its writer under this lock,
+/// so admission replays and round broadcasts reach it in round order, each
+/// exactly once; no write happens under the lock.
 #[derive(Default)]
 struct Shared {
     conns: Vec<ClientConn>,
     /// Worker index → owning connection (latest binding wins on reconnect).
     claimed: BTreeMap<u32, usize>,
-    /// Every round broadcast so far, for reconnect replay.
-    history: Vec<RoundRecord>,
+    /// The replay window: the open round and the last [`REPLAY_ROUNDS`]
+    /// closed rounds, oldest first.
+    history: VecDeque<RoundRecord>,
     /// Mid-run re-claims of dead connections' workers.
     reconnects: u64,
     /// Set by the acceptor on a fatal listener error, so the coverage wait
@@ -317,11 +408,15 @@ struct Server<'a> {
     /// a client sends nothing larger than an `Upload` of `d` values.
     hello_cap: u32,
     upload_cap: u32,
-    /// The `Welcome` every admitted connection receives: the run's config.
-    welcome: Message,
+    /// The `Welcome` every admitted connection receives (the run's config),
+    /// encoded once.
+    welcome: Arc<Frame>,
     /// The run's round deadline: a `deadline_ms` carried on `cfg.serving`
     /// wins over the caller's [`RoundPolicy`].
     deadline_ms: u64,
+    /// Pooled members carry state from round to round, so a pooled claim is
+    /// admitted only while the window holds every round it has not stepped.
+    pooled: bool,
     shared: Mutex<Shared>,
     /// Signalled whenever a claim is registered or the acceptor fails.
     coverage: Condvar,
@@ -396,19 +491,24 @@ impl BoundServer {
         tel: &Telemetry,
     ) -> Result<(RunResult, ServingReport), String> {
         let required = data_member_indices(cfg);
-        let full_claim = Message::ClientHello { workers: required.clone() }.encode().payload.len();
+        let full_claim =
+            Message::ClientHello { workers: required.clone(), watermark: 0 }.encode().payload.len();
         let server = Server {
             required,
             hello_cap: u32::try_from(full_claim).unwrap_or(u32::MAX),
             upload_cap: Message::upload_payload_len(init_model(cfg).param_len()),
-            welcome: Message::Welcome {
-                config_json: serde_json::to_string(cfg).map_err(|e| e.to_string())?,
-            },
+            welcome: Arc::new(
+                Message::Welcome {
+                    config_json: serde_json::to_string(cfg).map_err(|e| e.to_string())?,
+                }
+                .encode(),
+            ),
             deadline_ms: cfg
                 .serving
                 .as_ref()
                 .and_then(|s| s.deadline_ms)
                 .unwrap_or(policy.deadline_ms),
+            pooled: cfg.provisioning == Provisioning::Pooled,
             shared: Mutex::default(),
             coverage: Condvar::new(),
             done: AtomicBool::new(false),
@@ -451,17 +551,24 @@ impl BoundServer {
             server.done.store(true, Ordering::Release);
             let wall = started.elapsed().as_secs_f64();
             let WireTransport { round_ms, mut report, .. } = transport;
-            {
-                let guard = server.lock();
-                report.clients = guard.conns.len();
+            let _ = acceptor.join();
+            let conns = {
+                let mut guard = server.lock();
                 report.reconnects = guard.reconnects;
+                std::mem::take(&mut guard.conns)
+            };
+            report.clients = conns.len();
+            // A writer ends once its queue (`RunComplete` last) is written or
+            // a write has timed out.
+            for ClientConn { outbox, writer, .. } in conns {
+                drop(outbox);
+                let _ = writer.join();
             }
             report.rounds = round_ms.len();
             report.p50_round_ms = percentile(&round_ms, 50.0);
             report.p99_round_ms = percentile(&round_ms, 99.0);
             report.rounds_per_sec = if wall > 0.0 { round_ms.len() as f64 / wall } else { 0.0 };
             report.dropped_uploads = report.dropped_deadline + report.dropped_dead_connection;
-            let _ = acceptor.join();
             Ok((result, report))
         })
     }
@@ -500,13 +607,14 @@ impl Server<'_> {
     }
 
     /// Handshakes, validates, and (if accepted) registers one inbound
-    /// connection, replaying history to reconnecting claims.
+    /// connection, replaying the window from its watermark on.
     fn admit(&self, mut stream: Stream, peer: &str, tx: Sender<Arrival>) {
         // Handshake and hello are read before taking the lock, under a timeout,
         // so a stalled connection cannot block admission of others for long.
-        stream.set_read_timeout(Some(ADMIT_READ_TIMEOUT)).ok();
-        let workers = match read_claim(&mut stream, &self.required, self.hello_cap) {
-            Ok(w) => w,
+        stream.set_read_timeout(Some(ADMIT_TIMEOUT)).ok();
+        stream.set_write_timeout(Some(ADMIT_TIMEOUT)).ok();
+        let (workers, watermark) = match read_claim(&mut stream, &self.required, self.hello_cap) {
+            Ok(claim) => claim,
             Err(reason) => return self.reject(stream, peer, &reason),
         };
         stream.set_read_timeout(None).ok();
@@ -528,24 +636,39 @@ impl Server<'_> {
                 reclaim = true;
             }
         }
+        // A pooled member must step every round it missed: a watermark
+        // before the window's first round cannot be brought up to date.
+        let first = guard.history.front().map_or(0, |r| r.round);
+        if self.pooled && watermark < first {
+            drop(guard);
+            return self.reject(
+                stream,
+                peer,
+                &format!(
+                    "watermark {watermark} predates the replay window, which starts at round \
+                     {first}"
+                ),
+            );
+        }
 
-        // Welcome + catch-up replay + reader + registration happen under the
-        // lock, so no round can open or close between the replayed history
-        // and the first live broadcast this connection sees.
+        // Welcome + catch-up replay are queued and the connection registered
+        // under the lock, so no round can open or close between the replayed
+        // rounds and the first live broadcast this connection sees.
         let alive = Arc::new(AtomicBool::new(true));
-        let admitted = (|| -> Result<(), String> {
-            self.welcome.write_to(&mut stream).map_err(|e| format!("welcome: {e}"))?;
-            for rec in &guard.history {
-                rec.write_to(&mut stream, &workers, self.deadline_ms)
-                    .map_err(|e| format!("replay: {e}"))?;
-            }
-            stream.flush().ok();
+        if let Err(e) =
             spawn_reader(&stream, workers.clone(), self.upload_cap, tx, Arc::clone(&alive))
-        })();
-        if let Err(e) = admitted {
+        {
             drop(guard);
             eprintln!("lost client {peer} during admission: {e}");
             return;
+        }
+        let (outbox, writer) = spawn_writer(stream, Arc::clone(&alive));
+        let admit_by = Instant::now() + ADMIT_TIMEOUT;
+        let _ = outbox.send((admit_by, Outgoing::Message(Arc::clone(&self.welcome))));
+        for rec in guard.history.iter().filter(|r| r.open || r.round >= watermark) {
+            if let Some(frame) = rec.frame_for(&workers, self.deadline_ms) {
+                let _ = outbox.send((if rec.open { rec.deadline } else { admit_by }, frame));
+            }
         }
         let idx = guard.conns.len();
         for &w in &workers {
@@ -555,7 +678,7 @@ impl Server<'_> {
             guard.reconnects += 1;
             if self.tel.enabled() {
                 let open_round =
-                    guard.history.last().filter(|r| r.open).map(|r| u64::from(r.round));
+                    guard.history.back().filter(|r| r.open).map(|r| u64::from(r.round));
                 self.tel.event(
                     "client_reconnected",
                     open_round,
@@ -563,7 +686,7 @@ impl Server<'_> {
                 );
             }
         }
-        guard.conns.push(ClientConn { stream, workers, alive });
+        guard.conns.push(ClientConn { workers, alive, outbox, writer });
         self.coverage.notify_all();
     }
 
@@ -580,12 +703,17 @@ impl Server<'_> {
 }
 
 /// Reads the handshake + `ClientHello` (a frame of at most `max_len` payload
-/// bytes) and validates the claim's range.
-fn read_claim(stream: &mut Stream, required: &[u32], max_len: u32) -> Result<Vec<u32>, String> {
+/// bytes), validates the claim's range, and returns it with the client's
+/// watermark.
+fn read_claim(
+    stream: &mut Stream,
+    required: &[u32],
+    max_len: u32,
+) -> Result<(Vec<u32>, u32), String> {
     write_handshake(stream).map_err(|e| format!("handshake write: {e}"))?;
     read_handshake(stream).map_err(|e| format!("handshake read: {e}"))?;
     let hello = Message::read_from(stream, max_len).map_err(|e| format!("client hello: {e}"))?;
-    let Message::ClientHello { workers } = hello else {
+    let Message::ClientHello { workers, watermark } = hello else {
         return Err("first client message was not ClientHello".into());
     };
     if workers.is_empty() {
@@ -596,7 +724,7 @@ fn read_claim(stream: &mut Stream, required: &[u32], max_len: u32) -> Result<Vec
             return Err(format!("worker {w} is not a data-holding index of this run"));
         }
     }
-    Ok(workers)
+    Ok((workers, watermark))
 }
 
 /// Spawns the connection's reader thread: every decoded `Upload` for a
@@ -634,6 +762,30 @@ fn spawn_reader(
     Ok(())
 }
 
+/// Spawns the connection's writer thread: it writes the queued frames in
+/// order, each under a write timeout of the time left until its deadline
+/// (at least [`MIN_WRITE_WINDOW`]). A peer that cannot take a frame in time
+/// has its connection shut down and marked dead, and the rest of its queue
+/// is dropped: its members then miss their rounds as `dead-connection`.
+fn spawn_writer(mut stream: Stream, alive: Arc<AtomicBool>) -> (Sender<Queued>, JoinHandle<()>) {
+    let (outbox, queue) = channel::<Queued>();
+    let writer = std::thread::spawn(move || {
+        for (deadline, frame) in queue {
+            let left = deadline.saturating_duration_since(Instant::now()).max(MIN_WRITE_WINDOW);
+            let sent = stream
+                .set_write_timeout(Some(left))
+                .and_then(|()| frame.write_to(&mut stream))
+                .and_then(|()| stream.flush());
+            if sent.is_err() {
+                alive.store(false, Ordering::Release);
+                stream.shutdown();
+                return;
+            }
+        }
+    });
+    (outbox, writer)
+}
+
 /// The wire transport (TCP or Unix-domain): broadcasts `RoundBegin` to
 /// every connection serving a cohort member, folds uploads in arrival order
 /// (placing results by member index), and drops members that miss the
@@ -660,21 +812,25 @@ impl Transport for WireTransport<'_> {
         let record = RoundRecord {
             round: round as u32,
             members: members.iter().map(|&m| m as u32).collect(),
-            params: ParamsBlock::encode(params),
+            params: Arc::new(ParamsBlock::encode(params)),
+            deadline,
             open: true,
         };
         {
+            // The broadcast is queued and the round recorded in one critical
+            // section, so an admission replays the round or is sent it live,
+            // never both or neither. The writers write outside the lock.
             let mut guard = self.server.lock();
-            for conn in &mut guard.conns {
-                if !conn.alive.load(Ordering::Acquire) {
-                    continue;
-                }
-                // A dead connection just means its members miss the deadline.
-                if record.write_to(&mut conn.stream, &conn.workers, deadline_ms).is_ok() {
-                    conn.stream.flush().ok();
+            for conn in guard.conns.iter().filter(|c| c.alive.load(Ordering::Acquire)) {
+                if let Some(frame) = record.frame_for(&conn.workers, deadline_ms) {
+                    // A failed writer has dropped its queue; its members
+                    // just miss the deadline.
+                    let _ = conn.outbox.send((deadline, frame));
                 }
             }
-            guard.history.push(record);
+            guard.history.push_back(record);
+            let held: usize = guard.history.iter().map(|r| r.params.byte_len()).sum();
+            self.report.history_bytes = self.report.history_bytes.max(held as u64);
         }
 
         let d = params.len();
@@ -743,9 +899,11 @@ impl Transport for WireTransport<'_> {
         // member was merely late (a straggler past the deadline).
         {
             let mut guard = self.server.lock();
-            if let Some(rec) = guard.history.last_mut() {
+            if let Some(rec) = guard.history.back_mut() {
                 rec.open = false;
             }
+            let evicted = guard.history.len().saturating_sub(REPLAY_ROUNDS);
+            guard.history.drain(..evicted);
             for (pos, slot) in slots.iter().enumerate() {
                 if slot.is_some() {
                     continue;
@@ -780,12 +938,12 @@ impl Transport for WireTransport<'_> {
 
     fn publish_summary(&mut self, summary: &RunSummary) {
         let Ok(summary_json) = serde_json::to_string(summary) else { return };
-        // Encoded once; every connection is sent the same bytes.
-        let frame = Message::RunComplete { summary_json }.encode();
-        for conn in &mut self.server.lock().conns {
-            if write_frame(&mut conn.stream, frame.kind, &frame.payload).is_ok() {
-                conn.stream.flush().ok();
-            }
+        // Encoded once; every connection is sent the same bytes, under the
+        // round deadline's write timeout.
+        let frame = Arc::new(Message::RunComplete { summary_json }.encode());
+        let deadline = Instant::now() + Duration::from_millis(self.server.deadline_ms);
+        for conn in &self.server.lock().conns {
+            let _ = conn.outbox.send((deadline, Outgoing::Message(Arc::clone(&frame))));
         }
     }
 }
@@ -855,10 +1013,10 @@ struct ClientState {
 ///
 /// Connect, handshake, claim-rejection, and mid-run stream errors retry
 /// under [`ClientOptions`]' capped exponential backoff. Hosted state
-/// persists across retries; the server's admission replay
-/// (`RoundReplay` frames, then the open round's `RoundBegin`) brings a
-/// reconnecting client back in sync, so a mid-run reconnect loses no
-/// uploads.
+/// and the round watermark persist across retries; the server's admission
+/// replay (`RoundReplay` frames from the watermark on, then the open round's
+/// `RoundBegin`) brings a reconnecting client back in sync, so a mid-run
+/// reconnect loses no uploads.
 pub fn run_client(addr: &str, workers: &[usize], opts: &ClientOptions) -> Result<String, String> {
     let mut state = ClientState::default();
     let mut attempt = 0u32;
@@ -888,7 +1046,8 @@ fn run_session(
     let mut stream = connect(addr)?;
     write_handshake(&mut stream).map_err(|e| format!("handshake write: {e}"))?;
     read_handshake(&mut stream).map_err(|e| format!("handshake read: {e}"))?;
-    Message::ClientHello { workers: workers.iter().map(|&w| w as u32).collect() }
+    let watermark = state.next_round as u32;
+    Message::ClientHello { workers: workers.iter().map(|&w| w as u32).collect(), watermark }
         .write_to(&mut stream)
         .map_err(|e| format!("hello: {e}"))?;
     stream.flush().ok();
@@ -1259,7 +1418,9 @@ mod tests {
             let mut stream = connect(&addr).expect("connect");
             write_handshake(&mut stream).expect("handshake out");
             read_handshake(&mut stream).expect("handshake in");
-            Message::ClientHello { workers: vec![worker] }.write_to(&mut stream).expect("hello");
+            Message::ClientHello { workers: vec![worker], watermark: 0 }
+                .write_to(&mut stream)
+                .expect("hello");
             loop {
                 match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
                 {
@@ -1555,6 +1716,168 @@ mod tests {
         assert_eq!(report.dropped_uploads, 0, "replay + open-round resend loses no uploads");
         assert_eq!(stable_summary, expected);
         assert_eq!(churn_summary, expected);
+    }
+
+    #[test]
+    fn replay_window_holds_the_same_bytes_at_t_and_4t_rounds() {
+        // The server retains the open round and the last REPLAY_ROUNDS
+        // closed rounds: a run four times as long holds no more parameters.
+        let held = |epochs: f64| {
+            let mut cfg = serving_cfg();
+            cfg.epochs = epochs;
+            let (_, report, _) = serve_loopback(
+                &cfg,
+                "tcp://127.0.0.1:0",
+                &RoundPolicy::default(),
+                vec![vec![0, 1, 2], vec![3, 4, 5]],
+                vec![ClientOptions::default(), ClientOptions::default()],
+            );
+            assert_eq!(report.rounds, cfg.iterations());
+            report.history_bytes
+        };
+        let (t, four_t) = (held(1.25), held(5.0)); // 10 and 40 rounds
+        let d = init_model(&serving_cfg()).param_len();
+        let block = ParamsBlock::encode(&vec![0.0; d]).byte_len();
+        assert_eq!(t, ((REPLAY_ROUNDS + 1) * block) as u64);
+        assert_eq!(four_t, t);
+    }
+
+    #[test]
+    fn fresh_pooled_client_behind_the_window_is_refused_with_reason() {
+        // Worker 5's first process dies on round 1's broadcast. A fresh
+        // process (watermark 0) re-claims it only once round REPLAY_ROUNDS
+        // has closed, when round 0 has left the window: the pooled worker
+        // cannot be brought up to date, so the claim is refused with a
+        // reasoned HelloReject and a `client_rejected` event, and the run
+        // finishes without worker 5.
+        let mut cfg = serving_cfg();
+        cfg.epochs = 2.0; // 16 rounds: 7 are left when the fresh claim comes
+        cfg.serving = Some(ServingSpec { deadline_ms: Some(200), fault: FaultSpec::default() });
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let sink = Arc::new(Mutex::new(dpbfl_telemetry::MemorySink::default()));
+        let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
+        let stable = {
+            let local = local.clone();
+            std::thread::spawn(move || {
+                run_client(&local, &[0, 1, 2, 3, 4], &ClientOptions::default())
+            })
+        };
+        let churn = {
+            let sink = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                let once = ClientOptions { max_retries: 0, ..ClientOptions::default() };
+                let doomed = ClientOptions {
+                    fault: FaultSpec { drop_at_round: Some(1), ..FaultSpec::default() },
+                    ..once.clone()
+                };
+                assert!(run_client(&local, &[5], &doomed).is_err(), "doomed client must die");
+                let closed = || {
+                    let sink = sink.lock().unwrap();
+                    sink.spans.iter().filter(|s| s.name == "serving_round").count()
+                };
+                while closed() <= REPLAY_ROUNDS {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                run_client(&local, &[5], &once)
+            })
+        };
+        let (_, report) =
+            server.serve_telemetry(&cfg, &RoundPolicy::default(), &tel).expect("serve");
+        stable.join().expect("stable thread").expect("stable client");
+        let err = churn.join().expect("churn thread").expect_err("a stale claim is refused");
+        assert!(
+            err.contains("watermark 0 predates the replay window, which starts at round"),
+            "unexpected reason: {err}"
+        );
+        assert_eq!(report.reconnects, 0);
+        assert_eq!(report.dropped_dead_connection, cfg.iterations() as u64 - 1);
+        let events = &sink.lock().unwrap().events;
+        let rejected: Vec<_> = events.iter().filter(|e| e.name == "client_rejected").collect();
+        assert_eq!(rejected.len(), 1, "{rejected:?}");
+        assert!(rejected[0].detail.contains("watermark 0 predates"), "{rejected:?}");
+    }
+
+    #[test]
+    fn same_process_reconnect_late_in_a_run_resumes_from_its_watermark() {
+        // A client that drops its connection on round 13's broadcast, long
+        // after round 0 has left the window, and reconnects under its own
+        // retry policy: its hello carries watermark 13, admission re-sends
+        // the open round, and the run is byte-identical to the
+        // uninterrupted in-process reference.
+        let mut cfg = serving_cfg();
+        cfg.epochs = 2.0; // 16 rounds
+        let expected = summary_json(&run(&cfg));
+        let churn = ClientOptions {
+            fault: FaultSpec { drop_at_round: Some(13), ..FaultSpec::default() },
+            max_retries: 5,
+            ..ClientOptions::default()
+        };
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 1, 2], vec![3, 4, 5]],
+            vec![ClientOptions::default(), churn],
+        );
+        assert_eq!(summary_json(&result), expected, "late reconnect run ≠ in-process");
+        assert_eq!(report.reconnects, 1);
+        assert_eq!(report.dropped_uploads, 0);
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
+    fn a_client_that_never_reads_costs_only_its_own_members() {
+        // A raw-socket client claims worker 5 and then never reads. Each
+        // round's frame (≈ 400 KB) is larger than a Unix socket's send
+        // buffer, so the server's first write to it blocks until the round
+        // deadline. Meanwhile the honest client drops its connection on
+        // round 0's broadcast and reconnects: that admission, and the rest
+        // of the round, must not wait for the blocked write. The run is
+        // byte-identical to the in-process run in which worker 5 never
+        // delivers, and worker 5's rounds are the only ones dropped.
+        const STALLED: u32 = 5;
+        let mut cfg = serving_cfg();
+        cfg.model = ModelKind::SmallMlp { hidden: 128 };
+        cfg.epochs = 0.5; // 4 rounds: every one waits out the deadline for worker 5
+        cfg.serving = Some(ServingSpec { deadline_ms: Some(1_000), fault: FaultSpec::default() });
+        let expected = withheld_summary(&cfg, STALLED as usize);
+
+        let path =
+            std::env::temp_dir().join(format!("dpbfl-stall-test-{}.sock", std::process::id()));
+        let server = BoundServer::bind(&format!("unix://{}", path.display())).expect("bind");
+        let local = server.local_addr().to_string();
+        let (release, hold) = channel::<()>();
+        let stalled = {
+            let local = local.clone();
+            std::thread::spawn(move || {
+                let mut stream = connect(&local).expect("connect");
+                write_handshake(&mut stream).expect("handshake out");
+                read_handshake(&mut stream).expect("handshake in");
+                Message::ClientHello { workers: vec![STALLED], watermark: 0 }
+                    .write_to(&mut stream)
+                    .expect("hello");
+                let _ = hold.recv();
+            })
+        };
+        let churn = ClientOptions {
+            fault: FaultSpec { drop_at_round: Some(0), ..FaultSpec::default() },
+            max_retries: 5,
+            ..ClientOptions::default()
+        };
+        let honest = std::thread::spawn(move || run_client(&local, &[0, 1, 2, 3, 4], &churn));
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        release.send(()).expect("stalled client waits");
+        stalled.join().expect("stalled thread");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(summary_json(&result), expected, "stalled reader ≠ withheld upload");
+        assert_eq!(report.reconnects, 1);
+        assert_eq!(report.dropped_uploads, cfg.iterations() as u64, "only worker 5 drops");
     }
 
     #[test]

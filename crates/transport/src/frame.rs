@@ -9,8 +9,9 @@ pub const MAGIC: [u8; 4] = *b"DPBF";
 
 /// Protocol version, sent as `u16` little-endian right after the magic.
 /// Bumped on any incompatible change to the frame or message grammar.
-/// Version 2 added the reconnect grammar (`HelloReject`, `RoundReplay`).
-pub const VERSION: u16 = 2;
+/// Version 2 added the reconnect grammar (`HelloReject`, `RoundReplay`);
+/// version 3 added the client's round watermark to `ClientHello`.
+pub const VERSION: u16 = 3;
 
 /// Default cap on a frame's declared payload length (64 MiB) — far above any
 /// legitimate frame (the largest, `RoundBegin` at the paper's model size,

@@ -4,7 +4,7 @@
 //!
 //! | kind | message      | direction       | payload |
 //! |------|--------------|-----------------|---------|
-//! | 1    | `ClientHello`| client → server | `u32 count, count × u32` worker indices the client serves |
+//! | 1    | `ClientHello`| client → server | `u32s workers` the client serves, `u32 watermark`: the first round it has not stepped |
 //! | 2    | `Welcome`    | server → client | length-prefixed UTF-8: the full run config as canonical JSON |
 //! | 3    | `RoundBegin` | server → client | `u32 round, u64 deadline_ms, u32s members, f32s params` |
 //! | 4    | `Upload`     | client → server | `u32 round, u32 worker, f32s data` |
@@ -48,6 +48,9 @@ pub enum Message {
     ClientHello {
         /// Global worker indices, ascending, no duplicates (server-enforced).
         workers: Vec<u32>,
+        /// The first round the client has not stepped: 0 for a fresh
+        /// process. Admission replays closed rounds from here on.
+        watermark: u32,
     },
     /// Server → client: the run configuration as canonical JSON.
     Welcome {
@@ -117,6 +120,11 @@ impl ParamsBlock {
         put::f32s(&mut block, params);
         ParamsBlock(block)
     }
+
+    /// The encoded block's size in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// Writes the frame of `Message::RoundBegin { round, deadline_ms, members,
@@ -166,8 +174,9 @@ impl Message {
     pub fn encode(&self) -> Frame {
         let mut payload = Vec::new();
         let kind = match self {
-            Message::ClientHello { workers } => {
+            Message::ClientHello { workers, watermark } => {
                 put::u32s(&mut payload, workers);
+                put::u32(&mut payload, *watermark);
                 kind::CLIENT_HELLO
             }
             Message::Welcome { config_json } => {
@@ -218,7 +227,10 @@ impl Message {
     pub fn decode(frame: &Frame) -> Result<Message, FrameError> {
         let mut r = PayloadReader::new(&frame.payload);
         let message = match frame.kind {
-            kind::CLIENT_HELLO => Message::ClientHello { workers: r.u32s("hello workers")? },
+            kind::CLIENT_HELLO => Message::ClientHello {
+                workers: r.u32s("hello workers")?,
+                watermark: r.u32("hello watermark")?,
+            },
             kind::WELCOME => Message::Welcome { config_json: r.str("welcome config")? },
             kind::ROUND_BEGIN => Message::RoundBegin {
                 round: r.u32("round index")?,
@@ -263,7 +275,7 @@ mod tests {
     #[test]
     fn every_kind_roundtrips() {
         let messages = [
-            Message::ClientHello { workers: vec![0, 1, 7] },
+            Message::ClientHello { workers: vec![0, 1, 7], watermark: 12 },
             Message::Welcome { config_json: "{\"n\":3}".into() },
             Message::RoundBegin {
                 round: 9,
@@ -286,6 +298,7 @@ mod tests {
     fn borrowed_round_writers_match_message_encode_bytewise() {
         let params = vec![1.5f32, -0.0, f32::MIN_POSITIVE, f32::NAN, 7.25];
         let block = ParamsBlock::encode(&params);
+        assert_eq!(block.byte_len(), 4 + 4 * params.len());
         for members in [vec![], vec![4u32], vec![2, 3, 9]] {
             let mut want = Vec::new();
             Message::RoundBegin {

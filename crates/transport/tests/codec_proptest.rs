@@ -24,7 +24,7 @@ use std::io::Cursor;
 /// generated vectors (the vendored proptest has no `prop_oneof`).
 fn build_message(which: usize, ints: Vec<u32>, floats: Vec<f32>, text: String) -> Message {
     match which % 7 {
-        0 => Message::ClientHello { workers: ints },
+        0 => Message::ClientHello { watermark: ints.last().copied().unwrap_or(0), workers: ints },
         1 => Message::Welcome { config_json: text },
         2 => Message::RoundBegin {
             round: ints.first().copied().unwrap_or(0),
