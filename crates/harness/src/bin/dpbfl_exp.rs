@@ -82,8 +82,10 @@ point it at a checkout of the parent commit to record the other side of a
 parent/change pair into the same files.
 
 `perf compare` reads the BENCH_e2e.json rows in the current directory whose
-`git` is the base (parent) or the head (change) commit, pairs the two sides
-of each workload in file order, and prints one table per workload: for every
+`git` is the base (parent) or the head (change) commit, pairs alternation
+partners only (a parent row and a change row next to each other in the
+workload's rows, of any commit, in file order, with the same seed and host),
+and prints one table per workload: for every
 end-to-end metric of BENCHMARK.json, q1 / median / q3 of each side (linear
 interpolation between closest ranks), the median change, the change's wins,
 the bound and a verdict. `unmeasurable`: the parent's own spread (q3 − q1
@@ -443,23 +445,35 @@ fn compare_rows(
     }
     let (mut out, mut outside) = (String::new(), false);
     for workload in workloads.iter().filter(|w| only.is_none_or(|o| o == *w)) {
-        let side = |git: &str| -> Vec<&Value> {
-            let mine = |r: &&Value| {
-                text(r, "git").as_deref() == Some(git)
-                    && text(r, "workload").as_deref() == Some(workload.as_str())
-            };
-            rows.iter().filter(mine).collect()
-        };
-        let (parent, change) = (side(base), side(head));
-        let n = parent.len().min(change.len());
+        // Alternation partners only: rows recorded against another commit
+        // in between, or under another seed or host, pair with nothing.
+        let ours: Vec<&Value> =
+            rows.iter().filter(|r| text(r, "workload").as_deref() == Some(workload)).collect();
+        let (mut parent, mut change) = (Vec::new(), Vec::new());
+        let mut i = 0;
+        while i + 1 < ours.len() {
+            let (a, b) = (ours[i], ours[i + 1]);
+            let partners = ["seed", "host"].iter().all(|key| a.get(key) == b.get(key));
+            match (text(a, "git"), text(b, "git")) {
+                (Some(x), Some(y)) if partners && x == base && y == head => {
+                    parent.push(a);
+                    change.push(b);
+                    i += 2;
+                }
+                (Some(x), Some(y)) if partners && x == head && y == base => {
+                    parent.push(b);
+                    change.push(a);
+                    i += 2;
+                }
+                _ => i += 1,
+            }
+        }
+        let n = parent.len();
         if n == 0 {
             continue;
         }
-        let mut seeds: Vec<String> = parent[..n]
-            .iter()
-            .filter_map(|r| r.get("seed")?.as_f64())
-            .map(|s| s.to_string())
-            .collect();
+        let mut seeds: Vec<String> =
+            parent.iter().filter_map(|r| r.get("seed")?.as_f64()).map(|s| s.to_string()).collect();
         seeds.sort();
         seeds.dedup();
         out.push_str(&format!("### {workload} ({n} pairs, seed {})\n", seeds.join(", ")));
@@ -470,9 +484,9 @@ fn compare_rows(
         );
         for (name, higher, bound) in &metrics {
             let value = |r: &Value| r.get("metrics")?.get(name)?.as_f64();
-            let pairs: Vec<(f64, f64)> = parent[..n]
+            let pairs: Vec<(f64, f64)> = parent
                 .iter()
-                .zip(&change[..n])
+                .zip(&change)
                 .filter_map(|(p, c)| Some((value(p)?, value(c)?)))
                 .collect();
             if pairs.is_empty() {
@@ -518,8 +532,8 @@ fn compare_rows(
         };
         out.push_str(&format!(
             "\n`failed`: parent {}, change {} attempted operations\n\n",
-            failed(&parent[..n]),
-            failed(&change[..n])
+            failed(&parent),
+            failed(&change)
         ));
     }
     if out.is_empty() {
@@ -709,6 +723,81 @@ mod tests {
         let one = compare_rows(&committed("BENCHMARK.json"), &rows, "cd4d385", "5a6c87f", Some("ingest_tcp"));
         assert_eq!(one.expect("ingest rows").0.matches("### ").count(), 1);
         assert!(compare_rows(&committed("BENCHMARK.json"), &rows, "cd4d385", "nosuchgit", None).is_err());
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn perf_compare_pairs_only_alternation_partners_in_the_committed_rows() {
+        // The tables CHANGES.md holds for the one-round-loop change (parent
+        // 819e537, change c76fffd) were rendered from a hand-filtered copy of
+        // the file: the parent's earlier batch, recorded against 53d29ec,
+        // must pair with nothing.
+        let serde::Value::Arr(rows) = committed("BENCH_e2e.json") else { panic!("rows") };
+        let contract = committed("BENCHMARK.json");
+        let (tables, outside) =
+            compare_rows(&contract, &rows, "819e537", "c76fffd", None).expect("the pair has rows");
+        assert!(!outside, "{tables}");
+        for row in [
+            "### headline_inproc (10 pairs, seed 1)",
+            "| `setup_s` | 0.1471 / 0.1804 / 0.1979 | 0.1581 / 0.1897 / 0.1985 | +5.2 % | 3/10 | 25 % | unmeasurable | no | 0.1459→0.1487, 0.1445→0.15, 0.185→0.1927, 0.1431→0.1822, 0.1824→0.1376, 0.2043→0.2091, 0.1507→0.2004, 0.2034→0.1867, 0.2022→0.1989, 0.1783→0.1974 |",
+            "| `peak_rss_mib` | 63.48 / 63.54 / 63.64 | 62.55 / 62.62 / 62.7 | -1.4 % | 10/10 | 10 % | within | yes |",
+            "### omniscient_inproc (5 pairs, seed 1)",
+            "| `uploads_per_s` | 3743 / 3807 / 3975 | 4020 / 4042 / 4072 | +6.2 % | 3/5 | 25 % | within | no |",
+            "### ingest_tcp (5 pairs, seed 1)",
+            "| `peak_rss_mib` | 101.9 / 101.9 / 102 | 101.4 / 101.4 / 101.7 | -0.5 % | 5/5 | 10 % | within | yes |",
+            "`failed`: parent 0 of 184320, change 0 of 204800 attempted operations",
+        ] {
+            assert!(tables.lines().any(|l| l.starts_with(row)), "no `{row}` in\n{tables}");
+        }
+        // A batch recorded under seed 7 sits before the seed-13 pairs of
+        // 0cff7da and 8410466: only the seed-13 rows pair.
+        let (tables, _) =
+            compare_rows(&contract, &rows, "0cff7da", "8410466", Some("ingest_tcp")).expect("rows");
+        assert!(tables.starts_with("### ingest_tcp (10 pairs, seed 13)\n"), "{tables}");
+    }
+
+    #[test]
+    fn perf_compare_pairs_neighbours_of_one_seed_and_host() {
+        let contract = serde_json::parse_value(
+            r#"{"workloads": [{"name": "w"}], "end_to_end": [{"name": "rate", "bound": 0.25}]}"#,
+        )
+        .expect("contract");
+        let row = |git: &str, seed: u64, host: &str, rate: f64| {
+            serde_json::parse_value(&format!(
+                r#"{{"git": "{git}", "host": "{host}", "workload": "w", "seed": {seed},
+                    "attempted": 10, "failed": 0, "metrics": {{"rate": {rate}}}}}"#
+            ))
+            .expect("row")
+        };
+        let pairs = |rows: &[serde::Value]| -> Vec<String> {
+            let Ok((text, _)) = compare_rows(&contract, rows, "p", "c", None) else {
+                return Vec::new();
+            };
+            let line = text.lines().find(|l| l.starts_with("| `rate`")).expect("row");
+            line.trim_end_matches(" |")
+                .rsplit(" | ")
+                .next()
+                .unwrap()
+                .split(", ")
+                .map(String::from)
+                .collect()
+        };
+        // Either side may go first; a pair is never reused.
+        let alternating = [
+            row("p", 1, "h", 1.0),
+            row("c", 1, "h", 2.0),
+            row("c", 1, "h", 3.0),
+            row("p", 1, "h", 4.0),
+        ];
+        assert_eq!(pairs(&alternating), ["1→2", "4→3"]);
+        // Another seed, another host or another commit in between: no pair.
+        assert!(pairs(&[row("p", 1, "h", 1.0), row("c", 2, "h", 2.0)]).is_empty());
+        assert!(pairs(&[row("p", 1, "h", 1.0), row("c", 1, "g", 2.0)]).is_empty());
+        assert!(pairs(&[row("p", 1, "h", 1.0), row("x", 1, "h", 0.0), row("c", 1, "h", 2.0)])
+            .is_empty());
+        // An unpaired row is skipped and the next neighbours still pair.
+        let stray = [row("p", 7, "h", 9.0), row("p", 1, "h", 1.0), row("c", 1, "h", 2.0)];
+        assert_eq!(pairs(&stray), ["1→2"]);
     }
 
     #[test]
