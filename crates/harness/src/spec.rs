@@ -9,7 +9,7 @@
 //! it is stable across spec edits that leave the cell itself unchanged.
 
 use dpbfl::prelude::*;
-use dpbfl::simulation::worker_seed;
+use dpbfl::simulation::{round_cohort, worker_seed};
 use serde::{Deserialize, Serialize, Value};
 
 /// How the grid assigns each cell's master RNG seed.
@@ -446,6 +446,15 @@ impl ScenarioSpec {
                 let (lo, hi) = (serving.fault.delay_ms_lo, serving.fault.delay_ms_hi);
                 if lo > hi && hi != 0 {
                     problems.push(at(format!("serving delay bounds inverted ({lo} > {hi})")));
+                }
+            }
+            if let DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim } } = c.defense {
+                let cohort = round_cohort(c, 0).len();
+                if 2 * trim >= cohort {
+                    problems.push(at(format!(
+                        "trimmed mean drops {trim} uploads from each end of a cohort of {cohort}; \
+                         it needs 2·trim < {cohort}"
+                    )));
                 }
             }
             if c.provisioning == Provisioning::OnDemand && !c.iid {
@@ -1206,6 +1215,27 @@ mod tests {
             s
         };
         assert!(two_stage_plain.validate().iter().any(|p| p.contains("DP noise")));
+    }
+
+    #[test]
+    fn validate_refuses_a_trim_that_leaves_no_upload() {
+        let trimmed = |trim, sampling| {
+            let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
+            s.base.defense = DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim } };
+            s.base.sampling = sampling;
+            s.validate()
+        };
+        let n = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 }).base.n_total();
+        let half = n.div_ceil(2);
+        assert_eq!(trimmed((n - 1) / 2, 1.0), Vec::<String>::new());
+        let problems = trimmed(half, 1.0);
+        assert!(
+            problems.iter().any(|p| p.contains(&format!("a cohort of {n}; it needs 2·trim < {n}"))),
+            "{problems:?}"
+        );
+        // Sampling shrinks the cohort the rule sees, and the check with it.
+        let problems = trimmed(1, 1.0 / n as f64);
+        assert!(problems.iter().any(|p| p.contains("a cohort of 1;")), "{problems:?}");
     }
 
     #[test]

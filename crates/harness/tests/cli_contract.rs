@@ -2,7 +2,8 @@
 //! failing invocation, the exit status (2 for a wrong command line, 1 for a
 //! command that ran and failed) and the first line written to stderr, and
 //! what a closed stdout does to a command that succeeds. No case here
-//! trains, binds a socket or writes a file: each fails before it would.
+//! trains or binds a socket, and none writes a file other than the input it
+//! hands a command: each fails before it would.
 
 use std::process::{Command, Output};
 
@@ -151,6 +152,29 @@ fn metrics_refuses_a_flag_after_the_ledger() {
     let path = ledger.to_str().expect("utf-8 path");
     case(EXP, &["metrics", path, "--out", "x"], 2, "error: unknown flag `--out`");
     let _ = std::fs::remove_file(&ledger);
+}
+
+#[test]
+fn run_refuses_a_trimmed_mean_that_trims_the_whole_cohort() {
+    // smoke/tiny's five workers under a trimmed mean that drops three
+    // uploads from each end: such a cell once validated and then panicked
+    // the run (exit 101).
+    use dpbfl::prelude::{AggregatorKind, DefenseKind};
+    let mut spec = dpbfl_harness::registry::get("smoke/tiny").expect("built-in scenario");
+    spec.base.defense = DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim: 3 } };
+    spec.grid.defenses = None;
+    let dir = std::env::temp_dir();
+    let file = dir.join(format!("dpbfl-cli-trim-{}.json", std::process::id()));
+    std::fs::write(&file, serde_json::to_string(&spec).expect("spec serializes")).expect("spec");
+    let out_dir = dir.join(format!("dpbfl-cli-trim-out-{}", std::process::id()));
+    let args =
+        ["run", file.to_str().expect("utf-8 path"), "--out", out_dir.to_str().expect("utf-8")];
+    let out = run(EXP, &args);
+    let _ = std::fs::remove_file(&file);
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(matches!(out.status.code(), Some(1 | 2)), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("a cohort of 5; it needs 2·trim < 5"), "{stderr}");
 }
 
 #[test]
