@@ -131,14 +131,19 @@ pub fn trimmed_mean(uploads: &[&[f32]], trim: usize) -> Vec<f32> {
 
 /// Geometric median by Weiszfeld's algorithm (RFA), with the standard
 /// ε-regularized update to survive landing on an input point.
+///
+/// An upload with a non-finite coordinate has no distance to weigh by, so it
+/// gets zero weight, the starting mean included; with no finite upload at
+/// all the result is the zero vector.
 pub fn geometric_median(uploads: &[&[f32]], max_iter: usize, tol: f64) -> Vec<f32> {
-    let refs: Vec<&[f32]> = uploads.to_vec();
-    let mut current = vecops::mean(&refs).expect("non-empty uploads");
-    let d = current.len();
+    let d = uploads.first().expect("non-empty uploads").len();
+    let finite: Vec<&[f32]> =
+        uploads.iter().copied().filter(|u| u.iter().all(|x| x.is_finite())).collect();
+    let Some(mut current) = vecops::mean(&finite) else { return vec![0.0; d] };
     for _ in 0..max_iter {
         let mut weight_sum = 0.0f64;
         let mut next = vec![0.0f64; d];
-        for u in uploads {
+        for u in &finite {
             let dist = vecops::l2_dist_sq(&current, u).sqrt().max(1e-10);
             let w = 1.0 / dist;
             weight_sum += w;
@@ -241,8 +246,8 @@ mod tests {
     #[test]
     fn sorting_rules_survive_non_finite_uploads() {
         // A served run hands the rules whatever well-formed floats a client
-        // sent. One NaN and one +∞ upload among seven must cost a bad
-        // aggregate at worst, never a panic of the round.
+        // sent. One NaN and one +∞ upload among seven must neither panic the
+        // round nor make any robust rule's aggregate non-finite.
         let d = 3;
         let mut ups: Vec<Vec<f32>> = (0..5).map(|i| vec![0.1 * i as f32; d]).collect();
         ups.push(vec![f32::NAN; d]);
@@ -251,9 +256,15 @@ mod tests {
             AggregatorKind::Krum { f: 2 },
             AggregatorKind::CoordinateMedian,
             AggregatorKind::TrimmedMean { trim: 2 },
+            AggregatorKind::GeometricMedian,
             AggregatorKind::Bulyan { f: 1 },
         ] {
-            assert_eq!(rule.aggregate(&ups).len(), d, "{}", rule.name());
+            let aggregate = rule.aggregate(&ups);
+            assert_eq!(aggregate.len(), d, "{}", rule.name());
+            assert!(aggregate.iter().all(|x| x.is_finite()), "{}: {aggregate:?}", rule.name());
         }
+        // Only non-finite uploads: RFA weighs none of them.
+        let bad = [vec![f32::NAN; d], vec![f32::NEG_INFINITY; d]];
+        assert_eq!(AggregatorKind::GeometricMedian.aggregate(&bad), vec![0.0; d]);
     }
 }
