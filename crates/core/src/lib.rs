@@ -94,7 +94,5 @@ pub mod prelude {
     };
     pub use crate::worker::DpWorker;
     pub use dpbfl_data::SyntheticSpec;
-    pub use dpbfl_telemetry::{
-        JsonlSink, MemorySink, NullSink, RoundMetrics, Telemetry, TelemetrySink,
-    };
+    pub use dpbfl_telemetry::{JsonlSink, MemorySink, RoundMetrics, Telemetry, TelemetrySink};
 }

@@ -15,9 +15,10 @@
 //! * [`Span`] / [`Event`] — wall-clock timings and one-off occurrences
 //!   (e.g. a rejected serving client). Inherently non-deterministic; sinks
 //!   keep them in a separate ledger section excluded from parity checks.
-//! * [`TelemetrySink`] — where records go: [`NullSink`] (the default — no
-//!   allocation, no I/O), [`MemorySink`] (tests, in-process consumers), or
-//!   [`JsonlSink`] (the `metrics.jsonl` run ledger).
+//! * [`TelemetrySink`] — where records go: [`MemorySink`] (tests,
+//!   in-process consumers) or [`JsonlSink`] (the `metrics.jsonl` run
+//!   ledger). Recording nothing needs no sink: [`Telemetry::null`] holds
+//!   none.
 //!
 //! ## The "never perturb the run" contract
 //!
@@ -239,17 +240,6 @@ pub trait TelemetrySink: Send {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// Discards everything. [`Telemetry::null`] never even constructs records,
-/// so this type exists mostly as the trait's explicit zero.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record_round(&mut self, _metrics: RoundMetrics) {}
-    fn record_span(&mut self, _span: Span) {}
-    fn record_event(&mut self, _event: Event) {}
 }
 
 /// Buffers records in memory — tests and in-process consumers.
