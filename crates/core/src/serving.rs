@@ -532,6 +532,7 @@ impl BoundServer {
                         server.done.store(true, Ordering::Release);
                         drop(guard);
                         let _ = acceptor.join();
+                        server.close_writers();
                         return Err(e);
                     }
                     guard = server.coverage.wait(guard).expect("serving state lock");
@@ -552,18 +553,8 @@ impl BoundServer {
             let wall = started.elapsed().as_secs_f64();
             let WireTransport { round_ms, mut report, .. } = transport;
             let _ = acceptor.join();
-            let conns = {
-                let mut guard = server.lock();
-                report.reconnects = guard.reconnects;
-                std::mem::take(&mut guard.conns)
-            };
-            report.clients = conns.len();
-            // A writer ends once its queue (`RunComplete` last) is written or
-            // a write has timed out.
-            for ClientConn { outbox, writer, .. } in conns {
-                drop(outbox);
-                let _ = writer.join();
-            }
+            report.reconnects = server.lock().reconnects;
+            report.clients = server.close_writers();
             report.rounds = round_ms.len();
             report.p50_round_ms = percentile(&round_ms, 50.0);
             report.p99_round_ms = percentile(&round_ms, 99.0);
@@ -585,6 +576,19 @@ pub fn data_member_indices(cfg: &SimulationConfig) -> Vec<u32> {
 impl Server<'_> {
     fn lock(&self) -> MutexGuard<'_, Shared> {
         self.shared.lock().expect("serving state lock")
+    }
+
+    /// Closes every connection's queue and waits for its writer, which ends
+    /// once the queue (`RunComplete` last) is written or a write has timed
+    /// out. Returns how many connections were admitted.
+    fn close_writers(&self) -> usize {
+        let conns = std::mem::take(&mut self.lock().conns);
+        let admitted = conns.len();
+        for ClientConn { outbox, writer, .. } in conns {
+            drop(outbox);
+            writer.join().expect("connection writer thread");
+        }
+        admitted
     }
 
     /// The acceptor: polls the listener until the run completes, admitting
@@ -772,10 +776,8 @@ fn spawn_writer(mut stream: Stream, alive: Arc<AtomicBool>) -> (Sender<Queued>, 
     let writer = std::thread::spawn(move || {
         for (deadline, frame) in queue {
             let left = deadline.saturating_duration_since(Instant::now()).max(MIN_WRITE_WINDOW);
-            let sent = stream
-                .set_write_timeout(Some(left))
-                .and_then(|()| frame.write_to(&mut stream))
-                .and_then(|()| stream.flush());
+            let sent =
+                stream.set_write_timeout(Some(left)).and_then(|()| frame.write_to(&mut stream));
             if sent.is_err() {
                 alive.store(false, Ordering::Release);
                 stream.shutdown();
