@@ -16,11 +16,14 @@
 //! Connection failures (including mid-run stream errors and a transient
 //! rejection while the server reaps a dead predecessor holding the same
 //! claim) are retried with capped exponential backoff; on reconnect the
-//! server replays closed rounds so the client rebuilds its worker state
-//! and resumes at the current round. The `--drop-*`/`--skip-*`/`--flaky-*`
-//! flags inject faults for churn testing; when none are set, the client
-//! adopts the fault plan carried by the run config, so sweep scenarios
-//! like `serving/churn_sweep` need no client-side flags at all.
+//! server replays the closed rounds since the client's watermark so it
+//! brings its worker state up to date and resumes at the current round.
+//! The server keeps only the last few closed rounds: a fresh process that
+//! claims pooled workers after those rounds have gone is refused. The
+//! `--drop-*`/`--skip-*`/`--flaky-*` flags inject faults for churn
+//! testing; when none are set, the client adopts the fault plan carried by
+//! the run config, so sweep scenarios like `serving/churn_sweep` need no
+//! client-side flags at all.
 
 use dpbfl::prelude::*;
 use dpbfl_harness::cli::{self, Args, CliError, CliResult};
@@ -48,7 +51,9 @@ OPTIONS:
 The server rejects claims that overlap another *live* client's or fall
 outside the run's data-worker set; training starts once connected clients
 cover the whole set. A claim over a dead predecessor's workers re-binds
-them: the server replays closed rounds and the run continues.";
+them: the server replays the closed rounds the client has not stepped and
+the run continues. It keeps only the last few closed rounds, so a fresh
+process that claims pooled workers later in the run is refused.";
 
 fn main() {
     cli::main(USAGE, connect)
