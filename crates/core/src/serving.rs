@@ -37,20 +37,25 @@
 //! have been reaped yet) and retries under its backoff policy.
 //!
 //! The server retains only a replay window: the open round plus the last
-//! [`REPLAY_ROUNDS`] closed rounds. A **pooled** claim whose watermark
-//! predates the window cannot be brought up to date, so it is refused with a
-//! `HelloReject` naming the watermark and the window's first round. A client
-//! process that reconnects keeps its watermark and is admitted at any round;
-//! a *fresh* pooled process is admitted only while round 0 is retained.
+//! [`REPLAY_ROUNDS`] closed rounds. A **pooled** claim that would need an
+//! evicted round — one of its workers was a member of a round at or after
+//! the watermark that has left the window — cannot be brought up to date, so
+//! it is refused with a `HelloReject` naming the watermark, the window's
+//! first round and that evicted round. Rounds without the claim's members
+//! need no replay, so under client sampling a worker may sit out any number
+//! of rounds. A client process that reconnects keeps its watermark and is
+//! admitted at any round; a *fresh* pooled process (watermark 0) is admitted
+//! only while every round its workers were members of is retained.
 //! On-demand claims are never refused: their members carry no state, and
 //! replays build nothing for them.
 //!
 //! ## Writes
 //!
 //! Every connection has a writer thread, and every frame the server sends is
-//! queued to it. Each write gets a timeout of the time left until the
-//! frame's deadline — the round deadline for a `RoundBegin` — so a client
-//! that stops reading costs only its own members: its connection is shut
+//! queued to it. A frame must be taken by its deadline — the round
+//! deadline for a `RoundBegin` — however the peer paces its reads: each
+//! write call gets only the time left. So a client that stops reading, or
+//! reads too slowly, costs only its own members: its connection is shut
 //! down and they miss their rounds as `dead-connection`. No write happens
 //! under the server's lock, so neither admission nor the round loop waits on
 //! a slow peer.
@@ -289,6 +294,11 @@ const ADMIT_TIMEOUT: Duration = Duration::from_secs(10);
 /// are reading.
 const MIN_WRITE_WINDOW: Duration = Duration::from_millis(100);
 
+/// The most bytes one write call passes to a connection's socket: a Unix
+/// socket waits out its write timeout once per buffer it fills, and a
+/// buffer holds 32 KiB, so a call this size waits at most once.
+const WRITE_CHUNK: usize = 32 << 10;
+
 /// Closed rounds the server retains for reconnect replay, besides the open
 /// round.
 ///
@@ -297,9 +307,11 @@ const MIN_WRITE_WINDOW: Duration = Duration::from_millis(100);
 /// round that needs its members waits out the round deadline for them: at
 /// full participation eight rounds are eight deadlines of absence, far
 /// longer than [`run_client`]'s default retries take (50 + 100 + 200 ms of
-/// backoff) at any deadline above 50 ms. The window also admits a fresh
-/// pooled process during the run's first eight rounds. The server then holds
-/// at most nine params blocks, whatever the run's length.
+/// backoff) at any deadline above 50 ms. Rounds without a client's members
+/// do not count against the window, and a fresh pooled process is admitted
+/// while its workers' first rounds are retained — at full participation,
+/// during the run's first eight rounds. The server then holds at most nine
+/// params blocks, whatever the run's length.
 const REPLAY_ROUNDS: usize = 8;
 
 /// Acceptor poll interval while no connection is pending.
@@ -336,7 +348,7 @@ enum Outgoing {
 }
 
 impl Outgoing {
-    fn write_to(&self, stream: &mut Stream) -> std::io::Result<()> {
+    fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         match self {
             Outgoing::Message(frame) => write_frame(stream, frame.kind, &frame.payload),
             Outgoing::Round { round, deadline_ms: Some(ms), members, params } => {
@@ -390,6 +402,10 @@ struct Shared {
     /// The replay window: the open round and the last [`REPLAY_ROUNDS`]
     /// closed rounds, oldest first.
     history: VecDeque<RoundRecord>,
+    /// Worker index → the last round it was a member of that has left the
+    /// window. A pooled claim is refused only if one of its workers stepped
+    /// an evicted round at or after the claim's watermark.
+    last_evicted: BTreeMap<u32, u32>,
     /// Mid-run re-claims of dead connections' workers.
     reconnects: u64,
     /// Set by the acceptor on a fatal listener error, so the coverage wait
@@ -415,7 +431,8 @@ struct Server<'a> {
     /// wins over the caller's [`RoundPolicy`].
     deadline_ms: u64,
     /// Pooled members carry state from round to round, so a pooled claim is
-    /// admitted only while the window holds every round it has not stepped.
+    /// admitted only while the window holds every round from its watermark
+    /// on that one of its workers was a member of.
     pooled: bool,
     shared: Mutex<Shared>,
     /// Signalled whenever a claim is registered or the acceptor fails.
@@ -640,17 +657,24 @@ impl Server<'_> {
                 reclaim = true;
             }
         }
-        // A pooled member must step every round it missed: a watermark
-        // before the window's first round cannot be brought up to date.
-        let first = guard.history.front().map_or(0, |r| r.round);
-        if self.pooled && watermark < first {
+        // A pooled member must step every round it was a member of: a claim
+        // whose worker was in an evicted round at or after the watermark
+        // cannot be brought up to date. Rounds without its members it needs
+        // nothing from, however many have left the window.
+        let missed = workers
+            .iter()
+            .filter_map(|w| guard.last_evicted.get(w).map(|&r| (*w, r)))
+            .filter(|&(_, r)| r >= watermark)
+            .max_by_key(|&(_, r)| r);
+        if let Some((w, r)) = missed.filter(|_| self.pooled) {
+            let first = guard.history.front().map_or(0, |rec| rec.round);
             drop(guard);
             return self.reject(
                 stream,
                 peer,
                 &format!(
                     "watermark {watermark} predates the replay window, which starts at round \
-                     {first}"
+                     {first}: worker {w} was a member of evicted round {r}"
                 ),
             );
         }
@@ -767,18 +791,16 @@ fn spawn_reader(
 }
 
 /// Spawns the connection's writer thread: it writes the queued frames in
-/// order, each under a write timeout of the time left until its deadline
-/// (at least [`MIN_WRITE_WINDOW`]). A peer that cannot take a frame in time
-/// has its connection shut down and marked dead, and the rest of its queue
-/// is dropped: its members then miss their rounds as `dead-connection`.
+/// order, each by its deadline (given at least [`MIN_WRITE_WINDOW`]). A peer
+/// that cannot take a frame in time has its connection shut down and marked
+/// dead, and the rest of its queue is dropped: its members then miss their
+/// rounds as `dead-connection`.
 fn spawn_writer(mut stream: Stream, alive: Arc<AtomicBool>) -> (Sender<Queued>, JoinHandle<()>) {
     let (outbox, queue) = channel::<Queued>();
     let writer = std::thread::spawn(move || {
         for (deadline, frame) in queue {
-            let left = deadline.saturating_duration_since(Instant::now()).max(MIN_WRITE_WINDOW);
-            let sent =
-                stream.set_write_timeout(Some(left)).and_then(|()| frame.write_to(&mut stream));
-            if sent.is_err() {
+            let by = deadline.max(Instant::now() + MIN_WRITE_WINDOW);
+            if frame.write_to(&mut DeadlineWriter { stream: &mut stream, by }).is_err() {
                 alive.store(false, Ordering::Release);
                 stream.shutdown();
                 return;
@@ -786,6 +808,31 @@ fn spawn_writer(mut stream: Stream, alive: Arc<AtomicBool>) -> (Sender<Queued>, 
         }
     });
     (outbox, writer)
+}
+
+/// A connection's write half bounded by one frame's deadline. A socket's
+/// write timeout limits each wait for buffer space, not the frame: a peer
+/// that keeps reading slowly frees space before every wait times out. So
+/// each write call passes at most [`WRITE_CHUNK`] bytes (one wait) under a
+/// timeout of the time left until `by`, and none is made once it has passed.
+struct DeadlineWriter<'a> {
+    stream: &'a mut Stream,
+    by: Instant,
+}
+
+impl Write for DeadlineWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let left = self.by.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(&buf[..buf.len().min(WRITE_CHUNK)])
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 /// The wire transport (TCP or Unix-domain): broadcasts `RoundBegin` to
@@ -905,7 +952,12 @@ impl Transport for WireTransport<'_> {
                 rec.open = false;
             }
             let evicted = guard.history.len().saturating_sub(REPLAY_ROUNDS);
-            guard.history.drain(..evicted);
+            let shared = &mut *guard;
+            for rec in shared.history.drain(..evicted) {
+                for &w in &rec.members {
+                    shared.last_evicted.insert(w, rec.round);
+                }
+            }
             for (pos, slot) in slots.iter().enumerate() {
                 if slot.is_some() {
                     continue;
@@ -1183,7 +1235,7 @@ fn connect(addr: &str) -> Result<Stream, String> {
 mod tests {
     use super::*;
     use crate::attack::AttackSpec;
-    use crate::simulation::{run, DefenseKind, ModelKind, Provisioning};
+    use crate::simulation::{round_cohort, run, DefenseKind, ModelKind, Provisioning};
     use dpbfl_data::SyntheticSpec;
 
     fn serving_cfg() -> SimulationConfig {
@@ -1828,6 +1880,72 @@ mod tests {
         for s in client_summaries {
             assert_eq!(s, expected, "published summary differs");
         }
+    }
+
+    #[test]
+    fn pooled_client_that_sat_out_the_window_reconnects_byte_identical() {
+        // Under client sampling a pooled worker steps only the rounds it is
+        // a member of. Worker `w` sits out more than REPLAY_ROUNDS rounds,
+        // and its client drops the connection on the broadcast of the round
+        // that next names it. The reconnect's watermark, the round after
+        // `w`'s previous one, has left the window, but no evicted round
+        // named `w`: the claim is admitted, re-sent the open round, and the
+        // run is byte-identical to the in-process run.
+        let mut cfg = serving_cfg();
+        cfg.sampling = 0.2; // 2 of 6 workers a round
+        cfg.epochs = 4.0; // 32 rounds
+        let cohorts: Vec<Vec<usize>> =
+            (0..cfg.iterations()).map(|t| round_cohort(&cfg, t)).collect();
+        let (w, back) = (0..cfg.n_total())
+            .find_map(|w| {
+                let named: Vec<usize> =
+                    (0..cohorts.len()).filter(|&t| cohorts[t].contains(&w)).collect();
+                named.windows(2).find(|p| p[1] - p[0] - 1 > REPLAY_ROUNDS).map(|p| (w, p[1]))
+            })
+            .expect("a worker sits out more than REPLAY_ROUNDS rounds between two of its rounds");
+        let expected = summary_json(&run(&cfg));
+        let churn = ClientOptions {
+            fault: FaultSpec { drop_at_round: Some(back), ..FaultSpec::default() },
+            max_retries: 5,
+            ..ClientOptions::default()
+        };
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![(0..cfg.n_total()).filter(|&o| o != w).collect(), vec![w]],
+            vec![ClientOptions::default(), churn],
+        );
+        assert_eq!(summary_json(&result), expected, "sat-out reconnect run ≠ in-process");
+        assert_eq!(report.reconnects, 1);
+        assert_eq!(report.dropped_uploads, 0);
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
+    }
+
+    #[test]
+    fn a_frame_write_ends_at_its_deadline_however_the_peer_paces_its_reads() {
+        // A peer that keeps reading, a little at a time, lets every write
+        // call make progress within any per-call timeout: only the frame's
+        // deadline ends the write.
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let reader = std::thread::spawn(move || {
+            let mut buf = [0u8; 4096];
+            while matches!(theirs.read(&mut buf), Ok(n) if n > 0) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let mut stream = Stream::Unix(ours);
+        let frame = vec![0u8; 8 << 20]; // seconds at the reader's pace
+        let start = Instant::now();
+        let by = start + Duration::from_millis(200);
+        let sent = DeadlineWriter { stream: &mut stream, by }.write_all(&frame);
+        let took = start.elapsed();
+        stream.shutdown();
+        reader.join().expect("reader thread");
+        assert!(sent.is_err(), "an 8 MiB frame cannot reach this reader in 200 ms");
+        assert!(took < Duration::from_secs(2), "the write ran {took:?} against a 200 ms deadline");
     }
 
     #[test]

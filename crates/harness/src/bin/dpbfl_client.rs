@@ -19,9 +19,9 @@
 //! server replays the closed rounds since the client's watermark so it
 //! brings its worker state up to date and resumes at the current round.
 //! The server keeps only the last few closed rounds: a fresh process that
-//! claims pooled workers after those rounds have gone is refused. The
-//! `--drop-*`/`--skip-*`/`--flaky-*` flags inject faults for churn
-//! testing; when none are set, the client adopts the fault plan carried by
+//! claims pooled workers after a round they were members of has gone is
+//! refused. The `--drop-*`/`--skip-*`/`--flaky-*` flags inject faults for
+//! churn testing; when none are set, the client adopts the fault plan carried by
 //! the run config, so sweep scenarios like `serving/churn_sweep` need no
 //! client-side flags at all.
 
