@@ -37,7 +37,7 @@
 //! have been reaped yet) and retries under its backoff policy.
 //!
 //! The server retains only a replay window: the open round plus the last
-//! [`REPLAY_ROUNDS`] closed rounds. A **pooled** claim that would need an
+//! `REPLAY_ROUNDS` (8) closed rounds. A **pooled** claim that would need an
 //! evicted round — one of its workers was a member of a round at or after
 //! the watermark that has left the window — cannot be brought up to date, so
 //! it is refused with a `HelloReject` naming the watermark, the window's
@@ -152,7 +152,7 @@ pub struct ServingReport {
     /// workers previously bound to a dead connection.
     pub reconnects: u64,
     /// Peak bytes of round parameters held for reconnect replay: at most the
-    /// open round's and [`REPLAY_ROUNDS`] closed rounds' params blocks,
+    /// open round's and `REPLAY_ROUNDS` (8) closed rounds' params blocks,
     /// whatever the run's length.
     pub history_bytes: u64,
 }
