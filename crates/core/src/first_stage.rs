@@ -20,25 +20,32 @@
 //! the `d` coordinates produces the finiteness/norm accumulator (the exact
 //! `vecops::l2_norm_sq` accumulation order, so the norm verdict is
 //! bit-identical) **and** the bucket histogram of the
-//! [`dpbfl_stats::ks::KsGaussianScreen`]; the screen's
-//! `O(d)` envelope on the empirical CDF then decides clearly-accepted and
-//! clearly-rejected uploads without sorting, with a mid-scan early exit once
-//! the lower bound alone exceeds the critical statistic. Only uploads whose
-//! envelope straddles the critical band fall back to the exact test — and
-//! even that fallback is sort-light: it counting-sorts from the histogram
-//! the fused pass already built (`KsGaussianScreen::exact_from_counts`,
-//! bit-identical to the comparison-sorted reference), run through reused
-//! per-task buffers ([`KsScratch`]).
+//! [`dpbfl_stats::ks::KsGaussianScreen`] (the bucket indices of 16
+//! coordinates at a time are computed into a local array, so that part
+//! vectorises). The screen's `O(d)` envelope on the empirical CDF then
+//! decides clearly-accepted and clearly-rejected uploads without sorting:
+//! a prefix sum over the counts compared against integer limits per bucket
+//! boundary, built once with the screen, with an early exit once a boundary
+//! forces rejection. Only uploads whose envelope straddles the critical band
+//! fall back to the exact test — and that fallback is cheap too. It
+//! counting-sorts from the histogram the fused pass already built
+//! (`KsGaussianScreen::exact_from_counts`), and it evaluates `Φ` (an
+//! incomplete-gamma `erfc`, the costly part) only in the buckets whose
+//! bound `max(end/n − Φ(t_lo), Φ(t_hi) − start/n)` can still reach the
+//! largest gap; the other buckets are neither sorted nor evaluated. Its
+//! `KsResult` stays bit-identical to the comparison-sorted reference. All of
+//! it runs through reused per-task buffers ([`KsScratch`]).
 //!
 //! The public contract is **decision equivalence, not statistic
 //! equivalence**: for every upload, `check` returns exactly the same
 //! [`FirstStageVerdict`] as `check_reference`, the always-sort
 //! implementation retained as a test oracle (the envelope brackets the
 //! exact statistic and decisions are only made outside guarded margins
-//! around the critical value; see `dpbfl_stats::ks` for the argument). The equivalence is
-//! hammered by `crates/stats/tests/proptest_ks_fastpath.rs`, the unit tests
-//! below, and an end-to-end test that re-checks every real upload of a
-//! two-stage run against the oracle.
+//! around the critical value; see `dpbfl_stats::ks` for the argument). The
+//! equivalence is hammered by `crates/stats/tests/proptest_ks_fastpath.rs`,
+//! the unit tests below, an end-to-end test that re-checks every real upload
+//! of a two-stage run against the oracle, and one that does the same for
+//! OptLMP and A-little uploads crafted from a run's real benign uploads.
 
 use dpbfl_stats::ks::{KsGaussianScreen, KsScreenVerdict};
 
@@ -148,10 +155,7 @@ impl FirstStage {
         counts.clear();
         counts.resize(self.screen.slots(), 0);
         let mut norm_sq = 0.0f64;
-        for &x in upload {
-            norm_sq += (x as f64) * (x as f64);
-            counts[self.screen.bucket_of(x)] += 1;
-        }
+        self.screen.bin_each(upload, counts, |x| norm_sq += (x as f64) * (x as f64));
         if !norm_sq.is_finite() {
             return CheckInfo { verdict: FirstStageVerdict::NonFinite, ks_exact: false };
         }
@@ -231,13 +235,13 @@ pub fn theorem2_envelope(noise_std: f64, d: usize, d_ks: f64, k: usize) -> (f64,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::AttackSpec;
+    use crate::attack::{craft_uploads, AttackContext, AttackSpec};
     use crate::round::{Collected, InProcessTransport, Transport, UploadFold};
     use crate::simulation::{
         prepare, run_with_transport_telemetry, DefenseKind, ModelKind, SimulationConfig,
     };
     use dpbfl_data::SyntheticSpec;
-    use dpbfl_stats::ks::ks_test_gaussian;
+    use dpbfl_stats::ks::{ks_test_gaussian, ks_test_gaussian_with};
     use dpbfl_stats::normal::gaussian_vector;
     use dpbfl_telemetry::Telemetry;
     use dpbfl_tensor::vecops;
@@ -582,5 +586,114 @@ mod tests {
         let rejected = stats.first_stage_rejected_honest + stats.first_stage_rejected_byzantine;
         assert!(rejected > 0, "configuration never triggered a first-stage rejection");
         assert_eq!(transport.rejected.into_inner() as u64, rejected);
+    }
+
+    /// Crafts the uploads of cohort-reading attacks from every round's real
+    /// benign uploads and holds each one to the oracle. Such uploads are
+    /// folded in the round loop after crafting and never cross a transport,
+    /// so the decorator above never sees them.
+    struct CraftingTransport<'a> {
+        inner: InProcessTransport<'a>,
+        first: FirstStage,
+        checked: usize,
+        exact_fallbacks: usize,
+    }
+
+    impl CraftingTransport<'_> {
+        /// The verdict must equal the oracle's, and where the exact fallback
+        /// ran, its `KsResult` must equal the sorted reference's bit for bit.
+        fn hold_to_oracle(&mut self, upload: &[f32], round: usize, scratch: &mut KsScratch) {
+            let first = &self.first;
+            let info = first.check_with_info(upload, scratch);
+            assert_eq!(info.verdict, first.check_reference(upload), "round {round}");
+            self.checked += 1;
+            if info.ks_exact {
+                self.exact_fallbacks += 1;
+                // `check_with_info` left this upload's histogram in `scratch`.
+                let fast = first.screen.exact_from_counts(upload, scratch);
+                let reference =
+                    ks_test_gaussian_with(upload, 0.0, first.noise_std, &mut Vec::new());
+                assert_eq!(
+                    fast.statistic.to_bits(),
+                    reference.statistic.to_bits(),
+                    "round {round}"
+                );
+                assert_eq!(fast.p_value.to_bits(), reference.p_value.to_bits(), "round {round}");
+                assert_eq!(fast.n, reference.n);
+            }
+        }
+    }
+
+    impl Transport for CraftingTransport<'_> {
+        fn round_trip(
+            &mut self,
+            round: usize,
+            members: &[usize],
+            params: &[f32],
+            fold: &UploadFold<'_>,
+        ) -> Vec<Collected> {
+            let slots = self.inner.round_trip(round, members, params, fold);
+            let benign: Vec<Vec<f32>> = slots
+                .iter()
+                .filter_map(|slot| match slot {
+                    Collected::Upload(u) => Some(u.clone()),
+                    _ => None,
+                })
+                .collect();
+            let mut scratch = KsScratch::new();
+            // Every prefix of the benign cohort gives the attacks another
+            // statistic to aim at: OptLMP at the paper's 90 % Byzantine share,
+            // A-little with one attacker more than half the honest prefix.
+            for k in 1..=benign.len() {
+                for (spec, n_byzantine) in
+                    [(AttackSpec::OptLmp, 9 * k), (AttackSpec::ALittle, k / 2 + 1)]
+                {
+                    let ctx = AttackContext {
+                        benign_uploads: &benign[..k],
+                        d: params.len(),
+                        n_byzantine,
+                        noise_std: self.first.noise_std,
+                        round,
+                        total_rounds: usize::MAX,
+                        poisoned_uploads: &[],
+                    };
+                    let crafted = craft_uploads(&spec, &ctx, &mut StdRng::seed_from_u64(0));
+                    // Both attacks send one vector from every attacker.
+                    assert!(crafted.windows(2).all(|w| w[0] == w[1]));
+                    self.hold_to_oracle(&crafted[0], round, &mut scratch);
+                }
+            }
+            slots
+        }
+    }
+
+    /// Server-crafted uploads, held to the oracle: OptLMP uploads are tuned to
+    /// sit at the KS threshold, so they are where the exact fallback runs.
+    #[test]
+    fn crafted_uploads_match_the_reference_first_stage() {
+        let mut cfg = two_stage_cfg();
+        cfg.attack = AttackSpec::OptLmp;
+        cfg.n_honest = 10;
+        cfg.n_byzantine = 90;
+        cfg.defense_cfg.gamma = 0.1;
+        cfg.epochs = 6.0; // 48 rounds: 960 crafted checks, 8 of them exact fallbacks
+        let prep = prepare(&cfg);
+        let d = cfg.model.build(&mut StdRng::seed_from_u64(0), &cfg.dataset).param_len();
+        let (defense, dp) = (&cfg.defense_cfg, &cfg.dp);
+        let mut transport = CraftingTransport {
+            inner: InProcessTransport::new(&cfg, &prep, dp),
+            first: FirstStage::new(
+                dp.effective_noise_std(),
+                d,
+                defense.ks_significance,
+                defense.norm_test_stds,
+            ),
+            checked: 0,
+            exact_fallbacks: 0,
+        };
+        run_with_transport_telemetry(&cfg, &prep, &mut transport, &Telemetry::null());
+        let rounds = cfg.iterations();
+        assert_eq!(transport.checked, rounds * 2 * cfg.n_honest, "a round lost benign uploads");
+        assert!(transport.exact_fallbacks > 0, "no crafted upload reached the exact fallback");
     }
 }

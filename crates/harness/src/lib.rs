@@ -27,6 +27,9 @@
 //!   that prints `error: …` and exits.
 //! * [`docs`] — the generated scenario catalog (`dpbfl-exp docs` renders
 //!   the registry into `docs/SCENARIOS.md`; CI keeps it fresh).
+//! * [`perf`] — `dpbfl-exp perf`: benchmark runs recorded as
+//!   `BENCH_*.json` rows, and the parent/change tables and verdicts drawn
+//!   from alternating pairs of them.
 //!
 //! The `dpbfl-exp` binary is the CLI over all of it (`dpbfl-server` and
 //! `dpbfl-client` put single cells on real sockets); the repo's
@@ -38,6 +41,7 @@
 
 pub mod cli;
 pub mod docs;
+pub mod perf;
 pub mod registry;
 pub mod report;
 pub mod runner;

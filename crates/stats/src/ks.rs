@@ -53,6 +53,37 @@
 //!
 //! The margins are ~1e−9 wide in a band whose width is ~1e−3, so they cost
 //! essentially no fast-path coverage.
+//!
+//! Two further steps make the screen and its fallback cheap without moving a
+//! bit:
+//!
+//! * **Integer decide.** Every quantity the screen compares depends on the
+//!   histogram only through the cumulative counts `N_k` at the boundaries,
+//!   and each comparison is a chain of IEEE operations on `N_k/n` —
+//!   division by `n`, subtraction of a fixed `F(t_j)`, addition of `ε_s` —
+//!   each of which is monotone in its argument. So at every boundary the
+//!   set of counts for which a comparison holds is an interval of integers,
+//!   and its ends can be found at construction by evaluating that very
+//!   float predicate on neighbouring counts (a closed-form guess, then a
+//!   step or two). `Reject` ⇔ some `|N_k/n − F(t_k)| ≥ d_reject + ε_s` ⇔
+//!   some `N_k` falls outside its integer reject interval; `Accept` ⇔ the
+//!   maximum of the envelope terms plus `ε_s` is `≤ d_accept` ⇔ every term
+//!   passes on its own (rounding `x + ε_s` is monotone, so it commutes with
+//!   the maximum) ⇔ every `N_k` lies inside its integer accept interval.
+//!   [`KsGaussianScreen::decide`] is therefore a prefix sum plus integer
+//!   compares with the very classification of the float envelope, which
+//!   stays as [`KsGaussianScreen::bounds`] and
+//!   [`KsGaussianScreen::verdict_of_bounds`], the oracle the property tests
+//!   hold `decide` to.
+//! * **Pruned exact fallback.** The sorted statistic is a maximum over the
+//!   samples, and the samples of one bucket `[t_lo, t_hi)` at sorted ranks
+//!   `start..end` contribute at most `max(end/n − F(t_lo), F(t_hi) −
+//!   start/n)` to it (both CDFs are monotone inside the bucket). With
+//!   `ε_s` added for rounding, a bucket whose bound is below the running
+//!   maximum, or below `L − ε_s ≤ D_n`, cannot raise the maximum, so
+//!   [`KsGaussianScreen::exact_from_counts`] neither sorts it nor evaluates
+//!   `F` on it. A maximum of floats does not depend on the order or on
+//!   terms below it, so the statistic keeps its bits.
 
 use crate::kolmogorov::{kolmogorov_sf, ks_cdf_exact};
 use crate::normal::Normal;
@@ -231,6 +262,28 @@ pub struct KsGaussianScreen {
     d_accept: f64,
     /// Verified: `ks_p_value(d_reject, n) < α − P_MARGIN`.
     d_reject: f64,
+    /// The envelope's comparisons as integer intervals on the cumulative
+    /// counts, `CHUNK` boundaries per entry (see [`CountLimits`]).
+    limits: Vec<CountLimits>,
+}
+
+/// Width of the fixed-size local chunks the hot loops work in: a scalar step
+/// fills a local array, then one loop runs over the whole array, so the
+/// array loop vectorises however the crate is split into codegen units.
+const CHUNK: usize = 16;
+
+/// For `CHUNK` consecutive bucket boundaries `k`, the integer intervals of
+/// the cumulative count `N_k = #{x < t_k}` inside which the float envelope's
+/// comparisons at `k` pass: `reject_lo[i] ≤ N_k < reject_hi[i]` keeps
+/// `|N_k/n − F(t_k)| < d_reject + ε_s`, and `accept_lo[i] ≤ N_k <
+/// accept_hi[i]` keeps both envelope terms that read `N_k` at `+ ε_s ≤
+/// d_accept`. Entries past the last boundary always pass.
+#[derive(Debug, Clone)]
+struct CountLimits {
+    reject_lo: [u32; CHUNK],
+    reject_hi: [u32; CHUNK],
+    accept_lo: [u32; CHUNK],
+    accept_hi: [u32; CHUNK],
 }
 
 impl KsGaussianScreen {
@@ -256,6 +309,7 @@ impl KsGaussianScreen {
         let normal = Normal::new(mean, std);
         let cdf_at: Vec<f64> = (0..=buckets).map(|j| normal.cdf(x_lo + j as f64 * width)).collect();
         let (d_accept, d_reject) = decision_thresholds(n, alpha);
+        let limits = count_limits(n, &cdf_at, d_accept, d_reject);
         KsGaussianScreen {
             mean,
             std,
@@ -267,6 +321,7 @@ impl KsGaussianScreen {
             cdf_at,
             d_accept,
             d_reject,
+            limits,
         }
     }
 
@@ -303,23 +358,47 @@ impl KsGaussianScreen {
     /// The map is monotone in `x`, which is all the envelope argument needs:
     /// the effective boundaries it induces differ from the nominal `t_j` by
     /// at most a few ulps, covered by the `STAT_GUARD` margin.
+    ///
+    /// `z.min(buckets)` pins everything above the range, NaN included, to
+    /// `buckets`; truncating that with `as i32` is exact wherever it is used
+    /// (`0 ≤ z ≤ buckets ≤ 8192`) and much cheaper than the saturating
+    /// `z as usize`. Both that and the final choice are selects, not
+    /// branches, so a loop over this function vectorises.
     #[inline]
     pub fn bucket_of(&self, x: f32) -> usize {
         let z = (x as f64 - self.x_lo) * self.inv_w;
-        if z >= 0.0 && z < self.buckets as f64 {
-            z as usize + 1
-        } else if z < 0.0 {
-            0
-        } else {
-            self.buckets + 1
-        }
+        let slot = z.min(self.buckets as f64) as i32 + 1;
+        (if z < 0.0 { 0 } else { slot }) as usize
     }
 
     /// One pass: histogram `samples` into `counts` (resized and zeroed).
     pub fn bin_into(&self, samples: &[f32], counts: &mut Vec<u32>) {
         counts.clear();
         counts.resize(self.slots(), 0);
-        for &x in samples {
+        self.bin_each(samples, counts, |_| ());
+    }
+
+    /// Adds every sample to its bucket of `counts` and hands each sample, in
+    /// order, to `each` — the pass a caller fuses its own per-sample work
+    /// into. The bucket indices of `CHUNK` samples at a time are computed
+    /// into a local array first, so that loop vectorises.
+    #[inline]
+    pub fn bin_each(&self, samples: &[f32], counts: &mut [u32], mut each: impl FnMut(f32)) {
+        assert_eq!(counts.len(), self.slots(), "counts buffer has the wrong bucket count");
+        let mut chunks = samples.chunks_exact(CHUNK);
+        for chunk in &mut chunks {
+            let xs: [f32; CHUNK] = chunk.try_into().expect("a chunk holds CHUNK samples");
+            let mut slots = [0u32; CHUNK];
+            for (slot, &x) in slots.iter_mut().zip(&xs) {
+                *slot = self.bucket_of(x) as u32;
+            }
+            for (x, slot) in xs.into_iter().zip(slots) {
+                each(x);
+                counts[slot as usize] += 1;
+            }
+        }
+        for &x in chunks.remainder() {
+            each(x);
             counts[self.bucket_of(x)] += 1;
         }
     }
@@ -327,19 +406,82 @@ impl KsGaussianScreen {
     /// `(L, U)` with `L ≤ D_n ≤ U` for the sample set behind `counts`
     /// (no guards applied; the raw envelope, exposed for the property-test
     /// campaign).
+    ///
+    /// At the boundary `t_k` the empirical CDF is exactly `N_k/n`, so
+    /// `L = max_k |N_k/n − F(t_k)|`. Inside the bucket `[t_{k−1}, t_k)` both
+    /// CDFs are monotone, so its gap is at most `max(N_k/n − F(t_{k−1}),
+    /// F(t_k) − N_{k−1}/n)`; `U` is the maximum of that over the buckets,
+    /// with `F = 0` below the first boundary and `F = 1` above the last.
     pub fn bounds(&self, counts: &[u32]) -> (f64, f64) {
-        let (lower, upper, _) = self.scan(counts, f64::INFINITY);
+        assert_eq!(counts.len(), self.slots(), "counts buffer has the wrong bucket count");
+        let n = self.n as f64;
+        // Interval (−∞, t_0): F_n ∈ [0, N_0/n], F ∈ (0, f_0).
+        let mut cum = counts[0] as f64;
+        let mut lower = (cum / n - self.cdf_at[0]).abs();
+        let mut upper = (cum / n).max(self.cdf_at[0]);
+        for (&count, boundary_pair) in counts[1..=self.buckets].iter().zip(self.cdf_at.windows(2)) {
+            let prev_cum = cum;
+            cum += count as f64;
+            let [f_prev, f_j] = boundary_pair else { unreachable!("windows(2)") };
+            let (f_prev, f_j) = (*f_prev, *f_j);
+            // Boundary t_j: the empirical CDF is exactly cum/n there.
+            lower = lower.max((cum / n - f_j).abs());
+            // Interval [t_{j−1}, t_j): F_n ∈ [prev_cum/n, cum/n], F ∈ [f_prev, f_j].
+            upper = upper.max((cum / n - f_prev).max(f_j - prev_cum / n));
+        }
+        // Interval [t_B, ∞): F_n ∈ [cum/n, 1], F ∈ [f_B, 1).
+        upper = upper.max((1.0 - self.cdf_at[self.buckets]).max(1.0 - cum / n));
         (lower, upper)
     }
 
-    /// Decides from a filled histogram. Early-exits mid-scan as soon as the
-    /// running lower bound alone forces rejection.
-    pub fn decide(&self, counts: &[u32]) -> KsScreenVerdict {
-        let (_, upper, rejected) = self.scan(counts, self.d_reject + STAT_GUARD);
-        if rejected {
-            return KsScreenVerdict::Reject;
+    /// The verdict the envelope `(L, U)` forces: `Reject` when `L − ε_s ≥
+    /// d_reject` (written `L ≥ d_reject + ε_s`), `Accept` when `U + ε_s ≤
+    /// d_accept`, `Borderline` otherwise. This is the float definition
+    /// [`KsGaussianScreen::decide`] reproduces with integer compares; it is
+    /// kept as the oracle the property tests hold `decide` to.
+    pub fn verdict_of_bounds(&self, (lower, upper): (f64, f64)) -> KsScreenVerdict {
+        if lower >= self.d_reject + STAT_GUARD {
+            KsScreenVerdict::Reject
+        } else if upper + STAT_GUARD <= self.d_accept {
+            KsScreenVerdict::Accept
+        } else {
+            KsScreenVerdict::Borderline
         }
-        if upper + STAT_GUARD <= self.d_accept {
+    }
+
+    /// Decides from a filled histogram: exactly
+    /// `self.verdict_of_bounds(self.bounds(counts))`, as a prefix sum over
+    /// the counts and integer compares against the per-boundary limits built
+    /// at construction (see the module docs). Returns as soon as a chunk of
+    /// boundaries forces rejection.
+    pub fn decide(&self, counts: &[u32]) -> KsScreenVerdict {
+        assert_eq!(counts.len(), self.slots(), "counts buffer has the wrong bucket count");
+        let chunks = counts[..=self.buckets].chunks_exact(CHUNK);
+        // The last boundaries' counts, padded with zeros: the limits past
+        // the last boundary always pass.
+        let mut last = [0u32; CHUNK];
+        last[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        let blocks =
+            chunks.map(|c| <[u32; CHUNK]>::try_from(c).expect("a chunk holds CHUNK counts"));
+        let (mut cum, mut accept) = (0u32, true);
+        for (block, limits) in blocks.chain([last]).zip(&self.limits) {
+            // N_k for the chunk's boundaries k.
+            let mut cums = [0u32; CHUNK];
+            for (slot, count) in cums.iter_mut().zip(block) {
+                cum += count;
+                *slot = cum;
+            }
+            let (mut rejects, mut misses) = (false, false);
+            for (i, &c) in cums.iter().enumerate() {
+                rejects |= (c < limits.reject_lo[i]) | (c >= limits.reject_hi[i]);
+                misses |= (c < limits.accept_lo[i]) | (c >= limits.accept_hi[i]);
+            }
+            if rejects {
+                return KsScreenVerdict::Reject;
+            }
+            accept &= !misses;
+        }
+        if accept {
             KsScreenVerdict::Accept
         } else {
             KsScreenVerdict::Borderline
@@ -385,24 +527,36 @@ impl KsGaussianScreen {
     /// [`KsScreenVerdict::Borderline`]).
     ///
     /// An exclusive prefix sum over the counts yields each bucket's slice of
-    /// the sorted order; one scatter pass places every sample in its bucket's
-    /// slice and a per-bucket `sort_unstable` finishes the job. Because
-    /// [`KsGaussianScreen::bucket_of`] is monotone, the concatenation is the
-    /// same ascending sequence the global sort produces (the only equal-value
-    /// bit patterns, ±0.0, share a bucket and a CDF value), and the statistic
-    /// loop below is byte-for-byte the reference computation — so the
+    /// the sorted order, and one scatter pass places every sample in its
+    /// bucket's slice. Because [`KsGaussianScreen::bucket_of`] is monotone,
+    /// a bucket's sorted slice holds exactly the samples at those ranks of
+    /// the global sort (the only equal-value bit patterns, ±0.0, share a
+    /// bucket and a CDF value). The statistic is the reference's maximum over
+    /// the ranks, with its per-rank terms byte-for-byte, but a bucket enters
+    /// it — sorted, with `F` evaluated on its samples — only when its bound
+    /// `max(end/n − F(t_lo), F(t_hi) − start/n) + ε_s` reaches the larger of
+    /// the running maximum and `L − ε_s` (see the module docs). So the
     /// returned [`KsResult`] is bit-identical to [`ks_test_gaussian_with`],
-    /// at `O(d + B log(d/B))` instead of `O(d log d)`.
+    /// while `F` runs on the few buckets near the maximum gap.
+    ///
+    /// Like the reference's comparison sort, it panics on a NaN sample when
+    /// there are at least two samples.
     pub fn exact_from_counts(&self, samples: &[f32], scratch: &mut KsScratch) -> KsResult {
         assert_eq!(samples.len(), self.n, "sample count differs from the screen's n");
-        assert_eq!(scratch.counts.len(), self.slots(), "counts buffer has the wrong bucket count");
+        let counts = &scratch.counts;
+        assert_eq!(counts.len(), self.slots(), "counts buffer has the wrong bucket count");
+        let n = samples.len() as f64;
+        // Bucket starts, and the envelope's lower bound L on the way.
         let offsets = &mut scratch.offsets;
         offsets.clear();
-        let mut acc = 0u32;
-        for &c in &scratch.counts {
+        let (mut acc, mut lower) = (0u32, 0.0f64);
+        for (&c, &f) in counts.iter().zip(&self.cdf_at) {
             offsets.push(acc);
             acc += c;
+            lower = lower.max((acc as f64 / n - f).abs());
         }
+        offsets.push(acc);
+        acc += counts[self.buckets + 1];
         assert_eq!(acc as usize, samples.len(), "histogram does not cover the samples");
         let sorted = &mut scratch.sorted;
         sorted.clear();
@@ -412,64 +566,110 @@ impl KsGaussianScreen {
             sorted[offsets[b] as usize] = x;
             offsets[b] += 1;
         }
-        // After the scatter, offsets[b] is the end of bucket b's slice.
-        let mut start = 0usize;
-        for &end in offsets.iter() {
-            sorted[start..end as usize]
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in KS samples"));
-            start = end as usize;
-        }
-        let n = sorted.len() as f64;
+        // After the scatter, offsets[b] is the end of bucket b's slice. A
+        // NaN lands only in the upper tail bucket, which may be pruned.
+        let upper_tail = &sorted[offsets[self.buckets] as usize..];
+        assert!(samples.len() < 2 || !upper_tail.iter().any(|x| x.is_nan()), "NaN in KS samples");
         let normal = Normal::new(self.mean, self.std);
+        let floor = lower - STAT_GUARD;
         let mut d = 0.0f64;
-        for (i, &x) in sorted.iter().enumerate() {
-            let fx = normal.cdf(x as f64);
-            let upper = (i as f64 + 1.0) / n - fx;
-            let lower = fx - (i as f64) / n;
-            d = d.max(upper).max(lower);
-        }
-        KsResult { statistic: d, p_value: ks_p_value(d, sorted.len()), n: sorted.len() }
-    }
-
-    /// The bracketing pass: returns `(L, U, early_rejected)`, aborting with
-    /// `early_rejected = true` the moment a lower-bound candidate reaches
-    /// `reject_at` (pass `f64::INFINITY` to always complete).
-    fn scan(&self, counts: &[u32], reject_at: f64) -> (f64, f64, bool) {
-        assert_eq!(counts.len(), self.slots(), "counts buffer has the wrong bucket count");
-        let n = self.n as f64;
-        // Interval (−∞, t_0): F_n ∈ [0, N_0/n], F ∈ (0, f_0).
-        let mut cum = counts[0] as f64;
-        let mut lower = (cum / n - self.cdf_at[0]).abs();
-        let mut upper = (cum / n).max(self.cdf_at[0]);
-        if lower >= reject_at {
-            return (lower, upper, true);
-        }
-        for (&count, boundary_pair) in counts[1..=self.buckets].iter().zip(self.cdf_at.windows(2)) {
-            let prev_cum = cum;
-            cum += count as f64;
-            let [f_prev, f_j] = boundary_pair else { unreachable!("windows(2)") };
-            let (f_prev, f_j) = (*f_prev, *f_j);
-            // Boundary t_j: the empirical CDF is exactly cum/n there.
-            let l = (cum / n - f_j).abs();
-            if l > lower {
-                lower = l;
-                if lower >= reject_at {
-                    return (lower, upper, true);
+        let mut start = 0usize;
+        for (b, &end) in offsets.iter().enumerate() {
+            let end = end as usize;
+            // F at the bucket's edges: 0 below the first boundary, 1 above the last.
+            let f_lo = if b == 0 { 0.0 } else { self.cdf_at[b - 1] };
+            let f_hi = self.cdf_at.get(b).copied().unwrap_or(1.0);
+            let reach = (end as f64 / n - f_lo).max(f_hi - start as f64 / n) + STAT_GUARD;
+            if end > start && reach >= d.max(floor) {
+                let bucket = &mut sorted[start..end];
+                bucket.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in KS samples"));
+                for (i, &x) in (start..).zip(bucket.iter()) {
+                    let fx = normal.cdf(x as f64);
+                    let upper = (i as f64 + 1.0) / n - fx;
+                    let lower = fx - (i as f64) / n;
+                    d = d.max(upper).max(lower);
                 }
             }
-            // Interval [t_{j−1}, t_j): F_n ∈ [prev_cum/n, cum/n], F ∈ [f_prev, f_j].
-            let u = (cum / n - f_prev).max(f_j - prev_cum / n);
-            if u > upper {
-                upper = u;
-            }
+            start = end;
         }
-        // Interval [t_B, ∞): F_n ∈ [cum/n, 1], F ∈ [f_B, 1).
-        let u = (1.0 - self.cdf_at[self.buckets]).max(1.0 - cum / n);
-        if u > upper {
-            upper = u;
-        }
-        (lower, upper, false)
+        KsResult { statistic: d, p_value: ks_p_value(d, samples.len()), n: samples.len() }
     }
+}
+
+/// The per-boundary count limits behind [`KsGaussianScreen::decide`], each
+/// found by evaluating the float comparison of
+/// [`KsGaussianScreen::verdict_of_bounds`] that it stands for, term by term,
+/// on neighbouring counts (see the module docs for why each comparison holds
+/// on an interval of counts).
+fn count_limits(n: usize, cdf_at: &[f64], d_accept: f64, d_reject: f64) -> Vec<CountLimits> {
+    let n_count = i32::try_from(n).ok().filter(|&c| c < i32::MAX).expect("n fits the counts");
+    let nf = n as f64;
+    let buckets = cdf_at.len() - 1;
+    let reject_at = d_reject + STAT_GUARD;
+    let accepts = |term: f64| term + STAT_GUARD <= d_accept;
+    // Where `accepts` turns, used only to place the first guess.
+    let room = d_accept - STAT_GUARD;
+    // The two envelope terms that read no count must pass on their own.
+    let accept_possible = accepts(cdf_at[0]) && accepts(1.0 - cdf_at[buckets]);
+    let pass = CountLimits {
+        reject_lo: [0; CHUNK],
+        reject_hi: [u32::MAX; CHUNK],
+        accept_lo: [0; CHUNK],
+        accept_hi: [u32::MAX; CHUNK],
+    };
+    let mut limits = vec![pass; (buckets + 1).div_ceil(CHUNK)];
+    for (k, &f) in cdf_at.iter().enumerate() {
+        let l = &mut limits[k / CHUNK];
+        let i = k % CHUNK;
+        // |N_k/n − F(t_k)| falls, then rises, as the count grows: it stays
+        // below the reject line from the first count past the falling side
+        // up to the first count on the rising side that reaches it.
+        l.reject_lo[i] = first_true(n_count, nf * (f - reject_at), |q| {
+            let gap = q - f;
+            gap > 0.0 || gap.abs() < reject_at
+        });
+        l.reject_hi[i] = first_true(n_count, nf * (f + reject_at), |q| {
+            let gap = q - f;
+            gap >= 0.0 && gap.abs() >= reject_at
+        });
+        if !accept_possible {
+            l.accept_hi[i] = 0;
+            continue;
+        }
+        // N_k/n − F(t_{k−1}) rises with the count; at k = 0 the term is
+        // N_0/n alone, which is N_0/n − 0.0 exactly. F(t_{k+1}) − N_k/n
+        // falls; at k = B it is 1 − N_B/n.
+        let below = if k == 0 { 0.0 } else { cdf_at[k - 1] };
+        let above = cdf_at.get(k + 1).copied().unwrap_or(1.0);
+        l.accept_hi[i] = first_true(n_count, nf * (room + below), |q| !accepts(q - below));
+        l.accept_lo[i] = first_true(n_count, nf * (above - room), |q| accepts(above - q));
+    }
+    limits
+}
+
+/// The smallest count `c ≤ n` at which the predicate holds of `c/n`, or
+/// `n + 1` when it holds nowhere; `holds` must be monotone in the count
+/// (false up to some count, true from there on). `threshold` is the
+/// real-valued count where the predicate's exact-arithmetic form turns true,
+/// so the answer is the first count past it unless rounding moves the turn
+/// across an integer: two evaluations check that candidate, and only when
+/// the check fails does the search step one count at a time.
+fn first_true(n: i32, threshold: f64, holds: impl Fn(f64) -> bool) -> u32 {
+    let nf = f64::from(n);
+    let holds_at = |c: i32| holds(f64::from(c) / nf);
+    // ⌊threshold⌋ + 1 clamped into 0..=n+1; the truncation is the floor
+    // because its operand is non-negative (NaN, never passed, casts to 0).
+    let mut c = ((threshold.clamp(-1.0, nf + 1.0) + 1.0) as i32).min(n + 1);
+    if (c == 0 || !holds_at(c - 1)) && (c > n || holds_at(c)) {
+        return c as u32;
+    }
+    while c > 0 && holds_at(c - 1) {
+        c -= 1;
+    }
+    while c <= n && !holds_at(c) {
+        c += 1;
+    }
+    c as u32
 }
 
 /// `(d_accept, d_reject)` for `(n, alpha)`: statistic thresholds whose
