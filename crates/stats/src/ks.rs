@@ -539,8 +539,8 @@ impl KsGaussianScreen {
     /// returned [`KsResult`] is bit-identical to [`ks_test_gaussian_with`],
     /// while `F` runs on the few buckets near the maximum gap.
     ///
-    /// Like the reference's comparison sort, it panics on a NaN sample when
-    /// there are at least two samples.
+    /// Like the reference, it panics on a NaN sample, also when the NaN's
+    /// bucket is pruned.
     pub fn exact_from_counts(&self, samples: &[f32], scratch: &mut KsScratch) -> KsResult {
         assert_eq!(samples.len(), self.n, "sample count differs from the screen's n");
         let counts = &scratch.counts;
@@ -569,7 +569,7 @@ impl KsGaussianScreen {
         // After the scatter, offsets[b] is the end of bucket b's slice. A
         // NaN lands only in the upper tail bucket, which may be pruned.
         let upper_tail = &sorted[offsets[self.buckets] as usize..];
-        assert!(samples.len() < 2 || !upper_tail.iter().any(|x| x.is_nan()), "NaN in KS samples");
+        assert!(!upper_tail.iter().any(|x| x.is_nan()), "NaN in KS samples");
         let normal = Normal::new(self.mean, self.std);
         let floor = lower - STAT_GUARD;
         let mut d = 0.0f64;
