@@ -426,7 +426,9 @@ pub(crate) fn deal(cfg: &SimulationConfig) -> (Vec<Vec<usize>>, StdRng) {
 /// the partition `parts` from [`deal`]. Every example's stream is drawn, but
 /// only these workers' pixels are built, straight into their shards — the
 /// in-process transport asks for every data worker, a serving client for
-/// its claim, and neither holds anything else.
+/// its claim, and neither holds anything else. The draws run in stream
+/// order; the pixels are built across threads
+/// ([`SyntheticSpec::synthesize_parallel`]), bit-identical at every count.
 ///
 /// # Panics
 /// If a worker is not an index of `parts`.
@@ -446,7 +448,7 @@ pub(crate) fn pooled_shards(
             rows[i] = Some(row);
         }
     }
-    let labels = spec.synthesize(&spec.prototypes(), cfg.seed, rows);
+    let labels = spec.synthesize_parallel(&spec.prototypes(), cfg.seed, rows);
     let (name, classes) = (&spec.name, spec.num_classes);
     workers
         .iter()
@@ -669,6 +671,33 @@ mod tests {
                 let mut master = prep.master.clone();
                 for draw in 0..8 {
                     assert_eq!(master.next_u64(), want_master.next_u64(), "{case}, draw {draw}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_shards_match_the_eager_route_at_every_thread_count() {
+        let bits = |d: &Dataset| d.features.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for dataset in [SyntheticSpec::mnist_like(), SyntheticSpec::colorectal_like()] {
+            let mut cfg = quick_cfg();
+            cfg.dataset = dataset;
+            cfg.n_honest = 5;
+            cfg.per_worker = 37;
+            let (want, _) = eager_worker_data(&cfg);
+            let prep = prepare(&cfg);
+            let every: BTreeSet<usize> = (0..want.len()).collect();
+            let sparse: BTreeSet<usize> = [0, 3].into();
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                for claim in [&every, &sparse] {
+                    let shards = pool.install(|| pooled_shards(&cfg, &prep.parts, claim));
+                    assert_eq!(shards.keys().collect::<Vec<_>>(), claim.iter().collect::<Vec<_>>());
+                    for (w, shard) in &shards {
+                        let case = format!("{}, {threads} threads, worker {w}", cfg.dataset.name);
+                        assert_eq!(bits(shard), bits(&want[*w]), "{case}");
+                        assert_eq!(shard.labels, want[*w].labels, "{case}");
+                    }
                 }
             }
         }

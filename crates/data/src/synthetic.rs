@@ -26,10 +26,24 @@
 //! caller gives it somewhere to land: an on-demand client materializes just
 //! the `b_c` rows its one local step samples, and a serving client just its
 //! own workers' shards.
+//!
+//! Synthesis is two parts: a sequential **draw** of each example's class,
+//! noise grid and brightness off the one stream, and a pure per-row
+//! **build** from those draws. [`SyntheticSpec::synthesize`] builds each row
+//! right after its draw, on the calling thread.
+//! [`SyntheticSpec::synthesize_parallel`] draws every example first, keeping
+//! the built rows' draws in one flat buffer, then builds the rows across
+//! threads; each row is the same pure function of its draws, so the bits do
+//! not depend on the thread count. Only the pooled training set takes the
+//! parallel route: an on-demand client builds its `b_c` rows inside the
+//! round's worker threads, where more threads would only add spawn cost and
+//! per-thread heap arenas (the vendored rayon starts OS threads on every
+//! call).
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic image dataset family.
@@ -217,27 +231,74 @@ impl SyntheticSpec {
         rows: impl IntoIterator<Item = Option<&'a mut [f32]>>,
     ) -> Vec<usize> {
         debug_assert_eq!(prototypes.len(), self.num_classes);
+        self.draw(seed, rows, |row, class, draws| self.build_row(&prototypes[class], draws, row))
+    }
+
+    /// [`SyntheticSpec::synthesize`] with the rows built across threads:
+    /// the same labels and bit-identical rows at every thread count. Every
+    /// example is drawn first, the built rows' draws kept in one flat buffer
+    /// (`grids_len + 1` floats a row), then each row is built from its own.
+    pub fn synthesize_parallel<'a>(
+        &self,
+        prototypes: &[Vec<f32>],
+        seed: u64,
+        rows: impl IntoIterator<Item = Option<&'a mut [f32]>>,
+    ) -> Vec<usize> {
+        debug_assert_eq!(prototypes.len(), self.num_classes);
+        let mut built = Vec::new();
+        let mut buffer = Vec::new();
+        let labels = self.draw(seed, rows, |row, class, draws| {
+            built.push((row, class));
+            buffer.extend_from_slice(draws);
+        });
+        let mut jobs: Vec<_> =
+            built.into_iter().zip(buffer.chunks_exact(self.draws_len())).collect();
+        jobs.par_iter_mut().for_each(|((row, class), draws)| {
+            self.build_row(&prototypes[*class], draws, row);
+        });
+        labels
+    }
+
+    /// The sequential half of synthesis: draws one example per item of
+    /// `rows` off the seed's stream — class, noise grids, brightness — and
+    /// hands each item that has a row to `build` with its class and its
+    /// draws (the grids, then the brightness). Returns every label.
+    fn draw<'a>(
+        &self,
+        seed: u64,
+        rows: impl IntoIterator<Item = Option<&'a mut [f32]>>,
+        mut build: impl FnMut(&'a mut [f32], usize, &[f32]),
+    ) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
         let rows = rows.into_iter();
         let mut labels = Vec::with_capacity(rows.size_hint().0);
-        let mut grids = vec![0.0f32; self.grids_len()];
+        let grids_len = self.grids_len();
+        let mut draws = vec![0.0f32; self.draws_len()];
         for row in rows {
             let class = rng.gen_range(0..self.num_classes);
             labels.push(class);
-            self.draw_grids(&mut rng, &mut grids);
-            let brightness: f32 = rng.gen_range(-0.08..0.08);
-            let Some(row) = row else { continue };
-            // The row holds the noise field, then the example mixed over it.
-            self.upsample_grids(&grids, row);
-            for (v, &p) in row.iter_mut().zip(&prototypes[class]) {
-                let mut x = self.signal_mix * p + (1.0 - self.signal_mix) * *v + brightness;
-                if self.invert {
-                    x = 1.0 - x;
-                }
-                *v = x.clamp(0.0, 1.0);
+            self.draw_grids(&mut rng, &mut draws[..grids_len]);
+            draws[grids_len] = rng.gen_range(-0.08..0.08);
+            if let Some(row) = row {
+                build(row, class, &draws);
             }
         }
         labels
+    }
+
+    /// The pure half of synthesis: one example's pixels from its class
+    /// prototype and its draws (as [`SyntheticSpec::draw`] lays them out).
+    fn build_row(&self, prototype: &[f32], draws: &[f32], row: &mut [f32]) {
+        let (grids, brightness) = (&draws[..self.grids_len()], draws[self.grids_len()]);
+        // The row holds the noise field, then the example mixed over it.
+        self.upsample_grids(grids, row);
+        for (v, &p) in row.iter_mut().zip(prototype) {
+            let mut x = self.signal_mix * p + (1.0 - self.signal_mix) * *v + brightness;
+            if self.invert {
+                x = 1.0 - x;
+            }
+            *v = x.clamp(0.0, 1.0);
+        }
     }
 
     /// The class prototype images (deterministic per spec): each class
@@ -268,6 +329,12 @@ impl SyntheticSpec {
     /// proto_grid` grid per channel.
     fn grids_len(&self) -> usize {
         self.channels * self.proto_grid * self.proto_grid
+    }
+
+    /// Floats drawn per example besides its class: the grids, then the
+    /// brightness.
+    fn draws_len(&self) -> usize {
+        self.grids_len() + 1
     }
 
     /// Draws one smooth field's grids, channel after channel, uniform in
@@ -458,6 +525,24 @@ mod tests {
             for (i, &wanted) in requested.iter().enumerate() {
                 let want = if wanted == 1 { bits(eager.example(i)) } else { vec![0; spec.example_len()] };
                 prop_assert_eq!(bits(lazy.example(i)), want, "row {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_synthesis_matches_the_serial_loop_at_every_thread_count() {
+        for name in SyntheticSpec::family_names() {
+            let spec = SyntheticSpec::by_name(name).expect("known family");
+            let (n, len, prototypes) = (29, spec.example_len(), spec.prototypes());
+            let want = spec.generate_rows(&prototypes, n, 5, |i| i % 3 != 1);
+            for threads in [1, 2, 3, 7] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let mut features = vec![0.0f32; n * len];
+                let rows =
+                    features.chunks_mut(len).enumerate().map(|(i, r)| (i % 3 != 1).then_some(r));
+                let labels = pool.install(|| spec.synthesize_parallel(&prototypes, 5, rows));
+                assert_eq!(labels, want.labels, "{name}, {threads} threads");
+                assert_eq!(bits(&features), bits(&want.features), "{name}, {threads} threads");
             }
         }
     }

@@ -5,9 +5,44 @@
 //! target `(ε, δ)`, [`RdpAccountant::find_noise_multiplier`] searches for the noise multiplier
 //! σ; given σ it reports the achieved ε. The paper's Theorem 3 is the
 //! asymptotic statement of the same guarantee.
+//!
+//! # The σ search decides each step without the whole curve
+//!
+//! Each bracket or bisection step of the search asks one question —
+//! `epsilon(σ, δ).0 > target` (or `< target` while the lower bracket
+//! shrinks) — and [`RdpAccountant::epsilon`] answers it by computing every
+//! order's RDP and taking the minimum of the converted ε. The search answers
+//! the same question exactly, without that minimum:
+//!
+//! * **The minimum is a witness question.** `epsilon` starts from `+∞` and
+//!   keeps the smallest non-NaN per-order ε, so `ε(σ) > t` holds iff
+//!   `∞ > t` and no order's ε is `≤ t`, and `ε(σ) < t` holds iff some order's
+//!   ε is `< t`. The search stops at the first order that witnesses the
+//!   answer, and tries first the order that decided the previous step (the
+//!   optimal order moves little between neighbouring σ).
+//! * **Each order has a σ-free floor.** An order's composed RDP `r` is never
+//!   negative (the per-step value is clamped at 0; a non-finite `r` is
+//!   skipped, as in `rdp_to_approx_dp`), and its conversion — `r + K`
+//!   (Classic) or `((r + A) − B).max(0)` (Improved), with `K`, `A`, `B` fixed
+//!   per order — never decreases as `r` grows, because IEEE rounding is
+//!   monotone. So the order's ε at `r = 0` is a floor its ε never goes below
+//!   at any σ; an order whose floor already fails the step's test can never
+//!   witness, and is never evaluated. At ε = 2 and the paper's δ that skips
+//!   every order up to 3, the fractional ones included, whose series are most
+//!   of a full evaluation.
+//! * **The integer sums keep their σ-free part.** `crate::rdp::SgmOrder`
+//!   builds each integer order's σ-free terms once per search and stays
+//!   bit-identical to [`rdp_sampled_gaussian`](crate::rdp::rdp_sampled_gaussian).
+//!
+//! Every per-order ε the search does compute is the value `epsilon` would
+//! compute, so every step goes the same way and the σ found is the same
+//! bits. The search keeps every panic of the full-curve search: an order
+//! ≤ 1 or a rate outside `[0, 1]` (checked for every order before the first
+//! step), a non-positive target, a δ outside `(0, 1)`, and divergence.
+//! [`EpsilonSchedule`] still computes every order: it needs the whole curve.
 
-use crate::conversion::{rdp_to_approx_dp, ConversionRule};
-use crate::rdp::{compose_rdp, default_orders};
+use crate::conversion::{check_delta, order_epsilon, rdp_to_approx_dp, ConversionRule};
+use crate::rdp::{compose_rdp, default_orders, SgmOrder};
 
 /// Privacy accountant for `T` steps of subsampled Gaussian noise at rate `q`.
 #[derive(Debug, Clone)]
@@ -48,17 +83,20 @@ impl RdpAccountant {
     /// bisection (ε is monotone decreasing in σ).
     ///
     /// Mirrors TF Privacy's `compute_noise`: doubles an upper bracket until
-    /// ε(σ) ≤ target, then bisects to `tol` relative width.
+    /// ε(σ) ≤ target, then bisects to `tol` relative width. Each step is
+    /// decided without the full ε curve (see the module docs); the result is
+    /// bit-identical to running the same search on [`RdpAccountant::epsilon`].
     pub fn find_noise_multiplier(&self, target_eps: f64, delta: f64) -> f64 {
         assert!(target_eps > 0.0, "target epsilon must be positive");
+        let mut search = SigmaSearch::new(self, delta);
         let mut lo = 1e-4;
         let mut hi = 1.0;
         // Grow the bracket until it straddles the target.
-        while self.epsilon(hi, delta).0 > target_eps {
+        while search.exceeds(hi, target_eps) {
             hi *= 2.0;
             assert!(hi < 1e8, "noise multiplier search diverged (ε target too small?)");
         }
-        while self.epsilon(lo, delta).0 < target_eps {
+        while search.falls_short(lo, target_eps) {
             lo /= 2.0;
             if lo < 1e-10 {
                 // Even (almost) no noise meets the target: the subsampling
@@ -69,7 +107,7 @@ impl RdpAccountant {
         // Bisect: invariant ε(lo) > target ≥ ε(hi).
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            if self.epsilon(mid, delta).0 > target_eps {
+            if search.exceeds(mid, target_eps) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -79,6 +117,67 @@ impl RdpAccountant {
             }
         }
         hi
+    }
+}
+
+/// The step decisions of one σ search: `epsilon(σ, δ).0` compared with the
+/// target, decided by a witness order (see the module docs).
+struct SigmaSearch {
+    steps: f64,
+    delta: f64,
+    rule: ConversionRule,
+    orders: Vec<SgmOrder>,
+    /// Each order's ε at zero RDP: its ε is never below this at any σ.
+    floors: Vec<f64>,
+    /// The order that witnessed the previous step, tried first.
+    last: usize,
+}
+
+impl SigmaSearch {
+    /// Checks the domain in the order `epsilon` does — rate and order per
+    /// order, then δ — so an invalid accountant panics as it always did.
+    fn new(acc: &RdpAccountant, delta: f64) -> Self {
+        let orders: Vec<SgmOrder> =
+            acc.orders.iter().map(|&alpha| SgmOrder::new(acc.sampling_rate, alpha)).collect();
+        check_delta(delta);
+        let floors = acc.orders.iter().map(|&alpha| order_epsilon(alpha, 0.0, delta, acc.rule));
+        SigmaSearch {
+            steps: acc.steps as f64,
+            delta,
+            rule: acc.rule,
+            floors: floors.collect(),
+            orders,
+            last: 0,
+        }
+    }
+
+    /// `epsilon(sigma, delta).0 > target`.
+    fn exceeds(&mut self, sigma: f64, target: f64) -> bool {
+        f64::INFINITY > target && !self.witness(sigma, |eps| eps <= target)
+    }
+
+    /// `epsilon(sigma, delta).0 < target`.
+    fn falls_short(&mut self, sigma: f64, target: f64) -> bool {
+        self.witness(sigma, |eps| eps < target)
+    }
+
+    /// Whether some order's ε at `sigma` passes `test`, a test that also
+    /// passes every smaller value (`≤ t` or `< t`). Orders whose floor fails
+    /// it are not evaluated; the first order that passes ends the scan.
+    fn witness(&mut self, sigma: f64, test: impl Fn(f64) -> bool) -> bool {
+        let n = self.orders.len();
+        for i in (self.last..n).chain(0..self.last) {
+            if !test(self.floors[i]) {
+                continue;
+            }
+            let order = &self.orders[i];
+            let r = self.steps * order.rdp(sigma);
+            if r.is_finite() && test(order_epsilon(order.alpha(), r, self.delta, self.rule)) {
+                self.last = i;
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -180,6 +279,200 @@ impl EpsilonSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The σ search as it was before [`SigmaSearch`]: every step evaluates
+    /// the full ε curve. The oracle the exact search must match bit for bit.
+    fn full_curve_search(acc: &RdpAccountant, target_eps: f64, delta: f64) -> f64 {
+        assert!(target_eps > 0.0, "target epsilon must be positive");
+        let mut lo = 1e-4;
+        let mut hi = 1.0;
+        while acc.epsilon(hi, delta).0 > target_eps {
+            hi *= 2.0;
+            assert!(hi < 1e8, "noise multiplier search diverged (ε target too small?)");
+        }
+        while acc.epsilon(lo, delta).0 < target_eps {
+            lo /= 2.0;
+            if lo < 1e-10 {
+                return lo;
+            }
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if acc.epsilon(mid, delta).0 > target_eps {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if (hi - lo) / hi < 1e-6 {
+                break;
+            }
+        }
+        hi
+    }
+
+    fn rule(classic: bool) -> ConversionRule {
+        if classic {
+            ConversionRule::Classic
+        } else {
+            ConversionRule::Improved
+        }
+    }
+
+    /// A custom order grid from raw draws: integer orders up to 64,
+    /// fractional ones in (1, 4), integers on both sides of the closed-form
+    /// limit 256, fractional ones above it, and — when `allow_invalid` —
+    /// orders in (0, 1], which the search must refuse as the oracle does.
+    fn custom_orders(raw: &[u32], allow_invalid: bool) -> Vec<f64> {
+        let kinds = if allow_invalid { 5 } else { 4 };
+        raw.iter()
+            .map(|&r| {
+                let v = f64::from(r / kinds % 1000);
+                match r % kinds {
+                    0 => 2.0 + v % 63.0,
+                    1 => 1.01 + (v % 300.0) / 100.0,
+                    2 => 250.0 + v % 350.0,
+                    3 => 256.0 + (1.0 + v % 39.0) / 8.0,
+                    _ => (1.0 + v % 8.0) / 8.0,
+                }
+            })
+            .collect()
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sigma_search_matches_the_full_curve_oracle_bitwise(
+            q_per_10k in 1u32..=10_000,
+            steps in 1u64..3_000,
+            target in 0.05f64..16.0,
+            ln_delta in -20.0f64..-4.0,
+            classic in 0u8..2,
+            grid in 0u8..4,
+            raw in prop::collection::vec(0u32..u32::MAX, 1..8),
+        ) {
+            let acc = RdpAccountant {
+                // Cubed, so most rates sit where the search converges.
+                sampling_rate: (f64::from(q_per_10k) / 10_000.0).powi(3),
+                steps,
+                orders: if grid == 0 { default_orders() } else { custom_orders(&raw, grid == 3) },
+                rule: rule(classic == 1),
+            };
+            let delta = ln_delta.exp();
+            let want = std::panic::catch_unwind(|| full_curve_search(&acc, target, delta));
+            let got = std::panic::catch_unwind(|| acc.find_noise_multiplier(target, delta));
+            match (got, want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.to_bits(), want.to_bits()),
+                (Err(got), Err(want)) => {
+                    prop_assert_eq!(panic_message(&*got), panic_message(&*want))
+                }
+                (got, want) => {
+                    prop_assert!(false, "search ok={} but oracle ok={}", got.is_ok(), want.is_ok())
+                }
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "Rényi order must exceed 1")]
+        fn sigma_search_refuses_custom_grids_with_an_order_at_most_one(
+            q_per_10k in 1u32..=10_000,
+            raw in prop::collection::vec(0u32..u32::MAX, 1..8),
+            invalid in 1u32..=8,
+            at in 0usize..8,
+        ) {
+            let mut orders = custom_orders(&raw, false);
+            orders.insert(at.min(orders.len()), f64::from(invalid) / 8.0);
+            let acc = RdpAccountant { orders, ..RdpAccountant::new(f64::from(q_per_10k) / 10_000.0, 100) };
+            let _ = acc.find_noise_multiplier(2.0, 1e-5);
+        }
+    }
+
+    #[test]
+    fn sigma_search_returns_the_tiny_lower_bracket_when_no_noise_is_needed() {
+        // q = 0 costs nothing at any σ, so ε(1e-4) already undercuts the
+        // target and the lower bracket halves down past 1e-10.
+        for classic in [false, true] {
+            let acc = RdpAccountant { rule: rule(classic), ..RdpAccountant::new(0.0, 1000) };
+            let (got, want) =
+                (acc.find_noise_multiplier(2.0, 1e-5), full_curve_search(&acc, 2.0, 1e-5));
+            assert!(got < 1e-10, "σ = {got}");
+            assert_eq!(got.to_bits(), want.to_bits(), "classic={classic}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise multiplier search diverged")]
+    fn sigma_search_still_refuses_an_unreachable_target() {
+        // Unsampled, ten thousand steps, ε = 1e-6: no σ below 1e8 meets it.
+        let _ = RdpAccountant::new(1.0, 10_000).find_noise_multiplier(1e-6, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise multiplier search diverged")]
+    fn oracle_refuses_the_same_unreachable_target() {
+        let _ = full_curve_search(&RdpAccountant::new(1.0, 10_000), 1e-6, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rényi order must exceed 1, got 0.5")]
+    fn sigma_search_refuses_an_order_at_most_one_even_when_its_floor_is_skipped() {
+        // Order 0.5 is last: its floor would never be evaluated, but the
+        // full-curve search panicked on it at the first step.
+        let acc =
+            RdpAccountant { orders: vec![2.0, 8.0, 32.0, 0.5], ..RdpAccountant::new(0.01, 1000) };
+        let _ = acc.find_noise_multiplier(2.0, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rényi order must exceed 1, got 1")]
+    fn sigma_search_refuses_order_one_in_a_custom_grid() {
+        let acc = RdpAccountant { orders: vec![1.0, 3.5, 300.0], ..RdpAccountant::new(0.02, 50) };
+        let _ = acc.find_noise_multiplier(1.0, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling rate must be in [0,1], got 1.5")]
+    fn sigma_search_refuses_a_rate_above_one() {
+        let acc = RdpAccountant { sampling_rate: 1.5, ..RdpAccountant::new(0.01, 100) };
+        let _ = acc.find_noise_multiplier(2.0, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "target epsilon must be positive")]
+    fn sigma_search_refuses_a_zero_target() {
+        let _ = RdpAccountant::new(0.01, 100).find_noise_multiplier(0.0, 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta must be in (0,1), got 1")]
+    fn sigma_search_refuses_delta_one() {
+        let _ = RdpAccountant::new(0.01, 100).find_noise_multiplier(2.0, 1.0);
+    }
+
+    #[test]
+    fn sigma_search_matches_the_oracle_on_the_benchmark_configs() {
+        // The headline cell's q = 16/500 and T = 250, the paper's MNIST
+        // anchor, and a sub-sampled cohort.
+        for (q, steps, eps, n) in [
+            (16.0 / 500.0, 250, 2.0, 500),
+            (16.0 / 3000.0, 1500, 2.0, 3000),
+            (0.25 * 16.0 / 256.0, 16, 1.0, 256),
+        ] {
+            let acc = RdpAccountant::new(q, steps);
+            let delta = paper_delta(n);
+            let (got, want) =
+                (acc.find_noise_multiplier(eps, delta), full_curve_search(&acc, eps, delta));
+            assert_eq!(got.to_bits(), want.to_bits(), "q={q} T={steps} ε={eps}");
+        }
+    }
 
     /// The paper's MNIST configuration: 20 honest workers over 60 000
     /// examples → |D| = 3 000 per worker, b_c = 16, T = ⌈8·|D|/b_c⌉ = 1 500,

@@ -23,27 +23,39 @@ pub fn rdp_to_approx_dp(
     rule: ConversionRule,
 ) -> (f64, f64) {
     assert_eq!(orders.len(), rdp.len(), "orders and rdp must align");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
+    check_delta(delta);
     let mut best = (f64::INFINITY, 0.0);
     for (&alpha, &r) in orders.iter().zip(rdp) {
         if !r.is_finite() || alpha <= 1.0 {
             continue;
         }
-        let eps = match rule {
-            ConversionRule::Classic => r + (1.0 / delta).ln() / (alpha - 1.0),
-            ConversionRule::Improved => {
-                let e =
-                    r + ((alpha - 1.0) / alpha).ln() - (delta.ln() + alpha.ln()) / (alpha - 1.0);
-                // The CKS bound can dip below zero for very private
-                // mechanisms; ε is non-negative by definition.
-                e.max(0.0)
-            }
-        };
+        let eps = order_epsilon(alpha, r, delta, rule);
         if eps < best.0 {
             best = (eps, alpha);
         }
     }
     best
+}
+
+/// The failure probabilities [`rdp_to_approx_dp`] accepts; panics outside.
+pub(crate) fn check_delta(delta: f64) {
+    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
+}
+
+/// ε of one order: the composed RDP `r` at order `alpha` converted under
+/// `rule`. Non-decreasing in `r` under IEEE rounding: the `r`-free terms are
+/// fixed, and a rounded sum or difference, like `max`, never decreases when
+/// one operand grows.
+pub(crate) fn order_epsilon(alpha: f64, r: f64, delta: f64, rule: ConversionRule) -> f64 {
+    match rule {
+        ConversionRule::Classic => r + (1.0 / delta).ln() / (alpha - 1.0),
+        ConversionRule::Improved => {
+            let e = r + ((alpha - 1.0) / alpha).ln() - (delta.ln() + alpha.ln()) / (alpha - 1.0);
+            // The CKS bound can dip below zero for very private
+            // mechanisms; ε is non-negative by definition.
+            e.max(0.0)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -28,8 +28,7 @@ pub fn default_orders() -> Vec<f64> {
 /// deviation divided by ℓ2 sensitivity). Returns `+∞` when the mechanism
 /// provides no bound at this order (σ = 0).
 pub fn rdp_sampled_gaussian(q: f64, sigma: f64, alpha: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "sampling rate must be in [0,1], got {q}");
-    assert!(alpha > 1.0, "Rényi order must exceed 1, got {alpha}");
+    check_domain(q, alpha);
     if q == 0.0 {
         return 0.0;
     }
@@ -46,6 +45,76 @@ pub fn rdp_sampled_gaussian(q: f64, sigma: f64, alpha: f64) -> f64 {
         log_a_frac(q, sigma, alpha)
     };
     (log_a / (alpha - 1.0)).max(0.0)
+}
+
+/// The domain [`rdp_sampled_gaussian`] accepts; panics outside it.
+fn check_domain(q: f64, alpha: f64) {
+    assert!((0.0..=1.0).contains(&q), "sampling rate must be in [0,1], got {q}");
+    assert!(alpha > 1.0, "Rényi order must exceed 1, got {alpha}");
+}
+
+/// Whether [`rdp_sampled_gaussian`] takes the closed-form integer sum
+/// ([`log_a_int`]) at `(q, alpha)` for every σ ≠ 0.
+fn closed_form(q: f64, alpha: f64) -> bool {
+    q != 0.0 && (q - 1.0).abs() >= 1e-15 && alpha.fract() == 0.0 && alpha <= 256.0
+}
+
+/// One Rényi order of the Sampled Gaussian Mechanism at a fixed sampling
+/// rate, with the σ-free part of the integer-order sum built once.
+///
+/// [`SgmOrder::rdp`] is bit-identical to [`rdp_sampled_gaussian`] at every
+/// σ. Each term of [`log_a_int`] is the left-associated sum
+/// `((ln C(α,k) + k·ln q) + (α−k)·ln1p(−q)) + k(k−1)/(2σ²)`; the bracketed
+/// part does not depend on σ, so it is stored, and adding the σ term to the
+/// stored value rounds exactly as the one-shot expression does. A σ search
+/// evaluates the same orders at some 25 values of σ; this pays the three
+/// `ln Γ` behind every `ln C(α,k)` once instead of at each of them.
+/// Fractional orders, orders above 256 and the degenerate rates `q = 0`,
+/// `q = 1` have no stored part and call [`rdp_sampled_gaussian`].
+#[derive(Debug)]
+pub(crate) struct SgmOrder {
+    q: f64,
+    alpha: f64,
+    /// The σ-free part of term `k`, for `k = 0..=α` (closed form only).
+    terms: Vec<f64>,
+}
+
+impl SgmOrder {
+    /// Order `alpha` at rate `q`; panics exactly where
+    /// [`rdp_sampled_gaussian`] does.
+    pub(crate) fn new(q: f64, alpha: f64) -> Self {
+        check_domain(q, alpha);
+        let terms = if closed_form(q, alpha) {
+            let af = alpha as u64 as f64;
+            (0..=alpha as u64)
+                .map(|k| {
+                    let kf = k as f64;
+                    ln_binomial(af, kf) + kf * q.ln() + (af - kf) * (-q).ln_1p()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        SgmOrder { q, alpha, terms }
+    }
+
+    /// The Rényi order α.
+    pub(crate) fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// `rdp_sampled_gaussian(q, sigma, alpha)`, bit for bit.
+    pub(crate) fn rdp(&self, sigma: f64) -> f64 {
+        if self.terms.is_empty() || sigma == 0.0 {
+            return rdp_sampled_gaussian(self.q, sigma, self.alpha);
+        }
+        let mut log_a = f64::NEG_INFINITY;
+        for (k, &term) in self.terms.iter().enumerate() {
+            let kf = k as f64;
+            log_a = log_add_exp(log_a, term + (kf * kf - kf) / (2.0 * sigma * sigma));
+        }
+        (log_a / (self.alpha - 1.0)).max(0.0)
+    }
 }
 
 /// `log A_α` for integer α:
@@ -194,6 +263,27 @@ mod tests {
     #[test]
     fn sigma_zero_gives_infinity() {
         assert!(rdp_sampled_gaussian(0.5, 0.0, 2.0).is_infinite());
+    }
+
+    #[test]
+    fn hoisted_orders_match_the_one_shot_rdp_bitwise() {
+        let orders = [1.25, 2.0, 3.0, 4.5, 17.0, 64.0, 128.0, 256.0, 257.0, 512.0];
+        for q in [0.0, 1e-6, 0.005, 16.0 / 3000.0, 0.3, 1.0 - 1e-16, 1.0] {
+            for &alpha in &orders {
+                let order = SgmOrder::new(q, alpha);
+                assert_eq!(order.terms.is_empty(), !closed_form(q, alpha), "q={q} α={alpha}");
+                for sigma in [0.0, 1e-9, 1e-4, 0.3, 0.79, 1.0, 7.5, 1e6] {
+                    let (got, want) = (order.rdp(sigma), rdp_sampled_gaussian(q, sigma, alpha));
+                    assert_eq!(got.to_bits(), want.to_bits(), "q={q} σ={sigma} α={alpha}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Rényi order must exceed 1, got 1")]
+    fn hoisted_orders_refuse_order_one() {
+        let _ = SgmOrder::new(0.01, 1.0);
     }
 
     #[test]

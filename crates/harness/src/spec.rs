@@ -434,6 +434,27 @@ impl ScenarioSpec {
             if c.epochs <= 0.0 {
                 problems.push(at(format!("epochs {} must be positive", c.epochs)));
             }
+            // The accountant's inputs, refused here rather than by a panic
+            // in the σ search once the cell has started.
+            if c.dp.batch_size == 0 {
+                problems.push(at("dp.batch_size must be positive (0 makes the iteration \
+                     count ⌈epochs·per_worker/batch_size⌉ unbounded)"
+                    .into()));
+            }
+            if let Some(eps) = c.epsilon {
+                if !(eps.is_finite() && eps > 0.0) {
+                    problems.push(at(format!("target epsilon {eps} must be positive and finite")));
+                }
+                let gaussian =
+                    !matches!(c.protocol, WorkerProtocol::Plain | WorkerProtocol::SignDp { .. });
+                if gaussian && c.dp.batch_size > c.per_worker {
+                    problems.push(at(format!(
+                        "dp.batch_size {} exceeds per_worker {}: the accountant's sampling \
+                         rate batch_size/per_worker must be at most 1",
+                        c.dp.batch_size, c.per_worker
+                    )));
+                }
+            }
             let q = c.sampling;
             if !(q.is_finite() && q > 0.0 && q <= 1.0) {
                 problems.push(at(format!("sampling fraction {q} outside (0, 1]")));
@@ -1215,6 +1236,48 @@ mod tests {
             s
         };
         assert!(two_stage_plain.validate().iter().any(|p| p.contains("DP noise")));
+    }
+
+    /// The base cell with `edit` applied, validated.
+    fn problems_with(edit: impl Fn(&mut SimulationConfig)) -> Vec<String> {
+        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
+        edit(&mut s.base);
+        s.validate()
+    }
+
+    #[test]
+    fn validate_refuses_a_batch_larger_than_the_shard_under_an_epsilon_target() {
+        assert_eq!(problems_with(|c| c.epsilon = Some(2.0)), Vec::<String>::new());
+        let problems = problems_with(|c| {
+            c.epsilon = Some(2.0);
+            c.dp.batch_size = 2 * c.per_worker;
+        });
+        assert!(
+            problems.iter().any(|p| p.contains("exceeds per_worker") && p.contains("at most 1")),
+            "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_non_positive_epsilon_target() {
+        for eps in [0.0, -1.0] {
+            let problems = problems_with(|c| c.epsilon = Some(eps));
+            assert!(
+                problems
+                    .iter()
+                    .any(|p| p.contains(&format!("target epsilon {eps} must be positive"))),
+                "{problems:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_refuses_a_zero_batch_size() {
+        let problems = problems_with(|c| c.dp.batch_size = 0);
+        assert!(
+            problems.iter().any(|p| p.contains("dp.batch_size must be positive")),
+            "{problems:?}"
+        );
     }
 
     #[test]

@@ -87,6 +87,7 @@
 
 use crate::kolmogorov::{kolmogorov_sf, ks_cdf_exact};
 use crate::normal::Normal;
+use rayon::prelude::*;
 
 /// Outcome of a one-sample KS test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -307,7 +308,10 @@ impl KsGaussianScreen {
         let x_lo = mean - SPAN_STDS * std;
         let width = 2.0 * SPAN_STDS * std / buckets as f64;
         let normal = Normal::new(mean, std);
-        let cdf_at: Vec<f64> = (0..=buckets).map(|j| normal.cdf(x_lo + j as f64 * width)).collect();
+        // Each boundary is an independent incomplete-gamma series (most of
+        // the screen's build cost); the ordered collect keeps the bits.
+        let cdf_at: Vec<f64> =
+            (0..buckets + 1).into_par_iter().map(|j| normal.cdf(x_lo + j as f64 * width)).collect();
         let (d_accept, d_reject) = decision_thresholds(n, alpha);
         let limits = count_limits(n, &cdf_at, d_accept, d_reject);
         KsGaussianScreen {
@@ -728,6 +732,25 @@ mod tests {
     use crate::normal::gaussian_vector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn screen_boundaries_are_the_serial_cdf_at_every_thread_count() {
+        let (mean, std, n) = (0.25, 0.7, 25_450);
+        let serial = {
+            let screen = KsGaussianScreen::new(mean, std, n, 0.05);
+            let width = 2.0 * 5.0 * std / screen.buckets as f64;
+            let normal = Normal::new(mean, std);
+            (0..=screen.buckets)
+                .map(|j| normal.cdf(screen.x_lo + j as f64 * width).to_bits())
+                .collect::<Vec<u64>>()
+        };
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let screen = pool.install(|| KsGaussianScreen::new(mean, std, n, 0.05));
+            let got: Vec<u64> = screen.cdf_at.iter().map(|f| f.to_bits()).collect();
+            assert_eq!(got, serial, "{threads} threads");
+        }
+    }
 
     #[test]
     fn statistic_of_perfect_uniform_grid() {
