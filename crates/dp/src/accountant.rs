@@ -122,10 +122,9 @@ impl RdpAccountant {
 
 /// The step decisions of one σ search: `epsilon(σ, δ).0` compared with the
 /// target, decided by a witness order (see the module docs).
-struct SigmaSearch {
-    steps: f64,
+struct SigmaSearch<'a> {
+    acc: &'a RdpAccountant,
     delta: f64,
-    rule: ConversionRule,
     orders: Vec<SgmOrder>,
     /// Each order's ε at zero RDP: its ε is never below this at any σ.
     floors: Vec<f64>,
@@ -133,22 +132,15 @@ struct SigmaSearch {
     last: usize,
 }
 
-impl SigmaSearch {
+impl<'a> SigmaSearch<'a> {
     /// Checks the domain in the order `epsilon` does — rate and order per
     /// order, then δ — so an invalid accountant panics as it always did.
-    fn new(acc: &RdpAccountant, delta: f64) -> Self {
+    fn new(acc: &'a RdpAccountant, delta: f64) -> Self {
         let orders: Vec<SgmOrder> =
             acc.orders.iter().map(|&alpha| SgmOrder::new(acc.sampling_rate, alpha)).collect();
         check_delta(delta);
         let floors = acc.orders.iter().map(|&alpha| order_epsilon(alpha, 0.0, delta, acc.rule));
-        SigmaSearch {
-            steps: acc.steps as f64,
-            delta,
-            rule: acc.rule,
-            floors: floors.collect(),
-            orders,
-            last: 0,
-        }
+        SigmaSearch { acc, delta, orders, floors: floors.collect(), last: 0 }
     }
 
     /// `epsilon(sigma, delta).0 > target`.
@@ -170,9 +162,9 @@ impl SigmaSearch {
             if !test(self.floors[i]) {
                 continue;
             }
-            let order = &self.orders[i];
-            let r = self.steps * order.rdp(sigma);
-            if r.is_finite() && test(order_epsilon(order.alpha(), r, self.delta, self.rule)) {
+            let (alpha, rule) = (self.acc.orders[i], self.acc.rule);
+            let r = self.acc.steps as f64 * self.orders[i].rdp(sigma);
+            if r.is_finite() && test(order_epsilon(alpha, r, self.delta, rule)) {
                 self.last = i;
                 return true;
             }

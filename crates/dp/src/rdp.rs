@@ -63,10 +63,8 @@ fn closed_form(q: f64, alpha: f64) -> bool {
 /// rate, with the σ-free part of the integer-order sum built once.
 ///
 /// [`SgmOrder::rdp`] is bit-identical to [`rdp_sampled_gaussian`] at every
-/// σ. Each term of [`log_a_int`] is the left-associated sum
-/// `((ln C(α,k) + k·ln q) + (α−k)·ln1p(−q)) + k(k−1)/(2σ²)`; the bracketed
-/// part does not depend on σ, so it is stored, and adding the σ term to the
-/// stored value rounds exactly as the one-shot expression does. A σ search
+/// σ: both sum the same terms in the same order ([`sum_int_terms`]), this
+/// one over the σ-free parts ([`int_term_without_sigma`]) it stored. A σ search
 /// evaluates the same orders at some 25 values of σ; this pays the three
 /// `ln Γ` behind every `ln C(α,k)` once instead of at each of them.
 /// Fractional orders, orders above 256 and the degenerate rates `q = 0`,
@@ -86,21 +84,11 @@ impl SgmOrder {
         check_domain(q, alpha);
         let terms = if closed_form(q, alpha) {
             let af = alpha as u64 as f64;
-            (0..=alpha as u64)
-                .map(|k| {
-                    let kf = k as f64;
-                    ln_binomial(af, kf) + kf * q.ln() + (af - kf) * (-q).ln_1p()
-                })
-                .collect()
+            (0..=alpha as u64).map(|k| int_term_without_sigma(q, af, k as f64)).collect()
         } else {
             Vec::new()
         };
         SgmOrder { q, alpha, terms }
-    }
-
-    /// The Rényi order α.
-    pub(crate) fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// `rdp_sampled_gaussian(q, sigma, alpha)`, bit for bit.
@@ -108,27 +96,30 @@ impl SgmOrder {
         if self.terms.is_empty() || sigma == 0.0 {
             return rdp_sampled_gaussian(self.q, sigma, self.alpha);
         }
-        let mut log_a = f64::NEG_INFINITY;
-        for (k, &term) in self.terms.iter().enumerate() {
-            let kf = k as f64;
-            log_a = log_add_exp(log_a, term + (kf * kf - kf) / (2.0 * sigma * sigma));
-        }
-        (log_a / (self.alpha - 1.0)).max(0.0)
+        (sum_int_terms(self.terms.iter().copied(), sigma) / (self.alpha - 1.0)).max(0.0)
     }
 }
 
 /// `log A_α` for integer α:
 /// `A_α = Σ_{k=0}^{α} C(α,k) (1−q)^{α−k} q^k exp(k(k−1)/(2σ²))`.
 fn log_a_int(q: f64, sigma: f64, alpha: u64) -> f64 {
-    let mut log_a = f64::NEG_INFINITY;
     let af = alpha as f64;
-    for k in 0..=alpha {
+    sum_int_terms((0..=alpha).map(|k| int_term_without_sigma(q, af, k as f64)), sigma)
+}
+
+/// Term `k` of the integer-order sum without its σ part:
+/// `(ln C(α,k) + k·ln q) + (α−k)·ln1p(−q)`.
+fn int_term_without_sigma(q: f64, af: f64, kf: f64) -> f64 {
+    ln_binomial(af, kf) + kf * q.ln() + (af - kf) * (-q).ln_1p()
+}
+
+/// `log A_α` from the σ-free part of each term, `k = 0, 1, …` in order:
+/// each term is that part plus `k(k−1)/(2σ²)`, accumulated in `k` order.
+fn sum_int_terms(without_sigma: impl IntoIterator<Item = f64>, sigma: f64) -> f64 {
+    let mut log_a = f64::NEG_INFINITY;
+    for (k, term) in without_sigma.into_iter().enumerate() {
         let kf = k as f64;
-        let log_term = ln_binomial(af, kf)
-            + kf * q.ln()
-            + (af - kf) * (-q).ln_1p()
-            + (kf * kf - kf) / (2.0 * sigma * sigma);
-        log_a = log_add_exp(log_a, log_term);
+        log_a = log_add_exp(log_a, term + (kf * kf - kf) / (2.0 * sigma * sigma));
     }
     log_a
 }
