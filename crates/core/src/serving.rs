@@ -10,55 +10,38 @@
 //! (bit-identical by construction), and answers every `RoundBegin` with one
 //! `Upload` per claimed cohort member.
 //!
+//! One sans-I/O round desk (`serving/desk.rs`) decides the fate of every
+//! claim and every upload; the acceptor, each connection's reader and
+//! writer threads and the round loop only do the I/O around it.
+//!
 //! ## Addresses
 //!
-//! Both endpoints accept two address forms:
-//!
-//! * `tcp://HOST:PORT` — e.g. `tcp://127.0.0.1:7171`; `PORT` 0 binds an
-//!   ephemeral port (query it with [`BoundServer::local_addr`]).
-//! * `unix://PATH` — a Unix-domain socket at `PATH` (removed and re-created
-//!   on bind).
+//! Both endpoints take `tcp://HOST:PORT` (`PORT` 0 binds an ephemeral port;
+//! query it with [`BoundServer::local_addr`]) or `unix://PATH` (a
+//! Unix-domain socket, removed and re-created on bind).
 //!
 //! ## Reconnects
 //!
-//! The acceptor thread stays alive for the whole run, so a dead connection
-//! no longer strands its members: a fresh `ClientHello` re-claiming workers
-//! whose previous connection's reader thread has terminated **re-binds**
-//! those members to the new connection. The hello carries the client's
-//! watermark, the first round it has not stepped (0 for a fresh process).
-//! Admission replays every retained closed round from the watermark on as
-//! `RoundReplay` (the historical members ∩ the claim, with that round's
-//! parameters) so a stateful pooled client can bring its worker
-//! RNG/momentum streams up to date without uploading, then re-sends the
-//! currently open round's `RoundBegin` — a fast reconnect loses zero
-//! uploads. A claim overlapping a **live** connection is refused with a
-//! structured `HelloReject` (and a `client_rejected` telemetry event);
-//! [`run_client`] treats that as transient (the previous connection may not
-//! have been reaped yet) and retries under its backoff policy.
-//!
-//! The server retains only a replay window: the open round plus the last
-//! `REPLAY_ROUNDS` (8) closed rounds. A **pooled** claim that would need an
-//! evicted round — one of its workers was a member of a round at or after
-//! the watermark that has left the window — cannot be brought up to date, so
-//! it is refused with a `HelloReject` naming the watermark, the window's
-//! first round and that evicted round. Rounds without the claim's members
-//! need no replay, so under client sampling a worker may sit out any number
-//! of rounds. A client process that reconnects keeps its watermark and is
-//! admitted at any round; a *fresh* pooled process (watermark 0) is admitted
-//! only while every round its workers were members of is retained.
-//! On-demand claims are never refused: their members carry no state, and
-//! replays build nothing for them.
+//! The acceptor stays alive for the whole run. A `ClientHello` re-claiming
+//! workers whose connection is gone **re-binds** them; one overlapping a
+//! **live** connection is refused with a structured `HelloReject` (and a
+//! `client_rejected` event), which [`run_client`] retries. The hello carries
+//! the client's watermark, the first round it has not stepped: admission
+//! replays every retained closed round from there as `RoundReplay` (the
+//! round's members ∩ the claim), so a pooled client steps its workers'
+//! RNG and momentum streams up to date, then re-sends the open round's
+//! `RoundBegin`: a fast reconnect loses no upload. The server retains the
+//! open round plus the last `REPLAY_ROUNDS` (8) closed ones; a **pooled**
+//! claim whose worker was a member of an evicted round at or after the
+//! watermark cannot be brought up to date and is refused with the reason.
 //!
 //! ## Writes
 //!
-//! Every connection has a writer thread, and every frame the server sends is
-//! queued to it. A frame must be taken by its deadline — the round
-//! deadline for a `RoundBegin` — however the peer paces its reads: each
-//! write call gets only the time left. So a client that stops reading, or
-//! reads too slowly, costs only its own members: its connection is shut
-//! down and they miss their rounds as `dead-connection`. No write happens
-//! under the server's lock, so neither admission nor the round loop waits on
-//! a slow peer.
+//! Every frame a connection is sent is queued to its writer thread and must
+//! be taken by its deadline (the round deadline for a `RoundBegin`), each
+//! write call getting only the time left. A client that stops reading, or
+//! reads too slowly, has its connection shut down and costs only its own
+//! members, as `dead-connection`. No write happens under the server's lock.
 //!
 //! ## Determinism
 //!
@@ -66,19 +49,28 @@
 //! computes are the bytes the server folds. The fold is a pure function of
 //! the upload bits, applied in arrival order but *placed* by member index,
 //! so a zero-dropout serving run produces a `RunSummary` byte-identical to
-//! [`crate::simulation::run`] for the same master seed. A member
-//! missing the round deadline ([`RoundPolicy`]) — or sending an upload of
-//! the wrong length — yields [`Collected::Dropped`], which the orchestrator
-//! treats exactly like a first-stage rejection — the accepted set alone
-//! determines the result.
-//! Fault injection keeps the same contract: a [`FaultSpec`] carried on
+//! [`crate::simulation::run`] for the same master seed. A member missing the
+//! round deadline ([`RoundPolicy`]), sending an upload of the wrong length,
+//! or equivocating yields [`Collected::Dropped`], which the orchestrator
+//! treats exactly like a first-stage rejection: the accepted set alone
+//! determines the result. The deadline is judged when an upload is read,
+//! not when the round loop reaches it, so one read in time but queued
+//! behind folds is placed. A member equivocates when two *different*
+//! uploads for its round arrive while the round is open (an
+//! `upload_equivocated` event names both digests); an identical copy, such
+//! as a reconnect's resend, does not. The digest tells copies apart but
+//! does not authenticate their sender. Fault injection keeps the contract: a [`FaultSpec`] carried on
 //! [`SimulationConfig::serving`] withholds uploads as a pure function of
 //! `(fault seed, worker, round)`, clients adopt the plan from the `Welcome`
 //! config, and [`crate::round::InProcessTransport`] models the identical
 //! schedule — so a served run under faults stays byte-identical to its
 //! in-process reference.
 
+mod desk;
+
+use self::desk::{digest, Arrival, Arrived, Decision, Desk, Round};
 use crate::config::{FaultSpec, ServingSpec};
+use crate::first_stage::KsScratch;
 use crate::round::{init_model, Collected, Hosted, Transport, UploadFold};
 use crate::simulation::{
     calibrated_dp, data_members, deal, prepare, run_with_transport_telemetry, Provisioning,
@@ -88,13 +80,13 @@ use dpbfl_telemetry::Telemetry;
 use dpbfl_transport::frame::{read_handshake, write_frame, write_handshake, DEFAULT_MAX_FRAME_LEN};
 use dpbfl_transport::{write_round_begin, write_round_replay, Frame, Message, ParamsBlock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,7 +112,8 @@ impl Default for RoundPolicy {
     }
 }
 
-/// Wall-clock metrics of one serving run (the `BENCH_serving.json` payload).
+/// Wall-clock metrics and counters of one serving run (the
+/// `BENCH_serving.json` payload).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServingReport {
     /// Rounds driven.
@@ -134,26 +127,26 @@ pub struct ServingReport {
     pub p99_round_ms: f64,
     /// Round throughput over the whole run, rounds per second.
     pub rounds_per_sec: f64,
-    /// Uploads that missed their round deadline (dropped members). Always
-    /// `dropped_deadline + dropped_dead_connection`; kept as the stable
+    /// Members dropped from their round. Always `dropped_deadline +
+    /// dropped_dead_connection + dropped_equivocated`; kept as the stable
     /// headline counter consumers already read from `BENCH_serving.json`.
     pub dropped_uploads: u64,
-    /// Dropped uploads whose client connection was still alive when the
-    /// round closed — the member was merely late (a straggler).
+    /// Dropped members with no upload read by the deadline whose connection
+    /// was still alive when the round closed (stragglers).
     pub dropped_deadline: u64,
-    /// Dropped uploads whose client connection's reader thread had already
-    /// terminated (EOF or decode error) when the round closed.
+    /// Dropped members whose connection had already ended when the round
+    /// closed: EOF, decode error, failed write or a forged upload.
     pub dropped_dead_connection: u64,
-    /// Uploads that arrived tagged with an already-closed round and were
-    /// discarded on arrival. Not counted in `dropped_uploads`: the member
-    /// was already dropped when its round's deadline passed.
+    /// Dropped members that sent two different uploads for one round.
+    pub dropped_equivocated: u64,
+    /// Uploads discarded on arrival with an `upload_stale` event: tagged with
+    /// a closed or a future round, or for a worker the open round does not
+    /// name. Not counted in `dropped_uploads`: they fill no member's slot.
     pub discarded_stale: u64,
-    /// Mid-run reconnects accepted: fresh connections that re-claimed
-    /// workers previously bound to a dead connection.
+    /// Mid-run reconnects: connections that re-claimed workers of dead ones.
     pub reconnects: u64,
     /// Peak bytes of round parameters held for reconnect replay: at most the
-    /// open round's and `REPLAY_ROUNDS` (8) closed rounds' params blocks,
-    /// whatever the run's length.
+    /// open round's and `REPLAY_ROUNDS` (8) closed rounds' params blocks.
     pub history_bytes: u64,
 }
 
@@ -169,18 +162,12 @@ pub enum ServeAddr {
 impl ServeAddr {
     /// Parses `tcp://HOST:PORT` or `unix://PATH`.
     pub fn parse(s: &str) -> Result<ServeAddr, String> {
-        if let Some(rest) = s.strip_prefix("tcp://") {
-            if rest.is_empty() {
-                return Err("tcp:// address needs HOST:PORT".into());
-            }
-            Ok(ServeAddr::Tcp(rest.to_string()))
-        } else if let Some(rest) = s.strip_prefix("unix://") {
-            if rest.is_empty() {
-                return Err("unix:// address needs a path".into());
-            }
-            Ok(ServeAddr::Unix(PathBuf::from(rest)))
-        } else {
-            Err(format!("unrecognized address {s:?} (want tcp://HOST:PORT or unix://PATH)"))
+        match (s.strip_prefix("tcp://"), s.strip_prefix("unix://")) {
+            (Some(""), _) => Err("tcp:// address needs HOST:PORT".into()),
+            (Some(rest), _) => Ok(ServeAddr::Tcp(rest.to_string())),
+            (_, Some("")) => Err("unix:// address needs a path".into()),
+            (_, Some(rest)) => Ok(ServeAddr::Unix(PathBuf::from(rest))),
+            _ => Err(format!("unrecognized address {s:?} (want tcp://HOST:PORT or unix://PATH)")),
         }
     }
 }
@@ -191,96 +178,76 @@ enum Stream {
     Unix(UnixStream),
 }
 
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(dur),
-            Stream::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(dur),
-            Stream::Unix(s) => s.set_write_timeout(dur),
-        }
-    }
-
-    /// Shuts both directions down, for every handle of the connection.
-    fn shutdown(&self) {
-        let _ = match self {
-            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
-            Stream::Unix(s) => s.shutdown(Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
+/// A bound listener (TCP or Unix-domain).
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
 }
 
-impl Listener {
-    /// Accepts one connection, returning the stream and a printable peer
-    /// address (TCP `IP:PORT`; Unix peers are usually unnamed). The
-    /// accepted stream is always blocking, even when the listener polls
-    /// non-blocking.
-    fn accept(&self) -> std::io::Result<(Stream, String)> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, peer) = l.accept()?;
-                s.set_nodelay(true).ok();
-                s.set_nonblocking(false).ok();
-                Ok((Stream::Tcp(s), peer.to_string()))
-            }
-            Listener::Unix(l) => {
-                let (s, addr) = l.accept()?;
-                s.set_nonblocking(false).ok();
-                let peer = addr
-                    .as_pathname()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_else(|| "unix:unnamed".to_string());
-                Ok((Stream::Unix(s), peer))
-            }
+/// Evaluates `$body` with `$s` bound to the socket a [`Stream`] or a
+/// [`Listener`] wraps, so each operation is written once for both types.
+macro_rules! either {
+    ($kind:ident, $value:expr, $s:ident => $body:expr) => {
+        match $value {
+            $kind::Tcp($s) => $body,
+            $kind::Unix($s) => $body,
         }
-    }
+    };
+}
 
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
+impl Stream {
+    fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
+    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+        either!(Stream, self, s => s.set_read_timeout(dur))
+    }
+    fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+        either!(Stream, self, s => s.set_write_timeout(dur))
+    }
+    /// Shuts both directions down, for every handle of the connection.
+    fn shutdown(&self) {
+        let _ = either!(Stream, self, s => s.shutdown(Shutdown::Both));
+    }
+    /// Ends reading, for every handle of the connection; writes still go out.
+    fn shutdown_read(&self) {
+        let _ = either!(Stream, self, s => s.shutdown(Shutdown::Read));
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        either!(Stream, self, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        either!(Stream, self, s => s.write(buf))
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        either!(Stream, self, s => s.flush())
+    }
+}
+
+impl Listener {
+    /// Accepts one connection, returning the stream (always blocking, even
+    /// when the listener polls non-blocking) and a printable peer address.
+    fn accept(&self) -> std::io::Result<(Stream, String)> {
+        let (stream, peer) = match self {
+            Listener::Tcp(l) => l.accept().map(|(s, peer)| (Stream::Tcp(s), format!("{peer}")))?,
+            Listener::Unix(l) => {
+                l.accept().map(|(s, peer)| (Stream::Unix(s), format!("{peer:?}")))?
+            }
+        };
+        if let Stream::Tcp(s) = &stream {
+            s.set_nodelay(true).ok();
         }
+        either!(Stream, &stream, s => s.set_nonblocking(false)).ok();
+        Ok((stream, peer))
     }
 }
 
@@ -300,36 +267,26 @@ const MIN_WRITE_WINDOW: Duration = Duration::from_millis(100);
 const WRITE_CHUNK: usize = 32 << 10;
 
 /// Closed rounds the server retains for reconnect replay, besides the open
-/// round.
-///
-/// A reconnecting client process replays from its own watermark, so the
-/// window has to cover only the rounds that closed while it was away. Every
-/// round that needs its members waits out the round deadline for them: at
-/// full participation eight rounds are eight deadlines of absence, far
-/// longer than [`run_client`]'s default retries take (50 + 100 + 200 ms of
-/// backoff) at any deadline above 50 ms. Rounds without a client's members
-/// do not count against the window, and a fresh pooled process is admitted
-/// while its workers' first rounds are retained — at full participation,
-/// during the run's first eight rounds. The server then holds at most nine
-/// params blocks, whatever the run's length.
+/// round. A reconnecting process needs only the rounds that closed while it
+/// was away, and each that names its members waits out the deadline for
+/// them: eight deadlines far outlast [`run_client`]'s default retries (50 +
+/// 100 + 200 ms of backoff) at any deadline above 50 ms.
 const REPLAY_ROUNDS: usize = 8;
 
 /// Acceptor poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// One upload as a connection's reader thread hands it to the round loop:
-/// `(worker, round, data)`.
-type Arrival = (u32, u32, Vec<f32>);
+/// One upload as a reader hands it to the round loop: what the desk decides
+/// on, and the values to fold.
+type Received = (Arrival, Vec<f32>);
 
-/// One admitted client connection.
+/// One admitted connection's I/O handles (its claim and liveness are the
+/// desk's): its writer thread, the queue of every frame it is sent, and a
+/// handle that ends its reads once the desk cuts it.
 struct ClientConn {
-    workers: Vec<u32>,
-    /// True while the connection's reader thread is running and its writer
-    /// has not failed.
-    alive: Arc<AtomicBool>,
-    /// The writer thread's queue: every frame this connection is sent.
     outbox: Sender<Queued>,
     writer: JoinHandle<()>,
+    stream: Stream,
 }
 
 /// A frame queued for a connection's writer, with the instant by which the
@@ -342,99 +299,55 @@ enum Outgoing {
     /// connection it goes to.
     Message(Arc<Frame>),
     /// A round naming the members the connection serves: `RoundBegin` with
-    /// the round deadline in milliseconds, or `RoundReplay` (`None`) once it
-    /// has closed.
-    Round { round: u32, deadline_ms: Option<u64>, members: Vec<u32>, params: Arc<ParamsBlock> },
+    /// the round deadline in milliseconds while the round is open,
+    /// `RoundReplay` once it has closed.
+    Round(Round, u64),
 }
 
 impl Outgoing {
     fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         match self {
             Outgoing::Message(frame) => write_frame(stream, frame.kind, &frame.payload),
-            Outgoing::Round { round, deadline_ms: Some(ms), members, params } => {
-                write_round_begin(stream, *round, *ms, members, params)
+            Outgoing::Round(g, ms) if g.deadline.is_some() => {
+                write_round_begin(stream, g.round, *ms, &g.members, &g.params)
             }
-            Outgoing::Round { round, deadline_ms: None, members, params } => {
-                write_round_replay(stream, *round, members, params)
-            }
+            Outgoing::Round(g, _) => write_round_replay(stream, g.round, &g.members, &g.params),
         }
     }
 }
 
-/// One round the run has broadcast, kept for reconnect catch-up.
-struct RoundRecord {
-    round: u32,
-    members: Vec<u32>,
-    /// The round's parameters as broadcast: encoded once, shared by every
-    /// `RoundBegin` and by every later replay.
-    params: Arc<ParamsBlock>,
-    /// When the round stops collecting uploads.
-    deadline: Instant,
-    /// True while the round is still collecting uploads.
-    open: bool,
-}
-
-impl RoundRecord {
-    /// This round as a connection serving `workers` is sent it —
-    /// `RoundBegin` while the round is open, `RoundReplay` once it has
-    /// closed — naming only the members that connection serves; `None` if it
-    /// serves none.
-    fn frame_for(&self, workers: &[u32], deadline_ms: u64) -> Option<Outgoing> {
-        let mine: Vec<u32> = self.members.iter().copied().filter(|m| workers.contains(m)).collect();
-        (!mine.is_empty()).then(|| Outgoing::Round {
-            round: self.round,
-            deadline_ms: self.open.then_some(deadline_ms),
-            members: mine,
-            params: Arc::clone(&self.params),
-        })
-    }
-}
-
-/// Server state shared between the round loop and the acceptor thread.
-/// Every frame a connection is sent is queued to its writer under this lock,
-/// so admission replays and round broadcasts reach it in round order, each
-/// exactly once; no write happens under the lock.
-#[derive(Default)]
+/// Server state shared by the round loop, the acceptor and the connections'
+/// threads: the desk, every admitted connection (indexed as the desk's), and
+/// the acceptor's fatal listener error, so the coverage wait fails instead of
+/// blocking forever. Every frame a connection is sent is queued to its
+/// writer under this lock, so admission replays and round broadcasts reach
+/// it in round order, each exactly once; no write happens under the lock.
 struct Shared {
+    desk: Desk,
     conns: Vec<ClientConn>,
-    /// Worker index → owning connection (latest binding wins on reconnect).
-    claimed: BTreeMap<u32, usize>,
-    /// The replay window: the open round and the last [`REPLAY_ROUNDS`]
-    /// closed rounds, oldest first.
-    history: VecDeque<RoundRecord>,
-    /// Worker index → the last round it was a member of that has left the
-    /// window. A pooled claim is refused only if one of its workers stepped
-    /// an evicted round at or after the claim's watermark.
-    last_evicted: BTreeMap<u32, u32>,
-    /// Mid-run re-claims of dead connections' workers.
-    reconnects: u64,
-    /// Set by the acceptor on a fatal listener error, so the coverage wait
-    /// fails instead of blocking forever.
     failed: Option<String>,
+}
+
+fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    shared.lock().expect("serving state lock")
 }
 
 /// Everything one served run's acceptor, admission and round loop share,
 /// built once by [`BoundServer::serve_telemetry`].
 struct Server<'a> {
-    /// The data-holding worker indices clients must claim.
-    required: Vec<u32>,
     /// Payload caps for the frames a client sends, so no connection can make
     /// the server allocate more than one legitimate frame's worth: the hello
     /// is at most a claim of every required worker, and after the `Welcome`
     /// a client sends nothing larger than an `Upload` of `d` values.
     hello_cap: u32,
     upload_cap: u32,
-    /// The `Welcome` every admitted connection receives (the run's config),
-    /// encoded once.
+    /// The `Welcome` (the run's config), encoded once.
     welcome: Arc<Frame>,
     /// The run's round deadline: a `deadline_ms` carried on `cfg.serving`
     /// wins over the caller's [`RoundPolicy`].
     deadline_ms: u64,
-    /// Pooled members carry state from round to round, so a pooled claim is
-    /// admitted only while the window holds every round from its watermark
-    /// on that one of its workers was a member of.
-    pooled: bool,
-    shared: Mutex<Shared>,
+    /// Also held by the connections' threads, which may outlive the run.
+    shared: Arc<Mutex<Shared>>,
     /// Signalled whenever a claim is registered or the acceptor fails.
     coverage: Condvar,
     /// Set once the run is over; the acceptor stops polling.
@@ -458,20 +371,15 @@ impl BoundServer {
             ServeAddr::Tcp(hostport) => {
                 let l = TcpListener::bind(&hostport)
                     .map_err(|e| format!("bind tcp://{hostport}: {e}"))?;
-                let local = l
-                    .local_addr()
-                    .map(|a| format!("tcp://{a}"))
-                    .unwrap_or_else(|_| format!("tcp://{hostport}"));
+                let local = format!("tcp://{}", l.local_addr().map_or(hostport, |a| a.to_string()));
                 Ok(BoundServer { listener: Listener::Tcp(l), local })
             }
             ServeAddr::Unix(path) => {
                 let _ = std::fs::remove_file(&path);
                 let l = UnixListener::bind(&path)
                     .map_err(|e| format!("bind unix://{}: {e}", path.display()))?;
-                Ok(BoundServer {
-                    listener: Listener::Unix(l),
-                    local: format!("unix://{}", path.display()),
-                })
+                let local = format!("unix://{}", path.display());
+                Ok(BoundServer { listener: Listener::Unix(l), local })
             }
         }
     }
@@ -484,23 +392,17 @@ impl BoundServer {
 
     /// Admits clients until every data-holding worker index is claimed,
     /// then drives the full run over the wire and returns the result plus
-    /// the serving metrics. The acceptor keeps running for the whole run,
-    /// so clients may reconnect mid-run (see the module docs).
-    ///
-    /// Client admission: each connection handshakes, sends `ClientHello`
+    /// the serving metrics. Each connection handshakes, sends `ClientHello`
     /// with the global worker indices it serves, and receives `Welcome`
-    /// carrying `cfg` as canonical JSON. Claims must be in range and must
-    /// not overlap a *live* connection; a claim overlapping only dead
-    /// connections re-binds those workers.
-    ///
-    /// When `cfg.serving` carries a `deadline_ms`, it overrides `policy` —
-    /// the grid cell's config determines behavior, the caller's policy is
-    /// the fallback.
+    /// carrying `cfg` as canonical JSON; the acceptor keeps admitting for the
+    /// whole run, so clients may reconnect mid-run (see the module docs). A
+    /// `deadline_ms` carried on `cfg.serving` overrides `policy`.
     ///
     /// `tel` records structured `client_rejected`/`client_reconnected`/
-    /// `upload_dropped`/`upload_stale`/`upload_malformed` events, a
-    /// `serving_round` latency span per round, and the orchestrator's
-    /// per-round defense metrics; pass [`Telemetry::null`] to record nothing.
+    /// `upload_dropped`/`upload_stale`/`upload_malformed`/
+    /// `upload_equivocated` events, a `serving_round` latency span per
+    /// round, and the orchestrator's per-round defense metrics; pass
+    /// [`Telemetry::null`] to record nothing.
     pub fn serve_telemetry(
         self,
         cfg: &SimulationConfig,
@@ -508,32 +410,23 @@ impl BoundServer {
         tel: &Telemetry,
     ) -> Result<(RunResult, ServingReport), String> {
         let required = data_member_indices(cfg);
-        let full_claim =
-            Message::ClientHello { workers: required.clone(), watermark: 0 }.encode().payload.len();
+        let dim = init_model(cfg).param_len();
+        let desk = Desk::new(required.len() as u32, dim, cfg.provisioning == Provisioning::Pooled);
+        let hello = Message::ClientHello { workers: required, watermark: 0 }.encode();
+        let config_json = serde_json::to_string(cfg).map_err(|e| e.to_string())?;
+        let deadline_ms = cfg.serving.as_ref().and_then(|s: &ServingSpec| s.deadline_ms);
         let server = Server {
-            required,
-            hello_cap: u32::try_from(full_claim).unwrap_or(u32::MAX),
-            upload_cap: Message::upload_payload_len(init_model(cfg).param_len()),
-            welcome: Arc::new(
-                Message::Welcome {
-                    config_json: serde_json::to_string(cfg).map_err(|e| e.to_string())?,
-                }
-                .encode(),
-            ),
-            deadline_ms: cfg
-                .serving
-                .as_ref()
-                .and_then(|s| s.deadline_ms)
-                .unwrap_or(policy.deadline_ms),
-            pooled: cfg.provisioning == Provisioning::Pooled,
-            shared: Mutex::default(),
+            hello_cap: u32::try_from(hello.payload.len()).unwrap_or(u32::MAX),
+            upload_cap: Message::upload_payload_len(dim),
+            welcome: Arc::new(Message::Welcome { config_json }.encode()),
+            deadline_ms: deadline_ms.unwrap_or(policy.deadline_ms),
+            shared: Arc::new(Mutex::new(Shared { desk, conns: Vec::new(), failed: None })),
             coverage: Condvar::new(),
             done: AtomicBool::new(false),
             tel,
         };
         let (tx, rx) = channel();
-        self.listener
-            .set_nonblocking(true)
+        either!(Listener, &self.listener, l => l.set_nonblocking(true))
             .map_err(|e| format!("set_nonblocking on {}: {e}", self.local))?;
 
         std::thread::scope(|scope| {
@@ -543,12 +436,10 @@ impl BoundServer {
             // Wait until every required worker is claimed (or the acceptor
             // hits a fatal listener error).
             {
-                let mut guard = server.lock();
-                while guard.claimed.len() < server.required.len() {
+                let mut guard = lock(&server.shared);
+                while !guard.desk.covered() {
                     if let Some(e) = guard.failed.take() {
-                        server.done.store(true, Ordering::Release);
-                        drop(guard);
-                        let _ = acceptor.join();
+                        drop(guard); // the acceptor has stopped
                         server.close_writers();
                         return Err(e);
                     }
@@ -557,49 +448,49 @@ impl BoundServer {
             }
 
             let prep = prepare(cfg);
-            let mut transport = WireTransport {
-                server: &server,
-                rx,
-                scratch: crate::first_stage::KsScratch::new(),
-                round_ms: Vec::new(),
-                report: ServingReport::default(),
-            };
+            let (scratch, round_ms) = (KsScratch::new(), Vec::new());
+            let mut transport = WireTransport { server: &server, rx, scratch, round_ms };
             let started = Instant::now();
             let result = run_with_transport_telemetry(cfg, &prep, &mut transport, tel);
             server.done.store(true, Ordering::Release);
             let wall = started.elapsed().as_secs_f64();
-            let WireTransport { round_ms, mut report, .. } = transport;
+            let round_ms = transport.round_ms;
             let _ = acceptor.join();
-            report.reconnects = server.lock().reconnects;
+            let mut report = lock(&server.shared).desk.report.clone();
             report.clients = server.close_writers();
             report.rounds = round_ms.len();
             report.p50_round_ms = percentile(&round_ms, 50.0);
             report.p99_round_ms = percentile(&round_ms, 99.0);
             report.rounds_per_sec = if wall > 0.0 { round_ms.len() as f64 / wall } else { 0.0 };
-            report.dropped_uploads = report.dropped_deadline + report.dropped_dead_connection;
             Ok((result, report))
         })
     }
 }
 
 /// The data-holding worker indices clients must claim: the honest workers,
-/// plus the Byzantine ones when the attack trains on poisoned local data.
-/// (Server-side crafted attacks — Gaussian and the omniscient family — never
-/// touch the wire.)
+/// plus the Byzantine ones when the attack trains on poisoned local data
+/// (server-side crafted attacks never touch the wire).
 pub fn data_member_indices(cfg: &SimulationConfig) -> Vec<u32> {
     (0..data_members(cfg) as u32).collect()
 }
 
 impl Server<'_> {
-    fn lock(&self) -> MutexGuard<'_, Shared> {
-        self.shared.lock().expect("serving state lock")
+    /// Runs `decide` on the locked state and records the events the desk
+    /// decided on.
+    fn decide<T>(&self, decide: impl FnOnce(&mut Shared) -> T) -> T {
+        let mut guard = lock(&self.shared);
+        let out = decide(&mut guard);
+        for (name, round, detail) in guard.desk.events.drain(..) {
+            self.tel.event(name, Some(u64::from(round)), detail);
+        }
+        out
     }
 
     /// Closes every connection's queue and waits for its writer, which ends
     /// once the queue (`RunComplete` last) is written or a write has timed
     /// out. Returns how many connections were admitted.
     fn close_writers(&self) -> usize {
-        let conns = std::mem::take(&mut self.lock().conns);
+        let conns = std::mem::take(&mut lock(&self.shared).conns);
         let admitted = conns.len();
         for ClientConn { outbox, writer, .. } in conns {
             drop(outbox);
@@ -610,15 +501,15 @@ impl Server<'_> {
 
     /// The acceptor: polls the listener until the run completes, admitting
     /// initial claims and mid-run reconnects alike.
-    fn accept_until_done(&self, bound: &BoundServer, tx: Sender<Arrival>) {
+    fn accept_until_done(&self, bound: &BoundServer, tx: Sender<Received>) {
         while !self.done.load(Ordering::Acquire) {
             match bound.listener.accept() {
                 Ok((stream, peer)) => self.admit(stream, &peer, tx.clone()),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::sleep(ACCEPT_POLL)
                 }
                 Err(e) => {
-                    let mut guard = self.lock();
+                    let mut guard = lock(&self.shared);
                     guard.failed = Some(format!("accept on {}: {e}", bound.local));
                     self.coverage.notify_all();
                     break;
@@ -627,94 +518,49 @@ impl Server<'_> {
         }
     }
 
-    /// Handshakes, validates, and (if accepted) registers one inbound
-    /// connection, replaying the window from its watermark on.
-    fn admit(&self, mut stream: Stream, peer: &str, tx: Sender<Arrival>) {
+    /// Handshakes one inbound connection and, if the desk admits its claim,
+    /// registers it and queues the `Welcome` and the desk's replay.
+    fn admit(&self, mut stream: Stream, peer: &str, tx: Sender<Received>) {
         // Handshake and hello are read before taking the lock, under a timeout,
         // so a stalled connection cannot block admission of others for long.
         stream.set_read_timeout(Some(ADMIT_TIMEOUT)).ok();
         stream.set_write_timeout(Some(ADMIT_TIMEOUT)).ok();
-        let (workers, watermark) = match read_claim(&mut stream, &self.required, self.hello_cap) {
+        let (workers, watermark) = match read_claim(&mut stream, self.hello_cap) {
             Ok(claim) => claim,
             Err(reason) => return self.reject(stream, peer, &reason),
         };
         stream.set_read_timeout(None).ok();
+        let Ok((read_half, cut_half)) =
+            stream.try_clone().and_then(|read_half| Ok((read_half, stream.try_clone()?)))
+        else {
+            return eprintln!("lost client {peer} during admission: cannot clone its stream");
+        };
 
-        let mut guard = self.lock();
-        // A claim may overlap previous bindings only if every overlapped
-        // connection is dead — then this is a reconnect and the workers re-bind.
-        let mut reclaim = false;
-        for &w in &workers {
-            if let Some(&c) = guard.claimed.get(&w) {
-                if guard.conns[c].alive.load(Ordering::Acquire) {
-                    drop(guard);
-                    return self.reject(
-                        stream,
-                        peer,
-                        &format!("worker {w} is claimed by a live connection"),
-                    );
-                }
-                reclaim = true;
+        let mut guard = lock(&self.shared);
+        let (conn, replay, reconnect) = match guard.desk.admit(&workers, watermark) {
+            Ok(admitted) => admitted,
+            Err(reason) => {
+                drop(guard);
+                return self.reject(stream, peer, &reason);
             }
-        }
-        // A pooled member must step every round it was a member of: a claim
-        // whose worker was in an evicted round at or after the watermark
-        // cannot be brought up to date. Rounds without its members it needs
-        // nothing from, however many have left the window.
-        let missed = workers
-            .iter()
-            .filter_map(|w| guard.last_evicted.get(w).map(|&r| (*w, r)))
-            .filter(|&(_, r)| r >= watermark)
-            .max_by_key(|&(_, r)| r);
-        if let Some((w, r)) = missed.filter(|_| self.pooled) {
-            let first = guard.history.front().map_or(0, |rec| rec.round);
-            drop(guard);
-            return self.reject(
-                stream,
-                peer,
-                &format!(
-                    "watermark {watermark} predates the replay window, which starts at round \
-                     {first}: worker {w} was a member of evicted round {r}"
-                ),
-            );
-        }
-
+        };
         // Welcome + catch-up replay are queued and the connection registered
         // under the lock, so no round can open or close between the replayed
         // rounds and the first live broadcast this connection sees.
-        let alive = Arc::new(AtomicBool::new(true));
-        if let Err(e) =
-            spawn_reader(&stream, workers.clone(), self.upload_cap, tx, Arc::clone(&alive))
-        {
-            drop(guard);
-            eprintln!("lost client {peer} during admission: {e}");
-            return;
-        }
-        let (outbox, writer) = spawn_writer(stream, Arc::clone(&alive));
+        self.spawn_reader(read_half, conn, tx);
+        let (outbox, writer) = self.spawn_writer(stream, conn);
         let admit_by = Instant::now() + ADMIT_TIMEOUT;
         let _ = outbox.send((admit_by, Outgoing::Message(Arc::clone(&self.welcome))));
-        for rec in guard.history.iter().filter(|r| r.open || r.round >= watermark) {
-            if let Some(frame) = rec.frame_for(&workers, self.deadline_ms) {
-                let _ = outbox.send((if rec.open { rec.deadline } else { admit_by }, frame));
-            }
+        for round in replay {
+            let by = round.deadline.unwrap_or(admit_by);
+            let _ = outbox.send((by, Outgoing::Round(round, self.deadline_ms)));
         }
-        let idx = guard.conns.len();
-        for &w in &workers {
-            guard.claimed.insert(w, idx);
+        if reconnect {
+            let open_round = guard.desk.open_round().map(u64::from);
+            let detail = format!("{peer} re-claimed workers {workers:?}");
+            self.tel.event("client_reconnected", open_round, detail);
         }
-        if reclaim {
-            guard.reconnects += 1;
-            if self.tel.enabled() {
-                let open_round =
-                    guard.history.back().filter(|r| r.open).map(|r| u64::from(r.round));
-                self.tel.event(
-                    "client_reconnected",
-                    open_round,
-                    format!("{peer} re-claimed workers {workers:?}"),
-                );
-            }
-        }
-        guard.conns.push(ClientConn { workers, alive, outbox, writer });
+        guard.conns.push(ClientConn { outbox, writer, stream: cut_half });
         self.coverage.notify_all();
     }
 
@@ -722,92 +568,60 @@ impl Server<'_> {
     /// (best-effort) and a `client_rejected` telemetry event.
     fn reject(&self, mut stream: Stream, peer: &str, reason: &str) {
         eprintln!("rejected client {peer}: {reason}");
-        if self.tel.enabled() {
-            self.tel.event("client_rejected", None, format!("{peer}: {reason}"));
-        }
+        self.tel.event("client_rejected", None, format!("{peer}: {reason}"));
         let _ = Message::HelloReject { reason: reason.to_string() }.write_to(&mut stream);
         let _ = stream.flush();
+    }
+
+    /// Spawns the connection's reader thread: it stamps every decoded
+    /// `Upload` with the instant it was read and its digest, and hands it to
+    /// the round loop, whose desk decides it. Any decode error, EOF, or frame
+    /// declaring more than the upload cap (refused before it is allocated)
+    /// ends the thread and tells the desk the connection is gone: its
+    /// members miss their rounds as `dead-connection` until a reconnect
+    /// re-binds them.
+    fn spawn_reader(&self, mut stream: Stream, conn: usize, tx: Sender<Received>) {
+        let (shared, max_len) = (Arc::clone(&self.shared), self.upload_cap);
+        std::thread::spawn(move || {
+            while let Ok(message) = Message::read_from(&mut stream, max_len) {
+                let Message::Upload { round, worker, data } = message else { continue };
+                let (at, len, digest) = (Instant::now(), data.len(), digest(&data));
+                if tx.send((Arrival { conn, worker, round, len, digest, at }, data)).is_err() {
+                    break;
+                }
+            }
+            lock(&shared).desk.conn_closed(conn);
+        });
+    }
+
+    /// Spawns the connection's writer thread: it writes the queued frames in
+    /// order, each by its deadline (given at least [`MIN_WRITE_WINDOW`]). A
+    /// peer that cannot take a frame in time has its connection shut down and
+    /// marked gone, and the rest of its queue dropped.
+    fn spawn_writer(&self, mut stream: Stream, conn: usize) -> (Sender<Queued>, JoinHandle<()>) {
+        let (shared, (outbox, queue)) = (Arc::clone(&self.shared), channel::<Queued>());
+        let writer = std::thread::spawn(move || {
+            for (deadline, frame) in queue {
+                let by = deadline.max(Instant::now() + MIN_WRITE_WINDOW);
+                if frame.write_to(&mut DeadlineWriter { stream: &mut stream, by }).is_err() {
+                    lock(&shared).desk.conn_closed(conn);
+                    return stream.shutdown();
+                }
+            }
+        });
+        (outbox, writer)
     }
 }
 
 /// Reads the handshake + `ClientHello` (a frame of at most `max_len` payload
-/// bytes), validates the claim's range, and returns it with the client's
-/// watermark.
-fn read_claim(
-    stream: &mut Stream,
-    required: &[u32],
-    max_len: u32,
-) -> Result<(Vec<u32>, u32), String> {
+/// bytes) and returns its claim with the client's watermark.
+fn read_claim(stream: &mut Stream, max_len: u32) -> Result<(Vec<u32>, u32), String> {
     write_handshake(stream).map_err(|e| format!("handshake write: {e}"))?;
     read_handshake(stream).map_err(|e| format!("handshake read: {e}"))?;
-    let hello = Message::read_from(stream, max_len).map_err(|e| format!("client hello: {e}"))?;
-    let Message::ClientHello { workers, watermark } = hello else {
-        return Err("first client message was not ClientHello".into());
-    };
-    if workers.is_empty() {
-        return Err("client claimed no workers".into());
+    match Message::read_from(stream, max_len).map_err(|e| format!("client hello: {e}"))? {
+        Message::ClientHello { workers, watermark } => Ok((workers, watermark)),
+        _ => Err("first client message was not ClientHello".into()),
     }
-    for &w in &workers {
-        if !required.contains(&w) {
-            return Err(format!("worker {w} is not a data-holding index of this run"));
-        }
-    }
-    Ok((workers, watermark))
-}
-
-/// Spawns the connection's reader thread: every decoded `Upload` for a
-/// worker in the connection's `claim` goes to the collector channel; any
-/// decode error, EOF, frame declaring more than `max_len` payload bytes
-/// (refused before it is allocated), or upload naming a worker outside the
-/// claim (an impersonation attempt — a protocol violation like any other)
-/// ends the thread, and the member stops delivering until a reconnect re-binds it.
-/// The `alive` flag is cleared when the thread exits, so the transport can
-/// tell a dead connection from a straggler, and admission can tell a
-/// reconnect from a duplicate claim.
-fn spawn_reader(
-    stream: &Stream,
-    claim: Vec<u32>,
-    max_len: u32,
-    tx: Sender<Arrival>,
-    alive: Arc<AtomicBool>,
-) -> Result<(), String> {
-    let mut read_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-    std::thread::spawn(move || {
-        loop {
-            match Message::read_from(&mut read_half, max_len) {
-                Ok(Message::Upload { worker, .. }) if !claim.contains(&worker) => break,
-                Ok(Message::Upload { round, worker, data }) => {
-                    if tx.send((worker, round, data)).is_err() {
-                        break;
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        alive.store(false, Ordering::Release);
-    });
-    Ok(())
-}
-
-/// Spawns the connection's writer thread: it writes the queued frames in
-/// order, each by its deadline (given at least [`MIN_WRITE_WINDOW`]). A peer
-/// that cannot take a frame in time has its connection shut down and marked
-/// dead, and the rest of its queue is dropped: its members then miss their
-/// rounds as `dead-connection`.
-fn spawn_writer(mut stream: Stream, alive: Arc<AtomicBool>) -> (Sender<Queued>, JoinHandle<()>) {
-    let (outbox, queue) = channel::<Queued>();
-    let writer = std::thread::spawn(move || {
-        for (deadline, frame) in queue {
-            let by = deadline.max(Instant::now() + MIN_WRITE_WINDOW);
-            if frame.write_to(&mut DeadlineWriter { stream: &mut stream, by }).is_err() {
-                alive.store(false, Ordering::Release);
-                stream.shutdown();
-                return;
-            }
-        }
-    });
-    (outbox, writer)
 }
 
 /// A connection's write half bounded by one frame's deadline. A socket's
@@ -835,16 +649,14 @@ impl Write for DeadlineWriter<'_> {
     }
 }
 
-/// The wire transport (TCP or Unix-domain): broadcasts `RoundBegin` to
-/// every connection serving a cohort member, folds uploads in arrival order
-/// (placing results by member index), and drops members that miss the
-/// round deadline. It accumulates the report's drop and stale counters.
+/// The wire transport (TCP or Unix-domain): has the desk open each round and
+/// decide each upload, sends and folds what it says (placing results by
+/// member index), and returns the desk's verdict on every member.
 struct WireTransport<'a> {
     server: &'a Server<'a>,
-    rx: Receiver<Arrival>,
-    scratch: crate::first_stage::KsScratch,
+    rx: Receiver<Received>,
+    scratch: KsScratch,
     round_ms: Vec<f64>,
-    report: ServingReport,
 }
 
 impl Transport for WireTransport<'_> {
@@ -855,139 +667,49 @@ impl Transport for WireTransport<'_> {
         params: &[f32],
         fold: &UploadFold<'_>,
     ) -> Vec<Collected> {
-        let (tel, deadline_ms) = (self.server.tel, self.server.deadline_ms);
+        let (server, deadline_ms) = (self.server, self.server.deadline_ms);
         let start = Instant::now();
         let deadline = start + Duration::from_millis(deadline_ms);
-        let record = RoundRecord {
-            round: round as u32,
-            members: members.iter().map(|&m| m as u32).collect(),
-            params: Arc::new(ParamsBlock::encode(params)),
-            deadline,
-            open: true,
-        };
-        {
-            // The broadcast is queued and the round recorded in one critical
-            // section, so an admission replays the round or is sent it live,
-            // never both or neither. The writers write outside the lock.
-            let mut guard = self.server.lock();
-            for conn in guard.conns.iter().filter(|c| c.alive.load(Ordering::Acquire)) {
-                if let Some(frame) = record.frame_for(&conn.workers, deadline_ms) {
-                    // A failed writer has dropped its queue; its members
-                    // just miss the deadline.
-                    let _ = conn.outbox.send((deadline, frame));
-                }
+        let params = Arc::new(ParamsBlock::encode(params));
+        let names = members.iter().map(|&m| m as u32).collect();
+        let open = Round { round: round as u32, members: names, params, deadline: Some(deadline) };
+        // The broadcast is queued and the round opened in one critical
+        // section, so an admission replays the round or is sent it live,
+        // never both or neither. A failed writer has dropped its queue.
+        server.decide(|s| {
+            for (conn, mine) in s.desk.open(open) {
+                let _ = s.conns[conn].outbox.send((deadline, Outgoing::Round(mine, deadline_ms)));
             }
-            guard.history.push_back(record);
-            let held: usize = guard.history.iter().map(|r| r.params.byte_len()).sum();
-            self.report.history_bytes = self.report.history_bytes.max(held as u64);
-        }
-
-        let d = params.len();
-        let mut slots: Vec<Option<Collected>> = members.iter().map(|_| None).collect();
-        // Places one received upload and reports whether it filled a slot:
-        // folds a current-round upload into its member's slot (first arrival
-        // wins; duplicates from reconnect resends are ignored), discards
-        // stale rounds.
-        //
-        // This is the one point every wire upload crosses, so it is where the
-        // length is checked against the model dimension `d`: the fold (and the
-        // first stage behind it) takes only `d`-vectors. A malformed upload
-        // still occupies its member's slot — as [`Collected::Dropped`], so the
-        // member folds like any other that delivered nothing.
-        let mut place = |(worker, r, data): Arrival| -> bool {
-            if r as usize != round {
-                self.report.discarded_stale += 1;
-                if tel.enabled() {
-                    tel.event(
-                        "upload_stale",
-                        Some(round as u64),
-                        format!("worker {worker}: upload for closed round {r} discarded"),
-                    );
+        });
+        // Hand each upload to the desk and fold what it places, until no
+        // member is waiting or the deadline has passed and the queue is
+        // drained (`recv_timeout` hands out queued uploads past the deadline
+        // too): the desk judges an upload by when it was read.
+        let mut folded: Vec<Option<Collected>> = members.iter().map(|_| None).collect();
+        let mut waiting = !members.is_empty();
+        while waiting {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok((arrival, data)) = self.rx.recv_timeout(left) else { break };
+            let verdict;
+            (verdict, waiting) = server.decide(|s| {
+                let verdict = s.desk.arrive(&arrival);
+                if verdict == Arrived::Forged {
+                    s.conns[arrival.conn].stream.shutdown_read();
                 }
-                return false;
-            }
-            let Ok(pos) = members.binary_search(&(worker as usize)) else { return false };
-            if slots[pos].is_some() {
-                return false;
-            }
-            slots[pos] = Some(if data.len() == d {
-                fold(data, &mut self.scratch)
-            } else {
-                if tel.enabled() {
-                    tel.event(
-                        "upload_malformed",
-                        Some(round as u64),
-                        format!("worker {worker}: {} values, model has {d}", data.len()),
-                    );
-                }
-                Collected::Dropped
+                (verdict, s.desk.waiting())
             });
-            true
-        };
-        let mut got = 0usize;
-        // Drain whatever is already queued — with a zero deadline this is
-        // the only collection pass the policy permits.
-        while let Ok(m) = self.rx.try_recv() {
-            got += usize::from(place(m));
-        }
-        while got < members.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(m) => got += usize::from(place(m)),
-                Err(RecvTimeoutError::Timeout) => break,
-                // Every reader thread is gone; nothing more will arrive
-                // until a reconnect — which the deadline bounds.
-                Err(RecvTimeoutError::Disconnected) => break,
+            if let Arrived::Place(pos) = verdict {
+                folded[pos] = Some(fold(data, &mut self.scratch));
             }
         }
-        // Close the round and classify every member it ended without: a
-        // dead reader thread means the connection is gone; otherwise the
-        // member was merely late (a straggler past the deadline).
-        {
-            let mut guard = self.server.lock();
-            if let Some(rec) = guard.history.back_mut() {
-                rec.open = false;
-            }
-            let evicted = guard.history.len().saturating_sub(REPLAY_ROUNDS);
-            let shared = &mut *guard;
-            for rec in shared.history.drain(..evicted) {
-                for &w in &rec.members {
-                    shared.last_evicted.insert(w, rec.round);
-                }
-            }
-            for (pos, slot) in slots.iter().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let w = members[pos] as u32;
-                let conn_alive = guard
-                    .claimed
-                    .get(&w)
-                    .map(|&c| guard.conns[c].alive.load(Ordering::Acquire))
-                    .unwrap_or(false);
-                let reason = if conn_alive {
-                    self.report.dropped_deadline += 1;
-                    "deadline"
-                } else {
-                    self.report.dropped_dead_connection += 1;
-                    "dead-connection"
-                };
-                if tel.enabled() {
-                    tel.event(
-                        "upload_dropped",
-                        Some(round as u64),
-                        format!("worker {w}: {reason}"),
-                    );
-                }
-            }
-        }
+        let decisions = server.decide(|s| s.desk.close());
         let elapsed = start.elapsed();
         self.round_ms.push(elapsed.as_secs_f64() * 1e3);
-        tel.span("serving_round", Some(round as u64), elapsed.as_micros() as u64);
-        slots.into_iter().map(|s| s.unwrap_or(Collected::Dropped)).collect()
+        server.tel.span("serving_round", Some(round as u64), elapsed.as_micros() as u64);
+        // An equivocator's first copy was folded on arrival; only a placed
+        // member's fold counts.
+        let kept = |(f, d): (Option<_>, _)| f.filter(|_| d == Decision::Placed);
+        folded.into_iter().zip(decisions).map(|s| kept(s).unwrap_or(Collected::Dropped)).collect()
     }
 
     fn publish_summary(&mut self, summary: &RunSummary) {
@@ -996,7 +718,7 @@ impl Transport for WireTransport<'_> {
         // round deadline's write timeout.
         let frame = Arc::new(Message::RunComplete { summary_json }.encode());
         let deadline = Instant::now() + Duration::from_millis(self.server.deadline_ms);
-        for conn in &self.server.lock().conns {
+        for conn in &lock(&self.server.shared).conns {
             let _ = conn.outbox.send((deadline, Outgoing::Message(Arc::clone(&frame))));
         }
     }
@@ -1004,13 +726,10 @@ impl Transport for WireTransport<'_> {
 
 /// Nearest-rank percentile of `samples` (p in [0, 100]); 0.0 when empty.
 fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    let idx = ((p / 100.0) * sorted.len().saturating_sub(1) as f64).round() as usize;
+    sorted.get(idx).copied().unwrap_or(0.0)
 }
 
 /// Options for one client process.
@@ -1040,51 +759,38 @@ impl Default for ClientOptions {
 /// One round's uploads to send, `(worker, data)` in member order.
 type Uploads = Vec<(u32, Vec<f32>)>;
 
-/// Client-side run state that must survive reconnects: the hosted members
-/// (a pooled worker's RNG + momentum streams evolve across rounds), the
-/// round watermark, and the last stepped round's uploads (so a reconnect
-/// that re-receives the open round can resend without re-stepping).
+/// Client-side run state that survives reconnects: the claim, hosted on the
+/// first `Welcome`; the watermark (the first round not yet stepped); the last
+/// stepped round with its uploads, so a re-received open round is resent,
+/// not re-stepped; and whether `FaultSpec::drop_at_round` has fired (once
+/// per [`run_client`] call).
 #[derive(Default)]
 struct ClientState {
-    /// The claim, hosted on the first `Welcome`.
     hosted: Option<Hosted>,
-    /// First round this client has not stepped yet.
     next_round: usize,
-    /// The most recently stepped round, with the uploads it sends.
     cached: Option<(u32, Uploads)>,
-    /// `FaultSpec::drop_at_round` fires once per [`run_client`] call.
     dropped_once: bool,
 }
 
 /// Runs one serving client to completion: connect, claim `workers`, host
-/// them from the `Welcome` config, answer every `RoundBegin`, and return the
-/// server's final `RunSummary` JSON.
-///
-/// The client hosts its claim exactly as the in-process transport hosts
-/// every member — a pooled client deals the partition as [`prepare`] does
-/// and builds only its claimed workers' shards — so the upload bytes it
-/// sends are exactly the bytes an in-process run would fold.
-///
-/// Connect, handshake, claim-rejection, and mid-run stream errors retry
-/// under [`ClientOptions`]' capped exponential backoff. Hosted state
-/// and the round watermark persist across retries; the server's admission
-/// replay (`RoundReplay` frames from the watermark on, then the open round's
-/// `RoundBegin`) brings a reconnecting client back in sync, so a mid-run
-/// reconnect loses no uploads.
+/// them from the `Welcome` config exactly as the in-process transport hosts
+/// every member (a pooled client deals the partition as [`prepare`] does and
+/// builds only its claim's shards, so it sends the bytes an in-process run
+/// would fold), answer every `RoundBegin`, and return the server's final
+/// `RunSummary` JSON. Connect, handshake, claim-rejection and mid-run stream
+/// errors retry under [`ClientOptions`]' capped exponential backoff; hosted
+/// state and the watermark persist across retries, and the server's replay
+/// brings a reconnecting client back in sync.
 pub fn run_client(addr: &str, workers: &[usize], opts: &ClientOptions) -> Result<String, String> {
-    let mut state = ClientState::default();
-    let mut attempt = 0u32;
+    let (mut state, mut attempt) = (ClientState::default(), 0u32);
     loop {
         match run_session(addr, workers, opts, &mut state) {
-            Ok(summary) => return Ok(summary),
-            Err(e) => {
-                if attempt >= opts.max_retries {
-                    return Err(e);
-                }
+            Err(_) if attempt < opts.max_retries => {
                 let backoff = opts.backoff_ms.saturating_mul(1 << attempt.min(16)).min(5_000);
                 std::thread::sleep(Duration::from_millis(backoff));
                 attempt += 1;
             }
+            done => return done,
         }
     }
 }
@@ -1105,24 +811,18 @@ fn run_session(
         .write_to(&mut stream)
         .map_err(|e| format!("hello: {e}"))?;
     stream.flush().ok();
-    let welcome = Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN)
-        .map_err(|e| format!("welcome: {e}"))?;
-    let config_json = match welcome {
+    let welcome = Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN);
+    let config_json = match welcome.map_err(|e| format!("welcome: {e}"))? {
         Message::Welcome { config_json } => config_json,
-        Message::HelloReject { reason } => {
-            return Err(format!("server rejected claim: {reason}"));
-        }
+        Message::HelloReject { reason } => return Err(format!("server rejected claim: {reason}")),
         other => return Err(format!("server's first message was not Welcome: {other:?}")),
     };
     let cfg: SimulationConfig =
         serde_json::from_str(&config_json).map_err(|e| format!("config: {e}"))?;
     // A non-noop local plan overrides the server's; otherwise adopt the
     // config-carried plan so every participant injects the same schedule.
-    let fault: FaultSpec = if opts.fault.is_noop() {
-        cfg.serving.as_ref().map(|s: &ServingSpec| s.fault.clone()).unwrap_or_default()
-    } else {
-        opts.fault.clone()
-    };
+    let local = Some(opts.fault.clone()).filter(|f| !f.is_noop());
+    let fault = local.or_else(|| cfg.serving.as_ref().map(|s| s.fault.clone())).unwrap_or_default();
 
     if state.hosted.is_none() {
         let (parts, _) = deal(&cfg);
@@ -1155,18 +855,16 @@ fn run_session(
             }
             Message::RoundBegin { round, deadline_ms, members, params } => {
                 let r = round as usize;
-                if let Some(t) = fault.drop_at_round {
-                    if t == r && !state.dropped_once {
-                        state.dropped_once = true;
-                        return Err(format!("fault injection: dropped connection at round {r}"));
-                    }
+                if fault.drop_at_round == Some(r) && !state.dropped_once {
+                    state.dropped_once = true;
+                    return Err(format!("fault injection: dropped connection at round {r}"));
                 }
-                if let Some((_, uploads)) = state.cached.as_ref().filter(|(c, _)| *c == round) {
+                if let Some(cached) = state.cached.as_ref().filter(|(c, _)| *c == round) {
                     // A reconnect re-delivered the round we already stepped:
-                    // resend from cache (the server deduplicates), never
-                    // re-step — worker state must advance exactly once per
-                    // round.
-                    send_uploads(&mut stream, round, uploads, &fault)?;
+                    // resend the identical bytes from cache (the server
+                    // counts them as a resend), never re-step: worker state
+                    // must advance exactly once per round.
+                    send_uploads(&mut stream, cached, &fault)?;
                     continue;
                 }
                 if r < state.next_round {
@@ -1185,8 +883,7 @@ fn run_session(
                     uploads.extend(member.upload(r, &params, withheld).map(|u| (m as u32, u)));
                 }
                 state.next_round = r + 1;
-                let (_, uploads) = state.cached.insert((round, uploads));
-                send_uploads(&mut stream, round, uploads, &fault)?;
+                send_uploads(&mut stream, state.cached.insert((round, uploads)), &fault)?;
             }
             Message::RunComplete { summary_json } => return Ok(summary_json),
             other => return Err(format!("unexpected server message: {other:?}")),
@@ -1198,10 +895,10 @@ fn run_session(
 /// before its send.
 fn send_uploads(
     stream: &mut Stream,
-    round: u32,
-    uploads: &[(u32, Vec<f32>)],
+    cached: &(u32, Uploads),
     fault: &FaultSpec,
 ) -> Result<(), String> {
+    let (round, uploads) = (cached.0, &cached.1);
     for (m, data) in uploads {
         let delay = fault.delay_ms(*m as usize, round as usize);
         if delay > 0 {
@@ -1224,10 +921,9 @@ fn connect(addr: &str) -> Result<Stream, String> {
             s.set_nodelay(true).ok();
             Ok(Stream::Tcp(s))
         }
-        ServeAddr::Unix(path) => Ok(Stream::Unix(
-            UnixStream::connect(&path)
-                .map_err(|e| format!("connect unix://{}: {e}", path.display()))?,
-        )),
+        ServeAddr::Unix(path) => UnixStream::connect(&path)
+            .map(Stream::Unix)
+            .map_err(|e| format!("connect unix://{}: {e}", path.display())),
     }
 }
 
@@ -1468,6 +1164,15 @@ mod tests {
         worker: u32,
         answer: fn(u32, usize) -> Message,
     ) -> std::thread::JoinHandle<()> {
+        spawn_rogue_sending(addr, worker, move |round, d| vec![answer(round, d)])
+    }
+
+    /// [`spawn_rogue`] answering every `RoundBegin` with several frames.
+    fn spawn_rogue_sending(
+        addr: String,
+        worker: u32,
+        answer: impl Fn(u32, usize) -> Vec<Message> + Send + 'static,
+    ) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let mut stream = connect(&addr).expect("connect");
             write_handshake(&mut stream).expect("handshake out");
@@ -1479,7 +1184,9 @@ mod tests {
                 match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
                 {
                     Message::RoundBegin { round, params, .. } => {
-                        answer(round, params.len()).write_to(&mut stream).expect("upload");
+                        for frame in answer(round, params.len()) {
+                            frame.write_to(&mut stream).expect("upload");
+                        }
                         stream.flush().expect("flush");
                     }
                     Message::RunComplete { .. } => return,
@@ -1615,6 +1322,119 @@ mod tests {
         // is the only one that ever missed a round.
         assert_eq!(report.dropped_dead_connection, cfg.iterations() as u64);
         assert_eq!(report.dropped_deadline, 0);
+    }
+
+    #[test]
+    fn an_equivocating_client_costs_only_its_own_member() {
+        // A client that claims worker 3 and answers every round with two
+        // well-formed uploads that differ, while the honest client's uploads
+        // are slowed by the config's fault delay, so both copies arrive while
+        // the round is open. The first copy used to win the slot silently.
+        // The member must instead be dropped as an equivocator, with one
+        // `upload_equivocated` event a round, and the run byte-identical to
+        // the in-process run in which worker 3 never delivers. Under the
+        // plain mean either copy would move the model.
+        const ROGUE: usize = 3;
+        let mut cfg = serving_cfg();
+        cfg.epochs = 0.5; // 4 rounds
+        cfg.defense = DefenseKind::NoDefense;
+        cfg.serving = Some(ServingSpec {
+            deadline_ms: None,
+            fault: FaultSpec { delay_ms_lo: 20, delay_ms_hi: 20, ..FaultSpec::default() },
+        });
+        let expected = withheld_summary(&cfg, ROGUE);
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = spawn_rogue_sending(local, ROGUE as u32, |round, d| {
+            let copy = |x: f32| Message::Upload { round, worker: ROGUE as u32, data: vec![x; d] };
+            vec![copy(0.0), copy(1e-3)]
+        });
+        let sink = Arc::new(Mutex::new(dpbfl_telemetry::MemorySink::default()));
+        let tel = Telemetry::new(Box::new(Arc::clone(&sink)));
+        let (result, report) =
+            server.serve_telemetry(&cfg, &RoundPolicy::default(), &tel).expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        rogue.join().expect("rogue session");
+        assert_eq!(summary_json(&result), expected, "equivocation ≠ withheld upload");
+        let rounds = cfg.iterations() as u64;
+        assert_eq!(report.dropped_equivocated, rounds);
+        assert_eq!(report.dropped_uploads, rounds);
+        assert_eq!((report.dropped_deadline, report.dropped_dead_connection), (0, 0));
+        let events = &sink.lock().unwrap().events;
+        let equivocated = events.iter().filter(|e| e.name == "upload_equivocated").count();
+        assert_eq!(equivocated, cfg.iterations());
+    }
+
+    #[test]
+    fn a_reconnects_resend_of_the_same_upload_is_no_equivocation() {
+        // A client claims worker 3, answers round 0 with zeros, drops its
+        // connection and reconnects while round 0 is still open (the honest
+        // client is slowed by the config's fault delay), then answers the
+        // re-sent `RoundBegin` with the same zeros, as `run_client` resends
+        // its cached uploads. The second copy is a resend, not an
+        // equivocation: the run is byte-identical to the in-process run in
+        // which worker 3 uploads zeros, with one reconnect and no drop.
+        const ROGUE: u32 = 3;
+        let mut cfg = serving_cfg();
+        cfg.epochs = 0.5; // 4 rounds
+        cfg.defense = DefenseKind::NoDefense;
+        cfg.serving = Some(ServingSpec {
+            deadline_ms: None,
+            fault: FaultSpec { delay_ms_lo: 20, delay_ms_hi: 20, ..FaultSpec::default() },
+        });
+        let expected = replaced_summary(&cfg, ROGUE as usize, Some(0.0));
+
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let local = server.local_addr().to_string();
+        let addr = local.clone();
+        let honest = std::thread::spawn(move || {
+            run_client(&addr, &[0, 1, 2, 4, 5], &ClientOptions::default())
+        });
+        let rogue = std::thread::spawn(move || {
+            let session = || {
+                let mut stream = connect(&local).expect("connect");
+                write_handshake(&mut stream).expect("handshake out");
+                read_handshake(&mut stream).expect("handshake in");
+                let hello = Message::ClientHello { workers: vec![ROGUE], watermark: 0 };
+                hello.write_to(&mut stream).expect("hello");
+                stream
+            };
+            let (mut stream, mut round_zero_begins) = (session(), 0);
+            loop {
+                match Message::read_from(&mut stream, DEFAULT_MAX_FRAME_LEN).expect("server frame")
+                {
+                    Message::RoundBegin { round, params, .. } => {
+                        let data = vec![0.0f32; params.len()];
+                        let upload = Message::Upload { round, worker: ROGUE, data };
+                        upload.write_to(&mut stream).expect("upload");
+                        stream.flush().expect("flush");
+                        round_zero_begins += usize::from(round == 0);
+                        if round_zero_begins == 1 {
+                            stream = session(); // the old connection closes
+                        }
+                    }
+                    // The old connection may not have been reaped yet.
+                    Message::HelloReject { .. } => {
+                        std::thread::sleep(Duration::from_millis(5));
+                        stream = session();
+                    }
+                    Message::RunComplete { .. } => return round_zero_begins,
+                    _ => {}
+                }
+            }
+        });
+        let (result, report) = server
+            .serve_telemetry(&cfg, &RoundPolicy::default(), &Telemetry::null())
+            .expect("serve");
+        honest.join().expect("honest thread").expect("honest client");
+        assert_eq!(rogue.join().expect("rogue session"), 2, "round 0 was re-sent and answered");
+        assert_eq!(summary_json(&result), expected, "resend ≠ one upload");
+        assert_eq!((report.reconnects, report.dropped_uploads), (1, 0));
     }
 
     #[test]
