@@ -48,7 +48,7 @@ pub(super) struct Arrival {
 /// (folded into slot `pos`), or malformed when of the wrong length; a later
 /// copy is a resend when identical and equivocates otherwise. An upload may
 /// also be stale (tagged with another round), for a worker the open round
-/// does not name, late (read after the deadline: the member stays missing),
+/// does not name, late (read after the deadline: it counts for nothing),
 /// or forged (for a worker its connection never claimed: nothing that
 /// connection sends counts any more, and the shell ends it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
