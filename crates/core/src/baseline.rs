@@ -32,8 +32,8 @@ pub fn flip_prob_for_epsilon(eps0: f64) -> f64 {
 /// probability ride on the protocol variant. `cfg.attack` and `cfg.defense`
 /// are not read: Byzantine workers always upload inverted signs, and the
 /// server rule is always the majority vote. Evaluation follows the round
-/// loop's schedule ([`evaluate`]); spec validation keeps a sign-DP cell at
-/// `eval_every = 0`, once per epoch.
+/// loop's schedule ([`evaluate`]); [`SimulationConfig::check`] keeps a
+/// sign-DP cell at `eval_every = 0`, once per epoch.
 ///
 /// Per-round metrics are trivial for this substrate — no defense filters
 /// anything, so the whole cohort is accepted and aggregated;
@@ -45,6 +45,7 @@ pub(crate) fn run_sign_dp(cfg: &SimulationConfig, tel: &Telemetry) -> RunResult 
     let WorkerProtocol::SignDp { lr, flip_prob } = cfg.protocol else {
         panic!("the sign-DP loop requires WorkerProtocol::SignDp");
     };
+    cfg.check().unwrap_or_else(|problems| panic!("unrunnable config: {}", problems.join("; ")));
     let batch_size = cfg.dp.batch_size;
     let mut master = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x51677ea7));
     let train = cfg.dataset.generate(cfg.n_honest * cfg.per_worker, cfg.seed);

@@ -79,6 +79,28 @@ impl DpSgdConfig {
     pub fn effective_noise_std(&self) -> f64 {
         self.noise_multiplier / self.batch_size as f64
     }
+
+    /// The worker's preconditions against its shard of `per_worker`
+    /// records, when the run builds a [`crate::worker::DpWorker`].
+    pub(crate) fn check(&self, per_worker: Option<usize>) -> Vec<String> {
+        let (b, n, m) = (self.batch_size, per_worker.unwrap_or(usize::MAX), self.momentum);
+        #[rustfmt::skip]
+        let rules = [
+            (b > 0, "dp.batch_size: dp.batch_size must be positive (0 makes the iteration count \
+                ⌈epochs·per_worker/batch_size⌉ unbounded)".into()),
+            (b <= n, format!("dp.batch_size: dp.batch_size {b} exceeds per_worker {n}: the local \
+                batch is drawn from the shard, and the accountant's sampling rate \
+                batch_size/per_worker must be at most 1")),
+            ((0.0..1.0).contains(&m), format!("dp.momentum: momentum {m} outside [0, 1)")),
+        ];
+        refusals(rules)
+    }
+}
+
+/// The messages of the `rules` that do not hold; each rule is `(holds,
+/// message)`, its message led by the field it concerns.
+pub(crate) fn refusals(rules: impl IntoIterator<Item = (bool, String)>) -> Vec<String> {
+    rules.into_iter().filter(|rule| !rule.0).map(|rule| rule.1).collect()
 }
 
 /// Server-side defense parameters (Algorithms 2 and 3).

@@ -373,11 +373,7 @@ pub(crate) fn orchestrate(
     dp: &DpSgdConfig,
     delta: f64,
 ) -> RunResult {
-    assert!(
-        cfg.sampling.is_finite() && cfg.sampling > 0.0 && cfg.sampling <= 1.0,
-        "sampling fraction must be in (0, 1], got {}",
-        cfg.sampling
-    );
+    cfg.check().unwrap_or_else(|problems| panic!("unrunnable config: {}", problems.join("; ")));
     assert_eq!(data_worker_count(cfg), prep.parts.len(), "prepared data does not match config");
     let sigma = dp.noise_multiplier;
     // Claim 6: the base learning rate, tuned at σ_b, transfers as η_b·σ_b/σ.
@@ -407,9 +403,6 @@ pub(crate) fn orchestrate(
     let mut attack_rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xa77ac4));
     // Cross-round attacker state: created once per run, fed the defense's
     // observable output (the stage-1 acceptance count) after every round.
-    if let Err(e) = cfg.attack.validate() {
-        panic!("invalid attack spec: {e}");
-    }
     let mut attack_state = AttackState::new(&cfg.attack);
 
     for t in 0..iterations {
@@ -480,10 +473,12 @@ pub(crate) fn orchestrate(
             // at once — one upload in flight, like the data members'. Draws
             // come off the single attack stream in cohort order, and the
             // fold consumes no RNG, so interleaving is bit-safe.
+            // A member the attack crafts nothing for (`AttackSpec::None`)
+            // never delivers, like a withheld upload.
             let mut scratch = KsScratch::new();
             for _ in &cohort[data_members.len()..] {
-                let upload = craft(&unseen).pop().expect("upload count changed mid-training");
-                slots.push(fold(upload, &mut scratch));
+                let upload = craft(&unseen).pop();
+                slots.push(upload.map_or(Collected::Dropped, |u| fold(u, &mut scratch)));
             }
         } else {
             uploads.extend(slots.iter_mut().map(|slot| match slot {
@@ -503,6 +498,9 @@ pub(crate) fn orchestrate(
             let byzantine = craft(&seen);
             uploads.truncate(split);
             uploads.extend(byzantine);
+            // A member the attack crafts nothing for (`AttackSpec::None`)
+            // never delivers, so it contributes the zero vector too.
+            uploads.resize(cohort.len(), vec![0.0f32; d]);
         }
         tel.stop(timer, "attack", round);
 
@@ -658,10 +656,6 @@ impl Defense {
             DefenseKind::Robust { rule } => Defense::Robust(rule),
             DefenseKind::FlTrust => Defense::FlTrust { aux: aux(&prep.validation) },
             DefenseKind::TwoStage => {
-                assert!(
-                    dp.noise_multiplier > 0.0,
-                    "the two-stage defense requires DP noise (σ > 0)"
-                );
                 let ood;
                 let pool = if cfg.ood_auxiliary {
                     let seed = cfg.seed.wrapping_add(0xbad);

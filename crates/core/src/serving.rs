@@ -83,6 +83,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,8 +235,8 @@ impl Write for Stream {
 }
 
 impl Listener {
-    /// Accepts one connection, returning the stream (always blocking, even
-    /// when the listener polls non-blocking) and a printable peer address.
+    /// Accepts one connection, returning the stream and a printable peer
+    /// address.
     fn accept(&self) -> std::io::Result<(Stream, String)> {
         let (stream, peer) = match self {
             Listener::Tcp(l) => l.accept().map(|(s, peer)| (Stream::Tcp(s), format!("{peer}")))?,
@@ -246,7 +247,6 @@ impl Listener {
         if let Stream::Tcp(s) = &stream {
             s.set_nodelay(true).ok();
         }
-        either!(Stream, &stream, s => s.set_nonblocking(false)).ok();
         Ok((stream, peer))
     }
 }
@@ -272,9 +272,6 @@ const WRITE_CHUNK: usize = 32 << 10;
 /// them: eight deadlines far outlast [`run_client`]'s default retries (50 +
 /// 100 + 200 ms of backoff) at any deadline above 50 ms.
 const REPLAY_ROUNDS: usize = 8;
-
-/// Acceptor poll interval while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// One upload as a reader hands it to the round loop: what the desk decides
 /// on, and the values to fold.
@@ -350,7 +347,7 @@ struct Server<'a> {
     shared: Arc<Mutex<Shared>>,
     /// Signalled whenever a claim is registered or the acceptor fails.
     coverage: Condvar,
-    /// Set once the run is over; the acceptor stops polling.
+    /// Set once the run is over; the acceptor stops at its next wake.
     done: AtomicBool,
     tel: &'a Telemetry,
 }
@@ -390,6 +387,20 @@ impl BoundServer {
         &self.local
     }
 
+    /// Ends an `accept` blocked on another thread: connects to the bound
+    /// address (an unspecified IP as loopback) or, should that fail, shuts
+    /// the listening socket down, which fails the accept.
+    fn wake(&self) {
+        let own = self.local.replace("//0.0.0.0:", "//127.0.0.1:").replace("//[::]:", "//[::1]:");
+        if connect(&own).is_err() {
+            let dup = match &self.listener {
+                Listener::Tcp(l) => l.try_clone().map(|l| Stream::Tcp(OwnedFd::from(l).into())),
+                Listener::Unix(l) => l.try_clone().map(|l| Stream::Unix(OwnedFd::from(l).into())),
+            };
+            dup.map(|s| s.shutdown()).ok();
+        }
+    }
+
     /// Admits clients until every data-holding worker index is claimed,
     /// then drives the full run over the wire and returns the result plus
     /// the serving metrics. Each connection handshakes, sends `ClientHello`
@@ -426,8 +437,6 @@ impl BoundServer {
             tel,
         };
         let (tx, rx) = channel();
-        either!(Listener, &self.listener, l => l.set_nonblocking(true))
-            .map_err(|e| format!("set_nonblocking on {}: {e}", self.local))?;
 
         std::thread::scope(|scope| {
             let acceptor_tx = tx.clone();
@@ -453,6 +462,7 @@ impl BoundServer {
             let started = Instant::now();
             let result = run_with_transport_telemetry(cfg, &prep, &mut transport, tel);
             server.done.store(true, Ordering::Release);
+            self.wake();
             let wall = started.elapsed().as_secs_f64();
             let round_ms = transport.round_ms;
             let _ = acceptor.join();
@@ -499,15 +509,16 @@ impl Server<'_> {
         admitted
     }
 
-    /// The acceptor: polls the listener until the run completes, admitting
-    /// initial claims and mid-run reconnects alike.
+    /// The acceptor: blocks in `accept` until the run completes (the
+    /// teardown wakes it), admitting initial claims and mid-run reconnects.
     fn accept_until_done(&self, bound: &BoundServer, tx: Sender<Received>) {
-        while !self.done.load(Ordering::Acquire) {
-            match bound.listener.accept() {
+        loop {
+            let accepted = bound.listener.accept();
+            if self.done.load(Ordering::Acquire) {
+                break;
+            }
+            match accepted {
                 Ok((stream, peer)) => self.admit(stream, &peer, tx.clone()),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL)
-                }
                 Err(e) => {
                     let mut guard = lock(&self.shared);
                     guard.failed = Some(format!("accept on {}: {e}", bound.local));
@@ -1073,6 +1084,27 @@ mod tests {
         assert_eq!(summary_json(&result), expected, "uds serving ≠ in-process");
         assert_eq!(report.dropped_uploads, 0);
         assert_eq!(report.clients, 3);
+    }
+
+    #[test]
+    fn wake_ends_a_blocked_accept_even_when_its_connect_fails() {
+        let path =
+            std::env::temp_dir().join(format!("dpbfl-wake-test-{}.sock", std::process::id()));
+        let unix = format!("unix://{}", path.display());
+        for addr in ["tcp://127.0.0.1:0", "tcp://0.0.0.0:0", &unix] {
+            let server = BoundServer::bind(addr).expect("bind");
+            let accepted = std::thread::scope(|scope| {
+                let acceptor = scope.spawn(|| server.listener.accept().map(drop));
+                // Without its socket file a Unix listener cannot be reached,
+                // so the wake falls back to shutting the socket down.
+                if addr == unix {
+                    std::fs::remove_file(&path).expect("socket file");
+                }
+                server.wake();
+                acceptor.join().expect("acceptor thread")
+            });
+            assert_eq!(accepted.is_ok(), addr != unix, "{addr}: {accepted:?}");
+        }
     }
 
     #[test]

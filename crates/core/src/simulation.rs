@@ -10,10 +10,10 @@
 
 use crate::aggregator::AggregatorKind;
 use crate::attack::AttackSpec;
-use crate::config::{DefenseConfig, DpSgdConfig, ServingSpec};
+use crate::config::{refusals, DefenseConfig, DpSgdConfig, ServingSpec};
 use crate::round::{InProcessTransport, Transport};
 use dpbfl_data::{iid_partition, non_iid_partition, Dataset, SyntheticSpec};
-use dpbfl_dp::{paper_delta, RdpAccountant};
+use dpbfl_dp::{paper_delta, RdpAccountant, MAX_NOISE_MULTIPLIER};
 use dpbfl_nn::{zoo, Sequential};
 use dpbfl_stats::sample_without_replacement;
 use dpbfl_telemetry::Telemetry;
@@ -41,19 +41,31 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Builds the network, checking it matches the dataset's shape.
+    /// The model's preconditions against its dataset: a positive hidden
+    /// width, and the example length and class count as input and output.
+    pub fn check(&self, spec: &SyntheticSpec) -> Result<(), String> {
+        let want = (spec.example_len(), spec.num_classes);
+        let shape = match *self {
+            ModelKind::Mlp784 | ModelKind::MnistCnn => (784, 10),
+            ModelKind::ColorectalCnn => (3 * 32 * 32, 8),
+            ModelKind::SmallMlp { hidden: 0 } => return Err("SmallMlp hidden must be > 0".into()),
+            ModelKind::SmallMlp { .. } => want,
+        };
+        let why = || format!("{self:?} maps {shape:?} (input, classes); {} is {want:?}", spec.name);
+        (shape == want).then_some(()).ok_or_else(why)
+    }
+
+    /// Builds the network; panics where [`ModelKind::check`] refuses `spec`.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R, spec: &SyntheticSpec) -> Sequential {
-        let model = match *self {
+        self.check(spec).unwrap_or_else(|e| panic!("model: {e}"));
+        match *self {
             ModelKind::Mlp784 => zoo::mlp_784(rng),
             ModelKind::MnistCnn => zoo::mnist_cnn(rng),
             ModelKind::ColorectalCnn => zoo::colorectal_cnn(rng),
             ModelKind::SmallMlp { hidden } => {
                 zoo::mlp(rng, spec.example_len(), hidden, spec.num_classes)
             }
-        };
-        assert_eq!(model.input_len(), spec.example_len(), "model/dataset input mismatch");
-        assert_eq!(model.output_len(), spec.num_classes, "model/dataset class mismatch");
-        model
+        }
     }
 }
 
@@ -81,8 +93,8 @@ pub enum WorkerProtocol {
     /// [`DefenseKind::NoDefense`] (the majority vote *is* the server rule)
     /// and the `attack` must be [`crate::attack::AttackSpec::None`] —
     /// Byzantine workers always upload inverted signs, the baseline's worst
-    /// case, so any other attack label would misrepresent what ran (the
-    /// harness's `validate()` enforces both).
+    /// case, so any other attack label would misrepresent what ran
+    /// ([`SimulationConfig::check`] refuses both).
     SignDp {
         /// Server step size applied to the majority-vote sign vector.
         lr: f64,
@@ -102,6 +114,35 @@ impl WorkerProtocol {
             WorkerProtocol::Plain => "plain".into(),
             WorkerProtocol::SignDp { flip_prob, .. } => format!("sign-dp(p={flip_prob})"),
         }
+    }
+
+    /// Whether the protocol adds Gaussian noise (and the run asks the accountant).
+    fn gaussian(&self) -> bool {
+        matches!(self, WorkerProtocol::PaperDp | WorkerProtocol::ClippedDp { .. })
+    }
+
+    /// The protocol's preconditions on `cfg`: a finite, positive clip, and
+    /// the five things the sign-DP loop does not do.
+    fn check(&self, cfg: &SimulationConfig) -> Vec<String> {
+        #[rustfmt::skip]
+        let rules = match *self {
+            WorkerProtocol::ClippedDp { clip } => vec![(clip.is_finite() && clip > 0.0,
+                format!("protocol: ClippedDp clip {clip} must be finite and > 0"))],
+            WorkerProtocol::SignDp { .. } => vec![
+                (cfg.defense == DefenseKind::NoDefense, "protocol: the sign-DP substrate runs its \
+                    own majority-vote server loop; its defense must be NoDefense".into()),
+                (cfg.attack == AttackSpec::None, "protocol: the sign-DP substrate's Byzantine \
+                    behavior is structural sign-inversion; its attack must be None".into()),
+                (cfg.sampling >= 1.0, "protocol: the sign-DP substrate polls every worker each \
+                    round; its sampling fraction must be 1".into()),
+                (cfg.provisioning == Provisioning::Pooled, "protocol: the sign-DP substrate \
+                    synthesizes its own pooled data; its provisioning must be Pooled".into()),
+                (cfg.eval_every == 0, format!("protocol: the sign-DP substrate evaluates once per \
+                    epoch; its eval_every must be 0, got {}", cfg.eval_every)),
+            ],
+            _ => Vec::new(),
+        };
+        refusals(rules)
     }
 }
 
@@ -132,6 +173,36 @@ impl DefenseKind {
             DefenseKind::Robust { rule } => rule.name(),
             DefenseKind::FlTrust => "fltrust".into(),
         }
+    }
+
+    /// The defense's preconditions against `cfg`'s cohort: its parameters'
+    /// ranges, an upload left by trimming, auxiliary data, and DP noise.
+    fn check(&self, cfg: &SimulationConfig) -> Vec<String> {
+        let DefenseConfig { gamma: g, ks_significance: a, norm_test_stds: s, .. } = cfg.defense_cfg;
+        let trim = match self {
+            DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim } } => *trim,
+            _ => 0,
+        };
+        let cohort = cfg.cohort_len();
+        let aux = !matches!(self, DefenseKind::TwoStage | DefenseKind::FlTrust);
+        let sigma = cfg.dp.noise_multiplier;
+        let noise = *self != DefenseKind::TwoStage
+            || cfg.protocol != WorkerProtocol::Plain
+                && (cfg.epsilon.is_some() || sigma > 0.0 && sigma.is_finite());
+        #[rustfmt::skip]
+        let rules = [
+            (g > 0.0 && g <= 1.0, format!("defense_cfg.gamma: gamma {g} outside (0, 1]")),
+            (a > 0.0 && a < 1.0, format!("defense_cfg.ks_significance: {a} outside (0, 1)")),
+            (s.is_finite() && s > 0.0, format!("defense_cfg.norm_test_stds: {s} is not finite and \
+                positive")),
+            (trim == 0 || 2 * trim < cohort, format!("defense: trimmed mean drops {trim} uploads \
+                from each end of a cohort of {cohort}; it needs 2·trim < {cohort}")),
+            (aux || cfg.defense_cfg.aux_per_class > 0, format!("defense_cfg.aux_per_class: the \
+                {} defense needs at least one auxiliary example per class", self.name())),
+            (noise, "defense: two-stage defense requires DP noise (σ > 0): a protocol other than \
+                Plain, and a finite dp.noise_multiplier > 0 or an epsilon target".into()),
+        ];
+        refusals(rules)
     }
 }
 
@@ -254,6 +325,60 @@ impl SimulationConfig {
     /// Iterations `T = ⌈epochs·|D_i|/b_c⌉`.
     pub fn iterations(&self) -> usize {
         ((self.epochs * self.per_worker as f64) / self.dp.batch_size as f64).ceil() as usize
+    }
+
+    /// Members per round, `⌈q·n⌉` in `[1, n]` (`n` at `q ≥ 1`): the length
+    /// of every [`round_cohort`], without drawing one.
+    fn cohort_len(&self) -> usize {
+        ((self.sampling * self.n_total() as f64).ceil() as usize).max(1).min(self.n_total())
+    }
+
+    /// Every precondition of a run, stated once: a config that passes runs
+    /// without a panic. Each type checks the facts it owns; `Err` has one
+    /// message per problem, led by the field path it concerns. No work grows
+    /// with the worker count; an ε target costs one accountant step.
+    pub fn check(&self) -> Result<(), Vec<String>> {
+        let dataset = self.dataset.check().into_iter().map(|p| format!("dataset.{p}"));
+        let mut problems: Vec<String> = dataset.collect();
+        problems.extend(self.model.check(&self.dataset).err().map(|e| format!("model: {e}")));
+        let worker = !matches!(self.protocol, WorkerProtocol::SignDp { .. });
+        problems.extend(self.dp.check(worker.then_some(self.per_worker)));
+        problems.extend(self.protocol.check(self).into_iter().chain(self.defense.check(self)));
+        problems.extend(
+            self.attack.validate().err().map(|e| format!("attack: invalid attack spec: {e}")),
+        );
+        let (protocol, n, q, e) = (self.protocol, self.per_worker, self.sampling, self.epochs);
+        let holders = if worker { data_members(self) } else { self.n_honest };
+        let min = if protocol.gaussian() { 2 } else { 1 }; // δ = per_worker^-1.1 needs two records
+        let eps = self.epsilon.unwrap_or(1.0);
+        let fault = self.serving.as_ref().map(|s| s.fault.clone()).unwrap_or_default();
+        let (pct, lo, hi) = (fault.flaky_pct, fault.delay_ms_lo, fault.delay_ms_hi);
+        #[rustfmt::skip]
+        let rules = [
+            (holders > 0, "n_honest: no worker holds training data (n_honest is 0, and no \
+                Byzantine worker trains)".into()),
+            (n >= min, format!("per_worker: {n} below {min}, the least {protocol:?} runs on")),
+            (self.test_count > 0, "test_count: test_count must be positive".into()),
+            (e.is_finite() && e > 0.0, format!("epochs: epochs {e} must be positive and finite")),
+            (q > 0.0 && q <= 1.0, format!("sampling: sampling fraction {q} outside (0, 1]")),
+            (self.iid || self.provisioning == Provisioning::Pooled, "provisioning: on-demand \
+                provisioning synthesizes each client's shard i.i.d.; the non-iid sorted partition \
+                (Algorithm 4) needs the pooled path".into()),
+            (eps.is_finite() && eps > 0.0, format!("epsilon: target epsilon {eps} must be positive \
+                and finite")),
+            ((0.0..=100.0).contains(&pct), format!("serving.fault.flaky_pct: serving flaky_pct \
+                {pct} outside [0, 100]")),
+            (lo <= hi || hi == 0, format!("serving.fault.delay_ms_lo: serving delay bounds \
+                inverted ({lo} > {hi})")),
+        ];
+        problems.extend(refusals(rules));
+        // Only a config valid so far has an accountant to ask.
+        if protocol.gaussian() && self.epsilon.is_some() && problems.is_empty() {
+            let (acc, delta) = accountant(self);
+            let why = format!("epsilon: target epsilon {eps} needs σ > {MAX_NOISE_MULTIPLIER}");
+            problems.extend(refusals([(acc.reaches(eps, delta), why)]));
+        }
+        problems.is_empty().then_some(()).ok_or(problems)
     }
 }
 
@@ -470,13 +595,11 @@ pub(crate) fn pooled_shards(
 /// the draw happens sequentially before any parallel work, so cohorts are
 /// identical at every thread count.
 pub fn round_cohort(cfg: &SimulationConfig, round: usize) -> Vec<usize> {
-    let n_total = cfg.n_total();
     if cfg.sampling >= 1.0 {
-        return (0..n_total).collect();
+        return (0..cfg.n_total()).collect();
     }
-    let m = ((cfg.sampling * n_total as f64).ceil() as usize).clamp(1, n_total);
     let mut rng = StdRng::seed_from_u64(worker_seed(cfg.seed.wrapping_add(0xc0407), round));
-    sample_without_replacement(&mut rng, n_total, m)
+    sample_without_replacement(&mut rng, cfg.n_total(), cfg.cohort_len())
 }
 
 /// Runs one full experiment.
@@ -559,26 +682,26 @@ pub(crate) fn calibrated_dp(cfg: &SimulationConfig) -> (DpSgdConfig, f64) {
 /// or taken from the config. Public so experiment harnesses and examples can
 /// report the calibration a config resolves to without running it.
 pub fn resolve_sigma(cfg: &SimulationConfig) -> (f64, f64) {
-    match cfg.protocol {
-        // Sign-DP privatizes via randomized response, not Gaussian noise;
-        // the Gaussian accountant does not apply.
-        WorkerProtocol::Plain | WorkerProtocol::SignDp { .. } => (0.0, 0.0),
-        _ => match cfg.epsilon {
-            Some(eps) => {
-                // Amplification by subsampling: a record participates in a
-                // step only when its client is in the round's cohort AND it
-                // lands in the local batch, so the accountant's per-step rate
-                // is the product of the two sampling fractions. At full
-                // participation `sampling == 1` and the product reduces
-                // bit-exactly to the paper's `b_c/|D_i|`.
-                let q = cfg.sampling * (cfg.dp.batch_size as f64 / cfg.per_worker as f64);
-                let acc = RdpAccountant::new(q, cfg.iterations() as u64);
-                let delta = paper_delta(cfg.per_worker);
-                (acc.find_noise_multiplier(eps, delta), delta)
-            }
-            None => (cfg.dp.noise_multiplier, paper_delta(cfg.per_worker)),
-        },
+    // Sign-DP privatizes via randomized response, not Gaussian noise; the
+    // Gaussian accountant does not apply.
+    if !cfg.protocol.gaussian() {
+        return (0.0, 0.0);
     }
+    match cfg.epsilon {
+        Some(eps) => {
+            let (acc, delta) = accountant(cfg);
+            (acc.find_noise_multiplier(eps, delta), delta)
+        }
+        None => (cfg.dp.noise_multiplier, paper_delta(cfg.per_worker)),
+    }
+}
+
+/// A Gaussian run's accountant and δ. A record joins a step only when its
+/// client is in the cohort AND it lands in the batch, so the rate is the
+/// product of the two fractions (bit-exactly `b_c/|D_i|` at `sampling == 1`).
+fn accountant(cfg: &SimulationConfig) -> (RdpAccountant, f64) {
+    let q = cfg.sampling * (cfg.dp.batch_size as f64 / cfg.per_worker as f64);
+    (RdpAccountant::new(q, cfg.iterations() as u64), paper_delta(cfg.per_worker))
 }
 
 /// Deterministic per-worker RNG seed (the PR-1 determinism contract).
@@ -984,19 +1107,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "upload count changed mid-training")]
-    fn streaming_none_attack_with_byzantine_count_still_panics() {
-        // `AttackSpec::None` produces no uploads, so a non-empty Byzantine
-        // cohort can't fill its slots.
+    fn streaming_none_attack_drops_its_byzantine_members() {
+        // `AttackSpec::None` crafts no upload, so its Byzantine members
+        // never deliver: each is a dropped slot of every two-stage round.
         let mut cfg = quick_cfg();
         cfg.n_byzantine = 2;
         cfg.attack = AttackSpec::None;
         cfg.defense = DefenseKind::TwoStage;
-        let _ = run(&cfg);
+        let summary = run(&cfg);
+        let rounds = cfg.iterations() as u64;
+        assert_eq!(summary.defense_stats.first_stage_rejected_byzantine, 2 * rounds);
     }
 
     #[test]
-    #[should_panic(expected = "sampling fraction must be in (0, 1]")]
+    #[should_panic(expected = "sampling: sampling fraction 0 outside (0, 1]")]
     fn zero_sampling_fraction_is_rejected() {
         let mut cfg = quick_cfg();
         cfg.sampling = 0.0;
@@ -1004,10 +1128,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sampling fraction must be in (0, 1]")]
+    #[should_panic(expected = "sampling: sampling fraction NaN outside (0, 1]")]
     fn nan_sampling_fraction_is_rejected() {
         let mut cfg = quick_cfg();
         cfg.sampling = f64::NAN;
         let _ = run(&cfg);
+    }
+
+    #[test]
+    fn check_refuses_exactly_the_epsilon_targets_the_sigma_search_cannot_reach() {
+        // A shard of 2 000 makes δ small enough that the highest orders'
+        // ε floors are positive, so a tiny target is out of reach.
+        let mut cfg = quick_cfg();
+        cfg.per_worker = 2000;
+        let mut refused = 0;
+        for eps in [1e-9, 1e-3, 0.1, 2.0] {
+            cfg.epsilon = Some(eps);
+            let searched = std::panic::catch_unwind(|| resolve_sigma(&cfg)).is_ok();
+            assert_eq!(cfg.check().is_ok(), searched, "ε {eps}: {:?}", cfg.check());
+            refused += usize::from(!searched);
+        }
+        assert_eq!(refused, 2, "1e-9 and 1e-3 are out of reach, 0.1 and 2 are not");
+    }
+
+    #[test]
+    fn model_checks_agree_with_the_networks_the_zoo_builds() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let models = [ModelKind::Mlp784, ModelKind::MnistCnn, ModelKind::ColorectalCnn];
+        for spec in [SyntheticSpec::mnist_like(), SyntheticSpec::colorectal_like()] {
+            for model in models.into_iter().chain([ModelKind::SmallMlp { hidden: 3 }]) {
+                let net = match model {
+                    ModelKind::Mlp784 => zoo::mlp_784(&mut rng),
+                    ModelKind::MnistCnn => zoo::mnist_cnn(&mut rng),
+                    ModelKind::ColorectalCnn => zoo::colorectal_cnn(&mut rng),
+                    ModelKind::SmallMlp { hidden } => {
+                        zoo::mlp(&mut rng, spec.example_len(), hidden, spec.num_classes)
+                    }
+                };
+                let fits =
+                    (net.input_len(), net.output_len()) == (spec.example_len(), spec.num_classes);
+                assert_eq!(model.check(&spec).is_ok(), fits, "{model:?} on {}", spec.name);
+            }
+        }
     }
 }

@@ -183,6 +183,15 @@ impl SyntheticSpec {
         &["mnist-like", "fashion-like", "usps-like", "colorectal-like", "kmnist-like"]
     }
 
+    /// The spec's preconditions: synthesis indexes every dimension, class and
+    /// prototype-grid cell, so each must be positive (one message per field).
+    pub fn check(&self) -> Vec<String> {
+        let sizes = [("channels", self.channels), ("height", self.height), ("width", self.width)];
+        let more = [("num_classes", self.num_classes), ("proto_grid", self.proto_grid)];
+        let zero = sizes.into_iter().chain(more).filter(|&(_, n)| n == 0);
+        zero.map(|(field, _)| format!("{field}: must be positive")).collect()
+    }
+
     /// Floats per example.
     pub fn example_len(&self) -> usize {
         self.channels * self.height * self.width

@@ -44,6 +44,9 @@
 use crate::conversion::{check_delta, order_epsilon, rdp_to_approx_dp, ConversionRule};
 use crate::rdp::{compose_rdp, default_orders, SgmOrder};
 
+/// The σ search's largest upper bracket (2²⁶); a target it misses diverges.
+pub const MAX_NOISE_MULTIPLIER: f64 = 67_108_864.0;
+
 /// Privacy accountant for `T` steps of subsampled Gaussian noise at rate `q`.
 #[derive(Debug, Clone)]
 pub struct RdpAccountant {
@@ -79,6 +82,12 @@ impl RdpAccountant {
         rdp_to_approx_dp(&self.orders, &rdp, delta, self.rule)
     }
 
+    /// Whether [`RdpAccountant::find_noise_multiplier`] finds a σ (one up to
+    /// [`MAX_NOISE_MULTIPLIER`]) rather than panicking; one search step.
+    pub fn reaches(&self, target_eps: f64, delta: f64) -> bool {
+        !SigmaSearch::new(self, delta).exceeds(MAX_NOISE_MULTIPLIER, target_eps)
+    }
+
     /// Smallest noise multiplier achieving `(target_eps, delta)`-DP, found by
     /// bisection (ε is monotone decreasing in σ).
     ///
@@ -93,8 +102,8 @@ impl RdpAccountant {
         let mut hi = 1.0;
         // Grow the bracket until it straddles the target.
         while search.exceeds(hi, target_eps) {
+            assert!(hi < MAX_NOISE_MULTIPLIER, "noise multiplier search diverged");
             hi *= 2.0;
-            assert!(hi < 1e8, "noise multiplier search diverged (ε target too small?)");
         }
         while search.falls_short(lo, target_eps) {
             lo /= 2.0;
@@ -405,6 +414,19 @@ mod tests {
     fn sigma_search_still_refuses_an_unreachable_target() {
         // Unsampled, ten thousand steps, ε = 1e-6: no σ below 1e8 meets it.
         let _ = RdpAccountant::new(1.0, 10_000).find_noise_multiplier(1e-6, 1e-5);
+    }
+
+    #[test]
+    fn reaches_is_false_exactly_when_the_search_diverges() {
+        for (q, steps) in [(1.0, 10_000), (0.1, 60), (16.0 / 96.0, 6)] {
+            let acc = RdpAccountant::new(q, steps);
+            for eps in [1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 2.0] {
+                let found = std::panic::catch_unwind(|| acc.find_noise_multiplier(eps, 1e-5));
+                assert_eq!(acc.reaches(eps, 1e-5), found.is_ok(), "q {q}, {steps} steps, ε {eps}");
+                let oracle = acc.epsilon(MAX_NOISE_MULTIPLIER, 1e-5).0 <= eps;
+                assert_eq!(acc.reaches(eps, 1e-5), oracle, "q {q}, {steps} steps, ε {eps}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod rdp;
 
 pub use accountant::{
     achieved_epsilon, amplified_epsilon, paper_delta, EpsilonSchedule, RdpAccountant,
+    MAX_NOISE_MULTIPLIER,
 };
 pub use conversion::{rdp_to_approx_dp, ConversionRule};
 pub use rdp::{compose_rdp, default_orders, rdp_sampled_gaussian};

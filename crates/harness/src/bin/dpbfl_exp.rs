@@ -118,11 +118,7 @@ fn validate(mut args: Args) -> CliResult {
     let path = args.positional("file.json")?;
     args.finish()?;
     let spec = ScenarioSpec::load(Path::new(&path))?;
-    let problems = spec.validate();
-    if !problems.is_empty() {
-        let (name, n) = (&spec.name, problems.len());
-        return Err(format!("`{name}` has {n} problem(s):\n  - {}", problems.join("\n  - ")).into());
-    }
+    spec.check()?;
     println!("ok: `{}` expands to {} cells", spec.name, spec.n_cells());
     Ok(())
 }

@@ -135,6 +135,7 @@ fn write_json(path: &str, what: &str, json: Result<String, serde_json::Error>) -
 /// (one server serves one run, not a sweep).
 fn resolve_cell(arg: &str, cell: Option<usize>) -> Result<SimulationConfig, String> {
     let spec = registry::resolve(arg)?;
+    spec.check()?;
     let mut cells = spec.cells();
     let index = match cell {
         Some(index) if index < cells.len() => index,

@@ -157,10 +157,7 @@ pub fn run_scenario_in_memory(spec: &ScenarioSpec) -> Vec<(Cell, RunResult)> {
 /// Runs a scenario's grid end to end: expand, (optionally) resume from the
 /// sink, execute the remaining cells in parallel, persist JSONL + reports.
 pub fn run_grid(spec: &ScenarioSpec, opts: &RunOptions) -> Result<GridOutcome, String> {
-    let problems = spec.validate();
-    if !problems.is_empty() {
-        return Err(format!("invalid scenario `{}`:\n  {}", spec.name, problems.join("\n  ")));
-    }
+    spec.check()?;
     let cells = spec.cells();
     let scenario_dir = opts.out_dir.join(slug(&spec.name));
     std::fs::create_dir_all(&scenario_dir)

@@ -9,7 +9,7 @@
 //! it is stable across spec edits that leave the cell itself unchanged.
 
 use dpbfl::prelude::*;
-use dpbfl::simulation::{round_cohort, worker_seed};
+use dpbfl::simulation::worker_seed;
 use serde::{Deserialize, Serialize, Value};
 
 /// How the grid assigns each cell's master RNG seed.
@@ -357,8 +357,9 @@ impl ScenarioSpec {
         self.repeats() * self.recipes().len()
     }
 
-    /// Semantic checks beyond what deserialization enforces. Returns one
-    /// message per problem; an empty vector means the spec is runnable.
+    /// Semantic checks beyond what deserialization enforces: the grid's own
+    /// here, each cell's by [`SimulationConfig::check`]. Returns one message
+    /// per problem; an empty vector means the spec is runnable.
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.name.is_empty() {
@@ -413,119 +414,8 @@ impl ScenarioSpec {
         }
         let cells = self.cells();
         for cell in &cells {
-            let c = &cell.config;
             let at = |msg: String| format!("cell {} ({}): {msg}", cell.index, axes_label(cell));
-            let gamma = c.defense_cfg.gamma;
-            if !(gamma > 0.0 && gamma <= 1.0) {
-                problems.push(at(format!("gamma {gamma} outside (0, 1]")));
-            }
-            // Attack-spec structural checks (zoo parameter ranges, stateful
-            // nesting, sleeper payload constraints) — the same validation the
-            // round loop asserts, surfaced at spec load time.
-            if let Err(e) = c.attack.validate() {
-                problems.push(at(format!("invalid attack spec: {e}")));
-            }
-            if c.n_total() == 0 {
-                problems.push(at("no workers (n_honest + n_byzantine = 0)".into()));
-            }
-            if c.per_worker == 0 || c.test_count == 0 {
-                problems.push(at("per_worker and test_count must be positive".into()));
-            }
-            if c.epochs <= 0.0 {
-                problems.push(at(format!("epochs {} must be positive", c.epochs)));
-            }
-            // The accountant's inputs, refused here rather than by a panic
-            // in the σ search once the cell has started.
-            if c.dp.batch_size == 0 {
-                problems.push(at("dp.batch_size must be positive (0 makes the iteration \
-                     count ⌈epochs·per_worker/batch_size⌉ unbounded)"
-                    .into()));
-            }
-            if let Some(eps) = c.epsilon {
-                if !(eps.is_finite() && eps > 0.0) {
-                    problems.push(at(format!("target epsilon {eps} must be positive and finite")));
-                }
-                let gaussian =
-                    !matches!(c.protocol, WorkerProtocol::Plain | WorkerProtocol::SignDp { .. });
-                if gaussian && c.dp.batch_size > c.per_worker {
-                    problems.push(at(format!(
-                        "dp.batch_size {} exceeds per_worker {}: the accountant's sampling \
-                         rate batch_size/per_worker must be at most 1",
-                        c.dp.batch_size, c.per_worker
-                    )));
-                }
-            }
-            let q = c.sampling;
-            if !(q.is_finite() && q > 0.0 && q <= 1.0) {
-                problems.push(at(format!("sampling fraction {q} outside (0, 1]")));
-            }
-            if let Some(serving) = &c.serving {
-                let pct = serving.fault.flaky_pct;
-                if !(pct.is_finite() && (0.0..=100.0).contains(&pct)) {
-                    problems.push(at(format!("serving flaky_pct {pct} outside [0, 100]")));
-                }
-                let (lo, hi) = (serving.fault.delay_ms_lo, serving.fault.delay_ms_hi);
-                if lo > hi && hi != 0 {
-                    problems.push(at(format!("serving delay bounds inverted ({lo} > {hi})")));
-                }
-            }
-            if let DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim } } = c.defense {
-                let cohort = round_cohort(c, 0).len();
-                if 2 * trim >= cohort {
-                    problems.push(at(format!(
-                        "trimmed mean drops {trim} uploads from each end of a cohort of {cohort}; \
-                         it needs 2·trim < {cohort}"
-                    )));
-                }
-            }
-            if c.provisioning == Provisioning::OnDemand && !c.iid {
-                problems.push(at(
-                    "on-demand provisioning synthesizes each client's shard i.i.d.; \
-                     the non-iid sorted partition (Algorithm 4) needs the pooled path"
-                        .into(),
-                ));
-            }
-            if c.defense == DefenseKind::TwoStage {
-                let plain = matches!(c.protocol, WorkerProtocol::Plain);
-                let zero_noise = c.epsilon.is_none() && c.dp.noise_multiplier <= 0.0;
-                if plain || zero_noise {
-                    problems.push(at("two-stage defense requires DP noise (σ > 0)".into()));
-                }
-            }
-            if matches!(c.protocol, WorkerProtocol::SignDp { .. }) {
-                if c.defense != DefenseKind::NoDefense {
-                    problems.push(at(
-                        "the sign-DP substrate runs its own majority-vote server loop; \
-                         its defense must be NoDefense"
-                            .into(),
-                    ));
-                }
-                // Rejected rather than ignored: a sign-DP cell labeled with
-                // an attack would run the identical structural-inversion loop
-                // and report rows implying the attack was actually mounted.
-                if c.attack != AttackSpec::None {
-                    problems.push(at("the sign-DP substrate's Byzantine behavior is structural \
-                         sign-inversion; its attack must be None"
-                        .into()));
-                }
-                if c.sampling < 1.0 {
-                    problems.push(at("the sign-DP substrate polls every worker each round; \
-                         its sampling fraction must be 1"
-                        .into()));
-                }
-                if c.provisioning == Provisioning::OnDemand {
-                    problems.push(at("the sign-DP substrate synthesizes its own pooled data; \
-                         its provisioning must be Pooled"
-                        .into()));
-                }
-                if c.eval_every != 0 {
-                    problems.push(at(format!(
-                        "the sign-DP substrate evaluates once per epoch; \
-                         its eval_every must be 0, got {}",
-                        c.eval_every
-                    )));
-                }
-            }
+            problems.extend(cell.config.check().err().into_iter().flatten().map(at));
         }
         let mut seen: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
         for cell in &cells {
@@ -539,6 +429,14 @@ impl ScenarioSpec {
             }
         }
         problems
+    }
+
+    /// [`ScenarioSpec::validate`] as the one error every command refuses an
+    /// invalid spec with.
+    pub fn check(&self) -> Result<(), String> {
+        let problems = self.validate();
+        let (name, n, list) = (&self.name, problems.len(), problems.join("\n  - "));
+        problems.is_empty().then_some(()).ok_or(format!("`{name}` has {n} problem(s):\n  - {list}"))
     }
 
     /// Parses a spec from JSON text.

@@ -5,6 +5,8 @@
 //! trains or binds a socket, and none writes a file other than the input it
 //! hands a command: each fails before it would.
 
+use dpbfl::prelude::{AttackSpec, DefenseKind};
+use dpbfl_harness::{GridSpec, ScenarioSpec};
 use std::process::{Command, Output};
 
 /// The scenario the server cases name: one cell, so only the flags decide.
@@ -175,6 +177,83 @@ fn run_refuses_a_trimmed_mean_that_trims_the_whole_cohort() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(matches!(out.status.code(), Some(1 | 2)), "{:?}: {stderr}", out.status);
     assert!(stderr.contains("a cohort of 5; it needs 2·trim < 5"), "{stderr}");
+}
+
+/// `smoke/tiny` with its grid cleared to one cell of LabelFlip against the
+/// two stages, `edit`ed and written to a spec file named after `tag`.
+fn tiny_cell_file(tag: &str, edit: impl FnOnce(&mut ScenarioSpec)) -> std::path::PathBuf {
+    let mut spec = dpbfl_harness::registry::get("smoke/tiny").expect("built-in scenario");
+    spec.grid = GridSpec::default();
+    spec.base.attack = AttackSpec::LabelFlip;
+    spec.base.defense = DefenseKind::TwoStage;
+    edit(&mut spec);
+    let file = std::env::temp_dir().join(format!("dpbfl-cli-{tag}-{}.json", std::process::id()));
+    std::fs::write(&file, serde_json::to_string(&spec).expect("spec serializes")).expect("spec");
+    file
+}
+
+#[test]
+fn validate_refuses_each_cell_that_once_validated_and_then_panicked_the_run() {
+    use dpbfl::prelude::{ModelKind, SyntheticSpec, WorkerProtocol};
+    type Edit = fn(&mut ScenarioSpec);
+    let cases: &[(&str, Edit, &str)] = &[
+        ("per-worker", |s| s.base.per_worker = 1, "per_worker"),
+        ("batch", |s| s.base.dp.batch_size = 97, "dp.batch_size"),
+        (
+            "clipped-batch",
+            |s| {
+                s.base.protocol = WorkerProtocol::ClippedDp { clip: 1.0 };
+                s.base.dp.batch_size = 200;
+                s.base.epsilon = None;
+            },
+            "dp.batch_size",
+        ),
+        ("aux", |s| s.base.defense_cfg.aux_per_class = 0, "defense_cfg.aux_per_class"),
+        ("clip", |s| s.base.protocol = WorkerProtocol::ClippedDp { clip: 0.0 }, "protocol"),
+        ("hidden", |s| s.base.model = ModelKind::SmallMlp { hidden: 0 }, "model"),
+        ("classes", |s| s.base.dataset.num_classes = 0, "dataset.num_classes"),
+        ("grid", |s| s.base.dataset.proto_grid = 0, "dataset.proto_grid"),
+        ("height", |s| s.base.dataset.height = 0, "dataset.height"),
+        ("width", |s| s.base.dataset.width = 0, "dataset.width"),
+        ("channels", |s| s.base.dataset.channels = 0, "dataset.channels"),
+        (
+            "shape",
+            |s| {
+                s.base.model = ModelKind::Mlp784;
+                s.grid.datasets = Some(vec![SyntheticSpec::colorectal_like().name]);
+            },
+            "model",
+        ),
+    ];
+    for (tag, edit, field) in cases {
+        let file = tiny_cell_file(tag, edit);
+        let out = run(EXP, &["validate", file.to_str().expect("utf-8 path")]);
+        let _ = std::fs::remove_file(&file);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(&format!("): {field}")), "{tag}: {stderr}");
+    }
+}
+
+#[test]
+fn server_refuses_a_cell_that_validate_refuses_before_it_binds() {
+    use dpbfl::prelude::{AggregatorKind, WorkerProtocol};
+    let plain: fn(&mut ScenarioSpec) = |s| s.base.protocol = WorkerProtocol::Plain;
+    let trim: fn(&mut ScenarioSpec) =
+        |s| s.base.defense = DefenseKind::Robust { rule: AggregatorKind::TrimmedMean { trim: 3 } };
+    for (tag, edit, why) in [
+        ("server-plain", plain, "two-stage defense requires DP noise"),
+        ("server-trim", trim, "a cohort of 5; it needs 2·trim < 5"),
+    ] {
+        let file = tiny_cell_file(tag, edit);
+        let out = run(SERVER, &[file.to_str().expect("utf-8 path"), "--in-process"]);
+        let _ = std::fs::remove_file(&file);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert_eq!(stderr.lines().next(), Some("error: `smoke/tiny` has 1 problem(s):"), "{tag}");
+        assert!(stderr.contains(why), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: ran before refusing");
+    }
 }
 
 #[test]
