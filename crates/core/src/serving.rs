@@ -85,6 +85,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -456,15 +457,19 @@ impl BoundServer {
                 }
             }
 
-            let prep = prepare(cfg);
-            let (scratch, round_ms) = (KsScratch::new(), Vec::new());
-            let mut transport = WireTransport { server: &server, rx, scratch, round_ms };
-            let started = Instant::now();
-            let result = run_with_transport_telemetry(cfg, &prep, &mut transport, tel);
+            // However the run ends, a panic included, the acceptor is woken,
+            // so the scope that joins it ends too.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let prep = prepare(cfg);
+                let (scratch, round_ms) = (KsScratch::new(), Vec::new());
+                let mut transport = WireTransport { server: &server, rx, scratch, round_ms };
+                let started = Instant::now();
+                let result = run_with_transport_telemetry(cfg, &prep, &mut transport, tel);
+                (result, started.elapsed().as_secs_f64(), transport.round_ms)
+            }));
             server.done.store(true, Ordering::Release);
             self.wake();
-            let wall = started.elapsed().as_secs_f64();
-            let round_ms = transport.round_ms;
+            let (result, wall, round_ms) = run.unwrap_or_else(|panic| resume_unwind(panic));
             let _ = acceptor.join();
             let mut report = lock(&server.shared).desk.report.clone();
             report.clients = server.close_writers();
@@ -942,7 +947,9 @@ fn connect(addr: &str) -> Result<Stream, String> {
 mod tests {
     use super::*;
     use crate::attack::AttackSpec;
-    use crate::simulation::{round_cohort, run, DefenseKind, ModelKind, Provisioning};
+    use crate::simulation::{
+        round_cohort, run, DefenseKind, ModelKind, Provisioning, WorkerProtocol,
+    };
     use dpbfl_data::SyntheticSpec;
 
     fn serving_cfg() -> SimulationConfig {
@@ -1105,6 +1112,26 @@ mod tests {
             });
             assert_eq!(accepted.is_ok(), addr != unix, "{addr}: {accepted:?}");
         }
+    }
+
+    #[test]
+    fn a_round_loop_that_panics_still_ends_the_served_run() {
+        // The sign-DP substrate cannot be served: its round loop panics
+        // once every worker is claimed. The panic must reach the caller,
+        // not leave it waiting forever on the acceptor. (The client, which
+        // never sees `RunComplete`, ends only with its server's process.)
+        let mut cfg = serving_cfg();
+        cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
+        (cfg.attack, cfg.defense) = (AttackSpec::None, DefenseKind::NoDefense);
+        let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
+        let (local, workers) = (server.local_addr().to_string(), data_member_indices(&cfg));
+        let workers: Vec<usize> = workers.into_iter().map(|w| w as usize).collect();
+        std::thread::spawn(move || run_client(&local, &workers, &ClientOptions::default()));
+        let policy = RoundPolicy::default();
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            server.serve_telemetry(&cfg, &policy, &Telemetry::null())
+        }));
+        assert!(served.is_err(), "the sign-DP run panics");
     }
 
     #[test]
