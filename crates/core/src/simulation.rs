@@ -327,6 +327,17 @@ impl SimulationConfig {
         ((self.epochs * self.per_worker as f64) / self.dp.batch_size as f64).ceil() as usize
     }
 
+    /// The one more precondition of a run served over a transport: the
+    /// sign-DP substrate owns its own loop and cannot be served.
+    pub fn check_servable(&self) -> Result<(), String> {
+        let served = !matches!(self.protocol, WorkerProtocol::SignDp { .. });
+        served.then_some(()).ok_or_else(|| {
+            "protocol: sign-DP runs its own loop (baseline::run_sign_dp) and cannot be served \
+             over a transport"
+                .into()
+        })
+    }
+
     /// Members per round, `⌈q·n⌉` in `[1, n]` (`n` at `q ≥ 1`): the length
     /// of every [`round_cohort`], without drawing one.
     fn cohort_len(&self) -> usize {
@@ -652,18 +663,16 @@ pub fn run_prepared_telemetry(
 /// first-stage rejections. Telemetry observes only, as in
 /// [`run_prepared_telemetry`].
 ///
-/// The sign-DP substrate owns its own loop and cannot be served; such
-/// configs must go through [`run`] / [`run_prepared_telemetry`].
+/// # Panics
+/// Where [`SimulationConfig::check_servable`] refuses `cfg`: such configs
+/// must go through [`run`] / [`run_prepared_telemetry`].
 pub fn run_with_transport_telemetry(
     cfg: &SimulationConfig,
     prep: &PreparedRun,
     transport: &mut dyn Transport,
     tel: &Telemetry,
 ) -> RunResult {
-    assert!(
-        !matches!(cfg.protocol, WorkerProtocol::SignDp { .. }),
-        "sign-DP runs its own loop (baseline::run_sign_dp) and cannot be served over a transport"
-    );
+    cfg.check_servable().unwrap_or_else(|e| panic!("{e}"));
     let (dp, delta) = calibrated_dp(cfg);
     crate::round::orchestrate(cfg, prep, transport, tel, &dp, delta)
 }

@@ -257,6 +257,20 @@ fn server_refuses_a_cell_that_validate_refuses_before_it_binds() {
 }
 
 #[test]
+fn server_refuses_a_sign_dp_cell_it_cannot_serve_before_it_binds() {
+    use dpbfl::prelude::WorkerProtocol;
+    let file = tiny_cell_file("server-sign-dp", |s| {
+        s.base.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
+        (s.base.attack, s.base.defense) = (AttackSpec::None, DefenseKind::NoDefense);
+    });
+    let path = file.to_str().expect("utf-8 path");
+    let first = "error: protocol: sign-DP runs its own loop (baseline::run_sign_dp) and cannot be \
+                 served over a transport";
+    case(SERVER, &[path], 1, first);
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn client_refuses_a_stray_word() {
     case(CLIENT, &["extra"], 2, "error: unexpected argument `extra`");
 }
