@@ -47,10 +47,8 @@ pub enum UploadRetention {
 /// Per-worker DP training hyper-parameters (paper Algorithm 1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DpSgdConfig {
-    /// Local batch size `b_c` — deliberately small (8/16), §4.2 property 1.
-    /// Also the per-step batch of the sign-DP baseline substrate: a
-    /// [`crate::simulation::WorkerProtocol::SignDp`] run reads this field
-    /// in the [`crate::baseline`] majority-vote loop.
+    /// Local batch size `b_c` — deliberately small (8/16), §4.2 property 1;
+    /// every protocol's local step draws a batch of this size.
     pub batch_size: usize,
     /// Gradient momentum `β` (paper uses 0.1).
     pub momentum: f32,
@@ -80,10 +78,9 @@ impl DpSgdConfig {
         self.noise_multiplier / self.batch_size as f64
     }
 
-    /// The worker's preconditions against its shard of `per_worker`
-    /// records, when the run builds a [`crate::worker::DpWorker`].
-    pub(crate) fn check(&self, per_worker: Option<usize>) -> Vec<String> {
-        let (b, n, m) = (self.batch_size, per_worker.unwrap_or(usize::MAX), self.momentum);
+    /// The worker's preconditions against its shard of `per_worker` records.
+    pub(crate) fn check(&self, per_worker: usize) -> Vec<String> {
+        let (b, n, m) = (self.batch_size, per_worker, self.momentum);
         #[rustfmt::skip]
         let rules = [
             (b > 0, "dp.batch_size: dp.batch_size must be positive (0 makes the iteration count \

@@ -32,7 +32,7 @@
 //! | [`second_stage`] | Algorithm 3 lines 4–14 |
 //! | [`attack`] | §2.3/§4.6 attacks: Gaussian, label-flip, OptLMP, "a little", inner-product, adaptive/TTBB |
 //! | [`aggregator`] | Table 1 baselines: Krum, CM, trimmed mean, RFA, mean |
-//! | [`baseline`] | the \[77\]-style sign-compression DP loop (\[30\]-style is a config) |
+//! | [`baseline`] | the \[77\]-style sign-compression DP baseline's vote (\[30\]-style is a config) |
 //! | [`simulation`] | the experiment loop (Reference Accuracy = no attack + no defense) |
 //! | [`tuning`] | Theorem 1 / Eq. 4 learning-rate transfer |
 //!

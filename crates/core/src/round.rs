@@ -40,6 +40,7 @@
 use crate::aggregator::AggregatorKind;
 use crate::aggregator_ext::fltrust;
 use crate::attack::{craft_uploads_stateful, AttackContext, AttackState, ByzantineData};
+use crate::baseline::majority_vote;
 use crate::config::{DpSgdConfig, StepNormalization, UploadRetention};
 use crate::first_stage::{CheckInfo, FirstStage, FirstStageVerdict, KsScratch};
 use crate::second_stage::{SecondStage, SelectionResult};
@@ -273,9 +274,7 @@ impl Member<'_> {
             // is already zero for such runs.
             WorkerProtocol::PaperDp | WorkerProtocol::Plain => w.local_step(params),
             WorkerProtocol::ClippedDp { clip } => w.clipped_dp_step(params, clip),
-            WorkerProtocol::SignDp { .. } => {
-                unreachable!("sign-DP runs its own loop (baseline::run_sign_dp)")
-            }
+            WorkerProtocol::SignDp { flip_prob, .. } => w.sign_step(params, flip_prob),
         };
         (!withheld).then_some(upload)
     }
@@ -377,8 +376,12 @@ pub(crate) fn orchestrate(
     assert_eq!(data_worker_count(cfg), prep.parts.len(), "prepared data does not match config");
     let sigma = dp.noise_multiplier;
     // Claim 6: the base learning rate, tuned at σ_b, transfers as η_b·σ_b/σ.
-    let lr =
-        if sigma > 0.0 { transfer_lr(cfg.base_lr, cfg.base_sigma, sigma) } else { cfg.base_lr };
+    // Sign-DP steps along the vote at its own rate.
+    let lr = match cfg.protocol {
+        WorkerProtocol::SignDp { lr, .. } => lr,
+        _ if sigma > 0.0 => transfer_lr(cfg.base_lr, cfg.base_sigma, sigma),
+        _ => cfg.base_lr,
+    };
     // One server model serves evaluation, the stage-2 gradient and FLTrust's
     // trust gradient. Sharing it moves no bit: every use sets `params`
     // first, the gradient zeroes its accumulators, and every forward pass
@@ -531,6 +534,7 @@ pub(crate) fn orchestrate(
                 whole_cohort(&mut |_| vecops::mean(&refs).expect("at least one worker"))
             }
             Defense::Robust(rule) => whole_cohort(&mut |_| rule.aggregate(&uploads)),
+            Defense::Vote => whole_cohort(&mut |_| majority_vote(&refs)),
             Defense::FlTrust { aux } => whole_cohort(&mut |params| {
                 fltrust(&refs, server_gradient(&mut model, aux, params, &mut grad))
             }),
@@ -596,11 +600,11 @@ pub(crate) fn orchestrate(
     summary
 }
 
-/// The evaluation schedule every round loop follows: test accuracy after
-/// every `cfg.eval_every`-th round (`0` = once per epoch) and after the last
-/// one. Evaluates `model` at `params` on `test` (an `eval` span) when round
-/// `t` (0-based) is due; `None` otherwise.
-pub(crate) fn evaluate(
+/// The evaluation schedule: test accuracy after every `cfg.eval_every`-th
+/// round (`0` = once per epoch) and after the last one. Evaluates `model` at
+/// `params` on `test` (an `eval` span) when round `t` (0-based) is due;
+/// `None` otherwise.
+fn evaluate(
     cfg: &SimulationConfig,
     t: usize,
     model: &mut Sequential,
@@ -627,12 +631,16 @@ pub(crate) fn evaluate(
     })
 }
 
-/// The server's defense, built once per run from `cfg.defense`.
+/// The server's defense, built once per run from `cfg.defense` (and, for
+/// sign-DP, `cfg.protocol`).
 enum Defense {
     /// Plain averaging of the whole cohort (Reference Accuracy / undefended).
     Mean,
     /// A classical robust rule over the whole cohort.
     Robust(AggregatorKind),
+    /// Sign-DP's server rule: the coordinate-wise majority vote of the whole
+    /// cohort's upload signs.
+    Vote,
     /// FLTrust: cosine-trust weighting of the whole cohort against the
     /// server's gradient on `aux`.
     FlTrust { aux: Dataset },
@@ -652,6 +660,9 @@ impl Defense {
         let defense = &cfg.defense_cfg;
         let mut aux = |pool: &Dataset| sample_auxiliary(&mut master, pool, defense.aux_per_class);
         match cfg.defense {
+            DefenseKind::NoDefense if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) => {
+                Defense::Vote
+            }
             DefenseKind::NoDefense => Defense::Mean,
             DefenseKind::Robust { rule } => Defense::Robust(rule),
             DefenseKind::FlTrust => Defense::FlTrust { aux: aux(&prep.validation) },
@@ -881,7 +892,8 @@ pub(crate) fn fold_upload(
 /// Its one caller, [`Member::upload`], steps the worker exactly once and
 /// drops it, so the shard holds pixels only for the rows that one step
 /// reads: its batch is the first draw of the DP stream (`sample_batch` opens
-/// [`DpWorker::local_step`] and [`DpWorker::clipped_dp_step`] alike), drawn
+/// [`DpWorker::local_step`], [`DpWorker::clipped_dp_step`] and
+/// [`DpWorker::sign_step`] alike), drawn
 /// here from a copy of the stream before the shard exists. Every other row
 /// is zero; every label is present. `prototypes` is
 /// `cfg.dataset.prototypes()`, built once per [`Hosted`].
@@ -959,6 +971,9 @@ mod tests {
                 let (got, want) =
                     (lazy().clipped_dp_step(&params, 0.5), eager().clipped_dp_step(&params, 0.5));
                 assert_eq!(bits(&got), bits(&want), "clipped_dp_step, b_c {b_c}, client {i}");
+                let (got, want) =
+                    (lazy().sign_step(&params, 0.25), eager().sign_step(&params, 0.25));
+                assert_eq!(bits(&got), bits(&want), "sign_step, b_c {b_c}, client {i}");
             }
         }
     }

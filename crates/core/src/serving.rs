@@ -450,7 +450,7 @@ impl BoundServer {
                 while !guard.desk.covered() {
                     if let Some(e) = guard.failed.take() {
                         drop(guard); // the acceptor has stopped
-                        server.close_writers();
+                        server.close_writers(true);
                         return Err(e);
                     }
                     guard = server.coverage.wait(guard).expect("serving state lock");
@@ -458,7 +458,8 @@ impl BoundServer {
             }
 
             // However the run ends, a panic included, the acceptor is woken,
-            // so the scope that joins it ends too.
+            // so the scope that joins it ends too; a panic also cuts every
+            // connection, so no reader, writer or client outlives the run.
             let run = catch_unwind(AssertUnwindSafe(|| {
                 let prep = prepare(cfg);
                 let (scratch, round_ms) = (KsScratch::new(), Vec::new());
@@ -469,10 +470,13 @@ impl BoundServer {
             }));
             server.done.store(true, Ordering::Release);
             self.wake();
-            let (result, wall, round_ms) = run.unwrap_or_else(|panic| resume_unwind(panic));
             let _ = acceptor.join();
+            let (result, wall, round_ms) = run.unwrap_or_else(|panic| {
+                server.close_writers(true);
+                resume_unwind(panic)
+            });
             let mut report = lock(&server.shared).desk.report.clone();
-            report.clients = server.close_writers();
+            report.clients = server.close_writers(false);
             report.rounds = round_ms.len();
             report.p50_round_ms = percentile(&round_ms, 50.0);
             report.p99_round_ms = percentile(&round_ms, 99.0);
@@ -503,11 +507,16 @@ impl Server<'_> {
 
     /// Closes every connection's queue and waits for its writer, which ends
     /// once the queue (`RunComplete` last) is written or a write has timed
-    /// out. Returns how many connections were admitted.
-    fn close_writers(&self) -> usize {
+    /// out. A failed run (`cut`) first shuts each socket down: its reader
+    /// and writer end at once, and its client reads the end of the stream.
+    /// Returns how many connections were admitted.
+    fn close_writers(&self, cut: bool) -> usize {
         let conns = std::mem::take(&mut lock(&self.shared).conns);
         let admitted = conns.len();
-        for ClientConn { outbox, writer, .. } in conns {
+        for ClientConn { outbox, writer, stream } in conns {
+            if cut {
+                stream.shutdown();
+            }
             drop(outbox);
             writer.join().expect("connection writer thread");
         }
@@ -1116,22 +1125,52 @@ mod tests {
 
     #[test]
     fn a_round_loop_that_panics_still_ends_the_served_run() {
-        // The sign-DP substrate cannot be served: its round loop panics
-        // once every worker is claimed. The panic must reach the caller,
-        // not leave it waiting forever on the acceptor. (The client, which
-        // never sees `RunComplete`, ends only with its server's process.)
+        // A config `SimulationConfig::check` refuses, served without the
+        // binaries' refusal: the round loop's entry assert panics once every
+        // worker is claimed. The panic must reach the caller, not leave it
+        // waiting forever on the acceptor, and the cut connection must end
+        // the client, which never sees `RunComplete`.
         let mut cfg = serving_cfg();
-        cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
-        (cfg.attack, cfg.defense) = (AttackSpec::None, DefenseKind::NoDefense);
+        cfg.defense_cfg.ks_significance = 2.0;
         let server = BoundServer::bind("tcp://127.0.0.1:0").expect("bind");
         let (local, workers) = (server.local_addr().to_string(), data_member_indices(&cfg));
         let workers: Vec<usize> = workers.into_iter().map(|w| w as usize).collect();
-        std::thread::spawn(move || run_client(&local, &workers, &ClientOptions::default()));
+        let (ended, client) = channel();
+        std::thread::spawn(move || {
+            ended.send(run_client(&local, &workers, &ClientOptions::default())).ok()
+        });
         let policy = RoundPolicy::default();
         let served = catch_unwind(AssertUnwindSafe(|| {
             server.serve_telemetry(&cfg, &policy, &Telemetry::null())
         }));
-        assert!(served.is_err(), "the sign-DP run panics");
+        assert!(served.is_err(), "the unrunnable run panics");
+        let client = client.recv_timeout(Duration::from_secs(30)).expect("the client ends");
+        assert!(client.is_err(), "the client saw a run complete: {client:?}");
+    }
+
+    #[test]
+    fn sign_dp_tcp_loopback_run_is_byte_identical_to_in_process() {
+        // Sign-DP is one more protocol of the round loop: the clients
+        // upload randomized signs, the server crafts the two inverters'
+        // votes and steps along the majority.
+        let mut cfg = serving_cfg();
+        cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
+        (cfg.attack, cfg.defense) =
+            (AttackSpec::InnerProduct { scale: 1.0 }, DefenseKind::NoDefense);
+        let expected = summary_json(&run(&cfg));
+        let (result, report, client_summaries) = serve_loopback(
+            &cfg,
+            "tcp://127.0.0.1:0",
+            &RoundPolicy::default(),
+            vec![vec![0, 1], vec![2, 3]],
+            vec![ClientOptions::default(); 2],
+        );
+        assert_eq!(summary_json(&result), expected, "sign-DP tcp serving ≠ in-process");
+        assert_eq!(report.dropped_uploads, 0);
+        assert_eq!(report.rounds, cfg.iterations());
+        for s in client_summaries {
+            assert_eq!(s, expected, "published summary differs");
+        }
     }
 
     #[test]

@@ -85,16 +85,13 @@ pub enum WorkerProtocol {
     /// hyper-parameters — matching the paper's "same hyperparameter setup
     /// for a fair comparison" (supp. A.6).
     Plain,
-    /// The \[77\]-style sign-compression DP baseline substrate: workers upload
-    /// randomized per-coordinate gradient *signs* and the server takes a
-    /// coordinate-wise majority vote. Structurally different from gradient
-    /// averaging, so a run under this protocol dispatches to the
-    /// [`crate::baseline`] majority-vote loop: the `defense` must be
-    /// [`DefenseKind::NoDefense`] (the majority vote *is* the server rule)
-    /// and the `attack` must be [`crate::attack::AttackSpec::None`] —
-    /// Byzantine workers always upload inverted signs, the baseline's worst
-    /// case, so any other attack label would misrepresent what ran
-    /// ([`SimulationConfig::check`] refuses both).
+    /// The \[77\]-style sign-compression DP baseline substrate (see
+    /// [`crate::baseline`]): workers upload randomized per-coordinate gradient
+    /// *signs* and the server steps along their coordinate-wise majority
+    /// vote. The vote *is* the server rule, so the `defense` must be
+    /// [`DefenseKind::NoDefense`] ([`SimulationConfig::check`] refuses any
+    /// other); σ and δ are 0, since randomized response is not the Gaussian
+    /// accountant's mechanism.
     SignDp {
         /// Server step size applied to the majority-vote sign vector.
         lr: f64,
@@ -122,27 +119,18 @@ impl WorkerProtocol {
     }
 
     /// The protocol's preconditions on `cfg`: a finite, positive clip, and
-    /// the five things the sign-DP loop does not do.
+    /// sign-DP's majority vote as the server rule.
     fn check(&self, cfg: &SimulationConfig) -> Vec<String> {
         #[rustfmt::skip]
-        let rules = match *self {
-            WorkerProtocol::ClippedDp { clip } => vec![(clip.is_finite() && clip > 0.0,
-                format!("protocol: ClippedDp clip {clip} must be finite and > 0"))],
-            WorkerProtocol::SignDp { .. } => vec![
-                (cfg.defense == DefenseKind::NoDefense, "protocol: the sign-DP substrate runs its \
-                    own majority-vote server loop; its defense must be NoDefense".into()),
-                (cfg.attack == AttackSpec::None, "protocol: the sign-DP substrate's Byzantine \
-                    behavior is structural sign-inversion; its attack must be None".into()),
-                (cfg.sampling >= 1.0, "protocol: the sign-DP substrate polls every worker each \
-                    round; its sampling fraction must be 1".into()),
-                (cfg.provisioning == Provisioning::Pooled, "protocol: the sign-DP substrate \
-                    synthesizes its own pooled data; its provisioning must be Pooled".into()),
-                (cfg.eval_every == 0, format!("protocol: the sign-DP substrate evaluates once per \
-                    epoch; its eval_every must be 0, got {}", cfg.eval_every)),
-            ],
-            _ => Vec::new(),
+        let rule = match *self {
+            WorkerProtocol::ClippedDp { clip } => (clip.is_finite() && clip > 0.0,
+                format!("protocol: ClippedDp clip {clip} must be finite and > 0")),
+            WorkerProtocol::SignDp { .. } => (cfg.defense == DefenseKind::NoDefense,
+                "protocol: the sign-DP substrate's server rule is its majority vote; its defense \
+                must be NoDefense".into()),
+            _ => return Vec::new(),
         };
-        refusals(rules)
+        refusals([rule])
     }
 }
 
@@ -327,17 +315,6 @@ impl SimulationConfig {
         ((self.epochs * self.per_worker as f64) / self.dp.batch_size as f64).ceil() as usize
     }
 
-    /// The one more precondition of a run served over a transport: the
-    /// sign-DP substrate owns its own loop and cannot be served.
-    pub fn check_servable(&self) -> Result<(), String> {
-        let served = !matches!(self.protocol, WorkerProtocol::SignDp { .. });
-        served.then_some(()).ok_or_else(|| {
-            "protocol: sign-DP runs its own loop (baseline::run_sign_dp) and cannot be served \
-             over a transport"
-                .into()
-        })
-    }
-
     /// Members per round, `⌈q·n⌉` in `[1, n]` (`n` at `q ≥ 1`): the length
     /// of every [`round_cohort`], without drawing one.
     fn cohort_len(&self) -> usize {
@@ -352,14 +329,13 @@ impl SimulationConfig {
         let dataset = self.dataset.check().into_iter().map(|p| format!("dataset.{p}"));
         let mut problems: Vec<String> = dataset.collect();
         problems.extend(self.model.check(&self.dataset).err().map(|e| format!("model: {e}")));
-        let worker = !matches!(self.protocol, WorkerProtocol::SignDp { .. });
-        problems.extend(self.dp.check(worker.then_some(self.per_worker)));
+        problems.extend(self.dp.check(self.per_worker));
         problems.extend(self.protocol.check(self).into_iter().chain(self.defense.check(self)));
         problems.extend(
             self.attack.validate().err().map(|e| format!("attack: invalid attack spec: {e}")),
         );
         let (protocol, n, q, e) = (self.protocol, self.per_worker, self.sampling, self.epochs);
-        let holders = if worker { data_members(self) } else { self.n_honest };
+        let holders = data_members(self);
         let min = if protocol.gaussian() { 2 } else { 1 }; // δ = per_worker^-1.1 needs two records
         let eps = self.epsilon.unwrap_or(1.0);
         let fault = self.serving.as_ref().map(|s| s.fault.clone()).unwrap_or_default();
@@ -615,11 +591,6 @@ pub fn round_cohort(cfg: &SimulationConfig, round: usize) -> Vec<usize> {
 
 /// Runs one full experiment.
 pub fn run(cfg: &SimulationConfig) -> RunResult {
-    // The sign-DP substrate runs its own loop (and synthesizes its own
-    // data), so skip the gradient-protocol preparation entirely.
-    if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
-        return crate::baseline::run_sign_dp(cfg, &Telemetry::null());
-    }
     run_prepared_telemetry(cfg, &prepare(cfg), &Telemetry::null())
 }
 
@@ -640,12 +611,6 @@ pub fn run_prepared_telemetry(
     prep: &PreparedRun,
     tel: &Telemetry,
 ) -> RunResult {
-    // The sign-compression substrate is structurally different (majority
-    // vote instead of gradient averaging) and owns its data pipeline: a
-    // shared `prep` is simply unused for such cells.
-    if matches!(cfg.protocol, WorkerProtocol::SignDp { .. }) {
-        return crate::baseline::run_sign_dp(cfg, tel);
-    }
     let (dp, delta) = calibrated_dp(cfg);
     let mut transport = InProcessTransport::new(cfg, prep, &dp);
     crate::round::orchestrate(cfg, prep, &mut transport, tel, &dp, delta)
@@ -662,17 +627,12 @@ pub fn run_prepared_telemetry(
 /// of arrival order, and late/missing uploads are treated exactly like
 /// first-stage rejections. Telemetry observes only, as in
 /// [`run_prepared_telemetry`].
-///
-/// # Panics
-/// Where [`SimulationConfig::check_servable`] refuses `cfg`: such configs
-/// must go through [`run`] / [`run_prepared_telemetry`].
 pub fn run_with_transport_telemetry(
     cfg: &SimulationConfig,
     prep: &PreparedRun,
     transport: &mut dyn Transport,
     tel: &Telemetry,
 ) -> RunResult {
-    cfg.check_servable().unwrap_or_else(|e| panic!("{e}"));
     let (dp, delta) = calibrated_dp(cfg);
     crate::round::orchestrate(cfg, prep, transport, tel, &dp, delta)
 }
@@ -691,8 +651,8 @@ pub(crate) fn calibrated_dp(cfg: &SimulationConfig) -> (DpSgdConfig, f64) {
 /// or taken from the config. Public so experiment harnesses and examples can
 /// report the calibration a config resolves to without running it.
 pub fn resolve_sigma(cfg: &SimulationConfig) -> (f64, f64) {
-    // Sign-DP privatizes via randomized response, not Gaussian noise; the
-    // Gaussian accountant does not apply.
+    // Sign-DP privatizes via randomized response, and Plain not at all;
+    // the Gaussian accountant does not apply.
     if !cfg.protocol.gaussian() {
         return (0.0, 0.0);
     }

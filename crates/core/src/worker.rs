@@ -30,7 +30,7 @@ use dpbfl_nn::{CrossEntropyLoss, Sequential};
 use dpbfl_stats::normal::fill_standard_normal;
 use dpbfl_tensor::vecops;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A worker running the paper's DP protocol on its local dataset.
 #[derive(Debug, Clone)]
@@ -216,6 +216,27 @@ impl DpWorker {
             ((s + z * noise_std) * inv_bc) as f32
         });
         out
+    }
+
+    /// A sign-compression DP upload (the \[77\]-style baseline): the signs of
+    /// the mini-batch gradient (`g ≥ 0` is +1), each flipped with
+    /// probability `flip_prob` (randomized response). No momentum.
+    pub fn sign_step(&mut self, params: &[f32], flip_prob: f64) -> Vec<f32> {
+        self.model.set_params(params);
+        let batch = sample_batch(&mut self.rng, self.data.len(), self.cfg.batch_size);
+        let examples: Vec<(&[f32], usize)> =
+            batch.iter().map(|&i| (self.data.example(i), self.data.label(i))).collect();
+        self.model.batch_gradient(&self.loss_fn, &examples, &mut self.grad_buf);
+        let rng = &mut self.rng;
+        let sign = |&g: &f32| {
+            let s = if g >= 0.0 { 1.0 } else { -1.0 };
+            if rng.gen_range(0.0..1.0) < flip_prob {
+                -s
+            } else {
+                s
+            }
+        };
+        self.grad_buf.iter().map(sign).collect()
     }
 }
 

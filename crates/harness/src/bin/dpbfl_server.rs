@@ -71,9 +71,6 @@ fn serve(mut args: Args) -> CliResult {
     args.finish()?;
 
     let cfg = resolve_cell(&scenario, cell)?;
-    if !in_process {
-        cfg.check_servable()?;
-    }
     let workers = data_member_indices(&cfg);
 
     let tel = match &metrics_out {

@@ -447,7 +447,7 @@ fn table1_matrix() -> ScenarioSpec {
                 flip_prob: flip_prob_for_epsilon(1.0),
             }),
             model: Some(ModelKind::SmallMlp { hidden: 16 }),
-            attack: Some(AttackSpec::None), // sign-inversion is structural
+            attack: Some(AttackSpec::InnerProduct { scale: 1.0 }), // inverts the honest vote
             ..IncludeRow::default()
         },
         IncludeRow {
@@ -485,8 +485,8 @@ fn table3_sign_dp() -> ScenarioSpec {
             flip_prob: flip_prob_for_epsilon(eps_total / rounds),
         }),
         model: Some(ModelKind::SmallMlp { hidden: 16 }),
-        n_byzantine: Some(1),           // 10 % of the cohort
-        attack: Some(AttackSpec::None), // sign-inversion is structural
+        n_byzantine: Some(1), // 10 % of the cohort
+        attack: Some(AttackSpec::InnerProduct { scale: 1.0 }), // inverts the honest vote
         ..IncludeRow::default()
     };
     let ours = |byz_pct: usize, n_byz: usize| IncludeRow {

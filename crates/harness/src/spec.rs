@@ -73,8 +73,8 @@ pub struct GridSpec {
     pub iid: Option<Vec<bool>>,
     /// Worker upload protocols to sweep — the paper's protocol vs the
     /// \[30\]-style clipped DP-SGD vs the non-private ablation vs the
-    /// \[77\]-style sign-DP substrate ([`WorkerProtocol::SignDp`] dispatches
-    /// to its own majority-vote loop).
+    /// \[77\]-style sign-DP substrate ([`WorkerProtocol::SignDp`], whose
+    /// server rule is a majority vote).
     pub protocols: Option<Vec<WorkerProtocol>>,
     /// Dataset families to sweep, by name ([`SyntheticSpec::by_name`]):
     /// `mnist-like`, `fashion-like`, `usps-like`, `colorectal-like`,
@@ -930,17 +930,6 @@ mod tests {
         s.base.provisioning = Provisioning::OnDemand;
         s.base.iid = false;
         assert!(s.validate().iter().any(|p| p.contains("pooled path")), "{:?}", s.validate());
-
-        // The sign-DP substrate has neither a sampling nor an on-demand path.
-        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
-        s.base.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
-        s.base.defense = DefenseKind::NoDefense;
-        s.base.attack = AttackSpec::None;
-        s.base.sampling = 0.5;
-        s.base.provisioning = Provisioning::OnDemand;
-        let problems = s.validate();
-        assert!(problems.iter().any(|p| p.contains("sampling fraction must be 1")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("must be Pooled")), "{problems:?}");
     }
 
     #[test]
@@ -994,33 +983,16 @@ mod tests {
     }
 
     #[test]
-    fn sign_dp_cells_must_run_undefended_and_unattacked() {
+    fn sign_dp_cells_must_run_undefended() {
         let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
         s.base.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
         s.base.defense = DefenseKind::TwoStage;
-        s.base.attack = AttackSpec::Gaussian;
         let problems = s.validate();
-        assert!(problems.iter().any(|p| p.contains("majority-vote")), "{problems:?}");
-        // The sign-DP loop ignores cfg.attack (Byzantine behavior is
-        // structural sign-inversion); an attack label would misrepresent
-        // what ran, so it is rejected rather than silently ignored.
-        assert!(problems.iter().any(|p| p.contains("sign-inversion")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("majority vote")), "{problems:?}");
+        // Any attack, sampling fraction and schedule runs under the vote.
         s.base.defense = DefenseKind::NoDefense;
-        s.base.attack = AttackSpec::None;
-        assert!(s.validate().is_empty(), "{:?}", s.validate());
-    }
-
-    #[test]
-    fn sign_dp_cells_reject_an_eval_schedule_the_loop_would_ignore() {
-        let mut s = spec(GridSpec::default(), SeedPolicy::Fixed { seed: 1 });
-        s.base.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
-        s.base.defense = DefenseKind::NoDefense;
-        s.base.attack = AttackSpec::None;
-        s.base.eval_every = 1;
-        let problems = s.validate();
-        assert!(problems.iter().any(|p| p.contains("eval_every must be 0, got 1")), "{problems:?}");
-        // Every other protocol honours the schedule.
-        s.base.protocol = WorkerProtocol::PaperDp;
+        s.base.attack = AttackSpec::InnerProduct { scale: 1.0 };
+        (s.base.sampling, s.base.eval_every) = (0.5, 1);
         assert!(s.validate().is_empty(), "{:?}", s.validate());
     }
 

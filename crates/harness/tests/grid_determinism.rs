@@ -128,12 +128,10 @@ fn killed_grid_resumes_without_recomputing_finished_cells() {
 #[test]
 fn protocol_axis_grid_is_bit_identical_across_threads_and_to_standalone_runs() {
     // The protocol axis crossed with two attacks (2×2), plus a sign-DP
-    // include row (the majority-vote loop ignores a shared preparation
-    // entirely, and validate() requires attack = None for it, so it rides
-    // along as a labeled row rather than a protocol-axis value). All three
-    // runnable substrates are covered; the grid must stay byte-identical
-    // at any thread count and every cell must equal a standalone
-    // `simulation::run` of its config.
+    // include row (validate() requires it undefended, and its silent
+    // Byzantine members cast no vote). All three runnable substrates are
+    // covered; the grid must stay byte-identical at any thread count and
+    // every cell must equal a standalone `simulation::run` of its config.
     let mut base =
         SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
     base.per_worker = 96;

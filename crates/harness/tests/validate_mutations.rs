@@ -102,10 +102,11 @@ fn tiny_silent() -> SimulationConfig {
     cfg
 }
 
-/// The same cell on the sign-DP substrate.
+/// The same cell on the sign-DP substrate, its Byzantine workers inverting
+/// the honest vote.
 fn tiny_sign_dp() -> SimulationConfig {
     let mut cfg = tiny_undefended();
-    cfg.attack = AttackSpec::None;
+    cfg.attack = AttackSpec::InnerProduct { scale: 1.0 };
     cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 0.25 };
     cfg
 }

@@ -81,6 +81,7 @@ fn sign_dp_baseline_fails_under_majority() {
         cfg.n_byzantine = n_byz;
         cfg.seed = 5;
         cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: flip_prob_for_epsilon(1.0) };
+        cfg.attack = AttackSpec::InnerProduct { scale: 1.0 };
         dpbfl::simulation::run(&cfg)
     };
     let honest = run_with_byz(0);

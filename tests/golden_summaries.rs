@@ -6,10 +6,9 @@
 //! attack variant, with and without client sampling, pooled and on-demand
 //! provisioning, at 1 and 4 threads. Beside it they pin the undefended mean,
 //! FLTrust, the classical robust rules, out-of-distribution auxiliary data
-//! and the sign-compression baseline's majority-vote loop. An intended
-//! change re-captures the
-//! table (a failure prints every cell's actual hash) and says why in
-//! CHANGES.md.
+//! and the sign-compression baseline's majority vote. An intended change
+//! re-captures the table (a failure prints every cell's actual hash) and
+//! says why in CHANGES.md.
 //!
 //! The small matrices run in the default (tier-1) test pass; the registry
 //! and CNN pins are `#[ignore]`d and run by CI in release:
@@ -171,7 +170,8 @@ fn on_demand_summaries_match_their_pins() {
 }
 
 /// The sign-compression baseline: 6 honest workers and `n_byzantine`
-/// sign-inverters on a 12-unit MLP, randomized response at ε₀ = 1.
+/// sign-inverters (inner product at scale 1) on a 12-unit MLP, randomized
+/// response at ε₀ = 1.
 fn sign_dp(n_byzantine: usize) -> SimulationConfig {
     let mut cfg =
         SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 12 });
@@ -181,15 +181,16 @@ fn sign_dp(n_byzantine: usize) -> SimulationConfig {
     cfg.n_byzantine = n_byzantine;
     cfg.seed = 5;
     cfg.protocol = WorkerProtocol::SignDp { lr: 0.002, flip_prob: 1.0 / (1f64.exp() + 1.0) };
+    cfg.attack = AttackSpec::InnerProduct { scale: 1.0 };
     cfg
 }
 
 #[test]
 #[rustfmt::skip]
 fn sign_dp_summaries_match_their_pins() {
-    // The majority-vote loop the `SignDp` protocol dispatches to: the two
-    // registry rows that run it, and an honest and a Byzantine-majority
-    // cohort of the baseline on its own.
+    // The `SignDp` protocol under its majority vote: the two registry rows
+    // that run it, and an honest and a Byzantine-majority cohort of the
+    // baseline on its own.
     let row = |name: &str, label: &str| {
         let cell = registry::get(name).expect("registered scenario").cells().into_iter()
             .find(|c| c.axis("row") == Some(label)).expect("row exists");
