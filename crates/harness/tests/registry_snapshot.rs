@@ -28,10 +28,10 @@ const SPECS: &[(&str, u64)] = &[
     ("paper/non_iid", 0x57f6f06e5b7f4535),
     ("paper/extreme_byz", 0x9a18f204ff0b082c),
     ("paper/accounting", 0xb182845176040429),
-    ("paper/table1_matrix", 0xb41de4453710bad6),
+    ("paper/table1_matrix", 0xe3fb75711801b3fe),
     ("paper/table2_ours", 0xa995c17925b2ca93),
     ("paper/table2_dp_krum", 0x6858ef6956f772b1),
-    ("paper/table3_sign_dp", 0x24dbdb39c8cfdb48),
+    ("paper/table3_sign_dp", 0x181075519f9793c8),
     ("paper/table4_side_effect", 0xc6f1f42e167bd570),
     ("paper/table5_ttbb", 0xb399c3c71fe6eeda),
     ("paper/table6_gamma", 0xd9aec1e63dec86cd),
@@ -107,7 +107,7 @@ const CELLS: &[(&str, usize, &str, &str)] = &[
     ("paper/table1_matrix", 3, "6e4819300ed3a42a", "seed=1 row=trimmed-mean"),
     ("paper/table1_matrix", 4, "d61fb8897a856dde", "seed=1 row=rfa"),
     ("paper/table1_matrix", 5, "aa2f1e09c70c2a60", "seed=1 row=dp-sgd+krum"),
-    ("paper/table1_matrix", 6, "86b0dbf67eaaf74c", "seed=1 row=sign-dp"),
+    ("paper/table1_matrix", 6, "d51d88dd54edd5c4", "seed=1 row=sign-dp"),
     ("paper/table1_matrix", 7, "9eebbb2df39d73c7", "seed=1 row=two-stage"),
     ("paper/table2_ours", 0, "11fef3623eedf8fe", "attack=a-little n_byzantine=7"),
     ("paper/table2_ours", 1, "4b35eac2f13e1ae3", "attack=a-little n_byzantine=15"),
@@ -117,8 +117,8 @@ const CELLS: &[(&str, usize, &str, &str)] = &[
     ("paper/table2_dp_krum", 1, "c76471aac2a36f49", "attack=a-little n_byzantine=7"),
     ("paper/table2_dp_krum", 2, "faf9b245cfee461c", "attack=inner-product n_byzantine=3"),
     ("paper/table2_dp_krum", 3, "f7a2aa85e8fe9fa8", "attack=inner-product n_byzantine=7"),
-    ("paper/table3_sign_dp", 0, "fec04c84466f8905", "seed=1 row=sign-dp(eps=0.21)"),
-    ("paper/table3_sign_dp", 1, "05656b5bc3232ca3", "seed=1 row=sign-dp(eps=0.4)"),
+    ("paper/table3_sign_dp", 0, "b8c8c97e2adfa2ed", "seed=1 row=sign-dp(eps=0.21)"),
+    ("paper/table3_sign_dp", 1, "6caa0d796f65b72b", "seed=1 row=sign-dp(eps=0.4)"),
     ("paper/table3_sign_dp", 2, "213de040ea12a578", "seed=1 row=ours(byz=40%)"),
     ("paper/table3_sign_dp", 3, "b418a87593a05cb4", "seed=1 row=ours(byz=60%)"),
     ("paper/table4_side_effect", 0, "789cbfb89be6a7f0", "epsilon=2"),
