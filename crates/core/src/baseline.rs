@@ -43,7 +43,7 @@ mod tests {
     use crate::simulation::{run, ModelKind, RunResult, SimulationConfig, WorkerProtocol};
     use dpbfl_data::SyntheticSpec;
 
-    fn run_sign_dp(n_byz: usize) -> RunResult {
+    fn sign_dp_run(n_byz: usize) -> RunResult {
         let mut cfg =
             SimulationConfig::quick(SyntheticSpec::mnist_like(), ModelKind::SmallMlp { hidden: 8 });
         cfg.per_worker = 128;
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn honest_sign_dp_learns_something() {
-        let r = run_sign_dp(0);
+        let r = sign_dp_run(0);
         assert!(r.final_accuracy > 0.3, "sign-DP failed to learn: {}", r.final_accuracy);
     }
 
@@ -83,8 +83,8 @@ mod tests {
         // 7 byzantine vs 6 honest, each inverting the honest majority: the
         // vote flips and accuracy collapses to chance — the paper's Table 1
         // "✗ at >50%" entry.
-        let honest = run_sign_dp(0);
-        let attacked = run_sign_dp(7);
+        let honest = sign_dp_run(0);
+        let attacked = sign_dp_run(7);
         assert!(
             attacked.final_accuracy < honest.final_accuracy - 0.1,
             "sign-DP unexpectedly survived a Byzantine majority: {} vs {}",

@@ -651,8 +651,8 @@ pub(crate) fn calibrated_dp(cfg: &SimulationConfig) -> (DpSgdConfig, f64) {
 /// or taken from the config. Public so experiment harnesses and examples can
 /// report the calibration a config resolves to without running it.
 pub fn resolve_sigma(cfg: &SimulationConfig) -> (f64, f64) {
-    // Sign-DP privatizes via randomized response, and Plain not at all;
-    // the Gaussian accountant does not apply.
+    // Sign-DP privatizes via randomized response, not Gaussian noise; the
+    // Gaussian accountant does not apply.
     if !cfg.protocol.gaussian() {
         return (0.0, 0.0);
     }
